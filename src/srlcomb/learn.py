@@ -11,6 +11,7 @@ recoverable from the same rows.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -137,6 +138,15 @@ class ScoreModel:
             pos += 1
             return value
 
+        def fields(what: str, count: int, exact: bool = True) -> list:
+            nonlocal pos
+            parts = lines[pos].split() if pos < len(lines) else []
+            if len(parts) < count or (exact and len(parts) > count):
+                raise ValueError(f"model file: {what} row at line {pos + 1} has {len(parts)} "
+                                 f"fields, expected {'' if exact else 'at least '}{count}")
+            pos += 1
+            return parts
+
         if take("") != MODEL_HEADER:
             raise ValueError("not a model file")
         kind = take("kind ")
@@ -152,8 +162,7 @@ class ScoreModel:
         cuts = {}
         degenerate = set()
         for _ in range(n_intervals):
-            parts = lines[pos].split()
-            pos += 1
+            parts = fields("intervals", 7)
             key = (parts[0], parts[1])
             cuts[key] = tuple(float(x) for x in parts[2:6])
             if parts[6] == "degenerate":
@@ -172,10 +181,11 @@ class ScoreModel:
                              degenerate=bool(int(take("degenerate "))))
             n_sup = int(take("supports "))
             for _ in range(n_sup):
-                parts = lines[pos].split()
-                pos += 1
-                sc.supports.append((float(parts[0]), int(parts[1]),
-                                    FeatureVector(tuple(int(x) for x in parts[2:]))))
+                parts = fields("supports", 2, exact=False)
+                ids = tuple(int(x) for x in parts[2:])
+                if ids and not 0 <= min(ids) <= max(ids) < len(space):
+                    raise ValueError(f"model file: feature id out of vocabulary at line {pos}")
+                sc.supports.append((float(parts[0]), int(parts[1]), FeatureVector(ids)))
             take("end")
             scorers[label] = sc
         return cls(kind, degree, config, space, scorers, intervals)
@@ -234,30 +244,27 @@ def _gram(vectors: Sequence[FeatureVector], degree: int) -> np.ndarray:
 
 
 def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float,
-         max_passes: int = 500) -> tuple[np.ndarray, float]:
+         max_passes: int = 500) -> tuple[np.ndarray, float, np.ndarray, int, float]:
     """Sequential pairwise optimization of the soft-margin dual.
 
     Deterministic variant of the classic working-set scheme: pick the first
     KKT violator, pair it with the largest-error-gap partner, and fall back
-    to every other index before declaring it stuck.
+    to every other index before declaring it stuck.  The errors
+    E = K @ (alpha*y) + b - y are cached (Platt 1998; Keerthi et al. 2001):
+    they start at -y, and each successful step updates them in O(n) from the
+    two changed kernel rows and the bias shift.
+
+    Returns (alpha, b, E, passes, violation), where violation is the largest
+    KKT violation left; it exceeds `tol` only when the loop stopped at
+    `max_passes` or found no pair to improve.
     """
     n = len(y)
     alpha = np.zeros(n)
+    err = -y.astype(float)
     b = 0.0
 
-    def f(i: int) -> float:
-        return float((alpha * y) @ k[:, i] + b)
-
-    def objective_with(i: int, j: int, a_i: float, a_j: float) -> float:
-        old_i, old_j = alpha[i], alpha[j]
-        alpha[i], alpha[j] = a_i, a_j
-        v = alpha * y
-        value = float(alpha.sum() - 0.5 * v @ k @ v)
-        alpha[i], alpha[j] = old_i, old_j
-        return value
-
     def take_step(i: int, j: int) -> bool:
-        nonlocal b
+        nonlocal b, err
         if i == j:
             return False
         a_i, a_j = alpha[i], alpha[j]
@@ -268,60 +275,55 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float,
             lo, hi = max(0.0, a_i + a_j - c), min(c, a_i + a_j)
         if hi - lo < 1e-12:
             return False
-        e_i, e_j = f(i) - y[i], f(j) - y[j]
+        e_i, e_j = err[i], err[j]
         eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
         if eta > 1e-12:
-            new_j = float(np.clip(a_j + y[j] * (e_i - e_j) / eta, lo, hi))
+            new_j = min(max(a_j + y[j] * (e_i - e_j) / eta, lo), hi)
         else:
-            # flat or concave along the segment: the optimum sits at an end
-            lo_obj = objective_with(i, j, a_i + s * (a_j - lo), lo)
-            hi_obj = objective_with(i, j, a_i + s * (a_j - hi), hi)
-            if lo_obj > hi_obj + 1e-12:
+            # flat or concave along the segment: the optimum sits at an end.
+            # Moving alpha_j by t gains y_j (e_i - e_j) t - eta t^2 / 2.
+            lo_gain, hi_gain = (y[j] * (e_i - e_j) * t - 0.5 * eta * t * t
+                                for t in (lo - a_j, hi - a_j))
+            if lo_gain > hi_gain + 1e-12:
                 new_j = lo
-            elif hi_obj > lo_obj + 1e-12:
+            elif hi_gain > lo_gain + 1e-12:
                 new_j = hi
             else:
                 return False
         if abs(new_j - a_j) < 1e-10:
             return False
         new_i = a_i + s * (a_j - new_j)
+        d_i, d_j = y[i] * (new_i - a_i), y[j] * (new_j - a_j)
         alpha[i], alpha[j] = new_i, new_j
-        b_i = b - e_i - y[i] * (new_i - a_i) * k[i, i] - y[j] * (new_j - a_j) * k[i, j]
-        b_j = b - e_j - y[i] * (new_i - a_i) * k[i, j] - y[j] * (new_j - a_j) * k[j, j]
+        b_i = b - e_i - d_i * k[i, i] - d_j * k[i, j]
+        b_j = b - e_j - d_i * k[i, j] - d_j * k[j, j]
         if 0.0 < new_i < c:
-            b = b_i
+            new_b = b_i
         elif 0.0 < new_j < c:
-            b = b_j
+            new_b = b_j
         else:
-            b = (b_i + b_j) / 2.0
+            new_b = (b_i + b_j) / 2.0
+        err += d_i * k[i] + d_j * k[j] + (new_b - b)
+        b = new_b
         return True
 
+    def nonbound() -> np.ndarray:
+        return np.flatnonzero((alpha > 1e-12) & (alpha < c - 1e-12))
+
     def examine(i: int) -> bool:
-        e_i = f(i) - y[i]
-        r = y[i] * e_i
+        r = y[i] * err[i]
         if not ((r < -tol and alpha[i] < c) or (r > tol and alpha[i] > 0)):
             return False
-        nonbound = [j for j in range(n) if 1e-12 < alpha[j] < c - 1e-12]
-        if nonbound:
-            gaps = [abs(f(j) - y[j] - e_i) for j in nonbound]
-            if take_step(i, nonbound[int(np.argmax(gaps))]):
-                return True
-        for j in nonbound:
-            if take_step(i, j):
-                return True
-        for j in range(n):
-            if take_step(i, j):
-                return True
-        return False
+        free = nonbound()
+        if free.size and take_step(i, free[np.argmax(np.abs(err[free] - err[i]))]):
+            return True
+        return (any(take_step(i, j) for j in free)
+                or any(take_step(i, j) for j in range(n)))
 
     passes = 0
     examine_all = True
     while passes < max_passes:
-        changed = 0
-        targets = range(n) if examine_all else [
-            i for i in range(n) if 1e-12 < alpha[i] < c - 1e-12]
-        for i in targets:
-            changed += examine(i)
+        changed = sum(examine(i) for i in (range(n) if examine_all else nonbound()))
         passes += 1
         if examine_all:
             if changed == 0:
@@ -329,7 +331,9 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float,
             examine_all = False
         elif changed == 0:
             examine_all = True
-    return alpha, b
+    r = y * err
+    violation = np.maximum(np.where(alpha < c - 1e-12, -r, 0.0), np.where(alpha > 1e-12, r, 0.0))
+    return alpha, b, err, passes, float(violation.max())
 
 
 def train_local_svm(datasets: LabelDataset, *, degree: int = DEFAULT_DEGREE,
@@ -347,7 +351,10 @@ def train_local_svm(datasets: LabelDataset, *, degree: int = DEFAULT_DEGREE,
             continue
         vectors = [fv for fv, _ in data]
         k = _gram(vectors, degree)
-        alpha, bias = _smo(k, ys, c, tol)
+        alpha, bias, _err, passes, violation = _smo(k, ys, c, tol)
+        if violation > tol:
+            print(f"srlcomb: warning: SMO for label {label} stopped after {passes} passes "
+                  f"with KKT violation {violation:.3g} > tol {tol:g}", file=sys.stderr)
         sc = LabelScorer(label, degree=degree, bias=float(bias))
         for i, a in enumerate(alpha):
             if a > 1e-10:

@@ -155,6 +155,21 @@ class TestInfer:
                    "--out", str(tmp_path / "x.props")])
         assert rc == 2
 
+    def test_truncated_intervals_row_exit_2(self, corpus_dir, tmp_path, capsys):
+        model = tmp_path / "m.svm"
+        assert main(["train", *_system_args(corpus_dir),
+                     "--gold", f"{corpus_dir}/gold.props",
+                     "--scorer", "svm", "--out", str(model)]) == 0
+        lines = model.read_text().splitlines()
+        row = next(i for i, l in enumerate(lines) if l.startswith("intervals ")) + 1
+        lines[row] = " ".join(lines[row].split()[:3])
+        model.write_text("\n".join(lines) + "\n")
+        rc = main(["infer", *_system_args(corpus_dir), "--engine", "dp",
+                   "--scorer", "svm", "--model", str(model),
+                   "--out", str(tmp_path / "x.props")])
+        assert rc == 2
+        assert f"line {row + 1}" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_global_perceptron_with_features_subset(self, corpus_dir, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -5,15 +6,19 @@ import pytest
 from scipy.optimize import minimize
 
 from srlcomb.features import FeatureConfig, FeatureExtractor, FeatureSpace
+from srlcomb import learn
+from srlcomb.calibrate import attach_probs, build_intervals
 from srlcomb.infer_cs import Scope
 from srlcomb.learn import (
     DEFAULT_C,
     DEFAULT_DEGREE,
     DEFAULT_EPOCHS,
+    DEFAULT_KKT_TOL,
     LabelScorer,
     ModelMismatchError,
     ScoreModel,
     TrainExample,
+    _smo,
     kernel,
     label_datasets,
     score_pool,
@@ -135,6 +140,20 @@ class TestLocalSvm:
             b = big.scorers["A0"].raw_score(x)
             assert np.sign(a) == np.sign(b)
 
+    def test_stopped_at_max_passes_warns(self, featured_pool, monkeypatch, capsys):
+        pool, extractor, intervals, _gold = featured_pool
+        monkeypatch.setattr(learn, "_smo", functools.partial(learn._smo, max_passes=1))
+        train_local_svm({"A1": label_datasets(pool)["A1"]}, space=extractor.space,
+                        feature_config=extractor.config, intervals=intervals)
+        err = capsys.readouterr().err
+        assert "label A1 stopped after 1 passes" in err
+
+    def test_converged_separable_is_silent(self, capsys):
+        space = FeatureSpace()
+        train_local_svm({"A0": _separable_dataset(space)}, space=space,
+                        feature_config=FeatureConfig())
+        assert capsys.readouterr().err == ""
+
     def test_single_class_degenerate(self):
         space = FeatureSpace()
         data = [(fv(space, "a"), 1), (fv(space, "b"), 1)]
@@ -143,6 +162,41 @@ class TestLocalSvm:
         scorer = model.scorers["A0"]
         assert scorer.degenerate
         assert scorer.raw_score(fv(space, "zzz")) > 0
+
+
+@pytest.fixture(scope="module")
+def real_label_problems():
+    """(label, kernel matrix, labels) for every label of a feature-extracted
+    synthetic pool with 30-60 training points."""
+    gold, systems = generate_synthetic(SyntheticConfig(n_sentences=40, seed=31))
+    pool = attach_probs(align_gold(build_pool(
+        [(f"M{i+1}", d, t) for i, (d, t) in enumerate(systems)]), gold))
+    pool = FeatureExtractor().extract_pool(pool, intervals=build_intervals(pool))
+    problems = []
+    for label, data in sorted(label_datasets(pool).items()):
+        if 30 <= len(data) <= 60:
+            ys = np.array([y for _, y in data], dtype=float)
+            problems.append((label, _kernel_matrix([x for x, _ in data], 2), ys))
+    assert len(problems) >= 3
+    return problems
+
+
+class TestSmoOracle:
+    @pytest.mark.parametrize("c", [1.0, 5e-4])
+    def test_optimum_kkt_and_error_cache(self, real_label_problems, c):
+        tol = DEFAULT_KKT_TOL
+        for label, k, y in real_label_problems:
+            alpha, b, err, _passes, violation = _smo(k, y, c, tol)
+            assert abs(_dual_objective(alpha, y, k) - _qp_oracle(k, y, c)) < 1e-6, label
+            margin = y * (k @ (alpha * y) + b) - 1.0
+            at_zero, at_c = alpha <= 1e-8, alpha >= c - 1e-8
+            assert np.all(margin[at_zero] >= -tol), label
+            assert np.all(margin[at_c] <= tol), label
+            assert np.all(np.abs(margin[~at_zero & ~at_c]) <= tol), label
+            assert np.all((alpha >= -1e-12) & (alpha <= c + 1e-12)), label
+            assert abs(alpha @ y) < 1e-9, label
+            assert violation <= tol, label
+            np.testing.assert_allclose(err, k @ (alpha * y) + b - y, rtol=0, atol=1e-9)
 
 
 class TestLocalPerceptron:
@@ -287,7 +341,6 @@ def featured_pool():
     gold, systems = generate_synthetic(SyntheticConfig(n_sentences=20, seed=30))
     pool = align_gold(build_pool(
         [(f"M{i+1}", d, t) for i, (d, t) in enumerate(systems)]), gold)
-    from srlcomb.calibrate import attach_probs, build_intervals
     pool = attach_probs(pool)
     intervals = build_intervals(pool)
     extractor = FeatureExtractor()
@@ -326,6 +379,12 @@ class TestScorePool:
             score_pool(model, pool)
 
 
+def _svm_model_text(featured_pool) -> str:
+    pool, extractor, intervals, _gold = featured_pool
+    return train_local_svm(label_datasets(pool), space=extractor.space,
+                           feature_config=extractor.config, intervals=intervals).saves()
+
+
 class TestModelFile:
     def test_round_trip_bytes_and_scores(self, featured_pool):
         pool, extractor, intervals, gold = featured_pool
@@ -343,6 +402,23 @@ class TestModelFile:
         model, _ = train_global_perceptron(_marked_examples(space, 6), epochs=2,
                                            space=space, feature_config=FeatureConfig())
         assert ScoreModel.loads(model.saves()).saves() == model.saves()
+
+    def test_short_intervals_row_rejected(self, featured_pool):
+        text = _svm_model_text(featured_pool)
+        lines = text.splitlines()
+        row = lines.index(next(l for l in lines if l.startswith("intervals "))) + 1
+        lines[row] = " ".join(lines[row].split()[:6])
+        with pytest.raises(ValueError, match=f"line {row + 1}"):
+            ScoreModel.loads("\n".join(lines))
+
+    @pytest.mark.parametrize("bad_id", ["999999", "-1"])
+    def test_out_of_vocabulary_support_id_rejected(self, featured_pool, bad_id):
+        lines = _svm_model_text(featured_pool).splitlines()
+        row = next(i for i, l in enumerate(lines)
+                   if l.startswith("supports ") and l != "supports 0") + 1
+        lines[row] += " " + bad_id
+        with pytest.raises(ValueError, match=f"vocabulary at line {row + 1}"):
+            ScoreModel.loads("\n".join(lines))
 
     def test_header_enforced(self):
         with pytest.raises(ValueError):
