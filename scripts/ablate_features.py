@@ -11,7 +11,8 @@ from srlcomb.calibrate import attach_probs, build_intervals
 from srlcomb.corpus_io import SyntheticConfig, generate_synthetic
 from srlcomb.evaluate import score
 from srlcomb.features import ALL_GROUPS, FeatureConfig, FeatureExtractor
-from srlcomb.infer_dp import infer_sentence
+from srlcomb.infer_cs import Scope
+from srlcomb.infer_dp import decode_corpus
 from srlcomb.learn import label_datasets, score_pool, train_local_svm
 from srlcomb.pool import align_gold, build_pool, solutions_to_props
 
@@ -44,9 +45,9 @@ def main() -> int:
         model = train_local_svm(label_datasets(train_featured),
                                 space=extractor.space, feature_config=config,
                                 intervals=intervals)
-        scored = score_pool(model, test_featured)
-        solutions = [infer_sentence(sc, "pred", sp.sentence_id)
-                     for sc, sp in zip(scored, test_featured.sentences)]
+        solutions = decode_corpus(score_pool(model, test_featured),
+                                  [sp.sentence_id for sp in test_featured.sentences],
+                                  Scope.PRED_BY_PRED)
         report = score(solutions_to_props(test_featured, solutions), test_gold)
         name = "FS1" if k == 1 else f"+ {ALL_GROUPS[k - 1]}"
         print(f"{name:<14} {report.pprops:>7.2f}% {report.precision:>7.2f}% "

@@ -25,7 +25,7 @@ from srlcomb.evaluate import (
 )
 from srlcomb.features import FeatureExtractor
 from srlcomb.infer_cs import CsConfig, Scope, infer_corpus
-from srlcomb.infer_dp import infer_sentence
+from srlcomb.infer_dp import decode_corpus
 from srlcomb.learn import (
     label_datasets,
     make_examples,
@@ -94,29 +94,27 @@ def main() -> int:
     n_val = max(1, len(examples) // 10)
 
     def decode(model, scope):
-        scored = score_pool(model, test_featured)
-        solutions = [infer_sentence(sc, scope, sp.sentence_id)
-                     for sc, sp in zip(scored, test_featured.sentences)]
+        solutions = decode_corpus(score_pool(model, test_featured),
+                                  [sp.sentence_id for sp in test_featured.sentences], scope)
         return solutions_to_props(test_featured, solutions)
 
     svm = train_local_svm(datasets, space=extractor.space,
                           feature_config=extractor.config, intervals=intervals)
-    add("svm local, pred", decode(svm, "pred"))
+    add("svm local, pred", decode(svm, Scope.PRED_BY_PRED))
 
     local_perc = train_local_perceptron(datasets, epochs=args.epochs,
                                         space=extractor.space,
                                         feature_config=extractor.config,
                                         intervals=intervals)
-    add("perceptron local, pred", decode(local_perc, "pred"))
-    add("perceptron local, sentence", decode(local_perc, "sentence"))
+    for scope in Scope:
+        add(f"perceptron local, {scope.value}", decode(local_perc, scope))
 
-    for scope, scope_name in ((Scope.PRED_BY_PRED, "pred"),
-                              (Scope.FULL_SENTENCE, "sentence")):
+    for scope in Scope:
         model, log = train_global_perceptron(
             examples[:-n_val], scope=scope, epochs=args.epochs,
             space=extractor.space, feature_config=extractor.config,
             intervals=intervals, validation=examples[-n_val:])
-        add(f"perceptron global, {scope_name}", decode(model, scope_name))
+        add(f"perceptron global, {scope.value}", decode(model, scope))
 
     print(f"\n{args.test_sentences} test sentences, "
           f"P/R knobs {args.precision}/{args.recall}, seed {args.seed} "

@@ -13,7 +13,7 @@ from srlcomb.corpus_io import SyntheticConfig, generate_synthetic
 from srlcomb.evaluate import oracle_combination, oracle_rerank, score
 from srlcomb.features import FeatureExtractor
 from srlcomb.infer_cs import Scope
-from srlcomb.infer_dp import infer_sentence
+from srlcomb.infer_dp import decode_corpus
 from srlcomb.learn import (
     label_datasets,
     make_examples,
@@ -59,15 +59,14 @@ def main() -> int:
             test_pool, oracle_rerank(test_pool, test_gold)), test_gold).f1
 
         def decode(model, scope):
-            scored = score_pool(model, test_featured)
-            solutions = [infer_sentence(sc, scope, sp.sentence_id)
-                         for sc, sp in zip(scored, test_featured.sentences)]
+            solutions = decode_corpus(score_pool(model, test_featured),
+                                      [sp.sentence_id for sp in test_featured.sentences], scope)
             return score(solutions_to_props(test_featured, solutions), test_gold).f1
 
         svm = train_local_svm(label_datasets(train_featured),
                               space=extractor.space,
                               feature_config=extractor.config, intervals=intervals)
-        local_f1 = decode(svm, "pred")
+        local_f1 = decode(svm, Scope.PRED_BY_PRED)
 
         examples = make_examples(train_featured, train_gold)
         n_val = max(1, len(examples) // 10)
@@ -75,7 +74,7 @@ def main() -> int:
             examples[:-n_val], scope=Scope.FULL_SENTENCE, space=extractor.space,
             feature_config=extractor.config, intervals=intervals,
             validation=examples[-n_val:])
-        global_f1 = decode(global_model, "sentence")
+        global_f1 = decode(global_model, Scope.FULL_SENTENCE)
 
         print(f"C{k:<5} {comb:>11.2f} {rerank:>14.2f} "
               f"{local_f1:>9.2f} {global_f1:>10.2f}")

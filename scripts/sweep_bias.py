@@ -7,7 +7,7 @@ import sys
 
 sys.path.insert(0, "src")
 
-from srlcomb.calibrate import attach_probs
+from srlcomb.calibrate import DEFAULT_GAMMA, attach_probs
 from srlcomb.corpus_io import SyntheticConfig, generate_synthetic
 from srlcomb.infer_cs import CsConfig, sweep_bias
 from srlcomb.pool import align_gold, build_pool
@@ -17,7 +17,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--sentences", type=int, default=300)
-    ap.add_argument("--gamma", type=float, default=0.1)
+    ap.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     ap.add_argument("--out", default="sweep.csv")
     args = ap.parse_args()
 

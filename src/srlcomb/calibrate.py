@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -14,14 +13,7 @@ from .model import Candidate
 from .pool import CandidatePool
 
 
-@dataclass(frozen=True)
-class CalibrationConfig:
-    gamma: float = 0.1   # softmax temperature
-    k: int = 2           # labels per decision in the degenerate two-class form
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.gamma) or self.gamma < 0.0:
-            raise ValueError("gamma must be finite and >= 0")
+DEFAULT_GAMMA = 0.1     # softmax temperature
 
 
 def softmax(scores: Sequence[float], gamma: float) -> list[float]:
@@ -41,7 +33,8 @@ def softmax(scores: Sequence[float], gamma: float) -> list[float]:
     return [e / z for e in exps]
 
 
-def two_class_prob(score: float, gamma: float = 0.1, background: float = 0.0) -> float:
+def two_class_prob(score: float, gamma: float = DEFAULT_GAMMA,
+                   background: float = 0.0) -> float:
     """Probability of one proposed argument against a background score.
 
     Systems that expose a single raw activation per argument get this
@@ -50,7 +43,7 @@ def two_class_prob(score: float, gamma: float = 0.1, background: float = 0.0) ->
     return softmax([score, background], gamma)[0]
 
 
-def attach_probs(pool: CandidatePool, gamma: float = 0.1,
+def attach_probs(pool: CandidatePool, gamma: float = DEFAULT_GAMMA,
                  background: float = 0.0) -> CandidatePool:
     """Fill per-system probabilities from raw scores across a pool.
 

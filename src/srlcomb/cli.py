@@ -16,7 +16,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .calibrate import attach_probs, build_intervals, curve_csv, pool_rejection_items, rejection_curve
+from .calibrate import (
+    DEFAULT_GAMMA,
+    attach_probs,
+    build_intervals,
+    curve_csv,
+    pool_rejection_items,
+    rejection_curve,
+)
 from .corpus_io import (
     AlignmentError,
     FormatError,
@@ -42,6 +49,8 @@ from .evaluate import (
 )
 from .features import FeatureConfig, FeatureExtractor
 from .infer_cs import (
+    DEFAULT_BIAS,
+    DEFAULT_O_GRID,
     CsConfig,
     InferenceTimeout,
     Scope,
@@ -66,8 +75,6 @@ from .learn import (
 from .model import ConstraintSet
 from .pool import align_gold, build_pool, dump_pool, load_pool, pool_stats, solutions_to_props
 
-DEFAULT_GAMMA = 0.1
-DEFAULT_BIAS = 0.30
 DEFAULT_BOOTSTRAP = 1000
 
 
@@ -135,11 +142,11 @@ def _load_sentences(args, gold, pool):
     return None   # extractor falls back to skeleton sentences
 
 
-def _constraints(args, scope: Scope) -> ConstraintSet:
-    if args.constraints:
-        return ConstraintSet.parse(args.constraints)
-    from .infer_cs import default_constraints
-    return default_constraints(scope)
+def _cs_config(args) -> CsConfig:
+    """The cs engine's settings; without --constraints, the scope's defaults."""
+    return CsConfig.for_scope(
+        Scope(args.scope), bias=args.bias, node_budget=args.node_budget,
+        constraints=ConstraintSet.parse(args.constraints) if args.constraints else None)
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +210,11 @@ def _scored_pool_for_model(args, pool, gold):
 def cmd_infer(args) -> int:
     pool, gold = _load_pool(args)
     pool = attach_probs(pool, gamma=args.gamma)
-    scope = Scope.PRED_BY_PRED if args.scope == "pred" else Scope.FULL_SENTENCE
 
     if args.engine == "cs":
         if args.scorer != "probsum":
             raise FormatError("engine=cs uses the summed probabilities (scorer=probsum)")
-        cfg = CsConfig(bias=args.bias, scope=scope,
-                       constraints=_constraints(args, scope),
-                       node_budget=args.node_budget)
+        cfg = _cs_config(args)
         if args.trace:
             solutions = []
             total = 0
@@ -224,6 +228,8 @@ def cmd_infer(args) -> int:
         else:
             solutions = infer_corpus(pool, cfg, jobs=args.jobs)
     else:
+        if args.constraints or args.trace:
+            raise FormatError("--constraints and --trace apply to engine=cs only")
         if args.scorer == "probsum":
             from .infer_dp import ScoredCandidate
             scored = [[ScoredCandidate(c, c.prob_sum() - args.bias) for c in sent.candidates]
@@ -234,7 +240,7 @@ def cmd_infer(args) -> int:
             model, pool = _scored_pool_for_model(args, pool, gold)
             scored = score_pool(model, pool)
         solutions = decode_corpus(scored, [s.sentence_id for s in pool.sentences],
-                                  args.scope, jobs=args.jobs,
+                                  Scope(args.scope), jobs=args.jobs,
                                   node_budget=args.node_budget)
 
     predicted = solutions_to_props(pool, solutions)
@@ -271,9 +277,8 @@ def cmd_train(args) -> int:
     else:
         examples = make_examples(pool, gold)
         n_val = max(1, int(len(examples) * args.val_fraction))
-        scope = Scope.PRED_BY_PRED if args.scope == "pred" else Scope.FULL_SENTENCE
         model, log = train_global_perceptron(
-            examples[:-n_val] or examples, scope=scope, degree=args.degree,
+            examples[:-n_val] or examples, scope=Scope(args.scope), degree=args.degree,
             epochs=args.epochs, space=extractor.space, feature_config=config,
             intervals=intervals, validation=examples[-n_val:])
         print(f"epoch F1 on validation: "
@@ -290,15 +295,11 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     pool, gold = _load_pool(args, need_gold=True)
     pool = attach_probs(pool, gamma=args.gamma)
-    scope = Scope.PRED_BY_PRED if args.scope == "pred" else Scope.FULL_SENTENCE
-    cfg = CsConfig(bias=args.bias, scope=scope, constraints=_constraints(args, scope),
-                   node_budget=args.node_budget)
     if args.o_values:
         grid = [float(x) for x in args.o_values.split(",")]
     else:
-        from .infer_cs import DEFAULT_O_GRID
         grid = list(DEFAULT_O_GRID)
-    result = sweep_bias(pool, gold, cfg, grid)
+    result = sweep_bias(pool, gold, _cs_config(args), grid)
     _write(args.out, result.csv())
     _write_manifest(args, args.out)
     print(f"{len(result.rows)} rows written to {args.out} "

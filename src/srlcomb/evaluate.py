@@ -17,13 +17,13 @@ import numpy as np
 
 from .corpus_io import PropsDocument, check_skeleton
 from .model import (
+    STRUCTURAL_RULES,
     Candidate,
     LabelKind,
     RoleLabel,
     Solution,
     Span,
-    SpanRelation,
-    span_relation,
+    pair_rules,
 )
 from .pool import CandidatePool
 
@@ -252,22 +252,6 @@ def oracle_rerank(pool: CandidatePool, gold: PropsDocument) -> list[Solution]:
 _SORT_FIELDS = ("votes", "length", "priority")
 
 
-def _conflicts(cand: Candidate, chosen: Sequence[Candidate]) -> bool:
-    """Hard structural rules: same-predicate overlap/embedding, duplicate
-    cores, and cross-predicate crossing."""
-    for other in chosen:
-        rel = span_relation(cand.span, other.span)
-        if cand.predicate == other.predicate:
-            if rel is not SpanRelation.DISJOINT:
-                return True
-            if (cand.label.kind is LabelKind.CORE
-                    and cand.label.text == other.label.text):
-                return True
-        elif rel is SpanRelation.CROSSING:
-            return True
-    return False
-
-
 def _greedy(candidates: Sequence[Candidate], sentence_id: int,
             priority: dict, sort_by: Sequence[str]) -> Solution:
     def sort_key(c: Candidate):
@@ -280,7 +264,9 @@ def _greedy(candidates: Sequence[Candidate], sentence_id: int,
 
     chosen: list[Candidate] = []
     for cand in sorted(candidates, key=sort_key):
-        if not _conflicts(cand, chosen):
+        # keep it unless it breaks c1, c2 or c5 with a candidate already kept
+        if not any(STRUCTURAL_RULES.rule(cid).active
+                   for other in chosen for cid in pair_rules(cand, other)):
             chosen.append(cand)
     return Solution.make(sentence_id, chosen, float(len(chosen)))
 

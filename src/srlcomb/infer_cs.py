@@ -14,15 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-from .model import (
-    Candidate,
-    ConstraintSet,
-    LabelKind,
-    Solution,
-    SpanRelation,
-    _shared_arg_label,
-    span_relation,
-)
+from .model import Candidate, ConstraintSet, LabelKind, Solution, pair_rules
 from .pool import CandidatePool
 
 _EPS = 1e-12
@@ -98,24 +90,13 @@ def optimize(candidates: Sequence[Candidate], margins: Sequence[float],
     soft_pen: list[dict] = [dict() for _ in range(n)]
     for i in range(n):
         for j in range(i):
-            a, b = cands[i], cands[j]
-            rel = span_relation(a.span, b.span)
+            broken = pair_rules(cands[i], cands[j])
+            if not broken:
+                continue
             pen = 0.0
             hard = False
-            if a.predicate == b.predicate:
-                rules = []
-                if rel is not SpanRelation.DISJOINT:
-                    rules.append(cs.c1)
-                if a.label.kind is LabelKind.CORE and a.label.text == b.label.text:
-                    rules.append(cs.c2)
-            else:
-                rules = []
-                if rel is SpanRelation.CROSSING:
-                    rules.append(cs.c5)
-                if (rel is SpanRelation.EQUAL and a.label.text == b.label.text
-                        and _shared_arg_label(a.label)):
-                    rules.append(cs.c6)
-            for rule in rules:
+            for cid in broken:
+                rule = cs.rule(cid)
                 if rule.mode == "hard":
                     hard = True
                 elif rule.mode == "soft":
@@ -236,22 +217,21 @@ def solve(candidates: Sequence[Candidate], cfg: CsConfig,
     return solve_with_stats(candidates, cfg, sentence_id)[0]
 
 
-def _solve_task(payload) -> Solution:
-    candidates, cfg, sentence_id = payload
-    return solve(candidates, cfg, sentence_id)
-
-
-def infer_corpus(pool: CandidatePool, cfg: CsConfig, jobs: int = 1) -> list[Solution]:
-    """Solve every sentence; sentences are independent, so jobs > 1 fans the
-    work out over processes with deterministic reassembly."""
-    tasks = [(sent.candidates, cfg, sent.sentence_id) for sent in pool.sentences]
+def map_sentences(fn, tasks: Sequence[tuple], jobs: int = 1) -> list:
+    """``[fn(*task) for task in tasks]``.  Sentences are independent, so
+    jobs > 1 fans the work out over processes with deterministic reassembly."""
     if jobs <= 1 or len(tasks) < 2:
-        return [_solve_task(t) for t in tasks]
+        return [fn(*task) for task in tasks]
     import multiprocessing
 
     with multiprocessing.Pool(jobs) as workers:
-        return workers.map(_solve_task, tasks,
-                           chunksize=max(1, len(tasks) // (jobs * 4)))
+        return workers.starmap(fn, tasks, chunksize=max(1, len(tasks) // (jobs * 4)))
+
+
+def infer_corpus(pool: CandidatePool, cfg: CsConfig, jobs: int = 1) -> list[Solution]:
+    """Solve every sentence, over `jobs` processes."""
+    return map_sentences(solve, [(sent.candidates, cfg, sent.sentence_id)
+                                 for sent in pool.sentences], jobs)
 
 
 # ---------------------------------------------------------------------------

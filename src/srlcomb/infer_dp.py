@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .model import Candidate, ConstraintSet, LabelKind, Solution
-from .infer_cs import optimize
+from .model import STRUCTURAL_RULES, Candidate, LabelKind, Solution
+from .infer_cs import Scope, map_sentences, optimize
 
 
 @dataclass(frozen=True)
@@ -93,34 +93,26 @@ def dp_predicate(scored: Sequence[ScoredCandidate],
     return Solution.make(sid, selection, score)
 
 
-_SENTENCE_RULES = ConstraintSet.hard_rules(1, 2, 5)
-
-
-def dp_sentence(scored: Sequence[ScoredCandidate],
-                sentence_id: Optional[int] = None,
-                node_budget: Optional[int] = None) -> Solution:
-    """Best sentence-wide selection under the three structural rules:
-    same-predicate spans disjoint, no duplicate cores per predicate, and no
-    crossing between predicates (embedding allowed)."""
-    if sentence_id is None:
-        sentence_id = scored[0].candidate.sentence_id if scored else 0
-    live = _canonical([s for s in scored if s.confidence > 0.0])
-    if not live:
-        return Solution.make(sentence_id, (), 0.0)
-    chosen, objective, _ = optimize([s.candidate for s in live],
-                                    [s.confidence for s in live],
-                                    _SENTENCE_RULES, 0.0, node_budget)
-    return Solution.make(sentence_id, chosen, objective)
-
-
-def infer_sentence(scored: Sequence[ScoredCandidate], scope: str,
+def infer_sentence(scored: Sequence[ScoredCandidate], scope: Scope | str,
                    sentence_id: Optional[int] = None,
                    node_budget: Optional[int] = None) -> Solution:
-    """Decode one sentence either predicate by predicate or jointly."""
+    """Decode one sentence predicate by predicate, or jointly.
+
+    ``scope`` is a Scope or its value, "pred" or "sentence".  Joint decoding
+    enforces c1, c2 and c5: same-predicate spans disjoint, no duplicate cores
+    per predicate, and no crossing between predicates (embedding allowed).
+    """
+    scope = Scope(scope)
     if sentence_id is None:
         sentence_id = scored[0].candidate.sentence_id if scored else 0
-    if scope in ("sentence", "full"):
-        return dp_sentence(scored, sentence_id, node_budget)
+    if scope is Scope.FULL_SENTENCE:
+        live = _canonical([s for s in scored if s.confidence > 0.0])
+        if not live:
+            return Solution.make(sentence_id, (), 0.0)
+        chosen, objective, _ = optimize([s.candidate for s in live],
+                                        [s.confidence for s in live],
+                                        STRUCTURAL_RULES, 0.0, node_budget)
+        return Solution.make(sentence_id, chosen, objective)
     selected: list[Candidate] = []
     objective = 0.0
     for p in sorted({s.candidate.predicate for s in scored}):
@@ -131,21 +123,10 @@ def infer_sentence(scored: Sequence[ScoredCandidate], scope: str,
     return Solution.make(sentence_id, selected, objective)
 
 
-def _decode_task(payload) -> Solution:
-    scored, scope, sentence_id, node_budget = payload
-    return infer_sentence(scored, scope, sentence_id, node_budget)
-
-
 def decode_corpus(scored_lists: Sequence[Sequence[ScoredCandidate]],
-                  sentence_ids: Sequence[int], scope: str, jobs: int = 1,
+                  sentence_ids: Sequence[int], scope: Scope | str, jobs: int = 1,
                   node_budget: Optional[int] = None) -> list[Solution]:
-    """Decode many sentences; independent, so jobs > 1 uses worker processes."""
-    tasks = [(list(sc), scope, sid, node_budget)
-             for sc, sid in zip(scored_lists, sentence_ids)]
-    if jobs <= 1 or len(tasks) < 2:
-        return [_decode_task(t) for t in tasks]
-    import multiprocessing
-
-    with multiprocessing.Pool(jobs) as workers:
-        return workers.map(_decode_task, tasks,
-                           chunksize=max(1, len(tasks) // (jobs * 4)))
+    """Decode many sentences, over `jobs` processes."""
+    return map_sentences(infer_sentence,
+                         [(list(sc), scope, sid, node_budget)
+                          for sc, sid in zip(scored_lists, sentence_ids)], jobs)

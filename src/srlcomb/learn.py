@@ -21,7 +21,7 @@ from .calibrate import IntervalTable
 from .features import FeatureConfig, FeatureSpace
 from .infer_cs import Scope
 from .infer_dp import ScoredCandidate, infer_sentence
-from .model import Candidate, FeatureVector
+from .model import Candidate, FeatureVector, RoleLabel
 from .pool import CandidatePool
 
 MODEL_HEADER = "SRLCOMB-MODEL v1"
@@ -175,6 +175,12 @@ class ScoreModel:
         scorers = {}
         for _ in range(n_labels):
             label = take("label ")
+            try:
+                RoleLabel.parse(label)
+            except ValueError as exc:
+                raise ValueError(f"model file: {exc} at line {pos}") from None
+            if label in scorers:
+                raise ValueError(f"model file: label {label} given twice at line {pos}")
             sc = LabelScorer(label, degree=int(take("degree ")),
                              bias=float(take("bias ")),
                              updates=int(take("updates ")),
@@ -449,7 +455,6 @@ def train_global_perceptron(examples: Sequence[TrainExample], *,
     parameter state that is kept.
     """
     model = ScoreModel("perceptron-global", degree, feature_config, space, {}, intervals)
-    scope_name = "pred" if scope is Scope.PRED_BY_PRED else "sentence"
     holdout = validation if validation is not None else examples
     tick = 0
     ledger = []
@@ -467,7 +472,7 @@ def train_global_perceptron(examples: Sequence[TrainExample], *,
         for sc in model.scorers.values():
             sc.updates = tick
         scored = [ScoredCandidate(c, model.score(c, averaged)) for c in ex.candidates]
-        return infer_sentence(scored, scope_name, ex.sentence_id).keys()
+        return infer_sentence(scored, scope, ex.sentence_id).keys()
 
     for _epoch in range(epochs):
         for ex in examples:

@@ -9,7 +9,7 @@ and safe to share across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -243,10 +243,6 @@ class Sentence:
         spans.sort(key=lambda s: (s.start, -s.end))
         return spans
 
-    def clause_depth(self, span: Span) -> int:
-        """Number of clauses that contain ``span`` entirely."""
-        return sum(1 for cs in self.clause_spans() if cs.contains(span))
-
 
 # ---------------------------------------------------------------------------
 # Arguments, candidates, solutions
@@ -470,13 +466,6 @@ class ConstraintSet:
     def rule(self, cid: str) -> ConstraintRule:
         return getattr(self, cid)
 
-    def active_ids(self) -> tuple[str, ...]:
-        return tuple(cid for cid in CONSTRAINT_IDS if self.rule(cid).active)
-
-    def hard_only(self) -> "ConstraintSet":
-        kwargs = {cid: HARD for cid in CONSTRAINT_IDS if self.rule(cid).mode == "hard"}
-        return ConstraintSet(**kwargs)
-
     def describe(self) -> str:
         parts = []
         for cid in CONSTRAINT_IDS:
@@ -486,6 +475,11 @@ class ConstraintSet:
             elif r.mode == "soft":
                 parts.append(f"{cid[1]}:soft={r.penalty:g}")
         return "+".join(parts)
+
+
+# c1, c2 and c5 as hard rules: the fixed rules of the dp engine at sentence
+# scope and of the greedy baselines
+STRUCTURAL_RULES = ConstraintSet.hard_rules(1, 2, 5)
 
 
 @dataclass(frozen=True)
@@ -501,6 +495,32 @@ def _shared_arg_label(label: RoleLabel) -> bool:
     if label.kind is LabelKind.ADJUNCT or label.kind is LabelKind.CONTINUATION:
         return True
     return label.kind is LabelKind.REFERENCE and bool(label.base) and label.base.startswith("AM")
+
+
+_NONE: tuple[str, ...] = ()
+_C1, _C2, _C1_C2, _C5, _C6 = ("c1",), ("c2",), ("c1", "c2"), ("c5",), ("c6",)
+
+
+def pair_rules(a: Candidate, b: Candidate) -> tuple[str, ...]:
+    """The pairwise rules among c1, c2, c5 and c6 that selecting both ``a``
+    and ``b`` breaks, whether or not a constraint set activates them.
+
+    The result is one of a few shared tuples, in rule order, so the caller's
+    per-pair loop allocates nothing.  The test is symmetric in ``a`` and ``b``.
+    """
+    sa, sb = a.span, b.span
+    if a.predicate == b.predicate:
+        overlap = sa.start <= sb.end and sb.start <= sa.end
+        if a.label.kind is LabelKind.CORE and a.label.text == b.label.text:
+            return _C1_C2 if overlap else _C2
+        return _C1 if overlap else _NONE
+    if sa.end < sb.start or sb.end < sa.start:
+        return _NONE
+    if sa.start == sb.start and sa.end == sb.end:
+        return _C6 if a.label.text == b.label.text and _shared_arg_label(a.label) else _NONE
+    if sa.start <= sb.start and sb.end <= sa.end or sb.start <= sa.start and sa.end <= sb.end:
+        return _NONE    # embedding
+    return _C5          # crossing
 
 
 def enumerate_violations(selected: Sequence[Candidate], cs: ConstraintSet) -> list[Violation]:
@@ -520,20 +540,9 @@ def enumerate_violations(selected: Sequence[Candidate], cs: ConstraintSet) -> li
 
     for i in range(len(cands)):
         for j in range(i + 1, len(cands)):
-            a, b = cands[i], cands[j]
-            rel = span_relation(a.span, b.span)
-            if a.predicate == b.predicate:
-                if cs.c1.active and rel is not SpanRelation.DISJOINT:
-                    emit("c1", (a, b))
-                if (cs.c2.active and a.label.kind is LabelKind.CORE
-                        and a.label.text == b.label.text):
-                    emit("c2", (a, b))
-            else:
-                if cs.c5.active and rel is SpanRelation.CROSSING:
-                    emit("c5", (a, b))
-                if (cs.c6.active and rel is SpanRelation.EQUAL
-                        and a.label.text == b.label.text and _shared_arg_label(a.label)):
-                    emit("c6", (a, b))
+            for cid in pair_rules(cands[i], cands[j]):
+                if cs.rule(cid).active:
+                    emit(cid, (cands[i], cands[j]))
     if cs.c3.active:
         for c in cands:
             if c.label.kind is LabelKind.REFERENCE:
@@ -570,8 +579,3 @@ def validate(solution: Solution, cs: ConstraintSet, sentence: Sentence) -> list[
 
 def hard_violations(violations: Iterable[Violation]) -> list[Violation]:
     return [v for v in violations if v.hard]
-
-
-def with_flags(candidate: Candidate, **changes) -> Candidate:
-    """Return a copy of the candidate with fields replaced."""
-    return replace(candidate, **changes)

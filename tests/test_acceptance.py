@@ -9,7 +9,7 @@ import time
 import mpmath
 import pytest
 
-from srlcomb.calibrate import CalibrationConfig, attach_probs, build_intervals, softmax
+from srlcomb.calibrate import DEFAULT_GAMMA, attach_probs, build_intervals, softmax
 from srlcomb.corpus_io import (
     SyntheticConfig,
     emit_props,
@@ -35,7 +35,7 @@ from srlcomb.evaluate import (
 )
 from srlcomb.features import FeatureConfig, FeatureExtractor, FeatureSpace
 from srlcomb.infer_cs import CsConfig, DEFAULT_BIAS, DEFAULT_O_GRID, Scope, infer_corpus, solve
-from srlcomb.infer_dp import ScoredCandidate, dp_predicate, dp_sentence, infer_sentence
+from srlcomb.infer_dp import ScoredCandidate, dp_predicate, infer_sentence
 from srlcomb.learn import (
     DEFAULT_C,
     DEFAULT_DEGREE,
@@ -113,7 +113,8 @@ def test_criterion_2_dp_equivalence():
             cands = random_candidates(rng, rng.randint(1, 14), n_predicates=3,
                                       n_tokens=25)
             confs = [round(rng.uniform(-2, 3), 6) for _ in cands]
-            sol = dp_sentence([ScoredCandidate(c, v) for c, v in zip(cands, confs)])
+            sol = infer_sentence([ScoredCandidate(c, v) for c, v in zip(cands, confs)],
+                                 "sentence")
             want, _ = enumerate_best(cands, confs, cs_sent)
             assert abs(sol.objective - max(want, 0.0)) < 1e-9, f"sent trial {trial}"
         elapsed = time.perf_counter() - start
@@ -378,7 +379,7 @@ def test_criterion_10_shipped_defaults():
     with criterion(10, "shipped defaults: gamma=0.1, O=0.30, degree=2, "
                        "5 epochs, bootstrap presentation"):
         from srlcomb import cli
-        assert CalibrationConfig().gamma == 0.1
+        assert DEFAULT_GAMMA == 0.1
         assert cli.DEFAULT_GAMMA == 0.1
         assert CsConfig().bias == 0.30
         assert DEFAULT_BIAS == 0.30

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from srlcomb.calibrate import (
-    CalibrationConfig,
+    DEFAULT_GAMMA,
     IntervalTable,
     attach_probs,
     build_intervals,
@@ -167,8 +168,12 @@ class TestIntervals:
 
 class TestConfigDefaults:
     def test_gamma_default(self):
-        assert CalibrationConfig().gamma == 0.1
+        assert DEFAULT_GAMMA == 0.1
+        for fn in (attach_probs, two_class_prob):
+            assert inspect.signature(fn).parameters["gamma"].default == DEFAULT_GAMMA
 
     def test_gamma_validated(self):
+        _gold, systems = generate_synthetic(SyntheticConfig(n_sentences=3, seed=1))
+        pool = build_pool([(f"M{i+1}", d, t) for i, (d, t) in enumerate(systems)])
         with pytest.raises(ValueError):
-            CalibrationConfig(gamma=float("inf"))
+            attach_probs(pool, gamma=float("inf"))

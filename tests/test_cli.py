@@ -127,10 +127,21 @@ class TestInfer:
 
     def test_parallel_jobs_identical_output(self, corpus_dir, tmp_path):
         serial, parallel = tmp_path / "serial.props", tmp_path / "parallel.props"
-        base = ["infer", *_system_args(corpus_dir), "--engine", "cs"]
-        assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
-        assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
-        assert serial.read_text() == parallel.read_text()
+        for engine in (["--engine", "cs"],
+                       ["--engine", "dp", "--scorer", "probsum", "--scope", "pred"],
+                       ["--engine", "dp", "--scorer", "probsum", "--scope", "sentence"]):
+            base = ["infer", *_system_args(corpus_dir), *engine]
+            assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
+            assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
+            assert serial.read_text() == parallel.read_text(), engine
+
+    @pytest.mark.parametrize("option", [["--constraints", "1+2"], ["--trace"]])
+    def test_dp_rejects_cs_only_options(self, corpus_dir, tmp_path, capsys, option):
+        rc = main(["infer", *_system_args(corpus_dir), "--engine", "dp", *option,
+                   "--out", str(tmp_path / "x.props")])
+        assert rc == 2
+        assert "engine=cs only" in capsys.readouterr().err
+        assert not (tmp_path / "x.props").exists()
 
     def test_trace_prints_node_counts(self, corpus_dir, tmp_path, capsys):
         rc = main(["infer", *_system_args(corpus_dir), "--engine", "cs",
@@ -163,6 +174,21 @@ class TestInfer:
         lines = model.read_text().splitlines()
         row = next(i for i, l in enumerate(lines) if l.startswith("intervals ")) + 1
         lines[row] = " ".join(lines[row].split()[:3])
+        model.write_text("\n".join(lines) + "\n")
+        rc = main(["infer", *_system_args(corpus_dir), "--engine", "dp",
+                   "--scorer", "svm", "--model", str(model),
+                   "--out", str(tmp_path / "x.props")])
+        assert rc == 2
+        assert f"line {row + 1}" in capsys.readouterr().err
+
+    def test_unknown_model_label_exit_2(self, corpus_dir, tmp_path, capsys):
+        model = tmp_path / "m.svm"
+        assert main(["train", *_system_args(corpus_dir),
+                     "--gold", f"{corpus_dir}/gold.props",
+                     "--scorer", "svm", "--out", str(model)]) == 0
+        lines = model.read_text().splitlines()
+        row = lines.index("label A0")
+        lines[row] = "label ZZ"
         model.write_text("\n".join(lines) + "\n")
         rc = main(["infer", *_system_args(corpus_dir), "--engine", "dp",
                    "--scorer", "svm", "--model", str(model),

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from srlcomb.infer_dp import ScoredCandidate, dp_predicate, dp_sentence, infer_sentence
+from srlcomb.infer_cs import Scope
+from srlcomb.infer_dp import ScoredCandidate, dp_predicate, infer_sentence
 from srlcomb.model import ConstraintSet, enumerate_violations, hard_violations
 from conftest import cand, random_candidates
 from enum_oracle import enumerate_best
@@ -89,13 +90,13 @@ class TestDpSentence:
     def test_cross_predicate_crossing_resolved(self):
         a = sc(2.0, pred=0, label="A0", span=(0, 5))
         b = sc(1.5, pred=1, label="A1", span=(3, 8))
-        sol = dp_sentence([a, b])
+        sol = infer_sentence([a, b], "sentence")
         assert sol.selected == (a.candidate,)
 
     def test_cross_predicate_embedding_allowed(self):
         outer = sc(2.0, pred=0, label="A0", span=(0, 5))
         inner = sc(1.5, pred=1, label="A1", span=(1, 3))
-        sol = dp_sentence([outer, inner])
+        sol = infer_sentence([outer, inner], "sentence")
         assert set(sol.selected) == {outer.candidate, inner.candidate}
 
     def test_matches_enumeration(self):
@@ -104,7 +105,8 @@ class TestDpSentence:
         for trial in range(100):
             cands = random_candidates(rng, rng.randint(1, 11), n_predicates=3)
             confs = [round(rng.uniform(-2, 3), 6) for _ in cands]
-            sol = dp_sentence([ScoredCandidate(c, v) for c, v in zip(cands, confs)])
+            sol = infer_sentence([ScoredCandidate(c, v) for c, v in zip(cands, confs)],
+                                 "sentence")
             want, _ = enumerate_best(cands, confs, cs)
             assert abs(sol.objective - max(want, 0.0)) < 1e-9, f"trial {trial}"
 
@@ -123,7 +125,7 @@ class TestDpSentence:
                                     Span(arg.span.start + base, arg.span.end + base)),
                         votes=c.votes, probs=dict(c.probs))
                     scored.append(ScoredCandidate(moved, rng.uniform(-1, 2)))
-            joint = dp_sentence(scored)
+            joint = infer_sentence(scored, "sentence")
             split: set = set()
             for p in range(2):
                 part = [s for s in scored if s.candidate.predicate == p]
@@ -136,7 +138,7 @@ class TestDpSentence:
         for _ in range(50):
             cands = random_candidates(rng, 10)
             scored = [ScoredCandidate(c, rng.uniform(-1, 2)) for c in cands]
-            sol = dp_sentence(scored)
+            sol = infer_sentence(scored, "sentence")
             assert hard_violations(enumerate_violations(sol.selected, cs)) == []
 
     def test_infer_sentence_scopes(self):
@@ -146,3 +148,14 @@ class TestDpSentence:
         assert set(pred_scope.selected) == {a.candidate, b.candidate}
         sent_scope = infer_sentence([a, b], "sentence")
         assert sent_scope.selected == (a.candidate,)
+
+    def test_infer_sentence_accepts_scope_members(self):
+        a = sc(2.0, pred=0, label="A0", span=(0, 5))
+        b = sc(1.5, pred=1, label="A1", span=(3, 8))
+        for scope in Scope:
+            assert infer_sentence([a, b], scope) == infer_sentence([a, b], scope.value)
+
+    @pytest.mark.parametrize("scope", ["full", "sentnce", "Pred", ""])
+    def test_infer_sentence_rejects_unknown_scope(self, scope):
+        with pytest.raises(ValueError):
+            infer_sentence([sc(1.0, span=(0, 1))], scope)

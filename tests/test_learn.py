@@ -420,6 +420,28 @@ class TestModelFile:
         with pytest.raises(ValueError, match=f"vocabulary at line {row + 1}"):
             ScoreModel.loads("\n".join(lines))
 
+    @pytest.mark.parametrize("name", ["ZZ", "A9", "R-V", "C-R-A0"])
+    def test_unknown_label_rejected(self, featured_pool, name):
+        lines = _svm_model_text(featured_pool).splitlines()
+        row = next(i for i, l in enumerate(lines) if l.startswith("label "))
+        lines[row] = f"label {name}"
+        with pytest.raises(ValueError, match=f"line {row + 1}"):
+            ScoreModel.loads("\n".join(lines))
+
+    def test_duplicate_label_rejected(self, featured_pool):
+        lines = _svm_model_text(featured_pool).splitlines()
+        first, second = [i for i, l in enumerate(lines) if l.startswith("label ")][:2]
+        lines[second] = lines[first]
+        with pytest.raises(ValueError, match=f"twice at line {second + 1}"):
+            ScoreModel.loads("\n".join(lines))
+
+    def test_valid_untrained_label_scores_zero(self, featured_pool):
+        pool, extractor, intervals, gold = featured_pool
+        model = ScoreModel.loads(_svm_model_text(featured_pool))
+        probe = next(iter(pool.all_candidates()))
+        del model.scorers[probe.label.text]
+        assert model.score(probe) == 0.0
+
     def test_header_enforced(self):
         with pytest.raises(ValueError):
             ScoreModel.loads("not a model\n")

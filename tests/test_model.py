@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,10 +15,11 @@ from srlcomb.model import (
     Token,
     enumerate_violations,
     hard_violations,
+    pair_rules,
     span_relation,
     validate,
 )
-from conftest import cand
+from conftest import cand, random_candidates
 
 
 spans = st.tuples(st.integers(0, 30), st.integers(0, 30)).map(
@@ -164,6 +167,28 @@ class TestValidate:
         assert len(violations) == 1 and not violations[0].hard
         assert violations[0].penalty == 0.5
         assert hard_violations(violations) == []
+
+    def test_pair_rules_match_span_relations(self):
+        # reference written from the rule texts with span_relation
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(4000):
+            a, b = random_candidates(rng, 2, n_predicates=2, n_tokens=4)
+            rel = span_relation(a.span, b.span)
+            same_label = a.label.text == b.label.text
+            if a.predicate == b.predicate:
+                want = [cid for cid, broken in (
+                    ("c1", rel is not SpanRelation.DISJOINT),
+                    ("c2", same_label and a.label.kind is LabelKind.CORE)) if broken]
+            else:
+                shared = a.label.kind in (LabelKind.ADJUNCT, LabelKind.CONTINUATION) or (
+                    a.label.kind is LabelKind.REFERENCE and a.label.base.startswith("AM"))
+                want = [cid for cid, broken in (
+                    ("c5", rel is SpanRelation.CROSSING),
+                    ("c6", rel is SpanRelation.EQUAL and same_label and shared)) if broken]
+            assert pair_rules(a, b) == pair_rules(b, a) == tuple(want), (a.key, b.key)
+            seen.add(tuple(want))
+        assert len(seen) == 6   # (), c1, c2, c1+c2, c5, c6 all exercised
 
     def test_unknown_sentence_candidate(self):
         sent = _sentence()
