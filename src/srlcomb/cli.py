@@ -143,10 +143,15 @@ def _load_sentences(args, gold, pool):
 
 
 def _cs_config(args) -> CsConfig:
-    """The cs engine's settings; without --constraints, the scope's defaults."""
-    return CsConfig.for_scope(
-        Scope(args.scope), bias=args.bias, node_budget=args.node_budget,
-        constraints=ConstraintSet.parse(args.constraints) if args.constraints else None)
+    """The cs engine's settings; without --constraints, the scope's defaults.
+    A constraint spec that does not parse, or that the scope forbids, is an
+    input error."""
+    try:
+        return CsConfig.for_scope(
+            Scope(args.scope), bias=args.bias, node_budget=args.node_budget,
+            constraints=ConstraintSet.parse(args.constraints) if args.constraints else None)
+    except ValueError as exc:
+        raise FormatError(f"--constraints {args.constraints}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +263,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.degree < 1:
+        raise FormatError("--degree must be >= 1")
     pool, gold = _load_pool(args, need_gold=True)
     pool = attach_probs(pool, gamma=args.gamma)
     intervals = build_intervals(pool)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .calibrate import IntervalTable, discretize
 from .corpus_io import PropsDocument, PropsSentence, skeleton_sentences
@@ -23,10 +23,8 @@ from .model import (
     ParseNode,
     Sentence,
     Span,
-    SpanRelation,
     V_LABEL,
     clause_events,
-    span_relation,
 )
 from .pool import CandidatePool, SentencePool
 
@@ -34,17 +32,25 @@ ALL_GROUPS = ("FS1", "FS2", "FS3", "FS4", "FS5", "FS6")
 
 
 class FeatureSpace:
-    """Interned feature-string registry; safe for concurrent extraction."""
+    """Interned feature-string registry; safe for concurrent extraction.
+
+    A space read from a file is frozen: it is a trained model's vocabulary,
+    which inference must not grow.  Names it lacks are in no support vector,
+    so dropping them changes no score.
+    """
 
     def __init__(self) -> None:
         self._by_name: dict = {}
         self._names: list[str] = []
         self._lock = threading.Lock()
+        self.frozen = False
 
     def intern(self, name: str) -> int:
         fid = self._by_name.get(name)
         if fid is not None:
             return fid
+        if self.frozen:
+            raise ValueError(f"feature {name!r} is not in the frozen vocabulary")
         with self._lock:
             fid = self._by_name.get(name)
             if fid is None:
@@ -55,6 +61,13 @@ class FeatureSpace:
 
     def lookup(self, name: str) -> Optional[int]:
         return self._by_name.get(name)
+
+    def ids(self, names: Iterable[str]) -> tuple[int, ...]:
+        """Ids of ``names`` in order; a frozen space drops the names it lacks,
+        any other space interns them."""
+        if self.frozen:
+            return tuple(fid for fid in map(self.lookup, names) if fid is not None)
+        return tuple(map(self.intern, names))
 
     def name(self, fid: int) -> str:
         return self._names[fid]
@@ -76,6 +89,7 @@ class FeatureSpace:
                 raise ValueError("feature ids must be dense and in order")
             space._names.append(name)
             space._by_name[name] = int(fid)
+        space.frozen = True
         return space
 
 
@@ -184,6 +198,8 @@ class _ParseIndex:
 
 
 class _SentenceContext:
+    """What every candidate of one sentence shares, worked out once."""
+
     def __init__(self, spool: SentencePool, sentence: Sentence, system_ids: Sequence[str]):
         self.spool = spool
         self.sentence = sentence
@@ -191,12 +207,24 @@ class _SentenceContext:
         self.nes = sentence.named_entities()
         self.clauses = sentence.clause_spans()
         self.parse = _ParseIndex(sentence.parse) if sentence.parse is not None else None
+        self.token_events = []
+        for tok in sentence.tokens:
+            opens, closes = clause_events(tok.clause)
+            self.token_events.append([f"({lab}" for lab in opens] + [f"{lab})" for lab in closes])
+        by_pred: dict = {p: [] for p in range(len(spool.predicates))}
+        for c in spool.candidates:
+            by_pred[c.predicate].append(c)
+        # (start, end, votes, key) of the candidates of each predicate, and of
+        # those of all other predicates
+        self.rows = {p: [(c.span.start, c.span.end, c.votes, c.key) for c in cands]
+                     for p, cands in by_pred.items()}
+        self.other_rows = {p: [row for q, rows in self.rows.items() if q != p for row in rows]
+                           for p in self.rows}
         self.sequences: dict = {}
-        for sid in system_ids:
-            for p, (pos, _lemma) in enumerate(spool.predicates):
+        for p, (pos, _lemma) in enumerate(spool.predicates):
+            for sid in system_ids:
                 entries = [(Span(pos, pos), "V")]
-                entries += [(c.span, c.label.text) for c in spool.candidates
-                            if c.predicate == p and sid in c.votes]
+                entries += [(c.span, c.label.text) for c in by_pred[p] if sid in c.votes]
                 entries.sort(key=lambda e: (e[0].start, e[0].end, e[1]))
                 self.sequences[(sid, p)] = "-".join(label for _, label in entries)
 
@@ -204,14 +232,7 @@ class _SentenceContext:
         return sum(1 for cs in self.clauses if cs.contains(span))
 
     def clause_boundary_seq(self, lo: int, hi: int) -> list[str]:
-        events = []
-        if lo > hi:
-            return events
-        for tok in self.sentence.tokens[lo:hi + 1]:
-            opens, closes = clause_events(tok.clause)
-            events += [f"({lab}" for lab in opens]
-            events += [f"{lab})" for lab in closes]
-        return events
+        return [event for events in self.token_events[lo:hi + 1] for event in events]
 
 
 class FeatureExtractor:
@@ -264,12 +285,9 @@ class FeatureExtractor:
         if "FS1" in groups:
             self._fs1(names, cand, ctx)
         if "FS2" in groups:
-            self._overlaps(names, "fs2", cand, [
-                c for c in ctx.spool.candidates
-                if c.predicate == cand.predicate and c.key != cand.key])
+            self._overlaps(names, "fs2", cand, ctx.rows[cand.predicate])
         if "FS3" in groups:
-            self._overlaps(names, "fs3", cand, [
-                c for c in ctx.spool.candidates if c.predicate != cand.predicate])
+            self._overlaps(names, "fs3", cand, ctx.other_rows[cand.predicate])
         if "FS4" in groups:
             self._fs4(names, cand, ctx)
         if "FS5" in groups:
@@ -279,7 +297,7 @@ class FeatureExtractor:
             for sid in system_ids:
                 idx = discretize(probs.get(sid), sid, cand.label.text, intervals)
                 names.append(f"fs6:{sid}={'none' if idx is None else idx}")
-        return FeatureVector(tuple(self.space.intern(n) for n in sorted(set(names))))
+        return FeatureVector(self.space.ids(sorted(set(names))))
 
     def _fs1(self, names: list, cand: Candidate, ctx: _SentenceContext) -> None:
         cap = self.config.count_cap
@@ -289,20 +307,24 @@ class FeatureExtractor:
             names.append(f"fs1:sys={sid}")
             names.append(f"fs1:seq:{sid}={ctx.sequences[(sid, cand.predicate)]}")
 
-    def _overlaps(self, names: list, prefix: str, cand: Candidate,
-                  others: Sequence[Candidate]) -> None:
+    def _overlaps(self, names: list, prefix: str, cand: Candidate, rows: list) -> None:
+        """Votes of the other candidates in ``rows`` by how their span relates
+        to the candidate's: equal, inside it, around it or crossing it."""
         cap = self.config.count_cap
         buckets = {"samespan": set(), "within": set(), "contains": set(), "crosses": set()}
-        for other in others:
-            rel = span_relation(cand.span, other.span)
-            if rel is SpanRelation.EQUAL:
-                buckets["samespan"] |= other.votes
-            elif rel is SpanRelation.A_CONTAINS_B:
-                buckets["within"] |= other.votes
-            elif rel is SpanRelation.B_CONTAINS_A:
-                buckets["contains"] |= other.votes
-            elif rel is SpanRelation.CROSSING:
-                buckets["crosses"] |= other.votes
+        start, end = cand.span.start, cand.span.end
+        for o_start, o_end, votes, key in rows:
+            if o_end < start or end < o_start:
+                continue
+            if o_start == start and o_end == end:
+                if key != cand.key:
+                    buckets["samespan"] |= votes
+            elif start <= o_start and o_end <= end:
+                buckets["within"] |= votes
+            elif o_start <= start and end <= o_end:
+                buckets["contains"] |= votes
+            else:
+                buckets["crosses"] |= votes
         for name, votes in buckets.items():
             names.append(f"{prefix}:{name}:n={_bucket(len(votes), cap)}")
             for sid in sorted(votes):

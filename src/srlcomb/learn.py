@@ -7,6 +7,13 @@ vector) rows under a polynomial kernel (u.v + 1)^d.  Averaged predictions
 weight each update by how many parameter states it survived, following the
 standard averaging trick, so both the final and the averaged predictor are
 recoverable from the same rows.
+
+Kernel rows come from posting lists (feature id -> the rows that hold it):
+the dot products of one vector with all rows are one bincount over the lists
+of its ids, so a row costs the summed length of those lists rather than one
+set intersection per support.  Both Perceptron trainers cache every training
+candidate's margin and add one kernel row to the cache per update, instead
+of re-scoring candidates against all supports.
 """
 
 from __future__ import annotations
@@ -35,11 +42,30 @@ class ModelMismatchError(ValueError):
     """Pool features were not extracted with this model's configuration."""
 
 
-def kernel(u: FeatureVector, v: FeatureVector, degree: int) -> float:
-    """Polynomial kernel (u.v + 1)^degree over binary sparse vectors."""
-    if degree < 1:
-        raise ValueError("kernel degree must be >= 1")
-    return float((u.dot(v) + 1) ** degree)
+class _Postings:
+    """Binary feature vectors indexed by feature id: each id maps to the rows
+    that contain it.  The dot products of one vector with every row are one
+    bincount over the posting lists of the vector's ids, so a kernel row costs
+    the total length of those lists, not a loop over the rows."""
+
+    def __init__(self, vectors: Sequence[FeatureVector]):
+        self.n = len(vectors)
+        lists: dict = {}
+        for row, v in enumerate(vectors):
+            for fid in v.ids:
+                lists.setdefault(fid, []).append(row)
+        self._lists = {fid: np.array(rows, dtype=np.intp) for fid, rows in lists.items()}
+
+    def kernel_row(self, fv: FeatureVector, degree: int) -> np.ndarray:
+        """(u.v + 1)^degree of ``fv`` against every row, as floats.  The power
+        is a chain of products, exact while the kernel stays below 2^53."""
+        hits = [self._lists[fid] for fid in fv.ids if fid in self._lists]
+        dots = np.bincount(np.concatenate(hits), minlength=self.n) if hits else np.zeros(self.n)
+        base = dots + 1.0
+        row = base
+        for _ in range(degree - 1):
+            row = row * base
+        return row
 
 
 @dataclass
@@ -53,20 +79,38 @@ class LabelScorer:
     updates: int = 0                               # averaging horizon
     degenerate: bool = False                       # single-class training data
 
+    def __post_init__(self) -> None:
+        if self.degree < 1:
+            raise ValueError("kernel degree must be >= 1")
+
+    def scores(self, vectors: Sequence[FeatureVector], averaged: bool = False) -> list[float]:
+        """bias + sum over supports of w * (sv.v + 1)^degree for each vector,
+        with w = coef, or coef * (updates - tick) / updates when averaged
+        after at least one update.
+
+        The terms are added in support order (cumsum is sequential), so a
+        score equals the support-by-support sum bit for bit and does not
+        depend on which other vectors are scored with it.
+        """
+        if not self.supports:
+            return [self.bias] * len(vectors)
+        weights = np.array([coef for coef, _tick, _sv in self.supports])
+        if averaged and self.updates > 0:
+            u = self.updates
+            weights = weights * ((u - np.array([t for _c, t, _sv in self.supports])) / u)
+        postings = _Postings([sv for _coef, _tick, sv in self.supports])
+        out = []
+        for fv in vectors:
+            terms = weights * postings.kernel_row(fv, self.degree)
+            terms[0] += self.bias
+            out.append(float(np.cumsum(terms)[-1]))
+        return out
+
     def raw_score(self, fv: FeatureVector) -> float:
-        total = self.bias
-        for coef, _tick, sv in self.supports:
-            total += coef * kernel(sv, fv, self.degree)
-        return total
+        return self.scores([fv])[0]
 
     def averaged_score(self, fv: FeatureVector) -> float:
-        if self.updates <= 0:
-            return self.raw_score(fv)
-        total = self.bias
-        u = self.updates
-        for coef, tick, sv in self.supports:
-            total += coef * ((u - tick) / u) * kernel(sv, fv, self.degree)
-        return total
+        return self.scores([fv], averaged=True)[0]
 
 
 @dataclass
@@ -84,9 +128,7 @@ class ScoreModel:
         scorer = self.scorers.get(candidate.label.text)
         if scorer is None:
             return 0.0
-        if averaged:
-            return scorer.averaged_score(candidate.features)
-        return scorer.raw_score(candidate.features)
+        return scorer.scores([candidate.features], averaged)[0]
 
     # -- persistence ---------------------------------------------------------
 
@@ -215,8 +257,19 @@ def score_pool(model: ScoreModel, pool: CandidatePool,
             f"{model.feature_config.digest()}")
     if pool.feature_space is not model.space:
         raise ModelMismatchError("pool was extracted with a different feature space")
-    return [[ScoredCandidate(c, model.score(c, averaged)) for c in sent.candidates]
-            for sent in pool.sentences]
+    flat = list(pool.all_candidates())
+    by_label: dict = {}
+    for i, cand in enumerate(flat):
+        by_label.setdefault(cand.label.text, []).append(i)
+    confidence = [0.0] * len(flat)
+    for label, rows in by_label.items():
+        scorer = model.scorers.get(label)
+        if scorer is not None:
+            values = scorer.scores([flat[i].features for i in rows], averaged)
+            for i, value in zip(rows, values):
+                confidence[i] = value
+    scored = iter(ScoredCandidate(c, v) for c, v in zip(flat, confidence))
+    return [[next(scored) for _ in sent.candidates] for sent in pool.sentences]
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +426,23 @@ def train_local_perceptron(datasets: LabelDataset, *, degree: int = DEFAULT_DEGR
                            epochs: int = DEFAULT_EPOCHS,
                            space: FeatureSpace, feature_config: FeatureConfig,
                            intervals: Optional[IntervalTable] = None) -> ScoreModel:
-    """Kernel Perceptron per label, updated on every sign error; averaged."""
+    """Kernel Perceptron per label, updated on every sign error; averaged.
+
+    Each point's raw margin is cached and every update adds one kernel row
+    to the cache; the margins are sums of integers, so they are exact.
+    """
     scorers = {}
     for label in sorted(datasets):
+        data = list(datasets[label])
+        postings = _Postings([fv for fv, _y in data])
+        margin = np.zeros(len(data))
         sc = LabelScorer(label, degree=degree)
         tick = 0
         for _epoch in range(epochs):
-            for fv, y in datasets[label]:
-                if y * sc.raw_score(fv) <= 0.0:
+            for i, (fv, y) in enumerate(data):
+                if y * margin[i] <= 0.0:
                     sc.supports.append((float(y), tick, fv))
+                    margin += y * postings.kernel_row(fv, degree)
                     tick += 1
         sc.updates = tick
         scorers[label] = sc
@@ -453,6 +514,12 @@ def train_global_perceptron(examples: Sequence[TrainExample], *,
     a structure, and arguments missing from it are promoted while spurious
     ones are demoted.  Epoch-end F1 on the validation split selects the
     parameter state that is kept.
+
+    Every training and holdout candidate keeps two running sums over its
+    label's supports, S1 = sum c*K and S2 = sum c*tick*K, and each update
+    adds one kernel row to both.  The raw score is S1 and the averaged score
+    after u updates is (u*S1 - S2)/u.  The sums hold integers, so they are
+    exact, and the averaged score is rounded once, at the division.
     """
     model = ScoreModel("perceptron-global", degree, feature_config, space, {}, intervals)
     holdout = validation if validation is not None else examples
@@ -461,34 +528,53 @@ def train_global_perceptron(examples: Sequence[TrainExample], *,
     epoch_f1 = []
     snapshots = []   # (tick, {label: n_supports}) at each epoch end
 
-    def scorer_for(label: str) -> LabelScorer:
-        sc = model.scorers.get(label)
-        if sc is None:
-            sc = LabelScorer(label, degree=degree)
-            model.scorers[label] = sc
-        return sc
+    flat: list = []   # one slot per training, then per holdout candidate
+    slots = []
+    for ex in list(examples) + list(validation or ()):
+        slots.append(np.arange(len(flat), len(flat) + len(ex.candidates)))
+        flat.extend(ex.candidates)
+    holdout_slots = slots[len(examples):] if validation is not None else slots
+    by_label: dict = {}
+    for slot, cand in enumerate(flat):
+        by_label.setdefault(cand.label.text, []).append(slot)
+    kernels = {label: (np.array(rows), _Postings([flat[s].features for s in rows]))
+               for label, rows in by_label.items()}
+    s1 = np.zeros(len(flat))
+    s2 = np.zeros(len(flat))
 
-    def predict(ex: TrainExample, averaged: bool) -> frozenset:
-        for sc in model.scorers.values():
-            sc.updates = tick
-        scored = [ScoredCandidate(c, model.score(c, averaged)) for c in ex.candidates]
+    def update(cand: Candidate, coef: float) -> None:
+        nonlocal tick
+        sc = model.scorers.get(cand.label.text)
+        if sc is None:
+            sc = model.scorers[cand.label.text] = LabelScorer(cand.label.text, degree=degree)
+        sc.supports.append((coef, tick, cand.features))
+        rows, postings = kernels[cand.label.text]
+        k = postings.kernel_row(cand.features, degree)
+        s1[rows] += coef * k
+        s2[rows] += (coef * tick) * k
+        tick += 1
+
+    def predict(ex: TrainExample, ex_slots: np.ndarray, averaged: bool) -> frozenset:
+        margins = s1[ex_slots]
+        if averaged and tick > 0:
+            margins = (tick * margins - s2[ex_slots]) / tick
+        scored = [ScoredCandidate(c, m) for c, m in zip(ex.candidates, margins.tolist())]
         return infer_sentence(scored, scope, ex.sentence_id).keys()
 
     for _epoch in range(epochs):
-        for ex in examples:
-            yhat = predict(ex, averaged=False)
+        for ex, ex_slots in zip(examples, slots):
+            yhat = predict(ex, ex_slots, averaged=False)
             promote = [c for c in ex.candidates if c.key in ex.gold_keys and c.key not in yhat]
             demote = [c for c in ex.candidates if c.key in yhat and c.key not in ex.gold_keys]
             for cand in promote:
-                scorer_for(cand.label.text).supports.append((1.0, tick, cand.features))
-                tick += 1
+                update(cand, 1.0)
             for cand in demote:
-                scorer_for(cand.label.text).supports.append((-1.0, tick, cand.features))
-                tick += 1
+                update(cand, -1.0)
             ledger.append((len(promote), len(demote),
                            len(ex.gold_keys - yhat), len(yhat - ex.gold_keys)))
         snapshots.append((tick, {lab: len(sc.supports) for lab, sc in model.scorers.items()}))
-        epoch_f1.append(_example_f1(holdout, [predict(ex, averaged=True) for ex in holdout]))
+        epoch_f1.append(_example_f1(holdout, [predict(ex, ex_slots, averaged=True)
+                                              for ex, ex_slots in zip(holdout, holdout_slots)]))
 
     best_epoch = max(range(len(epoch_f1)), key=lambda i: (epoch_f1[i], -i))
     keep_tick, keep_counts = snapshots[best_epoch]

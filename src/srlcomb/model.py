@@ -265,16 +265,7 @@ class FeatureVector:
     ids: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        ids = tuple(sorted(set(self.ids)))
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "_idset", frozenset(ids))
-
-    @property
-    def idset(self) -> frozenset:
-        return self._idset  # type: ignore[attr-defined]
-
-    def dot(self, other: "FeatureVector") -> int:
-        return len(self.idset & other.idset)
+        object.__setattr__(self, "ids", tuple(sorted(set(self.ids))))
 
     def __len__(self) -> int:
         return len(self.ids)

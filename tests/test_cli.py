@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from srlcomb.cli import build_parser, main
+from srlcomb.learn import ScoreModel
 from srlcomb.pool import load_pool
 
 
@@ -196,6 +197,45 @@ class TestInfer:
         assert rc == 2
         assert f"line {row + 1}" in capsys.readouterr().err
 
+    def test_inference_leaves_model_vocabulary_alone(self, corpus_dir, tmp_path,
+                                                     monkeypatch):
+        model_path = tmp_path / "m.svm"
+        assert main(["train", *_system_args(corpus_dir),
+                     "--gold", f"{corpus_dir}/gold.props",
+                     "--scorer", "svm", "--out", str(model_path)]) == 0
+        n_vocab = int(next(l for l in model_path.read_text().splitlines()
+                           if l.startswith("vocab "))[len("vocab "):])
+        test_dir = tmp_path / "test"
+        assert main(["synth", "--out", str(test_dir), "--seed", "8",
+                     "--sentences", "20"]) == 0
+        loaded = []
+        real_load = ScoreModel.load.__func__
+
+        def load(cls, path):
+            loaded.append(real_load(cls, path))
+            return loaded[-1]
+
+        monkeypatch.setattr(ScoreModel, "load", classmethod(load))
+        assert main(["infer", *_system_args(test_dir), "--gold", f"{test_dir}/gold.props",
+                     "--engine", "dp", "--scorer", "svm", "--model", str(model_path),
+                     "--out", str(tmp_path / "x.props")]) == 0
+        assert len(loaded) == 1
+        assert len(loaded[0].space) == n_vocab
+
+    @pytest.mark.parametrize("argv", [
+        ["infer", "--engine", "cs", "--constraints", "9"],
+        ["infer", "--engine", "cs", "--scope", "pred", "--constraints", "1+2+5"],
+        ["sweep", "--constraints", "9"],
+    ])
+    def test_bad_constraints_exit_2(self, corpus_dir, tmp_path, capsys, argv):
+        rc = main([*argv, *_system_args(corpus_dir), "--gold", f"{corpus_dir}/gold.props",
+                   "--out", str(tmp_path / "x.out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("srlcomb: --constraints ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.out").exists()
+
 
 class TestTrain:
     def test_global_perceptron_with_features_subset(self, corpus_dir, tmp_path, capsys):
@@ -216,6 +256,14 @@ class TestTrain:
                    "--scope", "sentence", "--model", str(model),
                    "--out", str(tmp_path / "gp.props")])
         assert rc == 0
+
+    @pytest.mark.parametrize("scorer", ["svm", "perceptron-global"])
+    def test_degree_below_one_exit_2(self, corpus_dir, tmp_path, capsys, scorer):
+        rc = main(["train", *_system_args(corpus_dir), "--gold", f"{corpus_dir}/gold.props",
+                   "--scorer", scorer, "--degree", "0", "--out", str(tmp_path / "m")])
+        assert rc == 2
+        assert "--degree must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
     def test_syntax_file_accepted(self, corpus_dir, tmp_path):
         model = tmp_path / "m.svm"

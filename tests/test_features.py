@@ -284,3 +284,28 @@ class TestExtractorProperties:
         assert ex1.space.dump() == ex2.space.dump()
         reloaded = FeatureSpace.load(ex1.space.dump())
         assert reloaded.dump() == ex1.space.dump()
+
+    def test_loaded_space_is_frozen(self):
+        def pool_for(seed):
+            gold, systems = generate_synthetic(SyntheticConfig(n_sentences=5, seed=seed))
+            return align_gold(build_pool(
+                [(f"M{i+1}", d, t) for i, (d, t) in enumerate(systems)]), gold)
+
+        trained = FeatureExtractor()
+        trained.extract_pool(pool_for(4))
+        frozen = FeatureSpace.load(trained.space.dump())
+        n = len(frozen)
+        open_ex, frozen_ex = FeatureExtractor(), FeatureExtractor(space=frozen)
+        grown = open_ex.extract_pool(pool_for(9))
+        kept = frozen_ex.extract_pool(pool_for(9))
+        assert len(frozen) == n
+        dropped = 0
+        for a, b in zip(grown.all_candidates(), kept.all_candidates()):
+            names = {open_ex.space.name(i) for i in a.features.ids}
+            assert {frozen.name(i) for i in b.features.ids} == {
+                name for name in names if frozen.lookup(name) is not None}
+            dropped += len(a.features) - len(b.features)
+        assert dropped > 0
+        with pytest.raises(ValueError):
+            frozen.intern("fs1:label=never-seen")
+        assert frozen.ids(["fs1:label=never-seen", frozen.name(0)]) == (0,)

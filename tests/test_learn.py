@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 
@@ -19,14 +20,15 @@ from srlcomb.learn import (
     ScoreModel,
     TrainExample,
     _smo,
-    kernel,
     label_datasets,
+    make_examples,
     score_pool,
     train_global_perceptron,
     train_local_perceptron,
     train_local_svm,
 )
 from srlcomb.corpus_io import SyntheticConfig, generate_synthetic
+from srlcomb.infer_dp import ScoredCandidate, infer_sentence
 from srlcomb.model import FeatureVector
 from srlcomb.pool import align_gold, build_pool
 from conftest import cand
@@ -36,25 +38,49 @@ def fv(space: FeatureSpace, *names: str) -> FeatureVector:
     return FeatureVector(tuple(space.intern(n) for n in names))
 
 
+def ref_kernel(u: FeatureVector, v: FeatureVector, degree: int) -> float:
+    """(|u & v| + 1)^degree over id sets; shares no code with srlcomb."""
+    return float((len(set(u.ids) & set(v.ids)) + 1) ** degree)
+
+
+def ref_score(scorer: LabelScorer, v: FeatureVector, averaged: bool = False) -> float:
+    """bias + sum of coef * kernel over the supports, one support at a time;
+    averaged weights are coef * (u - tick) / u after u > 0 updates."""
+    u = scorer.updates
+    total = scorer.bias
+    for coef, tick, sv in scorer.supports:
+        weight = coef * ((u - tick) / u) if averaged and u > 0 else coef
+        total += weight * ref_kernel(sv, v, scorer.degree)
+    return total
+
+
+def one_support(u: FeatureVector, degree: int) -> LabelScorer:
+    return LabelScorer("A0", degree=degree, supports=[(1.0, 0, u)])
+
+
 class TestKernel:
+    """A scorer with one unit support is the kernel itself."""
+
     def test_empty_vectors(self):
-        assert kernel(FeatureVector(()), FeatureVector(()), 2) == 1.0
+        empty = FeatureVector(())
+        assert one_support(empty, 2).raw_score(empty) == ref_kernel(empty, empty, 2) == 1.0
 
     def test_three_shared_degree_two(self):
         u = FeatureVector((1, 2, 3, 9))
         v = FeatureVector((1, 2, 3, 17))
-        assert kernel(u, v, 2) == 16.0
+        assert one_support(u, 2).raw_score(v) == ref_kernel(u, v, 2) == 16.0
 
     def test_symmetric_random(self, rng):
         for _ in range(1000):
             u = FeatureVector(tuple(rng.sample(range(50), rng.randint(0, 10))))
             v = FeatureVector(tuple(rng.sample(range(50), rng.randint(0, 10))))
             d = rng.randint(1, 3)
-            assert kernel(u, v, d) == kernel(v, u, d)
+            assert one_support(u, d).raw_score(v) == one_support(v, d).raw_score(u)
+            assert one_support(u, d).raw_score(v) == ref_kernel(u, v, d)
 
     def test_degree_validated(self):
         with pytest.raises(ValueError):
-            kernel(FeatureVector(()), FeatureVector(()), 0)
+            LabelScorer("A0", degree=0)
 
 
 def _separable_dataset(space: FeatureSpace, n: int = 10):
@@ -92,7 +118,7 @@ def _kernel_matrix(vectors, degree):
     k = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
-            k[i, j] = kernel(vectors[i], vectors[j], degree)
+            k[i, j] = ref_kernel(vectors[i], vectors[j], degree)
     return k
 
 
@@ -229,13 +255,13 @@ class TestLocalPerceptron:
         replay: list = []
         for _epoch in range(3):
             for x, y in data:
-                s = sum(c * kernel(sv, x, 2) for c, sv in replay)
+                s = sum(c * ref_kernel(sv, x, 2) for c, sv in replay)
                 if y * s <= 0:
                     replay.append((float(y), x))
         scorer = model.scorers["A0"]
         assert [(c, sv) for c, _t, sv in scorer.supports] == replay
         probe = fv(space, "side=pos", "id=3")
-        want = sum(c * kernel(sv, probe, 2) for c, sv in replay)
+        want = sum(c * ref_kernel(sv, probe, 2) for c, sv in replay)
         assert abs(scorer.raw_score(probe) - want) < 1e-9
 
     def test_averaged_differs_from_final_mid_training(self):
@@ -450,3 +476,190 @@ class TestModelFile:
         assert DEFAULT_DEGREE == 2
         assert DEFAULT_EPOCHS == 5
         assert DEFAULT_C == 1.0
+
+
+def _train(kind: str, featured_pool, degree: int) -> ScoreModel:
+    pool, extractor, intervals, gold = featured_pool
+    common = dict(degree=degree, space=extractor.space, feature_config=extractor.config,
+                  intervals=intervals)
+    if kind == "svm":
+        return train_local_svm(label_datasets(pool), **common)
+    if kind == "perceptron-local":
+        return train_local_perceptron(label_datasets(pool), epochs=2, **common)
+    examples = make_examples(pool, gold)
+    return train_global_perceptron(examples[:-4], epochs=2, validation=examples[-4:],
+                                   **common)[0]
+
+
+def _close(got: float, want: float) -> bool:
+    return abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+class TestDualSum:
+    """Scores against the one-support-at-a-time reference `ref_score`."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["svm", "perceptron-local", "perceptron-global"])
+    def test_score_pool_matches_reference(self, featured_pool, kind, degree):
+        pool = featured_pool[0]
+        model = _train(kind, featured_pool, degree)
+        assert sum(len(sc.supports) for sc in model.scorers.values()) > 0
+        for averaged in (False, True):
+            for sent_scores in score_pool(model, pool, averaged):
+                for s in sent_scores:
+                    scorer = model.scorers.get(s.candidate.label.text)
+                    want = 0.0 if scorer is None else ref_score(
+                        scorer, s.candidate.features, averaged)
+                    assert _close(s.confidence, want), (kind, degree, averaged)
+                    assert _close(model.score(s.candidate, averaged), want)
+
+    @pytest.mark.parametrize("kind", ["svm", "perceptron-global"])
+    def test_edge_cases(self, featured_pool, kind):
+        pool, extractor, _intervals, _gold = featured_pool
+        model = _train(kind, featured_pool, 2)
+        labels = sorted(model.scorers)
+        # a bias-only scorer, and a label the model has no scorer for
+        model.scorers[labels[0]] = LabelScorer(labels[0], degree=2, bias=-0.75,
+                                               degenerate=True)
+        del model.scorers[labels[1]]
+        unseen = len(extractor.space) + 1000
+        per_sentence = []
+        for sent in pool.sentences:
+            cands = list(sent.candidates)
+            cands[0] = dataclasses.replace(cands[0], features=FeatureVector(()))
+            if len(cands) > 1:
+                cands[1] = dataclasses.replace(
+                    cands[1], features=FeatureVector((unseen, unseen + 1)))
+            per_sentence.append(cands)
+        edge_pool = pool.with_candidates(per_sentence)
+        seen_kinds = set()
+        for averaged in (False, True):
+            for sent_scores in score_pool(model, edge_pool, averaged):
+                for s in sent_scores:
+                    label = s.candidate.label.text
+                    scorer = model.scorers.get(label)
+                    if scorer is None:
+                        assert s.confidence == 0.0
+                        seen_kinds.add("no scorer")
+                        continue
+                    if label == labels[0]:
+                        assert s.confidence == -0.75
+                        seen_kinds.add("bias only")
+                    if not s.candidate.features.ids:
+                        seen_kinds.add("empty")
+                    if s.candidate.features.ids and min(s.candidate.features.ids) >= unseen:
+                        # no support shares an id: every kernel value is 1
+                        seen_kinds.add("unseen ids")
+                    assert _close(s.confidence,
+                                  ref_score(scorer, s.candidate.features, averaged))
+        assert seen_kinds == {"no scorer", "bias only", "empty", "unseen ids"}
+
+
+def _naive_local(datasets, degree: int, epochs: int) -> dict:
+    """The local Perceptron, re-scoring every point with `ref_score`."""
+    out = {}
+    for label in sorted(datasets):
+        sc = LabelScorer(label, degree=degree)
+        for _epoch in range(epochs):
+            for fv, y in datasets[label]:
+                if y * ref_score(sc, fv) <= 0.0:
+                    sc.supports.append((float(y), sc.updates, fv))
+                    sc.updates += 1
+        out[label] = sc
+    return out
+
+
+def _naive_global(examples, scope, degree: int, epochs: int, validation=None):
+    """The global Perceptron, re-scoring every candidate with `ref_score`.
+    Returns ({label: supports}, kept tick, ledger, epoch F1, kept epoch)."""
+    supports: dict = {}
+    holdout = validation if validation is not None else examples
+    tick = 0
+    ledger, epoch_f1, snapshots = [], [], []
+
+    def predict(ex, averaged):
+        scored = []
+        for c in ex.candidates:
+            sc = LabelScorer(c.label.text, degree=degree,
+                             supports=supports.get(c.label.text, []), updates=tick)
+            scored.append(ScoredCandidate(c, ref_score(sc, c.features, averaged)))
+        return infer_sentence(scored, scope, ex.sentence_id).keys()
+
+    def f1(exs, preds):
+        correct = sum(len(p & ex.gold_keys) for ex, p in zip(exs, preds))
+        predicted = sum(len(p) for p in preds)
+        gold = sum(len(ex.gold_keys) + ex.n_unreachable for ex in exs)
+        p = correct / predicted if predicted else 1.0
+        r = correct / gold if gold else 1.0
+        return 200.0 * p * r / (p + r) if p + r else 0.0
+
+    for _epoch in range(epochs):
+        for ex in examples:
+            yhat = predict(ex, False)
+            promote = [c for c in ex.candidates if c.key in ex.gold_keys and c.key not in yhat]
+            demote = [c for c in ex.candidates if c.key in yhat and c.key not in ex.gold_keys]
+            for coef, group in ((1.0, promote), (-1.0, demote)):
+                for c in group:
+                    supports.setdefault(c.label.text, []).append((coef, tick, c.features))
+                    tick += 1
+            ledger.append((len(promote), len(demote),
+                           len(ex.gold_keys - yhat), len(yhat - ex.gold_keys)))
+        snapshots.append((tick, {lab: len(sup) for lab, sup in supports.items()}))
+        epoch_f1.append(f1(holdout, [predict(ex, True) for ex in holdout]))
+    best = max(range(len(epoch_f1)), key=lambda i: (epoch_f1[i], -i))
+    keep_tick, counts = snapshots[best]
+    kept = {lab: sup[:counts.get(lab, 0)] for lab, sup in supports.items()
+            if counts.get(lab, 0)}
+    return kept, keep_tick, ledger, epoch_f1, best
+
+
+def _rows(supports) -> list:
+    return [(coef, tick, sv.ids) for coef, tick, sv in supports]
+
+
+class TestPerceptronReplay:
+    """The margin-cached trainers against trainers that re-score everything."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_local(self, featured_pool, degree):
+        pool, extractor, _intervals, _gold = featured_pool
+        datasets = label_datasets(pool)
+        model = train_local_perceptron(datasets, degree=degree, epochs=3,
+                                       space=extractor.space,
+                                       feature_config=extractor.config)
+        want = _naive_local(datasets, degree, 3)
+        assert sorted(model.scorers) == sorted(want)
+        for label, sc in model.scorers.items():
+            assert _rows(sc.supports) == _rows(want[label].supports), label
+            assert sc.updates == want[label].updates
+
+    @pytest.mark.parametrize("scope, degree, split", [
+        (Scope.PRED_BY_PRED, 2, True),
+        (Scope.FULL_SENTENCE, 2, True),
+        (Scope.PRED_BY_PRED, 3, False),
+        (Scope.FULL_SENTENCE, 1, False),
+    ])
+    def test_global(self, featured_pool, scope, degree, split):
+        pool, extractor, _intervals, gold = featured_pool
+        examples = make_examples(pool, gold)
+        train, validation = (examples[:-5], examples[-5:]) if split else (examples, None)
+        if split:
+            # a held-out gold candidate whose label no training candidate has
+            assert all(c.label.text != "A5" for ex in train for c in ex.candidates)
+            lone = cand(999, 0, "A5", (0, 1), votes=("M1",),
+                        features=train[0].candidates[0].features, is_gold=True)
+            validation = validation + [TrainExample(999, (lone,), frozenset({lone.key}))]
+        model, log = train_global_perceptron(
+            train, scope=scope, degree=degree, epochs=3, space=extractor.space,
+            feature_config=extractor.config, validation=validation)
+        kept, keep_tick, ledger, epoch_f1, best = _naive_global(
+            train, scope, degree, 3, validation)
+        assert log.ledger == ledger
+        assert log.epoch_f1 == epoch_f1
+        assert log.selected_epoch == best
+        assert sum(p + d for p, d, _, _ in ledger) > 0
+        assert sorted(model.scorers) == sorted(kept)
+        assert "A5" not in model.scorers
+        for label, sc in model.scorers.items():
+            assert _rows(sc.supports) == _rows(kept[label]), label
+            assert sc.updates == keep_tick
