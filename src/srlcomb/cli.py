@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bootstrap", type=int, default=DEFAULT_BOOTSTRAP,
                    help="bootstrap resamples when scoring against gold")
     p.add_argument("--node-budget", type=int, default=None,
-                   help="abort exact search beyond this many nodes")
+                   help="abort exact search beyond this many nodes per sentence")
     p.add_argument("--trace", action="store_true",
                    help="print visited-node counts per sentence (engine=cs)")
     p.add_argument("--out", required=True, help="predicted props file")

@@ -6,6 +6,10 @@ uniform bias credited for every unselected candidate.  Hard constraints are
 enforced exactly by depth-first branch and bound with an admissible bound
 (current gain plus all remaining positive margins); there is no external ILP
 dependency.
+
+``decode`` is the one exact decoder of both engines, at sentence or
+predicate scope: this engine decodes summed probabilities against the bias,
+the learning-based engine (``infer_dp``) its scorers' confidences.
 """
 
 from __future__ import annotations
@@ -176,34 +180,47 @@ def optimize(candidates: Sequence[Candidate], margins: Sequence[float],
     return chosen, constant + best["gain"], nodes[0]
 
 
+def decode(candidates: Sequence[Candidate], margins: Sequence[float],
+           cs: ConstraintSet, scope: Scope, sentence_id: int, bias: float = 0.0,
+           node_budget: Optional[int] = None) -> tuple[Solution, int]:
+    """The one exact decoder, returning (solution, nodes visited): branch and
+    bound over the whole sentence, or over each predicate's candidates in
+    turn, crediting ``bias`` for every candidate left out.  ``node_budget``
+    bounds the nodes of the whole sentence; on a timeout the best-so-far holds
+    the predicates already decoded plus the current one's partial selection.
+    """
+    if scope is Scope.FULL_SENTENCE:
+        groups = [range(len(candidates))] if candidates else []
+    else:
+        groups = [[i for i, c in enumerate(candidates) if c.predicate == p]
+                  for p in sorted({c.predicate for c in candidates})]
+    selected: list[Candidate] = []
+    objective = 0.0
+    nodes = 0
+    for group in groups:
+        left = None if node_budget is None else node_budget - nodes
+        try:
+            chosen, obj, visited = optimize([candidates[i] for i in group],
+                                            [margins[i] for i in group], cs,
+                                            bias * len(group), left)
+        except InferenceTimeout as exc:
+            raise InferenceTimeout(
+                f"node budget {node_budget} exhausted",
+                Solution.make(sentence_id, selected + list(exc.best.selected),
+                              objective + exc.best.objective)) from None
+        selected += chosen
+        objective += obj
+        nodes += visited
+    return Solution.make(sentence_id, selected, objective), nodes
+
+
 def solve_with_stats(candidates: Sequence[Candidate], cfg: CsConfig,
                      sentence_id: Optional[int] = None) -> tuple[Solution, int]:
     """Like solve, but also reports how many search nodes were visited."""
     if sentence_id is None:
         sentence_id = candidates[0].sentence_id if candidates else 0
-    if not candidates:
-        return Solution.make(sentence_id, (), 0.0), 0
-
-    margins = [c.prob_sum() - cfg.bias for c in candidates]
-    constant = cfg.bias * len(candidates)
-    if cfg.scope is Scope.FULL_SENTENCE:
-        chosen, objective, nodes = optimize(candidates, margins, cfg.constraints,
-                                            constant, cfg.node_budget)
-        return Solution.make(sentence_id, chosen, objective), nodes
-
-    selected: list[Candidate] = []
-    objective = 0.0
-    nodes = 0
-    predicates = sorted({c.predicate for c in candidates})
-    for p in predicates:
-        group = [c for c in candidates if c.predicate == p]
-        group_margins = [c.prob_sum() - cfg.bias for c in group]
-        chosen, obj, visited = optimize(group, group_margins, cfg.constraints,
-                                        cfg.bias * len(group), cfg.node_budget)
-        selected += chosen
-        objective += obj
-        nodes += visited
-    return Solution.make(sentence_id, selected, objective), nodes
+    return decode(candidates, [c.prob_sum() - cfg.bias for c in candidates],
+                  cfg.constraints, cfg.scope, sentence_id, cfg.bias, cfg.node_budget)
 
 
 def solve(candidates: Sequence[Candidate], cfg: CsConfig,

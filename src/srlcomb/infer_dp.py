@@ -1,10 +1,10 @@
 """Learning-based inference: pick the maximum-confidence consistent structure.
 
-Per predicate, a bottom-up interval dynamic program selects pairwise-disjoint
-spans; a 2^6 mask over core labels inside the state makes the no-duplicate
-rule exact rather than repaired afterwards.  Sentence-level decoding with
-cross-predicate embedding delegates to the exact branch-and-bound optimizer,
-since hierarchical embedding breaks the interval decomposition.
+Decoding goes through the one exact branch-and-bound decoder,
+``infer_cs.decode``: per predicate under hard c1+c2, or over the whole
+sentence under hard c1+c2+c5 (cross-predicate embedding allowed).  The
+interval dynamic program ``dp_predicate`` is kept as the independent
+reference for the predicate scope; no runtime path calls it.
 
 Candidates with confidence <= 0 can never improve the objective and are
 filtered up front, which is also the documented tie rule at score 0.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .model import STRUCTURAL_RULES, Candidate, LabelKind, Solution
-from .infer_cs import Scope, map_sentences, optimize
+from .infer_cs import Scope, decode, default_constraints, map_sentences
 
 
 @dataclass(frozen=True)
@@ -30,34 +30,23 @@ class ScoredCandidate:
             raise ValueError("confidence must be finite")
 
 
-def _canonical(scored: Sequence[ScoredCandidate]) -> list[ScoredCandidate]:
-    return sorted(scored, key=lambda s: (s.candidate.span.start, s.candidate.span.end,
-                                         -len(s.candidate.votes), s.candidate.label.text))
+def dp_predicate(scored: Sequence[ScoredCandidate]) -> Solution:
+    """Best disjoint-span selection for one predicate's candidates, with at
+    most one candidate per core label A0-A5.
 
-
-def dp_predicate(scored: Sequence[ScoredCandidate],
-                 enforce_no_dup_core: bool = True,
-                 sentence_id: Optional[int] = None) -> Solution:
-    """Best disjoint-span selection for one predicate's candidates.
-
-    With the flag on, at most one candidate per core label A0-A5 survives.
     Exact; complexity is spans times the 64 core-label masks.
     """
-    live = _canonical([s for s in scored if s.confidence > 0.0])
-    if sentence_id is None:
-        sid = (scored[0].candidate.sentence_id if scored else 0)
-    else:
-        sid = sentence_id
+    live = sorted((s for s in scored if s.confidence > 0.0),
+                  key=lambda s: (s.candidate.span.start, s.candidate.span.end,
+                                 -len(s.candidate.votes), s.candidate.label.text))
+    sid = scored[0].candidate.sentence_id if scored else 0
     if not live:
         return Solution.make(sid, (), 0.0)
-    predicates = {s.candidate.predicate for s in live}
-    if len(predicates) > 1:
+    if len({s.candidate.predicate for s in live}) > 1:
         raise ValueError("dp_predicate expects candidates of a single predicate")
 
     def core_bit(cand: Candidate) -> int:
-        if enforce_no_dup_core and cand.label.kind is LabelKind.CORE:
-            return 1 << cand.label.core_index
-        return 0
+        return 1 << cand.label.core_index if cand.label.kind is LabelKind.CORE else 0
 
     by_start: dict = {}
     for s in live:
@@ -98,29 +87,18 @@ def infer_sentence(scored: Sequence[ScoredCandidate], scope: Scope | str,
                    node_budget: Optional[int] = None) -> Solution:
     """Decode one sentence predicate by predicate, or jointly.
 
-    ``scope`` is a Scope or its value, "pred" or "sentence".  Joint decoding
-    enforces c1, c2 and c5: same-predicate spans disjoint, no duplicate cores
-    per predicate, and no crossing between predicates (embedding allowed).
+    ``scope`` is a Scope or its value, "pred" or "sentence".  Both scopes
+    enforce c1 and c2: same-predicate spans disjoint, no duplicate cores per
+    predicate.  Joint decoding adds c5: no crossing between predicates
+    (embedding allowed).  ``node_budget`` bounds the whole sentence's search.
     """
     scope = Scope(scope)
     if sentence_id is None:
         sentence_id = scored[0].candidate.sentence_id if scored else 0
-    if scope is Scope.FULL_SENTENCE:
-        live = _canonical([s for s in scored if s.confidence > 0.0])
-        if not live:
-            return Solution.make(sentence_id, (), 0.0)
-        chosen, objective, _ = optimize([s.candidate for s in live],
-                                        [s.confidence for s in live],
-                                        STRUCTURAL_RULES, 0.0, node_budget)
-        return Solution.make(sentence_id, chosen, objective)
-    selected: list[Candidate] = []
-    objective = 0.0
-    for p in sorted({s.candidate.predicate for s in scored}):
-        sol = dp_predicate([s for s in scored if s.candidate.predicate == p],
-                           True, sentence_id)
-        selected += list(sol.selected)
-        objective += sol.objective
-    return Solution.make(sentence_id, selected, objective)
+    live = [s for s in scored if s.confidence > 0.0]
+    rules = STRUCTURAL_RULES if scope is Scope.FULL_SENTENCE else default_constraints(scope)
+    return decode([s.candidate for s in live], [s.confidence for s in live], rules,
+                  scope, sentence_id, node_budget=node_budget)[0]
 
 
 def decode_corpus(scored_lists: Sequence[Sequence[ScoredCandidate]],

@@ -349,12 +349,6 @@ class Candidate:
                 return v
         return None
 
-    def prob(self, system: str) -> float:
-        for sys_id, v in self.probs:
-            if sys_id == system:
-                return v
-        return 0.0
-
     def prob_sum(self) -> float:
         return sum(v for _, v in self.probs)
 

@@ -71,7 +71,8 @@ class CandidatePool:
 
 
 def build_pool(systems: Sequence[tuple[str, PropsDocument, Optional[ScoreTable]]]) -> CandidatePool:
-    """Pool the outputs of several systems over one shared skeleton."""
+    """Pool the outputs of several systems over one shared skeleton.  A score
+    record that names no argument of its own system is an AlignmentError."""
     if not systems:
         raise ValueError("need at least one system")
     ids = [sid for sid, _, _ in systems]
@@ -81,6 +82,7 @@ def build_pool(systems: Sequence[tuple[str, PropsDocument, Optional[ScoreTable]]
 
     first = systems[0][1]
     sentences = []
+    matched: dict = {sid: set() for sid in ids}
     for s, skeleton in enumerate(first.sentences):
         merged: dict = {}
         for sid, doc, table in systems:
@@ -92,11 +94,18 @@ def build_pool(systems: Sequence[tuple[str, PropsDocument, Optional[ScoreTable]]
                     votes.add(sid)
                     if table is not None and key in table:
                         raws[sid] = table[key]
+                        matched[sid].add(key)
         candidates = tuple(
             Candidate.make(s, Argument(key[1], RoleLabel.parse(key[2]), key[3]),
                            votes=votes, raw_scores=raws)
             for key, (votes, raws) in sorted(merged.items()))
         sentences.append(SentencePool(s, skeleton.n_tokens, skeleton.predicates, candidates))
+    for sid, _, table in systems:
+        if table is not None and len(table) > len(matched[sid]):
+            sent, pred, label, span = min(set(table) - matched[sid])
+            raise AlignmentError(
+                f"system {sid}: score record {sent} {pred} {label} {span.start} {span.end} "
+                f"names no argument of its props")
     return CandidatePool(tuple(ids), tuple(sentences))
 
 

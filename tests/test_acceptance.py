@@ -117,6 +117,14 @@ def test_criterion_2_dp_equivalence():
                                  "sentence")
             want, _ = enumerate_best(cands, confs, cs_sent)
             assert abs(sol.objective - max(want, 0.0)) < 1e-9, f"sent trial {trial}"
+        for trial in range(100):
+            cands = random_candidates(rng, rng.randint(1, 14), n_predicates=3,
+                                      n_tokens=25)
+            confs = [round(rng.uniform(-2, 3), 6) for _ in cands]
+            sol = infer_sentence([ScoredCandidate(c, v) for c, v in zip(cands, confs)],
+                                 "pred")
+            want, _ = enumerate_best(cands, confs, cs_pred)
+            assert abs(sol.objective - max(want, 0.0)) < 1e-9, f"multi-pred trial {trial}"
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
 

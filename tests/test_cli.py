@@ -126,6 +126,28 @@ class TestInfer:
                    "--out", str(tmp_path / "x.props")])
         assert rc == 4
 
+    @pytest.mark.parametrize("scope", ["pred", "sentence"])
+    def test_dp_timeout_exit_4(self, corpus_dir, tmp_path, capsys, scope):
+        rc = main(["infer", *_system_args(corpus_dir), "--engine", "dp",
+                   "--scope", scope, "--node-budget", "1",
+                   "--out", str(tmp_path / "x.props")])
+        assert rc == 4
+        assert "node budget 1 exhausted" in capsys.readouterr().err
+
+    def test_unmatched_score_record_exit_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--out", str(corpus), "--seed", "7", "--sentences", "60"]) == 0
+        with open(corpus / "sys1.scores", "a", encoding="utf-8") as f:
+            f.write("999 0 A0 0 1 5.0\n")
+        capsys.readouterr()
+        rc = main(["infer", *_system_args(corpus), "--engine", "cs",
+                   "--out", str(tmp_path / "x.props")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "M1" in err and "999 0 A0 0 1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.props").exists()
+
     def test_parallel_jobs_identical_output(self, corpus_dir, tmp_path):
         serial, parallel = tmp_path / "serial.props", tmp_path / "parallel.props"
         for engine in (["--engine", "cs"],

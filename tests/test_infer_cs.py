@@ -11,6 +11,7 @@ from srlcomb.infer_cs import (
     Scope,
     infer_corpus,
     solve,
+    solve_with_stats,
     sweep_bias,
 )
 from srlcomb.model import ConstraintSet, ConstraintRule, enumerate_violations, hard_violations, soft, validate
@@ -188,6 +189,43 @@ class TestTimeout:
                                   constraints=ConstraintSet.hard_rules(1, 2, 5, 6)))
         assert err.value.nonoptimal
         assert err.value.best is not None
+
+    @staticmethod
+    def _three_predicates():
+        cands = random_candidates(random.Random(5), 16, n_predicates=3)
+        full = CsConfig.for_scope(Scope.PRED_BY_PRED, bias=0.0)
+        per_pred = [solve_with_stats([c for c in cands if c.predicate == p], full)
+                    for p in range(3)]
+        return cands, per_pred
+
+    def test_budget_covers_the_whole_sentence(self):
+        cands, per_pred = self._three_predicates()
+        nodes = [n for _, n in per_pred]
+        assert max(nodes) < sum(nodes)
+        # every predicate fits the budget on its own, but not all of them
+        with pytest.raises(InferenceTimeout):
+            solve(cands, CsConfig.for_scope(Scope.PRED_BY_PRED, bias=0.0,
+                                            node_budget=max(nodes)))
+        sol, visited = solve_with_stats(
+            cands, CsConfig.for_scope(Scope.PRED_BY_PRED, bias=0.0, node_budget=sum(nodes)))
+        assert visited == sum(nodes)
+        assert set(sol.selected) == {c for s, _ in per_pred for c in s.selected}
+
+    def test_timeout_best_merges_decoded_predicates(self):
+        cands, per_pred = self._three_predicates()
+        nodes = [n for _, n in per_pred]
+        budget = 25
+        assert nodes[0] < budget < nodes[0] + nodes[1]
+        with pytest.raises(InferenceTimeout) as err:
+            solve(cands, CsConfig.for_scope(Scope.PRED_BY_PRED, bias=0.0, node_budget=budget),
+                  sentence_id=3)
+        best = err.value.best
+        assert best.sentence_id == 3
+        # predicate 0 was decoded in full, predicate 1 partly, predicate 2 not at all
+        assert {c for c in best.selected if c.predicate == 0} == set(per_pred[0][0].selected)
+        assert any(c.predicate == 1 for c in best.selected)
+        assert all(c.predicate != 2 for c in best.selected)
+        assert abs(best.objective - sum(c.prob_sum() for c in best.selected)) < 1e-9
 
 
 @pytest.fixture(scope="module")

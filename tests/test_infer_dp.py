@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from srlcomb.infer_cs import Scope
+from srlcomb.infer_cs import CsConfig, Scope, solve
 from srlcomb.infer_dp import ScoredCandidate, dp_predicate, infer_sentence
 from srlcomb.model import ConstraintSet, enumerate_violations, hard_violations
 from conftest import cand, random_candidates
@@ -29,10 +29,8 @@ class TestDpPredicate:
     def test_core_duplicate_flag(self):
         hi = sc(2.0, label="A0", span=(0, 1))
         lo = sc(1.5, label="A0", span=(3, 4))
-        with_flag = dp_predicate([hi, lo], enforce_no_dup_core=True)
-        assert with_flag.selected == (hi.candidate,)
-        without = dp_predicate([hi, lo], enforce_no_dup_core=False)
-        assert set(without.selected) == {hi.candidate, lo.candidate}
+        sol = dp_predicate([hi, lo])
+        assert sol.selected == (hi.candidate,)
 
     def test_embedding_forbidden_same_predicate(self):
         outer = sc(1.0, label="A0", span=(0, 5))
@@ -148,6 +146,16 @@ class TestDpSentence:
         assert set(pred_scope.selected) == {a.candidate, b.candidate}
         sent_scope = infer_sentence([a, b], "sentence")
         assert sent_scope.selected == (a.candidate,)
+
+    def test_one_tie_rule_at_both_scopes(self):
+        # equal votes and margins: both engines keep the earlier span
+        tmp = cand(label="AM-TMP", span=(0, 1), probs={"M1": 1.0})
+        loc = cand(label="AM-LOC", span=(1, 2), probs={"M1": 1.0})
+        scored = [ScoredCandidate(loc, 1.0), ScoredCandidate(tmp, 1.0)]
+        assert infer_sentence(scored, "pred").selected == (tmp,)
+        assert infer_sentence(scored, "sentence").selected == (tmp,)
+        cfg = CsConfig.for_scope(Scope.PRED_BY_PRED, bias=0.0)
+        assert solve([loc, tmp], cfg).selected == (tmp,)
 
     def test_infer_sentence_accepts_scope_members(self):
         a = sc(2.0, pred=0, label="A0", span=(0, 5))

@@ -84,6 +84,17 @@ class TestBuildPool:
         with pytest.raises(AlignmentError):
             build_pool([("M1", systems[0][0], None), ("M2", other, None)])
 
+    @pytest.mark.parametrize("record", [(999, 0, "A0", Span(0, 1)),
+                                        (0, 0, "AM-ADV", Span(0, 0))])
+    def test_unmatched_score_record_rejected(self, corpus, record):
+        _gold, systems = corpus
+        (doc1, table1), (doc2, table2) = systems[:2]
+        assert record not in table2
+        with pytest.raises(AlignmentError, match=r"system M2: score record "
+                           rf"{record[0]} {record[1]} {record[2]} {record[3].start} "
+                           rf"{record[3].end} "):
+            build_pool([("M1", doc1, table1), ("M2", doc2, {**table2, record: 5.0})])
+
     def test_raw_scores_kept_per_system(self, corpus):
         _gold, systems = corpus
         pool = build_pool(_triples(systems))
