@@ -18,6 +18,7 @@ of re-scoring candidates against all supports.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
@@ -109,9 +110,6 @@ class LabelScorer:
     def raw_score(self, fv: FeatureVector) -> float:
         return self.scores([fv])[0]
 
-    def averaged_score(self, fv: FeatureVector) -> float:
-        return self.scores([fv], averaged=True)[0]
-
 
 @dataclass
 class ScoreModel:
@@ -121,14 +119,6 @@ class ScoreModel:
     space: FeatureSpace
     scorers: dict
     intervals: Optional[IntervalTable] = None
-
-    def score(self, candidate: Candidate, averaged: bool = True) -> float:
-        if candidate.features is None:
-            raise ValueError("candidate has no extracted features")
-        scorer = self.scorers.get(candidate.label.text)
-        if scorer is None:
-            return 0.0
-        return scorer.scores([candidate.features], averaged)[0]
 
     # -- persistence ---------------------------------------------------------
 
@@ -189,24 +179,33 @@ class ScoreModel:
             pos += 1
             return parts
 
+        def finite(text: str) -> float:
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError(f"model file: non-finite value {text} at line {pos}")
+            return value
+
         if take("") != MODEL_HEADER:
             raise ValueError("not a model file")
         kind = take("kind ")
         degree = int(take("degree "))
         cfg_line = take("config ")
-        cfg_map = dict(part.split("=", 1) for part in cfg_line.split())
-        config = FeatureConfig(
-            groups=tuple(cfg_map["groups"].split(",")),
-            ngram_cap=int(cfg_map["ngram_cap"]),
-            path_threshold=int(cfg_map["path_threshold"]),
-            count_cap=int(cfg_map["count_cap"]))
+        try:
+            cfg_map = dict(part.split("=", 1) for part in cfg_line.split())
+            config = FeatureConfig(
+                groups=tuple(cfg_map["groups"].split(",")),
+                ngram_cap=int(cfg_map["ngram_cap"]),
+                path_threshold=int(cfg_map["path_threshold"]),
+                count_cap=int(cfg_map["count_cap"]))
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"model file: config at line {pos} is missing or bad: {exc}") from None
         n_intervals = int(take("intervals "))
         cuts = {}
         degenerate = set()
         for _ in range(n_intervals):
             parts = fields("intervals", 7)
             key = (parts[0], parts[1])
-            cuts[key] = tuple(float(x) for x in parts[2:6])
+            cuts[key] = tuple(finite(x) for x in parts[2:6])
             if parts[6] == "degenerate":
                 degenerate.add(key)
         intervals = IntervalTable(cuts, degenerate) if cuts else None
@@ -224,7 +223,7 @@ class ScoreModel:
             if label in scorers:
                 raise ValueError(f"model file: label {label} given twice at line {pos}")
             sc = LabelScorer(label, degree=int(take("degree ")),
-                             bias=float(take("bias ")),
+                             bias=finite(take("bias ")),
                              updates=int(take("updates ")),
                              degenerate=bool(int(take("degenerate "))))
             n_sup = int(take("supports "))
@@ -233,7 +232,7 @@ class ScoreModel:
                 ids = tuple(int(x) for x in parts[2:])
                 if ids and not 0 <= min(ids) <= max(ids) < len(space):
                     raise ValueError(f"model file: feature id out of vocabulary at line {pos}")
-                sc.supports.append((float(parts[0]), int(parts[1]), FeatureVector(ids)))
+                sc.supports.append((finite(parts[0]), int(parts[1]), FeatureVector(ids)))
             take("end")
             scorers[label] = sc
         return cls(kind, degree, config, space, scorers, intervals)
@@ -249,7 +248,9 @@ def score_pool(model: ScoreModel, pool: CandidatePool,
     """Score every pool candidate with its label's scorer.
 
     The pool must have been feature-extracted with the model's configuration
-    and feature space; anything else is a vocabulary mismatch.
+    and feature space; anything else is a vocabulary mismatch.  Candidates
+    whose label the model has no scorer for score 0.0, with one stderr
+    warning per such label.
     """
     if pool.feature_digest != model.feature_config.digest():
         raise ModelMismatchError(
@@ -264,10 +265,13 @@ def score_pool(model: ScoreModel, pool: CandidatePool,
     confidence = [0.0] * len(flat)
     for label, rows in by_label.items():
         scorer = model.scorers.get(label)
-        if scorer is not None:
-            values = scorer.scores([flat[i].features for i in rows], averaged)
-            for i, value in zip(rows, values):
-                confidence[i] = value
+        if scorer is None:
+            print(f"srlcomb: warning: model has no scorer for label {label}; "
+                  f"{len(rows)} candidates scored 0.0", file=sys.stderr)
+            continue
+        values = scorer.scores([flat[i].features for i in rows], averaged)
+        for i, value in zip(rows, values):
+            confidence[i] = value
     scored = iter(ScoredCandidate(c, v) for c, v in zip(flat, confidence))
     return [[next(scored) for _ in sent.candidates] for sent in pool.sentences]
 
@@ -303,96 +307,52 @@ def _gram(vectors: Sequence[FeatureVector], degree: int) -> np.ndarray:
 
 
 def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float,
-         max_passes: int = 500) -> tuple[np.ndarray, float, np.ndarray, int, float]:
-    """Sequential pairwise optimization of the soft-margin dual.
+         max_steps: Optional[int] = None) -> tuple[np.ndarray, float, np.ndarray, int, float]:
+    """Sequential minimal optimization of the soft-margin dual, one pair per step.
 
-    Deterministic variant of the classic working-set scheme: pick the first
-    KKT violator, pair it with the largest-error-gap partner, and fall back
-    to every other index before declaring it stuck.  The errors
-    E = K @ (alpha*y) + b - y are cached (Platt 1998; Keerthi et al. 2001):
-    they start at -y, and each successful step updates them in O(n) from the
-    two changed kernel rows and the bias shift.
+    Working-set rule of LIBSVM (Fan, Chen & Lin, JMLR 2005): with
+    f = K @ (alpha*y) - y, i is the maximal violator (the argmax of -f over
+    I_up) and j the violator in I_low with the largest second-order gain
+    (f_j - f_i)^2 / eta_ij; stop once max(-f over I_up) - min(-f over I_low)
+    < tol.  f is cached (Platt 1998; Keerthi et al. 2001): it starts at -y
+    and each step adds two kernel rows.  b is the mean of -f over the free
+    points, or the midpoint of the two set bounds if none is free.
 
-    Returns (alpha, b, E, passes, violation), where violation is the largest
-    KKT violation left; it exceeds `tol` only when the loop stopped at
-    `max_passes` or found no pair to improve.
+    Returns (alpha, b, E = f + b, steps, violation), where violation is the
+    largest KKT violation left; it exceeds `tol` only when the loop stopped
+    at `max_steps` (default 100 n).
     """
     n = len(y)
     alpha = np.zeros(n)
-    err = -y.astype(float)
-    b = 0.0
-
-    def take_step(i: int, j: int) -> bool:
-        nonlocal b, err
-        if i == j:
-            return False
+    f = -y.astype(float)
+    positive = y > 0
+    cap = 100 * n if max_steps is None else max_steps
+    for steps in range(cap + 1):
+        above, below = alpha > 1e-12, alpha < c - 1e-12
+        up = np.where(positive, below, above)
+        low = np.where(positive, above, below)
+        i = int(np.argmax(np.where(up, -f, -np.inf)))
+        top, bottom = float(-f[i]), float(np.min(-f[low]))
+        if top - bottom < tol or steps == cap:
+            break
+        eta = np.maximum(k[i, i] + np.diagonal(k) - 2.0 * k[i], 1e-12)
+        j = int(np.argmax(np.where(low & (-f < top), (f - f[i]) ** 2 / eta, -1.0)))
         a_i, a_j = alpha[i], alpha[j]
         s = y[i] * y[j]
         if s < 0:
             lo, hi = max(0.0, a_j - a_i), min(c, c + a_j - a_i)
         else:
             lo, hi = max(0.0, a_i + a_j - c), min(c, a_i + a_j)
-        if hi - lo < 1e-12:
-            return False
-        e_i, e_j = err[i], err[j]
-        eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
-        if eta > 1e-12:
-            new_j = min(max(a_j + y[j] * (e_i - e_j) / eta, lo), hi)
-        else:
-            # flat or concave along the segment: the optimum sits at an end.
-            # Moving alpha_j by t gains y_j (e_i - e_j) t - eta t^2 / 2.
-            lo_gain, hi_gain = (y[j] * (e_i - e_j) * t - 0.5 * eta * t * t
-                                for t in (lo - a_j, hi - a_j))
-            if lo_gain > hi_gain + 1e-12:
-                new_j = lo
-            elif hi_gain > lo_gain + 1e-12:
-                new_j = hi
-            else:
-                return False
-        if abs(new_j - a_j) < 1e-10:
-            return False
+        new_j = min(max(a_j + y[j] * (f[i] - f[j]) / eta[j], lo), hi)
         new_i = a_i + s * (a_j - new_j)
-        d_i, d_j = y[i] * (new_i - a_i), y[j] * (new_j - a_j)
         alpha[i], alpha[j] = new_i, new_j
-        b_i = b - e_i - d_i * k[i, i] - d_j * k[i, j]
-        b_j = b - e_j - d_i * k[i, j] - d_j * k[j, j]
-        if 0.0 < new_i < c:
-            new_b = b_i
-        elif 0.0 < new_j < c:
-            new_b = b_j
-        else:
-            new_b = (b_i + b_j) / 2.0
-        err += d_i * k[i] + d_j * k[j] + (new_b - b)
-        b = new_b
-        return True
-
-    def nonbound() -> np.ndarray:
-        return np.flatnonzero((alpha > 1e-12) & (alpha < c - 1e-12))
-
-    def examine(i: int) -> bool:
-        r = y[i] * err[i]
-        if not ((r < -tol and alpha[i] < c) or (r > tol and alpha[i] > 0)):
-            return False
-        free = nonbound()
-        if free.size and take_step(i, free[np.argmax(np.abs(err[free] - err[i]))]):
-            return True
-        return (any(take_step(i, j) for j in free)
-                or any(take_step(i, j) for j in range(n)))
-
-    passes = 0
-    examine_all = True
-    while passes < max_passes:
-        changed = sum(examine(i) for i in (range(n) if examine_all else nonbound()))
-        passes += 1
-        if examine_all:
-            if changed == 0:
-                break
-            examine_all = False
-        elif changed == 0:
-            examine_all = True
+        f += y[i] * (new_i - a_i) * k[i] + y[j] * (new_j - a_j) * k[j]
+    free = above & below
+    b = float(np.mean(-f[free])) if free.any() else (top + bottom) / 2.0
+    err = f + b
     r = y * err
-    violation = np.maximum(np.where(alpha < c - 1e-12, -r, 0.0), np.where(alpha > 1e-12, r, 0.0))
-    return alpha, b, err, passes, float(violation.max())
+    violation = np.maximum(np.where(below, -r, 0.0), np.where(above, r, 0.0))
+    return alpha, b, err, steps, float(violation.max())
 
 
 def train_local_svm(datasets: LabelDataset, *, degree: int = DEFAULT_DEGREE,
@@ -410,9 +370,9 @@ def train_local_svm(datasets: LabelDataset, *, degree: int = DEFAULT_DEGREE,
             continue
         vectors = [fv for fv, _ in data]
         k = _gram(vectors, degree)
-        alpha, bias, _err, passes, violation = _smo(k, ys, c, tol)
+        alpha, bias, _err, steps, violation = _smo(k, ys, c, tol)
         if violation > tol:
-            print(f"srlcomb: warning: SMO for label {label} stopped after {passes} passes "
+            print(f"srlcomb: warning: SMO for label {label} stopped after {steps} steps "
                   f"with KKT violation {violation:.3g} > tol {tol:g}", file=sys.stderr)
         sc = LabelScorer(label, degree=degree, bias=float(bias))
         for i, a in enumerate(alpha):

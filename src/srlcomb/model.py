@@ -376,9 +376,6 @@ class Solution:
 # Constraint rules
 
 
-CONSTRAINT_IDS = ("c1", "c2", "c3", "c4", "c5", "c6")
-
-
 @dataclass(frozen=True)
 class ConstraintRule:
     mode: str = "off"  # off | hard | soft
@@ -450,16 +447,6 @@ class ConstraintSet:
 
     def rule(self, cid: str) -> ConstraintRule:
         return getattr(self, cid)
-
-    def describe(self) -> str:
-        parts = []
-        for cid in CONSTRAINT_IDS:
-            r = self.rule(cid)
-            if r.mode == "hard":
-                parts.append(cid[1])
-            elif r.mode == "soft":
-                parts.append(f"{cid[1]}:soft={r.penalty:g}")
-        return "+".join(parts)
 
 
 # c1, c2 and c5 as hard rules: the fixed rules of the dp engine at sentence
@@ -561,6 +548,3 @@ def validate(solution: Solution, cs: ConstraintSet, sentence: Sentence) -> list[
             raise StructureError(f"candidate {c.key} exceeds sentence length")
     return enumerate_violations(solution.selected, cs)
 
-
-def hard_violations(violations: Iterable[Violation]) -> list[Violation]:
-    return [v for v in violations if v.hard]

@@ -184,27 +184,6 @@ def pool_stats(pool: CandidatePool) -> PoolStats:
     return PoolStats(columns, tuple(rows), tuple(counts))
 
 
-def system_view(pool: CandidatePool, system_id: str) -> tuple[PropsDocument, ScoreTable]:
-    """Reconstruct one system's document (and score table) from the pool."""
-    if system_id not in pool.system_ids:
-        raise ValueError(f"unknown system {system_id!r}")
-    sentences = []
-    table: ScoreTable = {}
-    for sent in pool.sentences:
-        per_pred: list[list[Argument]] = [
-            [Argument(p, V_LABEL, Span(pos, pos))]
-            for p, (pos, _lemma) in enumerate(sent.predicates)]
-        for cand in sent.candidates:
-            if system_id in cand.votes:
-                per_pred[cand.predicate].append(cand.argument)
-                raw = cand.raw_score(system_id)
-                if raw is not None:
-                    table[cand.key] = raw
-        sentences.append(PropsSentence(
-            sent.n_tokens, sent.predicates, tuple(tuple(a) for a in per_pred)))
-    return PropsDocument(tuple(sentences)), table
-
-
 def solutions_to_props(pool: CandidatePool, solutions: Sequence[Solution]) -> PropsDocument:
     """Turn per-sentence solutions back into a props document over the pool skeleton."""
     by_id = {sol.sentence_id: sol for sol in solutions}

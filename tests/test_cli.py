@@ -3,9 +3,12 @@ from pathlib import Path
 
 import pytest
 
+from srlcomb.calibrate import attach_probs
 from srlcomb.cli import build_parser, main
+from srlcomb.corpus_io import SyntheticConfig, generate_synthetic
+from srlcomb.infer_cs import CsConfig, sweep_bias
 from srlcomb.learn import ScoreModel
-from srlcomb.pool import load_pool
+from srlcomb.pool import align_gold, build_pool, load_pool
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +222,44 @@ class TestInfer:
         assert rc == 2
         assert f"line {row + 1}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prefix,damaged", [
+        ("bias ", "bias nan"),
+        ("config ", "config ngram_cap=10 path_threshold=3 count_cap=5"),
+    ])
+    def test_damaged_model_line_exit_2(self, corpus_dir, tmp_path, capsys, prefix, damaged):
+        model = tmp_path / "m.svm"
+        assert main(["train", *_system_args(corpus_dir),
+                     "--gold", f"{corpus_dir}/gold.props",
+                     "--scorer", "svm", "--out", str(model)]) == 0
+        lines = model.read_text().splitlines()
+        row = next(i for i, l in enumerate(lines) if l.startswith(prefix))
+        lines[row] = damaged
+        model.write_text("\n".join(lines) + "\n")
+        rc = main(["infer", *_system_args(corpus_dir), "--engine", "dp",
+                   "--scorer", "svm", "--model", str(model),
+                   "--out", str(tmp_path / "x.props")])
+        assert rc == 2
+        assert f"line {row + 1}" in capsys.readouterr().err
+
+    def test_untrained_label_warns(self, corpus_dir, tmp_path, capsys):
+        model_path, dump = tmp_path / "m.svm", tmp_path / "pool.json"
+        assert main(["train", *_system_args(corpus_dir),
+                     "--gold", f"{corpus_dir}/gold.props",
+                     "--scorer", "svm", "--out", str(model_path)]) == 0
+        model = ScoreModel.load(model_path)
+        del model.scorers["A0"]
+        model.save(model_path)
+        assert main(["pool", *_system_args(corpus_dir), "--dump", str(dump)]) == 0
+        n_a0 = sum(c.label.text == "A0" for c in load_pool(dump.read_text()).all_candidates())
+        assert n_a0 > 0
+        capsys.readouterr()
+        assert main(["infer", *_system_args(corpus_dir), "--engine", "dp",
+                     "--scorer", "svm", "--model", str(model_path),
+                     "--out", str(tmp_path / "x.props")]) == 0
+        warnings = [l for l in capsys.readouterr().err.splitlines() if "no scorer" in l]
+        assert warnings == [f"srlcomb: warning: model has no scorer for label A0; "
+                            f"{n_a0} candidates scored 0.0"]
+
     def test_inference_leaves_model_vocabulary_alone(self, corpus_dir, tmp_path,
                                                      monkeypatch):
         model_path = tmp_path / "m.svm"
@@ -305,6 +346,10 @@ class TestSweepAndCurves:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "O,precision,recall,f1"
         assert len(lines) == 22
+        gold, systems = generate_synthetic(SyntheticConfig(n_sentences=40, seed=7))
+        pool = attach_probs(align_gold(build_pool(
+            [(f"M{i + 1}", d, t) for i, (d, t) in enumerate(systems)]), gold))
+        assert out.read_text() == sweep_bias(pool, gold, CsConfig()).csv()
 
     def test_sweep_explicit_grid(self, corpus_dir, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -25,7 +25,6 @@ from srlcomb.model import (
     Span,
     V_LABEL,
     enumerate_violations,
-    hard_violations,
 )
 from srlcomb.pool import align_gold, build_pool, solutions_to_props
 
@@ -290,8 +289,7 @@ class TestBaselines:
         rules = ConstraintSet.hard_rules(1, 2, 5)
         for solutions in (baseline_recall(pool), baseline_precision(pool)):
             for sol in solutions:
-                assert hard_violations(
-                    enumerate_violations(sol.selected, rules)) == []
+                assert [v for v in enumerate_violations(sol.selected, rules) if v.hard] == []
 
     def test_precision_dominates_recall_baseline(self):
         # expectation over seeds with independent noise

@@ -14,7 +14,7 @@ from srlcomb.infer_cs import (
     solve_with_stats,
     sweep_bias,
 )
-from srlcomb.model import ConstraintSet, ConstraintRule, enumerate_violations, hard_violations, soft, validate
+from srlcomb.model import ConstraintSet, ConstraintRule, enumerate_violations, soft, validate
 from srlcomb.pool import align_gold, build_pool
 from conftest import cand, random_candidates
 from enum_oracle import enumerate_best
@@ -102,7 +102,7 @@ class TestExactness:
             for mask in range(1 << n):
                 subset = [cands[i] for i in range(n) if mask >> i & 1]
                 violations = enumerate_violations(subset, cs)
-                if hard_violations(violations):
+                if any(v.hard for v in violations):
                     continue
                 value = sum(c.prob_sum() for c in subset) - \
                     sum(v.penalty for v in violations)
@@ -131,7 +131,7 @@ class TestExactness:
             cands = random_candidates(rng, rng.randint(1, 12))
             cs = random_constraints(rng)
             sol = solve(cands, _cfg(cs, bias=0.3))
-            assert hard_violations(enumerate_violations(sol.selected, cs)) == []
+            assert [v for v in enumerate_violations(sol.selected, cs) if v.hard] == []
 
 
 def _disjoint_candidates(values):
@@ -176,8 +176,8 @@ class TestScope:
 
     def test_defaults(self):
         assert CsConfig().bias == 0.30
-        assert CsConfig().constraints.describe() == "1+2+5+6"
-        assert CsConfig.for_scope(Scope.PRED_BY_PRED).constraints.describe() == "1+2"
+        assert CsConfig().constraints == ConstraintSet.parse("1+2+5+6")
+        assert CsConfig.for_scope(Scope.PRED_BY_PRED).constraints == ConstraintSet.parse("1+2")
 
 
 class TestTimeout:
@@ -264,4 +264,4 @@ class TestValidatorIntegration:
         cfg = CsConfig()
         sentences = skeleton_sentences(gold)
         for sol, sent in zip(infer_corpus(pool, cfg), sentences):
-            assert hard_violations(validate(sol, cfg.constraints, sent)) == []
+            assert [v for v in validate(sol, cfg.constraints, sent) if v.hard] == []

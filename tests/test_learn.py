@@ -1,9 +1,11 @@
 import dataclasses
 import functools
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from srlcomb.features import FeatureConfig, FeatureExtractor, FeatureSpace
@@ -166,13 +168,13 @@ class TestLocalSvm:
             b = big.scorers["A0"].raw_score(x)
             assert np.sign(a) == np.sign(b)
 
-    def test_stopped_at_max_passes_warns(self, featured_pool, monkeypatch, capsys):
+    def test_stopped_at_max_steps_warns(self, featured_pool, monkeypatch, capsys):
         pool, extractor, intervals, _gold = featured_pool
-        monkeypatch.setattr(learn, "_smo", functools.partial(learn._smo, max_passes=1))
+        monkeypatch.setattr(learn, "_smo", functools.partial(learn._smo, max_steps=1))
         train_local_svm({"A1": label_datasets(pool)["A1"]}, space=extractor.space,
                         feature_config=extractor.config, intervals=intervals)
         err = capsys.readouterr().err
-        assert "label A1 stopped after 1 passes" in err
+        assert "label A1 stopped after 1 steps" in err
 
     def test_converged_separable_is_silent(self, capsys):
         space = FeatureSpace()
@@ -193,18 +195,19 @@ class TestLocalSvm:
 @pytest.fixture(scope="module")
 def real_label_problems():
     """(label, kernel matrix, labels) for every label of a feature-extracted
-    synthetic pool with 30-60 training points."""
+    synthetic pool with 30-60 training points, plus the first of them with
+    8 of its points repeated under flipped labels (eta = 0 between copies)."""
     gold, systems = generate_synthetic(SyntheticConfig(n_sentences=40, seed=31))
     pool = attach_probs(align_gold(build_pool(
         [(f"M{i+1}", d, t) for i, (d, t) in enumerate(systems)]), gold))
     pool = FeatureExtractor().extract_pool(pool, intervals=build_intervals(pool))
-    problems = []
-    for label, data in sorted(label_datasets(pool).items()):
-        if 30 <= len(data) <= 60:
-            ys = np.array([y for _, y in data], dtype=float)
-            problems.append((label, _kernel_matrix([x for x, _ in data], 2), ys))
-    assert len(problems) >= 3
-    return problems
+    datasets = [(label, list(data)) for label, data in sorted(label_datasets(pool).items())
+                if 30 <= len(data) <= 60]
+    assert len(datasets) >= 3
+    label, data = datasets[0]
+    datasets.append((f"{label} with flipped duplicates", data + [(x, -y) for x, y in data[:8]]))
+    return [(label, _kernel_matrix([x for x, _ in data], 2),
+             np.array([y for _, y in data], dtype=float)) for label, data in datasets]
 
 
 class TestSmoOracle:
@@ -229,7 +232,7 @@ class TestLocalPerceptron:
     def test_zero_model_scores_zero(self):
         scorer = LabelScorer("A0", degree=2)
         assert scorer.raw_score(FeatureVector((1, 2))) == 0.0
-        assert scorer.averaged_score(FeatureVector((1, 2))) == 0.0
+        assert scorer.scores([FeatureVector((1, 2))], averaged=True)[0] == 0.0
 
     def test_separable_converges(self):
         space = FeatureSpace()
@@ -271,7 +274,7 @@ class TestLocalPerceptron:
                                        space=space, feature_config=FeatureConfig())
         scorer = model.scorers["A0"]
         assert scorer.updates >= 2
-        assert scorer.averaged_score(j) != scorer.raw_score(j)
+        assert scorer.scores([j], averaged=True)[0] != scorer.raw_score(j)
 
 
 def _marked_examples(space: FeatureSpace, n_sentences=8, seed=0):
@@ -411,6 +414,11 @@ def _svm_model_text(featured_pool) -> str:
                            feature_config=extractor.config, intervals=intervals).saves()
 
 
+@pytest.fixture(scope="module")
+def svm_model_text(featured_pool) -> str:
+    return _svm_model_text(featured_pool)
+
+
 class TestModelFile:
     def test_round_trip_bytes_and_scores(self, featured_pool):
         pool, extractor, intervals, gold = featured_pool
@@ -421,7 +429,9 @@ class TestModelFile:
         assert reloaded.saves() == text
         assert reloaded.intervals == model.intervals
         probe = next(iter(pool.all_candidates()))
-        assert reloaded.score(probe) == pytest.approx(model.score(probe))
+        label = probe.label.text
+        assert (reloaded.scorers[label].scores([probe.features])
+                == pytest.approx(model.scorers[label].scores([probe.features])))
 
     def test_round_trip_global(self):
         space = FeatureSpace()
@@ -461,12 +471,51 @@ class TestModelFile:
         with pytest.raises(ValueError, match=f"twice at line {second + 1}"):
             ScoreModel.loads("\n".join(lines))
 
-    def test_valid_untrained_label_scores_zero(self, featured_pool):
+    def test_valid_untrained_label_scores_zero(self, featured_pool, capsys):
         pool, extractor, intervals, gold = featured_pool
-        model = ScoreModel.loads(_svm_model_text(featured_pool))
-        probe = next(iter(pool.all_candidates()))
-        del model.scorers[probe.label.text]
-        assert model.score(probe) == 0.0
+        model = train_local_svm(label_datasets(pool), space=extractor.space,
+                                feature_config=extractor.config, intervals=intervals)
+        label = next(iter(pool.all_candidates())).label.text
+        del model.scorers[label]
+        capsys.readouterr()
+        scored = [s for sent in score_pool(model, pool) for s in sent
+                  if s.candidate.label.text == label]
+        assert scored and all(s.confidence == 0.0 for s in scored)
+        assert capsys.readouterr().err == (f"srlcomb: warning: model has no scorer for label "
+                                           f"{label}; {len(scored)} candidates scored 0.0\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_damaged_line_rejected_or_finite(self, svm_model_text, data):
+        """One line changed: loading raises ValueError, or every float in the
+        model (biases, support coefficients, interval cuts) is finite."""
+        lines = svm_model_text.splitlines()
+        vocab = next(i for i, l in enumerate(lines) if l.startswith("vocab "))
+        outside_vocab = [i for i in range(len(lines))
+                         if i <= vocab or i > vocab + int(lines[vocab].split()[1])]
+        row = data.draw(st.one_of(st.sampled_from(outside_vocab),
+                                  st.integers(0, len(lines) - 1)))
+        tokens = lines[row].split() or [""]
+        token = st.one_of(st.sampled_from(["nan", "inf", "-inf", "1e999", "-1", "0", "x", ""]),
+                          st.text(max_size=8))
+        edit = data.draw(st.one_of(st.none(), st.text(max_size=30),
+                                   st.tuples(st.integers(0, len(tokens) - 1), token)))
+        if edit is None:
+            del lines[row]
+        elif isinstance(edit, str):
+            lines[row] = edit
+        else:
+            tokens[edit[0]] = edit[1]
+            lines[row] = " ".join(tokens)
+        try:
+            model = ScoreModel.loads("\n".join(lines))
+        except ValueError:
+            return
+        values = [x for cuts in (model.intervals.cuts.values() if model.intervals else ())
+                  for x in cuts]
+        for sc in model.scorers.values():
+            values += [sc.bias] + [coef for coef, _tick, _sv in sc.supports]
+        assert all(math.isfinite(x) for x in values)
 
     def test_header_enforced(self):
         with pytest.raises(ValueError):
@@ -511,7 +560,9 @@ class TestDualSum:
                     want = 0.0 if scorer is None else ref_score(
                         scorer, s.candidate.features, averaged)
                     assert _close(s.confidence, want), (kind, degree, averaged)
-                    assert _close(model.score(s.candidate, averaged), want)
+                    if scorer is not None:
+                        alone = scorer.scores([s.candidate.features], averaged)[0]
+                        assert _close(alone, want)
 
     @pytest.mark.parametrize("kind", ["svm", "perceptron-global"])
     def test_edge_cases(self, featured_pool, kind):

@@ -1,17 +1,44 @@
 import pytest
 
-from srlcomb.corpus_io import SyntheticConfig, generate_synthetic
-from srlcomb.model import Span
+from srlcomb.corpus_io import (
+    PropsDocument,
+    PropsSentence,
+    ScoreTable,
+    SyntheticConfig,
+    generate_synthetic,
+)
+from srlcomb.model import Argument, Span, V_LABEL
 from srlcomb.pool import (
     AlignmentError,
+    CandidatePool,
     align_gold,
     build_pool,
     dump_pool,
     gold_keys,
     load_pool,
     pool_stats,
-    system_view,
 )
+
+
+def system_view(pool: CandidatePool, system_id: str) -> tuple[PropsDocument, ScoreTable]:
+    """Reconstruct one system's document (and score table) from the pool."""
+    if system_id not in pool.system_ids:
+        raise ValueError(f"unknown system {system_id!r}")
+    sentences = []
+    table: ScoreTable = {}
+    for sent in pool.sentences:
+        per_pred: list[list[Argument]] = [
+            [Argument(p, V_LABEL, Span(pos, pos))]
+            for p, (pos, _lemma) in enumerate(sent.predicates)]
+        for cand in sent.candidates:
+            if system_id in cand.votes:
+                per_pred[cand.predicate].append(cand.argument)
+                raw = cand.raw_score(system_id)
+                if raw is not None:
+                    table[cand.key] = raw
+        sentences.append(PropsSentence(
+            sent.n_tokens, sent.predicates, tuple(tuple(a) for a in per_pred)))
+    return PropsDocument(tuple(sentences)), table
 
 
 def _triples(systems):

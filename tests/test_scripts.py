@@ -1,4 +1,4 @@
-"""Smoke runs of the experiment scripts on tiny corpora."""
+"""Smoke runs of the experiment scripts, and of the README's sweep CLI pair, on tiny corpora."""
 
 import os
 import subprocess
@@ -25,8 +25,23 @@ def test_script_runs(script, tmp_path):
     assert "F1" in proc.stdout
 
 
+
+def _srlcomb(args: list, cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), SRLCOMB_JOBS="1")
+    code = "import sys; from srlcomb.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
 def test_sweep_bias_runs(tmp_path):
-    out = tmp_path / "sweep.csv"
-    proc = _run("sweep_bias.py", ["--sentences", "20", "--out", str(out)], tmp_path)
+    """`srlcomb synth` then `srlcomb sweep`, as the README gives them, write the O grid CSV."""
+    proc = _srlcomb(["synth", "--out", "corpus", "--sentences", "20", "--seed", "0"], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert out.read_text().startswith("O,precision,recall,f1\n")
+    systems = [a for i in (1, 2, 3)
+               for a in ("--system", f"corpus/sys{i}.props:corpus/sys{i}.scores")]
+    proc = _srlcomb(["sweep", "--gold", "corpus/gold.props", "--out", "sweep.csv", *systems],
+                    tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "O,precision,recall,f1"
+    assert len(lines) == 22
