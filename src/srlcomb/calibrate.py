@@ -40,7 +40,13 @@ def two_class_prob(score: float, gamma: float = DEFAULT_GAMMA,
     Systems that expose a single raw activation per argument get this
     degenerate two-class softmax; the background defaults to 0.
     """
-    return softmax([score, background], gamma)[0]
+    if not (math.isfinite(gamma) and math.isfinite(score) and math.isfinite(background)):
+        return softmax([score, background], gamma)[0]     # raises softmax's error
+    # softmax's float operations on two values, in its order: bit-identical
+    a, b = gamma * score, gamma * background
+    top = max(a, b)
+    ea, eb = math.exp(a - top), math.exp(b - top)
+    return ea / (ea + eb)
 
 
 def attach_probs(pool: CandidatePool, gamma: float = DEFAULT_GAMMA,
@@ -55,14 +61,14 @@ def attach_probs(pool: CandidatePool, gamma: float = DEFAULT_GAMMA,
     for sent in pool.sentences:
         cands = []
         for c in sent.candidates:
-            probs = tuple(
-                (sid, two_class_prob(c.raw_score(sid) if c.raw_score(sid) is not None
-                                     else background, gamma, background))
-                for sid in sorted(c.votes))
-            cands.append(Candidate(
-                sentence_id=c.sentence_id, argument=c.argument, votes=c.votes,
-                raw_scores=c.raw_scores, probs=probs, features=c.features,
-                is_gold=c.is_gold))
+            raws = dict(c.raw_scores)
+            probs = []
+            for sid in sorted(c.votes):
+                raw = raws.get(sid)
+                probs.append((sid, two_class_prob(background if raw is None else raw,
+                                                  gamma, background)))
+            cands.append(Candidate(c.sentence_id, c.argument, c.votes, c.raw_scores,
+                                   tuple(probs), c.features, c.is_gold))
         per_sentence.append(cands)
     return pool.with_candidates(per_sentence)
 

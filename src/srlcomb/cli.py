@@ -46,6 +46,7 @@ from .evaluate import (
     oracle_combination,
     oracle_rerank,
     score,
+    sentence_counts,
 )
 from .features import FeatureConfig, FeatureExtractor
 from .infer_cs import (
@@ -253,9 +254,10 @@ def cmd_infer(args) -> int:
     _write_manifest(args, args.out)
     print(f"predictions written to {args.out}")
     if gold is not None:
-        report = score(predicted, gold)
+        counts = sentence_counts(predicted, gold)
+        report = score(predicted, gold, counts=counts)
         print(report.text_table())
-        boot = bootstrap(predicted, gold, b=args.bootstrap, seed=args.seed)
+        boot = bootstrap(predicted, gold, b=args.bootstrap, seed=args.seed, counts=counts)
         print(f"F1 {boot.formatted()} ({int(boot.level * 100)}% interval, B={boot.b})")
         if args.report:
             _write(args.report, report.csv())

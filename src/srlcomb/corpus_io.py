@@ -70,12 +70,18 @@ class PropsSentence:
             raise ValueError("one argument set required per predicate")
         normalized = []
         for p, args in enumerate(self.arguments):
+            last_start, ordered = -1, True
             for arg in args:
                 if arg.predicate != p:
                     raise ValueError("argument filed under the wrong predicate")
-                if arg.span.end >= self.n_tokens:
+                span = arg.span
+                if span.end >= self.n_tokens:
                     raise ValueError("argument span exceeds sentence length")
-            normalized.append(tuple(sorted(args, key=lambda a: (a.span.start, a.span.end, a.label.text))))
+                ordered = ordered and span.start > last_start
+                last_start = span.start
+            # strictly increasing starts, as a bracket column gives, are sorted
+            normalized.append(tuple(args) if ordered else tuple(
+                sorted(args, key=lambda a: (a.span.start, a.span.end, a.label.text))))
         object.__setattr__(self, "arguments", tuple(normalized))
         object.__setattr__(self, "predicates", tuple(self.predicates))
 
@@ -107,87 +113,92 @@ def check_skeleton(docs: Sequence[PropsDocument]) -> None:
                 raise AlignmentError(f"sentence {s}: predicate skeletons differ")
 
 
-def _sentence_blocks(text: str) -> list[list[tuple[int, str]]]:
-    blocks: list[list[tuple[int, str]]] = []
-    current: list[tuple[int, str]] = []
+def _sentence_blocks(text: str) -> list[tuple[int, list[str]]]:
+    """Runs of non-blank lines, each as (line number of its first line, lines)."""
+    blocks: list[tuple[int, list[str]]] = []
+    current: list[str] = []
     for line_no, raw in enumerate(text.splitlines(), 1):
-        if raw.strip():
-            current.append((line_no, raw))
+        if raw and not raw.isspace():
+            if not current:
+                blocks.append((line_no, current))
+            current.append(raw)
         elif current:
-            blocks.append(current)
             current = []
-    if current:
-        blocks.append(current)
     return blocks
 
 
-_OPEN_CELL_RE = re.compile(r"^\(([^()\s*]+)\*$")
-_SINGLE_CELL_RE = re.compile(r"^\(([^()\s*]+)\*\)$")
+_SPANS: dict = {}
+
+
+def _span(start: int, end: int) -> Span:
+    """Span(start, end), shared between equal spans: parsing builds many
+    equal spans, and a shared one is cheaper to build and to compare."""
+    span = _SPANS.get((start, end))
+    if span is None:
+        span = Span(start, end)
+        if len(_SPANS) < 65536:
+            _SPANS[start, end] = span
+    return span
+
+
+# the label name inside "(NAME*" and "(NAME*)" cells
+_CELL_NAME_RE = re.compile(r"[^()\s*]+")
 
 
 def parse_props(text: str) -> PropsDocument:
     """Parse a props file; raises FormatError with a line number on damage."""
     sentences = []
-    for block in _sentence_blocks(text):
-        rows = []
-        width = None
-        for line_no, raw in block:
-            cols = raw.split()
-            if width is None:
-                width = len(cols)
-                if width < 1:
-                    raise FormatError("empty line inside sentence", line_no)
-            elif len(cols) != width:
-                raise FormatError(
-                    f"expected {width} columns, found {len(cols)}", line_no)
-            rows.append((line_no, cols))
-
-        n_tokens = len(rows)
-        n_cols = width - 1
-        predicates = tuple(
-            (i, cols[0]) for i, (_ln, cols) in enumerate(rows) if cols[0] != "-")
-        if len(predicates) != n_cols:
+    for first, lines in _sentence_blocks(text):
+        rows = [raw.split() for raw in lines]
+        width = len(rows[0])
+        if len(set(map(len, rows))) > 1:
+            k = next(k for k, cols in enumerate(rows) if len(cols) != width)
+            raise FormatError(f"expected {width} columns, found {len(rows[k])}", first + k)
+        columns = list(zip(*rows))
+        predicates = tuple((i, lemma) for i, lemma in enumerate(columns[0]) if lemma != "-")
+        if len(predicates) != width - 1:
             raise FormatError(
-                f"{len(predicates)} target verbs but {n_cols} argument columns",
-                rows[0][0])
-
-        arguments: list[tuple[Argument, ...]] = []
-        for p in range(n_cols):
-            args: list[Argument] = []
-            open_label: Optional[RoleLabel] = None
-            open_start = -1
-            for i, (line_no, cols) in enumerate(rows):
-                cell = cols[p + 1]
-                if cell == "*":
-                    continue
-                if cell == "*)":
-                    if open_label is None:
-                        raise FormatError("argument closed but never opened", line_no)
-                    args.append(Argument(p, open_label, Span(open_start, i)))
-                    open_label = None
-                    continue
-                single = _SINGLE_CELL_RE.match(cell)
-                opener = _OPEN_CELL_RE.match(cell)
-                if single or opener:
-                    if open_label is not None:
-                        raise FormatError("argument opened while another is open", line_no)
-                    try:
-                        label = RoleLabel.parse((single or opener).group(1))
-                    except ValueError as exc:
-                        raise FormatError(str(exc), line_no) from exc
-                    if single:
-                        args.append(Argument(p, label, Span(i, i)))
-                    else:
-                        open_label = label
-                        open_start = i
-                    continue
-                raise FormatError(f"malformed bracket cell {cell!r}", line_no)
-            if open_label is not None:
-                raise FormatError(
-                    f"argument {open_label.text} never closed", rows[-1][0])
-            arguments.append(tuple(args))
-        sentences.append(PropsSentence(n_tokens, predicates, tuple(arguments)))
+                f"{len(predicates)} target verbs but {width - 1} argument columns", first)
+        arguments = tuple(_bracket_column(p, column, first)
+                          for p, column in enumerate(columns[1:]))
+        sentences.append(PropsSentence(len(rows), predicates, arguments))
     return PropsDocument(tuple(sentences))
+
+
+def _bracket_column(p: int, column: Sequence[str], first: int) -> tuple[Argument, ...]:
+    """The arguments of predicate ``p`` from its bracket column; ``first`` is
+    the line number of the column's first cell."""
+    args: list[Argument] = []
+    open_label: Optional[RoleLabel] = None
+    open_start = -1
+    for i, cell in enumerate(column):
+        if cell == "*":
+            continue
+        if cell == "*)":
+            if open_label is None:
+                raise FormatError("argument closed but never opened", first + i)
+            args.append(Argument(p, open_label, _span(open_start, i)))
+            open_label = None
+            continue
+        single = cell.endswith("*)")
+        name = cell[1:-2] if single else cell[1:-1]
+        if (cell[0] != "(" or not (single or cell[-1] == "*")
+                or not _CELL_NAME_RE.fullmatch(name)):
+            raise FormatError(f"malformed bracket cell {cell!r}", first + i)
+        if open_label is not None:
+            raise FormatError("argument opened while another is open", first + i)
+        try:
+            label = RoleLabel.parse(name)
+        except ValueError as exc:
+            raise FormatError(str(exc), first + i) from exc
+        if single:
+            args.append(Argument(p, label, _span(i, i)))
+        else:
+            open_label = label
+            open_start = i
+    if open_label is not None:
+        raise FormatError(f"argument {open_label.text} never closed", first + len(column) - 1)
+    return tuple(args)
 
 
 def emit_props(doc: PropsDocument) -> str:
@@ -271,10 +282,10 @@ def _check_bio(tags: Sequence[tuple[int, str]], what: str) -> None:
 def parse_syntax(text: str) -> list[Sentence]:
     """Parse a syntax file into Sentences (predicates left empty)."""
     sentences: list[Sentence] = []
-    for sent_id, block in enumerate(_sentence_blocks(text)):
+    for sent_id, (first, lines) in enumerate(_sentence_blocks(text)):
         width = None
         rows = []
-        for line_no, raw in block:
+        for line_no, raw in enumerate(lines, first):
             cols = raw.split()
             if width is None:
                 width = len(cols)
@@ -380,24 +391,25 @@ def parse_scores(text: str) -> ScoreTable:
     """Parse a raw-score sidecar into a {(sent, pred, label, span): score} table."""
     table: ScoreTable = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
-        if not raw.strip():
-            continue
         parts = raw.split()
+        if not parts:
+            continue
         if len(parts) != 6:
             raise FormatError(f"expected 6 fields, found {len(parts)}", line_no)
         try:
             sent, pred = int(parts[0]), int(parts[1])
             label = RoleLabel.parse(parts[2])
-            span = Span(int(parts[3]), int(parts[4]))
+            span = _span(int(parts[3]), int(parts[4]))
             score = float(parts[5])
         except ValueError as exc:
             raise FormatError(str(exc), line_no) from exc
         if not math.isfinite(score):
             raise FormatError(f"non-finite score {parts[5]}", line_no)
         key = (sent, pred, label.text, span)
-        if key in table:
-            raise FormatError(f"duplicate score entry for {key}", line_no)
+        size = len(table)
         table[key] = score
+        if len(table) == size:
+            raise FormatError(f"duplicate score entry for {key}", line_no)
     return table
 
 

@@ -95,8 +95,13 @@ class ScoreReport:
         return "\n".join(lines) + "\n"
 
 
-def _sentence_counts(predicted: PropsDocument, gold: PropsDocument):
-    """Per-sentence (correct, predicted, gold) plus per-label and frame stats."""
+def sentence_counts(predicted: PropsDocument, gold: PropsDocument):
+    """Per-sentence (correct, predicted, gold) plus per-label and frame stats.
+
+    ``score`` and ``bootstrap`` both need them; a caller that runs both can
+    count once and hand the result to each as ``counts``.
+    """
+    check_skeleton([predicted, gold])
     per_sentence = []
     per_label: dict = {}
     confusion: dict = {}
@@ -144,11 +149,12 @@ def _prf(correct: int, predicted: int, gold: int) -> tuple[float, float, float]:
     return p, r, f
 
 
-def score(predicted: PropsDocument, gold: PropsDocument) -> ScoreReport:
-    """Precision/recall/F1/PProps of a predicted document against gold."""
-    check_skeleton([predicted, gold])
-    per_sentence, per_label, confusion, perfect, n_predicates = _sentence_counts(
-        predicted, gold)
+def score(predicted: PropsDocument, gold: PropsDocument, *,
+          counts: Optional[tuple] = None) -> ScoreReport:
+    """Precision/recall/F1/PProps of a predicted document against gold;
+    ``counts`` is ``sentence_counts(predicted, gold)`` if already computed."""
+    per_sentence, per_label, confusion, perfect, n_predicates = (
+        counts or sentence_counts(predicted, gold))
     correct = sum(c for c, _, _ in per_sentence)
     n_pred = sum(p for _, p, _ in per_sentence)
     n_gold = sum(g for _, _, g in per_sentence)
@@ -180,18 +186,20 @@ class BootstrapResult:
 
 
 def bootstrap(predicted: PropsDocument, gold: PropsDocument, b: int = 1000,
-              level: float = 0.95, seed: int = 0) -> BootstrapResult:
-    """Percentile interval for F1 from sentence-level resampling."""
+              level: float = 0.95, seed: int = 0, *,
+              counts: Optional[tuple] = None) -> BootstrapResult:
+    """Percentile interval for F1 from sentence-level resampling; ``counts``
+    is ``sentence_counts(predicted, gold)`` if already computed."""
     if b < 100:
         raise ValueError("need at least 100 resamples")
-    check_skeleton([predicted, gold])
-    per_sentence, _, _, _, _ = _sentence_counts(predicted, gold)
-    counts = np.array(per_sentence, dtype=float)
-    point = _prf(*(int(x) for x in counts.sum(axis=0)))[2]
-    n = len(counts)
+    per_sentence = (counts or sentence_counts(predicted, gold))[0]
+    columns = np.array(per_sentence, dtype=np.int64).T      # (3, n)
+    point = _prf(*(int(x) for x in columns.sum(axis=1)))[2]
+    n = len(per_sentence)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n, size=(b, n))
-    sums = counts[idx].sum(axis=1)          # (b, 3)
+    # exact integer sums over the resampled sentences, one count at a time
+    sums = np.stack([col[idx].sum(axis=1) for col in columns], axis=1)    # (b, 3)
     with np.errstate(invalid="ignore", divide="ignore"):
         p = np.where(sums[:, 1] > 0, 100.0 * sums[:, 0] / sums[:, 1], 100.0)
         r = np.where(sums[:, 2] > 0, 100.0 * sums[:, 0] / sums[:, 2], 100.0)

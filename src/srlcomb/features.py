@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .calibrate import IntervalTable, discretize
@@ -254,7 +254,8 @@ class FeatureExtractor:
         for spool, sentence in zip(pool.sentences, sentences):
             ctx = _SentenceContext(spool, sentence, pool.system_ids)
             per_sentence.append([
-                replace(c, features=self._extract(c, ctx, pool.system_ids, intervals))
+                Candidate(c.sentence_id, c.argument, c.votes, c.raw_scores, c.probs,
+                          self._extract(c, ctx, pool.system_ids, intervals), c.is_gold)
                 for c in spool.candidates])
         return pool.with_candidates(per_sentence,
                                     feature_digest=self.config.digest(),

@@ -179,8 +179,24 @@ class ScoreModel:
             pos += 1
             return parts
 
+        # each number below sits on line `pos`, the line just taken
+        def integer(text: str) -> int:
+            try:
+                return int(text)
+            except ValueError:
+                raise ValueError(f"model file: bad integer {text!r} at line {pos}") from None
+
+        def count(text: str) -> int:
+            value = integer(text)
+            if value < 0:
+                raise ValueError(f"model file: negative count {value} at line {pos}")
+            return value
+
         def finite(text: str) -> float:
-            value = float(text)
+            try:
+                value = float(text)
+            except ValueError:
+                raise ValueError(f"model file: bad number {text!r} at line {pos}") from None
             if not math.isfinite(value):
                 raise ValueError(f"model file: non-finite value {text} at line {pos}")
             return value
@@ -188,7 +204,7 @@ class ScoreModel:
         if take("") != MODEL_HEADER:
             raise ValueError("not a model file")
         kind = take("kind ")
-        degree = int(take("degree "))
+        degree = integer(take("degree "))
         cfg_line = take("config ")
         try:
             cfg_map = dict(part.split("=", 1) for part in cfg_line.split())
@@ -199,7 +215,7 @@ class ScoreModel:
                 count_cap=int(cfg_map["count_cap"]))
         except (KeyError, ValueError) as exc:
             raise ValueError(f"model file: config at line {pos} is missing or bad: {exc}") from None
-        n_intervals = int(take("intervals "))
+        n_intervals = count(take("intervals "))
         cuts = {}
         degenerate = set()
         for _ in range(n_intervals):
@@ -209,10 +225,14 @@ class ScoreModel:
             if parts[6] == "degenerate":
                 degenerate.add(key)
         intervals = IntervalTable(cuts, degenerate) if cuts else None
-        n_vocab = int(take("vocab "))
-        space = FeatureSpace.load("\n".join(lines[pos:pos + n_vocab]))
+        n_vocab = count(take("vocab "))
+        try:
+            space = FeatureSpace.load("\n".join(lines[pos:pos + n_vocab]))
+        except ValueError as exc:
+            raise ValueError(f"model file: vocabulary at lines {pos + 1}-{pos + n_vocab}: "
+                             f"{exc}") from None
         pos += n_vocab
-        n_labels = int(take("labels "))
+        n_labels = count(take("labels "))
         scorers = {}
         for _ in range(n_labels):
             label = take("label ")
@@ -222,17 +242,17 @@ class ScoreModel:
                 raise ValueError(f"model file: {exc} at line {pos}") from None
             if label in scorers:
                 raise ValueError(f"model file: label {label} given twice at line {pos}")
-            sc = LabelScorer(label, degree=int(take("degree ")),
+            sc = LabelScorer(label, degree=integer(take("degree ")),
                              bias=finite(take("bias ")),
-                             updates=int(take("updates ")),
-                             degenerate=bool(int(take("degenerate "))))
-            n_sup = int(take("supports "))
+                             updates=count(take("updates ")),
+                             degenerate=bool(integer(take("degenerate "))))
+            n_sup = count(take("supports "))
             for _ in range(n_sup):
                 parts = fields("supports", 2, exact=False)
-                ids = tuple(int(x) for x in parts[2:])
+                ids = tuple(integer(x) for x in parts[2:])
                 if ids and not 0 <= min(ids) <= max(ids) < len(space):
                     raise ValueError(f"model file: feature id out of vocabulary at line {pos}")
-                sc.supports.append((finite(parts[0]), int(parts[1]), FeatureVector(ids)))
+                sc.supports.append((finite(parts[0]), integer(parts[1]), FeatureVector(ids)))
             take("end")
             scorers[label] = sc
         return cls(kind, degree, config, space, scorers, intervals)
@@ -295,15 +315,19 @@ def label_datasets(pool: CandidatePool) -> dict:
 
 
 def _gram(vectors: Sequence[FeatureVector], degree: int) -> np.ndarray:
+    """(x @ x.T + 1) ** degree for the 0/1 rows x of `vectors` over the
+    features they use.  x is float32: its dot products count shared
+    features, integers far below 2**24, so they are exact, and casting them
+    to float64 before the + 1 and the power gives the float64 build's bits."""
     cols: dict = {}
-    for v in vectors:
-        for fid in v.ids:
-            cols.setdefault(fid, len(cols))
-    x = np.zeros((len(vectors), max(len(cols), 1)))
+    rows, hits = [], []
     for r, v in enumerate(vectors):
         for fid in v.ids:
-            x[r, cols[fid]] = 1.0
-    return (x @ x.T + 1.0) ** degree
+            rows.append(r)
+            hits.append(cols.setdefault(fid, len(cols)))
+    x = np.zeros((len(vectors), max(len(cols), 1)), dtype=np.float32)
+    x[rows, hits] = 1.0
+    return ((x @ x.T).astype(np.float64) + 1.0) ** degree
 
 
 def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float,

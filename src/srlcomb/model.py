@@ -30,7 +30,7 @@ class SpanRelation(Enum):
     CROSSING = "crossing"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Span:
     """Inclusive token interval: ``start`` and ``end`` both index tokens."""
 
@@ -81,6 +81,11 @@ class LabelKind(Enum):
 _CORE_RE = re.compile(r"^A([0-5])$")
 _ADJUNCT_RE = re.compile(r"^AM(?:-[A-Za-z]+)?$")
 
+# valid label texts parsed so far; a corpus uses a few dozen, and the bound
+# keeps hostile input from growing the cache without limit
+_LABEL_CACHE: dict = {}
+_LABEL_CACHE_MAX = 4096
+
 
 @dataclass(frozen=True, order=True)
 class RoleLabel:
@@ -96,6 +101,17 @@ class RoleLabel:
 
     @classmethod
     def parse(cls, text: str) -> "RoleLabel":
+        """The label a text names; a text that names none raises ValueError.
+        Valid texts are memoised, errors never are."""
+        label = _LABEL_CACHE.get(text)
+        if label is None:
+            label = cls._parse(text)
+            if len(_LABEL_CACHE) < _LABEL_CACHE_MAX:
+                _LABEL_CACHE[text] = label
+        return label
+
+    @classmethod
+    def _parse(cls, text: str) -> "RoleLabel":
         if text == "V":
             return cls(text, LabelKind.VERB)
         if _CORE_RE.match(text):
@@ -248,7 +264,7 @@ class Sentence:
 # Arguments, candidates, solutions
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Argument:
     """One labeled argument span of one predicate (``predicate`` indexes
     ``Sentence.predicates``)."""

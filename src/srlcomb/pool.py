@@ -9,7 +9,7 @@ targets, and the agreement statistics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .corpus_io import (
@@ -24,6 +24,8 @@ from .model import Argument, Candidate, RoleLabel, Solution, Span, V_LABEL
 
 @dataclass(frozen=True)
 class SentencePool:
+    """One sentence's skeleton and its candidates, in key order."""
+
     sentence_id: int
     n_tokens: int
     predicates: tuple[tuple[int, str], ...]
@@ -62,8 +64,10 @@ class CandidatePool:
     def with_candidates(self, per_sentence: Sequence[Sequence[Candidate]],
                         feature_digest: Optional[str] = None,
                         feature_space: Optional[object] = None) -> "CandidatePool":
+        """This pool with each sentence's candidates replaced by new ones in
+        key order, such as a one-to-one rebuild of its own candidates."""
         sentences = tuple(
-            replace(sp, candidates=tuple(sorted(cands, key=lambda c: c.key)))
+            SentencePool(sp.sentence_id, sp.n_tokens, sp.predicates, tuple(cands))
             for sp, cands in zip(self.sentences, per_sentence))
         return CandidatePool(self.system_ids, sentences,
                              feature_digest or self.feature_digest,
@@ -82,27 +86,35 @@ def build_pool(systems: Sequence[tuple[str, PropsDocument, Optional[ScoreTable]]
 
     first = systems[0][1]
     sentences = []
-    matched: dict = {sid: set() for sid in ids}
+    matched = dict.fromkeys(ids, 0)     # score records that name an argument
     for s, skeleton in enumerate(first.sentences):
-        merged: dict = {}
+        merged: dict = {}      # key -> (argument, votes, raw scores)
         for sid, doc, table in systems:
             sent = doc.sentences[s]
             for p in range(len(sent.predicates)):
                 for arg in sent.scored_arguments(p):
                     key = (s, p, arg.label.text, arg.span)
-                    votes, raws = merged.setdefault(key, (set(), {}))
-                    votes.add(sid)
-                    if table is not None and key in table:
-                        raws[sid] = table[key]
-                        matched[sid].add(key)
+                    entry = merged.get(key)
+                    if entry is None:
+                        entry = merged[key] = (arg, set(), {})
+                    elif sid in entry[1]:
+                        continue    # the system repeats an argument
+                    entry[1].add(sid)
+                    score = table.get(key) if table is not None else None
+                    if score is not None:
+                        entry[2][sid] = score
+                        matched[sid] += 1
         candidates = tuple(
-            Candidate.make(s, Argument(key[1], RoleLabel.parse(key[2]), key[3]),
-                           votes=votes, raw_scores=raws)
-            for key, (votes, raws) in sorted(merged.items()))
+            Candidate.make(s, arg, votes=votes, raw_scores=raws)
+            for _key, (arg, votes, raws) in sorted(merged.items()))
         sentences.append(SentencePool(s, skeleton.n_tokens, skeleton.predicates, candidates))
-    for sid, _, table in systems:
-        if table is not None and len(table) > len(matched[sid]):
-            sent, pred, label, span = min(set(table) - matched[sid])
+    for sid, doc, table in systems:
+        if table is not None and len(table) > matched[sid]:
+            # each record matched at most once, so some record is unmatched
+            proposed = {(s, p, a.label.text, a.span)
+                        for s, sent in enumerate(doc.sentences)
+                        for p in range(len(sent.predicates)) for a in sent.scored_arguments(p)}
+            sent, pred, label, span = min(set(table) - proposed)
             raise AlignmentError(
                 f"system {sid}: score record {sent} {pred} {label} {span.start} {span.end} "
                 f"names no argument of its props")
@@ -122,11 +134,11 @@ def align_gold(pool: CandidatePool, gold: PropsDocument) -> CandidatePool:
     """Return a pool whose candidates carry is_gold flags."""
     _check_pool_skeleton(pool, gold)
     keys = gold_keys(gold)
-    per_sentence = []
-    for sent in pool.sentences:
-        per_sentence.append([replace(c, is_gold=c.key in keys[sent.sentence_id])
-                             for c in sent.candidates])
-    return pool.with_candidates(per_sentence)
+    return pool.with_candidates([
+        [Candidate(c.sentence_id, c.argument, c.votes, c.raw_scores, c.probs,
+                   c.features, c.key in keys[sent.sentence_id])
+         for c in sent.candidates]
+        for sent in pool.sentences])
 
 
 def _check_pool_skeleton(pool: CandidatePool, doc: PropsDocument) -> None:
@@ -249,5 +261,6 @@ def load_pool(text: str) -> CandidatePool:
             for c in sent["candidates"])
         sentences.append(SentencePool(
             sent["id"], sent["n_tokens"],
-            tuple((i, lemma) for i, lemma in sent["predicates"]), candidates))
+            tuple((i, lemma) for i, lemma in sent["predicates"]),
+            tuple(sorted(candidates, key=lambda c: c.key))))
     return CandidatePool(tuple(doc["systems"]), tuple(sentences))

@@ -86,6 +86,26 @@ class TestSoftmax:
     def test_two_class_matches_softmax(self):
         assert two_class_prob(1.0, 0.1) == softmax([1.0, 0.0], 0.1)[0]
 
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_two_class_bit_identical_to_softmax(self, score, gamma, background):
+        got = two_class_prob(score, gamma, background)
+        want = softmax([score, background], gamma)[0]
+        # gamma * score may overflow, and then both give the same nan
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+    @given(st.floats(), st.floats(), st.floats())
+    def test_two_class_raises_like_softmax(self, score, gamma, background):
+        values = (score, gamma, background)
+        if all(math.isfinite(v) for v in values):
+            return
+        with pytest.raises(ValueError) as want:
+            softmax([score, background], gamma)
+        with pytest.raises(ValueError) as got:
+            two_class_prob(score, gamma, background)
+        assert str(got.value) == str(want.value)
+
 
 class TestRejectionCurve:
     def test_all_correct_flat_at_one(self):

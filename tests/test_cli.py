@@ -225,6 +225,10 @@ class TestInfer:
     @pytest.mark.parametrize("prefix,damaged", [
         ("bias ", "bias nan"),
         ("config ", "config ngram_cap=10 path_threshold=3 count_cap=5"),
+        ("bias ", "bias x"),
+        ("supports ", "supports x"),
+        ("vocab ", "vocab -3"),
+        ("degenerate ", "degenerate 1.5"),
     ])
     def test_damaged_model_line_exit_2(self, corpus_dir, tmp_path, capsys, prefix, damaged):
         model = tmp_path / "m.svm"

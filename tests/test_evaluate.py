@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from srlcomb.corpus_io import (
@@ -17,6 +18,7 @@ from srlcomb.evaluate import (
     oracle_rerank,
     repair_continuations,
     score,
+    sentence_counts,
 )
 from srlcomb.model import (
     Argument,
@@ -128,6 +130,25 @@ class TestScore:
         assert report.per_label["AM-TMP"].recall == 0.0
 
 
+def _float_gather_bootstrap(predicted, gold, b, seed, level=0.95):
+    """(f1, lower, upper, half width) summed the old way, over a float
+    (b, n, 3) gather of the per-sentence counts."""
+    counts = np.array(sentence_counts(predicted, gold)[0], dtype=float)
+    tp, n_pred, n_gold = (int(x) for x in counts.sum(axis=0))
+    p = 100.0 * tp / n_pred if n_pred else 100.0
+    r = 100.0 * tp / n_gold if n_gold else 100.0
+    point = 2.0 * p * r / (p + r) if p + r else 0.0
+    idx = np.random.default_rng(seed).integers(0, len(counts), size=(b, len(counts)))
+    sums = counts[idx].sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p = np.where(sums[:, 1] > 0, 100.0 * sums[:, 0] / sums[:, 1], 100.0)
+        r = np.where(sums[:, 2] > 0, 100.0 * sums[:, 0] / sums[:, 2], 100.0)
+        f = np.where(p + r > 0, 2.0 * p * r / (p + r), 0.0)
+    alpha = 100.0 * (1.0 - level) / 2.0
+    lower, upper = np.percentile(f, [alpha, 100.0 - alpha])
+    return point, float(lower), float(upper), float(upper - lower) / 2.0
+
+
 class TestBootstrap:
     def test_identity_interval_is_zero_width(self):
         gold, _ = generate_synthetic(SyntheticConfig(n_sentences=20, seed=41))
@@ -156,6 +177,25 @@ class TestBootstrap:
         a = bootstrap(systems[0][0], gold, b=200, seed=5)
         b = bootstrap(systems[0][0], gold, b=200, seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("n_sentences", [1, 300])
+    def test_equals_float_gather_reference(self, n_sentences):
+        """Same draws, same interval: the float (b, n, 3) gather that
+        bootstrap used to sum gives bit-identical bounds."""
+        gold, systems = generate_synthetic(SyntheticConfig(n_sentences=n_sentences, seed=45))
+        doc = systems[0][0]
+        for seed in range(5):
+            for b in (100, 1000):
+                got = bootstrap(doc, gold, b=b, seed=seed)
+                want = _float_gather_bootstrap(doc, gold, b, seed)
+                assert (got.f1, got.lower, got.upper, got.half_width) == want
+
+    def test_shared_counts_change_nothing(self):
+        gold, systems = generate_synthetic(SyntheticConfig(n_sentences=40, seed=46))
+        doc = systems[0][0]
+        counts = sentence_counts(doc, gold)
+        assert score(doc, gold, counts=counts) == score(doc, gold)
+        assert bootstrap(doc, gold, seed=2, counts=counts) == bootstrap(doc, gold, seed=2)
 
     def test_minimum_resamples(self):
         gold, _ = generate_synthetic(SyntheticConfig(n_sentences=5, seed=4))

@@ -124,6 +124,28 @@ def _kernel_matrix(vectors, degree):
     return k
 
 
+def _float64_gram(vectors, degree):
+    """The Gram matrix from a float64 0/1 design matrix, one cell at a time."""
+    cols = {fid: i for i, fid in enumerate(sorted({f for v in vectors for f in v.ids}))}
+    x = np.zeros((len(vectors), max(len(cols), 1)))
+    for r, v in enumerate(vectors):
+        for fid in v.ids:
+            x[r, cols[fid]] = 1.0
+    return (x @ x.T + 1.0) ** degree
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_gram_bit_identical_to_float64_build(featured_pool, degree):
+    datasets = label_datasets(featured_pool[0])
+    label = max(datasets, key=lambda lab: len(datasets[lab]))
+    vectors = [x for x, _ in datasets[label]]
+    gram = learn._gram(vectors, degree)
+    assert gram.dtype == np.float64
+    assert np.array_equal(gram, _float64_gram(vectors, degree))
+    empty = [FeatureVector(()), FeatureVector(())]
+    assert np.array_equal(learn._gram(empty, degree), np.ones((2, 2)))
+
+
 class TestLocalSvm:
     def test_separable_zero_errors(self):
         space = FeatureSpace()
