@@ -4,8 +4,9 @@ prefix FS1, FS1-FS2, ..., FS1-FS6 and score each on a held-out corpus."""
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from srlcomb.calibrate import attach_probs, build_intervals
 from srlcomb.corpus_io import SyntheticConfig, generate_synthetic

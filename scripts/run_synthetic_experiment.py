@@ -10,8 +10,9 @@ feedback at both inference scopes.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from srlcomb.calibrate import attach_probs, build_intervals
 from srlcomb.corpus_io import SyntheticConfig, generate_synthetic
@@ -65,7 +66,7 @@ def main() -> int:
 
     def add(name, predicted):
         report = score(predicted, test_gold)
-        boot = bootstrap(predicted, test_gold, seed=args.seed)
+        boot = bootstrap(report, seed=args.seed)
         rows.append((name, report.pprops, report.precision, report.recall,
                      boot.formatted()))
 

@@ -5,8 +5,9 @@ plus the oracle upper bounds."""
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from srlcomb.calibrate import attach_probs, build_intervals
 from srlcomb.corpus_io import SyntheticConfig, generate_synthetic

@@ -33,28 +33,26 @@ def softmax(scores: Sequence[float], gamma: float) -> list[float]:
     return [e / z for e in exps]
 
 
-def two_class_prob(score: float, gamma: float = DEFAULT_GAMMA,
-                   background: float = 0.0) -> float:
-    """Probability of one proposed argument against a background score.
+def two_class_prob(score: float, gamma: float = DEFAULT_GAMMA) -> float:
+    """Probability of one proposed argument against a background score of 0.
 
     Systems that expose a single raw activation per argument get this
-    degenerate two-class softmax; the background defaults to 0.
+    degenerate two-class softmax.
     """
-    if not (math.isfinite(gamma) and math.isfinite(score) and math.isfinite(background)):
-        return softmax([score, background], gamma)[0]     # raises softmax's error
+    if not (math.isfinite(gamma) and math.isfinite(score)):
+        return softmax([score, 0.0], gamma)[0]     # raises softmax's error
     # softmax's float operations on two values, in its order: bit-identical
-    a, b = gamma * score, gamma * background
+    a, b = gamma * score, gamma * 0.0
     top = max(a, b)
     ea, eb = math.exp(a - top), math.exp(b - top)
     return ea / (ea + eb)
 
 
-def attach_probs(pool: CandidatePool, gamma: float = DEFAULT_GAMMA,
-                 background: float = 0.0) -> CandidatePool:
+def attach_probs(pool: CandidatePool, gamma: float = DEFAULT_GAMMA) -> CandidatePool:
     """Fill per-system probabilities from raw scores across a pool.
 
     A voting system without a raw score is treated as scoring at the
-    background level, i.e. probability 0.5; non-voting systems contribute 0
+    background level 0, i.e. probability 0.5; non-voting systems contribute 0
     implicitly.
     """
     per_sentence = []
@@ -65,8 +63,7 @@ def attach_probs(pool: CandidatePool, gamma: float = DEFAULT_GAMMA,
             probs = []
             for sid in sorted(c.votes):
                 raw = raws.get(sid)
-                probs.append((sid, two_class_prob(background if raw is None else raw,
-                                                  gamma, background)))
+                probs.append((sid, two_class_prob(0.0 if raw is None else raw, gamma)))
             cands.append(Candidate(c.sentence_id, c.argument, c.votes, c.raw_scores,
                                    tuple(probs), c.features, c.is_gold))
         per_sentence.append(cands)

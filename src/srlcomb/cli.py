@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from pathlib import Path
 
@@ -40,13 +40,13 @@ from .corpus_io import (
     skeleton_sentences,
 )
 from .evaluate import (
+    BOOTSTRAP_LEVEL,
     baseline_precision,
     baseline_recall,
     bootstrap,
     oracle_combination,
     oracle_rerank,
     score,
-    sentence_counts,
 )
 from .features import FeatureConfig, FeatureExtractor
 from .infer_cs import (
@@ -59,7 +59,7 @@ from .infer_cs import (
     solve_with_stats,
     sweep_bias,
 )
-from .infer_dp import decode_corpus
+from .infer_dp import ScoredCandidate, decode_corpus
 from .learn import (
     DEFAULT_C,
     DEFAULT_DEGREE,
@@ -77,6 +77,35 @@ from .model import ConstraintSet
 from .pool import align_gold, build_pool, dump_pool, load_pool, pool_stats, solutions_to_props
 
 DEFAULT_BOOTSTRAP = 1000
+
+
+def _at_least(low: int) -> tuple:
+    return (lambda v: v >= low), f"must be >= {low}"
+
+
+_FINITE = (math.isfinite, "must be finite")
+_UNIT = ((lambda v: 0.0 <= v <= 1.0), "must be in [0, 1]")
+_MIN_MAX = ((lambda v: 1 <= v[0] <= v[1]), "needs 1 <= MIN <= MAX")
+
+# (test, requirement) of every numeric option, by destination; a value that
+# fails its test is an input error that names the option
+_NUMERIC_OPTIONS = {
+    "gamma": _FINITE, "bias": _FINITE,
+    "degree": _at_least(1), "epochs": _at_least(1), "node_budget": _at_least(1),
+    "bootstrap": _at_least(100), "seed": _at_least(0),
+    "C": ((lambda v: math.isfinite(v) and v > 0), "must be finite and > 0"),
+    "val_fraction": ((lambda v: 0.0 <= v < 1.0), "must be in [0, 1)"),
+    "sentences": _at_least(0), "systems": _at_least(1),
+    "precision": _UNIT, "recall": _UNIT, "label_noise": _UNIT, "boundary_noise": _UNIT,
+    "tokens": _MIN_MAX, "predicates": _MIN_MAX, "args_per_predicate": _MIN_MAX,
+}
+
+
+def _check_numeric_options(args) -> None:
+    for dest, (valid, requirement) in _NUMERIC_OPTIONS.items():
+        value = getattr(args, dest, None)
+        if value is not None and not valid(value):
+            raise FormatError(f"--{dest.replace('_', '-')} {requirement}")
 
 
 def _read(path: str) -> str:
@@ -237,7 +266,6 @@ def cmd_infer(args) -> int:
         if args.constraints or args.trace:
             raise FormatError("--constraints and --trace apply to engine=cs only")
         if args.scorer == "probsum":
-            from .infer_dp import ScoredCandidate
             scored = [[ScoredCandidate(c, c.prob_sum() - args.bias) for c in sent.candidates]
                       for sent in pool.sentences]
         else:
@@ -254,19 +282,16 @@ def cmd_infer(args) -> int:
     _write_manifest(args, args.out)
     print(f"predictions written to {args.out}")
     if gold is not None:
-        counts = sentence_counts(predicted, gold)
-        report = score(predicted, gold, counts=counts)
+        report = score(predicted, gold)
         print(report.text_table())
-        boot = bootstrap(predicted, gold, b=args.bootstrap, seed=args.seed, counts=counts)
-        print(f"F1 {boot.formatted()} ({int(boot.level * 100)}% interval, B={boot.b})")
+        boot = bootstrap(report, b=args.bootstrap, seed=args.seed)
+        print(f"F1 {boot.formatted()} ({int(BOOTSTRAP_LEVEL * 100)}% interval, B={boot.b})")
         if args.report:
             _write(args.report, report.csv())
     return 0
 
 
 def cmd_train(args) -> int:
-    if args.degree < 1:
-        raise FormatError("--degree must be >= 1")
     pool, gold = _load_pool(args, need_gold=True)
     pool = attach_probs(pool, gamma=args.gamma)
     intervals = build_intervals(pool)
@@ -304,10 +329,14 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     pool, gold = _load_pool(args, need_gold=True)
     pool = attach_probs(pool, gamma=args.gamma)
+    grid = list(DEFAULT_O_GRID)
     if args.o_values:
-        grid = [float(x) for x in args.o_values.split(",")]
-    else:
-        grid = list(DEFAULT_O_GRID)
+        try:
+            grid = [float(x) for x in args.o_values.split(",")]
+        except ValueError as exc:
+            raise FormatError(f"--o-values {args.o_values}: {exc}") from None
+        if not all(map(math.isfinite, grid)):
+            raise FormatError(f"--o-values {args.o_values}: values must be finite")
     result = sweep_bias(pool, gold, _cs_config(args), grid)
     _write(args.out, result.csv())
     _write_manifest(args, args.out)
@@ -319,7 +348,10 @@ def cmd_sweep(args) -> int:
 def cmd_curves(args) -> int:
     pool, _gold = _load_pool(args, need_gold=True)
     pool = attach_probs(pool, gamma=args.gamma)
-    curve = rejection_curve(pool_rejection_items(pool))
+    items = pool_rejection_items(pool)
+    if not items:
+        raise FormatError("curves: the systems propose no arguments to rank")
+    curve = rejection_curve(items)
     _write(args.out, curve_csv(curve))
     _write_manifest(args, args.out)
     print(f"rejection curve written to {args.out}")
@@ -370,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA,
                        help="softmax temperature for score calibration")
         p.add_argument("--seed", type=int, default=0, help="seed for stochastic steps")
-        p.add_argument("--jobs", type=int,
-                       default=int(os.environ.get("SRLCOMB_JOBS", "1")),
+        p.add_argument("--jobs", type=int, default=1,
                        help="worker processes for corpus-level runs")
 
     p = sub.add_parser("synth", help="generate a synthetic corpus",
@@ -469,6 +500,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numeric_options(args)
         return args.func(args)
     except (FormatError, SerializationError, AlignmentError, FileNotFoundError) as exc:
         print(f"srlcomb: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ scored.  Empty predictions score precision 100 by convention, so F1 goes to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .model import (
     Span,
     pair_rules,
 )
-from .pool import CandidatePool
+from .pool import CandidatePool, gold_keys
 
 
 def repair_continuations(args: Sequence[tuple[RoleLabel, Span]]) -> list[tuple[RoleLabel, Span]]:
@@ -71,6 +71,7 @@ class ScoreReport:
     confusion: dict
     n_sentences: int
     n_predicates: int
+    per_sentence: tuple     # (correct, predicted, gold) per sentence, for bootstrap
 
     def text_table(self) -> str:
         lines = [f"{'label':<10} {'correct':>8} {'pred':>8} {'gold':>8} "
@@ -95,12 +96,8 @@ class ScoreReport:
         return "\n".join(lines) + "\n"
 
 
-def sentence_counts(predicted: PropsDocument, gold: PropsDocument):
-    """Per-sentence (correct, predicted, gold) plus per-label and frame stats.
-
-    ``score`` and ``bootstrap`` both need them; a caller that runs both can
-    count once and hand the result to each as ``counts``.
-    """
+def _sentence_counts(predicted: PropsDocument, gold: PropsDocument):
+    """Per-sentence (correct, predicted, gold) plus per-label and frame stats."""
     check_skeleton([predicted, gold])
     per_sentence = []
     per_label: dict = {}
@@ -149,12 +146,10 @@ def _prf(correct: int, predicted: int, gold: int) -> tuple[float, float, float]:
     return p, r, f
 
 
-def score(predicted: PropsDocument, gold: PropsDocument, *,
-          counts: Optional[tuple] = None) -> ScoreReport:
-    """Precision/recall/F1/PProps of a predicted document against gold;
-    ``counts`` is ``sentence_counts(predicted, gold)`` if already computed."""
+def score(predicted: PropsDocument, gold: PropsDocument) -> ScoreReport:
+    """Precision/recall/F1/PProps of a predicted document against gold."""
     per_sentence, per_label, confusion, perfect, n_predicates = (
-        counts or sentence_counts(predicted, gold))
+        _sentence_counts(predicted, gold))
     correct = sum(c for c, _, _ in per_sentence)
     n_pred = sum(p for _, p, _ in per_sentence)
     n_gold = sum(g for _, _, g in per_sentence)
@@ -165,11 +160,15 @@ def score(predicted: PropsDocument, gold: PropsDocument, *,
         per_label={lab: LabelScore(*c) for lab, c in per_label.items()},
         confusion=confusion,
         n_sentences=len(gold.sentences),
-        n_predicates=n_predicates)
+        n_predicates=n_predicates,
+        per_sentence=tuple(per_sentence))
 
 
 # ---------------------------------------------------------------------------
 # Bootstrap significance
+
+
+BOOTSTRAP_LEVEL = 0.95
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,6 @@ class BootstrapResult:
     f1: float
     half_width: float
     b: int
-    level: float
     lower: float
     upper: float
 
@@ -185,17 +183,15 @@ class BootstrapResult:
         return f"{self.f1:.2f} ±{self.half_width:.1f}"
 
 
-def bootstrap(predicted: PropsDocument, gold: PropsDocument, b: int = 1000,
-              level: float = 0.95, seed: int = 0, *,
-              counts: Optional[tuple] = None) -> BootstrapResult:
-    """Percentile interval for F1 from sentence-level resampling; ``counts``
-    is ``sentence_counts(predicted, gold)`` if already computed."""
+def bootstrap(report: ScoreReport, b: int = 1000, seed: int = 0) -> BootstrapResult:
+    """95% percentile interval for F1 from resampling the report's sentences.
+    With no sentences the interval is the point F1 itself."""
     if b < 100:
         raise ValueError("need at least 100 resamples")
-    per_sentence = (counts or sentence_counts(predicted, gold))[0]
-    columns = np.array(per_sentence, dtype=np.int64).T      # (3, n)
-    point = _prf(*(int(x) for x in columns.sum(axis=1)))[2]
-    n = len(per_sentence)
+    n = len(report.per_sentence)
+    if n == 0:
+        return BootstrapResult(report.f1, 0.0, b, report.f1, report.f1)
+    columns = np.array(report.per_sentence, dtype=np.int64).T      # (3, n)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n, size=(b, n))
     # exact integer sums over the resampled sentences, one count at a time
@@ -204,9 +200,9 @@ def bootstrap(predicted: PropsDocument, gold: PropsDocument, b: int = 1000,
         p = np.where(sums[:, 1] > 0, 100.0 * sums[:, 0] / sums[:, 1], 100.0)
         r = np.where(sums[:, 2] > 0, 100.0 * sums[:, 0] / sums[:, 2], 100.0)
         f = np.where(p + r > 0, 2.0 * p * r / (p + r), 0.0)
-    alpha = 100.0 * (1.0 - level) / 2.0
+    alpha = 100.0 * (1.0 - BOOTSTRAP_LEVEL) / 2.0
     lower, upper = np.percentile(f, [alpha, 100.0 - alpha])
-    return BootstrapResult(point, float(upper - lower) / 2.0, b, level,
+    return BootstrapResult(report.f1, float(upper - lower) / 2.0, b,
                            float(lower), float(upper))
 
 
@@ -230,7 +226,6 @@ def _frame_f1(frame: Sequence[tuple[RoleLabel, Span]], gold: set) -> float:
 
 def oracle_rerank(pool: CandidatePool, gold: PropsDocument) -> list[Solution]:
     """Per predicate, keep the single system's frame with the best F1."""
-    from .pool import gold_keys
     keys = gold_keys(gold)
     solutions = []
     for sent in pool.sentences:
@@ -279,24 +274,23 @@ def _greedy(candidates: Sequence[Candidate], sentence_id: int,
     return Solution.make(sentence_id, chosen, float(len(chosen)))
 
 
-def baseline_recall(pool: CandidatePool, priority: Optional[Sequence[str]] = None,
+def baseline_recall(pool: CandidatePool,
                     sort_by: Sequence[str] = _SORT_FIELDS) -> list[Solution]:
-    """Merge everything: sort by (votes, token length, system priority) and
-    greedily keep whatever does not conflict with the selection so far."""
-    order = list(priority) if priority is not None else list(pool.system_ids)
-    ranks = {sid: i for i, sid in enumerate(order)}
+    """Merge everything: sort by (votes, token length, system priority, which
+    is the order of ``pool.system_ids``) and greedily keep whatever does not
+    conflict with the selection so far."""
     for f in sort_by:
         if f not in _SORT_FIELDS:
             raise ValueError(f"unknown sort field {f!r}")
+    ranks = {sid: i for i, sid in enumerate(pool.system_ids)}
     return [_greedy(sent.candidates, sent.sentence_id, ranks, sort_by)
             for sent in pool.sentences]
 
 
-def baseline_precision(pool: CandidatePool, priority: Optional[Sequence[str]] = None,
+def baseline_precision(pool: CandidatePool,
                        sort_by: Sequence[str] = _SORT_FIELDS) -> list[Solution]:
     """Keep only full-agreement candidates, then resolve conflicts greedily."""
-    order = list(priority) if priority is not None else list(pool.system_ids)
-    ranks = {sid: i for i, sid in enumerate(order)}
+    ranks = {sid: i for i, sid in enumerate(pool.system_ids)}
     m = pool.m
     return [_greedy([c for c in sent.candidates if len(c.votes) == m],
                     sent.sentence_id, ranks, sort_by)

@@ -93,12 +93,16 @@ class FeatureSpace:
         return space
 
 
+# Fixed extraction caps.  Model files record them on their config line, and a
+# model that gives other values is rejected when loaded.
+NGRAM_CAP = 10        # longest stored chunk/clause sequence
+PATH_THRESHOLD = 3    # generalize parse paths longer than this
+COUNT_CAP = 5         # numeric values above this bucket to "5+"
+
+
 @dataclass(frozen=True)
 class FeatureConfig:
     groups: tuple[str, ...] = ALL_GROUPS
-    ngram_cap: int = 10       # longest stored chunk/clause sequence
-    path_threshold: int = 3   # generalize parse paths longer than this
-    count_cap: int = 5        # numeric values above this bucket to "5+"
 
     def __post_init__(self) -> None:
         groups = tuple(sorted(set(self.groups), key=ALL_GROUPS.index))
@@ -108,44 +112,42 @@ class FeatureConfig:
             if g not in ALL_GROUPS:
                 raise ValueError(f"unknown feature group {g!r}")
         object.__setattr__(self, "groups", groups)
-        if self.ngram_cap < 1 or self.path_threshold < 1 or self.count_cap < 1:
-            raise ValueError("caps must be >= 1")
 
     def digest(self) -> str:
-        payload = f"{','.join(self.groups)}|{self.ngram_cap}|{self.path_threshold}|{self.count_cap}"
+        payload = f"{','.join(self.groups)}|{NGRAM_CAP}|{PATH_THRESHOLD}|{COUNT_CAP}"
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     @classmethod
-    def parse_groups(cls, text: str, **kwargs) -> "FeatureConfig":
+    def parse_groups(cls, text: str) -> "FeatureConfig":
         """Accept "FS1,FS3", "FS1-FS4" (cumulative range), or "all"."""
         text = text.strip()
         if text.lower() == "all":
-            return cls(groups=ALL_GROUPS, **kwargs)
+            return cls(groups=ALL_GROUPS)
         if "-" in text and "," not in text:
             lo, hi = text.split("-", 1)
             i, j = ALL_GROUPS.index(lo.strip()), ALL_GROUPS.index(hi.strip())
-            return cls(groups=ALL_GROUPS[i:j + 1], **kwargs)
-        return cls(groups=tuple(g.strip() for g in text.split(",") if g.strip()), **kwargs)
+            return cls(groups=ALL_GROUPS[i:j + 1])
+        return cls(groups=tuple(g.strip() for g in text.split(",") if g.strip()))
 
 
-def _bucket(n: int, cap: int) -> str:
-    return str(n) if n <= cap else f"{cap}+"
+def _bucket(n: int) -> str:
+    return str(n) if n <= COUNT_CAP else f"{COUNT_CAP}+"
 
 
-def _bucket_signed(n: int, cap: int) -> str:
-    if n > cap:
-        return f"{cap}+"
-    if n < -cap:
-        return f"-{cap}+"
+def _bucket_signed(n: int) -> str:
+    if n > COUNT_CAP:
+        return f"{COUNT_CAP}+"
+    if n < -COUNT_CAP:
+        return f"-{COUNT_CAP}+"
     return str(n)
 
 
-def _sequence_features(feats: list, prefix: str, elems: Sequence[str], cap: int) -> None:
-    if len(elems) <= cap:
+def _sequence_features(feats: list, prefix: str, elems: Sequence[str]) -> None:
+    if len(elems) <= NGRAM_CAP:
         feats.append(f"{prefix}={'-'.join(elems)}")
     else:
-        feats.append(f"{prefix}_start={'-'.join(elems[:cap])}")
-        feats.append(f"{prefix}_end={'-'.join(elems[-cap:])}")
+        feats.append(f"{prefix}_start={'-'.join(elems[:NGRAM_CAP])}")
+        feats.append(f"{prefix}_end={'-'.join(elems[-NGRAM_CAP:])}")
 
 
 class _ParseIndex:
@@ -301,9 +303,8 @@ class FeatureExtractor:
         return FeatureVector(self.space.ids(sorted(set(names))))
 
     def _fs1(self, names: list, cand: Candidate, ctx: _SentenceContext) -> None:
-        cap = self.config.count_cap
         names.append(f"fs1:label={cand.label.text}")
-        names.append(f"fs1:numsys={_bucket(len(cand.votes), cap)}")
+        names.append(f"fs1:numsys={_bucket(len(cand.votes))}")
         for sid in sorted(cand.votes):
             names.append(f"fs1:sys={sid}")
             names.append(f"fs1:seq:{sid}={ctx.sequences[(sid, cand.predicate)]}")
@@ -311,7 +312,6 @@ class FeatureExtractor:
     def _overlaps(self, names: list, prefix: str, cand: Candidate, rows: list) -> None:
         """Votes of the other candidates in ``rows`` by how their span relates
         to the candidate's: equal, inside it, around it or crossing it."""
-        cap = self.config.count_cap
         buckets = {"samespan": set(), "within": set(), "contains": set(), "crosses": set()}
         start, end = cand.span.start, cand.span.end
         for o_start, o_end, votes, key in rows:
@@ -327,22 +327,20 @@ class FeatureExtractor:
             else:
                 buckets["crosses"] |= votes
         for name, votes in buckets.items():
-            names.append(f"{prefix}:{name}:n={_bucket(len(votes), cap)}")
+            names.append(f"{prefix}:{name}:n={_bucket(len(votes))}")
             for sid in sorted(votes):
                 names.append(f"{prefix}:{name}:sys={sid}")
 
     def _fs4(self, names: list, cand: Candidate, ctx: _SentenceContext) -> None:
-        cap = self.config.count_cap
-        ncap = self.config.ngram_cap
         span = cand.span
         pidx = ctx.spool.predicates[cand.predicate][0]
 
-        names.append(f"fs4:toklen={_bucket(len(span), cap)}")
+        names.append(f"fs4:toklen={_bucket(len(span))}")
         inside = [(t, s) for t, s in ctx.chunks if span.contains(s)]
-        names.append(f"fs4:chunklen={_bucket(len(inside), cap)}")
-        _sequence_features(names, "fs4:chunkseq", [t for t, _ in inside], ncap)
+        names.append(f"fs4:chunklen={_bucket(len(inside))}")
+        _sequence_features(names, "fs4:chunkseq", [t for t, _ in inside])
         _sequence_features(names, "fs4:clauseseq",
-                           ctx.clause_boundary_seq(span.start, span.end), ncap)
+                           ctx.clause_boundary_seq(span.start, span.end))
         for ne_type, ne_span in ctx.nes:
             if span.contains(ne_span):
                 names.append(f"fs4:ne={ne_type}")
@@ -357,15 +355,14 @@ class FeatureExtractor:
         names.append(f"fs4:adjacent={str(span.end + 1 == pidx or pidx + 1 == span.start).lower()}")
 
         between = [t for t, s in ctx.chunks if lo <= s.start and s.end <= hi] if lo <= hi else []
-        _sequence_features(names, "fs4:chunkseq_between", between, ncap)
-        names.append(f"fs4:nchunks_between={_bucket(len(between), cap)}")
+        _sequence_features(names, "fs4:chunkseq_between", between)
+        names.append(f"fs4:nchunks_between={_bucket(len(between))}")
         _sequence_features(names, "fs4:clauseseq_between",
-                           ctx.clause_boundary_seq(lo, hi), ncap)
+                           ctx.clause_boundary_seq(lo, hi))
         sub = ctx.clause_depth(span) - ctx.clause_depth(Span(pidx, pidx))
-        names.append(f"fs4:clausesub={_bucket_signed(sub, cap)}")
+        names.append(f"fs4:clausesub={_bucket_signed(sub)}")
 
     def _fs5(self, names: list, cand: Candidate, ctx: _SentenceContext) -> None:
-        cap = self.config.count_cap
         if ctx.parse is None:
             names.append("fs5:parse_absent")
             return
@@ -381,10 +378,10 @@ class FeatureExtractor:
         else:
             lo, hi = 0, -1
         gap = sentence.tokens[lo:hi + 1] if lo <= hi else ()
-        names.append(f"fs5:sdist_tok={_bucket(len(gap), cap)}")
-        names.append(f"fs5:sdist_vb={_bucket(sum(1 for t in gap if t.pos.startswith('VB')), cap)}")
-        names.append(f"fs5:sdist_comma={_bucket(sum(1 for t in gap if t.form == ','), cap)}")
-        names.append(f"fs5:sdist_cc={_bucket(sum(1 for t in gap if t.pos == 'CC'), cap)}")
+        names.append(f"fs5:sdist_tok={_bucket(len(gap))}")
+        names.append(f"fs5:sdist_vb={_bucket(sum(1 for t in gap if t.pos.startswith('VB')))}")
+        names.append(f"fs5:sdist_comma={_bucket(sum(1 for t in gap if t.form == ','))}")
+        names.append(f"fs5:sdist_cc={_bucket(sum(1 for t in gap if t.pos == 'CC'))}")
         names.append(f"fs5:sdist_adj={str(span.end + 1 == pidx or pidx + 1 == span.start).lower()}")
 
         node = ctx.parse.map_span(span)
@@ -405,15 +402,15 @@ class FeatureExtractor:
         seps = ["^"] * (len(up_nodes) - 1) + ["_"] * (len(down_nodes) + 1)
         path = labels[0] + "".join(s + lab for s, lab in zip(seps, labels[1:]))
         names.append(f"fs5:path={path}")
-        names.append(f"fs5:pathlen={_bucket(len(labels), cap)}")
+        names.append(f"fs5:pathlen={_bucket(len(labels))}")
 
         up_labels = labels[1:len(up_nodes)]          # strictly above the node, incl. ancestor
         down_labels = labels[len(up_nodes):]         # below the ancestor, incl. the POS
         for scope, part in (("", labels), ("_up", up_labels), ("_down", down_labels)):
-            names.append(f"fs5:clauses{scope}={_bucket(sum(1 for l in part if l.startswith('S')), cap)}")
-            names.append(f"fs5:vps{scope}={_bucket(sum(1 for l in part if l == 'VP'), cap)}")
+            names.append(f"fs5:clauses{scope}={_bucket(sum(1 for l in part if l.startswith('S')))}")
+            names.append(f"fs5:vps{scope}={_bucket(sum(1 for l in part if l == 'VP'))}")
 
-        if len(labels) > self.config.path_threshold:
+        if len(labels) > PATH_THRESHOLD:
             arg_l, anc_l, pred_l = labels[0], ancestor.label, labels[-1]
             for mid in [n.label for n in down_nodes]:
                 names.append(f"fs5:gpath_a={arg_l}^{anc_l}_{mid}_{pred_l}")
@@ -423,7 +420,7 @@ class FeatureExtractor:
         pred_chain = ctx.parse.chain_to_token(pidx)
         pred_node = pred_chain[-1] if pred_chain else ctx.parse.root
         sub = ctx.parse.depth[id(node)] - ctx.parse.depth[id(pred_node)]
-        names.append(f"fs5:subsump={_bucket_signed(sub, cap)}")
+        names.append(f"fs5:subsump={_bucket_signed(sub)}")
 
         gov = "none"
         for anc in up_chain[1:]:

@@ -14,12 +14,13 @@ the learning-based engine (``infer_dp``) its scorers' confidences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
 
-from .model import Candidate, ConstraintSet, LabelKind, Solution, pair_rules
-from .pool import CandidatePool
+from .evaluate import score
+from .model import EXISTENTIAL_RULES, Candidate, ConstraintSet, Solution, licenses, pair_rules
+from .pool import CandidatePool, solutions_to_props
 
 _EPS = 1e-12
 
@@ -115,15 +116,10 @@ def optimize(candidates: Sequence[Candidate], margins: Sequence[float],
     # existential constraints: R-X needs X; C-X needs an earlier-starting X
     leaf_rules = []
     for i, c in enumerate(cands):
-        if c.label.kind is LabelKind.REFERENCE and cs.c3.active:
-            bases = sum(1 << j for j, o in enumerate(cands)
-                        if o.predicate == c.predicate and o.label.text == c.label.base)
-            leaf_rules.append((i, bases, cs.c3))
-        if c.label.kind is LabelKind.CONTINUATION and cs.c4.active:
-            bases = sum(1 << j for j, o in enumerate(cands)
-                        if o.predicate == c.predicate and o.label.text == c.label.base
-                        and o.span.start < c.span.start)
-            leaf_rules.append((i, bases, cs.c4))
+        cid = EXISTENTIAL_RULES.get(c.label.kind)
+        if cid is not None and cs.rule(cid).active:
+            bases = sum(1 << j for j, o in enumerate(cands) if licenses(o, c))
+            leaf_rules.append((i, bases, cs.rule(cid)))
 
     suffix_pos = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -282,15 +278,11 @@ def sweep_bias(pool: CandidatePool, gold, cfg: CsConfig,
                o_values: Sequence[float] = DEFAULT_O_GRID) -> SweepResult:
     """Score one full inference run per bias value; the precision/recall
     tradeoff harness."""
-    from dataclasses import replace as _replace
-    from .evaluate import score            # deferred: evaluate imports pool
-    from .pool import solutions_to_props
-
     rows = []
     prev_recall = None
     monotone = True
     for o in o_values:
-        run_cfg = _replace(cfg, bias=o)
+        run_cfg = replace(cfg, bias=o)
         solutions = infer_corpus(pool, run_cfg)
         report = score(solutions_to_props(pool, solutions), gold)
         rows.append(SweepRow(o, report.precision, report.recall, report.f1))

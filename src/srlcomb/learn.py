@@ -26,17 +26,19 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .calibrate import IntervalTable
-from .features import FeatureConfig, FeatureSpace
+from .features import COUNT_CAP, NGRAM_CAP, PATH_THRESHOLD, FeatureConfig, FeatureSpace
 from .infer_cs import Scope
 from .infer_dp import ScoredCandidate, infer_sentence
 from .model import Candidate, FeatureVector, RoleLabel
-from .pool import CandidatePool
+from .pool import CandidatePool, gold_keys
 
 MODEL_HEADER = "SRLCOMB-MODEL v1"
 DEFAULT_DEGREE = 2
 DEFAULT_EPOCHS = 5
 DEFAULT_C = 1.0
 DEFAULT_KKT_TOL = 1e-3
+# the fixed feature caps, as the config line of a model file states them
+_CAPS = (("ngram_cap", NGRAM_CAP), ("path_threshold", PATH_THRESHOLD), ("count_cap", COUNT_CAP))
 
 
 class ModelMismatchError(ValueError):
@@ -126,11 +128,8 @@ class ScoreModel:
         lines = [MODEL_HEADER,
                  f"kind {self.kind}",
                  f"degree {self.degree}",
-                 "config groups={} ngram_cap={} path_threshold={} count_cap={}".format(
-                     ",".join(self.feature_config.groups),
-                     self.feature_config.ngram_cap,
-                     self.feature_config.path_threshold,
-                     self.feature_config.count_cap)]
+                 f"config groups={','.join(self.feature_config.groups)} "
+                 + " ".join(f"{key}={value}" for key, value in _CAPS)]
         table = self.intervals or IntervalTable()
         lines.append(f"intervals {len(table.cuts)}")
         for (sys_id, label), cuts in sorted(table.cuts.items()):
@@ -208,11 +207,10 @@ class ScoreModel:
         cfg_line = take("config ")
         try:
             cfg_map = dict(part.split("=", 1) for part in cfg_line.split())
-            config = FeatureConfig(
-                groups=tuple(cfg_map["groups"].split(",")),
-                ngram_cap=int(cfg_map["ngram_cap"]),
-                path_threshold=int(cfg_map["path_threshold"]),
-                count_cap=int(cfg_map["count_cap"]))
+            for key, value in _CAPS:
+                if int(cfg_map[key]) != value:
+                    raise ValueError(f"{key} must be {value}, not {cfg_map[key]}")
+            config = FeatureConfig(groups=tuple(cfg_map["groups"].split(",")))
         except (KeyError, ValueError) as exc:
             raise ValueError(f"model file: config at line {pos} is missing or bad: {exc}") from None
         n_intervals = count(take("intervals "))
@@ -263,9 +261,8 @@ class ScoreModel:
             return cls.loads(fh.read())
 
 
-def score_pool(model: ScoreModel, pool: CandidatePool,
-               averaged: bool = True) -> list[list[ScoredCandidate]]:
-    """Score every pool candidate with its label's scorer.
+def score_pool(model: ScoreModel, pool: CandidatePool) -> list[list[ScoredCandidate]]:
+    """Score every pool candidate with its label's averaged scorer.
 
     The pool must have been feature-extracted with the model's configuration
     and feature space; anything else is a vocabulary mismatch.  Candidates
@@ -289,7 +286,7 @@ def score_pool(model: ScoreModel, pool: CandidatePool,
             print(f"srlcomb: warning: model has no scorer for label {label}; "
                   f"{len(rows)} candidates scored 0.0", file=sys.stderr)
             continue
-        values = scorer.scores([flat[i].features for i in rows], averaged)
+        values = scorer.scores([flat[i].features for i in rows], averaged=True)
         for i, value in zip(rows, values):
             confidence[i] = value
     scored = iter(ScoredCandidate(c, v) for c, v in zip(flat, confidence))
@@ -452,10 +449,9 @@ class TrainExample:
 
 
 def make_examples(pool: CandidatePool, gold=None) -> list[TrainExample]:
-    from .pool import gold_keys as _gold_keys
     unreachable = [0] * len(pool.sentences)
     if gold is not None:
-        for s, keys in enumerate(_gold_keys(gold)):
+        for s, keys in enumerate(gold_keys(gold)):
             have = {c.key for c in pool.sentences[s].candidates}
             unreachable[s] = len(keys - have)
     out = []

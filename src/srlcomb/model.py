@@ -511,6 +511,19 @@ def pair_rules(a: Candidate, b: Candidate) -> tuple[str, ...]:
     return _C5          # crossing
 
 
+# the existential rules, by the label kind they constrain
+EXISTENTIAL_RULES = {LabelKind.REFERENCE: "c3", LabelKind.CONTINUATION: "c4"}
+
+
+def licenses(base: Candidate, dependent: Candidate) -> bool:
+    """Whether selecting ``base`` satisfies c3 or c4 for ``dependent``: an
+    R-X needs an X of the same predicate, a C-X one that starts earlier."""
+    return (base.predicate == dependent.predicate
+            and base.label.text == dependent.label.base
+            and (dependent.label.kind is not LabelKind.CONTINUATION
+                 or base.span.start < dependent.span.start))
+
+
 def enumerate_violations(selected: Sequence[Candidate], cs: ConstraintSet) -> list[Violation]:
     """List every countable constraint violation in a candidate selection.
 
@@ -531,18 +544,11 @@ def enumerate_violations(selected: Sequence[Candidate], cs: ConstraintSet) -> li
             for cid in pair_rules(cands[i], cands[j]):
                 if cs.rule(cid).active:
                     emit(cid, (cands[i], cands[j]))
-    if cs.c3.active:
-        for c in cands:
-            if c.label.kind is LabelKind.REFERENCE:
-                if not any(o.predicate == c.predicate and o.label.text == c.label.base
-                           for o in cands):
-                    emit("c3", (c,))
-    if cs.c4.active:
-        for c in cands:
-            if c.label.kind is LabelKind.CONTINUATION:
-                if not any(o.predicate == c.predicate and o.label.text == c.label.base
-                           and o.span.start < c.span.start for o in cands):
-                    emit("c4", (c,))
+    for kind, cid in EXISTENTIAL_RULES.items():
+        if cs.rule(cid).active:
+            for c in cands:
+                if c.label.kind is kind and not any(licenses(o, c) for o in cands):
+                    emit(cid, (c,))
     return out
 
 

@@ -25,6 +25,7 @@ from srlcomb.corpus_io import (
     PropsSentence,
 )
 from srlcomb.evaluate import (
+    BOOTSTRAP_LEVEL,
     BootstrapResult,
     baseline_precision,
     baseline_recall,
@@ -394,7 +395,8 @@ def test_criterion_10_shipped_defaults():
         assert DEFAULT_EPOCHS == 5
         assert DEFAULT_C == 1.0
         assert cli.DEFAULT_BOOTSTRAP == 1000
-        sample = BootstrapResult(75.47, 0.8, 1000, 0.95, 74.7, 76.3)
+        assert BOOTSTRAP_LEVEL == 0.95
+        sample = BootstrapResult(75.47, 0.8, 1000, 74.7, 76.3)
         assert sample.formatted() == "75.47 ±0.8"
         parser = cli.build_parser()
         sub = {a.dest: a for a in parser._actions}["command"]

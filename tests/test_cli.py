@@ -229,6 +229,9 @@ class TestInfer:
         ("supports ", "supports x"),
         ("vocab ", "vocab -3"),
         ("degenerate ", "degenerate 1.5"),
+        ("config ", "config groups=FS1 ngram_cap=11 path_threshold=3 count_cap=5"),
+        ("config ", "config groups=FS1 ngram_cap=10 path_threshold=2 count_cap=5"),
+        ("config ", "config groups=FS1 ngram_cap=10 path_threshold=3 count_cap=7"),
     ])
     def test_damaged_model_line_exit_2(self, corpus_dir, tmp_path, capsys, prefix, damaged):
         model = tmp_path / "m.svm"
@@ -302,6 +305,51 @@ class TestInfer:
         assert err.startswith("srlcomb: --constraints ")
         assert "Traceback" not in err
         assert not (tmp_path / "x.out").exists()
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv,option", [
+        (["train", "--scorer", "perceptron-global", "--epochs", "0"], "--epochs"),
+        (["train", "--scorer", "perceptron-local", "--epochs", "-1"], "--epochs"),
+        (["train", "--scorer", "svm", "--C", "0"], "--C"),
+        (["infer", "--bootstrap", "5"], "--bootstrap"),
+        (["infer", "--gamma", "nan"], "--gamma"),
+        (["infer", "--bias", "nan"], "--bias"),
+        (["train", "--scorer", "perceptron-global", "--val-fraction", "1.5"], "--val-fraction"),
+        (["infer", "--node-budget", "-1"], "--node-budget"),
+        (["sweep", "--o-values", "0.1,abc"], "--o-values"),
+        (["synth", "--precision", "2"], "--precision"),
+        (["infer", "--seed", "-1"], "--seed"),
+    ], ids=["epochs-0", "epochs-negative", "C-0", "bootstrap-5", "gamma-nan", "bias-nan",
+            "val-fraction-1.5", "node-budget-negative", "o-values-abc", "synth-precision-2",
+            "seed-negative"])
+    def test_bad_numeric_option_exit_2(self, corpus_dir, tmp_path, capsys, argv, option):
+        inputs = [] if argv[0] == "synth" else [*_system_args(corpus_dir),
+                                                "--gold", f"{corpus_dir}/gold.props"]
+        out = tmp_path / "x.out"
+        rc = main([*argv, *inputs, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"srlcomb: {option} ")
+        assert not out.exists()
+
+    @pytest.fixture
+    def empty_dir(self, tmp_path):
+        for name in ("gold.props", "sys1.props"):
+            (tmp_path / name).write_text("")
+        return tmp_path
+
+    def test_zero_sentences_infer(self, empty_dir, capsys):
+        rc = main(["infer", "--gold", f"{empty_dir}/gold.props",
+                   "--system", f"{empty_dir}/sys1.props", "--out", f"{empty_dir}/x.props"])
+        assert rc == 0
+        assert "F1 100.00 ±0.0" in capsys.readouterr().out
+
+    def test_zero_sentences_curves_exit_2(self, empty_dir, capsys):
+        rc = main(["curves", "--gold", f"{empty_dir}/gold.props",
+                   "--system", f"{empty_dir}/sys1.props", "--out", f"{empty_dir}/c.csv"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("srlcomb: curves: ")
+        assert not (empty_dir / "c.csv").exists()
 
 
 class TestTrain:

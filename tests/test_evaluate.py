@@ -18,7 +18,6 @@ from srlcomb.evaluate import (
     oracle_rerank,
     repair_continuations,
     score,
-    sentence_counts,
 )
 from srlcomb.model import (
     Argument,
@@ -133,7 +132,7 @@ class TestScore:
 def _float_gather_bootstrap(predicted, gold, b, seed, level=0.95):
     """(f1, lower, upper, half width) summed the old way, over a float
     (b, n, 3) gather of the per-sentence counts."""
-    counts = np.array(sentence_counts(predicted, gold)[0], dtype=float)
+    counts = np.array(score(predicted, gold).per_sentence, dtype=float)
     tp, n_pred, n_gold = (int(x) for x in counts.sum(axis=0))
     p = 100.0 * tp / n_pred if n_pred else 100.0
     r = 100.0 * tp / n_gold if n_gold else 100.0
@@ -152,13 +151,13 @@ def _float_gather_bootstrap(predicted, gold, b, seed, level=0.95):
 class TestBootstrap:
     def test_identity_interval_is_zero_width(self):
         gold, _ = generate_synthetic(SyntheticConfig(n_sentences=20, seed=41))
-        result = bootstrap(gold, gold, b=200, seed=1)
+        result = bootstrap(score(gold, gold), b=200, seed=1)
         assert result.f1 == 100.0
         assert result.half_width == 0.0
 
     def test_formatted_presentation(self):
         gold, systems = generate_synthetic(SyntheticConfig(n_sentences=50, seed=42))
-        result = bootstrap(systems[0][0], gold, b=500, seed=3)
+        result = bootstrap(score(systems[0][0], gold), b=500, seed=3)
         text = result.formatted()
         assert "±" in text
         left, right = text.split(" ±")
@@ -167,15 +166,15 @@ class TestBootstrap:
 
     def test_interval_contains_point_estimate(self):
         gold, systems = generate_synthetic(SyntheticConfig(n_sentences=30, seed=43))
-        doc = systems[0][0]
+        report = score(systems[0][0], gold)
         for seed in range(1000):
-            result = bootstrap(doc, gold, b=100, seed=seed)
+            result = bootstrap(report, b=100, seed=seed)
             assert result.lower - 1e-9 <= result.f1 <= result.upper + 1e-9
 
     def test_deterministic(self):
         gold, systems = generate_synthetic(SyntheticConfig(n_sentences=30, seed=43))
-        a = bootstrap(systems[0][0], gold, b=200, seed=5)
-        b = bootstrap(systems[0][0], gold, b=200, seed=5)
+        a = bootstrap(score(systems[0][0], gold), b=200, seed=5)
+        b = bootstrap(score(systems[0][0], gold), b=200, seed=5)
         assert a == b
 
     @pytest.mark.parametrize("n_sentences", [1, 300])
@@ -186,21 +185,14 @@ class TestBootstrap:
         doc = systems[0][0]
         for seed in range(5):
             for b in (100, 1000):
-                got = bootstrap(doc, gold, b=b, seed=seed)
+                got = bootstrap(score(doc, gold), b=b, seed=seed)
                 want = _float_gather_bootstrap(doc, gold, b, seed)
                 assert (got.f1, got.lower, got.upper, got.half_width) == want
-
-    def test_shared_counts_change_nothing(self):
-        gold, systems = generate_synthetic(SyntheticConfig(n_sentences=40, seed=46))
-        doc = systems[0][0]
-        counts = sentence_counts(doc, gold)
-        assert score(doc, gold, counts=counts) == score(doc, gold)
-        assert bootstrap(doc, gold, seed=2, counts=counts) == bootstrap(doc, gold, seed=2)
 
     def test_minimum_resamples(self):
         gold, _ = generate_synthetic(SyntheticConfig(n_sentences=5, seed=4))
         with pytest.raises(ValueError):
-            bootstrap(gold, gold, b=50)
+            bootstrap(score(gold, gold), b=50)
 
 
 @pytest.fixture(scope="module")

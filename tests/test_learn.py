@@ -575,16 +575,16 @@ class TestDualSum:
         pool = featured_pool[0]
         model = _train(kind, featured_pool, degree)
         assert sum(len(sc.supports) for sc in model.scorers.values()) > 0
-        for averaged in (False, True):
-            for sent_scores in score_pool(model, pool, averaged):
-                for s in sent_scores:
-                    scorer = model.scorers.get(s.candidate.label.text)
-                    want = 0.0 if scorer is None else ref_score(
-                        scorer, s.candidate.features, averaged)
-                    assert _close(s.confidence, want), (kind, degree, averaged)
-                    if scorer is not None:
+        for sent_scores in score_pool(model, pool):
+            for s in sent_scores:
+                scorer = model.scorers.get(s.candidate.label.text)
+                want = 0.0 if scorer is None else ref_score(
+                    scorer, s.candidate.features, averaged=True)
+                assert _close(s.confidence, want), (kind, degree)
+                if scorer is not None:
+                    for averaged in (False, True):
                         alone = scorer.scores([s.candidate.features], averaged)[0]
-                        assert _close(alone, want)
+                        assert _close(alone, ref_score(scorer, s.candidate.features, averaged))
 
     @pytest.mark.parametrize("kind", ["svm", "perceptron-global"])
     def test_edge_cases(self, featured_pool, kind):
@@ -606,25 +606,24 @@ class TestDualSum:
             per_sentence.append(cands)
         edge_pool = pool.with_candidates(per_sentence)
         seen_kinds = set()
-        for averaged in (False, True):
-            for sent_scores in score_pool(model, edge_pool, averaged):
-                for s in sent_scores:
-                    label = s.candidate.label.text
-                    scorer = model.scorers.get(label)
-                    if scorer is None:
-                        assert s.confidence == 0.0
-                        seen_kinds.add("no scorer")
-                        continue
-                    if label == labels[0]:
-                        assert s.confidence == -0.75
-                        seen_kinds.add("bias only")
-                    if not s.candidate.features.ids:
-                        seen_kinds.add("empty")
-                    if s.candidate.features.ids and min(s.candidate.features.ids) >= unseen:
-                        # no support shares an id: every kernel value is 1
-                        seen_kinds.add("unseen ids")
-                    assert _close(s.confidence,
-                                  ref_score(scorer, s.candidate.features, averaged))
+        for sent_scores in score_pool(model, edge_pool):
+            for s in sent_scores:
+                label = s.candidate.label.text
+                scorer = model.scorers.get(label)
+                if scorer is None:
+                    assert s.confidence == 0.0
+                    seen_kinds.add("no scorer")
+                    continue
+                if label == labels[0]:
+                    assert s.confidence == -0.75
+                    seen_kinds.add("bias only")
+                if not s.candidate.features.ids:
+                    seen_kinds.add("empty")
+                if s.candidate.features.ids and min(s.candidate.features.ids) >= unseen:
+                    # no support shares an id: every kernel value is 1
+                    seen_kinds.add("unseen ids")
+                assert _close(s.confidence,
+                              ref_score(scorer, s.candidate.features, averaged=True))
         assert seen_kinds == {"no scorer", "bias only", "empty", "unseen ids"}
 
 

@@ -1,9 +1,13 @@
-"""The props and score parsers against their regex reference.
+"""The props and score parsers against their regex reference, and the syntax
+parser under mutation.
 
 For every input, srlcomb.corpus_io must return a document equal to the one
 tests/regex_parsers.py returns, or raise the same error with the same
 message and line number.  Inputs are emitted synthetic corpora, single-line
 and single-cell mutations of them, and hand-picked damaged bracket cells.
+``parse_syntax`` has no reference parser: on single-line and single-cell
+mutations of an emitted syntax file with a parse column, it must return
+sentences or raise FormatError, and nothing else.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -14,10 +18,14 @@ from srlcomb.corpus_io import (
     SyntheticConfig,
     emit_props,
     emit_scores,
+    emit_syntax,
     generate_synthetic,
     parse_props,
     parse_scores,
+    parse_syntax,
+    skeleton_sentences,
 )
+from srlcomb.model import ParseNode, Sentence, Span
 
 DAMAGED_CELLS = ("(*)", "(A0", "((A0*", "(A0*))", "(A 0*", "*)*", "(*", "*", "*)", "(",
                  ")", "(A0**", "(A0*)*", "(A0*)", "(V*)", "(A9*", "(R-V*)", "(C-R-A0*",
@@ -25,6 +33,9 @@ DAMAGED_CELLS = ("(*)", "(A0", "((A0*", "(A0*))", "(A 0*", "*)*", "(*", "*", "*)
 SCORE_TOKENS = ("x", "-1", "0", "3", "1.5", "nan", "inf", "-inf", "1e999", "A0", "A9",
                 "V", "R-V", "C-A1", "AM-TMP", "")
 CELL_TEXT = st.text(alphabet="()*AVMRC-019 ", max_size=8)
+SYNTAX_CELLS = ("*", "(S*", "*)", "(S*)", "(S(NP*", "*))", "(NP*)", "(NP*", "(", ")", "**",
+                "(*", "(S *", "B-NP", "I-NP", "I-VP", "B-", "-NP", "B", "O", "I-PER", "NN", "")
+SYNTAX_TEXT = st.text(alphabet="()*SNPVBIO- ", max_size=8)
 
 
 def _outcome(parse, text: str):
@@ -106,3 +117,31 @@ def test_damaged_cells_parse_alike(cell, neighbour, row):
     cells[1 + row] = cell
     text = "".join(f"{'run' if i == 0 else '-'} {c}\n" for i, c in enumerate(cells))
     _assert_same(parse_props, regex_parsers.parse_props, text)
+
+
+@st.composite
+def syntax_files(draw):
+    """An emitted syntax file whose parse column puts every chunk of a
+    sentence under one S node."""
+    cfg = SyntheticConfig(n_sentences=draw(st.integers(1, 4)), seed=draw(st.integers(0, 10**6)),
+                          n_systems=1, tokens_range=(4, 12), predicates_range=(1, 3))
+    gold, _systems = generate_synthetic(cfg)
+    sentences = []
+    for sent in skeleton_sentences(gold):
+        chunks = tuple(ParseNode(kind, span) for kind, span in sent.chunks())
+        root = ParseNode("S", Span(0, len(sent.tokens) - 1), chunks)
+        sentences.append(Sentence(sent.id, sent.tokens, sent.predicates, root))
+    return emit_syntax(sentences)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_mutated_syntax_raises_only_format_errors(data):
+    text = data.draw(syntax_files())
+    assert all(sent.parse is not None for sent in parse_syntax(text))
+    cell = st.one_of(st.sampled_from(SYNTAX_CELLS), SYNTAX_TEXT)
+    mutated = data.draw(mutated_lines(text, cell))
+    try:
+        parse_syntax(mutated)
+    except FormatError:
+        pass

@@ -12,7 +12,8 @@ SMALL = ["--train-sentences", "20", "--test-sentences", "20"]
 
 
 def _run(script: str, args: list, cwd: Path) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), SRLCOMB_JOBS="1")
+    """Run a script by its path from ``cwd``; it finds ``src/`` on its own."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
 
@@ -25,9 +26,8 @@ def test_script_runs(script, tmp_path):
     assert "F1" in proc.stdout
 
 
-
 def _srlcomb(args: list, cwd: Path) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), SRLCOMB_JOBS="1")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = "import sys; from srlcomb.cli import main; sys.exit(main(sys.argv[1:]))"
     return subprocess.run([sys.executable, "-c", code, *args],
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
