@@ -74,7 +74,7 @@ from .learn import (
     train_local_svm,
 )
 from .model import ConstraintSet
-from .pool import align_gold, build_pool, dump_pool, load_pool, pool_stats, solutions_to_props
+from .pool import align_gold, build_pool, dump_pool, pool_stats, solutions_to_props
 
 DEFAULT_BOOTSTRAP = 1000
 
@@ -92,6 +92,7 @@ _MIN_MAX = ((lambda v: 1 <= v[0] <= v[1]), "needs 1 <= MIN <= MAX")
 _NUMERIC_OPTIONS = {
     "gamma": _FINITE, "bias": _FINITE,
     "degree": _at_least(1), "epochs": _at_least(1), "node_budget": _at_least(1),
+    "jobs": _at_least(1),
     "bootstrap": _at_least(100), "seed": _at_least(0),
     "C": ((lambda v: math.isfinite(v) and v > 0), "must be finite and > 0"),
     "val_fraction": ((lambda v: 0.0 <= v < 1.0), "must be in [0, 1)"),
@@ -149,36 +150,33 @@ def _load_systems(args) -> list:
     return systems
 
 
-def _load_pool(args, need_gold: bool = False):
-    systems = _load_systems(args)
-    pool = build_pool(systems)
+def _load_pool(args):
+    pool = build_pool(_load_systems(args))
     gold = None
-    if getattr(args, "gold", None):
+    if args.gold:
         gold = parse_props(_read(args.gold))
         pool = align_gold(pool, gold)
-    elif need_gold:
-        raise FormatError("this command requires --gold")
     return pool, gold
 
 
-def _load_sentences(args, gold, pool):
-    if getattr(args, "syntax", None):
+def _load_sentences(args, gold):
+    if args.syntax:
         sentences = parse_syntax(_read(args.syntax))
         skeleton = gold
         if skeleton is None:
-            name, props_path, _ = _parse_system_arg(args.system[0])
+            _, props_path, _ = _parse_system_arg(args.system[0])
             skeleton = parse_props(_read(props_path))
         return attach_predicates(sentences, skeleton)
     return None   # extractor falls back to skeleton sentences
 
 
-def _cs_config(args) -> CsConfig:
+def _cs_config(args, bias: float = DEFAULT_BIAS) -> CsConfig:
     """The cs engine's settings; without --constraints, the scope's defaults.
     A constraint spec that does not parse, or that the scope forbids, is an
     input error."""
     try:
         return CsConfig.for_scope(
-            Scope(args.scope), bias=args.bias, node_budget=args.node_budget,
+            Scope(args.scope), bias=bias, node_budget=args.node_budget,
             constraints=ConstraintSet.parse(args.constraints) if args.constraints else None)
     except ValueError as exc:
         raise FormatError(f"--constraints {args.constraints}: {exc}") from exc
@@ -233,7 +231,7 @@ def _scored_pool_for_model(args, pool, gold):
         model = ScoreModel.load(args.model)
     except ValueError as exc:
         raise FormatError(f"model file {args.model}: {exc}") from exc
-    sentences = _load_sentences(args, gold, pool)
+    sentences = _load_sentences(args, gold)
     extractor = FeatureExtractor(model.feature_config, model.space)
     pool = extractor.extract_pool(pool, sentences, model.intervals)
     if model.kind != args.scorer:
@@ -243,13 +241,15 @@ def _scored_pool_for_model(args, pool, gold):
 
 
 def cmd_infer(args) -> int:
+    if args.report and not args.gold:
+        raise FormatError("--report needs --gold: there is no score report without it")
     pool, gold = _load_pool(args)
     pool = attach_probs(pool, gamma=args.gamma)
 
     if args.engine == "cs":
         if args.scorer != "probsum":
             raise FormatError("engine=cs uses the summed probabilities (scorer=probsum)")
-        cfg = _cs_config(args)
+        cfg = _cs_config(args, args.bias)
         if args.trace:
             solutions = []
             total = 0
@@ -292,10 +292,12 @@ def cmd_infer(args) -> int:
 
 
 def cmd_train(args) -> int:
-    pool, gold = _load_pool(args, need_gold=True)
+    pool, gold = _load_pool(args)
+    if not pool.sentences:
+        raise FormatError("train: the corpus has no sentences to learn from")
     pool = attach_probs(pool, gamma=args.gamma)
     intervals = build_intervals(pool)
-    sentences = _load_sentences(args, gold, pool)
+    sentences = _load_sentences(args, gold)
     config = FeatureConfig.parse_groups(args.features)
     extractor = FeatureExtractor(config)
     pool = extractor.extract_pool(pool, sentences, intervals)
@@ -310,9 +312,12 @@ def cmd_train(args) -> int:
                                        feature_config=config, intervals=intervals)
     else:
         examples = make_examples(pool, gold)
+        if len(examples) < 2:
+            raise FormatError("train: perceptron-global needs at least 2 sentences, "
+                              "since it holds the last one out for validation")
         n_val = max(1, int(len(examples) * args.val_fraction))
         model, log = train_global_perceptron(
-            examples[:-n_val] or examples, scope=Scope(args.scope), degree=args.degree,
+            examples[:-n_val], scope=Scope(args.scope), degree=args.degree,
             epochs=args.epochs, space=extractor.space, feature_config=config,
             intervals=intervals, validation=examples[-n_val:])
         print(f"epoch F1 on validation: "
@@ -327,7 +332,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    pool, gold = _load_pool(args, need_gold=True)
+    pool, gold = _load_pool(args)
     pool = attach_probs(pool, gamma=args.gamma)
     grid = list(DEFAULT_O_GRID)
     if args.o_values:
@@ -346,7 +351,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    pool, _gold = _load_pool(args, need_gold=True)
+    pool, _gold = _load_pool(args)
     pool = attach_probs(pool, gamma=args.gamma)
     items = pool_rejection_items(pool)
     if not items:
@@ -359,7 +364,7 @@ def cmd_curves(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    pool, gold = _load_pool(args, need_gold=True)
+    pool, gold = _load_pool(args)
     blocks = [
         ("Combination", oracle_combination(pool)),
         ("Re-Ranking", oracle_rerank(pool, gold)),
@@ -384,6 +389,19 @@ def cmd_oracle(args) -> int:
 # Parser
 
 
+# the options several subcommands share; each subcommand takes those it reads
+_SHARED_OPTIONS = {
+    "system": dict(action="append", required=True, metavar="NAME=PROPS[:SCORES]",
+                   help="per-system props file with optional score sidecar; repeatable"),
+    "gold": dict(help="gold props file"),
+    "syntax": dict(help="syntax column file (chunks/clauses/parse)"),
+    "gamma": dict(type=float, default=DEFAULT_GAMMA,
+                  help="softmax temperature for score calibration"),
+    "seed": dict(type=int, default=0, help="seed for stochastic steps"),
+    "jobs": dict(type=int, default=1, help="worker processes for corpus-level runs"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srlcomb",
@@ -393,22 +411,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, gold_required=False):
-        p.add_argument("--system", action="append", required=True,
-                       metavar="NAME=PROPS[:SCORES]",
-                       help="per-system props file with optional score sidecar; repeatable")
-        p.add_argument("--gold", required=gold_required, help="gold props file")
-        p.add_argument("--syntax", help="syntax column file (chunks/clauses/parse)")
-        p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA,
-                       help="softmax temperature for score calibration")
-        p.add_argument("--seed", type=int, default=0, help="seed for stochastic steps")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for corpus-level runs")
+    def add(name, func, help, shared, gold_required=True):
+        p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.set_defaults(func=func)
+        for option in shared.split():
+            extra = {"required": gold_required} if option == "gold" else {}
+            p.add_argument(f"--{option}", **_SHARED_OPTIONS[option], **extra)
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("synth", cmd_synth, "generate a synthetic corpus", "seed")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sentences", type=int, default=100)
     p.add_argument("--systems", type=int, default=3)
     p.add_argument("--precision", type=float, default=0.80)
@@ -419,17 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predicates", type=int, nargs=2, default=[1, 3], metavar=("MIN", "MAX"))
     p.add_argument("--args-per-predicate", type=int, nargs=2, default=[1, 4],
                    metavar=("MIN", "MAX"))
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("pool", help="build the candidate pool and agreement stats",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    add_common(p)
+    p = add("pool", cmd_pool, "build the candidate pool and agreement stats",
+            "system gold gamma", gold_required=False)
     p.add_argument("--dump", help="write the pool as JSON")
-    p.set_defaults(func=cmd_pool)
 
-    p = sub.add_parser("infer", help="run combination inference",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    add_common(p)
+    p = add("infer", cmd_infer, "run combination inference",
+            "system gold syntax gamma seed jobs", gold_required=False)
     p.add_argument("--engine", choices=["cs", "dp"], default="cs")
     p.add_argument("--scorer",
                    choices=["probsum", "svm", "perceptron-local", "perceptron-global"],
@@ -448,12 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true",
                    help="print visited-node counts per sentence (engine=cs)")
     p.add_argument("--out", required=True, help="predicted props file")
-    p.add_argument("--report", help="also write the score report as CSV")
-    p.set_defaults(func=cmd_infer)
+    p.add_argument("--report", help="also write the score report as CSV (needs --gold)")
 
-    p = sub.add_parser("train", help="train a candidate-scoring model",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    add_common(p, gold_required=True)
+    # train reads no --jobs; it stays because perfbench/worker.py passes it to every call
+    p = add("train", cmd_train, "train a candidate-scoring model",
+            "system gold syntax gamma jobs")
     p.add_argument("--scorer", choices=["svm", "perceptron-local", "perceptron-global"],
                    required=True)
     p.add_argument("--features", default="all",
@@ -467,31 +474,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-fraction", type=float, default=0.1,
                    help="tail fraction of examples held out for epoch selection")
     p.add_argument("--out", required=True, help="model file")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("sweep", help="precision/recall tradeoff over the bias O",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    add_common(p, gold_required=True)
+    p = add("sweep", cmd_sweep, "precision/recall tradeoff over the bias O",
+            "system gold gamma")
     p.add_argument("--scope", choices=["pred", "sentence"], default="sentence")
     p.add_argument("--constraints", default=None, metavar="SPEC")
-    p.add_argument("--bias", type=float, default=DEFAULT_BIAS)
     p.add_argument("--o-values", default=None,
                    help="comma-separated grid; default 0,0.05,...,1.0")
     p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("--out", required=True, help="CSV output (O,precision,recall,f1)")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("curves", help="rejection curve of calibrated probabilities",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    add_common(p, gold_required=True)
+    p = add("curves", cmd_curves, "rejection curve of calibrated probabilities",
+            "system gold gamma")
     p.add_argument("--out", required=True, help="CSV output (rejection_pct,accuracy)")
-    p.set_defaults(func=cmd_curves)
 
-    p = sub.add_parser("oracle", help="oracle upper bounds and baseline combiners",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    add_common(p, gold_required=True)
+    p = add("oracle", cmd_oracle, "oracle upper bounds and baseline combiners", "system gold")
     p.add_argument("--out", help="also write the report here")
-    p.set_defaults(func=cmd_oracle)
 
     return parser
 

@@ -49,16 +49,15 @@ class LabelScore:
 
     @property
     def precision(self) -> float:
-        return 100.0 * self.correct / self.predicted if self.predicted else 100.0
+        return _prf(self.correct, self.predicted, self.gold)[0]
 
     @property
     def recall(self) -> float:
-        return 100.0 * self.correct / self.gold if self.gold else 100.0
+        return _prf(self.correct, self.predicted, self.gold)[1]
 
     @property
     def f1(self) -> float:
-        p, r = self.precision, self.recall
-        return 2.0 * p * r / (p + r) if p + r else 0.0
+        return _prf(self.correct, self.predicted, self.gold)[2]
 
 
 @dataclass(frozen=True)
@@ -252,21 +251,10 @@ def oracle_rerank(pool: CandidatePool, gold: PropsDocument) -> list[Solution]:
 # Baselines
 
 
-_SORT_FIELDS = ("votes", "length", "priority")
-
-
-def _greedy(candidates: Sequence[Candidate], sentence_id: int,
-            priority: dict, sort_by: Sequence[str]) -> Solution:
-    def sort_key(c: Candidate):
-        fields = {
-            "votes": -len(c.votes),
-            "length": -len(c.span),
-            "priority": min(priority[s] for s in c.votes),
-        }
-        return tuple(fields[f] for f in sort_by) + (c.key,)
-
+def _greedy(candidates: Sequence[Candidate], sentence_id: int, priority: dict) -> Solution:
     chosen: list[Candidate] = []
-    for cand in sorted(candidates, key=sort_key):
+    for cand in sorted(candidates, key=lambda c: (-len(c.votes), -len(c.span),
+                                                  min(priority[s] for s in c.votes), c.key)):
         # keep it unless it breaks c1, c2 or c5 with a candidate already kept
         if not any(STRUCTURAL_RULES.rule(cid).active
                    for other in chosen for cid in pair_rules(cand, other)):
@@ -274,24 +262,19 @@ def _greedy(candidates: Sequence[Candidate], sentence_id: int,
     return Solution.make(sentence_id, chosen, float(len(chosen)))
 
 
-def baseline_recall(pool: CandidatePool,
-                    sort_by: Sequence[str] = _SORT_FIELDS) -> list[Solution]:
-    """Merge everything: sort by (votes, token length, system priority, which
-    is the order of ``pool.system_ids``) and greedily keep whatever does not
-    conflict with the selection so far."""
-    for f in sort_by:
-        if f not in _SORT_FIELDS:
-            raise ValueError(f"unknown sort field {f!r}")
+def baseline_recall(pool: CandidatePool) -> list[Solution]:
+    """Merge everything: sort by votes, then token length, then system
+    priority (the order of ``pool.system_ids``), then key, and greedily keep
+    whatever does not conflict with the selection so far."""
     ranks = {sid: i for i, sid in enumerate(pool.system_ids)}
-    return [_greedy(sent.candidates, sent.sentence_id, ranks, sort_by)
-            for sent in pool.sentences]
+    return [_greedy(sent.candidates, sent.sentence_id, ranks) for sent in pool.sentences]
 
 
-def baseline_precision(pool: CandidatePool,
-                       sort_by: Sequence[str] = _SORT_FIELDS) -> list[Solution]:
-    """Keep only full-agreement candidates, then resolve conflicts greedily."""
+def baseline_precision(pool: CandidatePool) -> list[Solution]:
+    """Keep only full-agreement candidates, then resolve conflicts greedily
+    in the order of ``baseline_recall``."""
     ranks = {sid: i for i, sid in enumerate(pool.system_ids)}
     m = pool.m
     return [_greedy([c for c in sent.candidates if len(c.votes) == m],
-                    sent.sentence_id, ranks, sort_by)
+                    sent.sentence_id, ranks)
             for sent in pool.sentences]

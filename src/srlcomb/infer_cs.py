@@ -14,6 +14,7 @@ the learning-based engine (``infer_dp``) its scorers' confidences.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
@@ -36,7 +37,6 @@ class InferenceTimeout(RuntimeError):
     def __init__(self, message: str, best: Optional[Solution] = None):
         super().__init__(message)
         self.best = best
-        self.nonoptimal = True
 
 
 DEFAULT_BIAS = 0.30
@@ -232,8 +232,10 @@ def solve(candidates: Sequence[Candidate], cfg: CsConfig,
 
 def map_sentences(fn, tasks: Sequence[tuple], jobs: int = 1) -> list:
     """``[fn(*task) for task in tasks]``.  Sentences are independent, so
-    jobs > 1 fans the work out over processes with deterministic reassembly."""
-    if jobs <= 1 or len(tasks) < 2:
+    jobs > 1 fans the work out over processes with deterministic reassembly,
+    never more of them than there are CPUs or tasks."""
+    jobs = min(jobs, os.cpu_count() or 1, len(tasks))
+    if jobs <= 1:
         return [fn(*task) for task in tasks]
     import multiprocessing
 

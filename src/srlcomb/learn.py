@@ -135,9 +135,8 @@ class ScoreModel:
         for (sys_id, label), cuts in sorted(table.cuts.items()):
             flag = "degenerate" if (sys_id, label) in table.degenerate else "ok"
             lines.append(f"{sys_id} {label} {cuts[0]!r} {cuts[1]!r} {cuts[2]!r} {cuts[3]!r} {flag}")
-        lines.append(f"vocab {len(self.space)}")
-        for i in range(len(self.space)):
-            lines.append(f"{i}\t{self.space.name(i)}")
+        # the vocabulary, in the format FeatureSpace.load reads
+        lines.append(f"vocab {len(self.space)}\n{self.space.dump()}".rstrip("\n"))
         lines.append(f"labels {len(self.scorers)}")
         for label in sorted(self.scorers):
             sc = self.scorers[label]

@@ -17,6 +17,27 @@ def _shared_kind(label) -> bool:
             and label.base.startswith("AM"))
 
 
+def broken_rules(a, b) -> list:
+    """The names of the pairwise rules (c1, c2, c5, c6) that selecting both
+    candidates breaks, whether or not a constraint set enforces them."""
+    rel = span_relation(a.argument.span, b.argument.span)
+    rules = []
+    if a.argument.predicate == b.argument.predicate:
+        if rel is not SpanRelation.DISJOINT:
+            rules.append("c1")
+        if (a.argument.label.kind is LabelKind.CORE
+                and a.argument.label.text == b.argument.label.text):
+            rules.append("c2")
+    else:
+        if rel is SpanRelation.CROSSING:
+            rules.append("c5")
+        if (rel is SpanRelation.EQUAL
+                and a.argument.label.text == b.argument.label.text
+                and _shared_kind(a.argument.label)):
+            rules.append("c6")
+    return rules
+
+
 def enumerate_best(candidates, margins, cs: ConstraintSet, constant: float = 0.0):
     """Return (best objective, best selection mask) over all 2^n subsets."""
     n = len(candidates)
@@ -28,24 +49,8 @@ def enumerate_best(candidates, margins, cs: ConstraintSet, constant: float = 0.0
 
     for i in range(n):
         for j in range(i + 1, n):
-            a, b = candidates[i], candidates[j]
-            rel = span_relation(a.argument.span, b.argument.span)
-            rules = []
-            if a.argument.predicate == b.argument.predicate:
-                if rel is not SpanRelation.DISJOINT:
-                    rules.append(cs.c1)
-                if (a.argument.label.kind is LabelKind.CORE
-                        and a.argument.label.text == b.argument.label.text):
-                    rules.append(cs.c2)
-            else:
-                if rel is SpanRelation.CROSSING:
-                    rules.append(cs.c5)
-                if (rel is SpanRelation.EQUAL
-                        and a.argument.label.text == b.argument.label.text
-                        and _shared_kind(a.argument.label)):
-                    rules.append(cs.c6)
             both = (bits[:, i] > 0) & (bits[:, j] > 0)
-            for rule in rules:
+            for rule in (getattr(cs, cid) for cid in broken_rules(candidates[i], candidates[j])):
                 if rule.mode == "hard":
                     feasible &= ~both
                 elif rule.mode == "soft":

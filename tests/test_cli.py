@@ -320,9 +320,10 @@ class TestBadInput:
         (["sweep", "--o-values", "0.1,abc"], "--o-values"),
         (["synth", "--precision", "2"], "--precision"),
         (["infer", "--seed", "-1"], "--seed"),
+        (["infer", "--jobs", "0"], "--jobs"),
     ], ids=["epochs-0", "epochs-negative", "C-0", "bootstrap-5", "gamma-nan", "bias-nan",
             "val-fraction-1.5", "node-budget-negative", "o-values-abc", "synth-precision-2",
-            "seed-negative"])
+            "seed-negative", "jobs-0"])
     def test_bad_numeric_option_exit_2(self, corpus_dir, tmp_path, capsys, argv, option):
         inputs = [] if argv[0] == "synth" else [*_system_args(corpus_dir),
                                                 "--gold", f"{corpus_dir}/gold.props"]
@@ -343,6 +344,31 @@ class TestBadInput:
                    "--system", f"{empty_dir}/sys1.props", "--out", f"{empty_dir}/x.props"])
         assert rc == 0
         assert "F1 100.00 ±0.0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scorer", ["svm", "perceptron-local", "perceptron-global"])
+    def test_zero_sentences_train_exit_2(self, empty_dir, capsys, scorer):
+        rc = main(["train", "--gold", f"{empty_dir}/gold.props", "--scorer", scorer,
+                   "--system", f"{empty_dir}/sys1.props", "--out", f"{empty_dir}/m"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("srlcomb: train: ")
+        assert not (empty_dir / "m").exists()
+
+    def test_one_sentence_global_perceptron_exit_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--out", str(corpus), "--seed", "7", "--sentences", "1"]) == 0
+        capsys.readouterr()
+        rc = main(["train", *_system_args(corpus), "--gold", f"{corpus}/gold.props",
+                   "--scorer", "perceptron-global", "--out", str(tmp_path / "m")])
+        assert rc == 2
+        assert "at least 2 sentences" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    def test_report_without_gold_exit_2(self, corpus_dir, tmp_path, capsys):
+        rc = main(["infer", *_system_args(corpus_dir), "--out", str(tmp_path / "x.props"),
+                   "--report", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("srlcomb: --report needs --gold")
+        assert not (tmp_path / "x.props").exists()
 
     def test_zero_sentences_curves_exit_2(self, empty_dir, capsys):
         rc = main(["curves", "--gold", f"{empty_dir}/gold.props",
@@ -430,6 +456,33 @@ class TestOracleCmd:
         for block in ["== Combination", "== Re-Ranking",
                       "== Baseline recall", "== Baseline precision"]:
             assert block in out
+
+
+class TestOptions:
+    def test_option_count(self):
+        sub = {a.dest: a for a in build_parser()._actions}["command"]
+        counted = [opt for p in sub.choices.values() for a in p._actions
+                   for opt in a.option_strings[:1] if opt != "-h"]
+        assert len(counted) == 60
+
+    @pytest.mark.parametrize("command,option", [
+        ("pool", "--syntax"), ("pool", "--seed"), ("pool", "--jobs"),
+        ("train", "--seed"),
+        ("sweep", "--syntax"), ("sweep", "--seed"), ("sweep", "--jobs"), ("sweep", "--bias"),
+        ("curves", "--syntax"), ("curves", "--seed"), ("curves", "--jobs"),
+        ("oracle", "--syntax"), ("oracle", "--gamma"), ("oracle", "--seed"),
+        ("oracle", "--jobs"),
+    ])
+    def test_unread_option_rejected(self, corpus_dir, tmp_path, command, option):
+        argv = [command, *_system_args(corpus_dir), "--gold", f"{corpus_dir}/gold.props"]
+        argv += {"pool": [], "train": ["--scorer", "svm"]}.get(command, [])
+        if command != "pool":
+            argv += ["--out", str(tmp_path / "x.out")]
+        assert main(argv) == 0
+        value = f"{corpus_dir}/gold.synt" if option == "--syntax" else "1"
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + [option, value])
+        assert exit_.value.code == 2
 
 
 class TestHelpDefaults:

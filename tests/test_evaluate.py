@@ -335,9 +335,11 @@ class TestBaselines:
             wins += p_pre >= p_rec
         assert wins >= 9
 
-    def test_alternative_sort_orders_exposed(self, corpus):
-        _gold, _systems, pool = corpus
-        alt = baseline_recall(pool, sort_by=("length", "votes", "priority"))
-        assert len(alt) == len(pool.sentences)
-        with pytest.raises(ValueError):
-            baseline_recall(pool, sort_by=("zorp",))
+    def test_ties_broken_by_length_then_system_order(self):
+        # one vote each: the longer span wins; equal lengths: the earlier system
+        longer = build_pool([("M1", _doc(_sent(10, 0, [("A0", 1, 2)])), None),
+                             ("M2", _doc(_sent(10, 0, [("A1", 2, 5)])), None)])
+        assert [c.label.text for c in baseline_recall(longer)[0].selected] == ["A1"]
+        earlier = build_pool([("M1", _doc(_sent(10, 0, [("A1", 3, 5)])), None),
+                              ("M2", _doc(_sent(10, 0, [("A0", 2, 4)])), None)])
+        assert [c.label.text for c in baseline_recall(earlier)[0].selected] == ["A1"]
