@@ -182,4 +182,4 @@ def discretize(p: Optional[float], system: str, label: str,
     cuts = table.cuts_for(system, label) if table is not None else None
     if cuts is None:
         cuts = _DEGENERATE_CUTS
-    return bisect.bisect_right(list(cuts), p)
+    return bisect.bisect_right(cuts, p)

@@ -140,18 +140,20 @@ def _parse_system_arg(text: str):
     return name, props_path, scores_path or None
 
 
-def _load_systems(args) -> list:
+def _load_systems(args, scores: bool) -> list:
+    """The named props of every --system, with its score sidecar if
+    ``scores`` is set; otherwise no sidecar is opened."""
     systems = []
     for i, spec in enumerate(args.system, 1):
         name, props_path, scores_path = _parse_system_arg(spec)
         doc = parse_props(_read(props_path))
-        table = parse_scores(_read(scores_path)) if scores_path else None
+        table = parse_scores(_read(scores_path)) if scores and scores_path else None
         systems.append((name or f"M{i}", doc, table))
     return systems
 
 
-def _load_pool(args):
-    pool = build_pool(_load_systems(args))
+def _load_pool(args, scores: bool = True):
+    pool = build_pool(_load_systems(args, scores))
     gold = None
     if args.gold:
         gold = parse_props(_read(args.gold))
@@ -243,6 +245,9 @@ def _scored_pool_for_model(args, pool, gold):
 def cmd_infer(args) -> int:
     if args.report and not args.gold:
         raise FormatError("--report needs --gold: there is no score report without it")
+    if args.model and args.scorer == "probsum":
+        raise FormatError("--model applies to a trained scorer only; "
+                          "scorer=probsum sums the calibrated probabilities")
     pool, gold = _load_pool(args)
     pool = attach_probs(pool, gamma=args.gamma)
 
@@ -364,7 +369,8 @@ def cmd_curves(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    pool, gold = _load_pool(args)
+    # oracles and baselines read votes and gold flags, never scores
+    pool, gold = _load_pool(args, scores=False)
     blocks = [
         ("Combination", oracle_combination(pool)),
         ("Re-Ranking", oracle_rerank(pool, gold)),

@@ -358,25 +358,38 @@ def attach_predicates(sentences: Sequence[Sentence], doc: PropsDocument) -> list
 def skeleton_sentences(doc: PropsDocument) -> list[Sentence]:
     """Fabricate plain sentences for a props document lacking a syntax file.
 
-    Tokens get placeholder forms, single-token chunks, and one clause spanning
-    the sentence; good enough to make partial-syntax features well defined.
+    Tokens get placeholder forms, the chunk and clause tags of
+    ``skeleton_tags``, and no named entity; good enough to make
+    partial-syntax features well defined.
     """
     out = []
     for s, sent in enumerate(doc.sentences):
         preds = dict(sent.predicates)
-        tokens = []
-        for i in range(sent.n_tokens):
-            clause = "*"
-            if i == 0:
-                clause = "(S*"
-            if i == sent.n_tokens - 1:
-                clause = "(S*S)" if sent.n_tokens == 1 else "*S)"
-            if i in preds:
-                tokens.append(Token(i, preds[i], "VBD", "B-VP", clause, "O"))
-            else:
-                tokens.append(Token(i, f"w{i}", "NN", "B-NP", clause, "O"))
-        out.append(Sentence(s, tuple(tokens), sent.predicates, None))
+        chunks, clauses = skeleton_tags(sent.n_tokens, sent.predicates)
+        tokens = tuple(
+            Token(i, preds[i], "VBD", chunk, clause, "O") if i in preds
+            else Token(i, f"w{i}", "NN", chunk, clause, "O")
+            for i, (chunk, clause) in enumerate(zip(chunks, clauses)))
+        out.append(Sentence(s, tokens, sent.predicates, None))
     return out
+
+
+def skeleton_tags(n_tokens: int,
+                  predicates: tuple[tuple[int, str], ...]) -> tuple[list[str], list[str]]:
+    """Chunk and clause tags of a skeleton sentence: single-token chunks, VP
+    at the predicates and NP elsewhere, and one clause spanning the sentence."""
+    indices = [-1] + [i for i, _lemma in predicates] + [n_tokens]
+    if not all(a < b for a, b in zip(indices, indices[1:])):
+        raise ValueError(f"predicate indices {indices[1:-1]} must increase "
+                         f"from 0 and stay below {n_tokens}")
+    preds = set(indices[1:-1])
+    chunks = ["B-VP" if i in preds else "B-NP" for i in range(n_tokens)]
+    clauses = ["*"] * n_tokens
+    if n_tokens == 1:
+        clauses[0] = "(S*S)"
+    elif n_tokens > 1:
+        clauses[0], clauses[-1] = "(S*", "*S)"
+    return chunks, clauses
 
 
 # ---------------------------------------------------------------------------

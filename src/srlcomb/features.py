@@ -10,21 +10,21 @@ the vocabulary stays bounded.
 from __future__ import annotations
 
 import hashlib
-import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .calibrate import IntervalTable, discretize
-from .corpus_io import PropsDocument, PropsSentence, skeleton_sentences
+from .corpus_io import skeleton_tags
 from .model import (
-    Argument,
     Candidate,
     FeatureVector,
     ParseNode,
     Sentence,
     Span,
-    V_LABEL,
     clause_events,
+    clause_intervals,
+    decode_bio,
 )
 from .pool import CandidatePool, SentencePool
 
@@ -32,7 +32,7 @@ ALL_GROUPS = ("FS1", "FS2", "FS3", "FS4", "FS5", "FS6")
 
 
 class FeatureSpace:
-    """Interned feature-string registry; safe for concurrent extraction.
+    """Interned feature-string registry.
 
     A space read from a file is frozen: it is a trained model's vocabulary,
     which inference must not grow.  Names it lacks are in no support vector,
@@ -42,32 +42,31 @@ class FeatureSpace:
     def __init__(self) -> None:
         self._by_name: dict = {}
         self._names: list[str] = []
-        self._lock = threading.Lock()
         self.frozen = False
 
     def intern(self, name: str) -> int:
         fid = self._by_name.get(name)
-        if fid is not None:
-            return fid
-        if self.frozen:
-            raise ValueError(f"feature {name!r} is not in the frozen vocabulary")
-        with self._lock:
-            fid = self._by_name.get(name)
-            if fid is None:
-                fid = len(self._names)
-                self._names.append(name)
-                self._by_name[name] = fid
-            return fid
+        if fid is None:
+            if self.frozen:
+                raise ValueError(f"feature {name!r} is not in the frozen vocabulary")
+            fid = self._by_name[name] = len(self._names)
+            self._names.append(name)
+        return fid
 
     def lookup(self, name: str) -> Optional[int]:
         return self._by_name.get(name)
 
     def ids(self, names: Iterable[str]) -> tuple[int, ...]:
-        """Ids of ``names`` in order; a frozen space drops the names it lacks,
-        any other space interns them."""
-        if self.frozen:
-            return tuple(fid for fid in map(self.lookup, names) if fid is not None)
-        return tuple(map(self.intern, names))
+        """The distinct ids of ``names``, ascending.  A frozen space drops the
+        names it lacks; any other space interns them in sorted order, so the
+        ids it gives out depend only on the name set of each call."""
+        by_name = self._by_name
+        ids = set(map(by_name.get, names))
+        if None in ids:
+            ids.discard(None)
+            if not self.frozen:
+                ids.update(map(self.intern, sorted({n for n in names if n not in by_name})))
+        return tuple(sorted(ids))
 
     def name(self, fid: int) -> str:
         return self._names[fid]
@@ -142,6 +141,15 @@ def _bucket_signed(n: int) -> str:
     return str(n)
 
 
+# the names of bucketed counts, indexed by min(n, _CAPPED); signed ones by
+# n clamped to -_CAPPED.._CAPPED, plus _CAPPED
+_CAPPED = COUNT_CAP + 1
+_TOKLEN, _CHUNKLEN, _NCHUNKS_BETWEEN = (
+    tuple(f"fs4:{name}={_bucket(n)}" for n in range(_CAPPED + 1))
+    for name in ("toklen", "chunklen", "nchunks_between"))
+_CLAUSESUB = tuple(f"fs4:clausesub={_bucket_signed(n)}" for n in range(-_CAPPED, _CAPPED + 1))
+
+
 def _sequence_features(feats: list, prefix: str, elems: Sequence[str]) -> None:
     if len(elems) <= NGRAM_CAP:
         feats.append(f"{prefix}={'-'.join(elems)}")
@@ -157,15 +165,19 @@ class _ParseIndex:
         self.root = root
         self.parent: dict = {}
         self.depth: dict = {}
-        self.nodes: list[ParseNode] = []
+        # the nodes starting at each token, longest first, then shallowest
+        self._by_start: dict = {}
         stack = [(root, None, 0)]
         while stack:
             node, parent, depth = stack.pop()
-            self.nodes.append(node)
             self.parent[id(node)] = parent
             self.depth[id(node)] = depth
+            self._by_start.setdefault(node.span.start, []).append(node)
             for child in node.children:
                 stack.append((child, node, depth + 1))
+        for nodes in self._by_start.values():
+            nodes.sort(key=lambda n: (-len(n.span), self.depth[id(n)]))
+        self._chains: dict = {}
 
     def ancestors(self, node: ParseNode) -> list[ParseNode]:
         """Chain from the node itself up to the root."""
@@ -179,62 +191,170 @@ class _ParseIndex:
     def map_span(self, span: Span) -> Optional[ParseNode]:
         """Exact-boundary node climbed through unary chains, else the largest
         phrase inside the span sharing its left boundary."""
-        exact = [n for n in self.nodes if n.span == span]
-        if exact:
-            return min(exact, key=lambda n: self.depth[id(n)])
-        partial = [n for n in self.nodes
-                   if span.contains(n.span) and n.span.start == span.start]
-        if partial:
-            return min(partial, key=lambda n: (-len(n.span), self.depth[id(n)]))
+        for node in self._by_start.get(span.start, ()):
+            if node.span.end <= span.end:
+                return node
         return None
 
     def chain_to_token(self, index: int) -> list[ParseNode]:
-        """Phrase nodes containing the token, outermost first."""
-        chain = []
-        node = self.root
-        tok = Span(index, index)
-        while node is not None and node.span.contains(tok):
-            chain.append(node)
-            node = next((c for c in node.children if c.span.contains(tok)), None)
+        """Phrase nodes containing the token, outermost first; the node at
+        position k has depth k."""
+        chain = self._chains.get(index)
+        if chain is None:
+            chain = []
+            node = self.root
+            while node is not None and node.span.start <= index <= node.span.end:
+                chain.append(node)
+                node = next((c for c in node.children
+                             if c.span.start <= index <= c.span.end), None)
+            self._chains[index] = chain
         return chain
 
 
+class _VoteNames(dict):
+    """The names a vote mask gives: its bucketed count of systems, then one
+    name per voting system.  Filled on first use of each mask."""
+
+    def __init__(self, shared: "_PoolNames", count: str, each: str):
+        super().__init__()
+        self.shared, self.count, self.each = shared, count, each
+
+    def __missing__(self, mask: int) -> tuple[str, ...]:
+        sids = self.shared.systems_of(mask)
+        names = (self.count + _bucket(len(sids)),) + tuple(self.each + sid for sid in sids)
+        self[mask] = names
+        return names
+
+
+_RELATIONS = ("samespan", "within", "contains", "crosses")
+
+
+class _PoolNames:
+    """What every sentence of one extraction shares: system ids as bits, so
+    that the votes of several candidates unite by integer or, and the
+    feature names of vote masks, intervals and clause tags."""
+
+    def __init__(self, system_ids: Sequence[str]):
+        self.system_ids = system_ids
+        self._bit: dict = {}
+        self._masks: dict = {}
+        self.system_bits = [(sid, self._bit_of(sid)) for sid in system_ids]
+        self.fs1 = _VoteNames(self, "fs1:numsys=", "fs1:sys=")
+        # by group (FS2, FS3), then relation in _RELATIONS order
+        self.overlaps = tuple(
+            tuple(_VoteNames(self, f"{prefix}:{rel}:n=", f"{prefix}:{rel}:sys=")
+                  for rel in _RELATIONS)
+            for prefix in ("fs2", "fs3"))
+        # the names of interval 0..4 of each system, then of "none"
+        self.fs6 = [(sid, tuple(f"fs6:{sid}={i}" for i in range(5)) + (f"fs6:{sid}=none",))
+                    for sid in system_ids]
+        self._clause_events: dict = {}
+
+    def _bit_of(self, sid: str) -> int:
+        return self._bit.setdefault(sid, 1 << len(self._bit))
+
+    def mask(self, votes: frozenset) -> int:
+        mask = self._masks.get(votes)
+        if mask is None:
+            mask = 0
+            for sid in votes:
+                mask |= self._bit_of(sid)
+            self._masks[votes] = mask
+        return mask
+
+    def systems_of(self, mask: int) -> list[str]:
+        return sorted(sid for sid, bit in self._bit.items() if mask & bit)
+
+    def clause_events(self, tag: str) -> tuple[str, ...]:
+        """A clause tag's events as sequence elements: "(S*S)" gives ("(S", "S)")."""
+        events = self._clause_events.get(tag)
+        if events is None:
+            opens, closes = clause_events(tag)
+            events = self._clause_events[tag] = (tuple(f"({lab}" for lab in opens)
+                                                 + tuple(f"{lab})" for lab in closes))
+        return events
+
+
 class _SentenceContext:
-    """What every candidate of one sentence shares, worked out once."""
+    """What every candidate of one sentence shares, worked out once.  With no
+    sentence, the sentence is the pool sentence's skeleton, read from the
+    tags ``corpus_io.skeleton_tags`` gives it."""
 
-    def __init__(self, spool: SentencePool, sentence: Sentence, system_ids: Sequence[str]):
-        self.spool = spool
-        self.sentence = sentence
-        self.chunks = sentence.chunks()
-        self.nes = sentence.named_entities()
-        self.clauses = sentence.clause_spans()
-        self.parse = _ParseIndex(sentence.parse) if sentence.parse is not None else None
-        self.token_events = []
-        for tok in sentence.tokens:
-            opens, closes = clause_events(tok.clause)
-            self.token_events.append([f"({lab}" for lab in opens] + [f"{lab})" for lab in closes])
-        by_pred: dict = {p: [] for p in range(len(spool.predicates))}
+    def __init__(self, spool: SentencePool, sentence: Optional[Sentence], shared: _PoolNames):
+        if sentence is None:
+            chunk_tags, clause_tags = skeleton_tags(spool.n_tokens, spool.predicates)
+            ne_tags: Sequence[str] = ()     # a skeleton names no entity
+            self.tokens, self.parse = (), None
+        else:
+            tokens = sentence.tokens
+            chunk_tags = [t.chunk for t in tokens]
+            clause_tags = [t.clause for t in tokens]
+            ne_tags = [t.ne for t in tokens]
+            self.tokens = tokens
+            self.parse = _ParseIndex(sentence.parse) if sentence.parse is not None else None
+        self.pred_pos = [pos for pos, _lemma in spool.predicates]
+        chunks = decode_bio(chunk_tags)
+        # chunks are ordered and disjoint, so both columns ascend
+        self.chunk_types = [kind for kind, _s, _e in chunks]
+        self.chunk_starts = [start for _k, start, _e in chunks]
+        self.chunk_ends = [end for _k, _s, end in chunks]
+        self.nes = decode_bio(ne_tags)
+        self.clauses = clause_intervals(clause_tags)
+        self.pred_clause_depth = [self.clause_depth(pos, pos) for pos in self.pred_pos]
+        # the clause events of tokens lo..hi are events[offsets[lo]:offsets[hi + 1]]
+        self.events: list = []
+        self.offsets = [0]
+        for tag in clause_tags:
+            self.events += shared.clause_events(tag)
+            self.offsets.append(len(self.events))
+        if self.parse is not None:
+            # counts of verbs, commas and conjunctions among tokens 0..i-1
+            self.n_vb, self.n_comma, self.n_cc = [0], [0], [0]
+            for tok in self.tokens:
+                self.n_vb.append(self.n_vb[-1] + tok.pos.startswith("VB"))
+                self.n_comma.append(self.n_comma[-1] + (tok.form == ","))
+                self.n_cc.append(self.n_cc[-1] + (tok.pos == "CC"))
+
+        mask = shared.mask
+        # (start, end, vote mask, predicate, label) of every candidate, and
+        # the (start, end, label, vote mask) of each predicate's arguments,
+        # its V included
+        self.rows = []
+        entries: list = [[(pos, pos, "V", None)] for pos in self.pred_pos]
         for c in spool.candidates:
-            by_pred[c.predicate].append(c)
-        # (start, end, votes, key) of the candidates of each predicate, and of
-        # those of all other predicates
-        self.rows = {p: [(c.span.start, c.span.end, c.votes, c.key) for c in cands]
-                     for p, cands in by_pred.items()}
-        self.other_rows = {p: [row for q, rows in self.rows.items() if q != p for row in rows]
-                           for p in self.rows}
-        self.sequences: dict = {}
-        for p, (pos, _lemma) in enumerate(spool.predicates):
-            for sid in system_ids:
-                entries = [(Span(pos, pos), "V")]
-                entries += [(c.span, c.label.text) for c in by_pred[p] if sid in c.votes]
-                entries.sort(key=lambda e: (e[0].start, e[0].end, e[1]))
-                self.sequences[(sid, p)] = "-".join(label for _, label in entries)
+            arg = c.argument
+            start, end, label, votes = arg.span.start, arg.span.end, arg.label.text, mask(c.votes)
+            self.rows.append((start, end, votes, arg.predicate, label))
+            entries[arg.predicate].append((start, end, label, votes))
+        # each system's labels of each predicate in span order: the name of
+        # that sequence by predicate, then system
+        self.sequences = []
+        for args in entries:
+            args.sort(key=lambda e: e[:3])
+            self.sequences.append({
+                sid: f"fs1:seq:{sid}=" + "-".join(
+                    label for _s, _e, label, votes in args if votes is None or votes & bit)
+                for sid, bit in shared.system_bits})
+        # tokens past the sentence have no events; a span or predicate reaches
+        # them only if its pool sentence is longer than the sentence given
+        reach = max([row[1] for row in self.rows] + self.pred_pos, default=0) + 2
+        self.offsets += [len(self.events)] * (reach - len(self.offsets))
 
-    def clause_depth(self, span: Span) -> int:
-        return sum(1 for cs in self.clauses if cs.contains(span))
+    def clause_depth(self, start: int, end: int) -> int:
+        depth = 0
+        for c_start, c_end in self.clauses:
+            if c_start <= start and end <= c_end:
+                depth += 1
+        return depth
 
-    def clause_boundary_seq(self, lo: int, hi: int) -> list[str]:
-        return [event for events in self.token_events[lo:hi + 1] for event in events]
+    def clause_seq(self, lo: int, hi: int) -> list[str]:
+        """Clause events of tokens lo..hi; none when lo > hi."""
+        return self.events[self.offsets[lo]:self.offsets[hi + 1]]
+
+    def chunk_seq(self, lo: int, hi: int) -> list[str]:
+        """Types of the chunks inside tokens lo..hi."""
+        return self.chunk_types[bisect_left(self.chunk_starts, lo):
+                                bisect_right(self.chunk_ends, hi)]
 
 
 class FeatureExtractor:
@@ -248,17 +368,16 @@ class FeatureExtractor:
     def extract_pool(self, pool: CandidatePool,
                      sentences: Optional[Sequence[Sentence]] = None,
                      intervals: Optional[IntervalTable] = None) -> CandidatePool:
-        if sentences is None:
-            sentences = [self._skeleton(sp) for sp in pool.sentences]
-        if len(sentences) != len(pool.sentences):
+        """The pool with every candidate's features; without ``sentences``,
+        each pool sentence's skeleton stands in for it."""
+        if sentences is not None and len(sentences) != len(pool.sentences):
             raise ValueError("need one sentence per pool sentence")
+        shared = _PoolNames(pool.system_ids)
         per_sentence = []
-        for spool, sentence in zip(pool.sentences, sentences):
-            ctx = _SentenceContext(spool, sentence, pool.system_ids)
-            per_sentence.append([
-                Candidate(c.sentence_id, c.argument, c.votes, c.raw_scores, c.probs,
-                          self._extract(c, ctx, pool.system_ids, intervals), c.is_gold)
-                for c in spool.candidates])
+        for k, spool in enumerate(pool.sentences):
+            ctx = _SentenceContext(spool, sentences[k] if sentences is not None else None, shared)
+            per_sentence.append([c.with_features(self._extract(c, ctx, shared, intervals))
+                                 for c in spool.candidates])
         return pool.with_candidates(per_sentence,
                                     feature_digest=self.config.digest(),
                                     feature_space=self.space)
@@ -266,109 +385,102 @@ class FeatureExtractor:
     def extract(self, candidate: Candidate, spool: SentencePool, sentence: Sentence,
                 intervals: Optional[IntervalTable] = None,
                 system_ids: Optional[Sequence[str]] = None) -> FeatureVector:
-        ids = system_ids or sorted({s for c in spool.candidates for s in c.votes})
-        ctx = _SentenceContext(spool, sentence, ids)
-        return self._extract(candidate, ctx, ids, intervals)
-
-    @staticmethod
-    def _skeleton(spool: SentencePool) -> Sentence:
-        args = tuple(
-            (Argument(p, V_LABEL, Span(pos, pos)),)
-            for p, (pos, _lemma) in enumerate(spool.predicates))
-        doc = PropsDocument((PropsSentence(spool.n_tokens, spool.predicates, args),))
-        sent = skeleton_sentences(doc)[0]
-        return Sentence(spool.sentence_id, sent.tokens, sent.predicates, None)
+        shared = _PoolNames(system_ids or sorted({s for c in spool.candidates for s in c.votes}))
+        return self._extract(candidate, _SentenceContext(spool, sentence, shared), shared,
+                             intervals)
 
     # -- group extractors ---------------------------------------------------
 
-    def _extract(self, cand: Candidate, ctx: _SentenceContext,
-                 system_ids: Sequence[str], intervals: Optional[IntervalTable]) -> FeatureVector:
+    def _extract(self, cand: Candidate, ctx: _SentenceContext, shared: _PoolNames,
+                 intervals: Optional[IntervalTable]) -> FeatureVector:
+        """The candidate's feature vector.  Names may come in any order and
+        more than once: the space sees only the set."""
         names: list[str] = []
         groups = self.config.groups
+        arg = cand.argument
+        start, end, pred, label = arg.span.start, arg.span.end, arg.predicate, arg.label.text
         if "FS1" in groups:
-            self._fs1(names, cand, ctx)
-        if "FS2" in groups:
-            self._overlaps(names, "fs2", cand, ctx.rows[cand.predicate])
-        if "FS3" in groups:
-            self._overlaps(names, "fs3", cand, ctx.other_rows[cand.predicate])
+            names.append("fs1:label=" + label)
+            names += shared.fs1[shared.mask(cand.votes)]
+            sequences = ctx.sequences[pred]
+            names += [sequences[sid] for sid in cand.votes]
+        if "FS2" in groups or "FS3" in groups:
+            self._overlaps(names, start, end, pred, label, ctx, shared)
+        pidx = ctx.pred_pos[pred]
         if "FS4" in groups:
-            self._fs4(names, cand, ctx)
+            self._fs4(names, start, end, pred, pidx, ctx)
         if "FS5" in groups:
-            self._fs5(names, cand, ctx)
+            self._fs5(names, arg.span, pidx, ctx)
         if "FS6" in groups:
             probs = dict(cand.probs)
-            for sid in system_ids:
-                idx = discretize(probs.get(sid), sid, cand.label.text, intervals)
-                names.append(f"fs6:{sid}={'none' if idx is None else idx}")
-        return FeatureVector(self.space.ids(sorted(set(names))))
+            for sid, by_interval in shared.fs6:
+                p = probs.get(sid)
+                names.append(by_interval[-1] if p is None
+                             else by_interval[discretize(p, sid, label, intervals)])
+        return FeatureVector(self.space.ids(names))
 
-    def _fs1(self, names: list, cand: Candidate, ctx: _SentenceContext) -> None:
-        names.append(f"fs1:label={cand.label.text}")
-        names.append(f"fs1:numsys={_bucket(len(cand.votes))}")
-        for sid in sorted(cand.votes):
-            names.append(f"fs1:sys={sid}")
-            names.append(f"fs1:seq:{sid}={ctx.sequences[(sid, cand.predicate)]}")
-
-    def _overlaps(self, names: list, prefix: str, cand: Candidate, rows: list) -> None:
-        """Votes of the other candidates in ``rows`` by how their span relates
-        to the candidate's: equal, inside it, around it or crossing it."""
-        buckets = {"samespan": set(), "within": set(), "contains": set(), "crosses": set()}
-        start, end = cand.span.start, cand.span.end
-        for o_start, o_end, votes, key in rows:
+    def _overlaps(self, names: list, start: int, end: int, pred: int, label: str,
+                  ctx: _SentenceContext, shared: _PoolNames) -> None:
+        """Votes of the other candidates by how their span relates to the
+        candidate's: equal (with another label), inside it, around it or
+        crossing it; FS2 for those of the same predicate, FS3 for the rest."""
+        # votes[0:4] of the same predicate, votes[4:8] of the others
+        votes = [0] * 8
+        for o_start, o_end, o_mask, o_pred, o_label in ctx.rows:
             if o_end < start or end < o_start:
                 continue
+            base = 0 if o_pred == pred else 4
             if o_start == start and o_end == end:
-                if key != cand.key:
-                    buckets["samespan"] |= votes
+                if base or o_label != label:
+                    votes[base] |= o_mask
             elif start <= o_start and o_end <= end:
-                buckets["within"] |= votes
+                votes[base + 1] |= o_mask
             elif o_start <= start and end <= o_end:
-                buckets["contains"] |= votes
+                votes[base + 2] |= o_mask
             else:
-                buckets["crosses"] |= votes
-        for name, votes in buckets.items():
-            names.append(f"{prefix}:{name}:n={_bucket(len(votes))}")
-            for sid in sorted(votes):
-                names.append(f"{prefix}:{name}:sys={sid}")
+                votes[base + 3] |= o_mask
+        groups = self.config.groups
+        for base, group, by_relation in ((0, "FS2", shared.overlaps[0]),
+                                         (4, "FS3", shared.overlaps[1])):
+            if group in groups:
+                for rel, table in enumerate(by_relation):
+                    names += table[votes[base + rel]]
 
-    def _fs4(self, names: list, cand: Candidate, ctx: _SentenceContext) -> None:
-        span = cand.span
-        pidx = ctx.spool.predicates[cand.predicate][0]
+    def _fs4(self, names: list, start: int, end: int, pred: int, pidx: int,
+             ctx: _SentenceContext) -> None:
+        names.append(_TOKLEN[min(end - start + 1, _CAPPED)])
+        inside = ctx.chunk_seq(start, end)
+        names.append(_CHUNKLEN[min(len(inside), _CAPPED)])
+        _sequence_features(names, "fs4:chunkseq", inside)
+        _sequence_features(names, "fs4:clauseseq", ctx.clause_seq(start, end))
+        for ne_type, ne_start, ne_end in ctx.nes:
+            if start <= ne_start and ne_end <= end:
+                names.append("fs4:ne=" + ne_type)
 
-        names.append(f"fs4:toklen={_bucket(len(span))}")
-        inside = [(t, s) for t, s in ctx.chunks if span.contains(s)]
-        names.append(f"fs4:chunklen={_bucket(len(inside))}")
-        _sequence_features(names, "fs4:chunkseq", [t for t, _ in inside])
-        _sequence_features(names, "fs4:clauseseq",
-                           ctx.clause_boundary_seq(span.start, span.end))
-        for ne_type, ne_span in ctx.nes:
-            if span.contains(ne_span):
-                names.append(f"fs4:ne={ne_type}")
-
-        if span.end < pidx:
-            position, lo, hi = "before", span.end + 1, pidx - 1
-        elif span.start > pidx:
-            position, lo, hi = "after", pidx + 1, span.start - 1
+        if end < pidx:
+            names.append("fs4:position=before")
+            lo, hi = end + 1, pidx - 1
+        elif start > pidx:
+            names.append("fs4:position=after")
+            lo, hi = pidx + 1, start - 1
         else:
-            position, lo, hi = "covers", 0, -1
-        names.append(f"fs4:position={position}")
-        names.append(f"fs4:adjacent={str(span.end + 1 == pidx or pidx + 1 == span.start).lower()}")
+            names.append("fs4:position=covers")
+            lo, hi = 0, -1
+        adjacent = end + 1 == pidx or pidx + 1 == start
+        names.append("fs4:adjacent=true" if adjacent else "fs4:adjacent=false")
 
-        between = [t for t, s in ctx.chunks if lo <= s.start and s.end <= hi] if lo <= hi else []
+        between = ctx.chunk_seq(lo, hi) if lo <= hi else []
         _sequence_features(names, "fs4:chunkseq_between", between)
-        names.append(f"fs4:nchunks_between={_bucket(len(between))}")
-        _sequence_features(names, "fs4:clauseseq_between",
-                           ctx.clause_boundary_seq(lo, hi))
-        sub = ctx.clause_depth(span) - ctx.clause_depth(Span(pidx, pidx))
-        names.append(f"fs4:clausesub={_bucket_signed(sub)}")
+        names.append(_NCHUNKS_BETWEEN[min(len(between), _CAPPED)])
+        _sequence_features(names, "fs4:clauseseq_between", ctx.clause_seq(lo, hi))
+        sub = ctx.clause_depth(start, end) - ctx.pred_clause_depth[pred]
+        names.append(_CLAUSESUB[max(-_CAPPED, min(sub, _CAPPED)) + _CAPPED])
 
-    def _fs5(self, names: list, cand: Candidate, ctx: _SentenceContext) -> None:
-        if ctx.parse is None:
+    def _fs5(self, names: list, span: Span, pidx: int, ctx: _SentenceContext) -> None:
+        parse = ctx.parse
+        if parse is None:
             names.append("fs5:parse_absent")
             return
-        span = cand.span
-        pidx = ctx.spool.predicates[cand.predicate][0]
-        sentence = ctx.sentence
 
         # surface distances need no tree node
         if span.end < pidx:
@@ -377,30 +489,31 @@ class FeatureExtractor:
             lo, hi = pidx + 1, span.start - 1
         else:
             lo, hi = 0, -1
-        gap = sentence.tokens[lo:hi + 1] if lo <= hi else ()
-        names.append(f"fs5:sdist_tok={_bucket(len(gap))}")
-        names.append(f"fs5:sdist_vb={_bucket(sum(1 for t in gap if t.pos.startswith('VB')))}")
-        names.append(f"fs5:sdist_comma={_bucket(sum(1 for t in gap if t.form == ','))}")
-        names.append(f"fs5:sdist_cc={_bucket(sum(1 for t in gap if t.pos == 'CC'))}")
+        n_tokens = len(ctx.tokens)
+        lo, hi = min(lo, n_tokens), min(hi + 1, n_tokens)     # gap is tokens[lo:hi]
+        hi = max(hi, lo)
+        names.append(f"fs5:sdist_tok={_bucket(hi - lo)}")
+        names.append(f"fs5:sdist_vb={_bucket(ctx.n_vb[hi] - ctx.n_vb[lo])}")
+        names.append(f"fs5:sdist_comma={_bucket(ctx.n_comma[hi] - ctx.n_comma[lo])}")
+        names.append(f"fs5:sdist_cc={_bucket(ctx.n_cc[hi] - ctx.n_cc[lo])}")
         names.append(f"fs5:sdist_adj={str(span.end + 1 == pidx or pidx + 1 == span.start).lower()}")
 
-        node = ctx.parse.map_span(span)
+        node = parse.map_span(span)
         if node is None:
             names.append("fs5:unmapped")
             return
         names.append(f"fs5:label={node.label}")
 
-        up_chain = ctx.parse.ancestors(node)
-        pred_span = Span(pidx, pidx)
-        common_i = next(i for i, n in enumerate(up_chain) if n.span.contains(pred_span))
+        up_chain = parse.ancestors(node)
+        common_i = next(i for i, n in enumerate(up_chain)
+                        if n.span.start <= pidx <= n.span.end)
         up_nodes = up_chain[:common_i + 1]          # node .. common ancestor
         ancestor = up_nodes[-1]
-        down_nodes = [n for n in ctx.parse.chain_to_token(pidx)
-                      if ctx.parse.depth[id(n)] > ctx.parse.depth[id(ancestor)]]
-        pred_pos = sentence.tokens[pidx].pos
-        labels = [n.label for n in up_nodes] + [n.label for n in down_nodes] + [pred_pos]
-        seps = ["^"] * (len(up_nodes) - 1) + ["_"] * (len(down_nodes) + 1)
-        path = labels[0] + "".join(s + lab for s, lab in zip(seps, labels[1:]))
+        pred_chain = parse.chain_to_token(pidx)
+        down_nodes = pred_chain[parse.depth[id(ancestor)] + 1:]
+        labels = ([n.label for n in up_nodes] + [n.label for n in down_nodes]
+                  + [ctx.tokens[pidx].pos])
+        path = "^".join(labels[:len(up_nodes)]) + "_" + "_".join(labels[len(up_nodes):])
         names.append(f"fs5:path={path}")
         names.append(f"fs5:pathlen={_bucket(len(labels))}")
 
@@ -408,19 +521,17 @@ class FeatureExtractor:
         down_labels = labels[len(up_nodes):]         # below the ancestor, incl. the POS
         for scope, part in (("", labels), ("_up", up_labels), ("_down", down_labels)):
             names.append(f"fs5:clauses{scope}={_bucket(sum(1 for l in part if l.startswith('S')))}")
-            names.append(f"fs5:vps{scope}={_bucket(sum(1 for l in part if l == 'VP'))}")
+            names.append(f"fs5:vps{scope}={_bucket(part.count('VP'))}")
 
         if len(labels) > PATH_THRESHOLD:
             arg_l, anc_l, pred_l = labels[0], ancestor.label, labels[-1]
-            for mid in [n.label for n in down_nodes]:
-                names.append(f"fs5:gpath_a={arg_l}^{anc_l}_{mid}_{pred_l}")
-            for mid in [n.label for n in up_nodes[1:-1]]:
-                names.append(f"fs5:gpath_b={arg_l}^{mid}^{anc_l}_{pred_l}")
+            for n in down_nodes:
+                names.append(f"fs5:gpath_a={arg_l}^{anc_l}_{n.label}_{pred_l}")
+            for n in up_nodes[1:-1]:
+                names.append(f"fs5:gpath_b={arg_l}^{n.label}^{anc_l}_{pred_l}")
 
-        pred_chain = ctx.parse.chain_to_token(pidx)
-        pred_node = pred_chain[-1] if pred_chain else ctx.parse.root
-        sub = ctx.parse.depth[id(node)] - ctx.parse.depth[id(pred_node)]
-        names.append(f"fs5:subsump={_bucket_signed(sub)}")
+        pred_depth = len(pred_chain) - 1 if pred_chain else 0
+        names.append(f"fs5:subsump={_bucket_signed(parse.depth[id(node)] - pred_depth)}")
 
         gov = "none"
         for anc in up_chain[1:]:

@@ -180,37 +180,47 @@ class ParseNode:
             yield from child.walk()
 
 
-def _decode_bio(tags: Sequence[str]) -> list[tuple[str, Span]]:
-    """Decode a B-I-O tag sequence into (type, span) chunks, leniently."""
-    out: list[tuple[str, Span]] = []
-    current: Optional[tuple[str, int]] = None
+def decode_bio(tags: Sequence[str]) -> list[tuple[str, int, int]]:
+    """Decode a B-I-O tag sequence into (type, start, end) chunks, leniently."""
+    out: list[tuple[str, int, int]] = []
+    kind, start = None, 0        # the open chunk, if kind is not None
     for i, tag in enumerate(tags):
         if tag == "O" or tag == "":
-            if current:
-                out.append((current[0], Span(current[1], i - 1)))
-                current = None
+            if kind is not None:
+                out.append((kind, start, i - 1))
+                kind = None
             continue
-        mark, _, kind = tag.partition("-")
-        if mark == "B" or current is None or current[0] != kind:
-            if current:
-                out.append((current[0], Span(current[1], i - 1)))
-            current = (kind, i)
-    if current:
-        out.append((current[0], Span(current[1], len(tags) - 1)))
+        mark, _, tag_kind = tag.partition("-")
+        if mark == "B" or kind != tag_kind:
+            if kind is not None:
+                out.append((kind, start, i - 1))
+            kind, start = tag_kind, i
+    if kind is not None:
+        out.append((kind, start, len(tags) - 1))
     return out
 
 
 _CLAUSE_CELL_RE = re.compile(r"^((?:\([A-Z0-9]+)*)\*((?:[A-Z0-9]+\))*)$")
 
+# valid clause tags split so far; a corpus uses a handful, and the bound keeps
+# hostile input from growing the cache without limit
+_CLAUSE_CACHE: dict = {}
+_CLAUSE_CACHE_MAX = 4096
 
-def clause_events(tag: str) -> tuple[list[str], list[str]]:
-    """Split a clause bracket tag into labels opened and closed at the token."""
-    m = _CLAUSE_CELL_RE.match(tag)
-    if not m:
-        raise ValueError(f"malformed clause tag {tag!r}")
-    opens = [part for part in m.group(1).split("(") if part]
-    closes = [part for part in m.group(2).split(")") if part]
-    return opens, closes
+
+def clause_events(tag: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Split a clause bracket tag into labels opened and closed at the token.
+    Valid tags are memoised, errors never are."""
+    events = _CLAUSE_CACHE.get(tag)
+    if events is None:
+        m = _CLAUSE_CELL_RE.match(tag)
+        if not m:
+            raise ValueError(f"malformed clause tag {tag!r}")
+        events = (tuple(part for part in m.group(1).split("(") if part),
+                  tuple(part for part in m.group(2).split(")") if part))
+        if len(_CLAUSE_CACHE) < _CLAUSE_CACHE_MAX:
+            _CLAUSE_CACHE[tag] = events
+    return events
 
 
 @dataclass(frozen=True)
@@ -237,27 +247,36 @@ class Sentence:
         return len(self.tokens)
 
     def chunks(self) -> list[tuple[str, Span]]:
-        return _decode_bio([t.chunk for t in self.tokens])
+        return [(kind, Span(start, end))
+                for kind, start, end in decode_bio([t.chunk for t in self.tokens])]
 
     def named_entities(self) -> list[tuple[str, Span]]:
-        return _decode_bio([t.ne for t in self.tokens])
+        return [(kind, Span(start, end))
+                for kind, start, end in decode_bio([t.ne for t in self.tokens])]
 
     def clause_spans(self) -> list[Span]:
         """Clause intervals decoded from the bracket column, outermost first."""
-        spans: list[Span] = []
-        stack: list[int] = []
-        for i, tok in enumerate(self.tokens):
-            opens, closes = clause_events(tok.clause)
-            for _ in opens:
-                stack.append(i)
-            for _ in closes:
-                if not stack:
-                    raise ValueError(f"unbalanced clause brackets at token {i}")
-                spans.append(Span(stack.pop(), i))
-        if stack:
-            raise ValueError("unclosed clause bracket")
-        spans.sort(key=lambda s: (s.start, -s.end))
-        return spans
+        return [Span(start, end)
+                for start, end in clause_intervals([t.clause for t in self.tokens])]
+
+
+def clause_intervals(tags: Sequence[str]) -> list[tuple[int, int]]:
+    """(start, end) of each clause that a bracket column opens and closes,
+    outermost first."""
+    spans: list[tuple[int, int]] = []
+    stack: list[int] = []
+    for i, tag in enumerate(tags):
+        opens, closes = clause_events(tag)
+        for _ in opens:
+            stack.append(i)
+        for _ in closes:
+            if not stack:
+                raise ValueError(f"unbalanced clause brackets at token {i}")
+            spans.append((stack.pop(), i))
+    if stack:
+        raise ValueError("unclosed clause bracket")
+    spans.sort(key=lambda s: (s[0], -s[1]))
+    return spans
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +360,22 @@ class Candidate:
             features=features,
             is_gold=is_gold,
         )
+
+    def with_features(self, features: Optional[FeatureVector]) -> "Candidate":
+        """This candidate with another feature vector.  The other fields were
+        checked when this one was built, so the copy skips the checks.  It
+        sets each field as ``__init__`` does: copying ``__dict__`` would
+        make attribute reads on both candidates slower."""
+        copy = object.__new__(type(self))
+        set_field = object.__setattr__
+        set_field(copy, "sentence_id", self.sentence_id)
+        set_field(copy, "argument", self.argument)
+        set_field(copy, "votes", self.votes)
+        set_field(copy, "raw_scores", self.raw_scores)
+        set_field(copy, "probs", self.probs)
+        set_field(copy, "features", features)
+        set_field(copy, "is_gold", self.is_gold)
+        return copy
 
     @property
     def key(self) -> CandidateKey:

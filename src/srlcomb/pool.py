@@ -14,6 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .corpus_io import (
     AlignmentError,
+    FormatError,
     PropsDocument,
     PropsSentence,
     ScoreTable,
@@ -245,22 +246,63 @@ def dump_pool(pool: CandidatePool) -> str:
 
 
 def load_pool(text: str) -> CandidatePool:
+    """Read a pool that ``dump_pool`` wrote.  Text that is not JSON raises
+    json's ValueError; a document of another shape, a FormatError that names
+    what is wrong."""
     doc = json.loads(text)
+    systems = _field(doc, "systems", list, "pool")
+    _check_items(systems, str, "pool: 'systems'")
     sentences = []
-    for sent in doc["sentences"]:
-        candidates = tuple(
-            Candidate.make(
-                sent["id"],
-                Argument(c["predicate"], RoleLabel.parse(c["label"]),
-                         Span(c["span"][0], c["span"][1])),
-                votes=c["votes"],
-                raw_scores=c["raw_scores"],
-                probs=c["probs"],
-                is_gold=c["is_gold"],
-            )
-            for c in sent["candidates"])
+    for s, sent in enumerate(_field(doc, "sentences", list, "pool")):
+        where = f"pool sentence {s}"
+        sentence_id = _field(sent, "id", int, where)
+        predicates = _field(sent, "predicates", list, where)
+        if not all(type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is str
+                   for p in predicates):
+            raise FormatError(f"{where}: each predicate must be [index, lemma]")
+        candidates = []
+        for k, c in enumerate(_field(sent, "candidates", list, where)):
+            at = f"{where}, candidate {k}"
+            span = _field(c, "span", list, at)
+            if len(span) != 2:
+                raise FormatError(f"{at}: 'span' must be [start, end]")
+            _check_items(span, int, f"{at}: 'span'")
+            votes = _field(c, "votes", list, at)
+            _check_items(votes, str, f"{at}: 'votes'")
+            raw_scores, probs = _field(c, "raw_scores", dict, at), _field(c, "probs", dict, at)
+            for name, values in (("raw_scores", raw_scores), ("probs", probs)):
+                _check_items(values.values(), (int, float), f"{at}: {name!r}")
+            candidates.append(Candidate.make(
+                sentence_id,
+                Argument(_field(c, "predicate", int, at),
+                         RoleLabel.parse(_field(c, "label", str, at)), Span(*span)),
+                votes=votes, raw_scores=raw_scores, probs=probs,
+                is_gold=_field(c, "is_gold", (bool, type(None)), at)))
         sentences.append(SentencePool(
-            sent["id"], sent["n_tokens"],
-            tuple((i, lemma) for i, lemma in sent["predicates"]),
+            sentence_id, _field(sent, "n_tokens", int, where),
+            tuple((i, lemma) for i, lemma in predicates),
             tuple(sorted(candidates, key=lambda c: c.key))))
-    return CandidatePool(tuple(doc["systems"]), tuple(sentences))
+    return CandidatePool(tuple(systems), tuple(sentences))
+
+
+def _field(obj, key: str, kinds, where: str):
+    """``obj[key]``, which must exist and have exactly one of the types
+    ``kinds``; ``obj`` must be a JSON object."""
+    if type(obj) is not dict:
+        raise FormatError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise FormatError(f"{where} lacks {key!r}")
+    value = obj[key]
+    _check_items((value,), kinds, f"{where}: {key!r}")
+    return value
+
+
+def _check_items(values, kinds, what: str) -> None:
+    """Each of ``values`` has exactly one of the types ``kinds``; a bool is
+    no int here."""
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    for value in values:
+        if type(value) not in kinds:
+            raise FormatError(
+                f"{what} holds {json.dumps(value)[:40]}, which is no "
+                f"{' or '.join(k.__name__ for k in kinds)}")

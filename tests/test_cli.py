@@ -151,6 +151,15 @@ class TestInfer:
         assert "Traceback" not in err
         assert not (tmp_path / "x.props").exists()
 
+    @pytest.mark.parametrize("engine", ["cs", "dp"])
+    def test_probsum_rejects_model_exit_2(self, corpus_dir, tmp_path, capsys, engine):
+        rc = main(["infer", *_system_args(corpus_dir), "--engine", engine, "--scorer", "probsum",
+                   "--model", "/nonexistent.model", "--out", str(tmp_path / "x.props")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--model" in err and "Traceback" not in err
+        assert not (tmp_path / "x.props").exists()
+
     def test_parallel_jobs_identical_output(self, corpus_dir, tmp_path):
         serial, parallel = tmp_path / "serial.props", tmp_path / "parallel.props"
         for engine in (["--engine", "cs"],
@@ -456,6 +465,22 @@ class TestOracleCmd:
         for block in ["== Combination", "== Re-Ranking",
                       "== Baseline recall", "== Baseline precision"]:
             assert block in out
+
+    def test_score_sidecars_never_read(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--out", str(corpus), "--seed", "7", "--sentences", "60"]) == 0
+        with open(corpus / "sys1.scores", "a", encoding="utf-8") as f:
+            f.write("999 0 A0 0 1 5.0\n")
+        gold = ["--gold", f"{corpus}/gold.props"]
+        capsys.readouterr()
+        assert main(["oracle", *_system_args(corpus, scores=False), *gold,
+                     "--out", str(tmp_path / "props_only.txt")]) == 0
+        props_only = capsys.readouterr().out
+        assert main(["oracle", *_system_args(corpus), *gold,
+                     "--out", str(tmp_path / "with_scores.txt")]) == 0
+        assert capsys.readouterr().out == props_only
+        assert ((tmp_path / "with_scores.txt").read_text()
+                == (tmp_path / "props_only.txt").read_text())
 
 
 class TestOptions:

@@ -252,27 +252,14 @@ class TestExtractorProperties:
         assert FeatureConfig.parse_groups("FS1-FS3").groups == ("FS1", "FS2", "FS3")
         assert FeatureConfig.parse_groups("all").groups == ALL_GROUPS
 
-    def test_interning_thread_safe(self):
-        import threading
+    def test_interning_dense_and_in_sorted_order(self):
         space = FeatureSpace()
-        names = [f"f{i % 200}" for i in range(2000)]
-        errors = []
-
-        def worker():
-            try:
-                for name in names:
-                    space.intern(name)
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert len(space) == 200
-        assert all(space.name(space.intern(f"f{i}")) == f"f{i}" for i in range(200))
+        assert space.ids(["b", "a", "b"]) == (0, 1)
+        assert [space.name(i) for i in range(2)] == ["a", "b"]
+        # known names keep their ids; new ones follow in sorted order
+        assert space.ids(["d", "b", "c"]) == (1, 2, 3)
+        assert space.dump() == "0\ta\n1\tb\n2\tc\n3\td\n"
+        assert space.intern("a") == 0 and space.intern("e") == 4 and len(space) == 5
 
     def test_vocabulary_dump_stable(self):
         gold, systems = generate_synthetic(SyntheticConfig(n_sentences=5, seed=4))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from srlcomb.model import (
     ConstraintSet,
+    FeatureVector,
     LabelKind,
     RoleLabel,
     Sentence,
@@ -64,6 +66,18 @@ class TestSpanRelation:
             Span(3, 2)
         with pytest.raises(ValueError):
             Span(-1, 0)
+
+
+class TestCandidate:
+    def test_with_features_copies_every_other_field(self):
+        c = cand(0, 1, "AM-TMP", (2, 4), votes=("M1", "M2"), probs={"M2": 0.25},
+                 raw={"M1": -1.5}, is_gold=True)
+        fv = FeatureVector((3, 1))
+        copy = c.with_features(fv)
+        assert copy == dataclasses.replace(c, features=fv)
+        assert c.features is None and copy.features is fv
+        assert [f.name for f in dataclasses.fields(copy)] == [
+            "sentence_id", "argument", "votes", "raw_scores", "probs", "features", "is_gold"]
 
 
 class TestRoleLabel:

@@ -1,4 +1,7 @@
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srlcomb.corpus_io import (
     PropsDocument,
@@ -244,3 +247,115 @@ class TestDump:
     def test_unknown_system_view_rejected(self, aligned):
         with pytest.raises(ValueError):
             system_view(aligned, "M9")
+
+
+# -- load_pool under damage ------------------------------------------------------
+
+_JSON_VALUES = (None, True, False, 0, -1, 7, 1.5, float("nan"), float("inf"), 10 ** 20,
+                "", "A0", "V", "M1", "x", [], [0], [0, 1], ["M1"], [[0, "v"]], {}, {"M1": 0.5},
+                {"a": 1})
+
+
+def _small_dump() -> str:
+    gold, systems = generate_synthetic(SyntheticConfig(n_sentences=2, seed=3,
+                                                       tokens_range=(4, 8)))
+    pool = build_pool([(f"M{i + 1}", d, t) for i, (d, t) in enumerate(systems)])
+    return dump_pool(align_gold(pool, gold))
+
+
+_DUMP = _small_dump()
+
+
+def _paths(value, path=()):
+    """Every path to a value inside a JSON document, the root included."""
+    yield path
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _paths(child, path + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from _paths(child, path + (i,))
+
+
+def _replaced(doc, path, value, delete: bool):
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    if isinstance(doc, dict):
+        out = dict(doc)
+    else:
+        out = list(doc)
+    if rest:
+        out[head] = _replaced(doc[head], rest, value, delete)
+    elif delete:
+        del out[head]
+    else:
+        out[head] = value
+    return out
+
+
+def _load_outcome(text: str):
+    try:
+        load_pool(text)
+    except ValueError:
+        return "rejected"
+    return "ok"
+
+
+class TestLoadPoolFuzz:
+    """Single-line and single-value mutations of a dump_pool output: load_pool
+    either reads them or raises a ValueError, which the CLI turns into exit 2."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_single_line_mutations(self, data):
+        lines = _DUMP.splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        how = data.draw(st.sampled_from(["delete", "duplicate", "replace", "swap"]))
+        if how == "delete":
+            del lines[i]
+        elif how == "duplicate":
+            lines.insert(i, lines[i])
+        elif how == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[i] = data.draw(st.text(alphabet='{}[]",:-0123456789.eaAMVnulltrfs ',
+                                         max_size=20))
+        _load_outcome("\n".join(lines))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_single_value_mutations(self, data):
+        doc = json.loads(_DUMP)
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        delete = bool(path) and data.draw(st.booleans())
+        value = data.draw(st.sampled_from(_JSON_VALUES))
+        _load_outcome(json.dumps(_replaced(doc, path, value, delete)))
+
+    def test_dump_itself_loads(self):
+        assert _load_outcome(_DUMP) == "ok"
+
+    # each crash the fuzz found, as the exception it raised before
+    @pytest.mark.parametrize("path,value,delete", [
+        ((), [], False),                                        # TypeError: not an object
+        ((), 7, False),                                         # TypeError
+        (("systems",), None, True),                             # KeyError
+        (("sentences",), None, False),                          # TypeError: not a list
+        (("sentences", 0, "predicates"), None, False),          # TypeError
+        (("sentences", 0, "candidates", 0, "is_gold"), None, True),   # KeyError
+        (("sentences", 0, "candidates", 0, "raw_scores"), [0], False),  # AttributeError
+        (("sentences", 0, "candidates", 0, "label"), 7, False),       # TypeError
+        (("sentences", 0, "candidates", 0, "span"), [0], False),      # IndexError
+        (("sentences", 0, "candidates", 0, "span", 0), None, False),  # TypeError
+        (("sentences", 0, "candidates", 0, "votes"), None, False),    # TypeError
+        (("sentences", 0, "candidates", 0, "probs"), "x", False),     # TypeError
+        (("sentences", 0, "candidates", 0, "predicate"), None, False),  # TypeError on sort
+    ])
+    def test_damaged_document_rejected(self, path, value, delete):
+        doc = json.loads(_DUMP)
+        if path[-1:] == ("probs",):     # a text probability of the first voter
+            value = {doc["sentences"][0]["candidates"][0]["votes"][0]: value}
+        text = json.dumps(_replaced(doc, path, value, delete))
+        with pytest.raises(ValueError):
+            load_pool(text)
