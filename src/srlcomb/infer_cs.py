@@ -3,9 +3,11 @@
 Maximizes sum_i [s_i*l_i + O*(1-l_i)] minus soft-constraint penalties over
 0/1 selections, where s_i is the candidate's summed probability and O is a
 uniform bias credited for every unselected candidate.  Hard constraints are
-enforced exactly by depth-first branch and bound with an admissible bound
-(current gain plus all remaining positive margins); there is no external ILP
-dependency.
+enforced exactly by depth-first branch and bound over the candidates whose
+margin s_i - O is positive, plus the bases their R-/C- arguments may need.
+A node's bound is its gain plus, for each clique of a fixed cover of the
+hard-conflict graph, the best margin still available in that clique; there
+is no external ILP dependency.
 
 ``decode`` is the one exact decoder of both engines, at sentence or
 predicate scope: this engine decodes summed probabilities against the bias,
@@ -80,22 +82,47 @@ def _tie_signature(cands: Sequence[Candidate]) -> tuple:
 def optimize(candidates: Sequence[Candidate], margins: Sequence[float],
              cs: ConstraintSet, constant: float = 0.0,
              node_budget: Optional[int] = None) -> tuple[list[Candidate], float, int]:
-    """Maximize constant + sum of selected margins - soft penalties, exactly.
+    """Maximize constant + sum of selected margins - penalties, exactly.
 
-    Returns (selection, objective, nodes visited).  Hard pairwise conflicts
-    prune branches immediately; the existential constraints c3/c4 are decided
-    at leaves, which keeps the bound admissible.
+    Returns (selection, objective, nodes visited).  The search set holds the
+    candidates with a positive margin, in (-margin, key) order, then those
+    with margin <= 0 that could license one of them under an active c3/c4
+    rule; any other candidate can only lower the objective.  A node carries
+    the bitmask of candidates still available and branches on the first of
+    them, selecting it first.  Selecting a candidate drops every candidate
+    it conflicts with under a hard pairwise rule, and a dependent of a hard
+    c3/c4 rule drops out once none of its bases is selected or available, so
+    no leaf breaks a hard rule.  Soft pairs cost their penalty when both are
+    selected; soft c3/c4 are priced at the leaf.
+
+    The bound is the clique-cover bound for maximum-weight independent set
+    (Ostergard, Nordic J. Computing 2001): the positive candidates are split
+    once, greedily, into cliques of the hard-conflict graph.  A selection
+    takes at most one more member of each clique, worth at most the margin
+    of its first member still available.  Penalties only subtract, so the
+    bound is admissible.  Only subtrees strictly worse than the best leaf
+    are pruned, so every optimal leaf still meets the tie rule.
     """
     order = sorted(range(len(candidates)), key=lambda i: (-margins[i], candidates[i].key))
-    cands = [candidates[i] for i in order]
-    gains = [margins[i] for i in order]
+    kept = [i for i in order if margins[i] > 0.0]
+    # the active existential rules: R-X needs X; C-X needs an earlier-starting X
+    existential = {kind: cs.rule(cid) for kind, cid in EXISTENTIAL_RULES.items()
+                   if cs.rule(cid).active}
+    if existential:
+        dependents = [candidates[i].argument for i in kept
+                      if candidates[i].label.kind in existential]
+        kept += [i for i in order if margins[i] <= 0.0
+                 and any(licenses(candidates[i].argument, d) for d in dependents)]
+    cands = [candidates[i] for i in kept]
+    args = [c.argument for c in cands]      # the rules read only the argument
+    gains = [margins[i] for i in kept]
     n = len(cands)
 
     hard_mask = [0] * n
     soft_pen: list[dict] = [dict() for _ in range(n)]
     for i in range(n):
         for j in range(i):
-            broken = pair_rules(cands[i], cands[j])
+            broken = pair_rules(args[i], args[j])
             if not broken:
                 continue
             pen = 0.0
@@ -113,67 +140,99 @@ def optimize(candidates: Sequence[Candidate], margins: Sequence[float],
                 soft_pen[i][j] = soft_pen[i].get(j, 0.0) + pen
                 soft_pen[j][i] = soft_pen[j].get(i, 0.0) + pen
 
-    # existential constraints: R-X needs X; C-X needs an earlier-starting X
-    leaf_rules = []
-    for i, c in enumerate(cands):
-        cid = EXISTENTIAL_RULES.get(c.label.kind)
-        if cid is not None and cs.rule(cid).active:
-            bases = sum(1 << j for j, o in enumerate(cands) if licenses(o, c))
-            leaf_rules.append((i, bases, cs.rule(cid)))
+    # a hard existential rule is checked at every node: a dependent whose
+    # bases are all gone leaves the search, and a selected one ends the
+    # branch.  A soft one is priced at the leaf.
+    needs_base, leaf_rules = [], []
+    if existential:
+        for i, a in enumerate(args):
+            rule = existential.get(a.label.kind)
+            if rule is not None:
+                bases = sum(1 << j for j, o in enumerate(args) if licenses(o, a))
+                if rule.mode == "hard":
+                    needs_base.append((1 << i, bases))
+                else:
+                    leaf_rules.append((1 << i, bases, rule.penalty))
 
-    suffix_pos = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_pos[i] = suffix_pos[i + 1] + (gains[i] if gains[i] > 0.0 else 0.0)
+    # a static greedy clique partition of the positive candidates; members
+    # are in margin order, so a clique's lowest available bit is its best
+    worth = {1 << i: g for i, g in enumerate(gains) if g > 0.0}
+    cliques: list[int] = []
+    for i in range(n):
+        if gains[i] <= 0.0:
+            break
+        for k, q in enumerate(cliques):
+            if hard_mask[i] & q == q:
+                cliques[k] = q | 1 << i
+                break
+        else:
+            cliques.append(1 << i)
 
-    best = {"gain": float("-inf"), "mask": 0, "size": 0, "sig": None}
-    nodes = [0]
+    best_gain, best_mask, best_size, best_sig = float("-inf"), 0, 0, None
+    nodes = 0
 
     def leaf(mask: int, gain: float, size: int) -> None:
-        for i, bases, rule in leaf_rules:
-            if mask >> i & 1 and not (mask & bases):
-                if rule.mode == "hard":
-                    return
-                gain -= rule.penalty
-        if gain > best["gain"] + _EPS:
-            pass
-        elif gain >= best["gain"] - _EPS:
-            if size > best["size"]:
+        nonlocal best_gain, best_mask, best_size, best_sig
+        for bit, bases, penalty in leaf_rules:
+            if mask & bit and not mask & bases:
+                gain -= penalty
+        if gain > best_gain + _EPS:
+            sig = None
+        elif gain >= best_gain - _EPS:
+            if size > best_size:
                 return
-            if size == best["size"]:
+            if size == best_size:
                 sig = _tie_signature([cands[i] for i in range(n) if mask >> i & 1])
-                if best["sig"] is None:
-                    best["sig"] = _tie_signature(
-                        [cands[i] for i in range(n) if best["mask"] >> i & 1])
-                if sig >= best["sig"]:
+                if best_sig is None:
+                    best_sig = _tie_signature(
+                        [cands[i] for i in range(n) if best_mask >> i & 1])
+                if sig >= best_sig:
                     return
-                best.update(gain=gain, mask=mask, size=size, sig=sig)
-                return
+            else:
+                sig = None
         else:
             return
-        best.update(gain=gain, mask=mask, size=size, sig=None)
+        best_gain, best_mask, best_size, best_sig = gain, mask, size, sig
 
-    def dfs(idx: int, mask: int, gain: float, size: int) -> None:
-        nodes[0] += 1
-        if node_budget is not None and nodes[0] > node_budget:
-            chosen = [cands[i] for i in range(n) if best["mask"] >> i & 1]
-            found = best["gain"] if best["gain"] > float("-inf") else 0.0
+    def dfs(avail: int, mask: int, gain: float, size: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            chosen = [cands[i] for i in range(n) if best_mask >> i & 1]
+            found = best_gain if best_gain > float("-inf") else 0.0
             raise InferenceTimeout(
                 f"node budget {node_budget} exhausted",
-                Solution.make(cands[0].sentence_id if cands else 0, chosen,
+                Solution.make(candidates[0].sentence_id if candidates else 0, chosen,
                               constant + found))
-        if gain + suffix_pos[idx] < best["gain"] - _EPS:
-            return
-        if idx == n:
+        for bit, bases in needs_base:
+            if not bases & (mask | avail):
+                if mask & bit:
+                    return
+                avail &= ~bit
+        floor = best_gain - _EPS
+        if gain < floor:    # prune unless the cliques can make up the gap
+            bound = gain
+            for q in cliques:
+                q &= avail
+                if q:
+                    bound += worth[q & -q]
+                    if bound >= floor:
+                        break
+            else:
+                return
+        if not avail:
             leaf(mask, gain, size)
             return
-        if not (hard_mask[idx] & mask):
-            pen = sum(p for j, p in soft_pen[idx].items() if mask >> j & 1)
-            dfs(idx + 1, mask | (1 << idx), gain + gains[idx] - pen, size + 1)
-        dfs(idx + 1, mask, gain, size)
+        bit = avail & -avail
+        i = bit.bit_length() - 1
+        avail ^= bit
+        pen = sum(p for j, p in soft_pen[i].items() if mask >> j & 1) if soft_pen[i] else 0.0
+        dfs(avail & ~hard_mask[i], mask | bit, gain + gains[i] - pen, size + 1)
+        dfs(avail, mask, gain, size)
 
-    dfs(0, 0, 0.0, 0)
-    chosen = [cands[i] for i in range(n) if best["mask"] >> i & 1]
-    return chosen, constant + best["gain"], nodes[0]
+    dfs((1 << n) - 1, 0, 0.0, 0)
+    chosen = [cands[i] for i in range(n) if best_mask >> i & 1]
+    return chosen, constant + best_gain, nodes
 
 
 def decode(candidates: Sequence[Candidate], margins: Sequence[float],

@@ -524,9 +524,10 @@ _NONE: tuple[str, ...] = ()
 _C1, _C2, _C1_C2, _C5, _C6 = ("c1",), ("c2",), ("c1", "c2"), ("c5",), ("c6",)
 
 
-def pair_rules(a: Candidate, b: Candidate) -> tuple[str, ...]:
+def pair_rules(a: Candidate | Argument, b: Candidate | Argument) -> tuple[str, ...]:
     """The pairwise rules among c1, c2, c5 and c6 that selecting both ``a``
-    and ``b`` breaks, whether or not a constraint set activates them.
+    and ``b`` breaks, whether or not a constraint set activates them.  Either
+    may be a candidate or its argument, whose fields are cheaper to read.
 
     The result is one of a few shared tuples, in rule order, so the caller's
     per-pair loop allocates nothing.  The test is symmetric in ``a`` and ``b``.
@@ -550,7 +551,7 @@ def pair_rules(a: Candidate, b: Candidate) -> tuple[str, ...]:
 EXISTENTIAL_RULES = {LabelKind.REFERENCE: "c3", LabelKind.CONTINUATION: "c4"}
 
 
-def licenses(base: Candidate, dependent: Candidate) -> bool:
+def licenses(base: Candidate | Argument, dependent: Candidate | Argument) -> bool:
     """Whether selecting ``base`` satisfies c3 or c4 for ``dependent``: an
     R-X needs an X of the same predicate, a C-X one that starts earlier."""
     return (base.predicate == dependent.predicate

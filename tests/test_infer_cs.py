@@ -1,5 +1,6 @@
 import os
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from srlcomb.infer_cs import (
     solve_with_stats,
     sweep_bias,
 )
-from srlcomb.model import ConstraintSet, ConstraintRule, enumerate_violations, soft, validate
+from srlcomb.model import (Argument, ConstraintSet, ConstraintRule, LabelKind, RoleLabel,
+                           enumerate_violations, soft, validate)
 from srlcomb.pool import align_gold, build_pool
 from conftest import cand, random_candidates
 from enum_oracle import broken_rules, enumerate_best
@@ -137,6 +139,90 @@ class TestExactness:
             assert [v for v in enumerate_violations(sol.selected, cs) if v.hard] == []
 
 
+# the search-hard knobs of perfbench, and the hard-50 corpus of the ROADMAP
+SEARCH_HARD = dict(n_systems=6, tokens_range=(20, 40), predicates_range=(1, 4),
+                   args_range=(2, 4), precision=0.6, correct_score_mean=3.0,
+                   wrong_score_mean=-3.0, score_sd=20.0)
+HARD_50 = dict(n_systems=10, tokens_range=(30, 60), predicates_range=(1, 8),
+               args_range=(2, 5), precision=0.5, correct_score_mean=3.0,
+               wrong_score_mean=-3.0, score_sd=40.0)
+
+
+def _pool_sentences(n_sentences, seed, knobs):
+    gold, systems = generate_synthetic(SyntheticConfig(n_sentences=n_sentences, seed=seed,
+                                                       **knobs))
+    pool = attach_probs(build_pool([(f"M{i+1}", d, t) for i, (d, t) in enumerate(systems)]))
+    return pool.sentences
+
+
+def _supports(base, dependent) -> bool:
+    """c3: an R-X needs an X of its predicate; c4: a C-X needs one that
+    starts earlier."""
+    b, d = base.argument, dependent.argument
+    return (b.predicate == d.predicate and b.label.text == d.label.base
+            and (d.label.kind is LabelKind.REFERENCE or b.span.start < d.span.start))
+
+
+def milp_optimum(cands, margins, cs: ConstraintSet) -> float:
+    """max sum(margins * x) minus penalties under ``cs``, proved by scipy's
+    MILP.  Pair rows come from the enumeration oracle's rules.  A soft pair
+    costs its penalty through y >= x_i + x_j - 1; a hard c3/c4 rule is
+    x_dep <= sum(x_base), a soft one z >= x_dep - sum(x_base)."""
+    milp = pytest.importorskip("scipy.optimize")
+    n = len(cands)
+    cost = [-m for m in margins]
+    rows, upper = [], []
+
+    def extra(penalty):     # a 0/1 indicator that costs `penalty` when set
+        cost.append(penalty)
+        return len(cost) - 1
+
+    for i in range(n):
+        for j in range(i):
+            rules = [r for r in map(cs.rule, broken_rules(cands[i], cands[j])) if r.active]
+            if any(r.mode == "hard" for r in rules):
+                rows.append({i: 1.0, j: 1.0})
+                upper.append(1.0)
+            elif rules:
+                rows.append({i: 1.0, j: 1.0, extra(sum(r.penalty for r in rules)): -1.0})
+                upper.append(1.0)
+    for i, c in enumerate(cands):
+        cid = {LabelKind.REFERENCE: "c3", LabelKind.CONTINUATION: "c4"}.get(c.argument.label.kind)
+        if cid is None or not cs.rule(cid).active:
+            continue
+        row = {i: 1.0}
+        row.update((j, -1.0) for j, o in enumerate(cands) if _supports(o, c))
+        if cs.rule(cid).mode == "soft":
+            row[extra(cs.rule(cid).penalty)] = -1.0
+        rows.append(row)
+        upper.append(0.0)
+    a = np.zeros((len(rows), len(cost)))
+    for r, row in enumerate(rows):
+        for k, v in row.items():
+            a[r, k] = v
+    res = milp.milp(np.array(cost),
+                    constraints=milp.LinearConstraint(a, -np.inf, upper) if rows else None,
+                    integrality=np.ones(len(cost)), bounds=milp.Bounds(0.0, 1.0),
+                    options={"mip_rel_gap": 1e-12})
+    assert res.status == 0
+    return -res.fun
+
+
+def _with_dependents(cands, rng: random.Random, share: float) -> list:
+    """Turn about ``share`` of the candidates into R-X or C-X of their own
+    label, keeping keys unique, so that c3 and c4 have work to do."""
+    out, keys = [], {c.key for c in cands}
+    for c in cands:
+        if c.label.kind in (LabelKind.CORE, LabelKind.ADJUNCT) and rng.random() < share:
+            label = RoleLabel.parse(rng.choice(("R-", "C-")) + c.label.text)
+            moved = replace(c, argument=Argument(c.predicate, label, c.span))
+            if moved.key not in keys:
+                keys.add(moved.key)
+                c = moved
+        out.append(c)
+    return out
+
+
 class TestExactnessAtScale:
     def test_matches_milp_on_search_hard_pools(self):
         # pools far beyond the enumeration oracle's reach, checked against
@@ -167,6 +253,52 @@ class TestExactnessAtScale:
             sol = solve(cands, cfg, sent.sentence_id)
             assert abs(sol.objective - (optimum + cfg.bias * len(cands))) < 1e-6, \
                 sent.sentence_id
+
+    def test_matches_milp_on_hard_50_pools(self):
+        # 15-202 candidates per sentence, up to 128 with a positive margin; a
+        # budget hit raises InferenceTimeout and fails the test
+        cfg = CsConfig(bias=0.3, constraints=ConstraintSet.parse("1+2+5+6"),
+                       node_budget=2_000_000)
+        sentences = _pool_sentences(50, 3, HARD_50)
+        assert max(len(sent.candidates) for sent in sentences) > 150
+        for sent in sentences:
+            cands = sent.candidates
+            sol = solve(cands, cfg, sent.sentence_id)
+            optimum = milp_optimum(cands, [c.prob_sum() - cfg.bias for c in cands],
+                                   cfg.constraints)
+            assert abs(sol.objective - (optimum + cfg.bias * len(cands))) < 1e-6, \
+                sent.sentence_id
+
+    @pytest.mark.parametrize("spec,scope", [
+        ("1+2+3+4+5+6", "sentence"),
+        ("1+2+3+4:soft=0.5+5+6:soft=0.25", "sentence"),
+        ("1+2:soft=0.3+3:soft=0.4+4+5+6", "sentence"),
+        ("1+2:soft=0.3+3+4:soft=0.5", "pred"),
+        ("1:soft=0.2+2+3:soft=0.4+4", "pred"),
+    ])
+    def test_matches_milp_with_soft_and_existential_rules(self, spec, scope):
+        rng = random.Random(0)
+        cfg = CsConfig(bias=0.3, scope=Scope(scope), constraints=ConstraintSet.parse(spec),
+                       node_budget=2_000_000)
+        dependents = 0
+        for sent in _pool_sentences(30, 11, SEARCH_HARD):
+            cands = _with_dependents(sent.candidates, rng, 0.25)
+            dependents += sum(c.label.kind in (LabelKind.REFERENCE, LabelKind.CONTINUATION)
+                              for c in cands)
+            sol = solve(cands, cfg, sent.sentence_id)
+            optimum = milp_optimum(cands, [c.prob_sum() - cfg.bias for c in cands],
+                                   cfg.constraints)
+            assert abs(sol.objective - (optimum + cfg.bias * len(cands))) < 1e-6, \
+                sent.sentence_id
+        assert dependents > 100
+
+    def test_node_count_on_search_hard_pools(self):
+        # the suffix bound (gain plus every positive margin left) took 19 851
+        # nodes on these 30 sentences; the clique-cover bound takes 918
+        cfg = CsConfig(bias=0.3, constraints=ConstraintSet.parse("1+2+5+6"))
+        nodes = sum(solve_with_stats(sent.candidates, cfg, sent.sentence_id)[1]
+                    for sent in _pool_sentences(30, 11, SEARCH_HARD))
+        assert nodes <= 1985
 
 
 def _disjoint_candidates(values):
@@ -248,7 +380,7 @@ class TestTimeout:
     def test_timeout_best_merges_decoded_predicates(self):
         cands, per_pred = self._three_predicates()
         nodes = [n for _, n in per_pred]
-        budget = 25
+        budget = nodes[0] + nodes[1] - 1    # one node short of finishing predicate 1
         assert nodes[0] < budget < nodes[0] + nodes[1]
         with pytest.raises(InferenceTimeout) as err:
             solve(cands, CsConfig.for_scope(Scope.PRED_BY_PRED, bias=0.0, node_budget=budget),
