@@ -8,21 +8,21 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from srlcomb.calibrate import attach_probs, build_intervals
+from srlcomb.calibrate import DEFAULT_GAMMA, build_intervals
 from srlcomb.corpus_io import SyntheticConfig, generate_synthetic
 from srlcomb.evaluate import score
 from srlcomb.features import ALL_GROUPS, FeatureConfig, FeatureExtractor
 from srlcomb.infer_cs import Scope
 from srlcomb.infer_dp import decode_corpus
 from srlcomb.learn import label_datasets, score_pool, train_local_svm
-from srlcomb.pool import align_gold, build_pool, solutions_to_props
+from srlcomb.pool import build_pool, solutions_to_props
 
 
 def build_world(n_sentences, seed):
     gold, systems = generate_synthetic(SyntheticConfig(
         n_sentences=n_sentences, seed=seed))
-    pool = attach_probs(align_gold(build_pool(
-        [(f"M{i + 1}", d, t) for i, (d, t) in enumerate(systems)]), gold))
+    pool = build_pool([(f"M{i + 1}", d, t) for i, (d, t) in enumerate(systems)],
+                      gold, DEFAULT_GAMMA)
     return gold, pool
 
 

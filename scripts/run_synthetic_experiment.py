@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from srlcomb.calibrate import attach_probs, build_intervals
+from srlcomb.calibrate import DEFAULT_GAMMA, build_intervals
 from srlcomb.corpus_io import SyntheticConfig, generate_synthetic
 from srlcomb.evaluate import (
     baseline_precision,
@@ -35,14 +35,14 @@ from srlcomb.learn import (
     train_local_perceptron,
     train_local_svm,
 )
-from srlcomb.pool import align_gold, build_pool, solutions_to_props
+from srlcomb.pool import build_pool, solutions_to_props
 
 
 def build_world(n_sentences, seed, knobs):
     gold, systems = generate_synthetic(SyntheticConfig(
         n_sentences=n_sentences, seed=seed, **knobs))
-    pool = attach_probs(align_gold(build_pool(
-        [(f"M{i + 1}", d, t) for i, (d, t) in enumerate(systems)]), gold))
+    pool = build_pool([(f"M{i + 1}", d, t) for i, (d, t) in enumerate(systems)],
+                      gold, DEFAULT_GAMMA)
     return gold, systems, pool
 
 

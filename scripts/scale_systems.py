@@ -9,7 +9,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from srlcomb.calibrate import attach_probs, build_intervals
+from srlcomb.calibrate import DEFAULT_GAMMA, build_intervals
 from srlcomb.corpus_io import SyntheticConfig, generate_synthetic
 from srlcomb.evaluate import oracle_combination, oracle_rerank, score
 from srlcomb.features import FeatureExtractor
@@ -22,7 +22,7 @@ from srlcomb.learn import (
     train_global_perceptron,
     train_local_svm,
 )
-from srlcomb.pool import align_gold, build_pool, solutions_to_props
+from srlcomb.pool import build_pool, solutions_to_props
 
 
 def main() -> int:
@@ -47,8 +47,8 @@ def main() -> int:
     for k in range(2, args.systems + 1):
         triples_tr = [(f"M{i + 1}", d, t) for i, (d, t) in enumerate(train_systems[:k])]
         triples_te = [(f"M{i + 1}", d, t) for i, (d, t) in enumerate(test_systems[:k])]
-        train_pool = attach_probs(align_gold(build_pool(triples_tr), train_gold))
-        test_pool = attach_probs(align_gold(build_pool(triples_te), test_gold))
+        train_pool = build_pool(triples_tr, train_gold, DEFAULT_GAMMA)
+        test_pool = build_pool(triples_te, test_gold, DEFAULT_GAMMA)
         intervals = build_intervals(train_pool)
         extractor = FeatureExtractor()
         train_featured = extractor.extract_pool(train_pool, intervals=intervals)

@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .model import Candidate
-from .pool import CandidatePool
+if TYPE_CHECKING:   # pool imports this module, since build_pool calibrates as it pools
+    from .pool import CandidatePool
 
 
 DEFAULT_GAMMA = 0.1     # softmax temperature
@@ -48,26 +48,23 @@ def two_class_prob(score: float, gamma: float = DEFAULT_GAMMA) -> float:
     return ea / (ea + eb)
 
 
-def attach_probs(pool: CandidatePool, gamma: float = DEFAULT_GAMMA) -> CandidatePool:
-    """Fill per-system probabilities from raw scores across a pool.
+def system_probs(votes: Iterable[str], raw_scores: dict,
+                 gamma: float) -> tuple[tuple[str, float], ...]:
+    """(system, probability) for each voting system, in id order: the
+    two-class probability of its raw score.  A voting system without a raw
+    score is treated as scoring at the background level 0, i.e. probability
+    0.5; non-voting systems contribute 0 implicitly."""
+    return tuple((sid, two_class_prob(raw_scores.get(sid, 0.0), gamma))
+                 for sid in sorted(votes))
 
-    A voting system without a raw score is treated as scoring at the
-    background level 0, i.e. probability 0.5; non-voting systems contribute 0
-    implicitly.
-    """
-    per_sentence = []
-    for sent in pool.sentences:
-        cands = []
-        for c in sent.candidates:
-            raws = dict(c.raw_scores)
-            probs = []
-            for sid in sorted(c.votes):
-                raw = raws.get(sid)
-                probs.append((sid, two_class_prob(0.0 if raw is None else raw, gamma)))
-            cands.append(Candidate(c.sentence_id, c.argument, c.votes, c.raw_scores,
-                                   tuple(probs), c.features, c.is_gold))
-        per_sentence.append(cands)
-    return pool.with_candidates(per_sentence)
+
+def attach_probs(pool: CandidatePool, gamma: float = DEFAULT_GAMMA) -> CandidatePool:
+    """Fill per-system probabilities (``system_probs``) from raw scores
+    across a pool.  ``build_pool`` does the same when given ``gamma``."""
+    return pool.with_candidates([
+        [c.with_probs(system_probs(c.votes, dict(c.raw_scores), gamma))
+         for c in sent.candidates]
+        for sent in pool.sentences])
 
 
 # ---------------------------------------------------------------------------

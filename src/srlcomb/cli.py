@@ -78,6 +78,12 @@ from .pool import align_gold, build_pool, dump_pool, pool_stats, solutions_to_pr
 
 DEFAULT_BOOTSTRAP = 1000
 
+# build_pool sets gold flags and probabilities itself, so no subcommand calls
+# these two stages; they stay names of this module because the benchmark reads
+# them from it: perfbench/spans.py swaps them for timing wrappers, and
+# perfbench/worker.py builds the search-hard pools with them
+PERFBENCH_POOL_STAGES = (align_gold, attach_probs)
+
 
 def _at_least(low: int) -> tuple:
     return (lambda v: v >= low), f"must be >= {low}"
@@ -152,13 +158,14 @@ def _load_systems(args, scores: bool) -> list:
     return systems
 
 
-def _load_pool(args, scores: bool = True):
-    pool = build_pool(_load_systems(args, scores))
-    gold = None
-    if args.gold:
-        gold = parse_props(_read(args.gold))
-        pool = align_gold(pool, gold)
-    return pool, gold
+def _load_pool(args, gamma=None):
+    """The pool of every --system and the --gold document, if one is given;
+    the candidates carry gold flags with gold, and probabilities at the
+    softmax temperature ``gamma`` if it is given.  Without it no score
+    sidecar is opened.  The systems are read first, then gold."""
+    systems = _load_systems(args, scores=gamma is not None)
+    gold = parse_props(_read(args.gold)) if args.gold else None
+    return build_pool(systems, gold, gamma), gold
 
 
 def _load_sentences(args, gold):
@@ -214,8 +221,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pool(args) -> int:
-    pool, gold = _load_pool(args)
-    pool = attach_probs(pool, gamma=args.gamma)
+    pool, gold = _load_pool(args, args.gamma)
     n = sum(len(s.candidates) for s in pool.sentences)
     print(f"pool: {len(pool.sentences)} sentences, {n} candidates, "
           f"{pool.m} systems ({', '.join(pool.system_ids)})")
@@ -248,8 +254,7 @@ def cmd_infer(args) -> int:
     if args.model and args.scorer == "probsum":
         raise FormatError("--model applies to a trained scorer only; "
                           "scorer=probsum sums the calibrated probabilities")
-    pool, gold = _load_pool(args)
-    pool = attach_probs(pool, gamma=args.gamma)
+    pool, gold = _load_pool(args, args.gamma)
 
     if args.engine == "cs":
         if args.scorer != "probsum":
@@ -297,10 +302,9 @@ def cmd_infer(args) -> int:
 
 
 def cmd_train(args) -> int:
-    pool, gold = _load_pool(args)
+    pool, gold = _load_pool(args, args.gamma)
     if not pool.sentences:
         raise FormatError("train: the corpus has no sentences to learn from")
-    pool = attach_probs(pool, gamma=args.gamma)
     intervals = build_intervals(pool)
     sentences = _load_sentences(args, gold)
     config = FeatureConfig.parse_groups(args.features)
@@ -337,8 +341,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    pool, gold = _load_pool(args)
-    pool = attach_probs(pool, gamma=args.gamma)
+    pool, gold = _load_pool(args, args.gamma)
     grid = list(DEFAULT_O_GRID)
     if args.o_values:
         try:
@@ -356,8 +359,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    pool, _gold = _load_pool(args)
-    pool = attach_probs(pool, gamma=args.gamma)
+    pool, _gold = _load_pool(args, args.gamma)
     items = pool_rejection_items(pool)
     if not items:
         raise FormatError("curves: the systems propose no arguments to rank")
@@ -370,7 +372,7 @@ def cmd_curves(args) -> int:
 
 def cmd_oracle(args) -> int:
     # oracles and baselines read votes and gold flags, never scores
-    pool, gold = _load_pool(args, scores=False)
+    pool, gold = _load_pool(args)
     blocks = [
         ("Combination", oracle_combination(pool)),
         ("Re-Ranking", oracle_rerank(pool, gold)),

@@ -249,6 +249,9 @@ class ScoreModel:
                 ids = tuple(integer(x) for x in parts[2:])
                 if ids and not 0 <= min(ids) <= max(ids) < len(space):
                     raise ValueError(f"model file: feature id out of vocabulary at line {pos}")
+                if any(a >= b for a, b in zip(ids, ids[1:])):
+                    raise ValueError(
+                        f"model file: feature ids not strictly increasing at line {pos}")
                 sc.supports.append((finite(parts[0]), integer(parts[1]), FeatureVector(ids)))
             take("end")
             scorers[label] = sc

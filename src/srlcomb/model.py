@@ -295,18 +295,29 @@ class Argument:
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Sparse binary feature vector: a sorted tuple of interned feature ids."""
+    """Sparse binary feature vector: a strictly increasing tuple of interned
+    feature ids.  The ids are taken as given: ``FeatureSpace.ids`` returns
+    them so, and a model file's rows are checked as they are read."""
 
     ids: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ids", tuple(sorted(set(self.ids))))
 
     def __len__(self) -> int:
         return len(self.ids)
 
 
 CandidateKey = tuple[int, int, str, Span]
+
+
+def _checked_probs(votes: frozenset, probs: Iterable[tuple[str, float]]) -> tuple:
+    """``probs`` as sorted (system, probability) pairs, each of a voting
+    system and within [0, 1]."""
+    probs = tuple(sorted(probs))
+    for sys_id, p in probs:
+        if sys_id not in votes:
+            raise ValueError(f"probability for non-voting system {sys_id!r}")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"probability {p} out of [0, 1]")
+    return probs
 
 
 @dataclass(frozen=True)
@@ -330,15 +341,10 @@ class Candidate:
         if not self.votes:
             raise ValueError("candidate must carry at least one vote")
         object.__setattr__(self, "raw_scores", tuple(sorted(self.raw_scores)))
-        object.__setattr__(self, "probs", tuple(sorted(self.probs)))
         for sys_id, _ in self.raw_scores:
             if sys_id not in self.votes:
                 raise ValueError(f"raw score for non-voting system {sys_id!r}")
-        for sys_id, p in self.probs:
-            if sys_id not in self.votes:
-                raise ValueError(f"probability for non-voting system {sys_id!r}")
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability {p} out of [0, 1]")
+        object.__setattr__(self, "probs", _checked_probs(self.votes, self.probs))
 
     @classmethod
     def make(
@@ -362,7 +368,20 @@ class Candidate:
         )
 
     def with_features(self, features: Optional[FeatureVector]) -> "Candidate":
-        """This candidate with another feature vector.  The other fields were
+        """This candidate with another feature vector."""
+        return self._copy(self.probs, features, self.is_gold)
+
+    def with_gold(self, is_gold: Optional[bool]) -> "Candidate":
+        """This candidate with another gold flag."""
+        return self._copy(self.probs, self.features, is_gold)
+
+    def with_probs(self, probs: Iterable[tuple[str, float]]) -> "Candidate":
+        """This candidate with other per-system probabilities, checked as
+        ``__init__`` checks them."""
+        return self._copy(_checked_probs(self.votes, probs), self.features, self.is_gold)
+
+    def _copy(self, probs, features, is_gold) -> "Candidate":
+        """This candidate with the given last three fields.  The others were
         checked when this one was built, so the copy skips the checks.  It
         sets each field as ``__init__`` does: copying ``__dict__`` would
         make attribute reads on both candidates slower."""
@@ -372,9 +391,9 @@ class Candidate:
         set_field(copy, "argument", self.argument)
         set_field(copy, "votes", self.votes)
         set_field(copy, "raw_scores", self.raw_scores)
-        set_field(copy, "probs", self.probs)
+        set_field(copy, "probs", probs)
         set_field(copy, "features", features)
-        set_field(copy, "is_gold", self.is_gold)
+        set_field(copy, "is_gold", is_gold)
         return copy
 
     @property

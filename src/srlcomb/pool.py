@@ -3,7 +3,9 @@
 Candidates are deduplicated on exact (predicate, label, span); votes and raw
 scores are merged, V pseudo-arguments stay out of the pool.  Gold alignment
 marks each candidate as correct or not, which feeds the oracles, the training
-targets, and the agreement statistics.
+targets, and the agreement statistics.  ``build_pool`` sets gold flags and
+calibrated probabilities as it makes each candidate; ``align_gold`` and
+``calibrate.attach_probs`` do the same to a pool built without them.
 """
 
 from __future__ import annotations
@@ -12,15 +14,15 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .calibrate import system_probs
 from .corpus_io import (
     AlignmentError,
-    FormatError,
     PropsDocument,
     PropsSentence,
     ScoreTable,
     check_skeleton,
 )
-from .model import Argument, Candidate, RoleLabel, Solution, Span, V_LABEL
+from .model import Argument, Candidate, Solution, Span, V_LABEL
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,14 @@ class CandidatePool:
                              feature_space or self.feature_space)
 
 
-def build_pool(systems: Sequence[tuple[str, PropsDocument, Optional[ScoreTable]]]) -> CandidatePool:
-    """Pool the outputs of several systems over one shared skeleton.  A score
-    record that names no argument of its own system is an AlignmentError."""
+def build_pool(systems: Sequence[tuple[str, PropsDocument, Optional[ScoreTable]]],
+               gold: Optional[PropsDocument] = None,
+               gamma: Optional[float] = None) -> CandidatePool:
+    """Pool the outputs of several systems over one shared skeleton.  With
+    ``gold``, which must share that skeleton, each candidate carries its
+    is_gold flag; with the softmax temperature ``gamma``, its per-system
+    probabilities (``calibrate.system_probs``).  A score record that names no
+    argument of its own system is an AlignmentError."""
     if not systems:
         raise ValueError("need at least one system")
     ids = [sid for sid, _, _ in systems]
@@ -86,6 +93,7 @@ def build_pool(systems: Sequence[tuple[str, PropsDocument, Optional[ScoreTable]]
     check_skeleton([doc for _, doc, _ in systems])
 
     first = systems[0][1]
+    keys = None if gold is None else _checked_gold_keys(first.sentences, gold)
     sentences = []
     matched = dict.fromkeys(ids, 0)     # score records that name an argument
     for s, skeleton in enumerate(first.sentences):
@@ -105,9 +113,12 @@ def build_pool(systems: Sequence[tuple[str, PropsDocument, Optional[ScoreTable]]
                     if score is not None:
                         entry[2][sid] = score
                         matched[sid] += 1
+        gold_here = keys[s] if keys is not None else None
         candidates = tuple(
-            Candidate.make(s, arg, votes=votes, raw_scores=raws)
-            for _key, (arg, votes, raws) in sorted(merged.items()))
+            Candidate(s, arg, frozenset(votes), tuple(raws.items()),
+                      system_probs(votes, raws, gamma) if gamma is not None else (),
+                      None, key in gold_here if gold_here is not None else None)
+            for key, (arg, votes, raws) in sorted(merged.items()))
         sentences.append(SentencePool(s, skeleton.n_tokens, skeleton.predicates, candidates))
     for sid, doc, table in systems:
         if table is not None and len(table) > matched[sid]:
@@ -133,22 +144,22 @@ def gold_keys(gold: PropsDocument) -> list[frozenset]:
 
 def align_gold(pool: CandidatePool, gold: PropsDocument) -> CandidatePool:
     """Return a pool whose candidates carry is_gold flags."""
-    _check_pool_skeleton(pool, gold)
-    keys = gold_keys(gold)
+    keys = _checked_gold_keys(pool.sentences, gold)
     return pool.with_candidates([
-        [Candidate(c.sentence_id, c.argument, c.votes, c.raw_scores, c.probs,
-                   c.features, c.key in keys[sent.sentence_id])
-         for c in sent.candidates]
+        [c.with_gold(c.key in keys[sent.sentence_id]) for c in sent.candidates]
         for sent in pool.sentences])
 
 
-def _check_pool_skeleton(pool: CandidatePool, doc: PropsDocument) -> None:
-    if len(doc) != len(pool.sentences):
+def _checked_gold_keys(skeleton: Sequence, gold: PropsDocument) -> list[frozenset]:
+    """``gold_keys(gold)`` once gold is known to have the sentences of
+    ``skeleton``, each with the same token count and predicates."""
+    if len(gold) != len(skeleton):
         raise AlignmentError(
-            f"sentence counts differ: pool {len(pool.sentences)} vs document {len(doc)}")
-    for sp, ds in zip(pool.sentences, doc.sentences):
-        if sp.n_tokens != ds.n_tokens or sp.predicates != ds.predicates:
-            raise AlignmentError(f"sentence {sp.sentence_id}: skeletons differ")
+            f"sentence counts differ: pool {len(skeleton)} vs document {len(gold)}")
+    for s, (sk, gs) in enumerate(zip(skeleton, gold.sentences)):
+        if sk.n_tokens != gs.n_tokens or sk.predicates != gs.predicates:
+            raise AlignmentError(f"sentence {s}: skeletons differ")
+    return gold_keys(gold)
 
 
 @dataclass(frozen=True)
@@ -243,66 +254,3 @@ def dump_pool(pool: CandidatePool) -> str:
         ],
     }
     return json.dumps(doc, indent=1, sort_keys=True)
-
-
-def load_pool(text: str) -> CandidatePool:
-    """Read a pool that ``dump_pool`` wrote.  Text that is not JSON raises
-    json's ValueError; a document of another shape, a FormatError that names
-    what is wrong."""
-    doc = json.loads(text)
-    systems = _field(doc, "systems", list, "pool")
-    _check_items(systems, str, "pool: 'systems'")
-    sentences = []
-    for s, sent in enumerate(_field(doc, "sentences", list, "pool")):
-        where = f"pool sentence {s}"
-        sentence_id = _field(sent, "id", int, where)
-        predicates = _field(sent, "predicates", list, where)
-        if not all(type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is str
-                   for p in predicates):
-            raise FormatError(f"{where}: each predicate must be [index, lemma]")
-        candidates = []
-        for k, c in enumerate(_field(sent, "candidates", list, where)):
-            at = f"{where}, candidate {k}"
-            span = _field(c, "span", list, at)
-            if len(span) != 2:
-                raise FormatError(f"{at}: 'span' must be [start, end]")
-            _check_items(span, int, f"{at}: 'span'")
-            votes = _field(c, "votes", list, at)
-            _check_items(votes, str, f"{at}: 'votes'")
-            raw_scores, probs = _field(c, "raw_scores", dict, at), _field(c, "probs", dict, at)
-            for name, values in (("raw_scores", raw_scores), ("probs", probs)):
-                _check_items(values.values(), (int, float), f"{at}: {name!r}")
-            candidates.append(Candidate.make(
-                sentence_id,
-                Argument(_field(c, "predicate", int, at),
-                         RoleLabel.parse(_field(c, "label", str, at)), Span(*span)),
-                votes=votes, raw_scores=raw_scores, probs=probs,
-                is_gold=_field(c, "is_gold", (bool, type(None)), at)))
-        sentences.append(SentencePool(
-            sentence_id, _field(sent, "n_tokens", int, where),
-            tuple((i, lemma) for i, lemma in predicates),
-            tuple(sorted(candidates, key=lambda c: c.key))))
-    return CandidatePool(tuple(systems), tuple(sentences))
-
-
-def _field(obj, key: str, kinds, where: str):
-    """``obj[key]``, which must exist and have exactly one of the types
-    ``kinds``; ``obj`` must be a JSON object."""
-    if type(obj) is not dict:
-        raise FormatError(f"{where} must be a JSON object")
-    if key not in obj:
-        raise FormatError(f"{where} lacks {key!r}")
-    value = obj[key]
-    _check_items((value,), kinds, f"{where}: {key!r}")
-    return value
-
-
-def _check_items(values, kinds, what: str) -> None:
-    """Each of ``values`` has exactly one of the types ``kinds``; a bool is
-    no int here."""
-    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
-    for value in values:
-        if type(value) not in kinds:
-            raise FormatError(
-                f"{what} holds {json.dumps(value)[:40]}, which is no "
-                f"{' or '.join(k.__name__ for k in kinds)}")

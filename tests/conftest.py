@@ -21,6 +21,15 @@ def cand(sentence_id=0, pred=0, label="A0", span=(0, 1), votes=None,
     )
 
 
+# the search-hard knobs of perfbench, and the hard-50 corpus of the ROADMAP
+SEARCH_HARD = dict(n_systems=6, tokens_range=(20, 40), predicates_range=(1, 4),
+                   args_range=(2, 4), precision=0.6, correct_score_mean=3.0,
+                   wrong_score_mean=-3.0, score_sd=20.0)
+HARD_50 = dict(n_systems=10, tokens_range=(30, 60), predicates_range=(1, 8),
+               args_range=(2, 5), precision=0.5, correct_score_mean=3.0,
+               wrong_score_mean=-3.0, score_sd=40.0)
+
+
 _LABELS = ("A0", "A1", "A2", "A3", "A4", "AM-TMP", "AM-LOC",
            "R-A0", "R-AM-TMP", "C-A1", "C-AM-TMP")
 

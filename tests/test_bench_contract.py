@@ -20,10 +20,13 @@ from srlcomb import cli, features, infer_cs, infer_dp, learn  # noqa: E402
 
 SWAPPED = [
     (cli, name) for name in (
-        "parse_props", "parse_scores", "emit_props", "build_pool", "align_gold",
-        "solutions_to_props", "attach_probs", "build_intervals", "train_local_svm",
-        "score_pool", "label_datasets", "make_examples", "infer_corpus",
-        "decode_corpus", "score", "bootstrap", "train_global_perceptron")
+        "parse_props", "parse_scores", "emit_props", "build_pool", "solutions_to_props",
+        "build_intervals", "train_local_svm", "score_pool", "label_datasets",
+        "make_examples", "infer_corpus", "decode_corpus", "score", "bootstrap",
+        "train_global_perceptron")
+] + [
+    # the pool stages no subcommand calls any more, kept for the benchmark
+    (cli, stage.__name__) for stage in cli.PERFBENCH_POOL_STAGES
 ] + [
     (features.FeatureExtractor, "extract_pool"),
     (learn.ScoreModel, "save"),

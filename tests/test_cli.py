@@ -3,12 +3,20 @@ from pathlib import Path
 
 import pytest
 
+from srlcomb import cli
 from srlcomb.calibrate import attach_probs
 from srlcomb.cli import build_parser, main
-from srlcomb.corpus_io import SyntheticConfig, generate_synthetic
+from srlcomb.corpus_io import (
+    PropsDocument,
+    SyntheticConfig,
+    emit_props,
+    generate_synthetic,
+    parse_props,
+)
 from srlcomb.infer_cs import CsConfig, sweep_bias
 from srlcomb.learn import ScoreModel
-from srlcomb.pool import align_gold, build_pool, load_pool
+from srlcomb.model import Candidate
+from srlcomb.pool import align_gold, build_pool, dump_pool
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +70,19 @@ class TestPool:
         rc = main(["pool", *_system_args(corpus_dir),
                    "--gold", f"{corpus_dir}/gold.props", "--dump", str(dump)])
         assert rc == 0
-        reloaded = load_pool(dump.read_text())
-        assert len(reloaded.sentences) == 40
-        assert reloaded.is_aligned()
+        doc = json.loads(dump.read_text())
+        assert len(doc["sentences"]) == 40
+        cands = [c for sent in doc["sentences"] for c in sent["candidates"]]
+        assert cands and all(c["is_gold"] is not None and c["probs"] for c in cands)
+
+    def test_dump_equals_the_staged_pool(self, corpus_dir, tmp_path):
+        dump = tmp_path / "pool.json"
+        assert main(["pool", *_system_args(corpus_dir), "--gold", f"{corpus_dir}/gold.props",
+                     "--gamma", "0.5", "--dump", str(dump)]) == 0
+        gold, systems = generate_synthetic(SyntheticConfig(n_sentences=40, seed=7))
+        pool = attach_probs(align_gold(build_pool(
+            [(f"M{i + 1}", d, t) for i, (d, t) in enumerate(systems)]), gold), 0.5)
+        assert dump.read_text() == dump_pool(pool)
 
     def test_format_error_exit_2(self, corpus_dir, tmp_path):
         bad = tmp_path / "bad.props"
@@ -257,6 +275,23 @@ class TestInfer:
         assert rc == 2
         assert f"line {row + 1}" in capsys.readouterr().err
 
+    def test_unordered_support_ids_exit_2(self, corpus_dir, tmp_path, capsys):
+        model = tmp_path / "m.svm"
+        assert main(["train", *_system_args(corpus_dir),
+                     "--gold", f"{corpus_dir}/gold.props",
+                     "--scorer", "svm", "--out", str(model)]) == 0
+        lines = model.read_text().splitlines()
+        row = next(i for i, l in enumerate(lines)
+                   if l.startswith("supports ") and l != "supports 0") + 1
+        coef, tick, *ids = lines[row].split()
+        lines[row] = " ".join([coef, tick, *ids[::-1]])
+        model.write_text("\n".join(lines) + "\n")
+        rc = main(["infer", *_system_args(corpus_dir), "--engine", "dp",
+                   "--scorer", "svm", "--model", str(model),
+                   "--out", str(tmp_path / "x.props")])
+        assert rc == 2
+        assert f"not strictly increasing at line {row + 1}" in capsys.readouterr().err
+
     def test_untrained_label_warns(self, corpus_dir, tmp_path, capsys):
         model_path, dump = tmp_path / "m.svm", tmp_path / "pool.json"
         assert main(["train", *_system_args(corpus_dir),
@@ -266,7 +301,8 @@ class TestInfer:
         del model.scorers["A0"]
         model.save(model_path)
         assert main(["pool", *_system_args(corpus_dir), "--dump", str(dump)]) == 0
-        n_a0 = sum(c.label.text == "A0" for c in load_pool(dump.read_text()).all_candidates())
+        n_a0 = sum(c["label"] == "A0" for sent in json.loads(dump.read_text())["sentences"]
+                   for c in sent["candidates"])
         assert n_a0 > 0
         capsys.readouterr()
         assert main(["infer", *_system_args(corpus_dir), "--engine", "dp",
@@ -385,6 +421,77 @@ class TestBadInput:
         assert rc == 2
         assert capsys.readouterr().err.startswith("srlcomb: curves: ")
         assert not (empty_dir / "c.csv").exists()
+
+
+class TestOnePassPool:
+    """The subcommands build each pooled candidate once, gold flag and
+    probabilities included, and report bad gold and score files as before."""
+
+    def test_each_candidate_built_once(self, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--out", str(corpus), "--seed", "7", "--sentences", "1000"]) == 0
+        built = []
+        post_init = Candidate.__post_init__
+
+        def counted(self):
+            built.append(self.key)
+            post_init(self)
+
+        monkeypatch.setattr(Candidate, "__post_init__", counted)
+        assert main(["infer", *_system_args(corpus), "--gold", f"{corpus}/gold.props",
+                     "--bootstrap", "100", "--out", str(tmp_path / "x.props")]) == 0
+        assert len(built) == len(set(built)) == 7282
+
+    def test_systems_read_before_gold(self, corpus_dir, tmp_path, monkeypatch, capsys):
+        read = []
+        original = cli._read
+
+        def recorded(path):
+            read.append(Path(path).name)
+            return original(path)
+
+        monkeypatch.setattr(cli, "_read", recorded)
+        assert main(["infer", *_system_args(corpus_dir), "--gold", f"{corpus_dir}/gold.props",
+                     "--bootstrap", "100", "--out", str(tmp_path / "x.props")]) == 0
+        assert read == ["sys1.props", "sys1.scores", "sys2.props", "sys2.scores",
+                        "sys3.props", "sys3.scores", "gold.props"]
+
+    @pytest.fixture(scope="class")
+    def damaged(self, tmp_path_factory):
+        """A corpus and, by fault, the gold and first system that break it."""
+        d = tmp_path_factory.mktemp("damaged")
+        for name, seed in (("corpus", 7), ("other", 99)):
+            assert main(["synth", "--out", str(d / name), "--seed", str(seed),
+                         "--sentences", "40"]) == 0
+        gold = parse_props((d / "corpus/gold.props").read_text())
+        (d / "short.props").write_text(emit_props(PropsDocument(gold.sentences[:39])))
+        scores = d / "extra.scores"
+        scores.write_text((d / "corpus/sys1.scores").read_text() + "999 0 A0 0 1 5.0\n")
+        corpus = d / "corpus"
+        ok_sys1 = f"{corpus}/sys1.props:{corpus}/sys1.scores"
+        return corpus, {
+            "gold-skeleton": (f"{d}/other/gold.props", ok_sys1,
+                              "sentence 0: skeletons differ"),
+            "gold-count": (f"{d}/short.props", ok_sys1,
+                           "sentence counts differ: pool 40 vs document 39"),
+            "score-record": (f"{corpus}/gold.props", f"{corpus}/sys1.props:{scores}",
+                             "system M1: score record 999 0 A0 0 1 names no argument "
+                             "of its props"),
+        }
+
+    @pytest.mark.parametrize("fault", ["gold-skeleton", "gold-count", "score-record"])
+    @pytest.mark.parametrize("command", [["infer"], ["train", "--scorer", "svm"], ["pool"]])
+    def test_bad_input_exit_2(self, damaged, tmp_path, capsys, command, fault):
+        corpus, faults = damaged
+        gold, sys1, message = faults[fault]
+        out = tmp_path / "out"
+        output = ["--dump", str(out)] if command == ["pool"] else ["--out", str(out)]
+        capsys.readouterr()
+        rc = main([*command, "--system", sys1, *_system_args(corpus)[2:],
+                   "--gold", gold, *output])
+        assert rc == 2
+        assert capsys.readouterr().err == f"srlcomb: {message}\n"
+        assert not out.exists()
 
 
 class TestTrain:

@@ -21,7 +21,7 @@ from srlcomb.infer_cs import (
 from srlcomb.model import (Argument, ConstraintSet, ConstraintRule, LabelKind, RoleLabel,
                            enumerate_violations, soft, validate)
 from srlcomb.pool import align_gold, build_pool
-from conftest import cand, random_candidates
+from conftest import HARD_50, SEARCH_HARD, cand, random_candidates
 from enum_oracle import broken_rules, enumerate_best
 
 
@@ -137,15 +137,6 @@ class TestExactness:
             cs = random_constraints(rng)
             sol = solve(cands, _cfg(cs, bias=0.3))
             assert [v for v in enumerate_violations(sol.selected, cs) if v.hard] == []
-
-
-# the search-hard knobs of perfbench, and the hard-50 corpus of the ROADMAP
-SEARCH_HARD = dict(n_systems=6, tokens_range=(20, 40), predicates_range=(1, 4),
-                   args_range=(2, 4), precision=0.6, correct_score_mean=3.0,
-                   wrong_score_mean=-3.0, score_sd=20.0)
-HARD_50 = dict(n_systems=10, tokens_range=(30, 60), predicates_range=(1, 8),
-               args_range=(2, 5), precision=0.5, correct_score_mean=3.0,
-               wrong_score_mean=-3.0, score_sd=40.0)
 
 
 def _pool_sentences(n_sentences, seed, knobs):

@@ -37,7 +37,7 @@ from conftest import cand
 
 
 def fv(space: FeatureSpace, *names: str) -> FeatureVector:
-    return FeatureVector(tuple(space.intern(n) for n in names))
+    return FeatureVector(tuple(sorted({space.intern(n) for n in names})))
 
 
 def ref_kernel(u: FeatureVector, v: FeatureVector, degree: int) -> float:
@@ -74,8 +74,8 @@ class TestKernel:
 
     def test_symmetric_random(self, rng):
         for _ in range(1000):
-            u = FeatureVector(tuple(rng.sample(range(50), rng.randint(0, 10))))
-            v = FeatureVector(tuple(rng.sample(range(50), rng.randint(0, 10))))
+            u = FeatureVector(tuple(sorted(rng.sample(range(50), rng.randint(0, 10)))))
+            v = FeatureVector(tuple(sorted(rng.sample(range(50), rng.randint(0, 10)))))
             d = rng.randint(1, 3)
             assert one_support(u, d).raw_score(v) == one_support(v, d).raw_score(u)
             assert one_support(u, d).raw_score(v) == ref_kernel(u, v, d)
@@ -476,6 +476,18 @@ class TestModelFile:
                    if l.startswith("supports ") and l != "supports 0") + 1
         lines[row] += " " + bad_id
         with pytest.raises(ValueError, match=f"vocabulary at line {row + 1}"):
+            ScoreModel.loads("\n".join(lines))
+
+    @pytest.mark.parametrize("how", ["repeated", "descending"])
+    def test_unordered_support_ids_rejected(self, featured_pool, how):
+        lines = _svm_model_text(featured_pool).splitlines()
+        row = next(i for i, l in enumerate(lines)
+                   if l.startswith("supports ") and l != "supports 0") + 1
+        coef, tick, *ids = lines[row].split()
+        assert len(ids) >= 2
+        ids = [ids[0], *ids] if how == "repeated" else ids[::-1]
+        lines[row] = " ".join([coef, tick, *ids])
+        with pytest.raises(ValueError, match=f"not strictly increasing at line {row + 1}"):
             ScoreModel.loads("\n".join(lines))
 
     @pytest.mark.parametrize("name", ["ZZ", "A9", "R-V", "C-R-A0"])

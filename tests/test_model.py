@@ -72,12 +72,31 @@ class TestCandidate:
     def test_with_features_copies_every_other_field(self):
         c = cand(0, 1, "AM-TMP", (2, 4), votes=("M1", "M2"), probs={"M2": 0.25},
                  raw={"M1": -1.5}, is_gold=True)
-        fv = FeatureVector((3, 1))
+        fv = FeatureVector((1, 3))
         copy = c.with_features(fv)
         assert copy == dataclasses.replace(c, features=fv)
         assert c.features is None and copy.features is fv
         assert [f.name for f in dataclasses.fields(copy)] == [
             "sentence_id", "argument", "votes", "raw_scores", "probs", "features", "is_gold"]
+
+    def test_with_gold_and_with_probs_copy_every_other_field(self):
+        c = cand(0, 1, "AM-TMP", (2, 4), votes=("M1", "M2"), raw={"M1": -1.5},
+                 features=FeatureVector((1, 3)))
+        assert c.with_gold(True) == dataclasses.replace(c, is_gold=True)
+        probs = (("M2", 0.25), ("M1", 0.5))
+        assert c.with_probs(probs) == dataclasses.replace(c, probs=probs)
+        assert c.with_probs(probs).probs == (("M1", 0.5), ("M2", 0.25))
+
+    @pytest.mark.parametrize("probs,message", [
+        ((("M9", 0.5),), "non-voting system 'M9'"),
+        ((("M1", 1.5),), r"probability 1.5 out of \[0, 1\]"),
+    ])
+    def test_with_probs_checks_what_it_adds(self, probs, message):
+        c = cand(votes=("M1", "M2"))
+        for build in (lambda: c.with_probs(probs),
+                      lambda: dataclasses.replace(c, probs=probs)):
+            with pytest.raises(ValueError, match=message):
+                build()
 
 
 class TestRoleLabel:

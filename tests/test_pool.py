@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from srlcomb.calibrate import attach_probs
 from srlcomb.corpus_io import (
     PropsDocument,
     PropsSentence,
@@ -10,7 +11,7 @@ from srlcomb.corpus_io import (
     SyntheticConfig,
     generate_synthetic,
 )
-from srlcomb.model import Argument, Span, V_LABEL
+from srlcomb.model import Argument, LabelKind, RoleLabel, Span, V_LABEL
 from srlcomb.pool import (
     AlignmentError,
     CandidatePool,
@@ -18,9 +19,9 @@ from srlcomb.pool import (
     build_pool,
     dump_pool,
     gold_keys,
-    load_pool,
     pool_stats,
 )
+from conftest import HARD_50, SEARCH_HARD
 
 
 def system_view(pool: CandidatePool, system_id: str) -> tuple[PropsDocument, ScoreTable]:
@@ -238,124 +239,136 @@ class TestPoolStats:
 
 class TestDump:
     def test_round_trip(self, aligned):
-        reloaded = load_pool(dump_pool(aligned))
-        assert reloaded.system_ids == aligned.system_ids
-        assert len(reloaded.sentences) == len(aligned.sentences)
-        for a, b in zip(reloaded.sentences, aligned.sentences):
-            assert a == b
+        pool = attach_probs(aligned)
+        doc = json.loads(dump_pool(pool))
+        assert doc["systems"] == list(pool.system_ids)
+        assert len(doc["sentences"]) == len(pool.sentences)
+        for d, sent in zip(doc["sentences"], pool.sentences):
+            assert (d["id"], d["n_tokens"]) == (sent.sentence_id, sent.n_tokens)
+            assert [tuple(p) for p in d["predicates"]] == list(sent.predicates)
+            assert [(c["predicate"], c["label"], tuple(c["span"]), c["votes"],
+                     c["raw_scores"], c["probs"], c["is_gold"]) for c in d["candidates"]] == [
+                (c.predicate, c.label.text, (c.span.start, c.span.end), sorted(c.votes),
+                 dict(c.raw_scores), dict(c.probs), c.is_gold) for c in sent.candidates]
 
     def test_unknown_system_view_rejected(self, aligned):
         with pytest.raises(ValueError):
             system_view(aligned, "M9")
 
 
-# -- load_pool under damage ------------------------------------------------------
 
-_JSON_VALUES = (None, True, False, 0, -1, 7, 1.5, float("nan"), float("inf"), 10 ** 20,
-                "", "A0", "V", "M1", "x", [], [0], [0, 1], ["M1"], [[0, "v"]], {}, {"M1": 0.5},
-                {"a": 1})
+# -- one pass against the three stages --------------------------------------------
 
 
-def _small_dump() -> str:
-    gold, systems = generate_synthetic(SyntheticConfig(n_sentences=2, seed=3,
-                                                       tokens_range=(4, 8)))
-    pool = build_pool([(f"M{i + 1}", d, t) for i, (d, t) in enumerate(systems)])
-    return dump_pool(align_gold(pool, gold))
+def _relabelled(doc: PropsDocument, table, share: float):
+    """``doc`` and its score table with about ``share`` of the core and
+    adjunct arguments turned into R-X or C-X of their own label.  The choice
+    depends on the argument alone, so the systems and gold make the same one."""
+    moved = {}
+    sentences = []
+    for s, sent in enumerate(doc.sentences):
+        per_pred = []
+        for p, args in enumerate(sent.arguments):
+            taken = {(a.label.text, a.span) for a in args}
+            out = []
+            for a in args:
+                key = (s, p, a.label.text, a.span)
+                rng = random.Random(repr(key))
+                if a.label.kind in (LabelKind.CORE, LabelKind.ADJUNCT) and rng.random() < share:
+                    label = RoleLabel.parse(rng.choice(("R-", "C-")) + a.label.text)
+                    if (label.text, a.span) not in taken:
+                        taken.add((label.text, a.span))
+                        moved[key] = (s, p, label.text, a.span)
+                        a = Argument(p, label, a.span)
+                out.append(a)
+            per_pred.append(tuple(out))
+        sentences.append(PropsSentence(sent.n_tokens, sent.predicates, tuple(per_pred)))
+    relabelled = PropsDocument(tuple(sentences))
+    return relabelled, None if table is None else {moved.get(k, k): v for k, v in table.items()}
 
 
-_DUMP = _small_dump()
+def _with_repeats(doc: PropsDocument) -> PropsDocument:
+    """``doc`` with the first scored argument of each predicate given twice."""
+    sentences = []
+    for sent in doc.sentences:
+        per_pred = []
+        for p, args in enumerate(sent.arguments):
+            scored = sent.scored_arguments(p)
+            per_pred.append(args + scored[:1])
+        sentences.append(PropsSentence(sent.n_tokens, sent.predicates, tuple(per_pred)))
+    return PropsDocument(tuple(sentences))
 
 
-def _paths(value, path=()):
-    """Every path to a value inside a JSON document, the root included."""
-    yield path
-    if isinstance(value, dict):
-        for key, child in value.items():
-            yield from _paths(child, path + (key,))
-    elif isinstance(value, list):
-        for i, child in enumerate(value):
-            yield from _paths(child, path + (i,))
+def _case(name: str):
+    """(systems, gold) of one differential case; gold may be None."""
+    if name.startswith("default-seed-"):
+        gold, systems = generate_synthetic(SyntheticConfig(n_sentences=60,
+                                                           seed=int(name.rsplit("-", 1)[1])))
+        return _triples(systems), gold
+    if name == "hard-50":
+        gold, systems = generate_synthetic(SyntheticConfig(n_sentences=50, seed=3, **HARD_50))
+        return _triples(systems), gold
+    if name == "search-hard-relabelled":
+        gold, systems = generate_synthetic(SyntheticConfig(n_sentences=30, seed=11,
+                                                           **SEARCH_HARD))
+        gold, _ = _relabelled(gold, None, 0.25)
+        return _triples([_relabelled(d, t, 0.25) for d, t in systems]), gold
+    gold, systems = generate_synthetic(SyntheticConfig(n_sentences=40, seed=21))
+    triples = _triples(systems)
+    if name == "no-sidecar":
+        triples[1] = (triples[1][0], triples[1][1], None)
+    elif name == "repeats":
+        triples[0] = (triples[0][0], _with_repeats(triples[0][1]), triples[0][2])
+    elif name == "no-gold":
+        gold = None
+    return triples, gold
 
 
-def _replaced(doc, path, value, delete: bool):
-    if not path:
-        return value
-    head, rest = path[0], path[1:]
-    if isinstance(doc, dict):
-        out = dict(doc)
-    else:
-        out = list(doc)
-    if rest:
-        out[head] = _replaced(doc[head], rest, value, delete)
-    elif delete:
-        del out[head]
-    else:
-        out[head] = value
-    return out
+class TestOnePass:
+    """build_pool with gold and gamma equals build_pool, then align_gold,
+    then attach_probs: every field of every candidate, in the same order."""
 
+    @pytest.mark.parametrize("name", [
+        "default-seed-0", "default-seed-1", "default-seed-7", "hard-50",
+        "search-hard-relabelled", "no-sidecar", "repeats", "no-gold"])
+    @pytest.mark.parametrize("gamma", [0.1, 0.5])
+    def test_equals_three_stages(self, name, gamma):
+        systems, gold = _case(name)
+        staged = build_pool(systems)
+        if gold is not None:
+            staged = align_gold(staged, gold)
+        assert build_pool(systems, gold) == staged
+        staged = attach_probs(staged, gamma)
+        one_pass = build_pool(systems, gold, gamma)
+        assert one_pass == staged
+        cands = list(one_pass.all_candidates())
+        assert cands and all(len(c.probs) == len(c.votes) for c in cands)
+        assert all((c.is_gold is None) == (gold is None) for c in cands)
 
-def _load_outcome(text: str):
-    try:
-        load_pool(text)
-    except ValueError:
-        return "rejected"
-    return "ok"
+    def test_cases_have_what_they_name(self):
+        systems, gold = _case("search-hard-relabelled")
+        flagged = {c.label.text[:2] for c in build_pool(systems, gold).all_candidates()
+                   if c.is_gold}
+        assert {"R-", "C-"} <= flagged
+        systems, _ = _case("no-sidecar")
+        pool = build_pool(systems)
+        assert all(c.raw_score("M2") is None for c in pool.all_candidates())
+        systems, _ = _case("repeats")
+        repeated = sum(len(a) - len(set(a)) for sent in systems[0][1].sentences
+                       for a in sent.arguments)
+        assert repeated > 0
 
-
-class TestLoadPoolFuzz:
-    """Single-line and single-value mutations of a dump_pool output: load_pool
-    either reads them or raises a ValueError, which the CLI turns into exit 2."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_single_line_mutations(self, data):
-        lines = _DUMP.splitlines()
-        i = data.draw(st.integers(0, len(lines) - 1))
-        how = data.draw(st.sampled_from(["delete", "duplicate", "replace", "swap"]))
-        if how == "delete":
-            del lines[i]
-        elif how == "duplicate":
-            lines.insert(i, lines[i])
-        elif how == "swap":
-            j = data.draw(st.integers(0, len(lines) - 1))
-            lines[i], lines[j] = lines[j], lines[i]
-        else:
-            lines[i] = data.draw(st.text(alphabet='{}[]",:-0123456789.eaAMVnulltrfs ',
-                                         max_size=20))
-        _load_outcome("\n".join(lines))
-
-    @settings(max_examples=400, deadline=None)
-    @given(st.data())
-    def test_single_value_mutations(self, data):
-        doc = json.loads(_DUMP)
-        path = data.draw(st.sampled_from(list(_paths(doc))))
-        delete = bool(path) and data.draw(st.booleans())
-        value = data.draw(st.sampled_from(_JSON_VALUES))
-        _load_outcome(json.dumps(_replaced(doc, path, value, delete)))
-
-    def test_dump_itself_loads(self):
-        assert _load_outcome(_DUMP) == "ok"
-
-    # each crash the fuzz found, as the exception it raised before
-    @pytest.mark.parametrize("path,value,delete", [
-        ((), [], False),                                        # TypeError: not an object
-        ((), 7, False),                                         # TypeError
-        (("systems",), None, True),                             # KeyError
-        (("sentences",), None, False),                          # TypeError: not a list
-        (("sentences", 0, "predicates"), None, False),          # TypeError
-        (("sentences", 0, "candidates", 0, "is_gold"), None, True),   # KeyError
-        (("sentences", 0, "candidates", 0, "raw_scores"), [0], False),  # AttributeError
-        (("sentences", 0, "candidates", 0, "label"), 7, False),       # TypeError
-        (("sentences", 0, "candidates", 0, "span"), [0], False),      # IndexError
-        (("sentences", 0, "candidates", 0, "span", 0), None, False),  # TypeError
-        (("sentences", 0, "candidates", 0, "votes"), None, False),    # TypeError
-        (("sentences", 0, "candidates", 0, "probs"), "x", False),     # TypeError
-        (("sentences", 0, "candidates", 0, "predicate"), None, False),  # TypeError on sort
+    @pytest.mark.parametrize("gold_sentences,message", [
+        (39, "sentence counts differ: pool 40 vs document 39"),
+        (None, "sentence 0: skeletons differ"),
     ])
-    def test_damaged_document_rejected(self, path, value, delete):
-        doc = json.loads(_DUMP)
-        if path[-1:] == ("probs",):     # a text probability of the first voter
-            value = {doc["sentences"][0]["candidates"][0]["votes"][0]: value}
-        text = json.dumps(_replaced(doc, path, value, delete))
-        with pytest.raises(ValueError):
-            load_pool(text)
+    def test_both_paths_reject_a_gold_skeleton_mismatch(self, corpus, gold_sentences, message):
+        gold, systems = corpus
+        if gold_sentences is None:
+            gold, _ = generate_synthetic(SyntheticConfig(n_sentences=40, seed=99))
+        else:
+            gold = PropsDocument(gold.sentences[:gold_sentences])
+        for stage in (lambda: align_gold(build_pool(_triples(systems)), gold),
+                      lambda: build_pool(_triples(systems), gold, 0.1)):
+            with pytest.raises(AlignmentError, match=message):
+                stage()
