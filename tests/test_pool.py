@@ -2,14 +2,19 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from srlcomb.calibrate import attach_probs
+from srlcomb.calibrate import DEFAULT_GAMMA, attach_probs
 from srlcomb.corpus_io import (
     PropsDocument,
     PropsSentence,
     ScoreTable,
     SyntheticConfig,
+    emit_props,
+    emit_scores,
     generate_synthetic,
+    parse_props,
+    parse_scores,
 )
 from srlcomb.model import Argument, LabelKind, RoleLabel, Span, V_LABEL
 from srlcomb.pool import (
@@ -372,3 +377,134 @@ class TestOnePass:
                       lambda: build_pool(_triples(systems), gold, 0.1)):
             with pytest.raises(AlignmentError, match=message):
                 stage()
+
+
+# -- damaged input files ------------------------------------------------------------
+
+
+def _small_files() -> dict:
+    """The files a pool is loaded from: each system's props and score
+    sidecar, and gold, as ``srlcomb synth`` writes them."""
+    gold, systems = generate_synthetic(SyntheticConfig(n_sentences=6, seed=21))
+    files = {"gold": emit_props(gold)}
+    for sid, doc, table in _triples(systems):
+        files[sid] = emit_props(doc)
+        files[sid + ".scores"] = emit_scores(table)
+    return files
+
+
+_FILES = _small_files()
+
+_FIELD_VALUES = ("", "-", "*", "*)", "(A0*", "(A0*)", "(V*)", "(V*", "verb3", "0", "-1", "7",
+                 "1.5", "nan", "inf", "1e400", "A0", "R-A0", "C-A1", "AM-TMP", "V", "x", "None")
+
+
+def _load(files: dict, staged: bool):
+    """Read ``files`` as the CLI does: systems first, then gold.  The pool is
+    built in one pass, or by build_pool, align_gold and attach_probs."""
+    systems = []
+    for sid in ("M1", "M2", "M3"):
+        systems.append((sid, parse_props(files[sid]), parse_scores(files[sid + ".scores"])))
+    gold = parse_props(files["gold"])
+    if staged:
+        return attach_probs(align_gold(build_pool(systems), gold), DEFAULT_GAMMA)
+    return build_pool(systems, gold, DEFAULT_GAMMA)
+
+
+def _load_outcome(files: dict):
+    """"ok" or "rejected"; any error but a ValueError fails the test, and the
+    one-pass and staged loads must agree."""
+    outcomes = []
+    for staged in (False, True):
+        try:
+            outcomes.append(_load(files, staged))
+        except ValueError:
+            outcomes.append("rejected")
+    one_pass, staged = outcomes
+    assert one_pass == staged
+    return "rejected" if one_pass == "rejected" else "ok"
+
+
+def _damaged(files: dict, path: tuple, value, delete: bool) -> dict:
+    """``files`` with one line (path ``(file, line)``, ``value`` its list of
+    fields) or one field of a line (path ``(file, line, field)``) replaced by
+    the text of ``value``, or deleted."""
+    name, line = path[0], path[1]
+    lines = files[name].split("\n")
+    if len(path) == 2:
+        if delete:
+            del lines[line]
+        else:
+            lines[line] = " ".join(map(str, value))
+    else:
+        fields = lines[line].split()
+        if delete:
+            del fields[path[2]]
+        else:
+            fields[path[2]] = str(value)
+        lines[line] = " ".join(fields)
+    return {**files, name: "\n".join(lines)}
+
+
+class TestLoadPoolFuzz:
+    """Single-line and single-value mutations of the files a pool is loaded
+    from: build_pool either reads them or raises a ValueError, which the CLI
+    turns into exit 2, and the one-pass build agrees with the three stages."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_single_line_mutations(self, data):
+        name = data.draw(st.sampled_from(sorted(_FILES)))
+        lines = _FILES[name].splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        how = data.draw(st.sampled_from(["delete", "duplicate", "replace", "swap"]))
+        if how == "delete":
+            del lines[i]
+        elif how == "duplicate":
+            lines.insert(i, lines[i])
+        elif how == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[i] = data.draw(st.text(alphabet="()*-AVMRC0123456789. eanifxvrb",
+                                         max_size=20))
+        _load_outcome({**_FILES, name: "\n".join(lines) + "\n"})
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_single_value_mutations(self, data):
+        name = data.draw(st.sampled_from(sorted(_FILES)))
+        lines = _FILES[name].split("\n")
+        i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line.strip()]))
+        j = data.draw(st.integers(0, len(lines[i].split()) - 1))
+        delete = data.draw(st.booleans())
+        value = data.draw(st.sampled_from(_FIELD_VALUES))
+        _load_outcome(_damaged(_FILES, (name, i, j), value, delete))
+
+    def test_dump_itself_loads(self):
+        assert _load_outcome(_FILES) == "ok"
+        pool = _load(_FILES, staged=False)
+        doc = json.loads(dump_pool(pool))
+        assert sum(len(d["candidates"]) for d in doc["sentences"]) == \
+            len(list(pool.all_candidates())) > 0
+
+    # each a damaged file that must be rejected; a field holding None is one
+    # that a writer printed as Python's None
+    @pytest.mark.parametrize("path,value,delete", [
+        (("M1.scores", 0), ["0", "0", "A1"], False),        # a record of 3 fields
+        (("M1.scores", 0, 1), 7, False),                    # predicate 7 of sentence 0
+        (("M1.scores", 0, 5), None, True),                  # no score
+        (("M1.scores", 0, 5), None, False),                 # a score of None
+        (("M1.scores", 0, 0), None, False),                 # a sentence index of None
+        (("gold", 0), None, True),                          # a gold token line deleted
+        (("M2", 0), ["x"], False),                          # a props line of one column
+        (("M1.scores", 0, 0), 7, False),                    # sentence 7 of 6
+        (("gold", 0), ["x"], False),                        # a gold line of one column
+        (("M1.scores", 0, 1), None, False),                 # a predicate index of None
+        (("M1.scores", 0, 3), None, False),                 # a span start of None
+        (("M1.scores", 0, 2), "x", False),                  # an unknown label
+        (("M1.scores", 0, 4), None, False),                 # a span end of None
+        (("M1.scores", 0, 5), "nan", False),                # a non-finite score
+    ])
+    def test_damaged_document_rejected(self, path, value, delete):
+        assert _load_outcome(_damaged(_FILES, path, value, delete)) == "rejected"
