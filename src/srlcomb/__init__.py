@@ -17,7 +17,4 @@ from .model import (  # noqa: F401
     Sentence,
     Solution,
     Span,
-    SpanRelation,
-    span_relation,
-    validate,
 )

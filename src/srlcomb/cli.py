@@ -148,13 +148,19 @@ def _parse_system_arg(text: str):
 
 def _load_systems(args, scores: bool) -> list:
     """The named props of every --system, with its score sidecar if
-    ``scores`` is set; otherwise no sidecar is opened."""
+    ``scores`` is set; otherwise no sidecar is opened.  A system without a
+    name is called M<i> after its place in the list; two systems with one
+    name are an input error, found before any file is read."""
+    specs = [_parse_system_arg(spec) for spec in args.system]
+    names = [name or f"M{i}" for i, (name, _, _) in enumerate(specs, 1)]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise FormatError(f"--system: two systems are named {name!r}")
     systems = []
-    for i, spec in enumerate(args.system, 1):
-        name, props_path, scores_path = _parse_system_arg(spec)
+    for name, (_, props_path, scores_path) in zip(names, specs):
         doc = parse_props(_read(props_path))
         table = parse_scores(_read(scores_path)) if scores and scores_path else None
-        systems.append((name or f"M{i}", doc, table))
+        systems.append((name, doc, table))
     return systems
 
 
@@ -302,12 +308,15 @@ def cmd_infer(args) -> int:
 
 
 def cmd_train(args) -> int:
+    try:
+        config = FeatureConfig.parse_groups(args.features)
+    except ValueError as exc:
+        raise FormatError(f"--features {args.features!r}: {exc}") from None
     pool, gold = _load_pool(args, args.gamma)
     if not pool.sentences:
         raise FormatError("train: the corpus has no sentences to learn from")
     intervals = build_intervals(pool)
     sentences = _load_sentences(args, gold)
-    config = FeatureConfig.parse_groups(args.features)
     extractor = FeatureExtractor(config)
     pool = extractor.extract_pool(pool, sentences, intervals)
 

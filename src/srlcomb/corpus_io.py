@@ -396,7 +396,6 @@ def skeleton_tags(n_tokens: int,
 # Score sidecars
 
 
-ScoreKey = tuple[int, int, str, Span]
 ScoreTable = dict
 
 

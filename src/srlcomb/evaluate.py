@@ -67,7 +67,6 @@ class ScoreReport:
     f1: float
     pprops: float
     per_label: dict
-    confusion: dict
     n_sentences: int
     n_predicates: int
     per_sentence: tuple     # (correct, predicted, gold) per sentence, for bootstrap
@@ -100,7 +99,6 @@ def _sentence_counts(predicted: PropsDocument, gold: PropsDocument):
     check_skeleton([predicted, gold])
     per_sentence = []
     per_label: dict = {}
-    confusion: dict = {}
     perfect = 0
     n_predicates = 0
 
@@ -129,13 +127,8 @@ def _sentence_counts(predicted: PropsDocument, gold: PropsDocument):
                 bump(l, "gold")
             for l, s in matched:
                 bump(l, "correct")
-            gold_by_span = {s: l for l, s in gold_set}
-            for l, s in pred_set - matched:
-                g = gold_by_span.get(s)
-                if g is not None and g != l:
-                    confusion[(g, l)] = confusion.get((g, l), 0) + 1
         per_sentence.append((correct, n_pred, n_gold))
-    return per_sentence, per_label, confusion, perfect, n_predicates
+    return per_sentence, per_label, perfect, n_predicates
 
 
 def _prf(correct: int, predicted: int, gold: int) -> tuple[float, float, float]:
@@ -147,7 +140,7 @@ def _prf(correct: int, predicted: int, gold: int) -> tuple[float, float, float]:
 
 def score(predicted: PropsDocument, gold: PropsDocument) -> ScoreReport:
     """Precision/recall/F1/PProps of a predicted document against gold."""
-    per_sentence, per_label, confusion, perfect, n_predicates = (
+    per_sentence, per_label, perfect, n_predicates = (
         _sentence_counts(predicted, gold))
     correct = sum(c for c, _, _ in per_sentence)
     n_pred = sum(p for _, p, _ in per_sentence)
@@ -157,7 +150,6 @@ def score(predicted: PropsDocument, gold: PropsDocument) -> ScoreReport:
         precision=p, recall=r, f1=f,
         pprops=100.0 * perfect / n_predicates if n_predicates else 100.0,
         per_label={lab: LabelScore(*c) for lab, c in per_label.items()},
-        confusion=confusion,
         n_sentences=len(gold.sentences),
         n_predicates=n_predicates,
         per_sentence=tuple(per_sentence))

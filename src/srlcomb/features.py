@@ -53,9 +53,6 @@ class FeatureSpace:
             self._names.append(name)
         return fid
 
-    def lookup(self, name: str) -> Optional[int]:
-        return self._by_name.get(name)
-
     def ids(self, names: Iterable[str]) -> tuple[int, ...]:
         """The distinct ids of ``names``, ascending.  A frozen space drops the
         names it lacks; any other space interns them in sorted order, so the
@@ -104,13 +101,12 @@ class FeatureConfig:
     groups: tuple[str, ...] = ALL_GROUPS
 
     def __post_init__(self) -> None:
-        groups = tuple(sorted(set(self.groups), key=ALL_GROUPS.index))
-        if not groups:
-            raise ValueError("at least one feature group must be enabled")
-        for g in groups:
+        for g in self.groups:
             if g not in ALL_GROUPS:
                 raise ValueError(f"unknown feature group {g!r}")
-        object.__setattr__(self, "groups", groups)
+        if not self.groups:
+            raise ValueError("at least one feature group must be enabled")
+        object.__setattr__(self, "groups", tuple(sorted(set(self.groups), key=ALL_GROUPS.index)))
 
     def digest(self) -> str:
         payload = f"{','.join(self.groups)}|{NGRAM_CAP}|{PATH_THRESHOLD}|{COUNT_CAP}"
@@ -123,9 +119,11 @@ class FeatureConfig:
         if text.lower() == "all":
             return cls(groups=ALL_GROUPS)
         if "-" in text and "," not in text:
-            lo, hi = text.split("-", 1)
-            i, j = ALL_GROUPS.index(lo.strip()), ALL_GROUPS.index(hi.strip())
-            return cls(groups=ALL_GROUPS[i:j + 1])
+            lo, hi = (g.strip() for g in text.split("-", 1))
+            for g in (lo, hi):
+                if g not in ALL_GROUPS:
+                    raise ValueError(f"unknown feature group {g!r}")
+            return cls(groups=ALL_GROUPS[ALL_GROUPS.index(lo):ALL_GROUPS.index(hi) + 1])
         return cls(groups=tuple(g.strip() for g in text.split(",") if g.strip()))
 
 
@@ -381,13 +379,6 @@ class FeatureExtractor:
         return pool.with_candidates(per_sentence,
                                     feature_digest=self.config.digest(),
                                     feature_space=self.space)
-
-    def extract(self, candidate: Candidate, spool: SentencePool, sentence: Sentence,
-                intervals: Optional[IntervalTable] = None,
-                system_ids: Optional[Sequence[str]] = None) -> FeatureVector:
-        shared = _PoolNames(system_ids or sorted({s for c in spool.candidates for s in c.votes}))
-        return self._extract(candidate, _SentenceContext(spool, sentence, shared), shared,
-                             intervals)
 
     # -- group extractors ---------------------------------------------------
 

@@ -109,9 +109,6 @@ class LabelScorer:
             out.append(float(np.cumsum(terms)[-1]))
         return out
 
-    def raw_score(self, fv: FeatureVector) -> float:
-        return self.scores([fv])[0]
-
 
 @dataclass
 class ScoreModel:

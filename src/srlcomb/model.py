@@ -14,20 +14,8 @@ from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
 
-class StructureError(ValueError):
-    """A solution references candidates that do not belong to the sentence."""
-
-
 # ---------------------------------------------------------------------------
 # Spans
-
-
-class SpanRelation(Enum):
-    EQUAL = "equal"
-    DISJOINT = "disjoint"
-    A_CONTAINS_B = "a_contains_b"
-    B_CONTAINS_A = "b_contains_a"
-    CROSSING = "crossing"
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -51,19 +39,6 @@ class Span:
 
     def intersects(self, other: "Span") -> bool:
         return self.start <= other.end and other.start <= self.end
-
-
-def span_relation(a: Span, b: Span) -> SpanRelation:
-    """Classify two spans; exactly one relation holds for any pair."""
-    if a == b:
-        return SpanRelation.EQUAL
-    if not a.intersects(b):
-        return SpanRelation.DISJOINT
-    if a.contains(b):
-        return SpanRelation.A_CONTAINS_B
-    if b.contains(a):
-        return SpanRelation.B_CONTAINS_A
-    return SpanRelation.CROSSING
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +221,6 @@ class Sentence:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def chunks(self) -> list[tuple[str, Span]]:
-        return [(kind, Span(start, end))
-                for kind, start, end in decode_bio([t.chunk for t in self.tokens])]
-
-    def named_entities(self) -> list[tuple[str, Span]]:
-        return [(kind, Span(start, end))
-                for kind, start, end in decode_bio([t.ne for t in self.tokens])]
-
-    def clause_spans(self) -> list[Span]:
-        """Clause intervals decoded from the bracket column, outermost first."""
-        return [Span(start, end)
-                for start, end in clause_intervals([t.clause for t in self.tokens])]
-
 
 def clause_intervals(tags: Sequence[str]) -> list[tuple[int, int]]:
     """(start, end) of each clause that a bracket column opens and closes,
@@ -346,27 +308,6 @@ class Candidate:
                 raise ValueError(f"raw score for non-voting system {sys_id!r}")
         object.__setattr__(self, "probs", _checked_probs(self.votes, self.probs))
 
-    @classmethod
-    def make(
-        cls,
-        sentence_id: int,
-        argument: Argument,
-        votes: Iterable[str],
-        raw_scores: Optional[dict] = None,
-        probs: Optional[dict] = None,
-        features: Optional[FeatureVector] = None,
-        is_gold: Optional[bool] = None,
-    ) -> "Candidate":
-        return cls(
-            sentence_id=sentence_id,
-            argument=argument,
-            votes=frozenset(votes),
-            raw_scores=tuple((raw_scores or {}).items()),
-            probs=tuple((probs or {}).items()),
-            features=features,
-            is_gold=is_gold,
-        )
-
     def with_features(self, features: Optional[FeatureVector]) -> "Candidate":
         """This candidate with another feature vector."""
         return self._copy(self.probs, features, self.is_gold)
@@ -412,12 +353,6 @@ class Candidate:
     @property
     def predicate(self) -> int:
         return self.argument.predicate
-
-    def raw_score(self, system: str) -> Optional[float]:
-        for sys_id, v in self.raw_scores:
-            if sys_id == system:
-                return v
-        return None
 
     def prob_sum(self) -> float:
         return sum(v for _, v in self.probs)
@@ -524,14 +459,6 @@ class ConstraintSet:
 STRUCTURAL_RULES = ConstraintSet.hard_rules(1, 2, 5)
 
 
-@dataclass(frozen=True)
-class Violation:
-    constraint: str
-    candidates: tuple[Candidate, ...]
-    hard: bool
-    penalty: float = 0.0
-
-
 def _shared_arg_label(label: RoleLabel) -> bool:
     """Labels covered by c6: AM-X, R-AM-X, and C-X of any base."""
     if label.kind is LabelKind.ADJUNCT or label.kind is LabelKind.CONTINUATION:
@@ -577,51 +504,3 @@ def licenses(base: Candidate | Argument, dependent: Candidate | Argument) -> boo
             and base.label.text == dependent.label.base
             and (dependent.label.kind is not LabelKind.CONTINUATION
                  or base.span.start < dependent.span.start))
-
-
-def enumerate_violations(selected: Sequence[Candidate], cs: ConstraintSet) -> list[Violation]:
-    """List every countable constraint violation in a candidate selection.
-
-    Pairwise constraints (c1, c2, c5, c6) yield one violation per offending
-    pair; c3 and c4 yield one per unsupported R-/C- candidate.  Soft
-    violations carry their penalty; hard ones make the selection invalid.
-    """
-    cands = sorted(selected, key=lambda c: c.key)
-    out: list[Violation] = []
-
-    def emit(cid: str, members: tuple[Candidate, ...]) -> None:
-        rule = cs.rule(cid)
-        out.append(Violation(cid, members, rule.mode == "hard",
-                             rule.penalty if rule.mode == "soft" else 0.0))
-
-    for i in range(len(cands)):
-        for j in range(i + 1, len(cands)):
-            for cid in pair_rules(cands[i], cands[j]):
-                if cs.rule(cid).active:
-                    emit(cid, (cands[i], cands[j]))
-    for kind, cid in EXISTENTIAL_RULES.items():
-        if cs.rule(cid).active:
-            for c in cands:
-                if c.label.kind is kind and not any(licenses(o, c) for o in cands):
-                    emit(cid, (c,))
-    return out
-
-
-def validate(solution: Solution, cs: ConstraintSet, sentence: Sentence) -> list[Violation]:
-    """Check a solution against a constraint set.
-
-    Raises StructureError when a candidate does not belong to the sentence.
-    The returned list is empty iff the solution satisfies every hard
-    constraint and incurs no soft penalty; callers that only care about
-    validity should filter on ``Violation.hard``.
-    """
-    for c in solution.selected:
-        if c.sentence_id != sentence.id:
-            raise StructureError(
-                f"candidate {c.key} belongs to sentence {c.sentence_id}, not {sentence.id}")
-        if c.predicate >= len(sentence.predicates):
-            raise StructureError(f"candidate {c.key} names unknown predicate {c.predicate}")
-        if sentence.tokens and c.span.end >= len(sentence.tokens):
-            raise StructureError(f"candidate {c.key} exceeds sentence length")
-    return enumerate_violations(solution.selected, cs)
-

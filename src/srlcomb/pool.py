@@ -168,7 +168,6 @@ class PoolStats:
 
     columns: tuple[str, ...]
     rows: tuple[tuple[str, tuple[float, ...]], ...]   # label -> percentages
-    counts: tuple[tuple[str, tuple[int, ...]], ...]
 
     def text_table(self) -> str:
         widths = [max(len("label"), *(len(r[0]) for r in self.rows))] if self.rows else [5]
@@ -183,7 +182,7 @@ class PoolStats:
 def pool_stats(pool: CandidatePool) -> PoolStats:
     """Agreement table over gold candidates: full / partial / single-system."""
     if not pool.is_aligned():
-        raise ValueError("pool_stats requires gold alignment (run align_gold first)")
+        raise ValueError("pool_stats needs gold flags: build the pool with gold")
     m = pool.m
     columns = tuple(f"∩ of {k}" for k in range(m, 1, -1)) + pool.system_ids
 
@@ -199,13 +198,11 @@ def pool_stats(pool: CandidatePool) -> PoolStats:
             row = per_label.setdefault(cand.label.text, {c: 0 for c in columns})
             row[column_of(cand)] += 1
     rows = []
-    counts = []
     for label in sorted(per_label):
         row = per_label[label]
         total = sum(row.values())
-        counts.append((label, tuple(row[c] for c in columns)))
         rows.append((label, tuple(100.0 * row[c] / total for c in columns)))
-    return PoolStats(columns, tuple(rows), tuple(counts))
+    return PoolStats(columns, tuple(rows))
 
 
 def solutions_to_props(pool: CandidatePool, solutions: Sequence[Solution]) -> PropsDocument:

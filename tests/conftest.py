@@ -10,12 +10,12 @@ def cand(sentence_id=0, pred=0, label="A0", span=(0, 1), votes=None,
     """Shorthand candidate builder; votes default to the prob/score keys."""
     if votes is None:
         votes = set((probs or {})) | set((raw or {})) or {"M1"}
-    return Candidate.make(
+    return Candidate(
         sentence_id,
         Argument(pred, RoleLabel.parse(label), Span(*span)),
-        votes=votes,
-        probs=probs,
-        raw_scores=raw,
+        votes=frozenset(votes),
+        raw_scores=tuple((raw or {}).items()),
+        probs=tuple((probs or {}).items()),
         features=features,
         is_gold=is_gold,
     )

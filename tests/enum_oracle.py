@@ -1,13 +1,38 @@
-"""Brute-force selection oracle for the inference tests.
+"""Brute-force selection oracle and rule checker for the inference tests.
 
 Enumerates every subset of candidates with vectorized numpy and applies the
 constraint rules independently of the solver implementation, so agreement
-between the two is meaningful evidence of exactness.
+between the two is meaningful evidence of exactness.  ``violations`` checks
+one selection by the same rules; nothing here calls the solver's own
+``pair_rules`` or ``licenses``.
 """
+
+from enum import Enum
 
 import numpy as np
 
-from srlcomb.model import ConstraintSet, LabelKind, SpanRelation, span_relation
+from srlcomb.model import ConstraintSet, LabelKind, Span
+
+
+class SpanRelation(Enum):
+    EQUAL = "equal"
+    DISJOINT = "disjoint"
+    A_CONTAINS_B = "a_contains_b"
+    B_CONTAINS_A = "b_contains_a"
+    CROSSING = "crossing"
+
+
+def span_relation(a: Span, b: Span) -> SpanRelation:
+    """Classify two spans; exactly one relation holds for any pair."""
+    if a == b:
+        return SpanRelation.EQUAL
+    if not a.intersects(b):
+        return SpanRelation.DISJOINT
+    if a.contains(b):
+        return SpanRelation.A_CONTAINS_B
+    if b.contains(a):
+        return SpanRelation.B_CONTAINS_A
+    return SpanRelation.CROSSING
 
 
 def _shared_kind(label) -> bool:
@@ -38,6 +63,54 @@ def broken_rules(a, b) -> list:
     return rules
 
 
+def _supports(base, dependent) -> bool:
+    """Whether ``base`` is an argument that the R-/C- ``dependent`` needs:
+    its X, of the same predicate, and for a C-X one that starts earlier."""
+    label = dependent.argument.label
+    return (base.argument.predicate == dependent.argument.predicate
+            and base.argument.label.text == label.base
+            and (label.kind is LabelKind.REFERENCE
+                 or base.argument.span.start < dependent.argument.span.start))
+
+
+def _existential_rule(label):
+    return {LabelKind.REFERENCE: "c3", LabelKind.CONTINUATION: "c4"}.get(label.kind)
+
+
+def violations(selected, cs: ConstraintSet) -> list:
+    """(name, rule) for each break of an active rule in a selection: one per
+    offending pair for c1, c2, c5 and c6, one per R-/C- candidate without a
+    base for c3 and c4.  A hard rule's break makes the selection infeasible;
+    a soft one's costs the rule's penalty."""
+    selected = list(selected)
+    out = []
+    for i, a in enumerate(selected):
+        for b in selected[i + 1:]:
+            out += [(cid, cs.rule(cid)) for cid in broken_rules(a, b) if cs.rule(cid).active]
+    for c in selected:
+        cid = _existential_rule(c.argument.label)
+        if cid is not None and cs.rule(cid).active and not any(
+                _supports(o, c) for o in selected):
+            out.append((cid, cs.rule(cid)))
+    return out
+
+
+def hard_violations(selected, cs: ConstraintSet) -> list:
+    """The names of the hard rules that a selection breaks; empty when it
+    is feasible."""
+    return [cid for cid, rule in violations(selected, cs) if rule.mode == "hard"]
+
+
+def assert_feasible(solutions, pool, cs: ConstraintSet) -> None:
+    """One solution per pool sentence, each made of that sentence's
+    candidates and breaking no hard rule of ``cs``."""
+    assert len(solutions) == len(pool.sentences)
+    for sol, spool in zip(solutions, pool.sentences):
+        assert sol.sentence_id == spool.sentence_id
+        assert set(sol.selected) <= set(spool.candidates)
+        assert hard_violations(sol.selected, cs) == []
+
+
 def enumerate_best(candidates, margins, cs: ConstraintSet, constant: float = 0.0):
     """Return (best objective, best selection mask) over all 2^n subsets."""
     n = len(candidates)
@@ -57,30 +130,19 @@ def enumerate_best(candidates, margins, cs: ConstraintSet, constant: float = 0.0
                     objective -= rule.penalty * both
 
     for i, c in enumerate(candidates):
-        label = c.argument.label
-        if label.kind is LabelKind.REFERENCE and cs.c3.active:
-            support = np.zeros(len(masks), dtype=bool)
-            for j, o in enumerate(candidates):
-                if (o.argument.predicate == c.argument.predicate
-                        and o.argument.label.text == label.base):
-                    support |= bits[:, j] > 0
-            broken = (bits[:, i] > 0) & ~support
-            if cs.c3.mode == "hard":
-                feasible &= ~broken
-            else:
-                objective -= cs.c3.penalty * broken
-        if label.kind is LabelKind.CONTINUATION and cs.c4.active:
-            support = np.zeros(len(masks), dtype=bool)
-            for j, o in enumerate(candidates):
-                if (o.argument.predicate == c.argument.predicate
-                        and o.argument.label.text == label.base
-                        and o.argument.span.start < c.argument.span.start):
-                    support |= bits[:, j] > 0
-            broken = (bits[:, i] > 0) & ~support
-            if cs.c4.mode == "hard":
-                feasible &= ~broken
-            else:
-                objective -= cs.c4.penalty * broken
+        cid = _existential_rule(c.argument.label)
+        rule = cs.rule(cid) if cid is not None else None
+        if rule is None or not rule.active:
+            continue
+        support = np.zeros(len(masks), dtype=bool)
+        for j, o in enumerate(candidates):
+            if _supports(o, c):
+                support |= bits[:, j] > 0
+        broken = (bits[:, i] > 0) & ~support
+        if rule.mode == "hard":
+            feasible &= ~broken
+        else:
+            objective -= rule.penalty * broken
 
     objective[~feasible] = -np.inf
     best = int(np.argmax(objective))

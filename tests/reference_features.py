@@ -31,6 +31,8 @@ from srlcomb.model import (
     Span,
     V_LABEL,
     clause_events,
+    clause_intervals,
+    decode_bio,
 )
 from srlcomb.pool import CandidatePool, SentencePool
 
@@ -211,9 +213,10 @@ class _SentenceContext:
     def __init__(self, spool: SentencePool, sentence: Sentence, system_ids: Sequence[str]):
         self.spool = spool
         self.sentence = sentence
-        self.chunks = sentence.chunks()
-        self.nes = sentence.named_entities()
-        self.clauses = sentence.clause_spans()
+        tokens = sentence.tokens
+        self.chunks = [(kind, Span(s, e)) for kind, s, e in decode_bio([t.chunk for t in tokens])]
+        self.nes = [(kind, Span(s, e)) for kind, s, e in decode_bio([t.ne for t in tokens])]
+        self.clauses = [Span(s, e) for s, e in clause_intervals([t.clause for t in tokens])]
         self.parse = _ParseIndex(sentence.parse) if sentence.parse is not None else None
         self.token_events = []
         for tok in sentence.tokens:

@@ -378,6 +378,32 @@ class TestBadInput:
         assert capsys.readouterr().err.startswith(f"srlcomb: {option} ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["FS1-FS9", "FS7", "fs1", "", "FS3-FS1"])
+    def test_bad_features_exit_2_before_reading_input(self, tmp_path, capsys, spec):
+        out = tmp_path / "m"
+        rc = main(["train", "--system", str(tmp_path / "missing.props"),
+                   "--gold", str(tmp_path / "missing-gold.props"),
+                   "--scorer", "svm", "--features", spec, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"srlcomb: --features {spec!r}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("names,duplicate", [(("A=", "A="), "A"), (("", "M1="), "M1")],
+                             ids=["both-named", "auto-name"])
+    @pytest.mark.parametrize("command", [
+        ["infer"], ["train", "--scorer", "svm"], ["pool", "--dump"]])
+    def test_duplicate_system_names_exit_2(self, corpus_dir, tmp_path, capsys, command,
+                                           names, duplicate):
+        systems = [arg for i, name in enumerate(names, 1)
+                   for arg in ("--system", f"{name}{corpus_dir}/sys{i}.props")]
+        out = tmp_path / "x.out"
+        argv = [*command, str(out)] if command[-1] == "--dump" else [*command, "--out", str(out)]
+        rc = main([*argv, *systems, "--gold", f"{corpus_dir}/gold.props"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"srlcomb: --system: two systems are named {duplicate!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.fixture
     def empty_dir(self, tmp_path):
         for name in ("gold.props", "sys1.props"):

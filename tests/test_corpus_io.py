@@ -17,7 +17,7 @@ from srlcomb.corpus_io import (
     skeleton_sentences,
 )
 from srlcomb.evaluate import score
-from srlcomb.model import Argument, RoleLabel, Span, V_LABEL
+from srlcomb.model import Argument, RoleLabel, Span, V_LABEL, clause_intervals, decode_bio
 
 
 SIMPLE_PROPS = """\
@@ -129,10 +129,10 @@ class TestSyntax:
         sents = parse_syntax(SYNTAX_WITH_PARSE)
         assert len(sents) == 1
         sent = sents[0]
-        assert sent.chunks() == [("NP", Span(0, 1)), ("VP", Span(2, 2)),
-                                 ("NP", Span(3, 3))]
-        assert sent.clause_spans() == [Span(0, 3)]
-        assert sent.named_entities() == [("DATE", Span(3, 3))]
+        assert decode_bio([t.chunk for t in sent.tokens]) == [("NP", 0, 1), ("VP", 2, 2),
+                                                              ("NP", 3, 3)]
+        assert clause_intervals([t.clause for t in sent.tokens]) == [(0, 3)]
+        assert decode_bio([t.ne for t in sent.tokens]) == [("DATE", 3, 3)]
 
     def test_parse_tree(self):
         sent = parse_syntax(SYNTAX_WITH_PARSE)[0]
@@ -234,7 +234,7 @@ class TestSynthetic:
         for sent, props in zip(sents, gold.sentences):
             assert len(sent.tokens) == props.n_tokens
             assert sent.predicates == props.predicates
-            assert sent.clause_spans() == [Span(0, props.n_tokens - 1)]
+            assert clause_intervals([t.clause for t in sent.tokens]) == [(0, props.n_tokens - 1)]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -109,7 +109,7 @@ def _random_sentence(rng: random.Random, sentence_id: int) -> tuple:
         votes = rng.sample(SYSTEMS[:3], rng.randint(1, 3))
         probs = {sid: rng.choice((0.0, 0.5, 1.0, rng.random())) for sid in votes
                  if rng.random() < 0.8}
-        cand = Candidate.make(sentence_id, arg, votes, probs=probs)
+        cand = Candidate(sentence_id, arg, frozenset(votes), probs=tuple(probs.items()))
         cands[cand.key] = cand
     spool = SentencePool(sentence_id, n, preds, tuple(cands[k] for k in sorted(cands)))
     return sentence, spool
@@ -191,7 +191,7 @@ def test_random_syntax(rng, n_sentences, groups):
 
 
 def test_bad_skeleton_rejected_like_the_reference():
-    cand = Candidate.make(0, Argument(0, RoleLabel.parse("A0"), Span(0, 0)), ["M1"])
+    cand = Candidate(0, Argument(0, RoleLabel.parse("A0"), Span(0, 0)), frozenset(["M1"]))
     for n_tokens, preds in ((3, ((2, "a"), (1, "b"))), (3, ((1, "a"), (1, "b"))),
                             (3, ((3, "a"),))):
         pool = CandidatePool(("M1",), (SentencePool(0, n_tokens, preds, (cand,)),))
@@ -209,7 +209,7 @@ def test_sentence_shorter_than_its_pool_sentence():
         sentence, _ = _random_sentence(rng, 0)
     n = len(sentence.tokens)
     preds = ((1, "v"), (n + 3, "w"))
-    cands = [Candidate.make(0, Argument(p, RoleLabel.parse(label), Span(start, end)), votes)
+    cands = [Candidate(0, Argument(p, RoleLabel.parse(label), Span(start, end)), frozenset(votes))
              for p, label, start, end, votes in (
                  (0, "A0", 0, n + 5, ["M1"]), (0, "A1", n - 1, n + 1, ["M2"]),
                  (1, "A0", 2, n + 1, ["M1", "M2"]), (1, "AM-TMP", n + 4, n + 6, ["M3"]))]

@@ -6,12 +6,19 @@ from srlcomb.calibrate import IntervalTable
 from srlcomb.corpus_io import SyntheticConfig, generate_synthetic, parse_syntax
 from srlcomb.features import ALL_GROUPS, FeatureConfig, FeatureExtractor, FeatureSpace
 from srlcomb.model import Sentence, Span, Token
-from srlcomb.pool import SentencePool, align_gold, build_pool
+from srlcomb.pool import CandidatePool, SentencePool, align_gold, build_pool
 from conftest import cand
 
 
-def _names(space: FeatureSpace, fv) -> set:
-    return {space.name(i) for i in fv.ids}
+def _names(ex: FeatureExtractor, target, spool, sentence, intervals=None,
+           system_ids=None) -> set:
+    """The feature names of ``target``, extracted from a one-sentence pool of
+    ``spool``; the systems default to those that vote in it."""
+    if system_ids is None:
+        system_ids = tuple(sorted({s for c in spool.candidates for s in c.votes}))
+    pool = ex.extract_pool(CandidatePool(tuple(system_ids), (spool,)), [sentence], intervals)
+    [fv] = [c.features for c in pool.sentences[0].candidates if c.key == target.key]
+    return {ex.space.name(i) for i in fv.ids}
 
 
 def _sentence(n=14, pred=6):
@@ -50,8 +57,8 @@ class TestVoting:
     def test_agreed_argument(self, combo_pool):
         spool, sentence = combo_pool
         ex = FeatureExtractor(FeatureConfig(groups=("FS1",)))
-        names = _names(ex.space, ex.extract(_get(spool, "A1", (7, 9)), spool, sentence,
-                                            system_ids=("M1", "M2", "M3")))
+        names = _names(ex, _get(spool, "A1", (7, 9)), spool, sentence,
+                       system_ids=("M1", "M2", "M3"))
         assert "fs1:label=A1" in names
         assert "fs1:numsys=2" in names
         assert {"fs1:sys=M1", "fs1:sys=M2"} <= names
@@ -62,8 +69,8 @@ class TestVoting:
     def test_single_vote(self, combo_pool):
         spool, sentence = combo_pool
         ex = FeatureExtractor(FeatureConfig(groups=("FS1", "FS2")))
-        names = _names(ex.space, ex.extract(_get(spool, "A0", (0, 3)), spool, sentence,
-                                            system_ids=("M1", "M2", "M3")))
+        names = _names(ex, _get(spool, "A0", (0, 3)), spool, sentence,
+                       system_ids=("M1", "M2", "M3"))
         assert "fs1:numsys=1" in names
 
 
@@ -71,23 +78,23 @@ class TestOverlap:
     def test_same_span_different_label(self, combo_pool):
         spool, sentence = combo_pool
         ex = FeatureExtractor(FeatureConfig(groups=("FS2",)))
-        names = _names(ex.space, ex.extract(_get(spool, "A2", (11, 12)), spool, sentence))
+        names = _names(ex, _get(spool, "A2", (11, 12)), spool, sentence)
         assert "fs2:samespan:n=1" in names
         assert "fs2:samespan:sys=M2" in names
 
     def test_included_and_containing(self, combo_pool):
         spool, sentence = combo_pool
         ex = FeatureExtractor(FeatureConfig(groups=("FS2",)))
-        wide = _names(ex.space, ex.extract(_get(spool, "A0", (0, 3)), spool, sentence))
+        wide = _names(ex, _get(spool, "A0", (0, 3)), spool, sentence)
         assert "fs2:within:n=1" in wide and "fs2:within:sys=M3" in wide
-        narrow = _names(ex.space, ex.extract(_get(spool, "A0", (1, 3)), spool, sentence))
+        narrow = _names(ex, _get(spool, "A0", (1, 3)), spool, sentence)
         assert "fs2:contains:n=1" in narrow and "fs2:contains:sys=M1" in narrow
 
     def test_zero_counts_in_single_system_pool(self):
         c = cand(0, 0, "A0", (0, 1), votes=("M1",))
         spool = SentencePool(0, 6, ((3, "ran"),), (c,))
         ex = FeatureExtractor(FeatureConfig(groups=("FS1", "FS2", "FS3")))
-        names = _names(ex.space, ex.extract(c, spool, _sentence(6, 3)))
+        names = _names(ex, c, spool, _sentence(6, 3))
         assert "fs1:numsys=1" in names
         for group in ("fs2", "fs3"):
             for rel in ("samespan", "within", "contains", "crosses"):
@@ -101,7 +108,7 @@ class TestOverlap:
         sent = Sentence(0, tuple(Token(i, f"w{i}") for i in range(12)),
                         ((6, "a"), (10, "b")))
         ex = FeatureExtractor(FeatureConfig(groups=("FS3",)))
-        names = _names(ex.space, ex.extract(cands[0], spool, sent))
+        names = _names(ex, cands[0], spool, sent)
         assert "fs3:crosses:n=1" in names and "fs3:crosses:sys=M2" in names
 
 
@@ -109,7 +116,7 @@ class TestPartialSyntax:
     def test_lengths_and_position(self, combo_pool):
         spool, sentence = combo_pool
         ex = FeatureExtractor(FeatureConfig(groups=("FS4",)))
-        names = _names(ex.space, ex.extract(_get(spool, "A0", (0, 3)), spool, sentence))
+        names = _names(ex, _get(spool, "A0", (0, 3)), spool, sentence)
         assert "fs4:toklen=4" in names
         assert "fs4:chunklen=4" in names       # skeleton chunks are single-token
         assert "fs4:position=before" in names
@@ -118,7 +125,7 @@ class TestPartialSyntax:
     def test_adjacency_and_between(self, combo_pool):
         spool, sentence = combo_pool
         ex = FeatureExtractor(FeatureConfig(groups=("FS4",)))
-        names = _names(ex.space, ex.extract(_get(spool, "A1", (7, 9)), spool, sentence))
+        names = _names(ex, _get(spool, "A1", (7, 9)), spool, sentence)
         assert "fs4:position=after" in names
         assert "fs4:adjacent=true" in names
         assert "fs4:nchunks_between=0" in names
@@ -129,7 +136,7 @@ class TestPartialSyntax:
         big = cand(0, 0, "A1", (7, 13), votes=("M1",))
         spool2 = SentencePool(0, 14, spool.predicates,
                               tuple(sorted(spool.candidates + (big,), key=lambda c: c.key)))
-        names = _names(ex.space, ex.extract(big, spool2, sentence))
+        names = _names(ex, big, spool2, sentence)
         assert "fs4:toklen=5+" in names
 
     def test_ngram_capping(self):
@@ -137,7 +144,7 @@ class TestPartialSyntax:
         c = cand(0, 0, "A1", (2, 29), votes=("M1",))
         spool = SentencePool(0, 30, ((0, "v"),), (c,))
         ex = FeatureExtractor(FeatureConfig(groups=("FS4",)))
-        names = _names(ex.space, ex.extract(c, spool, sentence))
+        names = _names(ex, c, spool, sentence)
         assert any(n.startswith("fs4:chunkseq_start=") for n in names)
         assert any(n.startswith("fs4:chunkseq_end=") for n in names)
         assert not any(n.startswith("fs4:chunkseq=") for n in names)
@@ -160,7 +167,7 @@ class TestFullSyntax:
         c = cand(0, 0, label, span, votes=("M1",))
         spool = SentencePool(0, 5, ((2, "sit"),), (c,))
         ex = FeatureExtractor(FeatureConfig(groups=("FS5",)))
-        return _names(ex.space, ex.extract(c, spool, sent))
+        return _names(ex, c, spool, sent)
 
     def test_exact_constituent(self):
         names = self._setup((0, 1))
@@ -179,7 +186,7 @@ class TestFullSyntax:
     def test_parse_absent_marker(self, combo_pool):
         spool, sentence = combo_pool
         ex = FeatureExtractor(FeatureConfig(groups=("FS5",)))
-        names = _names(ex.space, ex.extract(_get(spool, "A0", (0, 3)), spool, sentence))
+        names = _names(ex, _get(spool, "A0", (0, 3)), spool, sentence)
         assert names == {"fs5:parse_absent"}
 
     def test_generalized_paths(self):
@@ -209,8 +216,7 @@ class TestProbabilities:
         spool = SentencePool(0, 6, ((3, "v"),), (c,))
         table = IntervalTable({("M1", "A0"): (0.2, 0.4, 0.6, 0.8)})
         ex = FeatureExtractor(FeatureConfig(groups=("FS6",)))
-        names = _names(ex.space, ex.extract(c, spool, _sentence(6, 3), table,
-                                            system_ids=("M1", "M2")))
+        names = _names(ex, c, spool, _sentence(6, 3), table, system_ids=("M1", "M2"))
         assert "fs6:M1=4" in names
         assert "fs6:M2=none" in names
 
@@ -234,14 +240,12 @@ class TestExtractorProperties:
         target = _get(spool, "A1", (7, 9))
         cfg = FeatureConfig(groups=("FS1", "FS2"))
         ex = FeatureExtractor(cfg)
-        before = _names(ex.space,
-                        ex.extract(target, spool, sentence, system_ids=("M1", "M2", "M3")))
+        before = _names(ex, target, spool, sentence, system_ids=("M1", "M2", "M3"))
         extra = cand(0, 1, "A1", (0, 2), votes=("M3",))
         spool2 = SentencePool(0, 14, preds,
                               tuple(sorted(spool.candidates + (extra,), key=lambda c: c.key)))
         ex2 = FeatureExtractor(cfg)
-        after = _names(ex2.space, ex2.extract(target, spool2, sentence,
-                                              system_ids=("M1", "M2", "M3")))
+        after = _names(ex2, target, spool2, sentence, system_ids=("M1", "M2", "M3"))
         assert before == after
 
     def test_group_config_validation(self):
@@ -290,7 +294,7 @@ class TestExtractorProperties:
         for a, b in zip(grown.all_candidates(), kept.all_candidates()):
             names = {open_ex.space.name(i) for i in a.features.ids}
             assert {frozen.name(i) for i in b.features.ids} == {
-                name for name in names if frozen.lookup(name) is not None}
+                name for name in names if frozen.ids([name])}
             dropped += len(a.features) - len(b.features)
         assert dropped > 0
         with pytest.raises(ValueError):

@@ -1,8 +1,12 @@
-"""Every module-level import in the package and the scripts is used.
+"""Every module-level import in the package and the scripts is used, and
+every function, class and method of the package is referenced.
 
 No linter ships with the test dependencies, so this walks the syntax trees
 itself: a name bound by a top-level ``import`` must be read somewhere in its
-module.  The package ``__init__`` re-exports names and is left out.
+module, and a name the package defines must be read somewhere in the
+package, the scripts or the benchmark.  Tests do not count: what only a test
+calls belongs in the tests.  The package ``__init__`` re-exports names and
+is left out of the import check.
 """
 
 import ast
@@ -37,3 +41,59 @@ def test_every_import_is_used(path):
 def test_unused_import_is_found():
     assert _unused_imports("import os\nimport sys as system\nfrom a.b import c, d\n"
                            "print(d, system)\n") == [(1, "os"), (3, "c")]
+
+
+PACKAGE = sorted((ROOT / "src" / "srlcomb").glob("*.py"))
+CALLERS = sorted(p for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py"))
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(source: str) -> list:
+    """(line, name) of each module-level function and class, and of each
+    method of such a class, as ``Class.method``; dunders are left out."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, _DEFS):
+            out.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [(sub.lineno, f"{node.name}.{sub.name}")
+                    for sub in node.body if isinstance(sub, _DEFS)]
+    return [(line, name) for line, name in out
+            if not (name.rpartition(".")[2].startswith("__")
+                    and name.endswith("__"))]
+
+
+def _references(source: str) -> set:
+    """The names a module reads, bare or as an attribute."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+    return refs
+
+
+def _unreferenced(source: str, references: set) -> list:
+    return [(line, name) for line, name in _definitions(source)
+            if name.rpartition(".")[2] not in references]
+
+
+@pytest.fixture(scope="module")
+def references():
+    return set().union(*(_references(p.read_text(encoding="utf-8")) for p in CALLERS))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_definition_is_referenced(path, references):
+    assert _unreferenced(path.read_text(encoding="utf-8"), references) == []
+
+
+def test_unreferenced_definition_is_found():
+    source = ("class Box:\n"
+              "    def __len__(self):\n        return self.size()\n"
+              "    def size(self):\n        return 0\n"
+              "    def unused(self):\n        return 1\n"
+              "def main():\n    return len(Box())\n"
+              "def helper():\n    return main()\n")
+    assert _unreferenced(source, _references(source)) == [(6, "Box.unused"), (10, "helper")]

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from srlcomb.corpus_io import SyntheticConfig, generate_synthetic, skeleton_sentences
+from srlcomb.corpus_io import SyntheticConfig, generate_synthetic
 from srlcomb.calibrate import attach_probs
 from srlcomb.infer_cs import (
     CsConfig,
@@ -18,11 +18,11 @@ from srlcomb.infer_cs import (
     solve_with_stats,
     sweep_bias,
 )
-from srlcomb.model import (Argument, ConstraintSet, ConstraintRule, LabelKind, RoleLabel,
-                           enumerate_violations, soft, validate)
+from srlcomb.model import Argument, ConstraintSet, ConstraintRule, LabelKind, RoleLabel, soft
 from srlcomb.pool import align_gold, build_pool
 from conftest import HARD_50, SEARCH_HARD, cand, random_candidates
-from enum_oracle import broken_rules, enumerate_best
+from enum_oracle import (assert_feasible, broken_rules, enumerate_best, hard_violations,
+                         violations)
 
 
 def _cfg(constraints, bias=0.0, scope=Scope.FULL_SENTENCE):
@@ -96,8 +96,8 @@ class TestExactness:
             assert abs(sol.objective - want) < 1e-9, f"trial {trial}"
 
     def test_matches_reference_violations_semantics(self):
-        # three-way check: the model-level violation enumerator prices every
-        # subset; solve must reach the same optimum
+        # three-way check: the oracle's rule checker prices every subset;
+        # solve must reach the same optimum
         rng = random.Random(5)
         for _trial in range(30):
             n = rng.randint(1, 8)
@@ -106,11 +106,11 @@ class TestExactness:
             best = float("-inf")
             for mask in range(1 << n):
                 subset = [cands[i] for i in range(n) if mask >> i & 1]
-                violations = enumerate_violations(subset, cs)
-                if any(v.hard for v in violations):
+                broken = violations(subset, cs)
+                if any(rule.mode == "hard" for _cid, rule in broken):
                     continue
                 value = sum(c.prob_sum() for c in subset) - \
-                    sum(v.penalty for v in violations)
+                    sum(rule.penalty for _cid, rule in broken)
                 best = max(best, value)
             sol = solve(cands, _cfg(cs, bias=0.0))
             assert abs(sol.objective - best) < 1e-9
@@ -126,8 +126,7 @@ class TestExactness:
             margins = [c.prob_sum() - bias for c in cands]
             reduced, _ = enumerate_best(cands, margins, cs, 0.0)
             chosen_margin = sum(c.prob_sum() - bias for c in sol.selected)
-            penalties = sum(v.penalty for v in
-                            enumerate_violations(sol.selected, cs))
+            penalties = sum(rule.penalty for _cid, rule in violations(sol.selected, cs))
             assert abs((chosen_margin - penalties) - reduced) < 1e-9
 
     def test_every_solution_validates(self):
@@ -136,7 +135,7 @@ class TestExactness:
             cands = random_candidates(rng, rng.randint(1, 12))
             cs = random_constraints(rng)
             sol = solve(cands, _cfg(cs, bias=0.3))
-            assert [v for v in enumerate_violations(sol.selected, cs) if v.hard] == []
+            assert hard_violations(sol.selected, cs) == []
 
 
 def _pool_sentences(n_sentences, seed, knobs):
@@ -445,6 +444,4 @@ class TestValidatorIntegration:
         pool = attach_probs(align_gold(build_pool(
             [(f"M{i+1}", d, t) for i, (d, t) in enumerate(systems)]), gold))
         cfg = CsConfig()
-        sentences = skeleton_sentences(gold)
-        for sol, sent in zip(infer_corpus(pool, cfg), sentences):
-            assert [v for v in validate(sol, cfg.constraints, sent) if v.hard] == []
+        assert_feasible(infer_corpus(pool, cfg), pool, cfg.constraints)

@@ -4,9 +4,9 @@ import pytest
 
 from srlcomb.infer_cs import CsConfig, Scope, solve
 from srlcomb.infer_dp import ScoredCandidate, dp_predicate, infer_sentence
-from srlcomb.model import ConstraintSet, enumerate_violations
+from srlcomb.model import ConstraintSet
 from conftest import cand, random_candidates
-from enum_oracle import enumerate_best
+from enum_oracle import enumerate_best, hard_violations
 
 
 def sc(confidence, **kwargs):
@@ -118,10 +118,10 @@ class TestDpSentence:
                 for c in random_candidates(rng, 4, n_predicates=1, n_tokens=18):
                     arg = c.argument
                     from srlcomb.model import Argument, Span, Candidate
-                    moved = Candidate.make(
+                    moved = Candidate(
                         0, Argument(p, arg.label,
                                     Span(arg.span.start + base, arg.span.end + base)),
-                        votes=c.votes, probs=dict(c.probs))
+                        votes=c.votes, probs=c.probs)
                     scored.append(ScoredCandidate(moved, rng.uniform(-1, 2)))
             joint = infer_sentence(scored, "sentence")
             split: set = set()
@@ -137,7 +137,7 @@ class TestDpSentence:
             cands = random_candidates(rng, 10)
             scored = [ScoredCandidate(c, rng.uniform(-1, 2)) for c in cands]
             sol = infer_sentence(scored, "sentence")
-            assert [v for v in enumerate_violations(sol.selected, cs) if v.hard] == []
+            assert hard_violations(sol.selected, cs) == []
 
     def test_infer_sentence_scopes(self):
         a = sc(2.0, pred=0, label="A0", span=(0, 5))

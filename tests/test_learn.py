@@ -65,20 +65,20 @@ class TestKernel:
 
     def test_empty_vectors(self):
         empty = FeatureVector(())
-        assert one_support(empty, 2).raw_score(empty) == ref_kernel(empty, empty, 2) == 1.0
+        assert one_support(empty, 2).scores([empty])[0] == ref_kernel(empty, empty, 2) == 1.0
 
     def test_three_shared_degree_two(self):
         u = FeatureVector((1, 2, 3, 9))
         v = FeatureVector((1, 2, 3, 17))
-        assert one_support(u, 2).raw_score(v) == ref_kernel(u, v, 2) == 16.0
+        assert one_support(u, 2).scores([v])[0] == ref_kernel(u, v, 2) == 16.0
 
     def test_symmetric_random(self, rng):
         for _ in range(1000):
             u = FeatureVector(tuple(sorted(rng.sample(range(50), rng.randint(0, 10)))))
             v = FeatureVector(tuple(sorted(rng.sample(range(50), rng.randint(0, 10)))))
             d = rng.randint(1, 3)
-            assert one_support(u, d).raw_score(v) == one_support(v, d).raw_score(u)
-            assert one_support(u, d).raw_score(v) == ref_kernel(u, v, d)
+            assert one_support(u, d).scores([v])[0] == one_support(v, d).scores([u])[0]
+            assert one_support(u, d).scores([v])[0] == ref_kernel(u, v, d)
 
     def test_degree_validated(self):
         with pytest.raises(ValueError):
@@ -155,7 +155,7 @@ class TestLocalSvm:
         scorer = model.scorers["A0"]
         assert not scorer.degenerate
         for x, y in data:
-            assert y * scorer.raw_score(x) > 0
+            assert y * scorer.scores([x])[0] > 0
 
     def test_objective_matches_qp_oracle(self):
         space = FeatureSpace()
@@ -186,8 +186,8 @@ class TestLocalSvm:
         big = train_local_svm({"A0": data}, c=1e4, space=space,
                               feature_config=FeatureConfig())
         for x, _y in data:
-            a = small.scorers["A0"].raw_score(x)
-            b = big.scorers["A0"].raw_score(x)
+            a = small.scorers["A0"].scores([x])[0]
+            b = big.scorers["A0"].scores([x])[0]
             assert np.sign(a) == np.sign(b)
 
     def test_stopped_at_max_steps_warns(self, featured_pool, monkeypatch, capsys):
@@ -211,7 +211,7 @@ class TestLocalSvm:
                                 feature_config=FeatureConfig())
         scorer = model.scorers["A0"]
         assert scorer.degenerate
-        assert scorer.raw_score(fv(space, "zzz")) > 0
+        assert scorer.scores([fv(space, "zzz")])[0] > 0
 
 
 @pytest.fixture(scope="module")
@@ -253,7 +253,7 @@ class TestSmoOracle:
 class TestLocalPerceptron:
     def test_zero_model_scores_zero(self):
         scorer = LabelScorer("A0", degree=2)
-        assert scorer.raw_score(FeatureVector((1, 2))) == 0.0
+        assert scorer.scores([FeatureVector((1, 2))])[0] == 0.0
         assert scorer.scores([FeatureVector((1, 2))], averaged=True)[0] == 0.0
 
     def test_separable_converges(self):
@@ -263,7 +263,7 @@ class TestLocalPerceptron:
                                        feature_config=FeatureConfig())
         scorer = model.scorers["A0"]
         for x, y in data:
-            assert y * scorer.raw_score(x) > 0
+            assert y * scorer.scores([x])[0] > 0
 
     def test_final_predictor_matches_replay(self):
         space = FeatureSpace()
@@ -287,7 +287,7 @@ class TestLocalPerceptron:
         assert [(c, sv) for c, _t, sv in scorer.supports] == replay
         probe = fv(space, "side=pos", "id=3")
         want = sum(c * ref_kernel(sv, probe, 2) for c, sv in replay)
-        assert abs(scorer.raw_score(probe) - want) < 1e-9
+        assert abs(scorer.scores([probe])[0] - want) < 1e-9
 
     def test_averaged_differs_from_final_mid_training(self):
         space = FeatureSpace()
@@ -296,7 +296,7 @@ class TestLocalPerceptron:
                                        space=space, feature_config=FeatureConfig())
         scorer = model.scorers["A0"]
         assert scorer.updates >= 2
-        assert scorer.scores([j], averaged=True)[0] != scorer.raw_score(j)
+        assert scorer.scores([j], averaged=True)[0] != scorer.scores([j])[0]
 
 
 def _marked_examples(space: FeatureSpace, n_sentences=8, seed=0):

@@ -5,22 +5,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from srlcomb.model import (
+    EXISTENTIAL_RULES,
     ConstraintSet,
     FeatureVector,
     LabelKind,
     RoleLabel,
-    Sentence,
     Solution,
     Span,
-    SpanRelation,
-    StructureError,
-    Token,
-    enumerate_violations,
+    licenses,
     pair_rules,
-    span_relation,
-    validate,
+    soft,
 )
 from conftest import cand, random_candidates
+from enum_oracle import (SpanRelation, enumerate_best, hard_violations, span_relation,
+                         violations)
 
 
 spans = st.tuples(st.integers(0, 30), st.integers(0, 30)).map(
@@ -125,80 +123,85 @@ class TestRoleLabel:
         assert RoleLabel.parse("R-A3").core_index is None
 
 
-def _sentence(n_tokens=12, predicates=((4, "sold"),)):
-    tokens = tuple(Token(i, f"w{i}") for i in range(n_tokens))
-    return Sentence(0, tokens, predicates)
+def _broken(selected, cs):
+    """The names of the active rules that a selection breaks, as the oracle
+    finds them; the solver's ``pair_rules`` and ``licenses`` must agree."""
+    want = [cid for cid, _rule in violations(selected, cs)]
+    got = [cid for i, a in enumerate(selected) for b in selected[i + 1:]
+           for cid in pair_rules(a, b) if cs.rule(cid).active]
+    got += [EXISTENTIAL_RULES[c.label.kind] for c in selected
+            if c.label.kind in EXISTENTIAL_RULES and cs.rule(EXISTENTIAL_RULES[c.label.kind]).active
+            and not any(licenses(o, c) for o in selected)]
+    assert got == want
+    return want
 
 
 class TestValidate:
     def test_crossing_same_predicate(self):
-        sent = _sentence()
         sol = Solution.make(0, [cand(span=(0, 5), label="A0"),
                                 cand(span=(3, 8), label="A1")], 0.0)
-        violations = validate(sol, ConstraintSet.hard_rules(1), sent)
-        assert [v.constraint for v in violations] == ["c1"]
-        assert violations[0].hard
+        cs = ConstraintSet.hard_rules(1)
+        assert _broken(sol.selected, cs) == ["c1"]
+        assert hard_violations(sol.selected, cs) == ["c1"]
 
     def test_duplicate_core(self):
-        sent = _sentence()
         sol = Solution.make(0, [cand(span=(0, 1), label="A0"),
                                 cand(span=(6, 7), label="A0")], 0.0)
-        violations = validate(sol, ConstraintSet.hard_rules(2), sent)
-        assert [v.constraint for v in violations] == ["c2"]
+        assert _broken(sol.selected, ConstraintSet.hard_rules(2)) == ["c2"]
 
     def test_equal_span_counts_as_overlap(self):
         # same-predicate equal spans violate c1 even with different labels
         sol = Solution.make(0, [cand(span=(2, 4), label="A0"),
                                 cand(span=(2, 4), label="A1")], 0.0)
-        violations = enumerate_violations(sol.selected, ConstraintSet.hard_rules(1))
-        assert [v.constraint for v in violations] == ["c1"]
+        assert _broken(sol.selected, ConstraintSet.hard_rules(1)) == ["c1"]
 
     def test_empty_solution_vacuous(self):
-        sent = _sentence()
         sol = Solution.make(0, [], 0.0)
-        assert validate(sol, ConstraintSet.hard_rules(1, 2, 3, 4, 5, 6), sent) == []
+        assert _broken(sol.selected, ConstraintSet.hard_rules(1, 2, 3, 4, 5, 6)) == []
 
     def test_reference_needs_base(self):
         cs = ConstraintSet.hard_rules(3)
         alone = [cand(span=(0, 1), label="R-A0")]
-        assert [v.constraint for v in enumerate_violations(alone, cs)] == ["c3"]
+        assert _broken(alone, cs) == ["c3"]
         supported = alone + [cand(span=(6, 7), label="A0")]
-        assert enumerate_violations(supported, cs) == []
+        assert _broken(supported, cs) == []
+        other_predicate = alone + [cand(pred=1, span=(6, 7), label="A0")]
+        assert _broken(other_predicate, cs) == ["c3"]
 
     def test_continuation_needs_earlier_base(self):
         cs = ConstraintSet.hard_rules(4)
         late_base = [cand(span=(0, 1), label="C-A1"), cand(span=(6, 7), label="A1")]
-        assert [v.constraint for v in enumerate_violations(late_base, cs)] == ["c4"]
+        assert _broken(late_base, cs) == ["c4"]
         early_base = [cand(span=(0, 1), label="A1"), cand(span=(6, 7), label="C-A1")]
-        assert enumerate_violations(early_base, cs) == []
+        assert _broken(early_base, cs) == []
 
     def test_cross_predicate_crossing_and_embedding(self):
         cs = ConstraintSet.hard_rules(5)
         crossing = [cand(pred=0, span=(0, 5)), cand(pred=1, label="A1", span=(3, 8))]
-        assert [v.constraint for v in enumerate_violations(crossing, cs)] == ["c5"]
+        assert _broken(crossing, cs) == ["c5"]
         embedded = [cand(pred=0, span=(0, 5)), cand(pred=1, label="A1", span=(1, 3))]
-        assert enumerate_violations(embedded, cs) == []
+        assert _broken(embedded, cs) == []
         # equality across predicates counts as mutual embedding, not overlap
         equal = [cand(pred=0, span=(0, 5)), cand(pred=1, label="A1", span=(0, 5))]
-        assert enumerate_violations(equal, cs) == []
+        assert _broken(equal, cs) == []
 
     def test_shared_adjunct_forbidden(self):
         cs = ConstraintSet.hard_rules(6)
         shared = [cand(pred=0, label="AM-TMP", span=(0, 2)),
                   cand(pred=1, label="AM-TMP", span=(0, 2))]
-        assert [v.constraint for v in enumerate_violations(shared, cs)] == ["c6"]
+        assert _broken(shared, cs) == ["c6"]
         shared_core = [cand(pred=0, label="A0", span=(0, 2)),
                        cand(pred=1, label="A0", span=(0, 2))]
-        assert enumerate_violations(shared_core, cs) == []
+        assert _broken(shared_core, cs) == []
 
     def test_soft_violations_do_not_invalidate(self):
-        from srlcomb.model import soft, ConstraintSet
         cs = ConstraintSet(c1=soft(0.5))
         sol = [cand(span=(0, 5), label="A0"), cand(span=(3, 8), label="A1")]
-        violations = enumerate_violations(sol, cs)
-        assert len(violations) == 1 and not violations[0].hard
-        assert violations[0].penalty == 0.5
-        assert [v for v in violations if v.hard] == []
+        assert _broken(sol, cs) == ["c1"]
+        assert violations(sol, cs) == [("c1", soft(0.5))]
+        assert hard_violations(sol, cs) == []
+        # both are still selected, at the penalty
+        assert enumerate_best(sol, [1.0, 1.0], cs) == (1.5, 0b11)
 
     def test_pair_rules_match_span_relations(self):
         # reference written from the rule texts with span_relation
@@ -221,12 +224,6 @@ class TestValidate:
             assert pair_rules(a, b) == pair_rules(b, a) == tuple(want), (a.key, b.key)
             seen.add(tuple(want))
         assert len(seen) == 6   # (), c1, c2, c1+c2, c5, c6 all exercised
-
-    def test_unknown_sentence_candidate(self):
-        sent = _sentence()
-        sol = Solution.make(3, [cand(sentence_id=3)], 0.0)
-        with pytest.raises(StructureError):
-            validate(sol, ConstraintSet(), sent)
 
 
 class TestConstraintSet:

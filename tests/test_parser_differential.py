@@ -25,7 +25,7 @@ from srlcomb.corpus_io import (
     parse_syntax,
     skeleton_sentences,
 )
-from srlcomb.model import ParseNode, Sentence, Span
+from srlcomb.model import ParseNode, Sentence, Span, decode_bio
 
 DAMAGED_CELLS = ("(*)", "(A0", "((A0*", "(A0*))", "(A 0*", "*)*", "(*", "*", "*)", "(",
                  ")", "(A0**", "(A0*)*", "(A0*)", "(V*)", "(A9*", "(R-V*)", "(C-R-A0*",
@@ -128,7 +128,8 @@ def syntax_files(draw):
     gold, _systems = generate_synthetic(cfg)
     sentences = []
     for sent in skeleton_sentences(gold):
-        chunks = tuple(ParseNode(kind, span) for kind, span in sent.chunks())
+        chunks = tuple(ParseNode(kind, Span(start, end))
+                       for kind, start, end in decode_bio([t.chunk for t in sent.tokens]))
         root = ParseNode("S", Span(0, len(sent.tokens) - 1), chunks)
         sentences.append(Sentence(sent.id, sent.tokens, sent.predicates, root))
     return emit_syntax(sentences)

@@ -42,7 +42,7 @@ def system_view(pool: CandidatePool, system_id: str) -> tuple[PropsDocument, Sco
         for cand in sent.candidates:
             if system_id in cand.votes:
                 per_pred[cand.predicate].append(cand.argument)
-                raw = cand.raw_score(system_id)
+                raw = dict(cand.raw_scores).get(system_id)
                 if raw is not None:
                     table[cand.key] = raw
         sentences.append(PropsSentence(
@@ -202,7 +202,7 @@ class TestPoolStats:
 
     def test_unaligned_pool_rejected(self, corpus):
         _gold, systems = corpus
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="build the pool with gold"):
             pool_stats(build_pool(_triples(systems)))
 
     def test_disjoint_systems_all_single_columns(self):
@@ -357,7 +357,7 @@ class TestOnePass:
         assert {"R-", "C-"} <= flagged
         systems, _ = _case("no-sidecar")
         pool = build_pool(systems)
-        assert all(c.raw_score("M2") is None for c in pool.all_candidates())
+        assert all("M2" not in dict(c.raw_scores) for c in pool.all_candidates())
         systems, _ = _case("repeats")
         repeated = sum(len(a) - len(set(a)) for sent in systems[0][1].sentences
                        for a in sent.arguments)
