@@ -29,7 +29,6 @@ from .corpus_io import (
     FormatError,
     SerializationError,
     SyntheticConfig,
-    attach_predicates,
     emit_props,
     emit_scores,
     emit_syntax,
@@ -117,7 +116,11 @@ def _check_numeric_options(args) -> None:
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _write(path, text: str) -> None:
@@ -174,15 +177,10 @@ def _load_pool(args, gamma=None):
     return build_pool(systems, gold, gamma), gold
 
 
-def _load_sentences(args, gold):
-    if args.syntax:
-        sentences = parse_syntax(_read(args.syntax))
-        skeleton = gold
-        if skeleton is None:
-            _, props_path, _ = _parse_system_arg(args.system[0])
-            skeleton = parse_props(_read(props_path))
-        return attach_predicates(sentences, skeleton)
-    return None   # extractor falls back to skeleton sentences
+def _load_sentences(args):
+    """The --syntax sentences; without --syntax, None, and the extractor
+    reads each sentence from its pool skeleton."""
+    return parse_syntax(_read(args.syntax)) if args.syntax else None
 
 
 def _cs_config(args, bias: float = DEFAULT_BIAS) -> CsConfig:
@@ -240,18 +238,16 @@ def cmd_pool(args) -> int:
     return 0
 
 
-def _scored_pool_for_model(args, pool, gold):
+def _scored_pool_for_model(args, pool):
     try:
         model = ScoreModel.load(args.model)
     except ValueError as exc:
         raise FormatError(f"model file {args.model}: {exc}") from exc
-    sentences = _load_sentences(args, gold)
-    extractor = FeatureExtractor(model.feature_config, model.space)
-    pool = extractor.extract_pool(pool, sentences, model.intervals)
     if model.kind != args.scorer:
         raise ModelMismatchError(
             f"model is {model.kind!r} but --scorer asked for {args.scorer!r}")
-    return model, pool
+    extractor = FeatureExtractor(model.feature_config, model.space)
+    return model, extractor.extract_pool(pool, _load_sentences(args), model.intervals)
 
 
 def cmd_infer(args) -> int:
@@ -287,7 +283,7 @@ def cmd_infer(args) -> int:
         else:
             if not args.model:
                 raise FormatError("engine=dp with a trained scorer needs --model")
-            model, pool = _scored_pool_for_model(args, pool, gold)
+            model, pool = _scored_pool_for_model(args, pool)
             scored = score_pool(model, pool)
         solutions = decode_corpus(scored, [s.sentence_id for s in pool.sentences],
                                   Scope(args.scope), jobs=args.jobs,
@@ -316,9 +312,8 @@ def cmd_train(args) -> int:
     if not pool.sentences:
         raise FormatError("train: the corpus has no sentences to learn from")
     intervals = build_intervals(pool)
-    sentences = _load_sentences(args, gold)
     extractor = FeatureExtractor(config)
-    pool = extractor.extract_pool(pool, sentences, intervals)
+    pool = extractor.extract_pool(pool, _load_sentences(args), intervals)
 
     if args.scorer == "svm":
         model = train_local_svm(label_datasets(pool), degree=args.degree, c=args.C,
@@ -517,7 +512,7 @@ def main(argv=None) -> int:
     try:
         _check_numeric_options(args)
         return args.func(args)
-    except (FormatError, SerializationError, AlignmentError, FileNotFoundError) as exc:
+    except (FormatError, SerializationError, AlignmentError, OSError) as exc:
         print(f"srlcomb: {exc}", file=sys.stderr)
         return 2
     except ModelMismatchError as exc:

@@ -98,19 +98,25 @@ class PropsDocument:
         return len(self.sentences)
 
 
-def check_skeleton(docs: Sequence[PropsDocument]) -> None:
-    """Verify that all documents share sentence count, lengths, and predicates."""
+def check_skeleton(docs: Sequence[tuple[str, PropsDocument]]) -> None:
+    """Verify that all (name, document) pairs share sentence count, token
+    counts and predicates.  A document only needs ``len`` and ``sentences``
+    with ``n_tokens`` and ``predicates``, so a ``CandidatePool`` will do.
+    The error names the document that differs and the first document."""
     if not docs:
         return
-    first = docs[0]
-    for doc in docs[1:]:
+    first_name, first = docs[0]
+    for name, doc in docs[1:]:
         if len(doc) != len(first):
-            raise AlignmentError(f"sentence counts differ: {len(first)} vs {len(doc)}")
+            raise AlignmentError(f"sentence counts differ: {first_name} has {len(first)}, "
+                                 f"{name} has {len(doc)}")
         for s, (a, b) in enumerate(zip(first.sentences, doc.sentences)):
             if a.n_tokens != b.n_tokens:
-                raise AlignmentError(f"sentence {s}: token counts differ")
+                raise AlignmentError(f"sentence {s}: token counts differ: {first_name} has "
+                                     f"{a.n_tokens}, {name} has {b.n_tokens}")
             if a.predicates != b.predicates:
-                raise AlignmentError(f"sentence {s}: predicate skeletons differ")
+                raise AlignmentError(
+                    f"sentence {s}: predicates differ between {first_name} and {name}")
 
 
 def _sentence_blocks(text: str) -> list[tuple[int, list[str]]]:
@@ -280,7 +286,7 @@ def _check_bio(tags: Sequence[tuple[int, str]], what: str) -> None:
 
 
 def parse_syntax(text: str) -> list[Sentence]:
-    """Parse a syntax file into Sentences (predicates left empty)."""
+    """Parse a syntax file into Sentences."""
     sentences: list[Sentence] = []
     for sent_id, (first, lines) in enumerate(_sentence_blocks(text)):
         width = None
@@ -318,7 +324,7 @@ def parse_syntax(text: str) -> list[Sentence]:
         parse = None
         if width == 6:
             parse = _parse_tree_column([(ln, cols[5]) for ln, cols in rows], len(rows))
-        sentences.append(Sentence(sent_id, tokens, (), parse))
+        sentences.append(Sentence(sent_id, tokens, parse))
     return sentences
 
 
@@ -342,19 +348,6 @@ def emit_syntax(sentences: Sequence[Sentence]) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def attach_predicates(sentences: Sequence[Sentence], doc: PropsDocument) -> list[Sentence]:
-    """Copy the predicate skeleton of a props document onto parsed sentences."""
-    if len(sentences) != len(doc):
-        raise AlignmentError(
-            f"syntax has {len(sentences)} sentences, props has {len(doc)}")
-    out = []
-    for sent, props in zip(sentences, doc.sentences):
-        if len(sent.tokens) != props.n_tokens:
-            raise AlignmentError(f"sentence {sent.id}: token counts differ")
-        out.append(Sentence(sent.id, sent.tokens, props.predicates, sent.parse))
-    return out
-
-
 def skeleton_sentences(doc: PropsDocument) -> list[Sentence]:
     """Fabricate plain sentences for a props document lacking a syntax file.
 
@@ -370,7 +363,7 @@ def skeleton_sentences(doc: PropsDocument) -> list[Sentence]:
             Token(i, preds[i], "VBD", chunk, clause, "O") if i in preds
             else Token(i, f"w{i}", "NN", chunk, clause, "O")
             for i, (chunk, clause) in enumerate(zip(chunks, clauses)))
-        out.append(Sentence(s, tokens, sent.predicates, None))
+        out.append(Sentence(s, tokens))
     return out
 
 

@@ -96,7 +96,7 @@ class ScoreReport:
 
 def _sentence_counts(predicted: PropsDocument, gold: PropsDocument):
     """Per-sentence (correct, predicted, gold) plus per-label and frame stats."""
-    check_skeleton([predicted, gold])
+    check_skeleton([("prediction", predicted), ("gold", gold)])
     per_sentence = []
     per_label: dict = {}
     perfect = 0

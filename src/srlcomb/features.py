@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .calibrate import IntervalTable, discretize
-from .corpus_io import skeleton_tags
+from .corpus_io import AlignmentError, skeleton_tags
 from .model import (
     Candidate,
     FeatureVector,
@@ -333,10 +333,6 @@ class _SentenceContext:
                 sid: f"fs1:seq:{sid}=" + "-".join(
                     label for _s, _e, label, votes in args if votes is None or votes & bit)
                 for sid, bit in shared.system_bits})
-        # tokens past the sentence have no events; a span or predicate reaches
-        # them only if its pool sentence is longer than the sentence given
-        reach = max([row[1] for row in self.rows] + self.pred_pos, default=0) + 2
-        self.offsets += [len(self.events)] * (reach - len(self.offsets))
 
     def clause_depth(self, start: int, end: int) -> int:
         depth = 0
@@ -367,9 +363,16 @@ class FeatureExtractor:
                      sentences: Optional[Sequence[Sentence]] = None,
                      intervals: Optional[IntervalTable] = None) -> CandidatePool:
         """The pool with every candidate's features; without ``sentences``,
-        each pool sentence's skeleton stands in for it."""
-        if sentences is not None and len(sentences) != len(pool.sentences):
-            raise ValueError("need one sentence per pool sentence")
+        each pool sentence's skeleton stands in for it.  Sentences of another
+        count, or of another token count than their pool sentence, are an
+        AlignmentError."""
+        if sentences is not None:
+            if len(sentences) != len(pool):
+                raise AlignmentError(
+                    f"syntax has {len(sentences)} sentences, props has {len(pool)}")
+            for k, (sentence, spool) in enumerate(zip(sentences, pool.sentences)):
+                if len(sentence.tokens) != spool.n_tokens:
+                    raise AlignmentError(f"sentence {k}: token counts differ")
         shared = _PoolNames(pool.system_ids)
         per_sentence = []
         for k, spool in enumerate(pool.sentences):
@@ -473,16 +476,13 @@ class FeatureExtractor:
             names.append("fs5:parse_absent")
             return
 
-        # surface distances need no tree node
+        # surface distances need no tree node; the gap is tokens[lo:hi]
         if span.end < pidx:
-            lo, hi = span.end + 1, pidx - 1
+            lo, hi = span.end + 1, pidx
         elif span.start > pidx:
-            lo, hi = pidx + 1, span.start - 1
+            lo, hi = pidx + 1, span.start
         else:
-            lo, hi = 0, -1
-        n_tokens = len(ctx.tokens)
-        lo, hi = min(lo, n_tokens), min(hi + 1, n_tokens)     # gap is tokens[lo:hi]
-        hi = max(hi, lo)
+            lo, hi = 0, 0
         names.append(f"fs5:sdist_tok={_bucket(hi - lo)}")
         names.append(f"fs5:sdist_vb={_bucket(ctx.n_vb[hi] - ctx.n_vb[lo])}")
         names.append(f"fs5:sdist_comma={_bucket(ctx.n_comma[hi] - ctx.n_comma[lo])}")

@@ -200,21 +200,14 @@ def clause_events(tag: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 @dataclass(frozen=True)
 class Sentence:
-    """One input sentence with token-level annotations and its predicates."""
+    """One input sentence with token-level annotations; its predicates are
+    those of the props skeleton it is paired with."""
 
     id: int
     tokens: tuple[Token, ...]
-    predicates: tuple[tuple[int, str], ...] = ()
     parse: Optional[ParseNode] = None
 
     def __post_init__(self) -> None:
-        last = -1
-        for idx, _lemma in self.predicates:
-            if idx <= last:
-                raise ValueError("predicate indices must be strictly increasing")
-            if idx >= len(self.tokens):
-                raise ValueError(f"predicate index {idx} out of range")
-            last = idx
         if self.parse is not None and self.tokens and self.parse.span.end >= len(self.tokens):
             raise ValueError("parse tree exceeds sentence length")
 
@@ -248,7 +241,7 @@ def clause_intervals(tags: Sequence[str]) -> list[tuple[int, int]]:
 @dataclass(frozen=True, order=True, slots=True)
 class Argument:
     """One labeled argument span of one predicate (``predicate`` indexes
-    ``Sentence.predicates``)."""
+    ``PropsSentence.predicates``)."""
 
     predicate: int
     label: RoleLabel

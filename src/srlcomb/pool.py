@@ -90,10 +90,11 @@ def build_pool(systems: Sequence[tuple[str, PropsDocument, Optional[ScoreTable]]
     ids = [sid for sid, _, _ in systems]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate system ids")
-    check_skeleton([doc for _, doc, _ in systems])
+    named = [(f"system {sid}", doc) for sid, doc, _ in systems]
+    check_skeleton(named if gold is None else named + [("gold", gold)])
 
     first = systems[0][1]
-    keys = None if gold is None else _checked_gold_keys(first.sentences, gold)
+    keys = None if gold is None else gold_keys(gold)
     sentences = []
     matched = dict.fromkeys(ids, 0)     # score records that name an argument
     for s, skeleton in enumerate(first.sentences):
@@ -144,22 +145,11 @@ def gold_keys(gold: PropsDocument) -> list[frozenset]:
 
 def align_gold(pool: CandidatePool, gold: PropsDocument) -> CandidatePool:
     """Return a pool whose candidates carry is_gold flags."""
-    keys = _checked_gold_keys(pool.sentences, gold)
+    check_skeleton([("pool", pool), ("gold", gold)])
+    keys = gold_keys(gold)
     return pool.with_candidates([
         [c.with_gold(c.key in keys[sent.sentence_id]) for c in sent.candidates]
         for sent in pool.sentences])
-
-
-def _checked_gold_keys(skeleton: Sequence, gold: PropsDocument) -> list[frozenset]:
-    """``gold_keys(gold)`` once gold is known to have the sentences of
-    ``skeleton``, each with the same token count and predicates."""
-    if len(gold) != len(skeleton):
-        raise AlignmentError(
-            f"sentence counts differ: pool {len(skeleton)} vs document {len(gold)}")
-    for s, (sk, gs) in enumerate(zip(skeleton, gold.sentences)):
-        if sk.n_tokens != gs.n_tokens or sk.predicates != gs.predicates:
-            raise AlignmentError(f"sentence {s}: skeletons differ")
-    return gold_keys(gold)
 
 
 @dataclass(frozen=True)

@@ -286,7 +286,7 @@ class FeatureExtractor:
             for p, (pos, _lemma) in enumerate(spool.predicates))
         doc = PropsDocument((PropsSentence(spool.n_tokens, spool.predicates, args),))
         sent = skeleton_sentences(doc)[0]
-        return Sentence(spool.sentence_id, sent.tokens, sent.predicates, None)
+        return Sentence(spool.sentence_id, sent.tokens)
 
     # -- group extractors ---------------------------------------------------
 

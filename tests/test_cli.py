@@ -2,17 +2,20 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srlcomb import cli
 from srlcomb.calibrate import attach_probs
 from srlcomb.cli import build_parser, main
 from srlcomb.corpus_io import (
     PropsDocument,
+    PropsSentence,
     SyntheticConfig,
     emit_props,
     generate_synthetic,
     parse_props,
 )
+from srlcomb.features import FeatureExtractor
 from srlcomb.infer_cs import CsConfig, sweep_bias
 from srlcomb.learn import ScoreModel
 from srlcomb.model import Candidate
@@ -131,15 +134,21 @@ class TestInfer:
                    "--model", str(model), "--out", str(out)])
         assert rc == 0
 
-    def test_model_kind_mismatch_exit_3(self, corpus_dir, tmp_path):
+    def test_model_kind_mismatch_exit_3(self, corpus_dir, tmp_path, monkeypatch):
+        """The kind is compared as soon as the model loads: the syntax file
+        is not read and no feature is extracted."""
         model = tmp_path / "m.svm"
         main(["train", *_system_args(corpus_dir),
               "--gold", f"{corpus_dir}/gold.props",
               "--scorer", "svm", "--out", str(model)])
-        rc = main(["infer", *_system_args(corpus_dir),
+        extracted = []
+        monkeypatch.setattr(FeatureExtractor, "extract_pool",
+                            lambda *args, **kwargs: extracted.append(args))
+        rc = main(["infer", *_system_args(corpus_dir), "--syntax", str(tmp_path / "missing.synt"),
                    "--engine", "dp", "--scorer", "perceptron-local",
                    "--model", str(model), "--out", str(tmp_path / "x.props")])
         assert rc == 3
+        assert extracted == []
 
     def test_timeout_exit_4(self, corpus_dir, tmp_path):
         rc = main(["infer", *_system_args(corpus_dir),
@@ -449,6 +458,129 @@ class TestBadInput:
         assert not (empty_dir / "c.csv").exists()
 
 
+    @pytest.mark.parametrize("case", ["system-dir", "system-not-utf8", "dump-dir",
+                                      "synth-out-file", "out-under-file"])
+    def test_unreadable_path_exit_2(self, corpus_dir, tmp_path, capsys, case):
+        """A path that cannot be read or written as asked ends in exit 2 and
+        one message naming it, not in a traceback."""
+        binary = tmp_path / "binary.props"
+        binary.write_bytes(bytes(range(256)))
+        a_file = tmp_path / "file"
+        a_file.write_text("")
+        out = tmp_path / "x.props"
+        system = ["--system", f"{corpus_dir}/sys1.props"]
+        argv, path = {
+            "system-dir": (["infer", "--system", str(tmp_path), "--out", str(out)], tmp_path),
+            "system-not-utf8": (["infer", "--system", str(binary), "--out", str(out)], binary),
+            "dump-dir": (["pool", *system, "--dump", str(tmp_path)], tmp_path),
+            "synth-out-file": (["synth", "--sentences", "2", "--out", str(a_file)], a_file),
+            "out-under-file": (["infer", *system, "--out", f"{a_file}/x.props"], a_file),
+        }[case]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("srlcomb: ") and err.count("\n") == 1
+        assert str(path) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["binary.props", "file"]
+        assert a_file.read_text() == ""
+
+
+class TestSyntaxInput:
+    """A --syntax file is checked against the pool it describes, with or
+    without --gold, and is read once, like every props file."""
+
+    @pytest.fixture(scope="class")
+    def model(self, corpus_dir, tmp_path_factory):
+        path = tmp_path_factory.mktemp("syntax") / "m.svm"
+        assert main(["train", *_system_args(corpus_dir), "--gold", f"{corpus_dir}/gold.props",
+                     "--syntax", f"{corpus_dir}/gold.synt", "--scorer", "svm",
+                     "--out", str(path)]) == 0
+        return path
+
+    @pytest.fixture(scope="class")
+    def damaged(self, corpus_dir, tmp_path_factory):
+        """Syntax files that disagree with the props by fault, and the message
+        each gives.  Sentence 5 loses or repeats a token row inside its
+        clause, so the file itself stays well formed."""
+        d = tmp_path_factory.mktemp("damaged-syntax")
+        text = (corpus_dir / "gold.synt").read_text()
+        blocks = [block.splitlines() for block in text.strip("\n").split("\n\n")]
+        faults = {
+            "sentence-dropped": (blocks[:2] + blocks[3:],
+                                 "syntax has 39 sentences, props has 40"),
+            "row-deleted": (blocks[:5] + [blocks[5][:1] + blocks[5][2:]] + blocks[6:],
+                            "sentence 5: token counts differ"),
+            "row-added": (blocks[:5] + [blocks[5][:2] + blocks[5][1:]] + blocks[6:],
+                          "sentence 5: token counts differ"),
+        }
+        out = {}
+        for name, (sentences, message) in faults.items():
+            (d / name).write_text("".join("\n".join(lines) + "\n\n" for lines in sentences))
+            out[name] = (d / name, message)
+        return out
+
+    @pytest.mark.parametrize("fault", ["sentence-dropped", "row-deleted", "row-added"])
+    @pytest.mark.parametrize("command", ["infer", "infer-no-gold", "train"])
+    def test_mismatch_exit_2(self, corpus_dir, model, damaged, tmp_path, capsys,
+                             command, fault):
+        syntax, message = damaged[fault]
+        gold = ["--gold", f"{corpus_dir}/gold.props"]
+        argv = {
+            "infer": ["infer", *gold, "--engine", "dp", "--scorer", "svm",
+                      "--model", str(model)],
+            "infer-no-gold": ["infer", "--engine", "dp", "--scorer", "svm",
+                              "--model", str(model)],
+            "train": ["train", *gold, "--scorer", "svm"],
+        }[command]
+        capsys.readouterr()
+        rc = main([*argv, *_system_args(corpus_dir), "--syntax", str(syntax),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"srlcomb: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_each_file_read_once(self, corpus_dir, model, tmp_path, monkeypatch, capsys):
+        read = []
+        original = cli._read
+
+        def recorded(path):
+            read.append(Path(path).name)
+            return original(path)
+
+        monkeypatch.setattr(cli, "_read", recorded)
+        assert main(["infer", *_system_args(corpus_dir, scores=False), "--engine", "dp",
+                     "--scorer", "svm", "--model", str(model),
+                     "--syntax", f"{corpus_dir}/gold.synt",
+                     "--out", str(tmp_path / "x.props")]) == 0
+        assert read == ["sys1.props", "sys2.props", "sys3.props", "gold.synt"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mutated_line_exit_0_or_2(self, corpus_dir, model, tmp_path_factory, data):
+        """One line of the emitted syntax file deleted, repeated, blanked or
+        replaced by other cells: the run succeeds or ends in exit 2."""
+        lines = (corpus_dir / "gold.synt").read_text().splitlines()
+        k = data.draw(st.integers(0, len(lines) - 1), label="line")
+        cell = st.sampled_from(["*", "(S*", "*S)", "(S*S)", "B-NP", "I-VP", "O", "NN", "x",
+                                "(NP*", "*)", "(", ")"])
+        how = data.draw(st.sampled_from(["delete", "repeat", "blank", "replace"]), label="how")
+        if how == "delete":
+            lines = lines[:k] + lines[k + 1:]
+        elif how == "repeat":
+            lines = lines[:k + 1] + lines[k:]
+        elif how == "blank":
+            lines[k] = ""
+        else:
+            lines[k] = " ".join(data.draw(st.lists(cell, min_size=0, max_size=7), label="cells"))
+        d = tmp_path_factory.mktemp("mutated")
+        (d / "x.synt").write_text("\n".join(lines) + "\n")
+        rc = main(["infer", *_system_args(corpus_dir), "--engine", "dp", "--scorer", "svm",
+                   "--model", str(model), "--syntax", str(d / "x.synt"),
+                   "--out", str(d / "x.props")])
+        assert rc in (0, 2)
+        assert (d / "x.props").exists() == (rc == 0)
+
+
 class TestOnePassPool:
     """The subcommands build each pooled candidate once, gold flag and
     probabilities included, and report bad gold and score files as before."""
@@ -491,21 +623,31 @@ class TestOnePassPool:
                          "--sentences", "40"]) == 0
         gold = parse_props((d / "corpus/gold.props").read_text())
         (d / "short.props").write_text(emit_props(PropsDocument(gold.sentences[:39])))
+        first = gold.sentences[0]
+        renamed = PropsSentence(first.n_tokens, tuple((i, "x" + lemma) for i, lemma in
+                                                      first.predicates), first.arguments)
+        (d / "renamed.props").write_text(
+            emit_props(PropsDocument((renamed,) + gold.sentences[1:])))
         scores = d / "extra.scores"
         scores.write_text((d / "corpus/sys1.scores").read_text() + "999 0 A0 0 1 5.0\n")
         corpus = d / "corpus"
-        ok_sys1 = f"{corpus}/sys1.props:{corpus}/sys1.scores"
+        ok_gold, ok_sys1 = f"{corpus}/gold.props", f"{corpus}/sys1.props:{corpus}/sys1.scores"
         return corpus, {
             "gold-skeleton": (f"{d}/other/gold.props", ok_sys1,
-                              "sentence 0: skeletons differ"),
+                              "sentence 0: token counts differ: system M1 has 18, gold has 20"),
             "gold-count": (f"{d}/short.props", ok_sys1,
-                           "sentence counts differ: pool 40 vs document 39"),
-            "score-record": (f"{corpus}/gold.props", f"{corpus}/sys1.props:{scores}",
+                           "sentence counts differ: system M1 has 40, gold has 39"),
+            "gold-predicates": (f"{d}/renamed.props", ok_sys1,
+                                "sentence 0: predicates differ between system M1 and gold"),
+            "system-count": (ok_gold, f"{d}/short.props",
+                             "sentence counts differ: system M1 has 39, system M2 has 40"),
+            "score-record": (ok_gold, f"{corpus}/sys1.props:{scores}",
                              "system M1: score record 999 0 A0 0 1 names no argument "
                              "of its props"),
         }
 
-    @pytest.mark.parametrize("fault", ["gold-skeleton", "gold-count", "score-record"])
+    @pytest.mark.parametrize("fault", ["gold-skeleton", "gold-count", "gold-predicates",
+                                       "system-count", "score-record"])
     @pytest.mark.parametrize("command", [["infer"], ["train", "--scorer", "svm"], ["pool"]])
     def test_bad_input_exit_2(self, damaged, tmp_path, capsys, command, fault):
         corpus, faults = damaged

@@ -118,10 +118,18 @@ class TestScore:
         assert report.pprops == 50.0
 
     def test_skeleton_mismatch(self):
+        """The error names the prediction and gold, and what differs."""
         gold = _doc(_sent(10, 0, [("A1", 5, 9)]))
-        predicted = _doc(_sent(10, 1, [("A1", 5, 9)]))
-        with pytest.raises(AlignmentError):
-            score(predicted, gold)
+        for predicted, message in (
+                (_doc(_sent(10, 1, [("A1", 5, 9)])),
+                 "sentence 0: predicates differ between prediction and gold"),
+                (_doc(_sent(11, 0, [("A1", 5, 9)])),
+                 "sentence 0: token counts differ: prediction has 11, gold has 10"),
+                (_doc(_sent(10, 0, []), _sent(10, 0, [])),
+                 "sentence counts differ: prediction has 2, gold has 1")):
+            with pytest.raises(AlignmentError) as info:
+                score(predicted, gold)
+            assert str(info.value) == message
 
     def test_per_label_rows(self):
         gold = _doc(_sent(10, 0, [("A1", 5, 9), ("AM-TMP", 2, 3)]))

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import reference_features as ref
 from srlcomb import features as new
 from srlcomb.calibrate import IntervalTable, attach_probs, build_intervals
-from srlcomb.corpus_io import SyntheticConfig, generate_synthetic
+from srlcomb.corpus_io import AlignmentError, SyntheticConfig, generate_synthetic
 from srlcomb.model import Argument, Candidate, ParseNode, RoleLabel, Sentence, Span, Token
 from srlcomb.pool import CandidatePool, SentencePool, align_gold, build_pool
 
@@ -99,7 +99,7 @@ def _random_sentence(rng: random.Random, sentence_id: int) -> tuple:
               rng.choice(NE_TAGS))
         for i, pos in enumerate(rng.choice(POS) for _ in range(n)))
     parse = _tree(rng, 0, n - 1) if rng.random() < 0.9 else None
-    sentence = Sentence(sentence_id, tokens, preds, parse)
+    sentence = Sentence(sentence_id, tokens, parse)
     cands = {}
     for _ in range(rng.randint(1, 12)):
         start = rng.randrange(n)
@@ -201,20 +201,13 @@ def test_bad_skeleton_rejected_like_the_reference():
 
 
 def test_sentence_shorter_than_its_pool_sentence():
-    """Spans past the end of the given sentence see no chunks or clause
-    events there, as slicing gave the reference."""
+    """A sentence with fewer tokens than its pool sentence is rejected before
+    any feature is extracted, so no span reaches past the sentence."""
     rng = random.Random(8)
-    sentence, _ = _random_sentence(rng, 0)
-    while len(sentence.tokens) < 4:
-        sentence, _ = _random_sentence(rng, 0)
-    n = len(sentence.tokens)
-    preds = ((1, "v"), (n + 3, "w"))
-    cands = [Candidate(0, Argument(p, RoleLabel.parse(label), Span(start, end)), frozenset(votes))
-             for p, label, start, end, votes in (
-                 (0, "A0", 0, n + 5, ["M1"]), (0, "A1", n - 1, n + 1, ["M2"]),
-                 (1, "A0", 2, n + 1, ["M1", "M2"]), (1, "AM-TMP", n + 4, n + 6, ["M3"]))]
-    spool = SentencePool(0, n + 7, preds, tuple(sorted(cands, key=lambda c: c.key)))
-    sentence = Sentence(0, sentence.tokens, ((1, "v"),), None)
-    pool = CandidatePool(SYSTEMS, (spool,))
-    for groups in ("FS1-FS4", "FS4,FS6"):
-        _assert_same(pool, [sentence], groups=groups)
+    sentence, spool = _random_sentence(rng, 0)
+    longer = SentencePool(0, spool.n_tokens + 7, spool.predicates, spool.candidates)
+    pool = CandidatePool(SYSTEMS, (longer,))
+    with pytest.raises(AlignmentError, match="^sentence 0: token counts differ$"):
+        new.FeatureExtractor().extract_pool(pool, [sentence])
+    with pytest.raises(AlignmentError, match="^syntax has 2 sentences, props has 1$"):
+        new.FeatureExtractor().extract_pool(pool, [sentence, sentence])

@@ -28,7 +28,7 @@ def _sentence(n=14, pred=6):
         chunk = "B-VP" if i == pred else "B-NP"
         pos = "VBD" if i == pred else "NN"
         tokens.append(Token(i, f"w{i}", pos, chunk, clause, "O"))
-    return Sentence(0, tuple(tokens), ((pred, "sold"),))
+    return Sentence(0, tuple(tokens))
 
 
 @pytest.fixture
@@ -105,8 +105,7 @@ class TestOverlap:
                  cand(0, 1, "A1", (3, 8), votes=("M2",))]
         spool = SentencePool(0, 12, ((6, "a"), (10, "b")),
                              tuple(sorted(cands, key=lambda c: c.key)))
-        sent = Sentence(0, tuple(Token(i, f"w{i}") for i in range(12)),
-                        ((6, "a"), (10, "b")))
+        sent = Sentence(0, tuple(Token(i, f"w{i}") for i in range(12)))
         ex = FeatureExtractor(FeatureConfig(groups=("FS3",)))
         names = _names(ex, cands[0], spool, sent)
         assert "fs3:crosses:n=1" in names and "fs3:crosses:sys=M2" in names
@@ -163,7 +162,6 @@ mats NN B-NP *S) O *)))
 class TestFullSyntax:
     def _setup(self, span, label="A0"):
         sent = parse_syntax(SYNTAX)[0]
-        sent = Sentence(0, sent.tokens, ((2, "sit"),), sent.parse)
         c = cand(0, 0, label, span, votes=("M1",))
         spool = SentencePool(0, 5, ((2, "sit"),), (c,))
         ex = FeatureExtractor(FeatureConfig(groups=("FS5",)))
@@ -234,7 +232,6 @@ class TestExtractorProperties:
 
     def test_unrelated_candidate_leaves_fs1_fs2_alone(self, combo_pool):
         spool, sentence = combo_pool
-        sentence = Sentence(0, sentence.tokens, ((6, "sold"), (13, "ran")))
         preds = ((6, "sold"), (13, "ran"))
         spool = SentencePool(0, 14, preds, spool.candidates)
         target = _get(spool, "A1", (7, 9))

@@ -131,7 +131,7 @@ def syntax_files(draw):
         chunks = tuple(ParseNode(kind, Span(start, end))
                        for kind, start, end in decode_bio([t.chunk for t in sent.tokens]))
         root = ParseNode("S", Span(0, len(sent.tokens) - 1), chunks)
-        sentences.append(Sentence(sent.id, sent.tokens, sent.predicates, root))
+        sentences.append(Sentence(sent.id, sent.tokens, root))
     return emit_syntax(sentences)
 
 

@@ -117,8 +117,10 @@ class TestBuildPool:
     def test_skeleton_mismatch(self, corpus):
         gold, systems = corpus
         other, _ = generate_synthetic(SyntheticConfig(n_sentences=40, seed=99))
-        with pytest.raises(AlignmentError):
+        with pytest.raises(AlignmentError) as info:
             build_pool([("M1", systems[0][0], None), ("M2", other, None)])
+        assert str(info.value) == \
+            "sentence 0: token counts differ: system M1 has 13, system M2 has 20"
 
     @pytest.mark.parametrize("record", [(999, 0, "A0", Span(0, 1)),
                                         (0, 0, "AM-ADV", Span(0, 0))])
@@ -364,19 +366,22 @@ class TestOnePass:
         assert repeated > 0
 
     @pytest.mark.parametrize("gold_sentences,message", [
-        (39, "sentence counts differ: pool 40 vs document 39"),
-        (None, "sentence 0: skeletons differ"),
-    ])
+        (39, "sentence counts differ: {first} has 40, gold has 39"),
+        (None, "sentence 0: token counts differ: {first} has 13, gold has 20"),
+    ], ids=["gold-count", "gold-tokens"])
     def test_both_paths_reject_a_gold_skeleton_mismatch(self, corpus, gold_sentences, message):
+        """The one-pass and staged pools reject gold alike; the message names
+        gold and what it was compared with: the first system, or the pool."""
         gold, systems = corpus
         if gold_sentences is None:
             gold, _ = generate_synthetic(SyntheticConfig(n_sentences=40, seed=99))
         else:
             gold = PropsDocument(gold.sentences[:gold_sentences])
-        for stage in (lambda: align_gold(build_pool(_triples(systems)), gold),
-                      lambda: build_pool(_triples(systems), gold, 0.1)):
-            with pytest.raises(AlignmentError, match=message):
+        for first, stage in (("pool", lambda: align_gold(build_pool(_triples(systems)), gold)),
+                             ("system M1", lambda: build_pool(_triples(systems), gold, 0.1))):
+            with pytest.raises(AlignmentError) as info:
                 stage()
+            assert str(info.value) == message.format(first=first)
 
 
 # -- damaged input files ------------------------------------------------------------
