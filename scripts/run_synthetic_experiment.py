@@ -81,10 +81,10 @@ def main() -> int:
         solutions_to_props(test_pool, oracle_rerank(test_pool, test_gold)))
 
     t0 = time.perf_counter()
-    add("cs pred 1+2", solutions_to_props(test_pool, infer_corpus(
-        test_pool, CsConfig.for_scope(Scope.PRED_BY_PRED))))
-    add("cs sentence 1+2+5+6", solutions_to_props(test_pool, infer_corpus(
-        test_pool, CsConfig())))
+    for name, cfg in (("cs pred 1+2", CsConfig.for_scope(Scope.PRED_BY_PRED)),
+                      ("cs sentence 1+2+5+6", CsConfig())):
+        add(name, solutions_to_props(
+            test_pool, [sol for sol, _ in infer_corpus(test_pool, cfg)]))
 
     intervals = build_intervals(train_pool)
     extractor = FeatureExtractor()

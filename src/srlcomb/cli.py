@@ -55,7 +55,6 @@ from .infer_cs import (
     InferenceTimeout,
     Scope,
     infer_corpus,
-    solve_with_stats,
     sweep_bias,
 )
 from .infer_dp import ScoredCandidate, decode_corpus
@@ -112,6 +111,29 @@ def _check_numeric_options(args) -> None:
         value = getattr(args, dest, None)
         if value is not None and not valid(value):
             raise FormatError(f"--{dest.replace('_', '-')} {requirement}")
+
+
+# where options act: (subcommand, destinations, test that they act, the case where they do not)
+_ACTS_WHEN = [
+    ("infer", "scorer", lambda a: a.engine == "dp", "with --engine cs"),
+    ("infer", "model syntax", lambda a: a.scorer != "probsum", "with --scorer probsum"),
+    ("infer", "bias", lambda a: a.scorer == "probsum", "with a trained --scorer"),
+    ("infer", "constraints trace", lambda a: a.engine == "cs", "with --engine dp"),
+    ("infer", "seed bootstrap report", lambda a: a.gold is not None, "without --gold"),
+    ("train", "C", lambda a: a.scorer == "svm", "with a Perceptron --scorer"),
+    ("train", "epochs", lambda a: a.scorer != "svm", "with --scorer svm"),
+    ("train", "scope val_fraction", lambda a: a.scorer == "perceptron-global",
+     "with a local --scorer"),
+    ("train", "jobs", lambda a: False, "in train, which runs in one process"),
+    ("pool", "gamma", lambda a: a.dump is not None, "without --dump"),
+]
+
+
+def _check_options_act(args, subparser: argparse.ArgumentParser) -> None:
+    for command, dests, acts, where in _ACTS_WHEN:
+        idle = [d for d in dests.split() if getattr(args, d, None) != subparser.get_default(d)]
+        if command == args.command and idle and not acts(args):
+            raise FormatError(f"--{idle[0].replace('_', '-')} does nothing {where}")
 
 
 def _read(path: str) -> str:
@@ -190,7 +212,7 @@ def _cs_config(args, bias: float = DEFAULT_BIAS) -> CsConfig:
     try:
         return CsConfig.for_scope(
             Scope(args.scope), bias=bias, node_budget=args.node_budget,
-            constraints=ConstraintSet.parse(args.constraints) if args.constraints else None)
+            constraints=None if args.constraints is None else ConstraintSet.parse(args.constraints))
     except ValueError as exc:
         raise FormatError(f"--constraints {args.constraints}: {exc}") from exc
 
@@ -251,38 +273,28 @@ def _scored_pool_for_model(args, pool):
 
 
 def cmd_infer(args) -> int:
-    if args.report and not args.gold:
-        raise FormatError("--report needs --gold: there is no score report without it")
-    if args.model and args.scorer == "probsum":
-        raise FormatError("--model applies to a trained scorer only; "
-                          "scorer=probsum sums the calibrated probabilities")
+    if args.engine == "cs":
+        cfg = _cs_config(args, args.bias)
+        if cfg.constraints.c1.mode != "hard":
+            raise FormatError(f"--constraints {args.constraints}: infer needs c1 hard, "
+                              "since a props column cannot hold overlapping arguments")
+    elif args.scorer != "probsum" and not args.model:
+        raise FormatError("engine=dp with a trained scorer needs --model")
     pool, gold = _load_pool(args, args.gamma)
 
     if args.engine == "cs":
-        if args.scorer != "probsum":
-            raise FormatError("engine=cs uses the summed probabilities (scorer=probsum)")
-        cfg = _cs_config(args, args.bias)
+        decoded = infer_corpus(pool, cfg, jobs=args.jobs)
         if args.trace:
-            solutions = []
-            total = 0
-            for sent in pool.sentences:
-                sol, nodes = solve_with_stats(sent.candidates, cfg, sent.sentence_id)
+            for sent, (_, nodes) in zip(pool.sentences, decoded):
                 print(f"trace: sentence {sent.sentence_id}: "
                       f"{len(sent.candidates)} candidates, {nodes} nodes")
-                total += nodes
-                solutions.append(sol)
-            print(f"trace: {total} nodes total")
-        else:
-            solutions = infer_corpus(pool, cfg, jobs=args.jobs)
+            print(f"trace: {sum(nodes for _, nodes in decoded)} nodes total")
+        solutions = [sol for sol, _ in decoded]
     else:
-        if args.constraints or args.trace:
-            raise FormatError("--constraints and --trace apply to engine=cs only")
         if args.scorer == "probsum":
             scored = [[ScoredCandidate(c, c.prob_sum() - args.bias) for c in sent.candidates]
                       for sent in pool.sentences]
         else:
-            if not args.model:
-                raise FormatError("engine=dp with a trained scorer needs --model")
             model, pool = _scored_pool_for_model(args, pool)
             scored = score_pool(model, pool)
         solutions = decode_corpus(scored, [s.sentence_id for s in pool.sentences],
@@ -470,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="predicted props file")
     p.add_argument("--report", help="also write the score report as CSV (needs --gold)")
 
-    # train reads no --jobs; it stays because perfbench/worker.py passes it to every call
+    # --jobs stays, legal only at its default 1, since perfbench/worker.py passes it to every call
     p = add("train", cmd_train, "train a candidate-scoring model",
             "system gold syntax gamma jobs")
     p.add_argument("--scorer", choices=["svm", "perceptron-local", "perceptron-global"],
@@ -509,8 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    subparsers = next(a for a in parser._actions if a.dest == "command")
     try:
         _check_numeric_options(args)
+        _check_options_act(args, subparsers.choices[args.command])
         return args.func(args)
     except (FormatError, SerializationError, AlignmentError, OSError) as exc:
         print(f"srlcomb: {exc}", file=sys.stderr)

@@ -75,14 +75,18 @@ class FeatureSpace:
         return "".join(f"{i}\t{n}\n" for i, n in enumerate(self._names))
 
     @classmethod
-    def load(cls, text: str) -> "FeatureSpace":
+    def load(cls, text: str, first_line: int = 1) -> "FeatureSpace":
+        """The frozen space of a ``dump``; its lines count from ``first_line``."""
         space = cls()
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), first_line):
             if not line:
                 continue
             fid, _, name = line.partition("\t")
             if int(fid) != len(space._names):
                 raise ValueError("feature ids must be dense and in order")
+            if name in space._by_name:
+                raise ValueError(f"line {number} repeats feature {name!r} of id "
+                                 f"{space._by_name[name]}")
             space._names.append(name)
             space._by_name[name] = int(fid)
         space.frozen = True

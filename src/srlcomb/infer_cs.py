@@ -271,22 +271,12 @@ def decode(candidates: Sequence[Candidate], margins: Sequence[float],
 
 def solve_with_stats(candidates: Sequence[Candidate], cfg: CsConfig,
                      sentence_id: Optional[int] = None) -> tuple[Solution, int]:
-    """Like solve, but also reports how many search nodes were visited."""
+    """The candidate subset maximizing sum(s_i) over selected plus O per
+    unselected candidate minus soft penalties, and the search nodes visited."""
     if sentence_id is None:
         sentence_id = candidates[0].sentence_id if candidates else 0
     return decode(candidates, [c.prob_sum() - cfg.bias for c in candidates],
                   cfg.constraints, cfg.scope, sentence_id, cfg.bias, cfg.node_budget)
-
-
-def solve(candidates: Sequence[Candidate], cfg: CsConfig,
-          sentence_id: Optional[int] = None) -> Solution:
-    """Select the candidate subset maximizing the compatibility function.
-
-    The reported objective is sum(s_i) over selected plus O per unselected
-    candidate, minus soft penalties.  With no constraint interactions this
-    reduces to selecting exactly the candidates with s_i > O (ties excluded).
-    """
-    return solve_with_stats(candidates, cfg, sentence_id)[0]
 
 
 def map_sentences(fn, tasks: Sequence[tuple], jobs: int = 1) -> list:
@@ -302,10 +292,10 @@ def map_sentences(fn, tasks: Sequence[tuple], jobs: int = 1) -> list:
         return workers.starmap(fn, tasks, chunksize=max(1, len(tasks) // (jobs * 4)))
 
 
-def infer_corpus(pool: CandidatePool, cfg: CsConfig, jobs: int = 1) -> list[Solution]:
-    """Solve every sentence, over `jobs` processes."""
-    return map_sentences(solve, [(sent.candidates, cfg, sent.sentence_id)
-                                 for sent in pool.sentences], jobs)
+def infer_corpus(pool: CandidatePool, cfg: CsConfig, jobs: int = 1) -> list[tuple[Solution, int]]:
+    """(solution, nodes visited) of every sentence, over `jobs` processes."""
+    return map_sentences(solve_with_stats, [(sent.candidates, cfg, sent.sentence_id)
+                                            for sent in pool.sentences], jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +334,7 @@ def sweep_bias(pool: CandidatePool, gold, cfg: CsConfig,
     monotone = True
     for o in o_values:
         run_cfg = replace(cfg, bias=o)
-        solutions = infer_corpus(pool, run_cfg)
+        solutions = [sol for sol, _ in infer_corpus(pool, run_cfg)]
         report = score(solutions_to_props(pool, solutions), gold)
         rows.append(SweepRow(o, report.precision, report.recall, report.f1))
         if prev_recall is not None and report.recall > prev_recall + 1e-9:

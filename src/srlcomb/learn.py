@@ -221,7 +221,7 @@ class ScoreModel:
         intervals = IntervalTable(cuts, degenerate) if cuts else None
         n_vocab = count(take("vocab "))
         try:
-            space = FeatureSpace.load("\n".join(lines[pos:pos + n_vocab]))
+            space = FeatureSpace.load("\n".join(lines[pos:pos + n_vocab]), pos + 1)
         except ValueError as exc:
             raise ValueError(f"model file: vocabulary at lines {pos + 1}-{pos + n_vocab}: "
                              f"{exc}") from None

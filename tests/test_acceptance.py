@@ -35,7 +35,8 @@ from srlcomb.evaluate import (
     score,
 )
 from srlcomb.features import FeatureConfig, FeatureExtractor, FeatureSpace
-from srlcomb.infer_cs import CsConfig, DEFAULT_BIAS, DEFAULT_O_GRID, Scope, infer_corpus, solve
+from srlcomb.infer_cs import (CsConfig, DEFAULT_BIAS, DEFAULT_O_GRID, Scope, infer_corpus,
+                              solve_with_stats)
 from srlcomb.infer_dp import ScoredCandidate, dp_predicate, infer_sentence
 from srlcomb.learn import (
     DEFAULT_C,
@@ -85,8 +86,8 @@ def test_criterion_1_exact_inference_equivalence():
             cands = random_candidates(rng, n, n_predicates=3, n_tokens=24)
             cs = random_constraints(rng)
             bias = rng.choice([0.0, 0.15, 0.3, 0.6])
-            sol = solve(cands, CsConfig(bias=bias, scope=Scope.FULL_SENTENCE,
-                                        constraints=cs))
+            sol, _ = solve_with_stats(cands, CsConfig(bias=bias, scope=Scope.FULL_SENTENCE,
+                                                      constraints=cs))
             margins = [c.prob_sum() - bias for c in cands]
             want, _ = enumerate_best(cands, margins, cs, bias * len(cands))
             assert abs(sol.objective - want) < 1e-9, f"trial {trial}: " \
@@ -138,8 +139,8 @@ def test_criterion_3_threshold_law():
         previous = None
         assert len(DEFAULT_O_GRID) == 21
         for o in DEFAULT_O_GRID:
-            sol = solve(cands, CsConfig(bias=o, scope=Scope.FULL_SENTENCE,
-                                        constraints=cs))
+            sol, _ = solve_with_stats(cands, CsConfig(bias=o, scope=Scope.FULL_SENTENCE,
+                                                      constraints=cs))
             got = {c.key for c in sol.selected}
             want = {c.key for c, v in zip(cands, values) if v > o}
             assert got == want, f"O={o}: ties must not be selected"
@@ -231,7 +232,7 @@ def test_criterion_6_oracle_and_baseline_laws():
                     assert len(c.votes) == pool.m
 
             cfg = CsConfig()
-            assert_feasible(infer_corpus(pool, cfg), pool, cfg.constraints)
+            assert_feasible([sol for sol, _ in infer_corpus(pool, cfg)], pool, cfg.constraints)
             dp = [infer_sentence([ScoredCandidate(c, c.prob_sum() - DEFAULT_BIAS)
                                   for c in sent_pool.candidates],
                                  "sentence", sent_pool.sentence_id)
@@ -289,7 +290,7 @@ def test_criterion_8_end_to_end_synthetic_gain():
             build_pool(_triples(test_systems)), test_gold))
 
         results = {}
-        cs_solutions = infer_corpus(test_pool, CsConfig())
+        cs_solutions = [sol for sol, _ in infer_corpus(test_pool, CsConfig())]
         results["constraint-satisfaction"] = score(
             solutions_to_props(test_pool, cs_solutions), test_gold).f1
 

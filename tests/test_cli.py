@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srlcomb import cli
+from srlcomb import cli, infer_cs
 from srlcomb.calibrate import attach_probs
 from srlcomb.cli import build_parser, main
 from srlcomb.corpus_io import (
@@ -18,7 +18,7 @@ from srlcomb.corpus_io import (
 from srlcomb.features import FeatureExtractor
 from srlcomb.infer_cs import CsConfig, sweep_bias
 from srlcomb.learn import ScoreModel
-from srlcomb.model import Candidate
+from srlcomb.model import Candidate, ConstraintSet
 from srlcomb.pool import align_gold, build_pool, dump_pool
 
 
@@ -202,7 +202,7 @@ class TestInfer:
         rc = main(["infer", *_system_args(corpus_dir), "--engine", "dp", *option,
                    "--out", str(tmp_path / "x.props")])
         assert rc == 2
-        assert "engine=cs only" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"srlcomb: {option[0]} does nothing with --engine dp\n"
         assert not (tmp_path / "x.props").exists()
 
     def test_trace_prints_node_counts(self, corpus_dir, tmp_path, capsys):
@@ -300,6 +300,25 @@ class TestInfer:
                    "--out", str(tmp_path / "x.props")])
         assert rc == 2
         assert f"not strictly increasing at line {row + 1}" in capsys.readouterr().err
+
+    def test_repeated_vocabulary_name_exit_2(self, corpus_dir, tmp_path, capsys):
+        model = tmp_path / "m.svm"
+        assert main(["train", *_system_args(corpus_dir),
+                     "--gold", f"{corpus_dir}/gold.props",
+                     "--scorer", "svm", "--out", str(model)]) == 0
+        lines = model.read_text().splitlines()
+        row = next(i for i, l in enumerate(lines) if l.startswith("vocab ")) + 1
+        lines[row + 1] = "1\t" + lines[row].split("\t", 1)[1]
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["infer", *_system_args(corpus_dir), "--engine", "dp",
+                   "--scorer", "svm", "--model", str(model),
+                   "--out", str(tmp_path / "x.props")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "model file: vocabulary at lines " in err
+        assert f"line {row + 2} repeats feature " in err
+        assert not (tmp_path / "x.props").exists()
 
     def test_untrained_label_warns(self, corpus_dir, tmp_path, capsys):
         model_path, dump = tmp_path / "m.svm", tmp_path / "pool.json"
@@ -447,7 +466,7 @@ class TestBadInput:
         rc = main(["infer", *_system_args(corpus_dir), "--out", str(tmp_path / "x.props"),
                    "--report", str(tmp_path / "r.csv")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("srlcomb: --report needs --gold")
+        assert capsys.readouterr().err == "srlcomb: --report does nothing without --gold\n"
         assert not (tmp_path / "x.props").exists()
 
     def test_zero_sentences_curves_exit_2(self, empty_dir, capsys):
@@ -783,6 +802,104 @@ class TestOptions:
         with pytest.raises(SystemExit) as exit_:
             main(argv + [option, value])
         assert exit_.value.code == 2
+
+
+_TRAINED = ["svm", "perceptron-local", "perceptron-global"]
+
+# every (subcommand, option, mode) in which an option set off its default
+# does nothing, with the option named in the message
+_IDLE_OPTIONS = (
+    [(["infer", "--engine", "cs", "--scorer", s], "--scorer") for s in _TRAINED]
+    + [(["infer", "--engine", engine, option, "x"], option)
+       for engine in ("cs", "dp") for option in ("--model", "--syntax")]
+    + [(["infer", "--engine", "dp", "--scorer", s, "--model", "m", "--bias", "0.5"], "--bias")
+       for s in _TRAINED]
+    + [(["infer", "--engine", "dp", *given], given[0])
+       for given in (["--constraints", "1+2"], ["--constraints", ""], ["--trace"])]
+    + [(["infer", option, value], option)
+       for option, value in (("--seed", "5"), ("--bootstrap", "200"), ("--report", "r.csv"))]
+    + [(["infer", "--seed", "5", "--bootstrap", "200"], "--seed")]
+    # a props column cannot hold the overlapping arguments c1 forbids
+    + [(["infer", "--constraints", spec], "--constraints") for spec in ("2", "1:soft=0.1+2", "")]
+    + [(["train", "--scorer", s, "--C", "2"], "--C") for s in _TRAINED[1:]]
+    + [(["train", "--scorer", "svm", "--epochs", "9"], "--epochs")]
+    + [(["train", "--scorer", s, option, value], option) for s in _TRAINED[:2]
+       for option, value in (("--scope", "sentence"), ("--val-fraction", "0.5"))]
+    + [(["train", "--scorer", s, "--jobs", "4"], "--jobs") for s in _TRAINED]
+    + [(["train", "--scorer", "svm", "--epochs", "9", "--scope", "sentence",
+         "--val-fraction", "0.5", "--jobs", "4"], "--epochs")]
+    + [(["pool", "--gamma", "0.5"], "--gamma")]
+)
+
+
+class TestOptionsAct:
+    @pytest.mark.parametrize("argv,option", _IDLE_OPTIONS,
+                             ids=[" ".join(argv) for argv, _ in _IDLE_OPTIONS])
+    def test_idle_option_exit_2_before_reading_input(self, tmp_path, capsys, argv, option):
+        """The inputs do not exist, so exit 2 with the option's message shows
+        that the check runs before any file is read."""
+        argv = [*argv, "--system", str(tmp_path / "missing.props")]
+        if option not in ("--seed", "--bootstrap", "--report"):
+            argv += ["--gold", str(tmp_path / "missing-gold.props")]
+        if argv[0] != "pool":
+            argv += ["--out", str(tmp_path / "x.out")]
+        argv = [str(tmp_path / a) if a == "r.csv" else a for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"srlcomb: {option} ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dp_without_model_exit_2_before_reading_input(self, tmp_path, capsys):
+        assert main(["infer", "--engine", "dp", "--scorer", "svm",
+                     "--system", str(tmp_path / "missing.props"),
+                     "--out", str(tmp_path / "x.props")]) == 2
+        assert capsys.readouterr().err == "srlcomb: engine=dp with a trained scorer needs --model\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_benchmark_shapes_accepted(self, corpus_dir, tmp_path):
+        """The four argv shapes perfbench/worker.py runs, each with the
+        --jobs 1 it appends, are legal."""
+        inputs = [*_system_args(corpus_dir), "--gold", f"{corpus_dir}/gold.props"]
+        model = str(tmp_path / "model.svm")
+        for shape in (["infer", "--engine", "cs", "--out", str(tmp_path / "cs.props")],
+                      ["train", "--scorer", "svm", "--out", model],
+                      ["train", "--scorer", "perceptron-global",
+                       "--out", str(tmp_path / "model.gp")],
+                      ["infer", "--engine", "dp", "--scorer", "svm", "--scope", "pred",
+                       "--model", model, "--out", str(tmp_path / "dp.props")]):
+            assert main(shape + inputs + ["--jobs", "1"]) == 0, shape
+
+    def test_trace_honours_jobs(self, corpus_dir, tmp_path, capsys, monkeypatch):
+        """--trace takes the corpus path, so it fans out over --jobs and
+        prints and writes the same at any count."""
+        fanned = []
+        map_sentences = infer_cs.map_sentences
+        monkeypatch.setattr(infer_cs, "map_sentences", lambda fn, tasks, jobs: (
+            fanned.append(jobs), map_sentences(fn, tasks, jobs))[1])
+        out = tmp_path / "t.props"
+        runs = []
+        for jobs in ("1", "2"):
+            assert main(["infer", *_system_args(corpus_dir), "--trace", "--jobs", jobs,
+                         "--out", str(out)]) == 0
+            runs.append((capsys.readouterr().out, out.read_text()))
+        assert fanned == [1, 2]
+        assert runs[0] == runs[1]
+        assert runs[0][0].count("trace: sentence ") == 40
+
+    @pytest.mark.parametrize("spec,rules", [("2", ConstraintSet.hard_rules(2)),
+                                            ("", ConstraintSet())], ids=["c2-only", "empty"])
+    def test_sweep_takes_any_constraint_set(self, corpus_dir, tmp_path, spec, rules):
+        """sweep writes no props, so it needs no hard c1; an empty spec is the
+        empty rule set, not the scope's default."""
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *_system_args(corpus_dir), "--gold", f"{corpus_dir}/gold.props",
+                     "--constraints", spec, "--o-values", "0,0.3", "--out", str(out)]) == 0
+        gold, systems = generate_synthetic(SyntheticConfig(n_sentences=40, seed=7))
+        pool = attach_probs(align_gold(build_pool(
+            [(f"M{i + 1}", d, t) for i, (d, t) in enumerate(systems)]), gold))
+        assert out.read_text() == sweep_bias(pool, gold, CsConfig(constraints=rules),
+                                             [0.0, 0.3]).csv()
+        assert out.read_text() != sweep_bias(pool, gold, CsConfig(), [0.0, 0.3]).csv()
 
 
 class TestHelpDefaults:

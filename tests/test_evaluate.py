@@ -269,7 +269,7 @@ class TestOracles:
         pool = attach_probs(pool)
         oracle = score(solutions_to_props(pool, oracle_combination(pool)), gold)
         cs_out = score(solutions_to_props(
-            pool, infer_corpus(pool, CsConfig())), gold)
+            pool, [sol for sol, _ in infer_corpus(pool, CsConfig())]), gold)
         dp_solutions = [
             infer_sentence([ScoredCandidate(c, c.prob_sum() - 0.3)
                             for c in sent.candidates], "pred", sent.sentence_id)

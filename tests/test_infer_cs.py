@@ -14,7 +14,6 @@ from srlcomb.infer_cs import (
     Scope,
     infer_corpus,
     map_sentences,
-    solve,
     solve_with_stats,
     sweep_bias,
 )
@@ -41,20 +40,20 @@ def random_constraints(rng: random.Random) -> ConstraintSet:
 class TestSolveExamples:
     def test_single_candidate_above_bias(self):
         c = cand(probs={"M1": 0.9})
-        sol = solve([c], _cfg(ConstraintSet.hard_rules(1, 2), bias=0.3))
+        sol, _ = solve_with_stats([c], _cfg(ConstraintSet.hard_rules(1, 2), bias=0.3))
         assert sol.selected == (c,)
         assert abs(sol.objective - 0.9) < 1e-12
 
     def test_single_candidate_below_bias(self):
         c = cand(probs={"M1": 0.2})
-        sol = solve([c], _cfg(ConstraintSet.hard_rules(1, 2), bias=0.3))
+        sol, _ = solve_with_stats([c], _cfg(ConstraintSet.hard_rules(1, 2), bias=0.3))
         assert sol.selected == ()
         assert abs(sol.objective - 0.3) < 1e-12
 
     def test_crossing_pair_keeps_stronger(self):
         a = cand(label="A0", span=(0, 5), probs={"M1": 0.9})
         b = cand(label="A1", span=(3, 8), probs={"M1": 0.8})
-        sol = solve([a, b], _cfg(ConstraintSet.hard_rules(1)))
+        sol, _ = solve_with_stats([a, b], _cfg(ConstraintSet.hard_rules(1)))
         assert sol.selected == (a,)
         want, _ = enumerate_best([a, b], [0.9, 0.8], ConstraintSet.hard_rules(1))
         assert abs(sol.objective - want) < 1e-9
@@ -63,14 +62,14 @@ class TestSolveExamples:
         a0_hi = cand(label="A0", span=(0, 1), probs={"M1": 0.9})
         a0_lo = cand(label="A0", span=(3, 4), probs={"M1": 0.8})
         a1 = cand(label="A1", span=(6, 7), probs={"M1": 0.7})
-        sol = solve([a0_hi, a0_lo, a1], _cfg(ConstraintSet.hard_rules(2)))
+        sol, _ = solve_with_stats([a0_hi, a0_lo, a1], _cfg(ConstraintSet.hard_rules(2)))
         assert set(sol.selected) == {a0_hi, a1}
         want, _ = enumerate_best([a0_hi, a0_lo, a1], [0.9, 0.8, 0.7],
                                  ConstraintSet.hard_rules(2))
         assert abs(sol.objective - want) < 1e-9
 
     def test_empty_input(self):
-        sol = solve([], _cfg(ConstraintSet.hard_rules(1)), sentence_id=7)
+        sol, _ = solve_with_stats([], _cfg(ConstraintSet.hard_rules(1)), sentence_id=7)
         assert sol.sentence_id == 7 and sol.selected == ()
 
     def test_reference_dragged_in_by_base(self):
@@ -78,7 +77,7 @@ class TestSolveExamples:
         r = cand(label="R-A0", span=(0, 0), probs={"M1": 0.9, "M2": 0.9, "M3": 0.9})
         base = cand(label="A0", span=(2, 3), probs={"M1": 0.4})
         cfg = _cfg(ConstraintSet.hard_rules(3), bias=0.5)
-        sol = solve([r, base], cfg)
+        sol, _ = solve_with_stats([r, base], cfg)
         assert set(sol.selected) == {r, base}
 
 
@@ -90,14 +89,14 @@ class TestExactness:
             cands = random_candidates(rng, n)
             cs = random_constraints(rng)
             bias = rng.choice([0.0, 0.2, 0.5])
-            sol = solve(cands, _cfg(cs, bias=bias))
+            sol, _ = solve_with_stats(cands, _cfg(cs, bias=bias))
             margins = [c.prob_sum() - bias for c in cands]
             want, _ = enumerate_best(cands, margins, cs, bias * len(cands))
             assert abs(sol.objective - want) < 1e-9, f"trial {trial}"
 
     def test_matches_reference_violations_semantics(self):
         # three-way check: the oracle's rule checker prices every subset;
-        # solve must reach the same optimum
+        # solve_with_stats must reach the same optimum
         rng = random.Random(5)
         for _trial in range(30):
             n = rng.randint(1, 8)
@@ -112,7 +111,7 @@ class TestExactness:
                 value = sum(c.prob_sum() for c in subset) - \
                     sum(rule.penalty for _cid, rule in broken)
                 best = max(best, value)
-            sol = solve(cands, _cfg(cs, bias=0.0))
+            sol, _ = solve_with_stats(cands, _cfg(cs, bias=0.0))
             assert abs(sol.objective - best) < 1e-9
 
     def test_objective_formulation_invariance(self):
@@ -122,7 +121,7 @@ class TestExactness:
             cands = random_candidates(rng, rng.randint(1, 10))
             cs = random_constraints(rng)
             bias = rng.uniform(0.0, 1.0)
-            sol = solve(cands, _cfg(cs, bias=bias))
+            sol, _ = solve_with_stats(cands, _cfg(cs, bias=bias))
             margins = [c.prob_sum() - bias for c in cands]
             reduced, _ = enumerate_best(cands, margins, cs, 0.0)
             chosen_margin = sum(c.prob_sum() - bias for c in sol.selected)
@@ -134,7 +133,7 @@ class TestExactness:
         for _ in range(60):
             cands = random_candidates(rng, rng.randint(1, 12))
             cs = random_constraints(rng)
-            sol = solve(cands, _cfg(cs, bias=0.3))
+            sol, _ = solve_with_stats(cands, _cfg(cs, bias=0.3))
             assert hard_violations(sol.selected, cs) == []
 
 
@@ -240,7 +239,7 @@ class TestExactnessAtScale:
                                 options={"mip_rel_gap": 1e-12})
                 assert res.status == 0
                 optimum = -res.fun
-            sol = solve(cands, cfg, sent.sentence_id)
+            sol, _ = solve_with_stats(cands, cfg, sent.sentence_id)
             assert abs(sol.objective - (optimum + cfg.bias * len(cands))) < 1e-6, \
                 sent.sentence_id
 
@@ -253,7 +252,7 @@ class TestExactnessAtScale:
         assert max(len(sent.candidates) for sent in sentences) > 150
         for sent in sentences:
             cands = sent.candidates
-            sol = solve(cands, cfg, sent.sentence_id)
+            sol, _ = solve_with_stats(cands, cfg, sent.sentence_id)
             optimum = milp_optimum(cands, [c.prob_sum() - cfg.bias for c in cands],
                                    cfg.constraints)
             assert abs(sol.objective - (optimum + cfg.bias * len(cands))) < 1e-6, \
@@ -275,7 +274,7 @@ class TestExactnessAtScale:
             cands = _with_dependents(sent.candidates, rng, 0.25)
             dependents += sum(c.label.kind in (LabelKind.REFERENCE, LabelKind.CONTINUATION)
                               for c in cands)
-            sol = solve(cands, cfg, sent.sentence_id)
+            sol, _ = solve_with_stats(cands, cfg, sent.sentence_id)
             optimum = milp_optimum(cands, [c.prob_sum() - cfg.bias for c in cands],
                                    cfg.constraints)
             assert abs(sol.objective - (optimum + cfg.bias * len(cands))) < 1e-6, \
@@ -303,7 +302,7 @@ class TestThresholdLaw:
         cands = _disjoint_candidates(values)
         prev_keys = None
         for o in DEFAULT_O_GRID:
-            sol = solve(cands, _cfg(ConstraintSet.hard_rules(1, 2), bias=o))
+            sol, _ = solve_with_stats(cands, _cfg(ConstraintSet.hard_rules(1, 2), bias=o))
             got = {c.key for c in sol.selected}
             want = {c.key for c, v in zip(cands, values) if v > o}
             assert got == want, f"O={o}"
@@ -313,7 +312,7 @@ class TestThresholdLaw:
 
     def test_tie_at_bias_not_selected(self):
         c = cand(probs={"M1": 0.3})
-        sol = solve([c], _cfg(ConstraintSet.hard_rules(1, 2), bias=0.3))
+        sol, _ = solve_with_stats([c], _cfg(ConstraintSet.hard_rules(1, 2), bias=0.3))
         assert sol.selected == ()
 
 
@@ -327,8 +326,10 @@ class TestScope:
         for _ in range(20):
             cands = random_candidates(rng, 8, n_predicates=2)
             cs = ConstraintSet.hard_rules(1, 2)
-            a = solve(cands, CsConfig(bias=0.3, scope=Scope.PRED_BY_PRED, constraints=cs))
-            b = solve(cands, CsConfig(bias=0.3, scope=Scope.FULL_SENTENCE, constraints=cs))
+            a, _ = solve_with_stats(
+                cands, CsConfig(bias=0.3, scope=Scope.PRED_BY_PRED, constraints=cs))
+            b, _ = solve_with_stats(
+                cands, CsConfig(bias=0.3, scope=Scope.FULL_SENTENCE, constraints=cs))
             assert abs(a.objective - b.objective) < 1e-9
 
     def test_defaults(self):
@@ -342,8 +343,8 @@ class TestTimeout:
         rng = random.Random(1)
         cands = random_candidates(rng, 14)
         with pytest.raises(InferenceTimeout) as err:
-            solve(cands, CsConfig(bias=0.3, node_budget=3,
-                                  constraints=ConstraintSet.hard_rules(1, 2, 5, 6)))
+            solve_with_stats(cands, CsConfig(bias=0.3, node_budget=3,
+                                             constraints=ConstraintSet.hard_rules(1, 2, 5, 6)))
         assert err.value.best is not None
 
     @staticmethod
@@ -360,8 +361,8 @@ class TestTimeout:
         assert max(nodes) < sum(nodes)
         # every predicate fits the budget on its own, but not all of them
         with pytest.raises(InferenceTimeout):
-            solve(cands, CsConfig.for_scope(Scope.PRED_BY_PRED, bias=0.0,
-                                            node_budget=max(nodes)))
+            solve_with_stats(cands, CsConfig.for_scope(Scope.PRED_BY_PRED, bias=0.0,
+                                                       node_budget=max(nodes)))
         sol, visited = solve_with_stats(
             cands, CsConfig.for_scope(Scope.PRED_BY_PRED, bias=0.0, node_budget=sum(nodes)))
         assert visited == sum(nodes)
@@ -373,8 +374,9 @@ class TestTimeout:
         budget = nodes[0] + nodes[1] - 1    # one node short of finishing predicate 1
         assert nodes[0] < budget < nodes[0] + nodes[1]
         with pytest.raises(InferenceTimeout) as err:
-            solve(cands, CsConfig.for_scope(Scope.PRED_BY_PRED, bias=0.0, node_budget=budget),
-                  sentence_id=3)
+            solve_with_stats(cands, CsConfig.for_scope(Scope.PRED_BY_PRED, bias=0.0,
+                                                       node_budget=budget),
+                             sentence_id=3)
         best = err.value.best
         assert best.sentence_id == 3
         # predicate 0 was decoded in full, predicate 1 partly, predicate 2 not at all
@@ -444,4 +446,4 @@ class TestValidatorIntegration:
         pool = attach_probs(align_gold(build_pool(
             [(f"M{i+1}", d, t) for i, (d, t) in enumerate(systems)]), gold))
         cfg = CsConfig()
-        assert_feasible(infer_corpus(pool, cfg), pool, cfg.constraints)
+        assert_feasible([sol for sol, _ in infer_corpus(pool, cfg)], pool, cfg.constraints)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from srlcomb.infer_cs import CsConfig, Scope, solve
+from srlcomb.infer_cs import CsConfig, Scope, solve_with_stats
 from srlcomb.infer_dp import ScoredCandidate, dp_predicate, infer_sentence
 from srlcomb.model import ConstraintSet
 from conftest import cand, random_candidates
@@ -155,7 +155,7 @@ class TestDpSentence:
         assert infer_sentence(scored, "pred").selected == (tmp,)
         assert infer_sentence(scored, "sentence").selected == (tmp,)
         cfg = CsConfig.for_scope(Scope.PRED_BY_PRED, bias=0.0)
-        assert solve([loc, tmp], cfg).selected == (tmp,)
+        assert solve_with_stats([loc, tmp], cfg)[0].selected == (tmp,)
 
     def test_infer_sentence_accepts_scope_members(self):
         a = sc(2.0, pred=0, label="A0", span=(0, 5))

@@ -505,6 +505,21 @@ class TestModelFile:
         with pytest.raises(ValueError, match=f"twice at line {second + 1}"):
             ScoreModel.loads("\n".join(lines))
 
+    def test_repeated_vocabulary_name_rejected(self, featured_pool):
+        """A name given twice would leave its first id matching nothing."""
+        with pytest.raises(ValueError, match="^line 2 repeats feature 'foo' of id 0$"):
+            FeatureSpace.load("0\tfoo\n1\tfoo\n2\tbar\n")
+        lines = _svm_model_text(featured_pool).splitlines()
+        start = lines.index(next(l for l in lines if l.startswith("vocab "))) + 1
+        n_vocab = int(lines[start - 1].split()[1])
+        name = lines[start].split("\t", 1)[1]
+        lines[start + 2] = f"2\t{name}"
+        with pytest.raises(ValueError) as err:
+            ScoreModel.loads("\n".join(lines))
+        assert str(err.value) == (f"model file: vocabulary at lines {start + 1}-"
+                                  f"{start + n_vocab}: line {start + 3} repeats feature "
+                                  f"{name!r} of id 0")
+
     def test_valid_untrained_label_scores_zero(self, featured_pool, capsys):
         pool, extractor, intervals, gold = featured_pool
         model = train_local_svm(label_datasets(pool), space=extractor.space,
