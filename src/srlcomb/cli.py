@@ -247,7 +247,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pool(args) -> int:
-    pool, gold = _load_pool(args, args.gamma)
+    pool, gold = _load_pool(args, args.gamma if args.dump else None)
     n = sum(len(s.candidates) for s in pool.sentences)
     print(f"pool: {len(pool.sentences)} sentences, {n} candidates, "
           f"{pool.m} systems ({', '.join(pool.system_ids)})")
@@ -264,7 +264,7 @@ def _scored_pool_for_model(args, pool):
     try:
         model = ScoreModel.load(args.model)
     except ValueError as exc:
-        raise FormatError(f"model file {args.model}: {exc}") from exc
+        raise FormatError(f"{args.model}: {exc}") from exc
     if model.kind != args.scorer:
         raise ModelMismatchError(
             f"model is {model.kind!r} but --scorer asked for {args.scorer!r}")

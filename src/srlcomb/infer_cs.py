@@ -1,13 +1,15 @@
 """Exact constraint-satisfaction inference.
 
-Maximizes sum_i [s_i*l_i + O*(1-l_i)] minus soft-constraint penalties over
-0/1 selections, where s_i is the candidate's summed probability and O is a
-uniform bias credited for every unselected candidate.  Hard constraints are
-enforced exactly by depth-first branch and bound over the candidates whose
-margin s_i - O is positive, plus the bases their R-/C- arguments may need.
-A node's bound is its gain plus, for each clique of a fixed cover of the
-hard-conflict graph, the best margin still available in that clique; there
-is no external ILP dependency.
+Maximizes sum_i [s_i*l_i + O*(1-l_i)] minus the cost of every broken rule
+over 0/1 selections, where s_i is the candidate's summed probability and O
+is a uniform bias credited for every unselected candidate.  A rule costs
+nothing when off, its penalty when soft and ``inf`` when hard, as in the
+ILP form of Punyakanok, Roth & Yih (CL 2008).  Depth-first branch and bound
+searches the candidates whose margin s_i - O is positive, plus the bases
+their R-/C- arguments may need, and charges a soft c3/c4 as soon as it is
+certain.  A node's bound is its gain plus, for each clique of a fixed cover
+of the hard-conflict graph, the best margin still available in that clique;
+there is no external ILP dependency.
 
 ``decode`` is the one exact decoder of both engines, at sentence or
 predicate scope: this engine decodes summed probabilities against the bias,
@@ -16,6 +18,7 @@ the learning-based engine (``infer_dp``) its scorers' confidences.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -84,29 +87,32 @@ def optimize(candidates: Sequence[Candidate], margins: Sequence[float],
              node_budget: Optional[int] = None) -> tuple[list[Candidate], float, int]:
     """Maximize constant + sum of selected margins - penalties, exactly.
 
-    Returns (selection, objective, nodes visited).  The search set holds the
-    candidates with a positive margin, in (-margin, key) order, then those
-    with margin <= 0 that could license one of them under an active c3/c4
-    rule; any other candidate can only lower the objective.  A node carries
-    the bitmask of candidates still available and branches on the first of
-    them, selecting it first.  Selecting a candidate drops every candidate
-    it conflicts with under a hard pairwise rule, and a dependent of a hard
-    c3/c4 rule drops out once none of its bases is selected or available, so
-    no leaf breaks a hard rule.  Soft pairs cost their penalty when both are
-    selected; soft c3/c4 are priced at the leaf.
+    Returns (selection, objective, nodes visited).  A rule costs nothing when
+    off, its penalty when soft and ``inf`` when hard.  The search set holds
+    the candidates with a positive margin, in (-margin, key) order, then
+    those with margin <= 0 that could license one of them under an active
+    c3/c4 rule; any other candidate can only lower the objective.  A node
+    carries the bitmask of candidates still available and branches on the
+    first of them, selecting it first.  Selecting a candidate drops those
+    whose pair with it costs ``inf`` and charges the finite pair costs.  A
+    c3/c4 dependent whose bases are all gone is settled at once: selected,
+    it ends the branch if its cost is ``inf`` and is charged it otherwise;
+    available, it drops out if its margin is at most its cost, as taking it
+    could only lose or tie with more candidates.  A dependent is never a
+    base, so dropping one loses no leaf, and no leaf breaks a hard rule.
 
     The bound is the clique-cover bound for maximum-weight independent set
     (Ostergard, Nordic J. Computing 2001): the positive candidates are split
     once, greedily, into cliques of the hard-conflict graph.  A selection
     takes at most one more member of each clique, worth at most the margin
-    of its first member still available.  Penalties only subtract, so the
+    of its first member still available.  Charges only subtract, so the
     bound is admissible.  Only subtrees strictly worse than the best leaf
     are pruned, so every optimal leaf still meets the tie rule.
     """
     order = sorted(range(len(candidates)), key=lambda i: (-margins[i], candidates[i].key))
     kept = [i for i in order if margins[i] > 0.0]
-    # the active existential rules: R-X needs X; C-X needs an earlier-starting X
-    existential = {kind: cs.rule(cid) for kind, cid in EXISTENTIAL_RULES.items()
+    # the costs of the active existential rules: R-X needs X; C-X an earlier X
+    existential = {kind: cs.rule(cid).cost for kind, cid in EXISTENTIAL_RULES.items()
                    if cs.rule(cid).active}
     if existential:
         dependents = [candidates[i].argument for i in kept
@@ -118,6 +124,7 @@ def optimize(candidates: Sequence[Candidate], margins: Sequence[float],
     gains = [margins[i] for i in kept]
     n = len(cands)
 
+    pair_cost = {cid: cs.rule(cid).cost for cid in ("c1", "c2", "c5", "c6")}
     hard_mask = [0] * n
     soft_pen: list[dict] = [dict() for _ in range(n)]
     for i in range(n):
@@ -126,33 +133,18 @@ def optimize(candidates: Sequence[Candidate], margins: Sequence[float],
             if not broken:
                 continue
             pen = 0.0
-            hard = False
             for cid in broken:
-                rule = cs.rule(cid)
-                if rule.mode == "hard":
-                    hard = True
-                elif rule.mode == "soft":
-                    pen += rule.penalty
-            if hard:
+                pen += pair_cost[cid]
+            if pen == math.inf:
                 hard_mask[i] |= 1 << j
                 hard_mask[j] |= 1 << i
             elif pen > 0.0:
-                soft_pen[i][j] = soft_pen[i].get(j, 0.0) + pen
-                soft_pen[j][i] = soft_pen[j].get(i, 0.0) + pen
+                soft_pen[i][j] = soft_pen[j][i] = pen
 
-    # a hard existential rule is checked at every node: a dependent whose
-    # bases are all gone leaves the search, and a selected one ends the
-    # branch.  A soft one is priced at the leaf.
-    needs_base, leaf_rules = [], []
-    if existential:
-        for i, a in enumerate(args):
-            rule = existential.get(a.label.kind)
-            if rule is not None:
-                bases = sum(1 << j for j, o in enumerate(args) if licenses(o, a))
-                if rule.mode == "hard":
-                    needs_base.append((1 << i, bases))
-                else:
-                    leaf_rules.append((1 << i, bases, rule.penalty))
+    # (bit, bases, margin, cost) of each c3/c4 dependent, checked at every node
+    deps = [(1 << i, sum(1 << j for j, o in enumerate(args) if licenses(o, a)),
+             gains[i], existential[a.label.kind])
+            for i, a in enumerate(args) if a.label.kind in existential]
 
     # a static greedy clique partition of the positive candidates; members
     # are in margin order, so a clique's lowest available bit is its best
@@ -173,9 +165,6 @@ def optimize(candidates: Sequence[Candidate], margins: Sequence[float],
 
     def leaf(mask: int, gain: float, size: int) -> None:
         nonlocal best_gain, best_mask, best_size, best_sig
-        for bit, bases, penalty in leaf_rules:
-            if mask & bit and not mask & bases:
-                gain -= penalty
         if gain > best_gain + _EPS:
             sig = None
         elif gain >= best_gain - _EPS:
@@ -204,14 +193,18 @@ def optimize(candidates: Sequence[Candidate], margins: Sequence[float],
                 f"node budget {node_budget} exhausted",
                 Solution.make(candidates[0].sentence_id if candidates else 0, chosen,
                               constant + found))
-        for bit, bases in needs_base:
+        net = gain      # the gain less the dependents already certain to cost
+        for bit, bases, margin, cost in deps:
             if not bases & (mask | avail):
                 if mask & bit:
-                    return
-                avail &= ~bit
+                    if cost == math.inf:
+                        return
+                    net -= cost
+                elif margin <= cost:
+                    avail &= ~bit
         floor = best_gain - _EPS
-        if gain < floor:    # prune unless the cliques can make up the gap
-            bound = gain
+        if net < floor:     # prune unless the cliques can make up the gap
+            bound = net
             for q in cliques:
                 q &= avail
                 if q:
@@ -221,7 +214,7 @@ def optimize(candidates: Sequence[Candidate], margins: Sequence[float],
             else:
                 return
         if not avail:
-            leaf(mask, gain, size)
+            leaf(mask, net, size)
             return
         bit = avail & -avail
         i = bit.bit_length() - 1

@@ -8,6 +8,7 @@ and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -383,7 +384,7 @@ class ConstraintRule:
         if self.mode not in ("off", "hard", "soft"):
             raise ValueError(f"unknown constraint mode {self.mode!r}")
         if self.mode == "soft":
-            if not self.penalty >= 0.0 or self.penalty != self.penalty or self.penalty == float("inf"):
+            if not 0.0 <= self.penalty < math.inf:
                 raise ValueError("soft penalty must be finite and >= 0")
         elif self.penalty != 0.0:
             raise ValueError("penalty only meaningful for soft constraints")
@@ -391,6 +392,12 @@ class ConstraintRule:
     @property
     def active(self) -> bool:
         return self.mode != "off"
+
+    @property
+    def cost(self) -> float:
+        """What breaking the rule costs: 0 when off, its penalty when soft,
+        ``math.inf`` when hard."""
+        return math.inf if self.mode == "hard" else self.penalty
 
 
 OFF = ConstraintRule("off")

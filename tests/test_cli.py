@@ -92,6 +92,23 @@ class TestPool:
         bad.write_text("- (A0*\n\n")
         assert main(["pool", "--system", str(bad)]) == 2
 
+    def test_score_sidecars_read_only_for_dump(self, tmp_path, capsys):
+        # the agreement table reads no probability, so a damaged sidecar
+        # matters only to --dump
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--out", str(corpus), "--seed", "7", "--sentences", "20"]) == 0
+        with open(corpus / "sys1.scores", "a", encoding="utf-8") as f:
+            f.write("999 0 A0 0 1 5.0\n")
+        gold = ["--gold", f"{corpus}/gold.props"]
+        capsys.readouterr()
+        assert main(["pool", *_system_args(corpus), *gold]) == 0
+        out = capsys.readouterr().out
+        assert "pool: 20 sentences" in out and "∩ of 3" in out
+        dump = tmp_path / "pool.json"
+        assert main(["pool", *_system_args(corpus), *gold, "--dump", str(dump)]) == 2
+        assert "999 0 A0 0 1" in capsys.readouterr().err
+        assert not dump.exists()
+
     def test_missing_file_exit_2(self):
         assert main(["pool", "--system", "/nonexistent.props"]) == 2
 
@@ -316,9 +333,19 @@ class TestInfer:
                    "--out", str(tmp_path / "x.props")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "model file: vocabulary at lines " in err
+        assert err.startswith(f"srlcomb: {model}: model file: vocabulary at lines ")
+        assert err.count(str(model)) == err.count("model file") == 1
         assert f"line {row + 2} repeats feature " in err
         assert not (tmp_path / "x.props").exists()
+
+    def test_not_a_model_file_names_path_once(self, corpus_dir, tmp_path, capsys):
+        bad = tmp_path / "m.svm"
+        bad.write_text("kind svm\n")
+        rc = main(["infer", *_system_args(corpus_dir), "--engine", "dp",
+                   "--scorer", "svm", "--model", str(bad),
+                   "--out", str(tmp_path / "x.props")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"srlcomb: {bad}: not a model file\n"
 
     def test_untrained_label_warns(self, corpus_dir, tmp_path, capsys):
         model_path, dump = tmp_path / "m.svm", tmp_path / "pool.json"
@@ -368,6 +395,7 @@ class TestInfer:
     @pytest.mark.parametrize("argv", [
         ["infer", "--engine", "cs", "--constraints", "9"],
         ["infer", "--engine", "cs", "--scope", "pred", "--constraints", "1+2+5"],
+        ["infer", "--engine", "cs", "--constraints", "1+3:soft=1e999"],
         ["sweep", "--constraints", "9"],
     ])
     def test_bad_constraints_exit_2(self, corpus_dir, tmp_path, capsys, argv):

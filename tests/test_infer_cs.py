@@ -72,6 +72,21 @@ class TestSolveExamples:
         sol, _ = solve_with_stats([], _cfg(ConstraintSet.hard_rules(1)), sentence_id=7)
         assert sol.sentence_id == 7 and sol.selected == ()
 
+    @pytest.mark.parametrize("penalty,selected", [(0.5, False), (0.375, True)])
+    def test_soft_reference_without_base(self, penalty, selected):
+        # selecting A1 drops A0, the only base of R-A0; R-A0's margin 0.5 then
+        # at most pays its c3 penalty, so it joins only if the penalty is less
+        r = cand(label="R-A0", span=(0, 0), probs={"M1": 0.5})
+        base = cand(label="A0", span=(2, 3), probs={"M1": 0.25})
+        a1 = cand(label="A1", span=(2, 4), probs={"M1": 0.875})
+        cands = [r, base, a1]
+        cs = ConstraintSet(c1=ConstraintRule("hard"), c3=soft(penalty))
+        sol, _ = solve_with_stats(cands, _cfg(cs))
+        want, mask = enumerate_best(cands, [c.prob_sum() for c in cands], cs)
+        assert set(sol.selected) == {c for i, c in enumerate(cands) if mask >> i & 1}
+        assert set(sol.selected) == ({a1, r} if selected else {a1})
+        assert sol.objective == want
+
     def test_reference_dragged_in_by_base(self):
         # R-A0 is worth selecting only together with its cheap base argument
         r = cand(label="R-A0", span=(0, 0), probs={"M1": 0.9, "M2": 0.9, "M3": 0.9})
@@ -288,6 +303,17 @@ class TestExactnessAtScale:
         nodes = sum(solve_with_stats(sent.candidates, cfg, sent.sentence_id)[1]
                     for sent in _pool_sentences(30, 11, SEARCH_HARD))
         assert nodes <= 1985
+
+    def test_node_count_with_soft_dependents(self):
+        # a soft c3/c4 priced only at the leaf took 512 006 nodes here, 427 477
+        # on one sentence; charged as soon as its bases are gone, 1 298
+        rng = random.Random(0)
+        cfg = CsConfig(bias=0.3, constraints=ConstraintSet.parse("1+2+3:soft=0.3+4:soft=0.5+5+6"),
+                       node_budget=2_000_000)
+        nodes = sum(solve_with_stats(_with_dependents(sent.candidates, rng, 0.25), cfg,
+                                     sent.sentence_id)[1]
+                    for sent in _pool_sentences(30, 11, SEARCH_HARD))
+        assert nodes <= 2600
 
 
 def _disjoint_candidates(values):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -236,8 +237,17 @@ class TestConstraintSet:
         cs = ConstraintSet.parse("1+3:soft=0.5")
         assert cs.c3.mode == "soft" and cs.c3.penalty == 0.5
 
+    @pytest.mark.parametrize("penalty", [math.inf, -1.0, math.nan])
+    def test_soft_rejects_penalty_not_finite_and_nonnegative(self, penalty):
+        # only a hard rule may cost inf
+        with pytest.raises(ValueError):
+            soft(penalty)
+
+    def test_cost(self):
+        cs = ConstraintSet.parse("1+3:soft=0.5")
+        assert (cs.c1.cost, cs.c2.cost, cs.c3.cost) == (math.inf, 0.0, 0.5)
+
     def test_parse_rejects(self):
-        with pytest.raises(ValueError):
-            ConstraintSet.parse("7")
-        with pytest.raises(ValueError):
-            ConstraintSet.parse("1+1")
+        for spec in ("7", "1+1", "3:soft=1e999", "3:soft=-1", "3:soft=nan"):
+            with pytest.raises(ValueError):
+                ConstraintSet.parse(spec)
