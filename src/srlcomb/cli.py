@@ -64,6 +64,7 @@ from .learn import (
     DEFAULT_EPOCHS,
     ModelMismatchError,
     ScoreModel,
+    check_degree,
     label_datasets,
     make_examples,
     score_pool,
@@ -268,6 +269,12 @@ def _scored_pool_for_model(args, pool):
     if model.kind != args.scorer:
         raise ModelMismatchError(
             f"model is {model.kind!r} but --scorer asked for {args.scorer!r}")
+    try:
+        # every kernel value of scoring is at most a support's own
+        check_degree(model.degree, (sv for sc in model.scorers.values()
+                                    for _coef, _tick, sv in sc.supports))
+    except ValueError as exc:
+        raise FormatError(f"{args.model}: model {exc}") from None
     extractor = FeatureExtractor(model.feature_config, model.space)
     return model, extractor.extract_pool(pool, _load_sentences(args), model.intervals)
 
@@ -326,6 +333,10 @@ def cmd_train(args) -> int:
     intervals = build_intervals(pool)
     extractor = FeatureExtractor(config)
     pool = extractor.extract_pool(pool, _load_sentences(args), intervals)
+    try:
+        check_degree(args.degree, (c.features for c in pool.all_candidates()))
+    except ValueError as exc:
+        raise FormatError(f"--{exc}") from None
 
     if args.scorer == "svm":
         model = train_local_svm(label_datasets(pool), degree=args.degree, c=args.C,

@@ -11,9 +11,10 @@ recoverable from the same rows.
 Kernel rows come from posting lists (feature id -> the rows that hold it):
 the dot products of one vector with all rows are one bincount over the lists
 of its ids, so a row costs the summed length of those lists rather than one
-set intersection per support.  Both Perceptron trainers cache every training
-candidate's margin and add one kernel row to the cache per update, instead
-of re-scoring candidates against all supports.
+set intersection per support.  Every trainer and scorer reads the kernel so.
+Both Perceptron trainers cache every training candidate's margin and add one
+kernel row per update; SMO caches f = K @ (alpha*y) - y, f starts at -y,
+each step adds two memoized kernel rows, and no n x n Gram matrix is built.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from functools import cache
+from itertools import chain
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -53,11 +56,13 @@ class _Postings:
 
     def __init__(self, vectors: Sequence[FeatureVector]):
         self.n = len(vectors)
-        lists: dict = {}
-        for row, v in enumerate(vectors):
-            for fid in v.ids:
-                lists.setdefault(fid, []).append(row)
-        self._lists = {fid: np.array(rows, dtype=np.intp) for fid, rows in lists.items()}
+        lengths = [len(v.ids) for v in vectors]
+        ids = np.fromiter(chain.from_iterable(v.ids for v in vectors), np.intp, sum(lengths))
+        # group the (id, row) pairs by id: each list is a slice of one array
+        order = np.argsort(ids)
+        ids, rows = ids[order], np.repeat(np.arange(self.n), lengths)[order]
+        cuts = np.flatnonzero(np.diff(ids, prepend=-1)).tolist() + [len(ids)]
+        self._lists = {fid: rows[a:b] for fid, a, b in zip(ids[cuts[:-1]].tolist(), cuts, cuts[1:])}
 
     def kernel_row(self, fv: FeatureVector, degree: int) -> np.ndarray:
         """(u.v + 1)^degree of ``fv`` against every row, as floats.  The power
@@ -69,6 +74,18 @@ class _Postings:
         for _ in range(degree - 1):
             row = row * base
         return row
+
+
+def check_degree(degree: int, vectors: Iterable[FeatureVector]) -> None:
+    """Raise ValueError if (nnz + 1)^degree reaches 2^53 for some vector.  No
+    kernel value with it exceeds that, so below the bound every kernel row is
+    exact and the SVM's diagonal equals the rows' diagonal; above it, values
+    round and then overflow to inf."""
+    nnz = max((len(v.ids) for v in vectors), default=0)
+    # a base of 2 or more reaches 2^53 by degree 53, so the power stays small
+    if nnz and (degree >= 53 or (nnz + 1) ** degree >= 2 ** 53):
+        raise ValueError(f"degree {degree} is too large for a vector of {nnz} features: "
+                         f"({nnz} + 1)^{degree} reaches 2^53, past exact kernel values")
 
 
 @dataclass
@@ -200,6 +217,8 @@ class ScoreModel:
             raise ValueError("not a model file")
         kind = take("kind ")
         degree = integer(take("degree "))
+        if degree < 1:
+            raise ValueError(f"model file: kernel degree {degree} is below 1 at line {pos}")
         cfg_line = take("config ")
         try:
             cfg_map = dict(part.split("=", 1) for part in cfg_line.split())
@@ -236,8 +255,10 @@ class ScoreModel:
                 raise ValueError(f"model file: {exc} at line {pos}") from None
             if label in scorers:
                 raise ValueError(f"model file: label {label} given twice at line {pos}")
-            sc = LabelScorer(label, degree=integer(take("degree ")),
-                             bias=finite(take("bias ")),
+            if integer(take("degree ")) != degree:
+                raise ValueError(f"model file: label {label} has a degree other than the "
+                                 f"model's {degree} at line {pos}")
+            sc = LabelScorer(label, degree=degree, bias=finite(take("bias ")),
                              updates=count(take("updates ")),
                              degenerate=bool(integer(take("degenerate "))))
             n_sup = count(take("supports "))
@@ -310,32 +331,18 @@ def label_datasets(pool: CandidatePool) -> dict:
     return datasets
 
 
-def _gram(vectors: Sequence[FeatureVector], degree: int) -> np.ndarray:
-    """(x @ x.T + 1) ** degree for the 0/1 rows x of `vectors` over the
-    features they use.  x is float32: its dot products count shared
-    features, integers far below 2**24, so they are exact, and casting them
-    to float64 before the + 1 and the power gives the float64 build's bits."""
-    cols: dict = {}
-    rows, hits = [], []
-    for r, v in enumerate(vectors):
-        for fid in v.ids:
-            rows.append(r)
-            hits.append(cols.setdefault(fid, len(cols)))
-    x = np.zeros((len(vectors), max(len(cols), 1)), dtype=np.float32)
-    x[rows, hits] = 1.0
-    return ((x @ x.T).astype(np.float64) + 1.0) ** degree
-
-
-def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float,
+def _smo(row, diag: np.ndarray, y: np.ndarray, c: float, tol: float,
          max_steps: Optional[int] = None) -> tuple[np.ndarray, float, np.ndarray, int, float]:
     """Sequential minimal optimization of the soft-margin dual, one pair per step.
 
+    ``row(i)`` returns kernel row i and ``diag`` is the kernel diagonal.
     Working-set rule of LIBSVM (Fan, Chen & Lin, JMLR 2005): with
     f = K @ (alpha*y) - y, i is the maximal violator (the argmax of -f over
     I_up) and j the violator in I_low with the largest second-order gain
     (f_j - f_i)^2 / eta_ij; stop once max(-f over I_up) - min(-f over I_low)
-    < tol.  f is cached (Platt 1998; Keerthi et al. 2001): it starts at -y
-    and each step adds two kernel rows.  b is the mean of -f over the free
+    < tol.  f is cached (Platt 1998; Keerthi et al. 2001): f starts at -y,
+    each step adds two memoized kernel rows, so only the rows of points that
+    enter a working set are ever computed.  b is the mean of -f over the free
     points, or the midpoint of the two set bounds if none is free.
 
     Returns (alpha, b, E = f + b, steps, violation), where violation is the
@@ -347,16 +354,18 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float,
     f = -y.astype(float)
     positive = y > 0
     cap = 100 * n if max_steps is None else max_steps
+    above, below = alpha > 1e-12, alpha < c - 1e-12
+    up = np.where(positive, below, above)
+    low = np.where(positive, above, below)
     for steps in range(cap + 1):
-        above, below = alpha > 1e-12, alpha < c - 1e-12
-        up = np.where(positive, below, above)
-        low = np.where(positive, above, below)
-        i = int(np.argmax(np.where(up, -f, -np.inf)))
-        top, bottom = float(-f[i]), float(np.min(-f[low]))
+        g = -f
+        i = int(np.argmax(np.where(up, g, -np.inf)))
+        top, bottom = float(g[i]), float(np.min(g[low]))
         if top - bottom < tol or steps == cap:
             break
-        eta = np.maximum(k[i, i] + np.diagonal(k) - 2.0 * k[i], 1e-12)
-        j = int(np.argmax(np.where(low & (-f < top), (f - f[i]) ** 2 / eta, -1.0)))
+        k_i = row(i)
+        eta = np.maximum(diag[i] + diag - 2.0 * k_i, 1e-12)
+        j = int(np.argmax(np.where(low & (g < top), (f - f[i]) ** 2 / eta, -1.0)))
         a_i, a_j = alpha[i], alpha[j]
         s = y[i] * y[j]
         if s < 0:
@@ -366,7 +375,10 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float,
         new_j = min(max(a_j + y[j] * (f[i] - f[j]) / eta[j], lo), hi)
         new_i = a_i + s * (a_j - new_j)
         alpha[i], alpha[j] = new_i, new_j
-        f += y[i] * (new_i - a_i) * k[i] + y[j] * (new_j - a_j) * k[j]
+        for t in (i, j):   # only alpha_i and alpha_j moved, so only they change sets
+            above[t], below[t] = alpha[t] > 1e-12, alpha[t] < c - 1e-12
+            up[t], low[t] = (below[t], above[t]) if positive[t] else (above[t], below[t])
+        f += y[i] * (new_i - a_i) * k_i + y[j] * (new_j - a_j) * row(j)
     free = above & below
     b = float(np.mean(-f[free])) if free.any() else (top + bottom) / 2.0
     err = f + b
@@ -389,8 +401,12 @@ def train_local_svm(datasets: LabelDataset, *, degree: int = DEFAULT_DEGREE,
                                          degenerate=True)
             continue
         vectors = [fv for fv, _ in data]
-        k = _gram(vectors, degree)
-        alpha, bias, _err, steps, violation = _smo(k, ys, c, tol)
+        postings = _Postings(vectors)
+        # the kernel rows SMO has read, kept for this label only
+        row = cache(lambda i: postings.kernel_row(vectors[i], degree))
+        # the rows' diagonal: a vector shares all its ids with itself
+        diag = (np.array([len(v.ids) for v in vectors]) + 1.0) ** degree
+        alpha, bias, _err, steps, violation = _smo(row, diag, ys, c, tol)
         if violation > tol:
             print(f"srlcomb: warning: SMO for label {label} stopped after {steps} steps "
                   f"with KKT violation {violation:.3g} > tol {tol:g}", file=sys.stderr)

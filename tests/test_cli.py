@@ -285,6 +285,8 @@ class TestInfer:
         ("config ", "config groups=FS1 ngram_cap=11 path_threshold=3 count_cap=5"),
         ("config ", "config groups=FS1 ngram_cap=10 path_threshold=2 count_cap=5"),
         ("config ", "config groups=FS1 ngram_cap=10 path_threshold=3 count_cap=7"),
+        ("degree ", "degree -4"),
+        ("degree ", "degree 0"),
     ])
     def test_damaged_model_line_exit_2(self, corpus_dir, tmp_path, capsys, prefix, damaged):
         model = tmp_path / "m.svm"
@@ -300,6 +302,40 @@ class TestInfer:
                    "--out", str(tmp_path / "x.props")])
         assert rc == 2
         assert f"line {row + 1}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damaged", ["degree 0", "degree 3"])
+    def test_label_degree_other_than_models_exit_2(self, corpus_dir, tmp_path, capsys,
+                                                   damaged):
+        model = tmp_path / "m.svm"
+        assert main(["train", *_system_args(corpus_dir),
+                     "--gold", f"{corpus_dir}/gold.props",
+                     "--scorer", "svm", "--out", str(model)]) == 0
+        lines = model.read_text().splitlines()
+        row = lines.index("label A0") + 1
+        assert lines[row] == "degree 2"
+        lines[row] = damaged
+        model.write_text("\n".join(lines) + "\n")
+        rc = main(["infer", *_system_args(corpus_dir), "--engine", "dp",
+                   "--scorer", "svm", "--model", str(model),
+                   "--out", str(tmp_path / "x.props")])
+        assert rc == 2
+        assert f"label A0 has a degree other than the model's 2 at line {row + 1}" in (
+            capsys.readouterr().err)
+
+    def test_overflowing_model_degree_exit_2(self, corpus_dir, tmp_path, capsys):
+        model = tmp_path / "m.pl"
+        assert main(["train", *_system_args(corpus_dir),
+                     "--gold", f"{corpus_dir}/gold.props",
+                     "--scorer", "perceptron-local", "--out", str(model)]) == 0
+        model.write_text(model.read_text().replace("\ndegree 2\n", "\ndegree 300\n"))
+        rc = main(["infer", *_system_args(corpus_dir), "--engine", "dp",
+                   "--scorer", "perceptron-local", "--model", str(model),
+                   "--out", str(tmp_path / "x.props")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"srlcomb: {model}: model degree 300 is too large for a vector of ")
+        assert "features" in err
+        assert not (tmp_path / "x.props").exists()
 
     def test_unordered_support_ids_exit_2(self, corpus_dir, tmp_path, capsys):
         model = tmp_path / "m.svm"
@@ -735,6 +771,16 @@ class TestTrain:
                    "--scorer", scorer, "--degree", "0", "--out", str(tmp_path / "m")])
         assert rc == 2
         assert "--degree must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("scorer", ["svm", "perceptron-local", "perceptron-global"])
+    def test_overflowing_degree_exit_2(self, corpus_dir, tmp_path, capsys, scorer):
+        rc = main(["train", *_system_args(corpus_dir), "--gold", f"{corpus_dir}/gold.props",
+                   "--scorer", scorer, "--degree", "300", "--out", str(tmp_path / "m")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("srlcomb: --degree 300 is too large for a vector of ")
+        assert "features" in err
         assert not (tmp_path / "m").exists()
 
     def test_syntax_file_accepted(self, corpus_dir, tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.optimize import minimize
 
 from srlcomb.features import FeatureConfig, FeatureExtractor, FeatureSpace
 from srlcomb import learn
-from srlcomb.calibrate import attach_probs, build_intervals
+from srlcomb.calibrate import DEFAULT_GAMMA, attach_probs, build_intervals
 from srlcomb.infer_cs import Scope
 from srlcomb.learn import (
     DEFAULT_C,
@@ -136,14 +137,20 @@ def _float64_gram(vectors, degree):
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_gram_bit_identical_to_float64_build(featured_pool, degree):
+    """SMO reads posting rows and the (nnz + 1)^degree diagonal; both give
+    the bits of the float64 Gram matrix."""
     datasets = label_datasets(featured_pool[0])
     label = max(datasets, key=lambda lab: len(datasets[lab]))
-    vectors = [x for x, _ in datasets[label]]
-    gram = learn._gram(vectors, degree)
-    assert gram.dtype == np.float64
-    assert np.array_equal(gram, _float64_gram(vectors, degree))
     empty = [FeatureVector(()), FeatureVector(())]
-    assert np.array_equal(learn._gram(empty, degree), np.ones((2, 2)))
+    for vectors in ([x for x, _ in datasets[label]], empty):
+        postings = learn._Postings(vectors)
+        rows = np.stack([postings.kernel_row(v, degree) for v in vectors])
+        want = _float64_gram(vectors, degree)
+        assert rows.dtype == np.float64
+        assert np.array_equal(rows, want)
+        diag = (np.array([len(v.ids) for v in vectors]) + 1.0) ** degree
+        assert np.array_equal(diag, np.diagonal(want))
+    assert np.array_equal(want, np.ones((2, 2)))
 
 
 class TestLocalSvm:
@@ -198,6 +205,28 @@ class TestLocalSvm:
         err = capsys.readouterr().err
         assert "label A1 stopped after 1 steps" in err
 
+    def test_peak_memory_below_one_gram(self):
+        """SMO keeps only the kernel rows it reads: on the largest label of a
+        300-sentence corpus (A3, 287 points), training peaks below the bytes
+        of one float64 Gram matrix."""
+        gold, systems = generate_synthetic(SyntheticConfig(n_sentences=300, seed=7))
+        pool = build_pool([(f"M{i+1}", d, t) for i, (d, t) in enumerate(systems)],
+                          gold, DEFAULT_GAMMA)
+        extractor = FeatureExtractor()
+        pool = extractor.extract_pool(pool, intervals=build_intervals(pool))
+        datasets = label_datasets(pool)
+        label = max(datasets, key=lambda lab: len(datasets[lab]))
+        n = len(datasets[label])
+        assert (label, n) == ("A3", 287)
+        tracemalloc.start()
+        try:
+            train_local_svm({label: datasets[label]}, space=extractor.space,
+                            feature_config=extractor.config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
+
     def test_converged_separable_is_silent(self, capsys):
         space = FeatureSpace()
         train_local_svm({"A0": _separable_dataset(space)}, space=space,
@@ -237,7 +266,7 @@ class TestSmoOracle:
     def test_optimum_kkt_and_error_cache(self, real_label_problems, c):
         tol = DEFAULT_KKT_TOL
         for label, k, y in real_label_problems:
-            alpha, b, err, _passes, violation = _smo(k, y, c, tol)
+            alpha, b, err, _passes, violation = _smo(lambda i: k[i], np.diagonal(k), y, c, tol)
             assert abs(_dual_objective(alpha, y, k) - _qp_oracle(k, y, c)) < 1e-6, label
             margin = y * (k @ (alpha * y) + b) - 1.0
             at_zero, at_c = alpha <= 1e-8, alpha >= c - 1e-8
