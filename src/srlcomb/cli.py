@@ -10,6 +10,8 @@ to it.  Exit codes: 0 ok, 2 input format, 3 model mismatch, 4 timeout.
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import json
 import math
 import sys
@@ -437,6 +439,7 @@ _SHARED_OPTIONS = {
 }
 
 
+@functools.cache     # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srlcomb",
@@ -530,6 +533,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command with the cyclic collector paused, then collect once.
+
+    A command makes no reference cycles that grow with its input, so
+    reference counting frees its objects as it goes and the pause costs no
+    memory; the one collection at the end frees the few cycles it did make
+    and lets the interpreter trim its free lists.  The caller's heap is
+    frozen for the command, so that collection scans only the command's
+    objects, and ``--jobs`` workers fork from a frozen heap; a caller that
+    froze its heap itself keeps that freeze as it was.  The caller's
+    collector state is restored on every exit.
+    """
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    if not frozen:
+        gc.freeze()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        gc.collect()
+        if not frozen:
+            gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     subparsers = next(a for a in parser._actions if a.dest == "command")

@@ -215,14 +215,16 @@ class _ParseIndex:
 
 class _VoteNames(dict):
     """The names a vote mask gives: its bucketed count of systems, then one
-    name per voting system.  Filled on first use of each mask."""
+    name per voting system.  Filled on first use of each mask.  It reads the
+    system bits of its ``_PoolNames``, not the object itself, so that the
+    two make no reference cycle."""
 
-    def __init__(self, shared: "_PoolNames", count: str, each: str):
+    def __init__(self, bits: dict, count: str, each: str):
         super().__init__()
-        self.shared, self.count, self.each = shared, count, each
+        self.bits, self.count, self.each = bits, count, each
 
     def __missing__(self, mask: int) -> tuple[str, ...]:
-        sids = self.shared.systems_of(mask)
+        sids = sorted(sid for sid, bit in self.bits.items() if mask & bit)
         names = (self.count + _bucket(len(sids)),) + tuple(self.each + sid for sid in sids)
         self[mask] = names
         return names
@@ -241,10 +243,10 @@ class _PoolNames:
         self._bit: dict = {}
         self._masks: dict = {}
         self.system_bits = [(sid, self._bit_of(sid)) for sid in system_ids]
-        self.fs1 = _VoteNames(self, "fs1:numsys=", "fs1:sys=")
+        self.fs1 = _VoteNames(self._bit, "fs1:numsys=", "fs1:sys=")
         # by group (FS2, FS3), then relation in _RELATIONS order
         self.overlaps = tuple(
-            tuple(_VoteNames(self, f"{prefix}:{rel}:n=", f"{prefix}:{rel}:sys=")
+            tuple(_VoteNames(self._bit, f"{prefix}:{rel}:n=", f"{prefix}:{rel}:sys=")
                   for rel in _RELATIONS)
             for prefix in ("fs2", "fs3"))
         # the names of interval 0..4 of each system, then of "none"
@@ -263,9 +265,6 @@ class _PoolNames:
                 mask |= self._bit_of(sid)
             self._masks[votes] = mask
         return mask
-
-    def systems_of(self, mask: int) -> list[str]:
-        return sorted(sid for sid, bit in self._bit.items() if mask & bit)
 
     def clause_events(self, tag: str) -> tuple[str, ...]:
         """A clause tag's events as sequence elements: "(S*S)" gives ("(S", "S)")."""

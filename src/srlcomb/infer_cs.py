@@ -108,6 +108,10 @@ def optimize(candidates: Sequence[Candidate], margins: Sequence[float],
     of its first member still available.  Charges only subtract, so the
     bound is admissible.  Only subtrees strictly worse than the best leaf
     are pruned, so every optimal leaf still meets the tie rule.
+
+    The search closure refers to itself, so it is deleted on the way out,
+    a timeout included: reference counting then frees the call's search
+    state, and no cycle is left for the garbage collector.
     """
     order = sorted(range(len(candidates)), key=lambda i: (-margins[i], candidates[i].key))
     kept = [i for i in order if margins[i] > 0.0]
@@ -223,7 +227,10 @@ def optimize(candidates: Sequence[Candidate], margins: Sequence[float],
         dfs(avail & ~hard_mask[i], mask | bit, gain + gains[i] - pen, size + 1)
         dfs(avail, mask, gain, size)
 
-    dfs((1 << n) - 1, 0, 0.0, 0)
+    try:
+        dfs((1 << n) - 1, 0, 0.0, 0)
+    finally:
+        del dfs
     chosen = [cands[i] for i in range(n) if best_mask >> i & 1]
     return chosen, constant + best_gain, nodes
 

@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -1005,3 +1006,103 @@ class TestHelpDefaults:
         assert manifest["command"] == "synth"
         assert manifest["seed"] == 7
         assert "version" in manifest
+
+
+def _cyclic_garbage(argv: list) -> int:
+    """The objects that the cyclic collector frees during main(argv), in
+    main's own closing collection included, plus what a collection after it
+    still finds.  The parser is built first: it is built once per process,
+    not once per command."""
+    build_parser()
+    freed = []
+
+    def hook(phase, info):
+        if phase == "stop":
+            freed.append(info["collected"])
+
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.callbacks.append(hook)
+    try:
+        assert main(argv) == 0
+    finally:
+        gc.callbacks.remove(hook)
+        freed.append(gc.collect())
+        if enabled:
+            gc.enable()
+    return sum(freed)
+
+
+class TestCollector:
+    """main runs each command with the cyclic collector paused and collects
+    once at the end, so a command must make no reference cycles that grow
+    with its input, and must leave the caller's collector as it was."""
+
+    @pytest.fixture(scope="class")
+    def corpora(self, tmp_path_factory):
+        out = {}
+        for n in (20, 200):
+            d = tmp_path_factory.mktemp(f"synth{n}")
+            assert main(["synth", "--out", str(d), "--seed", "7", "--sentences", str(n)]) == 0
+            args = [*_system_args(d), "--gold", f"{d}/gold.props"]
+            assert main(["train", *args, "--scorer", "svm", "--out", str(d / "m.svm")]) == 0
+            out[n] = d, args
+        return out
+
+    @pytest.mark.parametrize("n", [20, 200])
+    @pytest.mark.parametrize("command", [
+        ["infer", "--engine", "cs"],
+        ["infer", "--engine", "dp", "--scorer", "probsum"],
+        ["infer", "--engine", "dp", "--scorer", "svm", "--scope", "pred", "--model", "m.svm"],
+        ["train", "--scorer", "svm"],
+        ["train", "--scorer", "perceptron-local"],
+        ["train", "--scorer", "perceptron-global"],
+    ], ids=["cs", "dp-probsum", "dp-svm", "svm", "perceptron-local", "perceptron-global"])
+    def test_cyclic_garbage_does_not_grow_with_corpus(self, corpora, tmp_path, capsys,
+                                                      command, n):
+        d, args = corpora[n]
+        command = [str(d / a) if a == "m.svm" else a for a in command]
+        assert _cyclic_garbage(command + args + ["--out", str(tmp_path / "out")]) <= 100
+
+    @pytest.mark.parametrize("case,want", [
+        ("ok", 0), ("damaged", 2), ("mismatch", 3), ("timeout", 4), ("usage", None),
+        ("jobs", 0), ("disabled", 0),
+    ])
+    def test_caller_state_restored(self, corpora, tmp_path, capsys, case, want):
+        d, args = corpora[20]
+        bad = tmp_path / "bad.props"
+        bad.write_text("- (A0*\n\n")
+        argv = {
+            "damaged": ["infer", "--system", str(bad)],
+            "mismatch": ["infer", *args, "--engine", "dp", "--scorer", "perceptron-local",
+                         "--model", str(d / "m.svm")],
+            "timeout": ["infer", *args, "--node-budget", "1"],
+            "usage": ["infer", "--no-such-option"],
+            "jobs": ["infer", *args, "--jobs", "2"],
+        }.get(case, ["infer", *args]) + ["--out", str(tmp_path / "x.props")]
+        if case == "disabled":
+            gc.disable()
+        before = gc.isenabled(), gc.get_freeze_count()
+        try:
+            if want is None:
+                with pytest.raises(SystemExit):
+                    main(argv)
+            else:
+                assert main(argv) == want
+            assert (gc.isenabled(), gc.get_freeze_count()) == before
+        finally:
+            gc.enable()
+
+    def test_caller_freeze_kept(self, corpora, tmp_path, capsys):
+        """A caller that froze its heap keeps it frozen, and main freezes
+        nothing of its own."""
+        d, args = corpora[20]
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert main(["infer", *args, "--out", str(tmp_path / "x.props")]) == 0
+            assert gc.isenabled()
+            assert 0 < gc.get_freeze_count() <= frozen
+        finally:
+            gc.unfreeze()

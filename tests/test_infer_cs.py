@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 from dataclasses import replace
@@ -410,6 +411,36 @@ class TestTimeout:
         assert any(c.predicate == 1 for c in best.selected)
         assert all(c.predicate != 2 for c in best.selected)
         assert abs(best.objective - sum(c.prob_sum() for c in best.selected)) < 1e-9
+
+
+class TestNoCycles:
+    def test_decoding_leaves_no_cyclic_garbage(self):
+        """Each decode frees its own search state by reference counting, on
+        a timeout too, so nothing is left for the cyclic collector."""
+        cfg = CsConfig(bias=0.3)
+        sentences = _pool_sentences(20, 1, SEARCH_HARD)
+        searched = [s for s in sentences
+                    if solve_with_stats(s.candidates, cfg, s.sentence_id)[1] > 1]
+        assert len(searched) >= 10
+        budget = replace(cfg, node_budget=1)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for s in sentences:
+                solve_with_stats(s.candidates, cfg, s.sentence_id)
+            assert gc.collect() == 0
+            timeouts = 0
+            for s in searched:
+                try:
+                    solve_with_stats(s.candidates, budget, s.sentence_id)
+                except InferenceTimeout:
+                    timeouts += 1
+            assert timeouts == len(searched)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestFanOut:
