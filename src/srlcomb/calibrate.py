@@ -37,12 +37,15 @@ def two_class_prob(score: float, gamma: float = DEFAULT_GAMMA) -> float:
     """Probability of one proposed argument against a background score of 0.
 
     Systems that expose a single raw activation per argument get this
-    degenerate two-class softmax.
+    degenerate two-class softmax.  When ``gamma * score`` overflows, the
+    result is the softmax's limit: 1.0 at +inf, 0.0 at -inf.
     """
     if not (math.isfinite(gamma) and math.isfinite(score)):
         return softmax([score, 0.0], gamma)[0]     # raises softmax's error
     # softmax's float operations on two values, in its order: bit-identical
     a, b = gamma * score, gamma * 0.0
+    if math.isinf(a):
+        return 1.0 if a > 0.0 else 0.0
     top = max(a, b)
     ea, eb = math.exp(a - top), math.exp(b - top)
     return ea / (ea + eb)

@@ -305,7 +305,10 @@ def cmd_infer(args) -> int:
                       for sent in pool.sentences]
         else:
             model, pool = _scored_pool_for_model(args, pool)
-            scored = score_pool(model, pool)
+            try:
+                scored = score_pool(model, pool)
+            except ValueError as exc:
+                raise FormatError(f"{args.model}: model {exc}") from None
         solutions = decode_corpus(scored, [s.sentence_id for s in pool.sentences],
                                   Scope(args.scope), jobs=args.jobs,
                                   node_budget=args.node_budget)

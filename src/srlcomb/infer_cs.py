@@ -11,9 +11,10 @@ certain.  A node's bound is its gain plus, for each clique of a fixed cover
 of the hard-conflict graph, the best margin still available in that clique;
 there is no external ILP dependency.
 
-``decode`` is the one exact decoder of both engines, at sentence or
-predicate scope: this engine decodes summed probabilities against the bias,
-the learning-based engine (``infer_dp``) its scorers' confidences.
+``decode`` is the one exact decoder of both engines: this engine decodes
+summed probabilities against the bias, the learning-based engine
+(``infer_dp``) its scorers' confidences.  It searches each component of the
+conflict graph alone, so a scope only chooses the rules.
 """
 
 from __future__ import annotations
@@ -82,18 +83,35 @@ def _tie_signature(cands: Sequence[Candidate]) -> tuple:
         for c in cands))
 
 
-def optimize(candidates: Sequence[Candidate], margins: Sequence[float],
-             cs: ConstraintSet, constant: float = 0.0,
-             node_budget: Optional[int] = None) -> tuple[list[Candidate], float, int]:
-    """Maximize constant + sum of selected margins - penalties, exactly.
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Returns (selection, objective, nodes visited).  A rule costs nothing when
-    off, its penalty when soft and ``inf`` when hard.  The search set holds
-    the candidates with a positive margin, in (-margin, key) order, then
-    those with margin <= 0 that could license one of them under an active
-    c3/c4 rule; any other candidate can only lower the objective.  A node
-    carries the bitmask of candidates still available and branches on the
-    first of them, selecting it first.  Selecting a candidate drops those
+
+def decode(candidates: Sequence[Candidate], margins: Sequence[float], cs: ConstraintSet,
+           sentence_id: int, bias: float = 0.0,
+           node_budget: Optional[int] = None) -> tuple[Solution, int]:
+    """The one exact decoder: maximize bias * len(candidates) plus the
+    selected margins less the cost of every broken rule; returns (solution,
+    nodes visited).  Only the candidates with a positive margin, and those
+    that could license one of them under an active c3/c4 rule, can raise the
+    objective; they are taken in (-margin, key) order.
+
+    Two candidates are linked when their pair costs or one is a c3/c4 base
+    of the other.  No cost crosses a connected component of the links, and
+    the tie rule (fewest candidates, then the least sorted signature) ranks
+    unions of disjoint parts part by part, so each component is searched
+    alone, in the order of its first member.  A lone candidate that is no
+    dependent is taken without search when its margin is above ``_EPS``, as
+    the tie rule says.  ``node_budget`` bounds the nodes of all components
+    together; the timeout's best-so-far holds the lone candidates taken,
+    the components searched in full and the best leaf of the current one.
+
+    A node carries the bitmask of candidates still available and branches on
+    the first of them, selecting it first.  Selecting a candidate drops those
     whose pair with it costs ``inf`` and charges the finite pair costs.  A
     c3/c4 dependent whose bases are all gone is settled at once: selected,
     it ends the branch if its cost is ``inf`` and is charged it otherwise;
@@ -101,17 +119,13 @@ def optimize(candidates: Sequence[Candidate], margins: Sequence[float],
     could only lose or tie with more candidates.  A dependent is never a
     base, so dropping one loses no leaf, and no leaf breaks a hard rule.
 
-    The bound is the clique-cover bound for maximum-weight independent set
-    (Ostergard, Nordic J. Computing 2001): the positive candidates are split
-    once, greedily, into cliques of the hard-conflict graph.  A selection
-    takes at most one more member of each clique, worth at most the margin
-    of its first member still available.  Charges only subtract, so the
-    bound is admissible.  Only subtrees strictly worse than the best leaf
-    are pruned, so every optimal leaf still meets the tie rule.
-
-    The search closure refers to itself, so it is deleted on the way out,
-    a timeout included: reference counting then frees the call's search
-    state, and no cycle is left for the garbage collector.
+    The bound is the clique-cover bound (Ostergard, Nordic J. Computing 2001)
+    over a greedy partition of the positive candidates into cliques of the
+    hard-conflict graph: a selection takes at most one more member of each
+    clique, worth at most the margin of its first member still available.
+    Only subtrees strictly worse than the best leaf are pruned, so every
+    optimal leaf meets the tie rule.  The search closure refers to itself
+    and is deleted on the way out, so no cycle is left for the collector.
     """
     order = sorted(range(len(candidates)), key=lambda i: (-margins[i], candidates[i].key))
     kept = [i for i in order if margins[i] > 0.0]
@@ -149,6 +163,13 @@ def optimize(candidates: Sequence[Candidate], margins: Sequence[float],
     deps = [(1 << i, sum(1 << j for j, o in enumerate(args) if licenses(o, a)),
              gains[i], existential[a.label.kind])
             for i, a in enumerate(args) if a.label.kind in existential]
+    # i and j are linked when their pair costs or one is a c3/c4 base of the
+    # other; a dependent also links to itself, so that it is never lone
+    links = [h | sum(1 << j for j in pen) for h, pen in zip(hard_mask, soft_pen)]
+    for bit, bases, _margin, _cost in deps:
+        links[bit.bit_length() - 1] |= bases | bit
+        for j in _bits(bases):
+            links[j] |= bit
 
     # a static greedy clique partition of the positive candidates; members
     # are in margin order, so a clique's lowest available bit is its best
@@ -171,34 +192,27 @@ def optimize(candidates: Sequence[Candidate], margins: Sequence[float],
         nonlocal best_gain, best_mask, best_size, best_sig
         if gain > best_gain + _EPS:
             sig = None
-        elif gain >= best_gain - _EPS:
-            if size > best_size:
-                return
-            if size == best_size:
-                sig = _tie_signature([cands[i] for i in range(n) if mask >> i & 1])
-                if best_sig is None:
-                    best_sig = _tie_signature(
-                        [cands[i] for i in range(n) if best_mask >> i & 1])
-                if sig >= best_sig:
-                    return
-            else:
-                sig = None
-        else:
+        elif gain < best_gain - _EPS or size > best_size:
             return
+        elif size == best_size:
+            sig = _tie_signature([cands[i] for i in _bits(mask)])
+            if best_sig is None:
+                best_sig = _tie_signature([cands[i] for i in _bits(best_mask)])
+            if sig >= best_sig:
+                return
+        else:
+            sig = None
         best_gain, best_mask, best_size, best_sig = gain, mask, size, sig
 
     def dfs(avail: int, mask: int, gain: float, size: int) -> None:
         nonlocal nodes
         nodes += 1
         if node_budget is not None and nodes > node_budget:
-            chosen = [cands[i] for i in range(n) if best_mask >> i & 1]
             found = best_gain if best_gain > float("-inf") else 0.0
-            raise InferenceTimeout(
-                f"node budget {node_budget} exhausted",
-                Solution.make(candidates[0].sentence_id if candidates else 0, chosen,
-                              constant + found))
+            raise InferenceTimeout(f"node budget {node_budget} exhausted", Solution.make(
+                sentence_id, selected + [cands[i] for i in _bits(best_mask)], objective + found))
         net = gain      # the gain less the dependents already certain to cost
-        for bit, bases, margin, cost in deps:
+        for bit, bases, margin, cost in comp_deps:
             if not bases & (mask | avail):
                 if mask & bit:
                     if cost == math.inf:
@@ -209,7 +223,7 @@ def optimize(candidates: Sequence[Candidate], margins: Sequence[float],
         floor = best_gain - _EPS
         if net < floor:     # prune unless the cliques can make up the gap
             bound = net
-            for q in cliques:
+            for q in comp_cliques:
                 q &= avail
                 if q:
                     bound += worth[q & -q]
@@ -227,45 +241,29 @@ def optimize(candidates: Sequence[Candidate], margins: Sequence[float],
         dfs(avail & ~hard_mask[i], mask | bit, gain + gains[i] - pen, size + 1)
         dfs(avail, mask, gain, size)
 
+    # a lone candidate needs no search; the others are searched by component
+    lone = [i for i in range(n) if not links[i] and gains[i] > _EPS]
+    selected: list[Candidate] = [cands[i] for i in lone]
+    objective = sum((gains[i] for i in lone), bias * len(candidates))
+    seen = 0
     try:
-        dfs((1 << n) - 1, 0, 0.0, 0)
+        for i in range(n):
+            if seen >> i & 1 or not links[i]:
+                continue
+            comp, todo = 0, 1 << i
+            while todo:     # flood the links from i, the component's first member
+                low = todo & -todo
+                comp |= low
+                todo = (todo | links[low.bit_length() - 1]) & ~comp
+            seen |= comp
+            comp_deps = [d for d in deps if d[0] & comp]
+            comp_cliques = [q for q in cliques if q & comp]
+            best_gain, best_mask, best_size, best_sig = float("-inf"), 0, 0, None
+            dfs(comp, 0, 0.0, 0)
+            selected += [cands[j] for j in _bits(best_mask)]
+            objective += best_gain
     finally:
         del dfs
-    chosen = [cands[i] for i in range(n) if best_mask >> i & 1]
-    return chosen, constant + best_gain, nodes
-
-
-def decode(candidates: Sequence[Candidate], margins: Sequence[float],
-           cs: ConstraintSet, scope: Scope, sentence_id: int, bias: float = 0.0,
-           node_budget: Optional[int] = None) -> tuple[Solution, int]:
-    """The one exact decoder, returning (solution, nodes visited): branch and
-    bound over the whole sentence, or over each predicate's candidates in
-    turn, crediting ``bias`` for every candidate left out.  ``node_budget``
-    bounds the nodes of the whole sentence; on a timeout the best-so-far holds
-    the predicates already decoded plus the current one's partial selection.
-    """
-    if scope is Scope.FULL_SENTENCE:
-        groups = [range(len(candidates))] if candidates else []
-    else:
-        groups = [[i for i, c in enumerate(candidates) if c.predicate == p]
-                  for p in sorted({c.predicate for c in candidates})]
-    selected: list[Candidate] = []
-    objective = 0.0
-    nodes = 0
-    for group in groups:
-        left = None if node_budget is None else node_budget - nodes
-        try:
-            chosen, obj, visited = optimize([candidates[i] for i in group],
-                                            [margins[i] for i in group], cs,
-                                            bias * len(group), left)
-        except InferenceTimeout as exc:
-            raise InferenceTimeout(
-                f"node budget {node_budget} exhausted",
-                Solution.make(sentence_id, selected + list(exc.best.selected),
-                              objective + exc.best.objective)) from None
-        selected += chosen
-        objective += obj
-        nodes += visited
     return Solution.make(sentence_id, selected, objective), nodes
 
 
@@ -276,7 +274,7 @@ def solve_with_stats(candidates: Sequence[Candidate], cfg: CsConfig,
     if sentence_id is None:
         sentence_id = candidates[0].sentence_id if candidates else 0
     return decode(candidates, [c.prob_sum() - cfg.bias for c in candidates],
-                  cfg.constraints, cfg.scope, sentence_id, cfg.bias, cfg.node_budget)
+                  cfg.constraints, sentence_id, cfg.bias, cfg.node_budget)
 
 
 def map_sentences(fn, tasks: Sequence[tuple], jobs: int = 1) -> list:

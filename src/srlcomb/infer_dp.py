@@ -1,10 +1,10 @@
 """Learning-based inference: pick the maximum-confidence consistent structure.
 
 Decoding goes through the one exact branch-and-bound decoder,
-``infer_cs.decode``: per predicate under hard c1+c2, or over the whole
-sentence under hard c1+c2+c5 (cross-predicate embedding allowed).  The
-interval dynamic program ``dp_predicate`` is kept as the independent
-reference for the predicate scope; no runtime path calls it.
+``infer_cs.decode``, under hard c1+c2 at predicate scope or hard c1+c2+c5
+at sentence scope (cross-predicate embedding allowed).  The interval
+dynamic program ``dp_predicate`` is kept as the independent reference for
+the predicate scope; no runtime path calls it.
 
 Candidates with confidence <= 0 can never improve the objective and are
 filtered up front, which is also the documented tie rule at score 0.
@@ -85,7 +85,7 @@ def dp_predicate(scored: Sequence[ScoredCandidate]) -> Solution:
 def infer_sentence(scored: Sequence[ScoredCandidate], scope: Scope | str,
                    sentence_id: Optional[int] = None,
                    node_budget: Optional[int] = None) -> Solution:
-    """Decode one sentence predicate by predicate, or jointly.
+    """Decode one sentence under the rules of ``scope``.
 
     ``scope`` is a Scope or its value, "pred" or "sentence".  Both scopes
     enforce c1 and c2: same-predicate spans disjoint, no duplicate cores per
@@ -98,7 +98,7 @@ def infer_sentence(scored: Sequence[ScoredCandidate], scope: Scope | str,
     live = [s for s in scored if s.confidence > 0.0]
     rules = STRUCTURAL_RULES if scope is Scope.FULL_SENTENCE else default_constraints(scope)
     return decode([s.candidate for s in live], [s.confidence for s in live], rules,
-                  scope, sentence_id, node_budget=node_budget)[0]
+                  sentence_id, node_budget=node_budget)[0]
 
 
 def decode_corpus(scored_lists: Sequence[Sequence[ScoredCandidate]],

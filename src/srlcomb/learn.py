@@ -234,7 +234,15 @@ class ScoreModel:
         for _ in range(n_intervals):
             parts = fields("intervals", 7)
             key = (parts[0], parts[1])
+            if key in cuts:
+                raise ValueError(f"model file: intervals of {parts[0]} {parts[1]} given twice "
+                                 f"at line {pos}")
             cuts[key] = tuple(finite(x) for x in parts[2:6])
+            if any(a > b for a, b in zip(cuts[key], cuts[key][1:])):
+                raise ValueError(f"model file: cut points decrease at line {pos}")
+            if parts[6] not in ("ok", "degenerate"):
+                raise ValueError(f"model file: intervals flag {parts[6]!r} is neither 'ok' "
+                                 f"nor 'degenerate' at line {pos}")
             if parts[6] == "degenerate":
                 degenerate.add(key)
         intervals = IntervalTable(cuts, degenerate) if cuts else None
@@ -287,7 +295,8 @@ def score_pool(model: ScoreModel, pool: CandidatePool) -> list[list[ScoredCandid
     The pool must have been feature-extracted with the model's configuration
     and feature space; anything else is a vocabulary mismatch.  Candidates
     whose label the model has no scorer for score 0.0, with one stderr
-    warning per such label.
+    warning per such label.  A score that is not finite, which finite but
+    huge coefficients can give, is a ValueError that names the label.
     """
     if pool.feature_digest != model.feature_config.digest():
         raise ModelMismatchError(
@@ -306,7 +315,12 @@ def score_pool(model: ScoreModel, pool: CandidatePool) -> list[list[ScoredCandid
             print(f"srlcomb: warning: model has no scorer for label {label}; "
                   f"{len(rows)} candidates scored 0.0", file=sys.stderr)
             continue
-        values = scorer.scores([flat[i].features for i in rows], averaged=True)
+        with np.errstate(over="ignore", invalid="ignore"):     # checked just below
+            values = scorer.scores([flat[i].features for i in rows], averaged=True)
+        overflow = [v for v in values if not math.isfinite(v)]
+        if overflow:
+            raise ValueError(f"label {label} scores a candidate {overflow[0]}, "
+                             "so its coefficients are too large")
         for i, value in zip(rows, values):
             confidence[i] = value
     scored = iter(ScoredCandidate(c, v) for c, v in zip(flat, confidence))

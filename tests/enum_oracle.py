@@ -3,8 +3,9 @@
 Enumerates every subset of candidates with vectorized numpy and applies the
 constraint rules independently of the solver implementation, so agreement
 between the two is meaningful evidence of exactness.  ``violations`` checks
-one selection by the same rules; nothing here calls the solver's own
-``pair_rules`` or ``licenses``.
+one selection by the same rules, and ``tie_rule_best`` applies the tie rule
+among all optimal subsets; nothing here calls the solver's own
+``pair_rules``, ``licenses`` or tie signature.
 """
 
 from enum import Enum
@@ -111,8 +112,9 @@ def assert_feasible(solutions, pool, cs: ConstraintSet) -> None:
         assert hard_violations(sol.selected, cs) == []
 
 
-def enumerate_best(candidates, margins, cs: ConstraintSet, constant: float = 0.0):
-    """Return (best objective, best selection mask) over all 2^n subsets."""
+def _subset_objectives(candidates, margins, cs: ConstraintSet, constant: float):
+    """(masks, objective of each mask) over all 2^n subsets; an infeasible
+    subset scores -inf."""
     n = len(candidates)
     margins = np.asarray(margins, dtype=float)
     masks = np.arange(1 << n, dtype=np.int64)
@@ -145,5 +147,29 @@ def enumerate_best(candidates, margins, cs: ConstraintSet, constant: float = 0.0
             objective -= rule.penalty * broken
 
     objective[~feasible] = -np.inf
+    return masks, objective
+
+
+def enumerate_best(candidates, margins, cs: ConstraintSet, constant: float = 0.0):
+    """Return (best objective, best selection mask) over all 2^n subsets."""
+    masks, objective = _subset_objectives(candidates, margins, cs, constant)
     best = int(np.argmax(objective))
     return float(objective[best]), int(masks[best])
+
+
+def tie_rule_best(candidates, margins, cs: ConstraintSet, constant: float = 0.0,
+                  tol: float = 1e-9):
+    """(best objective, the optimal selection the tie rule picks, number of
+    optimal subsets).  Among the subsets within ``tol`` of the optimum the
+    rule takes the fewest candidates, then the least sorted tuple of
+    (-votes, start, label, end, predicate) entries, one per candidate."""
+    masks, objective = _subset_objectives(candidates, margins, cs, constant)
+    best = float(objective.max())
+    entries = [(-len(c.votes), c.argument.span.start, c.argument.label.text,
+                c.argument.span.end, c.argument.predicate) for c in candidates]
+    ranked = []
+    for mask in masks[objective >= best - tol].tolist():
+        members = [i for i in range(len(candidates)) if mask >> i & 1]
+        ranked.append((len(members), sorted(entries[i] for i in members), members))
+    _size, _entries, members = min(ranked)
+    return best, {candidates[i] for i in members}, len(ranked)

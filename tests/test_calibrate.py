@@ -90,9 +90,18 @@ class TestSoftmax:
            st.floats(allow_nan=False, allow_infinity=False))
     def test_two_class_bit_identical_to_softmax(self, score, gamma):
         got = two_class_prob(score, gamma)
-        want = softmax([score, 0.0], gamma)[0]
-        # gamma * score may overflow, and then both give the same nan
-        assert got == want or (math.isnan(got) and math.isnan(want))
+        if math.isinf(gamma * score):   # softmax gives nan there; see the limit test
+            assert got == (1.0 if gamma * score > 0 else 0.0)
+        else:
+            assert got == softmax([score, 0.0], gamma)[0]
+
+    @pytest.mark.parametrize("score,gamma,want", [
+        (1e308, 2.0, 1.0), (-1e308, 2.0, 0.0), (1.0, 1e308, 1.0),
+        (2.0, 1e308, 1.0), (-2.0, 1e308, 0.0), (1e308, -1e308, 0.0), (-1e308, -1e308, 1.0),
+        (1e200, 1e200, 1.0), (1e-300, 1e-300, 0.5),
+    ])
+    def test_two_class_overflow_gives_softmax_limit(self, score, gamma, want):
+        assert two_class_prob(score, gamma) == want
 
     @given(st.floats(), st.floats())
     def test_two_class_raises_like_softmax(self, score, gamma):

@@ -182,6 +182,44 @@ class TestInfer:
         assert rc == 4
         assert "node budget 1 exhausted" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gamma,score", [("1e308", None), ("2", "1e308"), ("2", "-1e308")])
+    def test_overflowing_gamma_times_score_exit_0(self, tmp_path, capsys, gamma, score):
+        # gamma * score overflows to +-inf; its probability is the softmax limit
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--out", str(corpus), "--seed", "7", "--sentences", "20"]) == 0
+        if score is not None:
+            lines = (corpus / "sys1.scores").read_text(encoding="utf-8").splitlines()
+            lines[0] = " ".join(lines[0].split()[:-1] + [score])
+            (corpus / "sys1.scores").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for engine in ("cs", "dp"):
+            out = tmp_path / f"{engine}.props"
+            assert main(["infer", *_system_args(corpus), "--engine", engine,
+                         "--gamma", gamma, "--out", str(out)]) == 0
+            assert out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_overflowing_model_scores_exit_2(self, corpus_dir, tmp_path, capsys):
+        model = tmp_path / "m.svm"
+        assert main(["train", *_system_args(corpus_dir), "--gold", f"{corpus_dir}/gold.props",
+                     "--scorer", "svm", "--out", str(model)]) == 0
+        lines = model.read_text().splitlines()
+        supports = 0
+        for row, line in enumerate(lines):    # every coefficient finite but huge
+            if supports:
+                lines[row] = " ".join(["1e308"] + line.split()[1:])
+                supports -= 1
+            elif line.startswith("supports "):
+                supports = int(line.split()[1])
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["infer", *_system_args(corpus_dir), "--engine", "dp", "--scorer", "svm",
+                   "--model", str(model), "--out", str(tmp_path / "x.props")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"srlcomb: {model}: model label ") and "Traceback" not in err
+        assert "RuntimeWarning" not in err
+        assert not (tmp_path / "x.props").exists()
+
     def test_unmatched_score_record_exit_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         assert main(["synth", "--out", str(corpus), "--seed", "7", "--sentences", "60"]) == 0
@@ -288,6 +326,9 @@ class TestInfer:
         ("config ", "config groups=FS1 ngram_cap=10 path_threshold=3 count_cap=7"),
         ("degree ", "degree -4"),
         ("degree ", "degree 0"),
+        ("M1 A1 ", "M1 A1 0.8 0.7 0.8 0.9 ok"),
+        ("M1 A1 ", "M1 A0 0.3 0.8 0.85 0.88 ok"),
+        ("M1 A1 ", "M1 A1 0.6 0.7 0.8 0.9 okay"),
     ])
     def test_damaged_model_line_exit_2(self, corpus_dir, tmp_path, capsys, prefix, damaged):
         model = tmp_path / "m.svm"

@@ -22,7 +22,7 @@ from srlcomb.model import Argument, ConstraintSet, ConstraintRule, LabelKind, Ro
 from srlcomb.pool import align_gold, build_pool
 from conftest import HARD_50, SEARCH_HARD, cand, random_candidates
 from enum_oracle import (assert_feasible, broken_rules, enumerate_best, hard_violations,
-                         violations)
+                         tie_rule_best, violations)
 
 
 def _cfg(constraints, bias=0.0, scope=Scope.FULL_SENTENCE):
@@ -151,6 +151,38 @@ class TestExactness:
             cs = random_constraints(rng)
             sol, _ = solve_with_stats(cands, _cfg(cs, bias=0.3))
             assert hard_violations(sol.selected, cs) == []
+
+
+class TestTieRule:
+    @staticmethod
+    def _quarter_pool(rng, n):
+        """Candidates of three predicates on a short sentence whose summed
+        probabilities are multiples of 0.25, so that optima often tie exactly."""
+        return [c.with_probs((s, rng.choice((0.25, 0.5, 0.75, 1.0))) for s in c.votes)
+                for c in random_candidates(rng, n, n_predicates=3, n_tokens=10)]
+
+    @staticmethod
+    def _quarter_rules(rng, cids):
+        modes = {cid: rng.choice(["off", "hard", "soft"]) for cid in cids}
+        return ConstraintSet(**{cid: soft(rng.choice((0.25, 0.5, 1.0))) if mode == "soft"
+                                else ConstraintRule(mode) for cid, mode in modes.items()})
+
+    @pytest.mark.parametrize("scope", ["pred", "sentence"])
+    def test_matches_tie_rule_oracle(self, scope):
+        rng = random.Random(29 if scope == "pred" else 31)
+        cids = ("c1", "c2", "c3", "c4") + (("c5", "c6") if scope == "sentence" else ())
+        tied = 0
+        for trial in range(150):
+            cands = self._quarter_pool(rng, rng.randint(1, 11))
+            bias = rng.choice((0.25, 0.5, 1.0))
+            cfg = CsConfig(bias=bias, scope=Scope(scope), constraints=self._quarter_rules(rng, cids))
+            sol, _ = solve_with_stats(cands, cfg)
+            want, chosen, optima = tie_rule_best(cands, [c.prob_sum() - bias for c in cands],
+                                                 cfg.constraints, bias * len(cands))
+            assert abs(sol.objective - want) < 1e-9, f"trial {trial}"
+            assert set(sol.selected) == chosen, f"trial {trial}"
+            tied += optima > 1
+        assert tied >= 40
 
 
 def _pool_sentences(n_sentences, seed, knobs):
@@ -305,6 +337,14 @@ class TestExactnessAtScale:
                     for sent in _pool_sentences(30, 11, SEARCH_HARD))
         assert nodes <= 1985
 
+    def test_node_count_on_hard_50_pools(self):
+        # one search over the whole sentence took 38 484 nodes here, 7 835 on
+        # one sentence; a search per conflict component takes 19 081
+        cfg = CsConfig(bias=0.3, constraints=ConstraintSet.parse("1+2+5+6"))
+        nodes = sum(solve_with_stats(sent.candidates, cfg, sent.sentence_id)[1]
+                    for sent in _pool_sentences(50, 3, HARD_50))
+        assert nodes <= 25_000
+
     def test_node_count_with_soft_dependents(self):
         # a soft c3/c4 priced only at the leaf took 512 006 nodes here, 427 477
         # on one sentence; charged as soon as its bases are gone, 1 298
@@ -359,6 +399,20 @@ class TestScope:
                 cands, CsConfig(bias=0.3, scope=Scope.FULL_SENTENCE, constraints=cs))
             assert abs(a.objective - b.objective) < 1e-9
 
+    def test_pred_scope_decodes_as_sentence_scope(self):
+        # under c1-c4 no rule links two predicates, so both scopes search the
+        # same components and visit the same nodes
+        cs = ConstraintSet.hard_rules(1, 2)
+        pred = CsConfig(bias=0.3, scope=Scope.PRED_BY_PRED, constraints=cs)
+        sentence = CsConfig(bias=0.3, scope=Scope.FULL_SENTENCE, constraints=cs)
+        searched = 0
+        for sent in _pool_sentences(30, 11, SEARCH_HARD):
+            a, a_nodes = solve_with_stats(sent.candidates, pred, sent.sentence_id)
+            b, b_nodes = solve_with_stats(sent.candidates, sentence, sent.sentence_id)
+            assert a.selected == b.selected and a_nodes == b_nodes, sent.sentence_id
+            searched += len({c.predicate for c in sent.candidates}) > 1 and a_nodes > 0
+        assert searched >= 10
+
     def test_defaults(self):
         assert CsConfig().bias == 0.30
         assert CsConfig().constraints == ConstraintSet.parse("1+2+5+6")
@@ -395,21 +449,49 @@ class TestTimeout:
         assert visited == sum(nodes)
         assert set(sol.selected) == {c for s, _ in per_pred for c in s.selected}
 
-    def test_timeout_best_merges_decoded_predicates(self):
-        cands, per_pred = self._three_predicates()
-        nodes = [n for _, n in per_pred]
-        budget = nodes[0] + nodes[1] - 1    # one node short of finishing predicate 1
-        assert nodes[0] < budget < nodes[0] + nodes[1]
+    @staticmethod
+    def _components(cands, cs):
+        """The candidates joined by the active pair rules of ``cs``, as the
+        oracle reads them, in the order of each part's best (margin, key)
+        member."""
+        part = {c: frozenset([c]) for c in cands}
+        for i, a in enumerate(cands):
+            for b in cands[:i]:
+                if part[a] != part[b] and any(cs.rule(cid).active
+                                              for cid in broken_rules(a, b)):
+                    merged = part[a] | part[b]
+                    part.update((c, merged) for c in merged)
+        parts = []
+        for c in sorted(cands, key=lambda c: (-c.prob_sum(), c.key)):
+            if part[c] not in parts:
+                parts.append(part[c])
+        return parts
+
+    def test_timeout_best_merges_searched_components(self):
+        cs = ConstraintSet.hard_rules(1, 2)
+        cands = random_candidates(random.Random(1), 16, n_predicates=3)
+        parts = self._components(cands, cs)
+        lone = {c for p in parts if len(p) == 1 for c in p}
+        searched = [list(p) for p in parts if len(p) > 1]
+        assert len(lone) >= 1 and len(searched) >= 4
+        cfg = CsConfig(bias=0.0, scope=Scope.PRED_BY_PRED, constraints=cs)
+        alone = [solve_with_stats(p, cfg) for p in searched]
+        nodes = [n for _, n in alone]
+        assert min(nodes) > 1
+        # one node short of finishing the second searched component
+        with pytest.raises(InferenceTimeout) as cut:
+            solve_with_stats(searched[1], replace(cfg, node_budget=nodes[1] - 1))
+        partial = set(cut.value.best.selected)
+        assert partial
         with pytest.raises(InferenceTimeout) as err:
-            solve_with_stats(cands, CsConfig.for_scope(Scope.PRED_BY_PRED, bias=0.0,
-                                                       node_budget=budget),
+            solve_with_stats(cands, replace(cfg, node_budget=nodes[0] + nodes[1] - 1),
                              sentence_id=3)
         best = err.value.best
         assert best.sentence_id == 3
-        # predicate 0 was decoded in full, predicate 1 partly, predicate 2 not at all
-        assert {c for c in best.selected if c.predicate == 0} == set(per_pred[0][0].selected)
-        assert any(c.predicate == 1 for c in best.selected)
-        assert all(c.predicate != 2 for c in best.selected)
+        # lone candidates are taken without search, the first component in
+        # full, the cut one as far as it got, and the later ones not at all
+        assert set(best.selected) == lone | set(alone[0][0].selected) | partial
+        assert not set(best.selected) & {c for p in searched[2:] for c in p}
         assert abs(best.objective - sum(c.prob_sum() for c in best.selected)) < 1e-9
 
 
