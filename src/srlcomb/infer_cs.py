@@ -26,7 +26,8 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .evaluate import score
-from .model import EXISTENTIAL_RULES, Candidate, ConstraintSet, Solution, licenses, pair_rules
+from .model import (EXISTENTIAL_RULES, Candidate, ConstraintSet, Solution, licenses,
+                    overlap_or_core_pairs, pair_rules)
 from .pool import CandidatePool, solutions_to_props
 
 _EPS = 1e-12
@@ -98,17 +99,20 @@ def decode(candidates: Sequence[Candidate], margins: Sequence[float], cs: Constr
     selected margins less the cost of every broken rule; returns (solution,
     nodes visited).  Only the candidates with a positive margin, and those
     that could license one of them under an active c3/c4 rule, can raise the
-    objective; they are taken in (-margin, key) order.
+    objective; only they are sorted, in (-margin, key) order.
 
-    Two candidates are linked when their pair costs or one is a c3/c4 base
-    of the other.  No cost crosses a connected component of the links, and
-    the tie rule (fewest candidates, then the least sorted signature) ranks
-    unions of disjoint parts part by part, so each component is searched
-    alone, in the order of its first member.  A lone candidate that is no
-    dependent is taken without search when its margin is above ``_EPS``, as
-    the tie rule says.  ``node_budget`` bounds the nodes of all components
-    together; the timeout's best-so-far holds the lone candidates taken,
-    the components searched in full and the best leaf of the current one.
+    Only a pair that overlaps, or that shares a predicate and a core label,
+    can break a pairwise rule, so only the pairs ``overlap_or_core_pairs``
+    yields are priced, by ``pair_rules``.  Two candidates are linked when
+    their pair costs or one is a c3/c4 base of the other.  No cost crosses
+    a connected component of the links, and the tie rule (fewest
+    candidates, then the least sorted signature) ranks unions of disjoint
+    parts part by part, so each component is searched alone, in the order
+    of its first member.  A lone candidate that is no dependent is taken
+    without search when its margin is above ``_EPS``, as the tie rule says.
+    ``node_budget`` bounds the nodes of all components together; the
+    timeout's best-so-far holds the lone candidates taken, the components
+    searched in full and the best leaf of the current one.
 
     A node carries the bitmask of candidates still available and branches on
     the first of them, selecting it first.  Selecting a candidate drops those
@@ -127,16 +131,20 @@ def decode(candidates: Sequence[Candidate], margins: Sequence[float], cs: Constr
     optimal leaf meets the tie rule.  The search closure refers to itself
     and is deleted on the way out, so no cycle is left for the collector.
     """
-    order = sorted(range(len(candidates)), key=lambda i: (-margins[i], candidates[i].key))
-    kept = [i for i in order if margins[i] > 0.0]
+    def rank(i: int) -> tuple:
+        return -margins[i], candidates[i].key
+
+    everyone = range(len(candidates))
+    kept = sorted((i for i in everyone if margins[i] > 0.0), key=rank)
     # the costs of the active existential rules: R-X needs X; C-X an earlier X
     existential = {kind: cs.rule(cid).cost for kind, cid in EXISTENTIAL_RULES.items()
                    if cs.rule(cid).active}
     if existential:
         dependents = [candidates[i].argument for i in kept
                       if candidates[i].label.kind in existential]
-        kept += [i for i in order if margins[i] <= 0.0
-                 and any(licenses(candidates[i].argument, d) for d in dependents)]
+        kept += sorted((i for i in everyone if margins[i] <= 0.0
+                        and any(licenses(candidates[i].argument, d) for d in dependents)),
+                       key=rank)
     cands = [candidates[i] for i in kept]
     args = [c.argument for c in cands]      # the rules read only the argument
     gains = [margins[i] for i in kept]
@@ -145,27 +153,32 @@ def decode(candidates: Sequence[Candidate], margins: Sequence[float], cs: Constr
     pair_cost = {cid: cs.rule(cid).cost for cid in ("c1", "c2", "c5", "c6")}
     hard_mask = [0] * n
     soft_pen: list[dict] = [dict() for _ in range(n)]
-    for i in range(n):
-        for j in range(i):
-            broken = pair_rules(args[i], args[j])
-            if not broken:
-                continue
-            pen = 0.0
-            for cid in broken:
-                pen += pair_cost[cid]
-            if pen == math.inf:
-                hard_mask[i] |= 1 << j
-                hard_mask[j] |= 1 << i
-            elif pen > 0.0:
-                soft_pen[i][j] = soft_pen[j][i] = pen
+    # i and j are linked when their pair costs or one is a c3/c4 base of the
+    # other; a dependent also links to itself, so that it is never lone
+    links = [0] * n
+    # in ascending (i, j) order, so each soft_pen[i] holds its j in index
+    # order, the order in which the search adds up a node's penalties
+    for i, j in overlap_or_core_pairs(args):
+        broken = pair_rules(args[i], args[j])
+        if not broken:
+            continue
+        pen = 0.0
+        for cid in broken:
+            pen += pair_cost[cid]
+        if pen == math.inf:
+            hard_mask[i] |= 1 << j
+            hard_mask[j] |= 1 << i
+        elif pen > 0.0:
+            soft_pen[i][j] = soft_pen[j][i] = pen
+        else:
+            continue
+        links[i] |= 1 << j
+        links[j] |= 1 << i
 
     # (bit, bases, margin, cost) of each c3/c4 dependent, checked at every node
     deps = [(1 << i, sum(1 << j for j, o in enumerate(args) if licenses(o, a)),
              gains[i], existential[a.label.kind])
             for i, a in enumerate(args) if a.label.kind in existential]
-    # i and j are linked when their pair costs or one is a c3/c4 base of the
-    # other; a dependent also links to itself, so that it is never lone
-    links = [h | sum(1 << j for j in pen) for h, pen in zip(hard_mask, soft_pen)]
     for bit, bases, _margin, _cost in deps:
         links[bit.bit_length() - 1] |= bases | bit
         for j in _bits(bases):

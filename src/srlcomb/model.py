@@ -349,7 +349,7 @@ class Candidate:
         return self.argument.predicate
 
     def prob_sum(self) -> float:
-        return sum(v for _, v in self.probs)
+        return sum([v for _, v in self.probs])
 
 
 @dataclass(frozen=True)
@@ -475,8 +475,10 @@ def pair_rules(a: Candidate | Argument, b: Candidate | Argument) -> tuple[str, .
     and ``b`` breaks, whether or not a constraint set activates them.  Either
     may be a candidate or its argument, whose fields are cheaper to read.
 
-    The result is one of a few shared tuples, in rule order, so the caller's
-    per-pair loop allocates nothing.  The test is symmetric in ``a`` and ``b``.
+    The result is one of a few shared tuples, in rule order, so a caller
+    that asks about many pairs allocates nothing.  The test is symmetric in
+    ``a`` and ``b``; ``overlap_or_core_pairs`` names the pairs worth asking
+    about.
     """
     sa, sb = a.span, b.span
     if a.predicate == b.predicate:
@@ -491,6 +493,37 @@ def pair_rules(a: Candidate | Argument, b: Candidate | Argument) -> tuple[str, .
     if sa.start <= sb.start and sb.end <= sa.end or sb.start <= sa.start and sa.end <= sb.end:
         return _NONE    # embedding
     return _C5          # crossing
+
+
+def overlap_or_core_pairs(items: Sequence[Candidate | Argument]) -> list[tuple[int, int]]:
+    """Every (i, j) with i > j, in ascending order, whose pair may break a
+    rule of ``pair_rules``: the pairs whose spans overlap, since c1, c5 and
+    c6 all need an overlap, and the pairs of one predicate with the same
+    core label, which c2 needs.  Every other pair breaks none, so a caller
+    that asks ``pair_rules`` only about these pairs misses no broken rule.
+
+    A sweep over the spans in start order pairs each span with the later
+    starts up to its end, which are exactly the spans that overlap it."""
+    spans = [a.span for a in items]
+    order = sorted(range(len(items)), key=lambda k: spans[k].start)
+    pairs = []
+    cores: dict = {}    # (predicate, core label) -> its indices in start order
+    for p, i in enumerate(order):
+        end = spans[i].end
+        for j in order[p + 1:]:
+            if spans[j].start > end:
+                break
+            pairs.append((i, j) if i > j else (j, i))
+        a = items[i]
+        if a.label.kind is LabelKind.CORE:
+            same = cores.setdefault((a.predicate, a.label.text), [])
+            start = spans[i].start
+            for j in same:      # the overlapping ones are paired already
+                if spans[j].end < start:
+                    pairs.append((i, j) if i > j else (j, i))
+            same.append(i)
+    pairs.sort()
+    return pairs
 
 
 # the existential rules, by the label kind they constrain

@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+from srlcomb.calibrate import attach_probs
+from srlcomb.corpus_io import SyntheticConfig, generate_synthetic
 from srlcomb.model import Argument, Candidate, RoleLabel, Span
+from srlcomb.pool import build_pool
 
 
 def cand(sentence_id=0, pred=0, label="A0", span=(0, 1), votes=None,
@@ -28,6 +31,14 @@ SEARCH_HARD = dict(n_systems=6, tokens_range=(20, 40), predicates_range=(1, 4),
 HARD_50 = dict(n_systems=10, tokens_range=(30, 60), predicates_range=(1, 8),
                args_range=(2, 5), precision=0.5, correct_score_mean=3.0,
                wrong_score_mean=-3.0, score_sd=40.0)
+
+
+def pool_sentences(n_sentences, seed, knobs):
+    """The pooled sentences, with probabilities, of a synthetic corpus."""
+    gold, systems = generate_synthetic(SyntheticConfig(n_sentences=n_sentences, seed=seed,
+                                                       **knobs))
+    pool = attach_probs(build_pool([(f"M{i+1}", d, t) for i, (d, t) in enumerate(systems)]))
+    return pool.sentences
 
 
 _LABELS = ("A0", "A1", "A2", "A3", "A4", "AM-TMP", "AM-LOC",

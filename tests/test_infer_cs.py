@@ -18,9 +18,10 @@ from srlcomb.infer_cs import (
     solve_with_stats,
     sweep_bias,
 )
-from srlcomb.model import Argument, ConstraintSet, ConstraintRule, LabelKind, RoleLabel, soft
+from srlcomb.model import (Argument, ConstraintSet, ConstraintRule, LabelKind, RoleLabel,
+                           overlap_or_core_pairs, pair_rules, soft)
 from srlcomb.pool import align_gold, build_pool
-from conftest import HARD_50, SEARCH_HARD, cand, random_candidates
+from conftest import HARD_50, SEARCH_HARD, cand, pool_sentences, random_candidates
 from enum_oracle import (assert_feasible, broken_rules, enumerate_best, hard_violations,
                          tie_rule_best, violations)
 
@@ -185,13 +186,6 @@ class TestTieRule:
         assert tied >= 40
 
 
-def _pool_sentences(n_sentences, seed, knobs):
-    gold, systems = generate_synthetic(SyntheticConfig(n_sentences=n_sentences, seed=seed,
-                                                       **knobs))
-    pool = attach_probs(build_pool([(f"M{i+1}", d, t) for i, (d, t) in enumerate(systems)]))
-    return pool.sentences
-
-
 def _supports(base, dependent) -> bool:
     """c3: an R-X needs an X of its predicate; c4: a C-X needs one that
     starts earlier."""
@@ -296,7 +290,7 @@ class TestExactnessAtScale:
         # budget hit raises InferenceTimeout and fails the test
         cfg = CsConfig(bias=0.3, constraints=ConstraintSet.parse("1+2+5+6"),
                        node_budget=2_000_000)
-        sentences = _pool_sentences(50, 3, HARD_50)
+        sentences = pool_sentences(50, 3, HARD_50)
         assert max(len(sent.candidates) for sent in sentences) > 150
         for sent in sentences:
             cands = sent.candidates
@@ -318,7 +312,7 @@ class TestExactnessAtScale:
         cfg = CsConfig(bias=0.3, scope=Scope(scope), constraints=ConstraintSet.parse(spec),
                        node_budget=2_000_000)
         dependents = 0
-        for sent in _pool_sentences(30, 11, SEARCH_HARD):
+        for sent in pool_sentences(30, 11, SEARCH_HARD):
             cands = _with_dependents(sent.candidates, rng, 0.25)
             dependents += sum(c.label.kind in (LabelKind.REFERENCE, LabelKind.CONTINUATION)
                               for c in cands)
@@ -334,15 +328,35 @@ class TestExactnessAtScale:
         # nodes on these 30 sentences; the clique-cover bound takes 918
         cfg = CsConfig(bias=0.3, constraints=ConstraintSet.parse("1+2+5+6"))
         nodes = sum(solve_with_stats(sent.candidates, cfg, sent.sentence_id)[1]
-                    for sent in _pool_sentences(30, 11, SEARCH_HARD))
+                    for sent in pool_sentences(30, 11, SEARCH_HARD))
         assert nodes <= 1985
+
+    def test_pair_count_on_search_hard_pools(self, monkeypatch):
+        # asking pair_rules about all n(n-1)/2 kept pairs took 7 604 calls on
+        # these 30 sentences; only the 688 overlapping or same-core pairs can
+        # break a rule, and only they are asked about
+        calls = 0
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return pair_rules(a, b)
+
+        monkeypatch.setattr("srlcomb.infer_cs.pair_rules", counted)
+        cfg = CsConfig(bias=0.3, constraints=ConstraintSet.parse("1+2+5+6"))
+        enumerated = 0
+        for sent in pool_sentences(30, 11, SEARCH_HARD):
+            solve_with_stats(sent.candidates, cfg, sent.sentence_id)
+            kept = [c for c in sent.candidates if c.prob_sum() - cfg.bias > 0.0]
+            enumerated += len(overlap_or_core_pairs(kept))
+        assert calls == enumerated <= 860
 
     def test_node_count_on_hard_50_pools(self):
         # one search over the whole sentence took 38 484 nodes here, 7 835 on
         # one sentence; a search per conflict component takes 19 081
         cfg = CsConfig(bias=0.3, constraints=ConstraintSet.parse("1+2+5+6"))
         nodes = sum(solve_with_stats(sent.candidates, cfg, sent.sentence_id)[1]
-                    for sent in _pool_sentences(50, 3, HARD_50))
+                    for sent in pool_sentences(50, 3, HARD_50))
         assert nodes <= 25_000
 
     def test_node_count_with_soft_dependents(self):
@@ -353,7 +367,7 @@ class TestExactnessAtScale:
                        node_budget=2_000_000)
         nodes = sum(solve_with_stats(_with_dependents(sent.candidates, rng, 0.25), cfg,
                                      sent.sentence_id)[1]
-                    for sent in _pool_sentences(30, 11, SEARCH_HARD))
+                    for sent in pool_sentences(30, 11, SEARCH_HARD))
         assert nodes <= 2600
 
 
@@ -406,7 +420,7 @@ class TestScope:
         pred = CsConfig(bias=0.3, scope=Scope.PRED_BY_PRED, constraints=cs)
         sentence = CsConfig(bias=0.3, scope=Scope.FULL_SENTENCE, constraints=cs)
         searched = 0
-        for sent in _pool_sentences(30, 11, SEARCH_HARD):
+        for sent in pool_sentences(30, 11, SEARCH_HARD):
             a, a_nodes = solve_with_stats(sent.candidates, pred, sent.sentence_id)
             b, b_nodes = solve_with_stats(sent.candidates, sentence, sent.sentence_id)
             assert a.selected == b.selected and a_nodes == b_nodes, sent.sentence_id
@@ -500,7 +514,7 @@ class TestNoCycles:
         """Each decode frees its own search state by reference counting, on
         a timeout too, so nothing is left for the cyclic collector."""
         cfg = CsConfig(bias=0.3)
-        sentences = _pool_sentences(20, 1, SEARCH_HARD)
+        sentences = pool_sentences(20, 1, SEARCH_HARD)
         searched = [s for s in sentences
                     if solve_with_stats(s.candidates, cfg, s.sentence_id)[1] > 1]
         assert len(searched) >= 10

@@ -14,12 +14,13 @@ from srlcomb.model import (
     Solution,
     Span,
     licenses,
+    overlap_or_core_pairs,
     pair_rules,
     soft,
 )
-from conftest import cand, random_candidates
-from enum_oracle import (SpanRelation, enumerate_best, hard_violations, span_relation,
-                         violations)
+from conftest import HARD_50, SEARCH_HARD, cand, pool_sentences, random_candidates
+from enum_oracle import (SpanRelation, broken_rules, enumerate_best, hard_violations,
+                         span_relation, violations)
 
 
 spans = st.tuples(st.integers(0, 30), st.integers(0, 30)).map(
@@ -225,6 +226,58 @@ class TestValidate:
             assert pair_rules(a, b) == pair_rules(b, a) == tuple(want), (a.key, b.key)
             seen.add(tuple(want))
         assert len(seen) == 6   # (), c1, c2, c1+c2, c5, c6 all exercised
+
+
+def _checked_pairs(cands) -> list:
+    """``overlap_or_core_pairs`` of ``cands``, checked to be strictly
+    ascending with i > j, to hold every pair that the oracle's
+    ``broken_rules`` flags, and to hold nothing but overlapping or
+    same-predicate same-core pairs."""
+    got = overlap_or_core_pairs(cands)
+    assert all(i > j for i, j in got)
+    assert all(p < q for p, q in zip(got, got[1:]))
+    assert overlap_or_core_pairs([c.argument for c in cands]) == got
+    pairs = [(i, j) for i in range(len(cands)) for j in range(i)]
+    flagged = {(i, j) for i, j in pairs if broken_rules(cands[i], cands[j])}
+    assert flagged <= set(got)
+    a = [c.argument for c in cands]
+    assert got == [(i, j) for i, j in pairs
+                   if span_relation(a[i].span, a[j].span) is not SpanRelation.DISJOINT
+                   or (a[i].predicate == a[j].predicate and a[i].label == a[j].label
+                       and a[i].label.kind is LabelKind.CORE)]
+    return got
+
+
+class TestOverlapOrCorePairs:
+    def test_complete_on_random_draws(self):
+        # few tokens and many candidates, so that equal spans across
+        # predicates (c6) and disjoint repeated cores of one predicate (c2)
+        # come up often, among R-, C- and AM labels
+        rng = random.Random(20)
+        rules = {"c1": 0, "c2": 0, "c5": 0, "c6": 0}
+        disjoint_c2 = 0
+        for _ in range(300):
+            cands = random_candidates(rng, rng.randint(0, 24), n_predicates=rng.randint(1, 3),
+                                      n_tokens=rng.randint(1, 12))
+            for i, j in _checked_pairs(cands):
+                broken = broken_rules(cands[i], cands[j])
+                for cid in broken:
+                    rules[cid] += 1
+                disjoint_c2 += broken == ["c2"]
+        assert min(rules.values()) > 50 and disjoint_c2 > 50, (rules, disjoint_c2)
+
+    @pytest.mark.parametrize("n,seed,knobs", [(30, 11, SEARCH_HARD), (50, 3, HARD_50)])
+    def test_complete_on_noisy_pools(self, n, seed, knobs):
+        found = sum(len(_checked_pairs(sent.candidates))
+                    for sent in pool_sentences(n, seed, knobs))
+        assert found > 0
+
+    def test_pairs_in_order(self):
+        cands = [cand(label="A0", span=(6, 7)), cand(label="A1", span=(0, 9)),
+                 cand(label="A0", span=(0, 1)), cand(pred=1, label="AM-TMP", span=(3, 4)),
+                 cand(pred=1, label="A0", span=(11, 12))]
+        assert overlap_or_core_pairs(cands) == [(1, 0), (2, 0), (2, 1), (3, 1)]
+        assert overlap_or_core_pairs(cands[:1]) == overlap_or_core_pairs([]) == []
 
 
 class TestConstraintSet:
