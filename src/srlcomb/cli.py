@@ -99,7 +99,8 @@ _MIN_MAX = ((lambda v: 1 <= v[0] <= v[1]), "needs 1 <= MIN <= MAX")
 _NUMERIC_OPTIONS = {
     "gamma": _FINITE, "bias": _FINITE,
     "degree": _at_least(1), "epochs": _at_least(1), "node_budget": _at_least(1),
-    "jobs": _at_least(1),
+    # --jobs stays, legal only at 1, since perfbench/worker.py passes it to every call
+    "jobs": ((lambda v: v == 1), "must be 1: srlcomb runs each command in one process"),
     "bootstrap": _at_least(100), "seed": _at_least(0),
     "C": ((lambda v: math.isfinite(v) and v > 0), "must be finite and > 0"),
     "val_fraction": ((lambda v: 0.0 <= v < 1.0), "must be in [0, 1)"),
@@ -127,7 +128,6 @@ _ACTS_WHEN = [
     ("train", "epochs", lambda a: a.scorer != "svm", "with --scorer svm"),
     ("train", "scope val_fraction", lambda a: a.scorer == "perceptron-global",
      "with a local --scorer"),
-    ("train", "jobs", lambda a: False, "in train, which runs in one process"),
     ("pool", "gamma", lambda a: a.dump is not None, "without --dump"),
 ]
 
@@ -292,7 +292,7 @@ def cmd_infer(args) -> int:
     pool, gold = _load_pool(args, args.gamma)
 
     if args.engine == "cs":
-        decoded = infer_corpus(pool, cfg, jobs=args.jobs)
+        decoded = infer_corpus(pool, cfg)
         if args.trace:
             for sent, (_, nodes) in zip(pool.sentences, decoded):
                 print(f"trace: sentence {sent.sentence_id}: "
@@ -310,8 +310,7 @@ def cmd_infer(args) -> int:
             except ValueError as exc:
                 raise FormatError(f"{args.model}: model {exc}") from None
         solutions = decode_corpus(scored, [s.sentence_id for s in pool.sentences],
-                                  Scope(args.scope), jobs=args.jobs,
-                                  node_budget=args.node_budget)
+                                  Scope(args.scope), node_budget=args.node_budget)
 
     predicted = solutions_to_props(pool, solutions)
     _write(args.out, emit_props(predicted))
@@ -438,7 +437,7 @@ _SHARED_OPTIONS = {
     "gamma": dict(type=float, default=DEFAULT_GAMMA,
                   help="softmax temperature for score calibration"),
     "seed": dict(type=int, default=0, help="seed for stochastic steps"),
-    "jobs": dict(type=int, default=1, help="worker processes for corpus-level runs"),
+    "jobs": dict(type=int, default=1, help="must be 1; every command runs in one process"),
 }
 
 
@@ -499,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="predicted props file")
     p.add_argument("--report", help="also write the score report as CSV (needs --gold)")
 
-    # --jobs stays, legal only at its default 1, since perfbench/worker.py passes it to every call
     p = add("train", cmd_train, "train a candidate-scoring model",
             "system gold syntax gamma jobs")
     p.add_argument("--scorer", choices=["svm", "perceptron-local", "perceptron-global"],
@@ -543,9 +541,8 @@ def main(argv=None) -> int:
     memory; the one collection at the end frees the few cycles it did make
     and lets the interpreter trim its free lists.  The caller's heap is
     frozen for the command, so that collection scans only the command's
-    objects, and ``--jobs`` workers fork from a frozen heap; a caller that
-    froze its heap itself keeps that freeze as it was.  The caller's
-    collector state is restored on every exit.
+    objects; a caller that froze its heap itself keeps that freeze as it
+    was.  The caller's collector state is restored on every exit.
     """
     enabled, frozen = gc.isenabled(), gc.get_freeze_count()
     if not frozen:

@@ -20,8 +20,7 @@ conflict graph alone, so a scope only chooses the rules.
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -175,10 +174,13 @@ def decode(candidates: Sequence[Candidate], margins: Sequence[float], cs: Constr
         links[i] |= 1 << j
         links[j] |= 1 << i
 
-    # (bit, bases, margin, cost) of each c3/c4 dependent, checked at every node
-    deps = [(1 << i, sum(1 << j for j, o in enumerate(args) if licenses(o, a)),
-             gains[i], existential[a.label.kind])
-            for i, a in enumerate(args) if a.label.kind in existential]
+    # (bit, bases, margin, cost) of each c3/c4 dependent, checked at every node;
+    # without an active c3/c4 rule there is none, and no label is tested
+    deps: list[tuple] = []
+    if existential:
+        deps = [(1 << i, sum(1 << j for j, o in enumerate(args) if licenses(o, a)),
+                 gains[i], existential[a.label.kind])
+                for i, a in enumerate(args) if a.label.kind in existential]
     for bit, bases, _margin, _cost in deps:
         links[bit.bit_length() - 1] |= bases | bit
         for j in _bits(bases):
@@ -290,23 +292,9 @@ def solve_with_stats(candidates: Sequence[Candidate], cfg: CsConfig,
                   cfg.constraints, sentence_id, cfg.bias, cfg.node_budget)
 
 
-def map_sentences(fn, tasks: Sequence[tuple], jobs: int = 1) -> list:
-    """``[fn(*task) for task in tasks]``.  Sentences are independent, so
-    jobs > 1 fans the work out over processes with deterministic reassembly,
-    never more of them than there are CPUs or tasks."""
-    jobs = min(jobs, os.cpu_count() or 1, len(tasks))
-    if jobs <= 1:
-        return [fn(*task) for task in tasks]
-    import multiprocessing
-
-    with multiprocessing.Pool(jobs) as workers:
-        return workers.starmap(fn, tasks, chunksize=max(1, len(tasks) // (jobs * 4)))
-
-
-def infer_corpus(pool: CandidatePool, cfg: CsConfig, jobs: int = 1) -> list[tuple[Solution, int]]:
-    """(solution, nodes visited) of every sentence, over `jobs` processes."""
-    return map_sentences(solve_with_stats, [(sent.candidates, cfg, sent.sentence_id)
-                                            for sent in pool.sentences], jobs)
+def infer_corpus(pool: CandidatePool, cfg: CsConfig) -> list[tuple[Solution, int]]:
+    """(solution, nodes visited) of every sentence, decoded one by one."""
+    return [solve_with_stats(sent.candidates, cfg, sent.sentence_id) for sent in pool.sentences]
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +327,16 @@ class SweepResult:
 def sweep_bias(pool: CandidatePool, gold, cfg: CsConfig,
                o_values: Sequence[float] = DEFAULT_O_GRID) -> SweepResult:
     """Score one full inference run per bias value; the precision/recall
-    tradeoff harness."""
+    tradeoff harness.  Each run decodes the margins ``solve_with_stats``
+    would at that bias, from probability sums taken once per candidate."""
+    sums = [[c.prob_sum() for c in sent.candidates] for sent in pool.sentences]
     rows = []
     prev_recall = None
     monotone = True
     for o in o_values:
-        run_cfg = replace(cfg, bias=o)
-        solutions = [sol for sol, _ in infer_corpus(pool, run_cfg)]
+        solutions = [decode(sent.candidates, [s - o for s in sent_sums], cfg.constraints,
+                            sent.sentence_id, o, cfg.node_budget)[0]
+                     for sent, sent_sums in zip(pool.sentences, sums)]
         report = score(solutions_to_props(pool, solutions), gold)
         rows.append(SweepRow(o, report.precision, report.recall, report.f1))
         if prev_recall is not None and report.recall > prev_recall + 1e-9:

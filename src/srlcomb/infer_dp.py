@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .model import STRUCTURAL_RULES, Candidate, LabelKind, Solution
-from .infer_cs import Scope, decode, default_constraints, map_sentences
+from .infer_cs import Scope, decode, default_constraints
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,8 @@ def infer_sentence(scored: Sequence[ScoredCandidate], scope: Scope | str,
 
 
 def decode_corpus(scored_lists: Sequence[Sequence[ScoredCandidate]],
-                  sentence_ids: Sequence[int], scope: Scope | str, jobs: int = 1,
+                  sentence_ids: Sequence[int], scope: Scope | str,
                   node_budget: Optional[int] = None) -> list[Solution]:
-    """Decode many sentences, over `jobs` processes."""
-    return map_sentences(infer_sentence,
-                         [(list(sc), scope, sid, node_budget)
-                          for sc, sid in zip(scored_lists, sentence_ids)], jobs)
+    """Decode many sentences, one by one."""
+    return [infer_sentence(sc, scope, sid, node_budget)
+            for sc, sid in zip(scored_lists, sentence_ids)]

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srlcomb import cli, infer_cs
+from srlcomb import cli
 from srlcomb.calibrate import attach_probs
 from srlcomb.cli import build_parser, main
 from srlcomb.corpus_io import (
@@ -17,7 +17,8 @@ from srlcomb.corpus_io import (
     parse_props,
 )
 from srlcomb.features import FeatureExtractor
-from srlcomb.infer_cs import CsConfig, sweep_bias
+from srlcomb.evaluate import score
+from srlcomb.infer_cs import DEFAULT_O_GRID, CsConfig, sweep_bias
 from srlcomb.learn import ScoreModel
 from srlcomb.model import Candidate, ConstraintSet
 from srlcomb.pool import align_gold, build_pool, dump_pool
@@ -242,16 +243,6 @@ class TestInfer:
         err = capsys.readouterr().err
         assert "--model" in err and "Traceback" not in err
         assert not (tmp_path / "x.props").exists()
-
-    def test_parallel_jobs_identical_output(self, corpus_dir, tmp_path):
-        serial, parallel = tmp_path / "serial.props", tmp_path / "parallel.props"
-        for engine in (["--engine", "cs"],
-                       ["--engine", "dp", "--scorer", "probsum", "--scope", "pred"],
-                       ["--engine", "dp", "--scorer", "probsum", "--scope", "sentence"]):
-            base = ["infer", *_system_args(corpus_dir), *engine]
-            assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
-            assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
-            assert serial.read_text() == parallel.read_text(), engine
 
     @pytest.mark.parametrize("option", [["--constraints", "1+2"], ["--trace"]])
     def test_dp_rejects_cs_only_options(self, corpus_dir, tmp_path, capsys, option):
@@ -848,6 +839,25 @@ class TestSweepAndCurves:
             [(f"M{i + 1}", d, t) for i, (d, t) in enumerate(systems)]), gold))
         assert out.read_text() == sweep_bias(pool, gold, CsConfig()).csv()
 
+    @pytest.mark.parametrize("rules", [
+        ["--scope", "sentence"], ["--scope", "pred"],
+        ["--constraints", "1+2+3:soft=0.3+4:soft=0.5+5+6"],
+    ], ids=["sentence", "pred", "soft-c3-c4"])
+    def test_sweep_rows_match_infer(self, corpus_dir, tmp_path, capsys, rules):
+        """Each sweep row scores what infer writes at that --bias."""
+        gold_path = f"{corpus_dir}/gold.props"
+        out, props = tmp_path / "sweep.csv", tmp_path / "x.props"
+        assert main(["sweep", *_system_args(corpus_dir), "--gold", gold_path, *rules,
+                     "--out", str(out)]) == 0
+        gold = parse_props(Path(gold_path).read_text())
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == len(DEFAULT_O_GRID)
+        for o, row in zip(DEFAULT_O_GRID, rows):
+            assert main(["infer", *_system_args(corpus_dir), *rules, "--bias", str(o),
+                         "--out", str(props)]) == 0
+            report = score(parse_props(props.read_text()), gold)
+            assert row == f"{o:g},{report.precision:.4f},{report.recall:.4f},{report.f1:.4f}"
+
     def test_sweep_explicit_grid(self, corpus_dir, tmp_path):
         out = tmp_path / "sweep.csv"
         rc = main(["sweep", *_system_args(corpus_dir),
@@ -923,7 +933,8 @@ class TestOptions:
 _TRAINED = ["svm", "perceptron-local", "perceptron-global"]
 
 # every (subcommand, option, mode) in which an option set off its default
-# does nothing, with the option named in the message
+# does nothing, or is refused as --jobs other than 1 is, with the option
+# named in the message
 _IDLE_OPTIONS = (
     [(["infer", "--engine", "cs", "--scorer", s], "--scorer") for s in _TRAINED]
     + [(["infer", "--engine", engine, option, "x"], option)
@@ -942,8 +953,9 @@ _IDLE_OPTIONS = (
     + [(["train", "--scorer", s, option, value], option) for s in _TRAINED[:2]
        for option, value in (("--scope", "sentence"), ("--val-fraction", "0.5"))]
     + [(["train", "--scorer", s, "--jobs", "4"], "--jobs") for s in _TRAINED]
+    + [(["infer", "--jobs", "2"], "--jobs")]
     + [(["train", "--scorer", "svm", "--epochs", "9", "--scope", "sentence",
-         "--val-fraction", "0.5", "--jobs", "4"], "--epochs")]
+         "--val-fraction", "0.5"], "--epochs")]
     + [(["pool", "--gamma", "0.5"], "--gamma")]
 )
 
@@ -984,23 +996,6 @@ class TestOptionsAct:
                       ["infer", "--engine", "dp", "--scorer", "svm", "--scope", "pred",
                        "--model", model, "--out", str(tmp_path / "dp.props")]):
             assert main(shape + inputs + ["--jobs", "1"]) == 0, shape
-
-    def test_trace_honours_jobs(self, corpus_dir, tmp_path, capsys, monkeypatch):
-        """--trace takes the corpus path, so it fans out over --jobs and
-        prints and writes the same at any count."""
-        fanned = []
-        map_sentences = infer_cs.map_sentences
-        monkeypatch.setattr(infer_cs, "map_sentences", lambda fn, tasks, jobs: (
-            fanned.append(jobs), map_sentences(fn, tasks, jobs))[1])
-        out = tmp_path / "t.props"
-        runs = []
-        for jobs in ("1", "2"):
-            assert main(["infer", *_system_args(corpus_dir), "--trace", "--jobs", jobs,
-                         "--out", str(out)]) == 0
-            runs.append((capsys.readouterr().out, out.read_text()))
-        assert fanned == [1, 2]
-        assert runs[0] == runs[1]
-        assert runs[0][0].count("trace: sentence ") == 40
 
     @pytest.mark.parametrize("spec,rules", [("2", ConstraintSet.hard_rules(2)),
                                             ("", ConstraintSet())], ids=["c2-only", "empty"])
@@ -1108,7 +1103,7 @@ class TestCollector:
 
     @pytest.mark.parametrize("case,want", [
         ("ok", 0), ("damaged", 2), ("mismatch", 3), ("timeout", 4), ("usage", None),
-        ("jobs", 0), ("disabled", 0),
+        ("disabled", 0),
     ])
     def test_caller_state_restored(self, corpora, tmp_path, capsys, case, want):
         d, args = corpora[20]
@@ -1120,7 +1115,6 @@ class TestCollector:
                          "--model", str(d / "m.svm")],
             "timeout": ["infer", *args, "--node-budget", "1"],
             "usage": ["infer", "--no-such-option"],
-            "jobs": ["infer", *args, "--jobs", "2"],
         }.get(case, ["infer", *args]) + ["--out", str(tmp_path / "x.props")]
         if case == "disabled":
             gc.disable()

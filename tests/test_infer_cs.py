@@ -1,5 +1,4 @@
 import gc
-import os
 import random
 from dataclasses import replace
 
@@ -14,12 +13,11 @@ from srlcomb.infer_cs import (
     InferenceTimeout,
     Scope,
     infer_corpus,
-    map_sentences,
     solve_with_stats,
     sweep_bias,
 )
-from srlcomb.model import (Argument, ConstraintSet, ConstraintRule, LabelKind, RoleLabel,
-                           overlap_or_core_pairs, pair_rules, soft)
+from srlcomb.model import (Argument, Candidate, ConstraintSet, ConstraintRule, LabelKind,
+                           RoleLabel, overlap_or_core_pairs, pair_rules, soft)
 from srlcomb.pool import align_gold, build_pool
 from conftest import HARD_50, SEARCH_HARD, cand, pool_sentences, random_candidates
 from enum_oracle import (assert_feasible, broken_rules, enumerate_best, hard_violations,
@@ -351,6 +349,24 @@ class TestExactnessAtScale:
             enumerated += len(overlap_or_core_pairs(kept))
         assert calls == enumerated <= 860
 
+    def test_no_label_kind_test_without_c3_c4(self, monkeypatch):
+        # scanning every kept candidate's label kind for c3/c4 dependents
+        # hashed a LabelKind 626 times here, with no c3/c4 rule active
+        hashes = 0
+        kind_hash = LabelKind.__hash__
+
+        def counted(kind):
+            nonlocal hashes
+            hashes += 1
+            return kind_hash(kind)
+
+        cfg = CsConfig(bias=0.3, constraints=ConstraintSet.parse("1+2+5+6"))
+        sentences = pool_sentences(30, 11, SEARCH_HARD)
+        monkeypatch.setattr(LabelKind, "__hash__", counted)
+        for sent in sentences:
+            solve_with_stats(sent.candidates, cfg, sent.sentence_id)
+        assert hashes == 0
+
     def test_node_count_on_hard_50_pools(self):
         # one search over the whole sentence took 38 484 nodes here, 7 835 on
         # one sentence; a search per conflict component takes 19 081
@@ -539,32 +555,6 @@ class TestNoCycles:
                 gc.enable()
 
 
-class TestFanOut:
-    @pytest.mark.parametrize("cpus,n_tasks,want", [(2, 10, 2), (64, 3, 3)])
-    def test_workers_capped_by_cpus_and_tasks(self, monkeypatch, cpus, n_tasks, want):
-        import multiprocessing
-        asked = []
-
-        class Pool:     # records the size asked for and starts no process
-            def __init__(self, processes):
-                asked.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def starmap(self, fn, tasks, chunksize=1):
-                return [fn(*task) for task in tasks]
-
-        monkeypatch.setattr(multiprocessing, "Pool", Pool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        tasks = [(i,) for i in range(n_tasks)]
-        assert map_sentences(abs, tasks, jobs=2000) == list(range(n_tasks))
-        assert asked == [want]
-
-
 @pytest.fixture(scope="module")
 def pool():
     gold, systems = generate_synthetic(SyntheticConfig(n_sentences=30, seed=6))
@@ -591,6 +581,24 @@ class TestSweep:
         p, gold = pool
         result = sweep_bias(p, gold, CsConfig(), o_values=[0.0, 0.3])
         assert result.rows[0].recall >= result.rows[1].recall
+
+
+    def test_probabilities_summed_once(self, pool, monkeypatch):
+        """The sweep sums each candidate's probabilities once, not once per
+        bias value: 21 times each on the default grid."""
+        p, gold = pool
+        want = sweep_bias(p, gold, CsConfig()).csv()
+        calls = 0
+        prob_sum = Candidate.prob_sum
+
+        def counted(c):
+            nonlocal calls
+            calls += 1
+            return prob_sum(c)
+
+        monkeypatch.setattr(Candidate, "prob_sum", counted)
+        assert sweep_bias(p, gold, CsConfig()).csv() == want
+        assert calls == sum(len(s.candidates) for s in p.sentences)
 
 
 class TestValidatorIntegration:
