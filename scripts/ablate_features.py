@@ -46,8 +46,7 @@ def main() -> int:
         model = train_local_svm(label_datasets(train_featured),
                                 space=extractor.space, feature_config=config,
                                 intervals=intervals)
-        solutions = decode_corpus(score_pool(model, test_featured),
-                                  [sp.sentence_id for sp in test_featured.sentences],
+        solutions = decode_corpus(test_featured, score_pool(model, test_featured),
                                   Scope.PRED_BY_PRED)
         report = score(solutions_to_props(test_featured, solutions), test_gold)
         name = "FS1" if k == 1 else f"+ {ALL_GROUPS[k - 1]}"

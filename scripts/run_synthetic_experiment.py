@@ -95,8 +95,7 @@ def main() -> int:
     n_val = max(1, len(examples) // 10)
 
     def decode(model, scope):
-        solutions = decode_corpus(score_pool(model, test_featured),
-                                  [sp.sentence_id for sp in test_featured.sentences], scope)
+        solutions = decode_corpus(test_featured, score_pool(model, test_featured), scope)
         return solutions_to_props(test_featured, solutions)
 
     svm = train_local_svm(datasets, space=extractor.space,

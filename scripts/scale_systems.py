@@ -60,8 +60,7 @@ def main() -> int:
             test_pool, oracle_rerank(test_pool, test_gold)), test_gold).f1
 
         def decode(model, scope):
-            solutions = decode_corpus(score_pool(model, test_featured),
-                                      [sp.sentence_id for sp in test_featured.sentences], scope)
+            solutions = decode_corpus(test_featured, score_pool(model, test_featured), scope)
             return score(solutions_to_props(test_featured, solutions), test_gold).f1
 
         svm = train_local_svm(label_datasets(train_featured),

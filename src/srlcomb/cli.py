@@ -59,7 +59,7 @@ from .infer_cs import (
     infer_corpus,
     sweep_bias,
 )
-from .infer_dp import ScoredCandidate, decode_corpus
+from .infer_dp import decode_corpus
 from .learn import (
     DEFAULT_C,
     DEFAULT_DEGREE,
@@ -177,11 +177,13 @@ def _parse_system_arg(text: str):
 def _load_systems(args, scores: bool) -> list:
     """The named props of every --system, with its score sidecar if
     ``scores`` is set; otherwise no sidecar is opened.  A system without a
-    name is called M<i> after its place in the list; two systems with one
-    name are an input error, found before any file is read."""
+    name is called M<i> after its place in the list; a name with whitespace
+    or given twice is an input error, found before any file is read."""
     specs = [_parse_system_arg(spec) for spec in args.system]
     names = [name or f"M{i}" for i, (name, _, _) in enumerate(specs, 1)]
     for i, name in enumerate(names):
+        if any(map(str.isspace, name)):     # a name is one field of a model's intervals rows
+            raise FormatError(f"--system: the system name {name!r} holds whitespace")
         if name in names[:i]:
             raise FormatError(f"--system: two systems are named {name!r}")
     systems = []
@@ -301,16 +303,15 @@ def cmd_infer(args) -> int:
         solutions = [sol for sol, _ in decoded]
     else:
         if args.scorer == "probsum":
-            scored = [[ScoredCandidate(c, c.prob_sum() - args.bias) for c in sent.candidates]
-                      for sent in pool.sentences]
+            margins = [[c.prob_sum() - args.bias for c in sent.candidates]
+                       for sent in pool.sentences]
         else:
             model, pool = _scored_pool_for_model(args, pool)
             try:
-                scored = score_pool(model, pool)
+                margins = score_pool(model, pool)
             except ValueError as exc:
                 raise FormatError(f"{args.model}: model {exc}") from None
-        solutions = decode_corpus(scored, [s.sentence_id for s in pool.sentences],
-                                  Scope(args.scope), node_budget=args.node_budget)
+        solutions = decode_corpus(pool, margins, Scope(args.scope), node_budget=args.node_budget)
 
     predicted = solutions_to_props(pool, solutions)
     _write(args.out, emit_props(predicted))
@@ -374,7 +375,7 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     pool, gold = _load_pool(args, args.gamma)
     grid = list(DEFAULT_O_GRID)
-    if args.o_values:
+    if args.o_values is not None:
         try:
             grid = [float(x) for x in args.o_values.split(",")]
         except ValueError as exc:

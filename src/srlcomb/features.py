@@ -79,16 +79,15 @@ class FeatureSpace:
         """The frozen space of a ``dump``; its lines count from ``first_line``."""
         space = cls()
         for number, line in enumerate(text.splitlines(), first_line):
-            if not line:
-                continue
-            fid, _, name = line.partition("\t")
-            if int(fid) != len(space._names):
-                raise ValueError("feature ids must be dense and in order")
+            fid, tab, name = line.partition("\t")
+            if not tab or fid != str(len(space._names)):     # ids are dense and in order
+                raise ValueError(f"line {number} does not start with feature id "
+                                 f"{len(space._names)} and a tab")
             if name in space._by_name:
                 raise ValueError(f"line {number} repeats feature {name!r} of id "
                                  f"{space._by_name[name]}")
+            space._by_name[name] = len(space._names)
             space._names.append(name)
-            space._by_name[name] = int(fid)
         space.frozen = True
         return space
 

@@ -98,7 +98,8 @@ def decode(candidates: Sequence[Candidate], margins: Sequence[float], cs: Constr
     selected margins less the cost of every broken rule; returns (solution,
     nodes visited).  Only the candidates with a positive margin, and those
     that could license one of them under an active c3/c4 rule, can raise the
-    objective; only they are sorted, in (-margin, key) order.
+    objective; only they are sorted, in (-margin, key) order.  A margin that
+    is not finite is a ValueError.
 
     Only a pair that overlaps, or that shares a predicate and a core label,
     can break a pairwise rule, so only the pairs ``overlap_or_core_pairs``
@@ -130,6 +131,8 @@ def decode(candidates: Sequence[Candidate], margins: Sequence[float], cs: Constr
     optimal leaf meets the tie rule.  The search closure refers to itself
     and is deleted on the way out, so no cycle is left for the collector.
     """
+    if not all(map(math.isfinite, margins)):
+        raise ValueError("margins must be finite")
     def rank(i: int) -> tuple:
         return -margins[i], candidates[i].key
 
@@ -283,11 +286,9 @@ def decode(candidates: Sequence[Candidate], margins: Sequence[float], cs: Constr
 
 
 def solve_with_stats(candidates: Sequence[Candidate], cfg: CsConfig,
-                     sentence_id: Optional[int] = None) -> tuple[Solution, int]:
+                     sentence_id: int) -> tuple[Solution, int]:
     """The candidate subset maximizing sum(s_i) over selected plus O per
     unselected candidate minus soft penalties, and the search nodes visited."""
-    if sentence_id is None:
-        sentence_id = candidates[0].sentence_id if candidates else 0
     return decode(candidates, [c.prob_sum() - cfg.bias for c in candidates],
                   cfg.constraints, sentence_id, cfg.bias, cfg.node_budget)
 
@@ -315,7 +316,7 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
-    recall_monotone: bool   # recall never increased as the bias grew
+    recall_monotone: bool   # recall never increased as the bias grew, in ascending O
 
     def csv(self) -> str:
         lines = ["O,precision,recall,f1"]
@@ -331,15 +332,12 @@ def sweep_bias(pool: CandidatePool, gold, cfg: CsConfig,
     would at that bias, from probability sums taken once per candidate."""
     sums = [[c.prob_sum() for c in sent.candidates] for sent in pool.sentences]
     rows = []
-    prev_recall = None
-    monotone = True
     for o in o_values:
         solutions = [decode(sent.candidates, [s - o for s in sent_sums], cfg.constraints,
                             sent.sentence_id, o, cfg.node_budget)[0]
                      for sent, sent_sums in zip(pool.sentences, sums)]
         report = score(solutions_to_props(pool, solutions), gold)
         rows.append(SweepRow(o, report.precision, report.recall, report.f1))
-        if prev_recall is not None and report.recall > prev_recall + 1e-9:
-            monotone = False
-        prev_recall = report.recall
-    return SweepResult(tuple(rows), monotone)
+    ascending = sorted(rows, key=lambda r: r.bias)
+    return SweepResult(tuple(rows), all(b.recall <= a.recall + 1e-9
+                                        for a, b in zip(ascending, ascending[1:])))

@@ -1,13 +1,14 @@
 """Learning-based inference: pick the maximum-confidence consistent structure.
 
-Decoding goes through the one exact branch-and-bound decoder,
-``infer_cs.decode``, under hard c1+c2 at predicate scope or hard c1+c2+c5
-at sentence scope (cross-predicate embedding allowed).  The interval
-dynamic program ``dp_predicate`` is kept as the independent reference for
-the predicate scope; no runtime path calls it.
+Each sentence's candidates and their scorer margins, in the same order, go
+to the one exact decoder, ``infer_cs.decode``, under hard c1+c2 at predicate
+scope or hard c1+c2+c5 at sentence scope (cross-predicate embedding
+allowed).  ``decode`` selects only positive margins, the tie rule at 0, and
+rejects a margin that is not finite.
 
-Candidates with confidence <= 0 can never improve the objective and are
-filtered up front, which is also the documented tie rule at score 0.
+``ScoredCandidate`` and the interval dynamic program ``dp_predicate`` are the
+independent reference for the predicate scope only; no runtime path calls
+them, and perfbench/checks.py imports both.
 """
 
 from __future__ import annotations
@@ -16,12 +17,18 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .model import STRUCTURAL_RULES, Candidate, LabelKind, Solution
-from .infer_cs import Scope, decode, default_constraints
+from .model import STRUCTURAL_RULES, Candidate, ConstraintSet, LabelKind, Solution
+from .infer_cs import Scope, decode
+from .pool import CandidatePool
+
+_RULES = {Scope.PRED_BY_PRED: ConstraintSet.hard_rules(1, 2),
+          Scope.FULL_SENTENCE: STRUCTURAL_RULES}
 
 
 @dataclass(frozen=True)
 class ScoredCandidate:
+    """The input of the reference ``dp_predicate``; perfbench/checks.py builds it."""
+
     candidate: Candidate
     confidence: float
 
@@ -34,7 +41,8 @@ def dp_predicate(scored: Sequence[ScoredCandidate]) -> Solution:
     """Best disjoint-span selection for one predicate's candidates, with at
     most one candidate per core label A0-A5.
 
-    Exact; complexity is spans times the 64 core-label masks.
+    Exact; complexity is spans times the 64 core-label masks.  The reference
+    for ``infer_sentence`` at predicate scope; no runtime path calls it.
     """
     live = sorted((s for s in scored if s.confidence > 0.0),
                   key=lambda s: (s.candidate.span.start, s.candidate.span.end,
@@ -82,28 +90,18 @@ def dp_predicate(scored: Sequence[ScoredCandidate]) -> Solution:
     return Solution.make(sid, selection, score)
 
 
-def infer_sentence(scored: Sequence[ScoredCandidate], scope: Scope | str,
-                   sentence_id: Optional[int] = None,
-                   node_budget: Optional[int] = None) -> Solution:
-    """Decode one sentence under the rules of ``scope``.
-
-    ``scope`` is a Scope or its value, "pred" or "sentence".  Both scopes
-    enforce c1 and c2: same-predicate spans disjoint, no duplicate cores per
-    predicate.  Joint decoding adds c5: no crossing between predicates
-    (embedding allowed).  ``node_budget`` bounds the whole sentence's search.
-    """
-    scope = Scope(scope)
-    if sentence_id is None:
-        sentence_id = scored[0].candidate.sentence_id if scored else 0
-    live = [s for s in scored if s.confidence > 0.0]
-    rules = STRUCTURAL_RULES if scope is Scope.FULL_SENTENCE else default_constraints(scope)
-    return decode([s.candidate for s in live], [s.confidence for s in live], rules,
-                  sentence_id, node_budget=node_budget)[0]
+def infer_sentence(candidates: Sequence[Candidate], margins: Sequence[float], scope: Scope,
+                   sentence_id: int, node_budget: Optional[int] = None) -> Solution:
+    """Decode one sentence's candidates, with their margins in the same
+    order, under the rules of ``scope``.  Both scopes enforce c1 and c2:
+    same-predicate spans disjoint, no duplicate cores per predicate.  Joint
+    decoding adds c5: no crossing between predicates (embedding allowed).
+    ``node_budget`` bounds the whole sentence's search."""
+    return decode(candidates, margins, _RULES[scope], sentence_id, node_budget=node_budget)[0]
 
 
-def decode_corpus(scored_lists: Sequence[Sequence[ScoredCandidate]],
-                  sentence_ids: Sequence[int], scope: Scope | str,
+def decode_corpus(pool: CandidatePool, margins: Sequence[Sequence[float]], scope: Scope,
                   node_budget: Optional[int] = None) -> list[Solution]:
-    """Decode many sentences, one by one."""
-    return [infer_sentence(sc, scope, sid, node_budget)
-            for sc, sid in zip(scored_lists, sentence_ids)]
+    """Decode every pool sentence, one by one, with its row of ``margins``."""
+    return [infer_sentence(sent.candidates, sent_margins, scope, sent.sentence_id, node_budget)
+            for sent, sent_margins in zip(pool.sentences, margins, strict=True)]

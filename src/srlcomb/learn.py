@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ import numpy as np
 from .calibrate import IntervalTable
 from .features import COUNT_CAP, NGRAM_CAP, PATH_THRESHOLD, FeatureConfig, FeatureSpace
 from .infer_cs import Scope
-from .infer_dp import ScoredCandidate, infer_sentence
+from .infer_dp import infer_sentence
 from .model import Candidate, FeatureVector, RoleLabel
 from .pool import CandidatePool, gold_keys
 
@@ -289,8 +289,9 @@ class ScoreModel:
             return cls.loads(fh.read())
 
 
-def score_pool(model: ScoreModel, pool: CandidatePool) -> list[list[ScoredCandidate]]:
-    """Score every pool candidate with its label's averaged scorer.
+def score_pool(model: ScoreModel, pool: CandidatePool) -> list[list[float]]:
+    """Score every pool candidate with its label's averaged scorer: one row
+    of margins per sentence, in the order of its candidates.
 
     The pool must have been feature-extracted with the model's configuration
     and feature space; anything else is a vocabulary mismatch.  Candidates
@@ -323,8 +324,8 @@ def score_pool(model: ScoreModel, pool: CandidatePool) -> list[list[ScoredCandid
                              "so its coefficients are too large")
         for i, value in zip(rows, values):
             confidence[i] = value
-    scored = iter(ScoredCandidate(c, v) for c, v in zip(flat, confidence))
-    return [[next(scored) for _ in sent.candidates] for sent in pool.sentences]
+    scores = iter(confidence)
+    return [list(islice(scores, len(sent.candidates))) for sent in pool.sentences]
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +568,7 @@ def train_global_perceptron(examples: Sequence[TrainExample], *,
         margins = s1[ex_slots]
         if averaged and tick > 0:
             margins = (tick * margins - s2[ex_slots]) / tick
-        scored = [ScoredCandidate(c, m) for c, m in zip(ex.candidates, margins.tolist())]
-        return infer_sentence(scored, scope, ex.sentence_id).keys()
+        return infer_sentence(ex.candidates, margins.tolist(), scope, ex.sentence_id).keys()
 
     for _epoch in range(epochs):
         for ex, ex_slots in zip(examples, slots):

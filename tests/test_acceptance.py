@@ -37,7 +37,7 @@ from srlcomb.evaluate import (
 from srlcomb.features import FeatureConfig, FeatureExtractor, FeatureSpace
 from srlcomb.infer_cs import (CsConfig, DEFAULT_BIAS, DEFAULT_O_GRID, Scope, infer_corpus,
                               solve_with_stats)
-from srlcomb.infer_dp import ScoredCandidate, dp_predicate, infer_sentence
+from srlcomb.infer_dp import ScoredCandidate, decode_corpus, dp_predicate, infer_sentence
 from srlcomb.learn import (
     DEFAULT_C,
     DEFAULT_DEGREE,
@@ -87,7 +87,7 @@ def test_criterion_1_exact_inference_equivalence():
             cs = random_constraints(rng)
             bias = rng.choice([0.0, 0.15, 0.3, 0.6])
             sol, _ = solve_with_stats(cands, CsConfig(bias=bias, scope=Scope.FULL_SENTENCE,
-                                                      constraints=cs))
+                                                      constraints=cs), 0)
             margins = [c.prob_sum() - bias for c in cands]
             want, _ = enumerate_best(cands, margins, cs, bias * len(cands))
             assert abs(sol.objective - want) < 1e-9, f"trial {trial}: " \
@@ -113,16 +113,14 @@ def test_criterion_2_dp_equivalence():
             cands = random_candidates(rng, rng.randint(1, 14), n_predicates=3,
                                       n_tokens=25)
             confs = [round(rng.uniform(-2, 3), 6) for _ in cands]
-            sol = infer_sentence([ScoredCandidate(c, v) for c, v in zip(cands, confs)],
-                                 "sentence")
+            sol = infer_sentence(cands, confs, Scope.FULL_SENTENCE, 0)
             want, _ = enumerate_best(cands, confs, cs_sent)
             assert abs(sol.objective - max(want, 0.0)) < 1e-9, f"sent trial {trial}"
         for trial in range(100):
             cands = random_candidates(rng, rng.randint(1, 14), n_predicates=3,
                                       n_tokens=25)
             confs = [round(rng.uniform(-2, 3), 6) for _ in cands]
-            sol = infer_sentence([ScoredCandidate(c, v) for c, v in zip(cands, confs)],
-                                 "pred")
+            sol = infer_sentence(cands, confs, Scope.PRED_BY_PRED, 0)
             want, _ = enumerate_best(cands, confs, cs_pred)
             assert abs(sol.objective - max(want, 0.0)) < 1e-9, f"multi-pred trial {trial}"
         elapsed = time.perf_counter() - start
@@ -140,7 +138,7 @@ def test_criterion_3_threshold_law():
         assert len(DEFAULT_O_GRID) == 21
         for o in DEFAULT_O_GRID:
             sol, _ = solve_with_stats(cands, CsConfig(bias=o, scope=Scope.FULL_SENTENCE,
-                                                      constraints=cs))
+                                                      constraints=cs), 0)
             got = {c.key for c in sol.selected}
             want = {c.key for c, v in zip(cands, values) if v > o}
             assert got == want, f"O={o}: ties must not be selected"
@@ -233,10 +231,8 @@ def test_criterion_6_oracle_and_baseline_laws():
 
             cfg = CsConfig()
             assert_feasible([sol for sol, _ in infer_corpus(pool, cfg)], pool, cfg.constraints)
-            dp = [infer_sentence([ScoredCandidate(c, c.prob_sum() - DEFAULT_BIAS)
-                                  for c in sent_pool.candidates],
-                                 "sentence", sent_pool.sentence_id)
-                  for sent_pool in pool.sentences]
+            dp = decode_corpus(pool, [[c.prob_sum() - DEFAULT_BIAS for c in sent.candidates]
+                                      for sent in pool.sentences], Scope.FULL_SENTENCE)
             assert_feasible(dp, pool, abc)
             for solutions in (baseline_recall(pool), baseline_precision(pool)):
                 assert_feasible(solutions, pool, abc)
@@ -301,9 +297,8 @@ def test_criterion_8_end_to_end_synthetic_gain():
 
         svm = train_local_svm(label_datasets(train_featured), space=extractor.space,
                               feature_config=extractor.config, intervals=intervals)
-        scored = score_pool(svm, test_featured)
-        solutions = [infer_sentence(sc, "pred", sp.sentence_id)
-                     for sc, sp in zip(scored, test_featured.sentences)]
+        solutions = decode_corpus(test_featured, score_pool(svm, test_featured),
+                                  Scope.PRED_BY_PRED)
         results["local-svm"] = score(
             solutions_to_props(test_featured, solutions), test_gold).f1
 
@@ -312,9 +307,8 @@ def test_criterion_8_end_to_end_synthetic_gain():
             examples[:-25], scope=Scope.FULL_SENTENCE, space=extractor.space,
             feature_config=extractor.config, intervals=intervals,
             validation=examples[-25:])
-        scored = score_pool(global_model, test_featured)
-        solutions = [infer_sentence(sc, "sentence", sp.sentence_id)
-                     for sc, sp in zip(scored, test_featured.sentences)]
+        solutions = decode_corpus(test_featured, score_pool(global_model, test_featured),
+                                  Scope.FULL_SENTENCE)
         results["global-perceptron"] = score(
             solutions_to_props(test_featured, solutions), test_gold).f1
 

@@ -488,11 +488,13 @@ class TestBadInput:
         (["train", "--scorer", "perceptron-global", "--val-fraction", "1.5"], "--val-fraction"),
         (["infer", "--node-budget", "-1"], "--node-budget"),
         (["sweep", "--o-values", "0.1,abc"], "--o-values"),
+        (["sweep", "--o-values", ""], "--o-values"),
         (["synth", "--precision", "2"], "--precision"),
         (["infer", "--seed", "-1"], "--seed"),
         (["infer", "--jobs", "0"], "--jobs"),
     ], ids=["epochs-0", "epochs-negative", "C-0", "bootstrap-5", "gamma-nan", "bias-nan",
-            "val-fraction-1.5", "node-budget-negative", "o-values-abc", "synth-precision-2",
+            "val-fraction-1.5", "node-budget-negative", "o-values-abc", "o-values-empty",
+            "synth-precision-2",
             "seed-negative", "jobs-0"])
     def test_bad_numeric_option_exit_2(self, corpus_dir, tmp_path, capsys, argv, option):
         inputs = [] if argv[0] == "synth" else [*_system_args(corpus_dir),
@@ -513,20 +515,25 @@ class TestBadInput:
         assert capsys.readouterr().err.startswith(f"srlcomb: --features {spec!r}: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("names,duplicate", [(("A=", "A="), "A"), (("", "M1="), "M1")],
-                             ids=["both-named", "auto-name"])
+    @pytest.mark.parametrize("names,problem", [
+        (("A=", "A="), "two systems are named 'A'"),
+        (("", "M1="), "two systems are named 'M1'"),
+        # a model file's intervals rows are split on whitespace
+        (("a b=", "B="), "the system name 'a b' holds whitespace"),
+    ], ids=["both-named", "auto-name", "whitespace"])
     @pytest.mark.parametrize("command", [
         ["infer"], ["train", "--scorer", "svm"], ["pool", "--dump"]])
     def test_duplicate_system_names_exit_2(self, corpus_dir, tmp_path, capsys, command,
-                                           names, duplicate):
+                                           names, problem):
+        """A bad name is found before any file is read, so a missing file
+        does not hide it."""
         systems = [arg for i, name in enumerate(names, 1)
-                   for arg in ("--system", f"{name}{corpus_dir}/sys{i}.props")]
+                   for arg in ("--system", f"{name}{tmp_path}/missing{i}.props")]
         out = tmp_path / "x.out"
         argv = [*command, str(out)] if command[-1] == "--dump" else [*command, "--out", str(out)]
         rc = main([*argv, *systems, "--gold", f"{corpus_dir}/gold.props"])
         assert rc == 2
-        assert capsys.readouterr().err == (
-            f"srlcomb: --system: two systems are named {duplicate!r}\n")
+        assert capsys.readouterr().err == f"srlcomb: --system: {problem}\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.fixture

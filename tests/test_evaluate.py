@@ -263,17 +263,16 @@ class TestOracles:
 
     def test_oracle_recall_bounds_every_engine(self, corpus):
         from srlcomb.calibrate import attach_probs
-        from srlcomb.infer_cs import CsConfig, infer_corpus
-        from srlcomb.infer_dp import ScoredCandidate, infer_sentence
+        from srlcomb.infer_cs import CsConfig, Scope, infer_corpus
+        from srlcomb.infer_dp import decode_corpus
         gold, _systems, pool = corpus
         pool = attach_probs(pool)
         oracle = score(solutions_to_props(pool, oracle_combination(pool)), gold)
         cs_out = score(solutions_to_props(
             pool, [sol for sol, _ in infer_corpus(pool, CsConfig())]), gold)
-        dp_solutions = [
-            infer_sentence([ScoredCandidate(c, c.prob_sum() - 0.3)
-                            for c in sent.candidates], "pred", sent.sentence_id)
-            for sent in pool.sentences]
+        dp_solutions = decode_corpus(
+            pool, [[c.prob_sum() - 0.3 for c in sent.candidates] for sent in pool.sentences],
+            Scope.PRED_BY_PRED)
         dp_out = score(solutions_to_props(pool, dp_solutions), gold)
         assert oracle.recall >= cs_out.recall
         assert oracle.recall >= dp_out.recall

@@ -40,20 +40,20 @@ def random_constraints(rng: random.Random) -> ConstraintSet:
 class TestSolveExamples:
     def test_single_candidate_above_bias(self):
         c = cand(probs={"M1": 0.9})
-        sol, _ = solve_with_stats([c], _cfg(ConstraintSet.hard_rules(1, 2), bias=0.3))
+        sol, _ = solve_with_stats([c], _cfg(ConstraintSet.hard_rules(1, 2), bias=0.3), 0)
         assert sol.selected == (c,)
         assert abs(sol.objective - 0.9) < 1e-12
 
     def test_single_candidate_below_bias(self):
         c = cand(probs={"M1": 0.2})
-        sol, _ = solve_with_stats([c], _cfg(ConstraintSet.hard_rules(1, 2), bias=0.3))
+        sol, _ = solve_with_stats([c], _cfg(ConstraintSet.hard_rules(1, 2), bias=0.3), 0)
         assert sol.selected == ()
         assert abs(sol.objective - 0.3) < 1e-12
 
     def test_crossing_pair_keeps_stronger(self):
         a = cand(label="A0", span=(0, 5), probs={"M1": 0.9})
         b = cand(label="A1", span=(3, 8), probs={"M1": 0.8})
-        sol, _ = solve_with_stats([a, b], _cfg(ConstraintSet.hard_rules(1)))
+        sol, _ = solve_with_stats([a, b], _cfg(ConstraintSet.hard_rules(1)), 0)
         assert sol.selected == (a,)
         want, _ = enumerate_best([a, b], [0.9, 0.8], ConstraintSet.hard_rules(1))
         assert abs(sol.objective - want) < 1e-9
@@ -62,7 +62,7 @@ class TestSolveExamples:
         a0_hi = cand(label="A0", span=(0, 1), probs={"M1": 0.9})
         a0_lo = cand(label="A0", span=(3, 4), probs={"M1": 0.8})
         a1 = cand(label="A1", span=(6, 7), probs={"M1": 0.7})
-        sol, _ = solve_with_stats([a0_hi, a0_lo, a1], _cfg(ConstraintSet.hard_rules(2)))
+        sol, _ = solve_with_stats([a0_hi, a0_lo, a1], _cfg(ConstraintSet.hard_rules(2)), 0)
         assert set(sol.selected) == {a0_hi, a1}
         want, _ = enumerate_best([a0_hi, a0_lo, a1], [0.9, 0.8, 0.7],
                                  ConstraintSet.hard_rules(2))
@@ -81,7 +81,7 @@ class TestSolveExamples:
         a1 = cand(label="A1", span=(2, 4), probs={"M1": 0.875})
         cands = [r, base, a1]
         cs = ConstraintSet(c1=ConstraintRule("hard"), c3=soft(penalty))
-        sol, _ = solve_with_stats(cands, _cfg(cs))
+        sol, _ = solve_with_stats(cands, _cfg(cs), 0)
         want, mask = enumerate_best(cands, [c.prob_sum() for c in cands], cs)
         assert set(sol.selected) == {c for i, c in enumerate(cands) if mask >> i & 1}
         assert set(sol.selected) == ({a1, r} if selected else {a1})
@@ -92,7 +92,7 @@ class TestSolveExamples:
         r = cand(label="R-A0", span=(0, 0), probs={"M1": 0.9, "M2": 0.9, "M3": 0.9})
         base = cand(label="A0", span=(2, 3), probs={"M1": 0.4})
         cfg = _cfg(ConstraintSet.hard_rules(3), bias=0.5)
-        sol, _ = solve_with_stats([r, base], cfg)
+        sol, _ = solve_with_stats([r, base], cfg, 0)
         assert set(sol.selected) == {r, base}
 
 
@@ -104,7 +104,7 @@ class TestExactness:
             cands = random_candidates(rng, n)
             cs = random_constraints(rng)
             bias = rng.choice([0.0, 0.2, 0.5])
-            sol, _ = solve_with_stats(cands, _cfg(cs, bias=bias))
+            sol, _ = solve_with_stats(cands, _cfg(cs, bias=bias), 0)
             margins = [c.prob_sum() - bias for c in cands]
             want, _ = enumerate_best(cands, margins, cs, bias * len(cands))
             assert abs(sol.objective - want) < 1e-9, f"trial {trial}"
@@ -126,7 +126,7 @@ class TestExactness:
                 value = sum(c.prob_sum() for c in subset) - \
                     sum(rule.penalty for _cid, rule in broken)
                 best = max(best, value)
-            sol, _ = solve_with_stats(cands, _cfg(cs, bias=0.0))
+            sol, _ = solve_with_stats(cands, _cfg(cs, bias=0.0), 0)
             assert abs(sol.objective - best) < 1e-9
 
     def test_objective_formulation_invariance(self):
@@ -136,7 +136,7 @@ class TestExactness:
             cands = random_candidates(rng, rng.randint(1, 10))
             cs = random_constraints(rng)
             bias = rng.uniform(0.0, 1.0)
-            sol, _ = solve_with_stats(cands, _cfg(cs, bias=bias))
+            sol, _ = solve_with_stats(cands, _cfg(cs, bias=bias), 0)
             margins = [c.prob_sum() - bias for c in cands]
             reduced, _ = enumerate_best(cands, margins, cs, 0.0)
             chosen_margin = sum(c.prob_sum() - bias for c in sol.selected)
@@ -148,7 +148,7 @@ class TestExactness:
         for _ in range(60):
             cands = random_candidates(rng, rng.randint(1, 12))
             cs = random_constraints(rng)
-            sol, _ = solve_with_stats(cands, _cfg(cs, bias=0.3))
+            sol, _ = solve_with_stats(cands, _cfg(cs, bias=0.3), 0)
             assert hard_violations(sol.selected, cs) == []
 
 
@@ -175,7 +175,7 @@ class TestTieRule:
             cands = self._quarter_pool(rng, rng.randint(1, 11))
             bias = rng.choice((0.25, 0.5, 1.0))
             cfg = CsConfig(bias=bias, scope=Scope(scope), constraints=self._quarter_rules(rng, cids))
-            sol, _ = solve_with_stats(cands, cfg)
+            sol, _ = solve_with_stats(cands, cfg, 0)
             want, chosen, optima = tie_rule_best(cands, [c.prob_sum() - bias for c in cands],
                                                  cfg.constraints, bias * len(cands))
             assert abs(sol.objective - want) < 1e-9, f"trial {trial}"
@@ -399,7 +399,7 @@ class TestThresholdLaw:
         cands = _disjoint_candidates(values)
         prev_keys = None
         for o in DEFAULT_O_GRID:
-            sol, _ = solve_with_stats(cands, _cfg(ConstraintSet.hard_rules(1, 2), bias=o))
+            sol, _ = solve_with_stats(cands, _cfg(ConstraintSet.hard_rules(1, 2), bias=o), 0)
             got = {c.key for c in sol.selected}
             want = {c.key for c, v in zip(cands, values) if v > o}
             assert got == want, f"O={o}"
@@ -409,7 +409,7 @@ class TestThresholdLaw:
 
     def test_tie_at_bias_not_selected(self):
         c = cand(probs={"M1": 0.3})
-        sol, _ = solve_with_stats([c], _cfg(ConstraintSet.hard_rules(1, 2), bias=0.3))
+        sol, _ = solve_with_stats([c], _cfg(ConstraintSet.hard_rules(1, 2), bias=0.3), 0)
         assert sol.selected == ()
 
 
@@ -424,9 +424,9 @@ class TestScope:
             cands = random_candidates(rng, 8, n_predicates=2)
             cs = ConstraintSet.hard_rules(1, 2)
             a, _ = solve_with_stats(
-                cands, CsConfig(bias=0.3, scope=Scope.PRED_BY_PRED, constraints=cs))
+                cands, CsConfig(bias=0.3, scope=Scope.PRED_BY_PRED, constraints=cs), 0)
             b, _ = solve_with_stats(
-                cands, CsConfig(bias=0.3, scope=Scope.FULL_SENTENCE, constraints=cs))
+                cands, CsConfig(bias=0.3, scope=Scope.FULL_SENTENCE, constraints=cs), 0)
             assert abs(a.objective - b.objective) < 1e-9
 
     def test_pred_scope_decodes_as_sentence_scope(self):
@@ -455,14 +455,14 @@ class TestTimeout:
         cands = random_candidates(rng, 14)
         with pytest.raises(InferenceTimeout) as err:
             solve_with_stats(cands, CsConfig(bias=0.3, node_budget=3,
-                                             constraints=ConstraintSet.hard_rules(1, 2, 5, 6)))
+                                             constraints=ConstraintSet.hard_rules(1, 2, 5, 6)), 0)
         assert err.value.best is not None
 
     @staticmethod
     def _three_predicates():
         cands = random_candidates(random.Random(5), 16, n_predicates=3)
         full = CsConfig.for_scope(Scope.PRED_BY_PRED, bias=0.0)
-        per_pred = [solve_with_stats([c for c in cands if c.predicate == p], full)
+        per_pred = [solve_with_stats([c for c in cands if c.predicate == p], full, 0)
                     for p in range(3)]
         return cands, per_pred
 
@@ -473,9 +473,9 @@ class TestTimeout:
         # every predicate fits the budget on its own, but not all of them
         with pytest.raises(InferenceTimeout):
             solve_with_stats(cands, CsConfig.for_scope(Scope.PRED_BY_PRED, bias=0.0,
-                                                       node_budget=max(nodes)))
+                                                       node_budget=max(nodes)), 0)
         sol, visited = solve_with_stats(
-            cands, CsConfig.for_scope(Scope.PRED_BY_PRED, bias=0.0, node_budget=sum(nodes)))
+            cands, CsConfig.for_scope(Scope.PRED_BY_PRED, bias=0.0, node_budget=sum(nodes)), 0)
         assert visited == sum(nodes)
         assert set(sol.selected) == {c for s, _ in per_pred for c in s.selected}
 
@@ -505,12 +505,12 @@ class TestTimeout:
         searched = [list(p) for p in parts if len(p) > 1]
         assert len(lone) >= 1 and len(searched) >= 4
         cfg = CsConfig(bias=0.0, scope=Scope.PRED_BY_PRED, constraints=cs)
-        alone = [solve_with_stats(p, cfg) for p in searched]
+        alone = [solve_with_stats(p, cfg, 0) for p in searched]
         nodes = [n for _, n in alone]
         assert min(nodes) > 1
         # one node short of finishing the second searched component
         with pytest.raises(InferenceTimeout) as cut:
-            solve_with_stats(searched[1], replace(cfg, node_budget=nodes[1] - 1))
+            solve_with_stats(searched[1], replace(cfg, node_budget=nodes[1] - 1), 0)
         partial = set(cut.value.best.selected)
         assert partial
         with pytest.raises(InferenceTimeout) as err:
@@ -582,6 +582,14 @@ class TestSweep:
         result = sweep_bias(p, gold, CsConfig(), o_values=[0.0, 0.3])
         assert result.rows[0].recall >= result.rows[1].recall
 
+    def test_recall_monotone_over_ascending_bias(self, pool):
+        """Recall falls as O grows on this pool, in whatever order the grid
+        gives O; the rows keep the grid's order."""
+        p, gold = pool
+        result = sweep_bias(p, gold, CsConfig(), o_values=[0.9, 0.1, 0.9])
+        assert [r.bias for r in result.rows] == [0.9, 0.1, 0.9]
+        assert result.rows[1].recall > result.rows[0].recall
+        assert result.recall_monotone
 
     def test_probabilities_summed_once(self, pool, monkeypatch):
         """The sweep sums each candidate's probabilities once, not once per

@@ -1,12 +1,13 @@
+import math
 import random
 
 import pytest
 
-from srlcomb.infer_cs import CsConfig, Scope, solve_with_stats
+from srlcomb.infer_cs import CsConfig, Scope, decode, solve_with_stats
 from srlcomb.infer_dp import ScoredCandidate, dp_predicate, infer_sentence
-from srlcomb.model import ConstraintSet
+from srlcomb.model import STRUCTURAL_RULES, ConstraintSet
 from conftest import cand, random_candidates
-from enum_oracle import enumerate_best, hard_violations
+from enum_oracle import enumerate_best, hard_violations, tie_rule_best
 
 
 def sc(confidence, **kwargs):
@@ -84,17 +85,23 @@ class TestDpPredicate:
             assert after >= before - 1e-12
 
 
+def margins_of(scored):
+    """The candidates and margins of ScoredCandidate-style pairs, as
+    ``infer_sentence`` takes them."""
+    return [s.candidate for s in scored], [s.confidence for s in scored]
+
+
 class TestDpSentence:
     def test_cross_predicate_crossing_resolved(self):
         a = sc(2.0, pred=0, label="A0", span=(0, 5))
         b = sc(1.5, pred=1, label="A1", span=(3, 8))
-        sol = infer_sentence([a, b], "sentence")
+        sol = infer_sentence(*margins_of([a, b]), Scope.FULL_SENTENCE, 0)
         assert sol.selected == (a.candidate,)
 
     def test_cross_predicate_embedding_allowed(self):
         outer = sc(2.0, pred=0, label="A0", span=(0, 5))
         inner = sc(1.5, pred=1, label="A1", span=(1, 3))
-        sol = infer_sentence([outer, inner], "sentence")
+        sol = infer_sentence(*margins_of([outer, inner]), Scope.FULL_SENTENCE, 0)
         assert set(sol.selected) == {outer.candidate, inner.candidate}
 
     def test_matches_enumeration(self):
@@ -103,10 +110,39 @@ class TestDpSentence:
         for trial in range(100):
             cands = random_candidates(rng, rng.randint(1, 11), n_predicates=3)
             confs = [round(rng.uniform(-2, 3), 6) for _ in cands]
-            sol = infer_sentence([ScoredCandidate(c, v) for c, v in zip(cands, confs)],
-                                 "sentence")
+            sol = infer_sentence(cands, confs, Scope.FULL_SENTENCE, 0)
             want, _ = enumerate_best(cands, confs, cs)
             assert abs(sol.objective - max(want, 0.0)) < 1e-9, f"trial {trial}"
+
+    @pytest.mark.parametrize("scope,rules", [(Scope.PRED_BY_PRED, (1, 2)),
+                                             (Scope.FULL_SENTENCE, (1, 2, 5))])
+    def test_nonpositive_margins_match_enumeration(self, scope, rules):
+        """Margins at or below 0, exact zeros among them, never enter the
+        selection: it is the tie-rule optimum of the enumeration."""
+        rng = random.Random(17)
+        cs = ConstraintSet.hard_rules(*rules)
+        for trial in range(100):
+            cands = random_candidates(rng, rng.randint(1, 11), n_predicates=3)
+            confs = [rng.choice([0.0, -0.0, round(rng.uniform(-2, 0), 6),
+                                 round(rng.uniform(0, 3), 6)]) for _ in cands]
+            sol = infer_sentence(cands, confs, scope, 5)
+            want, best, _ = tie_rule_best(cands, confs, cs)
+            assert sol.sentence_id == 5
+            assert abs(sol.objective - want) < 1e-9, f"trial {trial}"
+            assert set(sol.selected) == set(best), f"trial {trial}"
+            assert all(m > 0.0 for c, m in zip(cands, confs) if c in sol.selected)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_margin_rejected(self, bad):
+        """``decode`` checks the margins of both engines."""
+        cands = [cand(span=(0, 1)), cand(label="A1", span=(3, 4))]
+        with pytest.raises(ValueError, match="margins must be finite"):
+            infer_sentence(cands, [1.0, bad], Scope.PRED_BY_PRED, 0)
+        with pytest.raises(ValueError, match="margins must be finite"):
+            decode(cands, [bad, 1.0], STRUCTURAL_RULES, 0)
+        # a cs margin is s_i - O
+        with pytest.raises(ValueError, match="margins must be finite"):
+            solve_with_stats(cands, CsConfig.for_scope(Scope.PRED_BY_PRED, bias=-bad), 0)
 
     def test_projections_match_dp_predicate_when_independent(self):
         rng = random.Random(15)
@@ -123,7 +159,7 @@ class TestDpSentence:
                                     Span(arg.span.start + base, arg.span.end + base)),
                         votes=c.votes, probs=c.probs)
                     scored.append(ScoredCandidate(moved, rng.uniform(-1, 2)))
-            joint = infer_sentence(scored, "sentence")
+            joint = infer_sentence(*margins_of(scored), Scope.FULL_SENTENCE, 0)
             split: set = set()
             for p in range(2):
                 part = [s for s in scored if s.candidate.predicate == p]
@@ -135,35 +171,23 @@ class TestDpSentence:
         cs = ConstraintSet.hard_rules(1, 2, 5)
         for _ in range(50):
             cands = random_candidates(rng, 10)
-            scored = [ScoredCandidate(c, rng.uniform(-1, 2)) for c in cands]
-            sol = infer_sentence(scored, "sentence")
+            sol = infer_sentence(cands, [rng.uniform(-1, 2) for _ in cands],
+                                 Scope.FULL_SENTENCE, 0)
             assert hard_violations(sol.selected, cs) == []
 
     def test_infer_sentence_scopes(self):
         a = sc(2.0, pred=0, label="A0", span=(0, 5))
         b = sc(1.5, pred=1, label="A1", span=(3, 8))
-        pred_scope = infer_sentence([a, b], "pred")
+        pred_scope = infer_sentence(*margins_of([a, b]), Scope.PRED_BY_PRED, 0)
         assert set(pred_scope.selected) == {a.candidate, b.candidate}
-        sent_scope = infer_sentence([a, b], "sentence")
+        sent_scope = infer_sentence(*margins_of([a, b]), Scope.FULL_SENTENCE, 0)
         assert sent_scope.selected == (a.candidate,)
 
     def test_one_tie_rule_at_both_scopes(self):
         # equal votes and margins: both engines keep the earlier span
         tmp = cand(label="AM-TMP", span=(0, 1), probs={"M1": 1.0})
         loc = cand(label="AM-LOC", span=(1, 2), probs={"M1": 1.0})
-        scored = [ScoredCandidate(loc, 1.0), ScoredCandidate(tmp, 1.0)]
-        assert infer_sentence(scored, "pred").selected == (tmp,)
-        assert infer_sentence(scored, "sentence").selected == (tmp,)
+        assert infer_sentence([loc, tmp], [1.0, 1.0], Scope.PRED_BY_PRED, 0).selected == (tmp,)
+        assert infer_sentence([loc, tmp], [1.0, 1.0], Scope.FULL_SENTENCE, 0).selected == (tmp,)
         cfg = CsConfig.for_scope(Scope.PRED_BY_PRED, bias=0.0)
-        assert solve_with_stats([loc, tmp], cfg)[0].selected == (tmp,)
-
-    def test_infer_sentence_accepts_scope_members(self):
-        a = sc(2.0, pred=0, label="A0", span=(0, 5))
-        b = sc(1.5, pred=1, label="A1", span=(3, 8))
-        for scope in Scope:
-            assert infer_sentence([a, b], scope) == infer_sentence([a, b], scope.value)
-
-    @pytest.mark.parametrize("scope", ["full", "sentnce", "Pred", ""])
-    def test_infer_sentence_rejects_unknown_scope(self, scope):
-        with pytest.raises(ValueError):
-            infer_sentence([sc(1.0, span=(0, 1))], scope)
+        assert solve_with_stats([loc, tmp], cfg, 0)[0].selected == (tmp,)

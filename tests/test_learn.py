@@ -31,7 +31,7 @@ from srlcomb.learn import (
     train_local_svm,
 )
 from srlcomb.corpus_io import SyntheticConfig, generate_synthetic
-from srlcomb.infer_dp import ScoredCandidate, infer_sentence
+from srlcomb.infer_dp import infer_sentence
 from srlcomb.model import FeatureVector
 from srlcomb.pool import align_gold, build_pool
 from conftest import cand
@@ -431,8 +431,9 @@ class TestScorePool:
     def test_empty_model_scores_zero(self, featured_pool):
         pool, extractor, intervals, _gold = featured_pool
         model = ScoreModel("svm", 2, extractor.config, extractor.space, {}, intervals)
-        for sent_scores in score_pool(model, pool):
-            assert all(s.confidence == 0.0 for s in sent_scores)
+        margins = score_pool(model, pool)
+        assert [len(m) for m in margins] == [len(s.candidates) for s in pool.sentences]
+        assert all(m == 0.0 for row in margins for m in row)
 
     def test_per_label_decomposition(self, featured_pool):
         pool, extractor, intervals, _gold = featured_pool
@@ -440,10 +441,10 @@ class TestScorePool:
         one_label = {"A0": datasets["A0"]}
         model = train_local_svm(one_label, space=extractor.space,
                                 feature_config=extractor.config, intervals=intervals)
-        for sent_scores in score_pool(model, pool):
-            for s in sent_scores:
-                if s.candidate.label.text != "A0":
-                    assert s.confidence == 0.0
+        for sent, margins in zip(pool.sentences, score_pool(model, pool)):
+            for c, m in zip(sent.candidates, margins, strict=True):
+                if c.label.text != "A0":
+                    assert m == 0.0
 
     def test_config_mismatch_rejected(self, featured_pool):
         pool, extractor, intervals, _gold = featured_pool
@@ -549,6 +550,19 @@ class TestModelFile:
                                   f"{start + n_vocab}: line {start + 3} repeats feature "
                                   f"{name!r} of id 0")
 
+    @pytest.mark.parametrize("damaged", ["x\t{name}", "2 {name}", "3\t{name}", ""],
+                             ids=["bad-id", "no-tab", "out-of-order", "empty"])
+    def test_damaged_vocabulary_row_names_its_line(self, featured_pool, damaged):
+        lines = _svm_model_text(featured_pool).splitlines()
+        start = lines.index(next(l for l in lines if l.startswith("vocab "))) + 1
+        n_vocab = int(lines[start - 1].split()[1])
+        lines[start + 2] = damaged.format(name=lines[start + 2].split("\t", 1)[1])
+        with pytest.raises(ValueError) as err:
+            ScoreModel.loads("\n".join(lines))
+        assert str(err.value) == (f"model file: vocabulary at lines {start + 1}-"
+                                  f"{start + n_vocab}: line {start + 3} does not start "
+                                  "with feature id 2 and a tab")
+
     def test_valid_untrained_label_scores_zero(self, featured_pool, capsys):
         pool, extractor, intervals, gold = featured_pool
         model = train_local_svm(label_datasets(pool), space=extractor.space,
@@ -556,9 +570,10 @@ class TestModelFile:
         label = next(iter(pool.all_candidates())).label.text
         del model.scorers[label]
         capsys.readouterr()
-        scored = [s for sent in score_pool(model, pool) for s in sent
-                  if s.candidate.label.text == label]
-        assert scored and all(s.confidence == 0.0 for s in scored)
+        scored = [m for sent, margins in zip(pool.sentences, score_pool(model, pool))
+                  for c, m in zip(sent.candidates, margins, strict=True)
+                  if c.label.text == label]
+        assert scored and all(m == 0.0 for m in scored)
         assert capsys.readouterr().err == (f"srlcomb: warning: model has no scorer for label "
                                            f"{label}; {len(scored)} candidates scored 0.0\n")
 
@@ -631,16 +646,15 @@ class TestDualSum:
         pool = featured_pool[0]
         model = _train(kind, featured_pool, degree)
         assert sum(len(sc.supports) for sc in model.scorers.values()) > 0
-        for sent_scores in score_pool(model, pool):
-            for s in sent_scores:
-                scorer = model.scorers.get(s.candidate.label.text)
-                want = 0.0 if scorer is None else ref_score(
-                    scorer, s.candidate.features, averaged=True)
-                assert _close(s.confidence, want), (kind, degree)
+        for sent, margins in zip(pool.sentences, score_pool(model, pool), strict=True):
+            for c, m in zip(sent.candidates, margins, strict=True):
+                scorer = model.scorers.get(c.label.text)
+                want = 0.0 if scorer is None else ref_score(scorer, c.features, averaged=True)
+                assert _close(m, want), (kind, degree)
                 if scorer is not None:
                     for averaged in (False, True):
-                        alone = scorer.scores([s.candidate.features], averaged)[0]
-                        assert _close(alone, ref_score(scorer, s.candidate.features, averaged))
+                        alone = scorer.scores([c.features], averaged)[0]
+                        assert _close(alone, ref_score(scorer, c.features, averaged))
 
     @pytest.mark.parametrize("kind", ["svm", "perceptron-global"])
     def test_edge_cases(self, featured_pool, kind):
@@ -662,24 +676,23 @@ class TestDualSum:
             per_sentence.append(cands)
         edge_pool = pool.with_candidates(per_sentence)
         seen_kinds = set()
-        for sent_scores in score_pool(model, edge_pool):
-            for s in sent_scores:
-                label = s.candidate.label.text
+        for sent, margins in zip(edge_pool.sentences, score_pool(model, edge_pool), strict=True):
+            for c, m in zip(sent.candidates, margins, strict=True):
+                label = c.label.text
                 scorer = model.scorers.get(label)
                 if scorer is None:
-                    assert s.confidence == 0.0
+                    assert m == 0.0
                     seen_kinds.add("no scorer")
                     continue
                 if label == labels[0]:
-                    assert s.confidence == -0.75
+                    assert m == -0.75
                     seen_kinds.add("bias only")
-                if not s.candidate.features.ids:
+                if not c.features.ids:
                     seen_kinds.add("empty")
-                if s.candidate.features.ids and min(s.candidate.features.ids) >= unseen:
+                if c.features.ids and min(c.features.ids) >= unseen:
                     # no support shares an id: every kernel value is 1
                     seen_kinds.add("unseen ids")
-                assert _close(s.confidence,
-                              ref_score(scorer, s.candidate.features, averaged=True))
+                assert _close(m, ref_score(scorer, c.features, averaged=True))
         assert seen_kinds == {"no scorer", "bias only", "empty", "unseen ids"}
 
 
@@ -706,12 +719,12 @@ def _naive_global(examples, scope, degree: int, epochs: int, validation=None):
     ledger, epoch_f1, snapshots = [], [], []
 
     def predict(ex, averaged):
-        scored = []
+        margins = []
         for c in ex.candidates:
             sc = LabelScorer(c.label.text, degree=degree,
                              supports=supports.get(c.label.text, []), updates=tick)
-            scored.append(ScoredCandidate(c, ref_score(sc, c.features, averaged)))
-        return infer_sentence(scored, scope, ex.sentence_id).keys()
+            margins.append(ref_score(sc, c.features, averaged))
+        return infer_sentence(ex.candidates, margins, scope, ex.sentence_id).keys()
 
     def f1(exs, preds):
         correct = sum(len(p & ex.gold_keys) for ex, p in zip(exs, preds))
