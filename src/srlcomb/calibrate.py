@@ -42,13 +42,17 @@ def two_class_prob(score: float, gamma: float = DEFAULT_GAMMA) -> float:
     """
     if not (math.isfinite(gamma) and math.isfinite(score)):
         return softmax([score, 0.0], gamma)[0]     # raises softmax's error
-    # softmax's float operations on two values, in its order: bit-identical
-    a, b = gamma * score, gamma * 0.0
-    if math.isinf(a):
-        return 1.0 if a > 0.0 else 0.0
-    top = max(a, b)
-    ea, eb = math.exp(a - top), math.exp(b - top)
-    return ea / (ea + eb)
+    # softmax's float operations on two values, with the max subtracted:
+    # exp(0.0) is exactly 1.0, so one exp gives the same bits
+    a = gamma * score
+    if a > 0.0:
+        if a == math.inf:
+            return 1.0
+        return 1.0 / (1.0 + math.exp(-a))
+    if a == -math.inf:
+        return 0.0
+    e = math.exp(a)
+    return e / (e + 1.0)
 
 
 def system_probs(votes: Iterable[str], raw_scores: dict,
@@ -57,8 +61,8 @@ def system_probs(votes: Iterable[str], raw_scores: dict,
     two-class probability of its raw score.  A voting system without a raw
     score is treated as scoring at the background level 0, i.e. probability
     0.5; non-voting systems contribute 0 implicitly."""
-    return tuple((sid, two_class_prob(raw_scores.get(sid, 0.0), gamma))
-                 for sid in sorted(votes))
+    return tuple([(sid, two_class_prob(raw_scores.get(sid, 0.0), gamma))
+                  for sid in sorted(votes)])
 
 
 def attach_probs(pool: CandidatePool, gamma: float = DEFAULT_GAMMA) -> CandidatePool:

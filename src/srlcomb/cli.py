@@ -140,7 +140,8 @@ def _check_options_act(args, subparser: argparse.ArgumentParser) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    # newline="": the parsers end lines themselves (corpus_io.text_lines)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
@@ -166,10 +167,15 @@ def _write_manifest(args: argparse.Namespace, anchor) -> None:
 
 
 def _parse_system_arg(text: str):
-    """NAME=PROPS[:SCORES] or just PROPS[:SCORES] with an auto name."""
-    name = None
-    if "=" in text:
-        name, _, text = text.partition("=")
+    """NAME=PROPS[:SCORES] or just PROPS[:SCORES] with an auto name.  The
+    text before the first "=" is a name only when it holds no "/", so that
+    ``runs/a=b/sys1.props`` is a path; the first ":" after the name starts
+    the SCORES path."""
+    name, eq, rest = text.partition("=")
+    if eq and "/" not in name:
+        text = rest
+    else:
+        name = None
     props_path, _, scores_path = text.partition(":")
     return name, props_path, scores_path or None
 
@@ -432,7 +438,9 @@ def cmd_oracle(args) -> int:
 # the options several subcommands share; each subcommand takes those it reads
 _SHARED_OPTIONS = {
     "system": dict(action="append", required=True, metavar="NAME=PROPS[:SCORES]",
-                   help="per-system props file with optional score sidecar; repeatable"),
+                   help="per-system props file with optional score sidecar; repeatable. "
+                        "The text before the first '=' is NAME only when it holds no '/'; "
+                        "the first ':' after NAME starts SCORES, so PROPS cannot hold a ':'"),
     "gold": dict(help="gold props file"),
     "syntax": dict(help="syntax column file (chunks/clauses/parse)"),
     "gamma": dict(type=float, default=DEFAULT_GAMMA,

@@ -17,7 +17,8 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import groupby
+from typing import Iterator, Optional, Sequence
 
 from .model import (
     Argument,
@@ -29,6 +30,7 @@ from .model import (
     Token,
     V_LABEL,
     clause_events,
+    set_frozen_field,
 )
 
 
@@ -52,7 +54,7 @@ class AlignmentError(ValueError):
 # Props documents
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PropsSentence:
     """Predicate/argument annotations of one sentence.
 
@@ -65,25 +67,27 @@ class PropsSentence:
     predicates: tuple[tuple[int, str], ...]
     arguments: tuple[tuple[Argument, ...], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.predicates) != len(self.arguments):
+    def __init__(self, n_tokens: int, predicates: Sequence[tuple[int, str]],
+                 arguments: Sequence[Sequence[Argument]]) -> None:
+        if len(predicates) != len(arguments):
             raise ValueError("one argument set required per predicate")
         normalized = []
-        for p, args in enumerate(self.arguments):
+        for p, args in enumerate(arguments):
             last_start, ordered = -1, True
             for arg in args:
                 if arg.predicate != p:
                     raise ValueError("argument filed under the wrong predicate")
                 span = arg.span
-                if span.end >= self.n_tokens:
+                if span.end >= n_tokens:
                     raise ValueError("argument span exceeds sentence length")
                 ordered = ordered and span.start > last_start
                 last_start = span.start
             # strictly increasing starts, as a bracket column gives, are sorted
             normalized.append(tuple(args) if ordered else tuple(
                 sorted(args, key=lambda a: (a.span.start, a.span.end, a.label.text))))
-        object.__setattr__(self, "arguments", tuple(normalized))
-        object.__setattr__(self, "predicates", tuple(self.predicates))
+        set_frozen_field(self, "n_tokens", n_tokens)
+        set_frozen_field(self, "predicates", tuple(predicates))
+        set_frozen_field(self, "arguments", tuple(normalized))
 
     def scored_arguments(self, predicate: int) -> tuple[Argument, ...]:
         """Arguments of one predicate without the V pseudo-argument."""
@@ -119,21 +123,36 @@ def check_skeleton(docs: Sequence[tuple[str, PropsDocument]]) -> None:
                     f"sentence {s}: predicates differ between {first_name} and {name}")
 
 
-def _sentence_blocks(text: str) -> list[tuple[int, list[str]]]:
-    """Runs of non-blank lines, each as (line number of its first line, lines)."""
-    blocks: list[tuple[int, list[str]]] = []
-    current: list[str] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        if raw and not raw.isspace():
-            if not current:
-                blocks.append((line_no, current))
-            current.append(raw)
-        elif current:
-            current = []
-    return blocks
+def text_lines(text: str) -> list[str]:
+    r"""The lines of a text, broken at "\n" only: every reader of srlcomb
+    counts lines this way.  "\r\n" is one break, and a final break ends the
+    last line, as ``str.splitlines`` has it.  Unlike ``splitlines``, no other
+    character ends a line: "\x0b", "\x0c", "\x1c"-"\x1e", "\x85", "\u2028"
+    and "\u2029" stay inside it, and so does a lone "\r", which the
+    whitespace-separated formats read as whitespace."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
+def _sentence_blocks(text: str) -> Iterator[tuple[int, list[list[str]]]]:
+    """Runs of non-blank lines, each as (line number of its first line, the
+    whitespace-separated fields of each line).  A blank line has no fields."""
+    line_no = 1
+    for filled, run in groupby(map(str.split, text_lines(text)), bool):
+        run = list(run)
+        if filled:
+            yield line_no, run
+        line_no += len(run)
+
+
+# spans built so far, shared between equal spans; the bound keeps hostile
+# input from growing the memo without limit
 _SPANS: dict = {}
+_SPANS_MAX = 65536
 
 
 def _span(start: int, end: int) -> Span:
@@ -142,7 +161,7 @@ def _span(start: int, end: int) -> Span:
     span = _SPANS.get((start, end))
     if span is None:
         span = Span(start, end)
-        if len(_SPANS) < 65536:
+        if len(_SPANS) < _SPANS_MAX:
             _SPANS[start, end] = span
     return span
 
@@ -150,23 +169,27 @@ def _span(start: int, end: int) -> Span:
 # the label name inside "(NAME*" and "(NAME*)" cells
 _CELL_NAME_RE = re.compile(r"[^()\s*]+")
 
+# valid open cells read so far, each as (label, single): "(A0*)" is (A0, True);
+# a corpus uses a few dozen, and the bound keeps hostile input from growing
+# the memo without limit.  A cell that raised is never stored.
+_CELLS: dict = {}
+_CELLS_MAX = 4096
+
 
 def parse_props(text: str) -> PropsDocument:
     """Parse a props file; raises FormatError with a line number on damage."""
     sentences = []
-    for first, lines in _sentence_blocks(text):
-        rows = [raw.split() for raw in lines]
+    for first, rows in _sentence_blocks(text):
         width = len(rows[0])
         if len(set(map(len, rows))) > 1:
             k = next(k for k, cols in enumerate(rows) if len(cols) != width)
             raise FormatError(f"expected {width} columns, found {len(rows[k])}", first + k)
         columns = list(zip(*rows))
-        predicates = tuple((i, lemma) for i, lemma in enumerate(columns[0]) if lemma != "-")
+        predicates = tuple([(i, lemma) for i, lemma in enumerate(columns[0]) if lemma != "-"])
         if len(predicates) != width - 1:
             raise FormatError(
                 f"{len(predicates)} target verbs but {width - 1} argument columns", first)
-        arguments = tuple(_bracket_column(p, column, first)
-                          for p, column in enumerate(columns[1:]))
+        arguments = [_bracket_column(p, column, first) for p, column in enumerate(columns[1:])]
         sentences.append(PropsSentence(len(rows), predicates, arguments))
     return PropsDocument(tuple(sentences))
 
@@ -186,17 +209,12 @@ def _bracket_column(p: int, column: Sequence[str], first: int) -> tuple[Argument
             args.append(Argument(p, open_label, _span(open_start, i)))
             open_label = None
             continue
-        single = cell.endswith("*)")
-        name = cell[1:-2] if single else cell[1:-1]
-        if (cell[0] != "(" or not (single or cell[-1] == "*")
-                or not _CELL_NAME_RE.fullmatch(name)):
-            raise FormatError(f"malformed bracket cell {cell!r}", first + i)
-        if open_label is not None:
+        opened = _CELLS.get(cell)
+        if opened is None:
+            opened = _open_cell(cell, open_label is not None, first + i)
+        elif open_label is not None:
             raise FormatError("argument opened while another is open", first + i)
-        try:
-            label = RoleLabel.parse(name)
-        except ValueError as exc:
-            raise FormatError(str(exc), first + i) from exc
+        label, single = opened
         if single:
             args.append(Argument(p, label, _span(i, i)))
         else:
@@ -205,6 +223,26 @@ def _bracket_column(p: int, column: Sequence[str], first: int) -> tuple[Argument
     if open_label is not None:
         raise FormatError(f"argument {open_label.text} never closed", first + len(column) - 1)
     return tuple(args)
+
+
+def _open_cell(cell: str, nested: bool, line: int) -> tuple[RoleLabel, bool]:
+    """(label, single) of a cell that opens an argument, checked in this
+    order: its shape, then ``nested`` (another argument is open), then its
+    label.  A valid cell is memoised in ``_CELLS``."""
+    single = cell.endswith("*)")
+    name = cell[1:-2] if single else cell[1:-1]
+    if (cell[0] != "(" or not (single or cell[-1] == "*")
+            or not _CELL_NAME_RE.fullmatch(name)):
+        raise FormatError(f"malformed bracket cell {cell!r}", line)
+    if nested:
+        raise FormatError("argument opened while another is open", line)
+    try:
+        opened = RoleLabel.parse(name), single
+    except ValueError as exc:
+        raise FormatError(str(exc), line) from exc
+    if len(_CELLS) < _CELLS_MAX:
+        _CELLS[cell] = opened
+    return opened
 
 
 def emit_props(doc: PropsDocument) -> str:
@@ -288,11 +326,10 @@ def _check_bio(tags: Sequence[tuple[int, str]], what: str) -> None:
 def parse_syntax(text: str) -> list[Sentence]:
     """Parse a syntax file into Sentences."""
     sentences: list[Sentence] = []
-    for sent_id, (first, lines) in enumerate(_sentence_blocks(text)):
+    for sent_id, (first, block) in enumerate(_sentence_blocks(text)):
         width = None
         rows = []
-        for line_no, raw in enumerate(lines, first):
-            cols = raw.split()
+        for line_no, cols in enumerate(block, first):
             if width is None:
                 width = len(cols)
                 if width not in (5, 6):
@@ -395,7 +432,7 @@ ScoreTable = dict
 def parse_scores(text: str) -> ScoreTable:
     """Parse a raw-score sidecar into a {(sent, pred, label, span): score} table."""
     table: ScoreTable = {}
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(text_lines(text), 1):
         parts = raw.split()
         if not parts:
             continue
@@ -410,11 +447,11 @@ def parse_scores(text: str) -> ScoreTable:
             raise FormatError(str(exc), line_no) from exc
         if not math.isfinite(score):
             raise FormatError(f"non-finite score {parts[5]}", line_no)
-        key = (sent, pred, label.text, span)
         size = len(table)
-        table[key] = score
+        table[sent, pred, label.text, span] = score
         if len(table) == size:
-            raise FormatError(f"duplicate score entry for {key}", line_no)
+            raise FormatError(f"duplicate score record {sent} {pred} {label.text} "
+                              f"{span.start} {span.end}", line_no)
     return table
 
 

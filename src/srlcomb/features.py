@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .calibrate import IntervalTable, discretize
-from .corpus_io import AlignmentError, skeleton_tags
+from .corpus_io import AlignmentError, skeleton_tags, text_lines
 from .model import (
     Candidate,
     FeatureVector,
@@ -78,7 +78,7 @@ class FeatureSpace:
     def load(cls, text: str, first_line: int = 1) -> "FeatureSpace":
         """The frozen space of a ``dump``; its lines count from ``first_line``."""
         space = cls()
-        for number, line in enumerate(text.splitlines(), first_line):
+        for number, line in enumerate(text_lines(text), first_line):
             fid, tab, name = line.partition("\t")
             if not tab or fid != str(len(space._names)):     # ids are dense and in order
                 raise ValueError(f"line {number} does not start with feature id "

@@ -29,6 +29,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .calibrate import IntervalTable
+from .corpus_io import text_lines
 from .features import COUNT_CAP, NGRAM_CAP, PATH_THRESHOLD, FeatureConfig, FeatureSpace
 from .infer_cs import Scope
 from .infer_dp import infer_sentence
@@ -171,7 +172,7 @@ class ScoreModel:
 
     @classmethod
     def loads(cls, text: str) -> "ScoreModel":
-        lines = text.splitlines()
+        lines = text_lines(text)
         pos = 0
 
         def take(prefix: str) -> str:
@@ -285,7 +286,8 @@ class ScoreModel:
 
     @classmethod
     def load(cls, path) -> "ScoreModel":
-        with open(path, "r", encoding="utf-8") as fh:
+        # newline="": ``loads`` ends lines itself (corpus_io.text_lines)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             return cls.loads(fh.read())
 
 

@@ -15,6 +15,11 @@ from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
 
+# sets a field of a frozen dataclass instance, as a generated __init__ does;
+# a written-out __init__ that calls it saves looking it up for every field
+set_frozen_field = object.__setattr__
+
+
 # ---------------------------------------------------------------------------
 # Spans
 
@@ -25,12 +30,19 @@ class Span:
 
     start: int
     end: int
+    # hash((start, end)), the generated hash, computed once: every key that
+    # scores, pools and gold sets look up holds a span
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.start < 0:
             raise ValueError(f"span start must be >= 0, got {self.start}")
         if self.end < self.start:
             raise ValueError(f"span end {self.end} precedes start {self.start}")
+        set_frozen_field(self, "_hash", hash((self.start, self.end)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return self.end - self.start + 1
@@ -264,19 +276,7 @@ class FeatureVector:
 CandidateKey = tuple[int, int, str, Span]
 
 
-def _checked_probs(votes: frozenset, probs: Iterable[tuple[str, float]]) -> tuple:
-    """``probs`` as sorted (system, probability) pairs, each of a voting
-    system and within [0, 1]."""
-    probs = tuple(sorted(probs))
-    for sys_id, p in probs:
-        if sys_id not in votes:
-            raise ValueError(f"probability for non-voting system {sys_id!r}")
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability {p} out of [0, 1]")
-    return probs
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Candidate:
     """One pooled argument hypothesis with its per-system evidence.
 
@@ -293,43 +293,50 @@ class Candidate:
     features: Optional[FeatureVector] = None
     is_gold: Optional[bool] = None
 
-    def __post_init__(self) -> None:
-        if not self.votes:
+    def __init__(self, sentence_id: int, argument: Argument, votes: frozenset,
+                 raw_scores: Iterable[tuple[str, float]] = (),
+                 probs: Iterable[tuple[str, float]] = (),
+                 features: Optional[FeatureVector] = None,
+                 is_gold: Optional[bool] = None) -> None:
+        """The one constructor, with every check; it stores ``raw_scores``
+        and ``probs`` sorted."""
+        if not votes:
             raise ValueError("candidate must carry at least one vote")
-        object.__setattr__(self, "raw_scores", tuple(sorted(self.raw_scores)))
-        for sys_id, _ in self.raw_scores:
-            if sys_id not in self.votes:
+        # a tuple already in order is kept, so that copies share their pairs
+        ordered = tuple(sorted(raw_scores))
+        raw_scores = raw_scores if ordered == raw_scores else ordered
+        for sys_id, _ in raw_scores:
+            if sys_id not in votes:
                 raise ValueError(f"raw score for non-voting system {sys_id!r}")
-        object.__setattr__(self, "probs", _checked_probs(self.votes, self.probs))
+        ordered = tuple(sorted(probs))
+        probs = probs if ordered == probs else ordered
+        for sys_id, p in probs:
+            if sys_id not in votes:
+                raise ValueError(f"probability for non-voting system {sys_id!r}")
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"probability {p} out of [0, 1]")
+        set_frozen_field(self, "sentence_id", sentence_id)
+        set_frozen_field(self, "argument", argument)
+        set_frozen_field(self, "votes", votes)
+        set_frozen_field(self, "raw_scores", raw_scores)
+        set_frozen_field(self, "probs", probs)
+        set_frozen_field(self, "features", features)
+        set_frozen_field(self, "is_gold", is_gold)
 
     def with_features(self, features: Optional[FeatureVector]) -> "Candidate":
         """This candidate with another feature vector."""
-        return self._copy(self.probs, features, self.is_gold)
+        return Candidate(self.sentence_id, self.argument, self.votes, self.raw_scores,
+                         self.probs, features, self.is_gold)
 
     def with_gold(self, is_gold: Optional[bool]) -> "Candidate":
         """This candidate with another gold flag."""
-        return self._copy(self.probs, self.features, is_gold)
+        return Candidate(self.sentence_id, self.argument, self.votes, self.raw_scores,
+                         self.probs, self.features, is_gold)
 
     def with_probs(self, probs: Iterable[tuple[str, float]]) -> "Candidate":
-        """This candidate with other per-system probabilities, checked as
-        ``__init__`` checks them."""
-        return self._copy(_checked_probs(self.votes, probs), self.features, self.is_gold)
-
-    def _copy(self, probs, features, is_gold) -> "Candidate":
-        """This candidate with the given last three fields.  The others were
-        checked when this one was built, so the copy skips the checks.  It
-        sets each field as ``__init__`` does: copying ``__dict__`` would
-        make attribute reads on both candidates slower."""
-        copy = object.__new__(type(self))
-        set_field = object.__setattr__
-        set_field(copy, "sentence_id", self.sentence_id)
-        set_field(copy, "argument", self.argument)
-        set_field(copy, "votes", self.votes)
-        set_field(copy, "raw_scores", self.raw_scores)
-        set_field(copy, "probs", probs)
-        set_field(copy, "features", features)
-        set_field(copy, "is_gold", is_gold)
-        return copy
+        """This candidate with other per-system probabilities."""
+        return Candidate(self.sentence_id, self.argument, self.votes, self.raw_scores,
+                         probs, self.features, self.is_gold)
 
     @property
     def key(self) -> CandidateKey:

@@ -22,7 +22,9 @@ from .corpus_io import (
     ScoreTable,
     check_skeleton,
 )
-from .model import Argument, Candidate, Solution, Span, V_LABEL
+from .model import Argument, Candidate, LabelKind, Solution, Span, V_LABEL
+
+_VERB = LabelKind.VERB
 
 
 @dataclass(frozen=True)
@@ -93,54 +95,54 @@ def build_pool(systems: Sequence[tuple[str, PropsDocument, Optional[ScoreTable]]
     named = [(f"system {sid}", doc) for sid, doc, _ in systems]
     check_skeleton(named if gold is None else named + [("gold", gold)])
 
-    first = systems[0][1]
     keys = None if gold is None else gold_keys(gold)
+    tables = [table if table is not None else {} for _, _, table in systems]
+    matched = [0] * len(systems)    # score records that name an argument
     sentences = []
-    matched = dict.fromkeys(ids, 0)     # score records that name an argument
-    for s, skeleton in enumerate(first.sentences):
+    for s, skeleton in enumerate(systems[0][1].sentences):
         merged: dict = {}      # key -> (argument, votes, raw scores)
-        for sid, doc, table in systems:
-            sent = doc.sentences[s]
-            for p in range(len(sent.predicates)):
-                for arg in sent.scored_arguments(p):
-                    key = (s, p, arg.label.text, arg.span)
+        for j, (sid, doc, _) in enumerate(systems):
+            scores = tables[j]
+            for p, args in enumerate(doc.sentences[s].arguments):
+                for arg in args:
+                    label = arg.label
+                    if label.kind is _VERB:
+                        continue
+                    key = (s, p, label.text, arg.span)
                     entry = merged.get(key)
                     if entry is None:
-                        entry = merged[key] = (arg, set(), {})
+                        entry = merged[key] = (arg, [], {})
                     elif sid in entry[1]:
                         continue    # the system repeats an argument
-                    entry[1].add(sid)
-                    score = table.get(key) if table is not None else None
+                    entry[1].append(sid)
+                    score = scores.get(key)
                     if score is not None:
                         entry[2][sid] = score
-                        matched[sid] += 1
+                        matched[j] += 1
         gold_here = keys[s] if keys is not None else None
         candidates = tuple(
-            Candidate(s, arg, frozenset(votes), tuple(raws.items()),
+            Candidate(s, arg, frozenset(votes), raws.items(),
                       system_probs(votes, raws, gamma) if gamma is not None else (),
                       None, key in gold_here if gold_here is not None else None)
             for key, (arg, votes, raws) in sorted(merged.items()))
         sentences.append(SentencePool(s, skeleton.n_tokens, skeleton.predicates, candidates))
-    for sid, doc, table in systems:
-        if table is not None and len(table) > matched[sid]:
+    for (sid, doc, _), scores, found in zip(systems, tables, matched):
+        if len(scores) > found:
             # each record matched at most once, so some record is unmatched
-            proposed = {(s, p, a.label.text, a.span)
-                        for s, sent in enumerate(doc.sentences)
-                        for p in range(len(sent.predicates)) for a in sent.scored_arguments(p)}
-            sent, pred, label, span = min(set(table) - proposed)
+            sent, pred, label, span = min(set(scores).difference(*gold_keys(doc)))
             raise AlignmentError(
                 f"system {sid}: score record {sent} {pred} {label} {span.start} {span.end} "
                 f"names no argument of its props")
     return CandidatePool(tuple(ids), tuple(sentences))
 
 
-def gold_keys(gold: PropsDocument) -> list[frozenset]:
-    out = []
-    for s, sent in enumerate(gold.sentences):
-        out.append(frozenset(
-            (s, p, a.label.text, a.span)
-            for p in range(len(sent.predicates)) for a in sent.scored_arguments(p)))
-    return out
+def gold_keys(doc: PropsDocument) -> list[frozenset]:
+    """The candidate keys of each sentence's arguments, V left out; of a
+    gold document, the keys of the correct candidates."""
+    return [frozenset((s, p, a.label.text, a.span)
+                      for p, args in enumerate(sent.arguments)
+                      for a in args if a.label.kind is not _VERB)
+            for s, sent in enumerate(doc.sentences)]
 
 
 def align_gold(pool: CandidatePool, gold: PropsDocument) -> CandidatePool:

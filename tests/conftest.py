@@ -24,6 +24,11 @@ def cand(sentence_id=0, pred=0, label="A0", span=(0, 1), votes=None,
     )
 
 
+# the characters besides "\n" and "\r" at which str.splitlines ends a line;
+# srlcomb's readers keep each inside its line
+NOT_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
 # the search-hard knobs of perfbench, and the hard-50 corpus of the ROADMAP
 SEARCH_HARD = dict(n_systems=6, tokens_range=(20, 40), predicates_range=(1, 4),
                    args_range=(2, 4), precision=0.6, correct_score_mean=3.0,

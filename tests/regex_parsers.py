@@ -13,10 +13,16 @@ from srlcomb.corpus_io import FormatError, PropsDocument, PropsSentence
 from srlcomb.model import Argument, RoleLabel, Span
 
 
+def _lines(text: str) -> list[str]:
+    r"""Lines end at "\n" alone; "\r\n" counts as one line end, and a lone
+    "\r" is whitespace inside its line."""
+    return text.replace("\r\n", "\n").split("\n")
+
+
 def _sentence_blocks(text: str) -> list[list[tuple[int, str]]]:
     blocks: list[list[tuple[int, str]]] = []
     current: list[tuple[int, str]] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(_lines(text), 1):
         if raw.strip():
             current.append((line_no, raw))
         elif current:
@@ -97,7 +103,7 @@ def parse_props(text: str) -> PropsDocument:
 
 def parse_scores(text: str) -> dict:
     table: dict = {}
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(_lines(text), 1):
         if not raw.strip():
             continue
         parts = raw.split()
@@ -114,6 +120,7 @@ def parse_scores(text: str) -> dict:
             raise FormatError(f"non-finite score {parts[5]}", line_no)
         key = (sent, pred, label.text, span)
         if key in table:
-            raise FormatError(f"duplicate score entry for {key}", line_no)
+            raise FormatError(f"duplicate score record {sent} {pred} {label.text} "
+                              f"{span.start} {span.end}", line_no)
         table[key] = score
     return table

@@ -1,5 +1,6 @@
 import gc
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,48 @@ class TestPool:
 
     def test_missing_file_exit_2(self):
         assert main(["pool", "--system", "/nonexistent.props"]) == 2
+
+    def test_system_path_with_equals_sign(self, corpus_dir, tmp_path, capsys):
+        """An '=' after a '/' belongs to the path: `x=y/sys1.props` in a
+        directory is no NAME=PROPS, with or without a name before it."""
+        odd = tmp_path / "x=y"
+        odd.mkdir()
+        for name in ("sys1.props", "sys1.scores", "sys2.props", "sys2.scores",
+                     "sys3.props", "sys3.scores"):
+            shutil.copy(corpus_dir / name, odd / name)
+        gold = ["--gold", f"{corpus_dir}/gold.props"]
+        named = _system_args(odd)
+        named[1] = f"N1={named[1]}"
+        runs = {"plain": _system_args(corpus_dir), "odd": _system_args(odd), "named": named}
+        for systems in runs.values():
+            assert main(["pool", *systems, *gold]) == 0
+        out = capsys.readouterr().out
+        assert out.count("3 systems (M1, M2, M3)") == 2 and "3 systems (N1, M2, M3)" in out
+        for run, systems in runs.items():
+            assert main(["infer", *systems, *gold, "--out", str(tmp_path / f"{run}.props")]) == 0
+        assert len({(tmp_path / f"{run}.props").read_text() for run in runs}) == 1
+
+    def test_files_keep_their_line_ends(self, corpus_dir, tmp_path, capsys):
+        """Files reach the parsers as written: CRLF reads as LF, and a lone
+        "\\r" is whitespace inside its line, not a line end."""
+        crlf = tmp_path / "crlf"
+        crlf.mkdir()
+        for i in (1, 2, 3):
+            for name in (f"sys{i}.props", f"sys{i}.scores"):
+                (crlf / name).write_bytes((corpus_dir / name).read_bytes().replace(b"\n", b"\r\n"))
+        gold = ["--gold", f"{corpus_dir}/gold.props"]
+        dumps = []
+        for d in (corpus_dir, crlf):
+            assert main(["pool", *_system_args(d), *gold, "--dump", str(tmp_path / "p.json")]) == 0
+            dumps.append((tmp_path / "p.json").read_text())
+        assert dumps[0] == dumps[1]
+        first, rest = (corpus_dir / "sys1.scores").read_text().split("\n", 1)
+        lone = tmp_path / "lone.scores"
+        lone.write_text(f"{first}\r{rest}")
+        capsys.readouterr()
+        assert main(["pool", "--system", f"{corpus_dir}/sys1.props:{lone}", *gold,
+                     "--dump", str(tmp_path / "x.json")]) == 2
+        assert "line 1: expected 6 fields, found 12" in capsys.readouterr().err
 
 
 class TestInfer:
@@ -712,13 +755,13 @@ class TestOnePassPool:
         corpus = tmp_path / "corpus"
         assert main(["synth", "--out", str(corpus), "--seed", "7", "--sentences", "1000"]) == 0
         built = []
-        post_init = Candidate.__post_init__
+        init = Candidate.__init__
 
-        def counted(self):
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
             built.append(self.key)
-            post_init(self)
 
-        monkeypatch.setattr(Candidate, "__post_init__", counted)
+        monkeypatch.setattr(Candidate, "__init__", counted)
         assert main(["infer", *_system_args(corpus), "--gold", f"{corpus}/gold.props",
                      "--bootstrap", "100", "--out", str(tmp_path / "x.props")]) == 0
         assert len(built) == len(set(built)) == 7282

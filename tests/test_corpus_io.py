@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from srlcomb import corpus_io, model
 from srlcomb.corpus_io import (
     FormatError,
     PropsDocument,
@@ -18,6 +19,7 @@ from srlcomb.corpus_io import (
 )
 from srlcomb.evaluate import score
 from srlcomb.model import Argument, RoleLabel, Span, V_LABEL, clause_intervals, decode_bio
+from conftest import NOT_LINE_BREAKS
 
 
 SIMPLE_PROPS = """\
@@ -183,6 +185,7 @@ class TestScores:
         with pytest.raises(FormatError) as err:
             parse_scores("0 0 A0 0 3 2.5\n0 0 A0 0 3 1.0\n")
         assert err.value.line == 2
+        assert str(err.value) == "line 2: duplicate score record 0 0 A0 0 3"
 
     def test_malformed_rejected(self):
         with pytest.raises(FormatError):
@@ -201,6 +204,98 @@ class TestScores:
         text = emit_scores(table)
         assert parse_scores(text) == table
         assert emit_scores(parse_scores(text)) == text
+
+
+class TestLineBreaks:
+    r"""Lines end at "\n" alone, in props, syntax and score files alike."""
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+    def test_score_error_keeps_its_line(self, char):
+        with pytest.raises(FormatError, match="^line 3: could not convert"):
+            parse_scores(f"0 0 A0 0 3 2.5{char}\n0 0 A1 4 5 1.0\n0 0 A2 6 7 x\n")
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+    def test_props_block_is_not_split(self, char):
+        """The character is whitespace inside its line, so it neither breaks
+        the sentence nor hides the real fault further down."""
+        text = SIMPLE_PROPS.replace("- (A0*\n", f"- (A0*{char}\n")
+        assert parse_props(text) == parse_props(SIMPLE_PROPS)
+        damaged = text.replace("- *\n- *\nsold", "- (A9*)\n- *\nsold")
+        with pytest.raises(FormatError, match="^line 3: unknown role label 'A9'$"):
+            parse_props(damaged)
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+    def test_syntax_row_is_not_split(self, char):
+        text = SYNTAX_WITH_PARSE.replace("(S(NP*\n", f"(S(NP*{char}\n")
+        assert parse_syntax(text) == parse_syntax(SYNTAX_WITH_PARSE)
+
+    def test_crlf_reads_as_lf(self):
+        assert parse_props(SIMPLE_PROPS.replace("\n", "\r\n")) == parse_props(SIMPLE_PROPS)
+        syntax = SYNTAX_WITH_PARSE.replace("\n", "\r\n")
+        assert parse_syntax(syntax) == parse_syntax(SYNTAX_WITH_PARSE)
+        scores = "0 0 A0 0 3 2.5\r\n\r\n0 0 A1 4 5 1.0\r\n"
+        assert parse_scores(scores) == parse_scores(scores.replace("\r", ""))
+        with pytest.raises(FormatError, match="^line 3: expected 6 fields, found 5$"):
+            parse_scores("0 0 A0 0 3 2.5\r\n\r\n0 0 A1 4 5\r\n")
+
+    def test_lone_carriage_return_is_whitespace(self):
+        with pytest.raises(FormatError, match="^line 1: expected 6 fields, found 12$"):
+            parse_scores("0 0 A0 0 3 2.5\r0 0 A1 4 5 1.0\n")
+        assert parse_props(SIMPLE_PROPS.replace("- *)\n", "- *)\r\r\n", 1)) == \
+            parse_props(SIMPLE_PROPS)
+
+
+def _letters(i: int) -> str:
+    """A distinct run of letters for each i >= 0."""
+    out = ""
+    while True:
+        i, r = divmod(i, 26)
+        out += "abcdefghijklmnopqrstuvwxyz"[r]
+        if not i:
+            return out
+
+
+class TestMemos:
+    """The parse memos stay within their bounds on hostile input and never
+    hold a text that raised."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memos(self, monkeypatch):
+        monkeypatch.setattr(corpus_io, "_CELLS", {})
+        monkeypatch.setattr(corpus_io, "_SPANS", {})
+        monkeypatch.setattr(model, "_LABEL_CACHE", {})
+        monkeypatch.setattr(model, "_CLAUSE_CACHE", {})
+
+    def test_bounded_under_distinct_texts(self):
+        names = [f"AM-{_letters(i)}" for i in range(10_000)]
+        doc = parse_props("run (V*)\n" + "".join(f"- ({name}*)\n" for name in names))
+        assert [a.label.text for a in doc.sentences[0].arguments[0][1:]] == names
+        sentences = parse_syntax("".join(f"w NN O (S{i}*S{i}) O\n" for i in range(10_000)))
+        assert sentences[0].tokens[-1].clause == "(S9999*S9999)"
+        table = parse_scores("".join(f"0 0 A0 {i} {i + 1} 1.0\n" for i in range(70_000)))
+        assert len(table) == 70_000
+        assert len(corpus_io._CELLS) == corpus_io._CELLS_MAX
+        assert len(model._LABEL_CACHE) == model._LABEL_CACHE_MAX
+        assert len(model._CLAUSE_CACHE) == model._CLAUSE_CACHE_MAX
+        assert len(corpus_io._SPANS) == corpus_io._SPANS_MAX
+
+    def test_no_text_that_raised(self):
+        cells = ("(A9*", "(R-V*)", "(C-R-A0*)", "(A0**", "((A0*", "(*)", "(AM-*")
+        for cell in cells:
+            with pytest.raises(FormatError):
+                parse_props(f"run (V*)\n- {cell}\n- *)\n")
+        for record in ("0 0 A9 0 1 1.0", "0 0 R-V 0 1 1.0", "0 0 A0 3 2 1.0",
+                       "0 0 A0 -1 2 1.0"):
+            with pytest.raises(FormatError):
+                parse_scores(record + "\n")
+        for tag in ("(S*x", "((S*", "S)"):
+            with pytest.raises(FormatError):
+                parse_syntax(f"w NN O {tag} O\n")
+        assert parse_props("run (V*)\n- (A0*\n- *)\n")     # the memos still fill
+        assert not set(corpus_io._CELLS) & set(cells) and corpus_io._CELLS
+        assert not {"A9", "R-V", "C-R-A0", "AM-"} & set(model._LABEL_CACHE)
+        assert not {"(S*x", "((S*", "S)"} & set(model._CLAUSE_CACHE)
+        assert not {(3, 2), (-1, 2)} & set(corpus_io._SPANS) and corpus_io._SPANS
 
 
 class TestSynthetic:

@@ -34,7 +34,7 @@ from srlcomb.corpus_io import SyntheticConfig, generate_synthetic
 from srlcomb.infer_dp import infer_sentence
 from srlcomb.model import FeatureVector
 from srlcomb.pool import align_gold, build_pool
-from conftest import cand
+from conftest import NOT_LINE_BREAKS, cand
 
 
 def fv(space: FeatureSpace, *names: str) -> FeatureVector:
@@ -534,6 +534,24 @@ class TestModelFile:
         lines[second] = lines[first]
         with pytest.raises(ValueError, match=f"twice at line {second + 1}"):
             ScoreModel.loads("\n".join(lines))
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+    def test_only_newline_ends_a_line(self, svm_model_text, char):
+        """Another line separator is whitespace inside its line, so a later
+        damaged row keeps its line number; the vocabulary reads alike."""
+        lines = svm_model_text.split("\n")
+        lines[1] += char            # the kind line
+        assert ScoreModel.loads("\n".join(lines)).saves() == svm_model_text
+        first, second = [i for i, l in enumerate(lines) if l.startswith("label ")][:2]
+        lines[second] = lines[first]
+        with pytest.raises(ValueError, match=f"twice at line {second + 1}$"):
+            ScoreModel.loads("\n".join(lines))
+        with pytest.raises(ValueError, match="^line 3 repeats feature 'c' of id 1$"):
+            FeatureSpace.load(f"0\ta{char}b\n1\tc\n2\tc\n")
+
+    def test_crlf_model_reads_as_lf(self, svm_model_text):
+        crlf = svm_model_text.replace("\n", "\r\n")
+        assert ScoreModel.loads(crlf).saves() == svm_model_text
 
     def test_repeated_vocabulary_name_rejected(self, featured_pool):
         """A name given twice would leave its first id matching nothing."""

@@ -67,6 +67,13 @@ class TestSpanRelation:
         with pytest.raises(ValueError):
             Span(-1, 0)
 
+    def test_kept_hash_is_the_tuple_hash(self):
+        """Sets and dicts of spans keep the order that hash((start, end))
+        gives them, and a replaced span hashes by its new fields."""
+        for start, end in ((0, 0), (3, 7), (1000, 65535)):
+            assert hash(Span(start, end)) == hash((start, end))
+        assert hash(dataclasses.replace(Span(1, 2), end=5)) == hash((1, 5))
+
 
 class TestCandidate:
     def test_with_features_copies_every_other_field(self):

@@ -4,15 +4,18 @@ parser under mutation.
 For every input, srlcomb.corpus_io must return a document equal to the one
 tests/regex_parsers.py returns, or raise the same error with the same
 message and line number.  Inputs are emitted synthetic corpora, single-line
-and single-cell mutations of them, and hand-picked damaged bracket cells.
+and single-cell mutations of them, and hand-picked damaged bracket cells,
+also read with the bracket-cell memo warm.
 ``parse_syntax`` has no reference parser: on single-line and single-cell
 mutations of an emitted syntax file with a parse column, it must return
 sentences or raise FormatError, and nothing else.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import regex_parsers
+from srlcomb import corpus_io
 from srlcomb.corpus_io import (
     FormatError,
     SyntheticConfig,
@@ -108,6 +111,11 @@ def test_mutated_scores_parse_alike(data):
     _assert_same(parse_scores, regex_parsers.parse_scores, text)
 
 
+def _frame(cells) -> str:
+    """A one-predicate props sentence whose bracket column is ``cells``."""
+    return "".join(f"{'run' if i == 0 else '-'} {c}\n" for i, c in enumerate(cells))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(DAMAGED_CELLS), st.sampled_from(["(A1*", "*", "*)", "(A1*)"]),
        st.integers(0, 3))
@@ -115,8 +123,21 @@ def test_damaged_cells_parse_alike(cell, neighbour, row):
     """One damaged cell in a small frame, after an open, closed or no argument."""
     cells = ["(V*)", neighbour, "*", "*)", "*"]
     cells[1 + row] = cell
-    text = "".join(f"{'run' if i == 0 else '-'} {c}\n" for i, c in enumerate(cells))
-    _assert_same(parse_props, regex_parsers.parse_props, text)
+    _assert_same(parse_props, regex_parsers.parse_props, _frame(cells))
+
+
+@pytest.mark.parametrize("cell", DAMAGED_CELLS)
+def test_damaged_cells_parse_alike_with_warm_memo(cell):
+    """The cell memo is warm, both with the open cell "(A1*" and with the
+    cell itself where it is valid; then the cell comes right after "(A1*"."""
+    for warm in (["(V*)", "(A1*", "*)"], ["(V*)", cell], ["(V*)", cell, "*)"]):
+        try:
+            parse_props(_frame(warm))
+        except FormatError:
+            pass
+    assert "(A1*" in corpus_io._CELLS
+    _assert_same(parse_props, regex_parsers.parse_props,
+                 _frame(["(V*)", "(A1*", cell, "*", "*)"]))
 
 
 @st.composite
