@@ -102,7 +102,8 @@ _NUMERIC_OPTIONS = {
     # --jobs stays, legal only at 1, since perfbench/worker.py passes it to every call
     "jobs": ((lambda v: v == 1), "must be 1: srlcomb runs each command in one process"),
     "bootstrap": _at_least(100), "seed": _at_least(0),
-    "C": ((lambda v: math.isfinite(v) and v > 0), "must be finite and > 0"),
+    # SMO's bound tolerance is 1e-12: at a smaller C no point can move off its bound
+    "C": ((lambda v: math.isfinite(v) and v > 1e-12), "must be finite and above 1e-12"),
     "val_fraction": ((lambda v: 0.0 <= v < 1.0), "must be in [0, 1)"),
     "sentences": _at_least(0), "systems": _at_least(1),
     "precision": _UNIT, "recall": _UNIT, "label_noise": _UNIT, "boundary_noise": _UNIT,

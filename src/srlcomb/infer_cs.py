@@ -25,7 +25,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .evaluate import score
-from .model import (EXISTENTIAL_RULES, Candidate, ConstraintSet, Solution, licenses,
+from .model import (Candidate, ConstraintSet, Solution, licenses,
                     overlap_or_core_pairs, pair_rules)
 from .pool import CandidatePool, solutions_to_props
 
@@ -139,8 +139,7 @@ def decode(candidates: Sequence[Candidate], margins: Sequence[float], cs: Constr
     everyone = range(len(candidates))
     kept = sorted((i for i in everyone if margins[i] > 0.0), key=rank)
     # the costs of the active existential rules: R-X needs X; C-X an earlier X
-    existential = {kind: cs.rule(cid).cost for kind, cid in EXISTENTIAL_RULES.items()
-                   if cs.rule(cid).active}
+    existential = cs.existential_costs
     if existential:
         dependents = [candidates[i].argument for i in kept
                       if candidates[i].label.kind in existential]
@@ -152,7 +151,7 @@ def decode(candidates: Sequence[Candidate], margins: Sequence[float], cs: Constr
     gains = [margins[i] for i in kept]
     n = len(cands)
 
-    pair_cost = {cid: cs.rule(cid).cost for cid in ("c1", "c2", "c5", "c6")}
+    pair_cost = cs.pair_costs
     hard_mask = [0] * n
     soft_pen: list[dict] = [dict() for _ in range(n)]
     # i and j are linked when their pair costs or one is a c3/c4 base of the

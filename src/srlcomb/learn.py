@@ -13,8 +13,9 @@ the dot products of one vector with all rows are one bincount over the lists
 of its ids, so a row costs the summed length of those lists rather than one
 set intersection per support.  Every trainer and scorer reads the kernel so.
 Both Perceptron trainers cache every training candidate's margin and add one
-kernel row per update; SMO caches f = K @ (alpha*y) - y, f starts at -y,
-each step adds two memoized kernel rows, and no n x n Gram matrix is built.
+kernel row per update; SMO caches g = y - K @ (alpha*y), g starts at y,
+each step subtracts two memoized kernel rows, and no n x n Gram matrix is
+built.
 """
 
 from __future__ import annotations
@@ -267,19 +268,30 @@ class ScoreModel:
             if integer(take("degree ")) != degree:
                 raise ValueError(f"model file: label {label} has a degree other than the "
                                  f"model's {degree} at line {pos}")
-            sc = LabelScorer(label, degree=degree, bias=finite(take("bias ")),
-                             updates=count(take("updates ")),
-                             degenerate=bool(integer(take("degenerate "))))
+            bias, updates = finite(take("bias ")), count(take("updates "))
+            flag = integer(take("degenerate "))
+            if flag not in (0, 1):
+                raise ValueError(f"model file: degenerate flag {flag} is neither 0 nor 1 "
+                                 f"at line {pos}")
+            sc = LabelScorer(label, degree=degree, bias=bias, updates=updates,
+                             degenerate=bool(flag))
+            # a support's tick is the update that made it, so it lies below
+            # the averaging horizon; without updates (SVM) every tick is 0
+            last_tick = max(sc.updates - 1, 0)
             n_sup = count(take("supports "))
             for _ in range(n_sup):
                 parts = fields("supports", 2, exact=False)
+                tick = integer(parts[1])
+                if not 0 <= tick <= last_tick:
+                    raise ValueError(f"model file: support tick {tick} is outside "
+                                     f"0..{last_tick} at line {pos}")
                 ids = tuple(integer(x) for x in parts[2:])
                 if ids and not 0 <= min(ids) <= max(ids) < len(space):
                     raise ValueError(f"model file: feature id out of vocabulary at line {pos}")
                 if any(a >= b for a, b in zip(ids, ids[1:])):
                     raise ValueError(
                         f"model file: feature ids not strictly increasing at line {pos}")
-                sc.supports.append((finite(parts[0]), integer(parts[1]), FeatureVector(ids)))
+                sc.supports.append((finite(parts[0]), tick, FeatureVector(ids)))
             take("end")
             scorers[label] = sc
         return cls(kind, degree, config, space, scorers, intervals)
@@ -354,51 +366,74 @@ def _smo(row, diag: np.ndarray, y: np.ndarray, c: float, tol: float,
 
     ``row(i)`` returns kernel row i and ``diag`` is the kernel diagonal.
     Working-set rule of LIBSVM (Fan, Chen & Lin, JMLR 2005): with
-    f = K @ (alpha*y) - y, i is the maximal violator (the argmax of -f over
-    I_up) and j the violator in I_low with the largest second-order gain
-    (f_j - f_i)^2 / eta_ij; stop once max(-f over I_up) - min(-f over I_low)
-    < tol.  f is cached (Platt 1998; Keerthi et al. 2001): f starts at -y,
-    each step adds two memoized kernel rows, so only the rows of points that
-    enter a working set are ever computed.  b is the mean of -f over the free
-    points, or the midpoint of the two set bounds if none is free.
+    f = K @ (alpha*y) - y and g = -f, i is the maximal violator (the argmax
+    of g over I_up) and j the violator in I_low with the largest second-order
+    gain (g_j - g_i)^2 / eta_ij; stop once max(g over I_up) - min(g over
+    I_low) < tol.  g is cached (Platt 1998; Keerthi et al. 2001): it starts
+    at y, each step subtracts two memoized kernel rows, so only the rows of
+    points that enter a working set are ever computed.  b is the mean of g
+    over the free points, or the midpoint of the two set bounds if none is
+    free.
+
+    A step makes a fixed dozen or so numpy calls into preallocated buffers:
+    I_up and I_low are offset arrays, 0 on their members and -inf / +inf
+    elsewhere, updated only at i and j, and the two-variable clip runs on
+    Python floats.  Negation is exact and g takes one subtraction of the
+    same sum that f would add, so g is -f bit for bit.
 
     Returns (alpha, b, E = f + b, steps, violation), where violation is the
     largest KKT violation left; it exceeds `tol` only when the loop stopped
     at `max_steps` (default 100 n).
     """
     n = len(y)
-    alpha = np.zeros(n)
-    f = -y.astype(float)
-    positive = y > 0
+    ys = y.tolist()
+    alpha = [0.0] * n
+    g = y.astype(float)
     cap = 100 * n if max_steps is None else max_steps
-    above, below = alpha > 1e-12, alpha < c - 1e-12
-    up = np.where(positive, below, above)
-    low = np.where(positive, above, below)
+    # alpha = 0 is below c and not above 0: I_up holds the positives, I_low the rest
+    up_off = np.where(y > 0, 0.0, -np.inf)
+    low_off = np.where(y > 0, np.inf, 0.0)
+    scan, eta, gain, push = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    outside = np.empty(n, dtype=bool)
     for steps in range(cap + 1):
-        g = -f
-        i = int(np.argmax(np.where(up, g, -np.inf)))
-        top, bottom = float(g[i]), float(np.min(g[low]))
+        i = int(np.add(g, up_off, out=scan).argmax())
+        top = g.item(i)
+        np.add(g, low_off, out=scan)
+        bottom = g.item(int(scan.argmin()))
         if top - bottom < tol or steps == cap:
             break
         k_i = row(i)
-        eta = np.maximum(diag[i] + diag - 2.0 * k_i, 1e-12)
-        j = int(np.argmax(np.where(low & (g < top), (f - f[i]) ** 2 / eta, -1.0)))
-        a_i, a_j = alpha[i], alpha[j]
-        s = y[i] * y[j]
+        np.add(diag, diag[i], out=eta)
+        np.subtract(eta, np.multiply(k_i, 2.0, out=gain), out=eta)
+        np.maximum(eta, 1e-12, out=eta)
+        # only members of I_low below top are candidates for j
+        np.greater_equal(scan, top, out=outside)
+        np.subtract(g, top, out=gain)
+        np.divide(np.square(gain, out=gain), eta, out=gain)
+        np.putmask(gain, outside, -1.0)
+        j = int(gain.argmax())
+        a_i, a_j, y_i, y_j = alpha[i], alpha[j], ys[i], ys[j]
+        s = y_i * y_j
         if s < 0:
             lo, hi = max(0.0, a_j - a_i), min(c, c + a_j - a_i)
         else:
             lo, hi = max(0.0, a_i + a_j - c), min(c, a_i + a_j)
-        new_j = min(max(a_j + y[j] * (f[i] - f[j]) / eta[j], lo), hi)
+        new_j = min(max(a_j + y_j * (g.item(j) - top) / eta.item(j), lo), hi)
         new_i = a_i + s * (a_j - new_j)
         alpha[i], alpha[j] = new_i, new_j
-        for t in (i, j):   # only alpha_i and alpha_j moved, so only they change sets
-            above[t], below[t] = alpha[t] > 1e-12, alpha[t] < c - 1e-12
-            up[t], low[t] = (below[t], above[t]) if positive[t] else (above[t], below[t])
-        f += y[i] * (new_i - a_i) * k_i + y[j] * (new_j - a_j) * row(j)
+        for t, a in ((i, new_i), (j, new_j)):   # only they can change sets
+            above, below = a > 1e-12, a < c - 1e-12
+            up, low = (below, above) if ys[t] > 0 else (above, below)
+            up_off[t] = 0.0 if up else -np.inf
+            low_off[t] = 0.0 if low else np.inf
+        np.multiply(k_i, y_i * (new_i - a_i), out=push)
+        np.add(push, np.multiply(row(j), y_j * (new_j - a_j), out=gain), out=push)
+        np.subtract(g, push, out=g)
+    alpha = np.array(alpha)
+    above, below = alpha > 1e-12, alpha < c - 1e-12
     free = above & below
-    b = float(np.mean(-f[free])) if free.any() else (top + bottom) / 2.0
-    err = f + b
+    b = float(np.mean(g[free])) if free.any() else (top + bottom) / 2.0
+    err = b - g
     r = y * err
     violation = np.maximum(np.where(below, -r, 0.0), np.where(above, r, 0.0))
     return alpha, b, err, steps, float(violation.max())
@@ -543,8 +578,10 @@ def train_global_perceptron(examples: Sequence[TrainExample], *,
     flat: list = []   # one slot per training, then per holdout candidate
     slots = []
     for ex in list(examples) + list(validation or ()):
-        slots.append(np.arange(len(flat), len(flat) + len(ex.candidates)))
+        slots.append(slice(len(flat), len(flat) + len(ex.candidates)))
         flat.extend(ex.candidates)
+    # each training candidate with its key and whether it is gold, built once
+    marked = [[(c, c.key, c.key in ex.gold_keys) for c in ex.candidates] for ex in examples]
     holdout_slots = slots[len(examples):] if validation is not None else slots
     by_label: dict = {}
     for slot, cand in enumerate(flat):
@@ -566,17 +603,17 @@ def train_global_perceptron(examples: Sequence[TrainExample], *,
         s2[rows] += (coef * tick) * k
         tick += 1
 
-    def predict(ex: TrainExample, ex_slots: np.ndarray, averaged: bool) -> frozenset:
+    def predict(ex: TrainExample, ex_slots: slice, averaged: bool) -> frozenset:
         margins = s1[ex_slots]
         if averaged and tick > 0:
             margins = (tick * margins - s2[ex_slots]) / tick
         return infer_sentence(ex.candidates, margins.tolist(), scope, ex.sentence_id).keys()
 
     for _epoch in range(epochs):
-        for ex, ex_slots in zip(examples, slots):
+        for ex, ex_slots, ex_marked in zip(examples, slots, marked):
             yhat = predict(ex, ex_slots, averaged=False)
-            promote = [c for c in ex.candidates if c.key in ex.gold_keys and c.key not in yhat]
-            demote = [c for c in ex.candidates if c.key in yhat and c.key not in ex.gold_keys]
+            promote = [c for c, key, gold in ex_marked if gold and key not in yhat]
+            demote = [c for c, key, gold in ex_marked if not gold and key in yhat]
             for cand in promote:
                 update(cand, 1.0)
             for cand in demote:

@@ -415,6 +415,10 @@ def soft(penalty: float) -> ConstraintRule:
     return ConstraintRule("soft", penalty)
 
 
+# the existential rules, by the label kind they constrain
+EXISTENTIAL_RULES = {LabelKind.REFERENCE: "c3", LabelKind.CONTINUATION: "c4"}
+
+
 @dataclass(frozen=True)
 class ConstraintSet:
     """Which of c1..c6 are active, each either hard or soft with a penalty.
@@ -433,6 +437,16 @@ class ConstraintSet:
     c4: ConstraintRule = OFF
     c5: ConstraintRule = OFF
     c6: ConstraintRule = OFF
+
+    def __post_init__(self) -> None:
+        # what the decoder prices on every call, computed once per set and
+        # only read: the cost of each active existential rule by the label
+        # kind it constrains, and the cost of each pairwise rule
+        object.__setattr__(self, "existential_costs", {
+            kind: self.rule(cid).cost for kind, cid in EXISTENTIAL_RULES.items()
+            if self.rule(cid).active})
+        object.__setattr__(self, "pair_costs", {
+            cid: self.rule(cid).cost for cid in ("c1", "c2", "c5", "c6")})
 
     @classmethod
     def hard_rules(cls, *numbers: int) -> "ConstraintSet":
@@ -531,10 +545,6 @@ def overlap_or_core_pairs(items: Sequence[Candidate | Argument]) -> list[tuple[i
             same.append(i)
     pairs.sort()
     return pairs
-
-
-# the existential rules, by the label kind they constrain
-EXISTENTIAL_RULES = {LabelKind.REFERENCE: "c3", LabelKind.CONTINUATION: "c4"}
 
 
 def licenses(base: Candidate | Argument, dependent: Candidate | Argument) -> bool:

@@ -379,6 +379,34 @@ class TestInfer:
         assert rc == 2
         assert f"line {row + 1}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("what", ["tick", "degenerate"])
+    def test_damaged_global_model_exit_2(self, corpus_dir, tmp_path, capsys, what):
+        """A support tick past the label's update count flips the sign of its
+        averaged weight, and a degenerate flag is 0 or 1: either exits 2."""
+        model = tmp_path / "m.gp"
+        assert main(["train", *_system_args(corpus_dir),
+                     "--gold", f"{corpus_dir}/gold.props",
+                     "--scorer", "perceptron-global", "--out", str(model)]) == 0
+        lines = model.read_text().splitlines()
+        head = next(i for i, l in enumerate(lines)
+                    if l.startswith("updates ") and lines[i + 2] != "supports 0")
+        if what == "tick":
+            row = head + 3
+            coef, _tick, *ids = lines[row].split()
+            lines[row] = " ".join([coef, "999999", *ids])
+        else:
+            row = head + 1
+            lines[row] = "degenerate 7"
+        model.write_text("\n".join(lines) + "\n")
+        rc = main(["infer", *_system_args(corpus_dir), "--engine", "dp",
+                   "--scorer", "perceptron-global", "--model", str(model),
+                   "--out", str(tmp_path / "x.props")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"srlcomb: {model}: model file: ")
+        assert err.endswith(f" at line {row + 1}\n") and "Traceback" not in err
+        assert not (tmp_path / "x.props").exists()
+
     @pytest.mark.parametrize("damaged", ["degree 0", "degree 3"])
     def test_label_degree_other_than_models_exit_2(self, corpus_dir, tmp_path, capsys,
                                                    damaged):
@@ -525,6 +553,7 @@ class TestBadInput:
         (["train", "--scorer", "perceptron-global", "--epochs", "0"], "--epochs"),
         (["train", "--scorer", "perceptron-local", "--epochs", "-1"], "--epochs"),
         (["train", "--scorer", "svm", "--C", "0"], "--C"),
+        (["train", "--scorer", "svm", "--C", "1e-13"], "--C"),
         (["infer", "--bootstrap", "5"], "--bootstrap"),
         (["infer", "--gamma", "nan"], "--gamma"),
         (["infer", "--bias", "nan"], "--bias"),
@@ -535,7 +564,7 @@ class TestBadInput:
         (["synth", "--precision", "2"], "--precision"),
         (["infer", "--seed", "-1"], "--seed"),
         (["infer", "--jobs", "0"], "--jobs"),
-    ], ids=["epochs-0", "epochs-negative", "C-0", "bootstrap-5", "gamma-nan", "bias-nan",
+    ], ids=["epochs-0", "epochs-negative", "C-0", "C-below-bound-tolerance", "bootstrap-5", "gamma-nan", "bias-nan",
             "val-fraction-1.5", "node-budget-negative", "o-values-abc", "o-values-empty",
             "synth-precision-2",
             "seed-negative", "jobs-0"])

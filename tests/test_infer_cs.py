@@ -12,6 +12,7 @@ from srlcomb.infer_cs import (
     DEFAULT_O_GRID,
     InferenceTimeout,
     Scope,
+    decode,
     infer_corpus,
     solve_with_stats,
     sweep_bias,
@@ -182,6 +183,31 @@ class TestTieRule:
             assert set(sol.selected) == chosen, f"trial {trial}"
             tied += optima > 1
         assert tied >= 40
+
+
+class TestRuleCosts:
+    def test_alternating_sets_keep_their_own_costs(self):
+        """decode reads each set's rule costs from the set itself: calls that
+        alternate between two sets differing only in the c5 penalty each
+        match the oracle under their own set, and the optima differ often
+        enough that a stale or shared cost table would fail."""
+        cheap = ConstraintSet.parse("1+2+5:soft=0.05")
+        dear = replace(cheap, c5=soft(0.9))
+        assert (cheap.pair_costs["c5"], dear.pair_costs["c5"]) == (0.05, 0.9)
+        rng = random.Random(41)
+        differ = 0
+        for trial in range(80):
+            cands = random_candidates(rng, rng.randint(2, 10), n_predicates=3, n_tokens=12)
+            margins = [c.prob_sum() - 0.3 for c in cands]
+            chosen = []
+            for cs in (cheap, dear, cheap):
+                sol, _ = decode(cands, margins, cs, 0)
+                want, best = tie_rule_best(cands, margins, cs)[:2]
+                assert abs(sol.objective - want) < 1e-9, f"trial {trial}"
+                assert set(sol.selected) == best, f"trial {trial}"
+                chosen.append(set(sol.selected))
+            differ += chosen[0] != chosen[1]
+        assert differ >= 10
 
 
 def _supports(base, dependent) -> bool:

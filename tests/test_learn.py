@@ -35,6 +35,7 @@ from srlcomb.infer_dp import infer_sentence
 from srlcomb.model import FeatureVector
 from srlcomb.pool import align_gold, build_pool
 from conftest import NOT_LINE_BREAKS, cand
+import reference_smo
 
 
 def fv(space: FeatureSpace, *names: str) -> FeatureVector:
@@ -277,6 +278,33 @@ class TestSmoOracle:
             assert abs(alpha @ y) < 1e-9, label
             assert violation <= tol, label
             np.testing.assert_allclose(err, k @ (alpha * y) + b - y, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("max_steps", [None, 1, 7])
+    @pytest.mark.parametrize("c", [1.0, 5e-4])
+    def test_same_path_as_reference(self, real_label_problems, c, max_steps):
+        """The rewritten loop takes the reference's working sets, so every
+        output is the same bit for bit, also when stopped early; the last
+        problem holds flipped duplicates, whose pairs clamp eta."""
+        assert real_label_problems[-1][0].endswith("with flipped duplicates")
+        for label, k, y in real_label_problems:
+            row, diag = (lambda i: k[i]), np.diagonal(k)
+            alpha, b, err, steps, violation = _smo(row, diag, y, c, DEFAULT_KKT_TOL, max_steps)
+            want = reference_smo._smo(row, diag, y, c, DEFAULT_KKT_TOL, max_steps)
+            assert np.array_equal(alpha, want[0]), label
+            assert b == want[1], label
+            assert np.array_equal(err, want[2]), label
+            assert (steps, violation) == (want[3], want[4]), label
+            if max_steps is not None:
+                assert steps == max_steps, label
+
+    def test_model_file_same_as_reference(self, featured_pool, monkeypatch):
+        pool, extractor, intervals, _gold = featured_pool
+        def train() -> str:
+            return train_local_svm(label_datasets(pool), space=extractor.space,
+                                   feature_config=extractor.config, intervals=intervals).saves()
+        text = train()
+        monkeypatch.setattr(learn, "_smo", reference_smo._smo)
+        assert train() == text
 
 
 class TestLocalPerceptron:
@@ -549,6 +577,46 @@ class TestModelFile:
         with pytest.raises(ValueError, match="^line 3 repeats feature 'c' of id 1$"):
             FeatureSpace.load(f"0\ta{char}b\n1\tc\n2\tc\n")
 
+    @pytest.mark.parametrize("tick", ["999999", "-1", "updates", "last"])
+    def test_support_tick_within_horizon(self, tick):
+        """A support's tick lies below its label's update count; past it, the
+        averaged weight coef * (updates - tick) / updates is zero or flips sign."""
+        space = FeatureSpace()
+        model, _ = train_global_perceptron(_marked_examples(space, 6), epochs=2,
+                                           space=space, feature_config=FeatureConfig())
+        lines = model.saves().split("\n")
+        head = next(i for i, l in enumerate(lines) if l.startswith("updates "))
+        updates = int(lines[head].split()[1])
+        assert updates > 1 and lines[head + 2] != "supports 0"
+        coef, _tick, *ids = lines[head + 3].split()
+        value = {"updates": str(updates), "last": str(updates - 1)}.get(tick, tick)
+        lines[head + 3] = " ".join([coef, value, *ids])
+        if tick == "last":
+            assert ScoreModel.loads("\n".join(lines)).saves() == "\n".join(lines)
+            return
+        with pytest.raises(ValueError, match=f"^model file: support tick {value} is outside "
+                                             f"0..{updates - 1} at line {head + 4}$"):
+            ScoreModel.loads("\n".join(lines))
+
+    def test_svm_support_tick_is_zero(self, svm_model_text):
+        lines = svm_model_text.split("\n")
+        row = next(i for i, l in enumerate(lines)
+                   if l.startswith("supports ") and l != "supports 0") + 1
+        assert lines[row - 3] == "updates 0"
+        coef, _tick, *ids = lines[row].split()
+        lines[row] = " ".join([coef, "1", *ids])
+        with pytest.raises(ValueError, match=f"tick 1 is outside 0..0 at line {row + 1}$"):
+            ScoreModel.loads("\n".join(lines))
+
+    @pytest.mark.parametrize("flag", ["7", "-1", "2"])
+    def test_degenerate_flag_is_zero_or_one(self, svm_model_text, flag):
+        lines = svm_model_text.split("\n")
+        row = next(i for i, l in enumerate(lines) if l.startswith("degenerate "))
+        lines[row] = f"degenerate {flag}"
+        with pytest.raises(ValueError, match=f"^model file: degenerate flag {flag} is neither "
+                                             f"0 nor 1 at line {row + 1}$"):
+            ScoreModel.loads("\n".join(lines))
+
     def test_crlf_model_reads_as_lf(self, svm_model_text):
         crlf = svm_model_text.replace("\n", "\r\n")
         assert ScoreModel.loads(crlf).saves() == svm_model_text
@@ -651,12 +719,9 @@ def _train(kind: str, featured_pool, degree: int) -> ScoreModel:
                                    **common)[0]
 
 
-def _close(got: float, want: float) -> bool:
-    return abs(got - want) <= 1e-9 * max(1.0, abs(want))
-
-
 class TestDualSum:
-    """Scores against the one-support-at-a-time reference `ref_score`."""
+    """Scores against the one-support-at-a-time reference `ref_score`: the
+    dual sums add the same terms in the same order, so they agree bit for bit."""
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["svm", "perceptron-local", "perceptron-global"])
@@ -668,11 +733,11 @@ class TestDualSum:
             for c, m in zip(sent.candidates, margins, strict=True):
                 scorer = model.scorers.get(c.label.text)
                 want = 0.0 if scorer is None else ref_score(scorer, c.features, averaged=True)
-                assert _close(m, want), (kind, degree)
+                assert m == want, (kind, degree)
                 if scorer is not None:
                     for averaged in (False, True):
                         alone = scorer.scores([c.features], averaged)[0]
-                        assert _close(alone, ref_score(scorer, c.features, averaged))
+                        assert alone == ref_score(scorer, c.features, averaged)
 
     @pytest.mark.parametrize("kind", ["svm", "perceptron-global"])
     def test_edge_cases(self, featured_pool, kind):
@@ -710,7 +775,7 @@ class TestDualSum:
                 if c.features.ids and min(c.features.ids) >= unseen:
                     # no support shares an id: every kernel value is 1
                     seen_kinds.add("unseen ids")
-                assert _close(m, ref_score(scorer, c.features, averaged=True))
+                assert m == ref_score(scorer, c.features, averaged=True)
         assert seen_kinds == {"no scorer", "bias only", "empty", "unseen ids"}
 
 
