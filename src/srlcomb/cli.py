@@ -120,10 +120,8 @@ def _check_numeric_options(args) -> None:
 
 # where options act: (subcommand, destinations, test that they act, the case where they do not)
 _ACTS_WHEN = [
-    ("infer", "scorer", lambda a: a.engine == "dp", "with --engine cs"),
-    ("infer", "model syntax", lambda a: a.scorer != "probsum", "with --scorer probsum"),
-    ("infer", "bias", lambda a: a.scorer == "probsum", "with a trained --scorer"),
-    ("infer", "constraints trace", lambda a: a.engine == "cs", "with --engine dp"),
+    ("infer", "scorer model syntax scope", lambda a: a.engine == "dp", "with --engine cs"),
+    ("infer", "bias constraints trace", lambda a: a.engine == "cs", "with --engine dp"),
     ("infer", "seed bootstrap report", lambda a: a.gold is not None, "without --gold"),
     ("train", "C", lambda a: a.scorer == "svm", "with a Perceptron --scorer"),
     ("train", "epochs", lambda a: a.scorer != "svm", "with --scorer svm"),
@@ -218,12 +216,11 @@ def _load_sentences(args):
 
 
 def _cs_config(args, bias: float = DEFAULT_BIAS) -> CsConfig:
-    """The cs engine's settings; without --constraints, the scope's defaults.
-    A constraint spec that does not parse, or that the scope forbids, is an
-    input error."""
+    """The cs engine's settings: the rules of --constraints, 1+2+5+6 without
+    it.  A constraint spec that does not parse is an input error."""
     try:
         return CsConfig.for_scope(
-            Scope(args.scope), bias=bias, node_budget=args.node_budget,
+            Scope.FULL_SENTENCE, bias=bias, node_budget=args.node_budget,
             constraints=None if args.constraints is None else ConstraintSet.parse(args.constraints))
     except ValueError as exc:
         raise FormatError(f"--constraints {args.constraints}: {exc}") from exc
@@ -296,7 +293,10 @@ def cmd_infer(args) -> int:
         if cfg.constraints.c1.mode != "hard":
             raise FormatError(f"--constraints {args.constraints}: infer needs c1 hard, "
                               "since a props column cannot hold overlapping arguments")
-    elif args.scorer != "probsum" and not args.model:
+    elif args.scorer == "probsum":
+        raise FormatError("--engine dp decodes a trained --scorer with its --model; for probsum "
+                          "use --engine cs --constraints 1+2 (--scope pred) or 1+2+5 (sentence)")
+    elif not args.model:
         raise FormatError("engine=dp with a trained scorer needs --model")
     pool, gold = _load_pool(args, args.gamma)
 
@@ -309,15 +309,11 @@ def cmd_infer(args) -> int:
             print(f"trace: {sum(nodes for _, nodes in decoded)} nodes total")
         solutions = [sol for sol, _ in decoded]
     else:
-        if args.scorer == "probsum":
-            margins = [[c.prob_sum() - args.bias for c in sent.candidates]
-                       for sent in pool.sentences]
-        else:
-            model, pool = _scored_pool_for_model(args, pool)
-            try:
-                margins = score_pool(model, pool)
-            except ValueError as exc:
-                raise FormatError(f"{args.model}: model {exc}") from None
+        model, pool = _scored_pool_for_model(args, pool)
+        try:
+            margins = score_pool(model, pool)
+        except ValueError as exc:
+            raise FormatError(f"{args.model}: model {exc}") from None
         solutions = decode_corpus(pool, margins, Scope(args.scope), node_budget=args.node_budget)
 
     predicted = solutions_to_props(pool, solutions)
@@ -492,13 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scorer",
                    choices=["probsum", "svm", "perceptron-local", "perceptron-global"],
                    default="probsum")
-    p.add_argument("--scope", choices=["pred", "sentence"], default="sentence")
+    p.add_argument("--scope", choices=["pred", "sentence"], default="sentence",
+                   help="rules of engine=dp: 1+2 per predicate, or 1+2+5 over the sentence")
     p.add_argument("--constraints", default=None, metavar="SPEC",
-                   help='e.g. "1+2+5+6" or "1+2+3:soft=0.5"; default 1+2 (+5+6 at '
-                        "sentence scope) for engine=cs")
+                   help='rules of engine=cs, e.g. "1+2" or "1+2+3:soft=0.5"; default 1+2+5+6')
     p.add_argument("--bias", type=float, default=DEFAULT_BIAS,
                    help="score credited per unselected candidate (O)")
-    p.add_argument("--model", help="trained model file (scorer != probsum)")
+    p.add_argument("--model", help="trained model file (engine=dp)")
     p.add_argument("--bootstrap", type=int, default=DEFAULT_BOOTSTRAP,
                    help="bootstrap resamples when scoring against gold")
     p.add_argument("--node-budget", type=int, default=None,
@@ -526,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sweep", cmd_sweep, "precision/recall tradeoff over the bias O",
             "system gold gamma")
-    p.add_argument("--scope", choices=["pred", "sentence"], default="sentence")
     p.add_argument("--constraints", default=None, metavar="SPEC")
     p.add_argument("--o-values", default=None,
                    help="comma-separated grid; default 0,0.05,...,1.0")

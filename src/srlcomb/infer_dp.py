@@ -1,10 +1,10 @@
 """Learning-based inference: pick the maximum-confidence consistent structure.
 
-Each sentence's candidates and their scorer margins, in the same order, go
-to the one exact decoder, ``infer_cs.decode``, under hard c1+c2 at predicate
-scope or hard c1+c2+c5 at sentence scope (cross-predicate embedding
-allowed).  ``decode`` selects only positive margins, the tie rule at 0, and
-rejects a margin that is not finite.
+Each sentence's candidates and their trained scorer's margins, in the same
+order, go to the one exact decoder, ``infer_cs.decode``, under the cs
+engine's predicate-scope rules, hard c1+c2, or under hard c1+c2+c5 at
+sentence scope (cross-predicate embedding allowed).  ``decode`` selects only
+positive margins, the tie rule at 0, and rejects a margin that is not finite.
 
 ``ScoredCandidate`` and the interval dynamic program ``dp_predicate`` are the
 independent reference for the predicate scope only; no runtime path calls
@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .model import STRUCTURAL_RULES, Candidate, ConstraintSet, LabelKind, Solution
-from .infer_cs import Scope, decode
+from .model import STRUCTURAL_RULES, Candidate, LabelKind, Solution
+from .infer_cs import Scope, decode, default_constraints
 from .pool import CandidatePool
 
-_RULES = {Scope.PRED_BY_PRED: ConstraintSet.hard_rules(1, 2),
+_RULES = {Scope.PRED_BY_PRED: default_constraints(Scope.PRED_BY_PRED),
           Scope.FULL_SENTENCE: STRUCTURAL_RULES}
 
 

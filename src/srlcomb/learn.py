@@ -25,6 +25,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, islice
+from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -168,6 +169,7 @@ class ScoreModel:
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.saves())
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import shutil
 from pathlib import Path
@@ -30,6 +31,16 @@ def corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
     assert main(["synth", "--out", str(out), "--seed", "7", "--sentences", "40"]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def fs2_svm_model(corpus_dir, tmp_path_factory):
+    """An SVM that sees only same-predicate overlaps (FS2), so that it rates
+    conflicting candidates of corpus_dir above 0 and decoding must search."""
+    path = tmp_path_factory.mktemp("svm") / "m.svm"
+    assert main(["train", *_system_args(corpus_dir), "--gold", f"{corpus_dir}/gold.props",
+                 "--scorer", "svm", "--features", "FS2", "--out", str(path)]) == 0
+    return path
 
 
 def _system_args(d: Path, scores: bool = True) -> list:
@@ -163,8 +174,7 @@ class TestInfer:
         out = tmp_path / "pred.props"
         rc = main(["infer", *_system_args(corpus_dir),
                    "--gold", f"{corpus_dir}/gold.props",
-                   "--engine", "cs", "--constraints", "1+2",
-                   "--scope", "pred", "--out", str(out)])
+                   "--engine", "cs", "--constraints", "1+2", "--out", str(out)])
         assert rc == 0
         assert out.exists()
         assert (tmp_path / "pred.props.manifest.json").exists()
@@ -177,8 +187,8 @@ class TestInfer:
 
     def test_deterministic_output(self, corpus_dir, tmp_path):
         a, b = tmp_path / "a.props", tmp_path / "b.props"
-        base = ["infer", *_system_args(corpus_dir), "--engine", "dp",
-                "--scope", "sentence"]
+        base = ["infer", *_system_args(corpus_dir), "--engine", "cs",
+                "--constraints", "1+2+5"]
         assert main(base + ["--out", str(a)]) == 0
         assert main(base + ["--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
@@ -219,9 +229,9 @@ class TestInfer:
         assert rc == 4
 
     @pytest.mark.parametrize("scope", ["pred", "sentence"])
-    def test_dp_timeout_exit_4(self, corpus_dir, tmp_path, capsys, scope):
-        rc = main(["infer", *_system_args(corpus_dir), "--engine", "dp",
-                   "--scope", scope, "--node-budget", "1",
+    def test_dp_timeout_exit_4(self, corpus_dir, fs2_svm_model, tmp_path, capsys, scope):
+        rc = main(["infer", *_system_args(corpus_dir), "--engine", "dp", "--scorer", "svm",
+                   "--model", str(fs2_svm_model), "--scope", scope, "--node-budget", "1",
                    "--out", str(tmp_path / "x.props")])
         assert rc == 4
         assert "node budget 1 exhausted" in capsys.readouterr().err
@@ -235,9 +245,12 @@ class TestInfer:
             lines = (corpus / "sys1.scores").read_text(encoding="utf-8").splitlines()
             lines[0] = " ".join(lines[0].split()[:-1] + [score])
             (corpus / "sys1.scores").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        for engine in ("cs", "dp"):
-            out = tmp_path / f"{engine}.props"
-            assert main(["infer", *_system_args(corpus), "--engine", engine,
+        model = tmp_path / "m.svm"
+        assert main(["train", *_system_args(corpus), "--gold", f"{corpus}/gold.props",
+                     "--scorer", "svm", "--gamma", gamma, "--out", str(model)]) == 0
+        for engine in (["cs"], ["dp", "--scorer", "svm", "--model", str(model)]):
+            out = tmp_path / f"{engine[0]}.props"
+            assert main(["infer", *_system_args(corpus), "--engine", *engine,
                          "--gamma", gamma, "--out", str(out)]) == 0
             assert out.exists()
         assert "Traceback" not in capsys.readouterr().err
@@ -285,6 +298,8 @@ class TestInfer:
         assert rc == 2
         err = capsys.readouterr().err
         assert "--model" in err and "Traceback" not in err
+        if engine == "dp":      # dp decodes only a trained scorer; cs decodes probsum
+            assert "--engine cs --constraints 1+2 (--scope pred) or 1+2+5" in err
         assert not (tmp_path / "x.props").exists()
 
     @pytest.mark.parametrize("option", [["--constraints", "1+2"], ["--trace"]])
@@ -534,7 +549,7 @@ class TestInfer:
 
     @pytest.mark.parametrize("argv", [
         ["infer", "--engine", "cs", "--constraints", "9"],
-        ["infer", "--engine", "cs", "--scope", "pred", "--constraints", "1+2+5"],
+        ["sweep", "--constraints", "1+3:soft=1e999"],
         ["infer", "--engine", "cs", "--constraints", "1+3:soft=1e999"],
         ["sweep", "--constraints", "9"],
     ])
@@ -903,6 +918,14 @@ class TestTrain:
                    "--scorer", "svm", "--out", str(model)])
         assert rc == 0
 
+    def test_out_directory_created(self, corpus_dir, tmp_path):
+        """train makes the model's directory, as every other writer does."""
+        model = tmp_path / "new" / "dir" / "m.svm"
+        assert main(["train", *_system_args(corpus_dir), "--gold", f"{corpus_dir}/gold.props",
+                     "--scorer", "svm", "--out", str(model)]) == 0
+        assert ScoreModel.load(model).kind == "svm"
+        assert (model.parent / "m.svm.manifest.json").exists()
+
 
 class TestSweepAndCurves:
     def test_sweep_default_grid(self, corpus_dir, tmp_path):
@@ -919,7 +942,7 @@ class TestSweepAndCurves:
         assert out.read_text() == sweep_bias(pool, gold, CsConfig()).csv()
 
     @pytest.mark.parametrize("rules", [
-        ["--scope", "sentence"], ["--scope", "pred"],
+        [], ["--constraints", "1+2"],
         ["--constraints", "1+2+3:soft=0.3+4:soft=0.5+5+6"],
     ], ids=["sentence", "pred", "soft-c3-c4"])
     def test_sweep_rows_match_infer(self, corpus_dir, tmp_path, capsys, rules):
@@ -987,12 +1010,13 @@ class TestOptions:
         sub = {a.dest: a for a in build_parser()._actions}["command"]
         counted = [opt for p in sub.choices.values() for a in p._actions
                    for opt in a.option_strings[:1] if opt != "-h"]
-        assert len(counted) == 60
+        assert len(counted) == 59
 
     @pytest.mark.parametrize("command,option", [
         ("pool", "--syntax"), ("pool", "--seed"), ("pool", "--jobs"),
         ("train", "--seed"),
         ("sweep", "--syntax"), ("sweep", "--seed"), ("sweep", "--jobs"), ("sweep", "--bias"),
+        ("sweep", "--scope"),
         ("curves", "--syntax"), ("curves", "--seed"), ("curves", "--jobs"),
         ("oracle", "--syntax"), ("oracle", "--gamma"), ("oracle", "--seed"),
         ("oracle", "--jobs"),
@@ -1003,7 +1027,7 @@ class TestOptions:
         if command != "pool":
             argv += ["--out", str(tmp_path / "x.out")]
         assert main(argv) == 0
-        value = f"{corpus_dir}/gold.synt" if option == "--syntax" else "1"
+        value = {"--syntax": f"{corpus_dir}/gold.synt", "--scope": "pred"}.get(option, "1")
         with pytest.raises(SystemExit) as exit_:
             main(argv + [option, value])
         assert exit_.value.code == 2
@@ -1013,11 +1037,14 @@ _TRAINED = ["svm", "perceptron-local", "perceptron-global"]
 
 # every (subcommand, option, mode) in which an option set off its default
 # does nothing, or is refused as --jobs other than 1 is, with the option
-# named in the message
+# named in the message; and --engine dp without a trained scorer to decode,
+# with the message naming --engine
 _IDLE_OPTIONS = (
     [(["infer", "--engine", "cs", "--scorer", s], "--scorer") for s in _TRAINED]
-    + [(["infer", "--engine", engine, option, "x"], option)
-       for engine in ("cs", "dp") for option in ("--model", "--syntax")]
+    + [(["infer", "--engine", "cs", option, "x"], option) for option in ("--model", "--syntax")]
+    + [(["infer", "--engine", "dp", *given], "--engine")
+       for given in (["--model", "x"], ["--syntax", "x"], [], ["--scorer", "probsum"])]
+    + [(["infer", "--engine", "cs", "--scope", "pred"], "--scope")]
     + [(["infer", "--engine", "dp", "--scorer", s, "--model", "m", "--bias", "0.5"], "--bias")
        for s in _TRAINED]
     + [(["infer", "--engine", "dp", *given], given[0])
@@ -1055,6 +1082,19 @@ class TestOptionsAct:
         err = capsys.readouterr().err
         assert err.startswith(f"srlcomb: {option} ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_readme_table_lists_every_row(self):
+        """The README's "acts when" table names exactly the (subcommand,
+        option) pairs of cli._ACTS_WHEN."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        lines = readme.split("| subcommand | option | acts when |\n", 1)[1].splitlines()
+        listed = set()
+        for line in itertools.takewhile(lambda l: l.startswith("|"), lines[1:]):
+            command, options = line.split("|")[1:3]
+            listed |= {(command.strip(" `"), opt.strip(" `")) for opt in options.split(",")}
+        assert listed == {(command, "--" + dest.replace("_", "-"))
+                          for command, dests, _acts, _where in cli._ACTS_WHEN
+                          for dest in dests.split()}
 
     def test_dp_without_model_exit_2_before_reading_input(self, tmp_path, capsys):
         assert main(["infer", "--engine", "dp", "--scorer", "svm",
@@ -1168,12 +1208,12 @@ class TestCollector:
     @pytest.mark.parametrize("n", [20, 200])
     @pytest.mark.parametrize("command", [
         ["infer", "--engine", "cs"],
-        ["infer", "--engine", "dp", "--scorer", "probsum"],
+        ["infer", "--engine", "cs", "--constraints", "1+2"],
         ["infer", "--engine", "dp", "--scorer", "svm", "--scope", "pred", "--model", "m.svm"],
         ["train", "--scorer", "svm"],
         ["train", "--scorer", "perceptron-local"],
         ["train", "--scorer", "perceptron-global"],
-    ], ids=["cs", "dp-probsum", "dp-svm", "svm", "perceptron-local", "perceptron-global"])
+    ], ids=["cs", "cs-1+2", "dp-svm", "svm", "perceptron-local", "perceptron-global"])
     def test_cyclic_garbage_does_not_grow_with_corpus(self, corpora, tmp_path, capsys,
                                                       command, n):
         d, args = corpora[n]

@@ -3,10 +3,13 @@ import random
 
 import pytest
 
-from srlcomb.infer_cs import CsConfig, Scope, decode, solve_with_stats
-from srlcomb.infer_dp import ScoredCandidate, dp_predicate, infer_sentence
+from srlcomb.calibrate import DEFAULT_GAMMA
+from srlcomb.corpus_io import SyntheticConfig, generate_synthetic
+from srlcomb.infer_cs import CsConfig, Scope, decode, infer_corpus, solve_with_stats
+from srlcomb.infer_dp import ScoredCandidate, decode_corpus, dp_predicate, infer_sentence
 from srlcomb.model import STRUCTURAL_RULES, ConstraintSet
-from conftest import cand, random_candidates
+from srlcomb.pool import build_pool
+from conftest import HARD_50, cand, random_candidates
 from enum_oracle import enumerate_best, hard_violations, tie_rule_best
 
 
@@ -191,3 +194,40 @@ class TestDpSentence:
         assert infer_sentence([loc, tmp], [1.0, 1.0], Scope.FULL_SENTENCE, 0).selected == (tmp,)
         cfg = CsConfig.for_scope(Scope.PRED_BY_PRED, bias=0.0)
         assert solve_with_stats([loc, tmp], cfg, 0)[0].selected == (tmp,)
+
+
+@pytest.fixture(scope="module", params=[
+    (1000, 7, {}), (100, 1, {}), (100, 2, {}), (50, 3, HARD_50),
+], ids=["default-1000", "seed-1", "seed-2", "hard-50"])
+def cli_pool(request):
+    """A synthetic corpus pooled as the command line pools it."""
+    n, seed, knobs = request.param
+    _gold, systems = generate_synthetic(SyntheticConfig(n_sentences=n, seed=seed, **knobs))
+    return build_pool([(f"M{i}", d, t) for i, (d, t) in enumerate(systems, 1)],
+                      gamma=DEFAULT_GAMMA)
+
+
+def _selections(solutions) -> list:
+    return [sol.keys() for sol in solutions]
+
+
+class TestProbsumIsCs:
+    """Decoding summed probabilities less O is the cs engine at that O: the
+    dp engine's rules at either scope are a cs rule set, and the cs
+    engine's predicate scope only bans c5/c6, which no search reads."""
+
+    @pytest.mark.parametrize("o", [0.0, 0.3, 0.6])
+    @pytest.mark.parametrize("scope,spec", [(Scope.PRED_BY_PRED, "1+2"),
+                                            (Scope.FULL_SENTENCE, "1+2+5")],
+                             ids=["pred", "sentence"])
+    def test_dp_over_probsum_is_cs(self, cli_pool, scope, spec, o):
+        margins = [[c.prob_sum() - o for c in sent.candidates] for sent in cli_pool.sentences]
+        cfg = CsConfig(bias=o, constraints=ConstraintSet.parse(spec))
+        assert (_selections(decode_corpus(cli_pool, margins, scope))
+                == _selections(sol for sol, _nodes in infer_corpus(cli_pool, cfg)))
+
+    @pytest.mark.parametrize("o", [0.0, 0.3, 0.6])
+    def test_cs_pred_scope_is_its_rules(self, cli_pool, o):
+        assert (infer_corpus(cli_pool, CsConfig.for_scope(Scope.PRED_BY_PRED, bias=o))
+                == infer_corpus(cli_pool, CsConfig(bias=o,
+                                                   constraints=ConstraintSet.hard_rules(1, 2))))
