@@ -10,6 +10,7 @@ scored.  Empty predictions score precision 100 by convention, so F1 goes to
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -98,14 +99,9 @@ def _sentence_counts(predicted: PropsDocument, gold: PropsDocument):
     """Per-sentence (correct, predicted, gold) plus per-label and frame stats."""
     check_skeleton([("prediction", predicted), ("gold", gold)])
     per_sentence = []
-    per_label: dict = {}
+    per_label: dict = defaultdict(lambda: [0, 0, 0])     # [correct, predicted, gold]
     perfect = 0
     n_predicates = 0
-
-    def bump(label: str, kind: str) -> None:
-        c = per_label.setdefault(label, [0, 0, 0])
-        c[{"correct": 0, "predicted": 1, "gold": 2}[kind]] += 1
-
     for psent, gsent in zip(predicted.sentences, gold.sentences):
         correct = n_pred = n_gold = 0
         for p in range(len(gsent.predicates)):
@@ -121,12 +117,12 @@ def _sentence_counts(predicted: PropsDocument, gold: PropsDocument):
             n_gold += len(gold_set)
             if pred_set == gold_set:
                 perfect += 1
-            for l, s in pred_set:
-                bump(l, "predicted")
-            for l, s in gold_set:
-                bump(l, "gold")
-            for l, s in matched:
-                bump(l, "correct")
+            for l, _ in pred_set:
+                per_label[l][1] += 1
+            for l, _ in gold_set:
+                per_label[l][2] += 1
+            for l, _ in matched:
+                per_label[l][0] += 1
         per_sentence.append((correct, n_pred, n_gold))
     return per_sentence, per_label, perfect, n_predicates
 

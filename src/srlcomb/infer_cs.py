@@ -14,7 +14,10 @@ there is no external ILP dependency.
 ``decode`` is the one exact decoder of both engines: this engine decodes
 summed probabilities against the bias, the learning-based engine
 (``infer_dp``) its scorers' confidences.  It searches each component of the
-conflict graph alone, so a scope only chooses the rules.
+conflict graph alone, so a scope only chooses the rules.  Its setup makes
+one sweep over the spans in start order, which asks ``pair_rules`` only
+about the overlapping or same-core pairs, and prices each broken pair by
+one lookup.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .evaluate import score
-from .model import (Candidate, ConstraintSet, Solution, licenses,
-                    overlap_or_core_pairs, pair_rules)
+from .model import Candidate, ConstraintSet, Solution, broken_pairs, licenses
 from .pool import CandidatePool, solutions_to_props
 
 _EPS = 1e-12
@@ -91,6 +93,20 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _by_margin(indices: list[int], margins: Sequence[float],
+               candidates: Sequence[Candidate]) -> list[int]:
+    """``indices`` sorted in place in (-margin, key) order: by margin, then
+    by key within each run of equal margins."""
+    indices.sort(key=margins.__getitem__, reverse=True)
+    first = 0       # where the current run of equal margins starts
+    for p in range(1, len(indices) + 1):
+        if p == len(indices) or margins[indices[p]] != margins[indices[first]]:
+            if p - first > 1:
+                indices[first:p] = sorted(indices[first:p], key=lambda i: candidates[i].key)
+            first = p
+    return indices
+
+
 def decode(candidates: Sequence[Candidate], margins: Sequence[float], cs: ConstraintSet,
            sentence_id: int, bias: float = 0.0,
            node_budget: Optional[int] = None) -> tuple[Solution, int]:
@@ -99,11 +115,12 @@ def decode(candidates: Sequence[Candidate], margins: Sequence[float], cs: Constr
     nodes visited).  Only the candidates with a positive margin, and those
     that could license one of them under an active c3/c4 rule, can raise the
     objective; only they are sorted, in (-margin, key) order.  A margin that
-    is not finite is a ValueError.
+    is not finite, or a margin count other than the candidate count, is a
+    ValueError.
 
-    Only a pair that overlaps, or that shares a predicate and a core label,
-    can break a pairwise rule, so only the pairs ``overlap_or_core_pairs``
-    yields are priced, by ``pair_rules``.  Two candidates are linked when
+    ``broken_pairs`` names the pairs that break a pairwise rule, with the
+    rules ``pair_rules`` finds, and each pair's cost is one lookup of that
+    rule tuple in ``cs.broken_costs``.  Two candidates are linked when
     their pair costs or one is a c3/c4 base of the other.  No cost crosses
     a connected component of the links, and the tie rule (fewest
     candidates, then the least sorted signature) ranks unions of disjoint
@@ -124,34 +141,31 @@ def decode(candidates: Sequence[Candidate], margins: Sequence[float], cs: Constr
     base, so dropping one loses no leaf, and no leaf breaks a hard rule.
 
     The bound is the clique-cover bound (Ostergard, Nordic J. Computing 2001)
-    over a greedy partition of the positive candidates into cliques of the
-    hard-conflict graph: a selection takes at most one more member of each
+    over a greedy partition of a component's positive members into cliques of
+    the hard-conflict graph: a selection takes at most one more member of each
     clique, worth at most the margin of its first member still available.
     Only subtrees strictly worse than the best leaf are pruned, so every
     optimal leaf meets the tie rule.  The search closure refers to itself
     and is deleted on the way out, so no cycle is left for the collector.
     """
+    if len(margins) != len(candidates):
+        raise ValueError(f"{len(margins)} margins for {len(candidates)} candidates")
     if not all(map(math.isfinite, margins)):
         raise ValueError("margins must be finite")
-    def rank(i: int) -> tuple:
-        return -margins[i], candidates[i].key
-
-    everyone = range(len(candidates))
-    kept = sorted((i for i in everyone if margins[i] > 0.0), key=rank)
+    kept = _by_margin([i for i, m in enumerate(margins) if m > 0.0], margins, candidates)
     # the costs of the active existential rules: R-X needs X; C-X an earlier X
     existential = cs.existential_costs
     if existential:
         dependents = [candidates[i].argument for i in kept
                       if candidates[i].label.kind in existential]
-        kept += sorted((i for i in everyone if margins[i] <= 0.0
-                        and any(licenses(candidates[i].argument, d) for d in dependents)),
-                       key=rank)
+        kept += _by_margin([i for i, m in enumerate(margins) if m <= 0.0 and any(
+            licenses(candidates[i].argument, d) for d in dependents)], margins, candidates)
     cands = [candidates[i] for i in kept]
     args = [c.argument for c in cands]      # the rules read only the argument
     gains = [margins[i] for i in kept]
     n = len(cands)
 
-    pair_cost = cs.pair_costs
+    broken_cost = cs.broken_costs
     hard_mask = [0] * n
     soft_pen: list[dict] = [dict() for _ in range(n)]
     # i and j are linked when their pair costs or one is a c3/c4 base of the
@@ -159,13 +173,8 @@ def decode(candidates: Sequence[Candidate], margins: Sequence[float], cs: Constr
     links = [0] * n
     # in ascending (i, j) order, so each soft_pen[i] holds its j in index
     # order, the order in which the search adds up a node's penalties
-    for i, j in overlap_or_core_pairs(args):
-        broken = pair_rules(args[i], args[j])
-        if not broken:
-            continue
-        pen = 0.0
-        for cid in broken:
-            pen += pair_cost[cid]
+    for i, j, rules in broken_pairs(args):
+        pen = broken_cost[rules]
         if pen == math.inf:
             hard_mask[i] |= 1 << j
             hard_mask[j] |= 1 << i
@@ -187,20 +196,6 @@ def decode(candidates: Sequence[Candidate], margins: Sequence[float], cs: Constr
         links[bit.bit_length() - 1] |= bases | bit
         for j in _bits(bases):
             links[j] |= bit
-
-    # a static greedy clique partition of the positive candidates; members
-    # are in margin order, so a clique's lowest available bit is its best
-    worth = {1 << i: g for i, g in enumerate(gains) if g > 0.0}
-    cliques: list[int] = []
-    for i in range(n):
-        if gains[i] <= 0.0:
-            break
-        for k, q in enumerate(cliques):
-            if hard_mask[i] & q == q:
-                cliques[k] = q | 1 << i
-                break
-        else:
-            cliques.append(1 << i)
 
     best_gain, best_mask, best_size, best_sig = float("-inf"), 0, 0, None
     nodes = 0
@@ -227,7 +222,8 @@ def decode(candidates: Sequence[Candidate], margins: Sequence[float], cs: Constr
         if node_budget is not None and nodes > node_budget:
             found = best_gain if best_gain > float("-inf") else 0.0
             raise InferenceTimeout(f"node budget {node_budget} exhausted", Solution.make(
-                sentence_id, selected + [cands[i] for i in _bits(best_mask)], objective + found))
+                sentence_id, selected + [cands[i] for i in _bits(chosen | best_mask)],
+                objective + found))
         net = gain      # the gain less the dependents already certain to cost
         for bit, bases, margin, cost in comp_deps:
             if not bases & (mask | avail):
@@ -243,7 +239,7 @@ def decode(candidates: Sequence[Candidate], margins: Sequence[float], cs: Constr
             for q in comp_cliques:
                 q &= avail
                 if q:
-                    bound += worth[q & -q]
+                    bound += gains[(q & -q).bit_length() - 1]
                     if bound >= floor:
                         break
             else:
@@ -262,7 +258,7 @@ def decode(candidates: Sequence[Candidate], margins: Sequence[float], cs: Constr
     lone = [i for i in range(n) if not links[i] and gains[i] > _EPS]
     selected: list[Candidate] = [cands[i] for i in lone]
     objective = sum((gains[i] for i in lone), bias * len(candidates))
-    seen = 0
+    chosen = seen = 0   # the best leaves and the members of the components searched
     try:
         for i in range(n):
             if seen >> i & 1 or not links[i]:
@@ -274,13 +270,25 @@ def decode(candidates: Sequence[Candidate], margins: Sequence[float], cs: Constr
                 todo = (todo | links[low.bit_length() - 1]) & ~comp
             seen |= comp
             comp_deps = [d for d in deps if d[0] & comp]
-            comp_cliques = [q for q in cliques if q & comp]
+            # a greedy clique partition of the positive members; they are in
+            # margin order, so a clique's lowest available bit is its best
+            comp_cliques: list[int] = []
+            for j in _bits(comp):
+                if gains[j] <= 0.0:
+                    break
+                for k, q in enumerate(comp_cliques):
+                    if hard_mask[j] & q == q:
+                        comp_cliques[k] = q | 1 << j
+                        break
+                else:
+                    comp_cliques.append(1 << j)
             best_gain, best_mask, best_size, best_sig = float("-inf"), 0, 0, None
             dfs(comp, 0, 0.0, 0)
-            selected += [cands[j] for j in _bits(best_mask)]
+            chosen |= best_mask
             objective += best_gain
     finally:
         del dfs
+    selected += [cands[i] for i in _bits(chosen)]
     return Solution.make(sentence_id, selected, objective), nodes
 
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -275,6 +277,8 @@ class FeatureVector:
 
 CandidateKey = tuple[int, int, str, Span]
 
+_value = itemgetter(1)      # the value of a (system, value) pair
+
 
 @dataclass(frozen=True, init=False)
 class Candidate:
@@ -356,7 +360,7 @@ class Candidate:
         return self.argument.predicate
 
     def prob_sum(self) -> float:
-        return sum([v for _, v in self.probs])
+        return sum(map(_value, self.probs))
 
 
 @dataclass(frozen=True)
@@ -369,7 +373,7 @@ class Solution:
 
     @classmethod
     def make(cls, sentence_id: int, selected: Iterable[Candidate], objective: float) -> "Solution":
-        return cls(sentence_id, tuple(sorted(selected, key=lambda c: c.key)), objective)
+        return cls(sentence_id, tuple(sorted(selected, key=Candidate.key.fget)), objective)
 
     def keys(self) -> frozenset:
         return frozenset(c.key for c in self.selected)
@@ -418,6 +422,10 @@ def soft(penalty: float) -> ConstraintRule:
 # the existential rules, by the label kind they constrain
 EXISTENTIAL_RULES = {LabelKind.REFERENCE: "c3", LabelKind.CONTINUATION: "c4"}
 
+# what ``pair_rules`` returns: one of these shared tuples, in rule order
+_NONE: tuple[str, ...] = ()
+_C1, _C2, _C1_C2, _C5, _C6 = ("c1",), ("c2",), ("c1", "c2"), ("c5",), ("c6",)
+
 
 @dataclass(frozen=True)
 class ConstraintSet:
@@ -441,12 +449,14 @@ class ConstraintSet:
     def __post_init__(self) -> None:
         # what the decoder prices on every call, computed once per set and
         # only read: the cost of each active existential rule by the label
-        # kind it constrains, and the cost of each pairwise rule
+        # kind it constrains, and the summed cost of each rule tuple that
+        # ``pair_rules`` can return
         object.__setattr__(self, "existential_costs", {
             kind: self.rule(cid).cost for kind, cid in EXISTENTIAL_RULES.items()
             if self.rule(cid).active})
-        object.__setattr__(self, "pair_costs", {
-            cid: self.rule(cid).cost for cid in ("c1", "c2", "c5", "c6")})
+        object.__setattr__(self, "broken_costs", {
+            rules: sum((self.rule(cid).cost for cid in rules), 0.0)
+            for rules in (_C1, _C2, _C1_C2, _C5, _C6)})
 
     @classmethod
     def hard_rules(cls, *numbers: int) -> "ConstraintSet":
@@ -487,10 +497,6 @@ def _shared_arg_label(label: RoleLabel) -> bool:
     return label.kind is LabelKind.REFERENCE and bool(label.base) and label.base.startswith("AM")
 
 
-_NONE: tuple[str, ...] = ()
-_C1, _C2, _C1_C2, _C5, _C6 = ("c1",), ("c2",), ("c1", "c2"), ("c5",), ("c6",)
-
-
 def pair_rules(a: Candidate | Argument, b: Candidate | Argument) -> tuple[str, ...]:
     """The pairwise rules among c1, c2, c5 and c6 that selecting both ``a``
     and ``b`` breaks, whether or not a constraint set activates them.  Either
@@ -498,8 +504,7 @@ def pair_rules(a: Candidate | Argument, b: Candidate | Argument) -> tuple[str, .
 
     The result is one of a few shared tuples, in rule order, so a caller
     that asks about many pairs allocates nothing.  The test is symmetric in
-    ``a`` and ``b``; ``overlap_or_core_pairs`` names the pairs worth asking
-    about.
+    ``a`` and ``b``; ``broken_pairs`` asks it about the pairs of a sentence.
     """
     sa, sb = a.span, b.span
     if a.predicate == b.predicate:
@@ -516,35 +521,35 @@ def pair_rules(a: Candidate | Argument, b: Candidate | Argument) -> tuple[str, .
     return _C5          # crossing
 
 
-def overlap_or_core_pairs(items: Sequence[Candidate | Argument]) -> list[tuple[int, int]]:
-    """Every (i, j) with i > j, in ascending order, whose pair may break a
-    rule of ``pair_rules``: the pairs whose spans overlap, since c1, c5 and
-    c6 all need an overlap, and the pairs of one predicate with the same
-    core label, which c2 needs.  Every other pair breaks none, so a caller
-    that asks ``pair_rules`` only about these pairs misses no broken rule.
+def broken_pairs(items: Sequence[Candidate | Argument]) -> list[tuple[int, int, tuple[str, ...]]]:
+    """Every (i, j, rules) with i > j, in ascending order, whose pair breaks
+    the rules ``pair_rules`` names.  Only a pair whose spans overlap, since
+    c1, c5 and c6 all need an overlap, or of one predicate with the same
+    core label, which c2 needs, can break one, so only those pairs are
+    asked about.
 
     A sweep over the spans in start order pairs each span with the later
     starts up to its end, which are exactly the spans that overlap it."""
-    spans = [a.span for a in items]
-    order = sorted(range(len(items)), key=lambda k: spans[k].start)
-    pairs = []
+    starts = [a.span.start for a in items]
+    order = sorted(range(len(items)), key=starts.__getitem__)
+    ordered = sorted(starts)
+    found = []
     cores: dict = {}    # (predicate, core label) -> its indices in start order
     for p, i in enumerate(order):
-        end = spans[i].end
-        for j in order[p + 1:]:
-            if spans[j].start > end:
-                break
-            pairs.append((i, j) if i > j else (j, i))
         a = items[i]
+        partners = order[p + 1:bisect_right(ordered, a.span.end, p + 1)]
         if a.label.kind is LabelKind.CORE:
             same = cores.setdefault((a.predicate, a.label.text), [])
-            start = spans[i].start
-            for j in same:      # the overlapping ones are paired already
-                if spans[j].end < start:
-                    pairs.append((i, j) if i > j else (j, i))
+            for j in same:      # the overlapping ones are partners already
+                if items[j].span.end < starts[i]:
+                    partners.append(j)
             same.append(i)
-    pairs.sort()
-    return pairs
+        for j in partners:
+            rules = pair_rules(a, items[j])
+            if rules:
+                found.append((i, j, rules) if i > j else (j, i, rules))
+    found.sort()
+    return found
 
 
 def licenses(base: Candidate | Argument, dependent: Candidate | Argument) -> bool:

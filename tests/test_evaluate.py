@@ -109,6 +109,7 @@ class TestScore:
         a1, a2 = report.per_label["A1"], report.per_label["A2"]
         assert (a1.correct, a1.predicted, a1.gold) == (0, 0, 1)
         assert (a2.correct, a2.predicted, a2.gold) == (0, 1, 0)
+        assert list(report.per_label) == ["A2", "A1"]    # predicted labels first
         assert report.f1 == 0.0
 
     def test_pprops_partial(self):

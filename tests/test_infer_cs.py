@@ -18,9 +18,10 @@ from srlcomb.infer_cs import (
     sweep_bias,
 )
 from srlcomb.model import (Argument, Candidate, ConstraintSet, ConstraintRule, LabelKind,
-                           RoleLabel, overlap_or_core_pairs, pair_rules, soft)
+                           RoleLabel, pair_rules, soft)
 from srlcomb.pool import align_gold, build_pool
 from conftest import HARD_50, SEARCH_HARD, cand, pool_sentences, random_candidates
+import reference_decode
 from enum_oracle import (assert_feasible, broken_rules, enumerate_best, hard_violations,
                          tie_rule_best, violations)
 
@@ -193,7 +194,7 @@ class TestRuleCosts:
         enough that a stale or shared cost table would fail."""
         cheap = ConstraintSet.parse("1+2+5:soft=0.05")
         dear = replace(cheap, c5=soft(0.9))
-        assert (cheap.pair_costs["c5"], dear.pair_costs["c5"]) == (0.05, 0.9)
+        assert (cheap.broken_costs[("c5",)], dear.broken_costs[("c5",)]) == (0.05, 0.9)
         rng = random.Random(41)
         differ = 0
         for trial in range(80):
@@ -366,13 +367,13 @@ class TestExactnessAtScale:
             calls += 1
             return pair_rules(a, b)
 
-        monkeypatch.setattr("srlcomb.infer_cs.pair_rules", counted)
+        monkeypatch.setattr("srlcomb.model.pair_rules", counted)
         cfg = CsConfig(bias=0.3, constraints=ConstraintSet.parse("1+2+5+6"))
         enumerated = 0
         for sent in pool_sentences(30, 11, SEARCH_HARD):
             solve_with_stats(sent.candidates, cfg, sent.sentence_id)
             kept = [c for c in sent.candidates if c.prob_sum() - cfg.bias > 0.0]
-            enumerated += len(overlap_or_core_pairs(kept))
+            enumerated += len(reference_decode.overlap_or_core_pairs(kept))
         assert calls == enumerated <= 860
 
     def test_no_label_kind_test_without_c3_c4(self, monkeypatch):
@@ -411,6 +412,78 @@ class TestExactnessAtScale:
                                      sent.sentence_id)[1]
                     for sent in pool_sentences(30, 11, SEARCH_HARD))
         assert nodes <= 2600
+
+
+def _same_as_reference(cands, margins, cs, sentence_id, bias) -> int:
+    """Decode with ``decode`` and the reference decoder, in full and under
+    budgets that cut the search short, and check that both select the same
+    candidates with ``==`` objectives and node counts, or time out with the
+    same best-so-far; returns the nodes of the full search."""
+    got = decode(cands, margins, cs, sentence_id, bias)
+    want = reference_decode.decode(cands, margins, cs, sentence_id, bias)
+    assert got == want, sentence_id
+    nodes = want[1]
+    for budget in sorted({1, 2, nodes // 3, nodes // 2, nodes - 1} & set(range(1, nodes))):
+        with pytest.raises(InferenceTimeout) as cut:
+            decode(cands, margins, cs, sentence_id, bias, budget)
+        with pytest.raises(InferenceTimeout) as ref_cut:
+            reference_decode.decode(cands, margins, cs, sentence_id, bias, budget)
+        assert cut.value.best == ref_cut.value.best, (sentence_id, budget)
+    return nodes
+
+
+class TestMatchesReference:
+    """``decode`` against the decoder it replaced, kept verbatim in
+    tests/reference_decode.py: the same selections, objectives, node counts
+    and timeout best-so-far, bit for bit, with margins from the same sums."""
+
+    @staticmethod
+    def _check_pools(sentences, cfg) -> int:
+        nodes = 0
+        for cands, sid in sentences:
+            margins = [reference_decode.prob_sum(c) - cfg.bias for c in cands]
+            assert [c.prob_sum() - cfg.bias for c in cands] == margins
+            assert solve_with_stats(cands, cfg, sid) == reference_decode.decode(
+                cands, margins, cfg.constraints, sid, cfg.bias)
+            nodes += _same_as_reference(cands, margins, cfg.constraints, sid, cfg.bias)
+        return nodes
+
+    def test_search_hard(self):
+        cfg = CsConfig(bias=0.3, constraints=ConstraintSet.parse("1+2+5+6"))
+        sentences = [(s.candidates, s.sentence_id) for s in pool_sentences(30, 11, SEARCH_HARD)]
+        assert self._check_pools(sentences, cfg) > 500
+
+    def test_hard_50(self):
+        cfg = CsConfig(bias=0.3, constraints=ConstraintSet.parse("1+2+5+6"))
+        sentences = [(s.candidates, s.sentence_id) for s in pool_sentences(50, 3, HARD_50)]
+        assert self._check_pools(sentences, cfg) > 10_000
+
+    def test_soft_dependents(self):
+        rng = random.Random(0)
+        cfg = CsConfig(bias=0.3, constraints=ConstraintSet.parse("1+2+3:soft=0.3+4:soft=0.5+5+6"))
+        sentences = [(_with_dependents(s.candidates, rng, 0.25), s.sentence_id)
+                     for s in pool_sentences(30, 11, SEARCH_HARD)]
+        assert self._check_pools(sentences, cfg) > 500
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_default_pools_at_pred_scope(self, seed):
+        cfg = CsConfig.for_scope(Scope.PRED_BY_PRED)
+        sentences = [(s.candidates, s.sentence_id) for s in pool_sentences(100, seed, {})]
+        assert self._check_pools(sentences, cfg) > 0
+
+    def test_equal_margins_out_of_key_order(self):
+        # margins drawn from a few values, so that most of a pool ties, on
+        # candidates shuffled out of key order, under random rule sets
+        rng = random.Random(27)
+        ties = 0
+        for trial in range(150):
+            cands = random_candidates(rng, rng.randint(0, 18), n_predicates=3, n_tokens=12)
+            rng.shuffle(cands)
+            margins = [rng.choice((-0.2, -0.0, 0.0, 0.25, 0.5, 0.5, 0.75)) for _ in cands]
+            ties += len(margins) - len(set(margins))
+            _same_as_reference(cands, margins, random_constraints(rng), trial,
+                               rng.choice((0.0, 0.3)))
+        assert ties > 500
 
 
 def _disjoint_candidates(values):

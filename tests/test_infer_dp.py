@@ -147,6 +147,15 @@ class TestDpSentence:
         with pytest.raises(ValueError, match="margins must be finite"):
             solve_with_stats(cands, CsConfig.for_scope(Scope.PRED_BY_PRED, bias=-bad), 0)
 
+    @pytest.mark.parametrize("margins,message", [
+        ([1.0, 0.5, 2.0], "3 margins for 2 candidates"),    # an extra one was ignored
+        ([1.0], "1 margins for 2 candidates"),              # a short list: IndexError
+    ])
+    def test_margin_count_checked(self, margins, message):
+        cands = [cand(span=(0, 1)), cand(label="A1", span=(3, 4))]
+        with pytest.raises(ValueError, match=message):
+            decode(cands, margins, STRUCTURAL_RULES, 0)
+
     def test_projections_match_dp_predicate_when_independent(self):
         rng = random.Random(15)
         for _ in range(40):

@@ -13,8 +13,8 @@ from srlcomb.model import (
     RoleLabel,
     Solution,
     Span,
+    broken_pairs,
     licenses,
-    overlap_or_core_pairs,
     pair_rules,
     soft,
 )
@@ -236,22 +236,33 @@ class TestValidate:
 
 
 def _checked_pairs(cands) -> list:
-    """``overlap_or_core_pairs`` of ``cands``, checked to be strictly
-    ascending with i > j, to hold every pair that the oracle's
-    ``broken_rules`` flags, and to hold nothing but overlapping or
-    same-predicate same-core pairs."""
-    got = overlap_or_core_pairs(cands)
-    assert all(i > j for i, j in got)
-    assert all(p < q for p, q in zip(got, got[1:]))
-    assert overlap_or_core_pairs([c.argument for c in cands]) == got
+    """``broken_pairs`` of ``cands``, checked to ask ``pair_rules`` once
+    about each overlapping or same-predicate same-core pair and about no
+    other, to be strictly ascending with i > j, to flag exactly the pairs
+    that the oracle's ``broken_rules`` flags, and to carry on each exactly
+    the oracle's rules."""
+    index = {id(c): k for k, c in enumerate(cands)}
+    asked = []
+
+    def recorded(a, b):
+        p, q = index[id(a)], index[id(b)]
+        asked.append((max(p, q), min(p, q)))
+        return pair_rules(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("srlcomb.model.pair_rules", recorded)
+        got = broken_pairs(cands)
     pairs = [(i, j) for i in range(len(cands)) for j in range(i)]
-    flagged = {(i, j) for i, j in pairs if broken_rules(cands[i], cands[j])}
-    assert flagged <= set(got)
     a = [c.argument for c in cands]
-    assert got == [(i, j) for i, j in pairs
-                   if span_relation(a[i].span, a[j].span) is not SpanRelation.DISJOINT
-                   or (a[i].predicate == a[j].predicate and a[i].label == a[j].label
-                       and a[i].label.kind is LabelKind.CORE)]
+    assert sorted(asked) == [(i, j) for i, j in pairs
+                             if span_relation(a[i].span, a[j].span) is not SpanRelation.DISJOINT
+                             or (a[i].predicate == a[j].predicate and a[i].label == a[j].label
+                                 and a[i].label.kind is LabelKind.CORE)]
+    assert all(i > j for i, j, _ in got)
+    assert all(p[:2] < q[:2] for p, q in zip(got, got[1:]))
+    assert broken_pairs([c.argument for c in cands]) == got
+    assert got == [(i, j, tuple(broken_rules(cands[i], cands[j])))
+                   for i, j in pairs if broken_rules(cands[i], cands[j])]
     return got
 
 
@@ -266,11 +277,10 @@ class TestOverlapOrCorePairs:
         for _ in range(300):
             cands = random_candidates(rng, rng.randint(0, 24), n_predicates=rng.randint(1, 3),
                                       n_tokens=rng.randint(1, 12))
-            for i, j in _checked_pairs(cands):
-                broken = broken_rules(cands[i], cands[j])
+            for _i, _j, broken in _checked_pairs(cands):
                 for cid in broken:
                     rules[cid] += 1
-                disjoint_c2 += broken == ["c2"]
+                disjoint_c2 += broken == ("c2",)
         assert min(rules.values()) > 50 and disjoint_c2 > 50, (rules, disjoint_c2)
 
     @pytest.mark.parametrize("n,seed,knobs", [(30, 11, SEARCH_HARD), (50, 3, HARD_50)])
@@ -282,9 +292,10 @@ class TestOverlapOrCorePairs:
     def test_pairs_in_order(self):
         cands = [cand(label="A0", span=(6, 7)), cand(label="A1", span=(0, 9)),
                  cand(label="A0", span=(0, 1)), cand(pred=1, label="AM-TMP", span=(3, 4)),
-                 cand(pred=1, label="A0", span=(11, 12))]
-        assert overlap_or_core_pairs(cands) == [(1, 0), (2, 0), (2, 1), (3, 1)]
-        assert overlap_or_core_pairs(cands[:1]) == overlap_or_core_pairs([]) == []
+                 cand(pred=1, label="A0", span=(11, 12)), cand(pred=1, label="A2", span=(8, 11))]
+        assert broken_pairs(cands) == [(1, 0, ("c1",)), (2, 0, ("c2",)), (2, 1, ("c1",)),
+                                       (5, 1, ("c5",)), (5, 4, ("c1",))]
+        assert broken_pairs(cands[:1]) == broken_pairs([]) == []
 
 
 class TestConstraintSet:
