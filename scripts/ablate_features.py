@@ -39,16 +39,11 @@ def main() -> int:
 
     print(f"{'features':<14} {'PProps':>8} {'Prec':>8} {'Recall':>8} {'F1':>8}")
     for k in range(1, len(ALL_GROUPS) + 1):
-        config = FeatureConfig(groups=ALL_GROUPS[:k])
-        extractor = FeatureExtractor(config)
-        train_featured = extractor.extract_pool(train_pool, intervals=intervals)
-        test_featured = extractor.extract_pool(test_pool, intervals=intervals)
-        model = train_local_svm(label_datasets(train_featured),
-                                space=extractor.space, feature_config=config,
-                                intervals=intervals)
-        solutions = decode_corpus(test_featured, score_pool(model, test_featured),
-                                  Scope.PRED_BY_PRED)
-        report = score(solutions_to_props(test_featured, solutions), test_gold)
+        extractor = FeatureExtractor(FeatureConfig(groups=ALL_GROUPS[:k]), intervals=intervals)
+        train_featured = extractor.extract_pool(train_pool)
+        model = train_local_svm(label_datasets(train_featured), extractor=extractor)
+        solutions = decode_corpus(test_pool, score_pool(model, test_pool), Scope.PRED_BY_PRED)
+        report = score(solutions_to_props(test_pool, solutions), test_gold)
         name = "FS1" if k == 1 else f"+ {ALL_GROUPS[k - 1]}"
         print(f"{name:<14} {report.pprops:>7.2f}% {report.precision:>7.2f}% "
               f"{report.recall:>7.2f}% {report.f1:>8.2f}")

@@ -86,34 +86,27 @@ def main() -> int:
         add(name, solutions_to_props(
             test_pool, [sol for sol, _ in infer_corpus(test_pool, cfg)]))
 
-    intervals = build_intervals(train_pool)
-    extractor = FeatureExtractor()
-    train_featured = extractor.extract_pool(train_pool, intervals=intervals)
-    test_featured = extractor.extract_pool(test_pool, intervals=intervals)
+    extractor = FeatureExtractor(intervals=build_intervals(train_pool))
+    train_featured = extractor.extract_pool(train_pool)
     datasets = label_datasets(train_featured)
     examples = make_examples(train_featured, train_gold)
     n_val = max(1, len(examples) // 10)
 
     def decode(model, scope):
-        solutions = decode_corpus(test_featured, score_pool(model, test_featured), scope)
-        return solutions_to_props(test_featured, solutions)
+        solutions = decode_corpus(test_pool, score_pool(model, test_pool), scope)
+        return solutions_to_props(test_pool, solutions)
 
-    svm = train_local_svm(datasets, space=extractor.space,
-                          feature_config=extractor.config, intervals=intervals)
+    svm = train_local_svm(datasets, extractor=extractor)
     add("svm local, pred", decode(svm, Scope.PRED_BY_PRED))
 
-    local_perc = train_local_perceptron(datasets, epochs=args.epochs,
-                                        space=extractor.space,
-                                        feature_config=extractor.config,
-                                        intervals=intervals)
+    local_perc = train_local_perceptron(datasets, epochs=args.epochs, extractor=extractor)
     for scope in Scope:
         add(f"perceptron local, {scope.value}", decode(local_perc, scope))
 
     for scope in Scope:
         model, log = train_global_perceptron(
             examples[:-n_val], scope=scope, epochs=args.epochs,
-            space=extractor.space, feature_config=extractor.config,
-            intervals=intervals, validation=examples[-n_val:])
+            extractor=extractor, validation=examples[-n_val:])
         add(f"perceptron global, {scope.value}", decode(model, scope))
 
     print(f"\n{args.test_sentences} test sentences, "

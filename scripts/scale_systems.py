@@ -49,10 +49,8 @@ def main() -> int:
         triples_te = [(f"M{i + 1}", d, t) for i, (d, t) in enumerate(test_systems[:k])]
         train_pool = build_pool(triples_tr, train_gold, DEFAULT_GAMMA)
         test_pool = build_pool(triples_te, test_gold, DEFAULT_GAMMA)
-        intervals = build_intervals(train_pool)
-        extractor = FeatureExtractor()
-        train_featured = extractor.extract_pool(train_pool, intervals=intervals)
-        test_featured = extractor.extract_pool(test_pool, intervals=intervals)
+        extractor = FeatureExtractor(intervals=build_intervals(train_pool))
+        train_featured = extractor.extract_pool(train_pool)
 
         comb = score(solutions_to_props(
             test_pool, oracle_combination(test_pool)), test_gold).f1
@@ -60,19 +58,16 @@ def main() -> int:
             test_pool, oracle_rerank(test_pool, test_gold)), test_gold).f1
 
         def decode(model, scope):
-            solutions = decode_corpus(test_featured, score_pool(model, test_featured), scope)
-            return score(solutions_to_props(test_featured, solutions), test_gold).f1
+            solutions = decode_corpus(test_pool, score_pool(model, test_pool), scope)
+            return score(solutions_to_props(test_pool, solutions), test_gold).f1
 
-        svm = train_local_svm(label_datasets(train_featured),
-                              space=extractor.space,
-                              feature_config=extractor.config, intervals=intervals)
+        svm = train_local_svm(label_datasets(train_featured), extractor=extractor)
         local_f1 = decode(svm, Scope.PRED_BY_PRED)
 
         examples = make_examples(train_featured, train_gold)
         n_val = max(1, len(examples) // 10)
         global_model, _ = train_global_perceptron(
-            examples[:-n_val], scope=Scope.FULL_SENTENCE, space=extractor.space,
-            feature_config=extractor.config, intervals=intervals,
+            examples[:-n_val], scope=Scope.FULL_SENTENCE, extractor=extractor,
             validation=examples[-n_val:])
         global_f1 = decode(global_model, Scope.FULL_SENTENCE)
 

@@ -12,7 +12,6 @@ from .model import (  # noqa: F401
     Argument,
     Candidate,
     ConstraintSet,
-    FeatureVector,
     RoleLabel,
     Sentence,
     Solution,

@@ -175,15 +175,9 @@ def build_intervals(pool: CandidatePool) -> IntervalTable:
     return IntervalTable(cuts, degenerate)
 
 
-def discretize(p: Optional[float], system: str, label: str,
-               table: Optional[IntervalTable]) -> Optional[int]:
-    """Map a probability to its interval index 0..4; None stands for "none".
+def discretize(p: float, system: str, label: str, table: IntervalTable) -> int:
+    """Map a probability to its interval index 0..4.
 
     Unknown (system, label) keys fall back to a half-split degenerate table.
     """
-    if p is None:
-        return None
-    cuts = table.cuts_for(system, label) if table is not None else None
-    if cuts is None:
-        cuts = _DEGENERATE_CUTS
-    return bisect.bisect_right(cuts, p)
+    return bisect.bisect_right(table.cuts_for(system, label) or _DEGENERATE_CUTS, p)

@@ -269,7 +269,8 @@ def cmd_pool(args) -> int:
     return 0
 
 
-def _scored_pool_for_model(args, pool):
+def _load_model(args):
+    """The --model file, checked against --scorer and its kernel degree."""
     try:
         model = ScoreModel.load(args.model)
     except ValueError as exc:
@@ -283,8 +284,7 @@ def _scored_pool_for_model(args, pool):
                                     for _coef, _tick, sv in sc.supports))
     except ValueError as exc:
         raise FormatError(f"{args.model}: model {exc}") from None
-    extractor = FeatureExtractor(model.feature_config, model.space)
-    return model, extractor.extract_pool(pool, _load_sentences(args), model.intervals)
+    return model
 
 
 def cmd_infer(args) -> int:
@@ -309,9 +309,12 @@ def cmd_infer(args) -> int:
             print(f"trace: {sum(nodes for _, nodes in decoded)} nodes total")
         solutions = [sol for sol, _ in decoded]
     else:
-        model, pool = _scored_pool_for_model(args, pool)
+        model = _load_model(args)
+        sentences = _load_sentences(args)
         try:
-            margins = score_pool(model, pool)
+            margins = score_pool(model, pool, sentences)
+        except AlignmentError:
+            raise       # the syntax does not fit the props, whatever the model
         except ValueError as exc:
             raise FormatError(f"{args.model}: model {exc}") from None
         solutions = decode_corpus(pool, margins, Scope(args.scope), node_budget=args.node_budget)
@@ -338,9 +341,8 @@ def cmd_train(args) -> int:
     pool, gold = _load_pool(args, args.gamma)
     if not pool.sentences:
         raise FormatError("train: the corpus has no sentences to learn from")
-    intervals = build_intervals(pool)
-    extractor = FeatureExtractor(config)
-    pool = extractor.extract_pool(pool, _load_sentences(args), intervals)
+    extractor = FeatureExtractor(config, intervals=build_intervals(pool))
+    pool = extractor.extract_pool(pool, _load_sentences(args))
     try:
         check_degree(args.degree, (c.features for c in pool.all_candidates()))
     except ValueError as exc:
@@ -348,12 +350,10 @@ def cmd_train(args) -> int:
 
     if args.scorer == "svm":
         model = train_local_svm(label_datasets(pool), degree=args.degree, c=args.C,
-                                space=extractor.space, feature_config=config,
-                                intervals=intervals)
+                                extractor=extractor)
     elif args.scorer == "perceptron-local":
         model = train_local_perceptron(label_datasets(pool), degree=args.degree,
-                                       epochs=args.epochs, space=extractor.space,
-                                       feature_config=config, intervals=intervals)
+                                       epochs=args.epochs, extractor=extractor)
     else:
         examples = make_examples(pool, gold)
         if len(examples) < 2:
@@ -362,8 +362,7 @@ def cmd_train(args) -> int:
         n_val = max(1, int(len(examples) * args.val_fraction))
         model, log = train_global_perceptron(
             examples[:-n_val], scope=Scope(args.scope), degree=args.degree,
-            epochs=args.epochs, space=extractor.space, feature_config=config,
-            intervals=intervals, validation=examples[-n_val:])
+            epochs=args.epochs, extractor=extractor, validation=examples[-n_val:])
         print(f"epoch F1 on validation: "
               f"{', '.join(f'{f: .2f}' for f in log.epoch_f1)} "
               f"(kept epoch {log.selected_epoch + 1})")

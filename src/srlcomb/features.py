@@ -9,7 +9,6 @@ the vocabulary stays bounded.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -18,7 +17,6 @@ from .calibrate import IntervalTable, discretize
 from .corpus_io import AlignmentError, skeleton_tags, text_lines
 from .model import (
     Candidate,
-    FeatureVector,
     ParseNode,
     Sentence,
     Span,
@@ -110,10 +108,6 @@ class FeatureConfig:
         if not self.groups:
             raise ValueError("at least one feature group must be enabled")
         object.__setattr__(self, "groups", tuple(sorted(set(self.groups), key=ALL_GROUPS.index)))
-
-    def digest(self) -> str:
-        payload = f"{','.join(self.groups)}|{NGRAM_CAP}|{PATH_THRESHOLD}|{COUNT_CAP}"
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     @classmethod
     def parse_groups(cls, text: str) -> "FeatureConfig":
@@ -354,16 +348,20 @@ class _SentenceContext:
 
 
 class FeatureExtractor:
-    """Extracts the enabled feature groups for candidates of a pool."""
+    """One feature definition: the enabled groups, the vocabulary that names
+    their features, and the probability intervals of FS6.  A model holds the
+    extractor it was trained with and scores every pool with it.  Without
+    intervals, every (system, label) discretizes at the half-split."""
 
     def __init__(self, config: Optional[FeatureConfig] = None,
-                 space: Optional[FeatureSpace] = None):
+                 space: Optional[FeatureSpace] = None,
+                 intervals: Optional[IntervalTable] = None):
         self.config = config or FeatureConfig()
-        self.space = space or FeatureSpace()
+        self.space = space if space is not None else FeatureSpace()
+        self.intervals = intervals if intervals is not None else IntervalTable()
 
     def extract_pool(self, pool: CandidatePool,
-                     sentences: Optional[Sequence[Sentence]] = None,
-                     intervals: Optional[IntervalTable] = None) -> CandidatePool:
+                     sentences: Optional[Sequence[Sentence]] = None) -> CandidatePool:
         """The pool with every candidate's features; without ``sentences``,
         each pool sentence's skeleton stands in for it.  Sentences of another
         count, or of another token count than their pool sentence, are an
@@ -379,17 +377,15 @@ class FeatureExtractor:
         per_sentence = []
         for k, spool in enumerate(pool.sentences):
             ctx = _SentenceContext(spool, sentences[k] if sentences is not None else None, shared)
-            per_sentence.append([c.with_features(self._extract(c, ctx, shared, intervals))
+            per_sentence.append([c.with_features(self._extract(c, ctx, shared))
                                  for c in spool.candidates])
-        return pool.with_candidates(per_sentence,
-                                    feature_digest=self.config.digest(),
-                                    feature_space=self.space)
+        return pool.with_candidates(per_sentence)
 
     # -- group extractors ---------------------------------------------------
 
-    def _extract(self, cand: Candidate, ctx: _SentenceContext, shared: _PoolNames,
-                 intervals: Optional[IntervalTable]) -> FeatureVector:
-        """The candidate's feature vector.  Names may come in any order and
+    def _extract(self, cand: Candidate, ctx: _SentenceContext,
+                 shared: _PoolNames) -> tuple[int, ...]:
+        """The candidate's feature ids.  Names may come in any order and
         more than once: the space sees only the set."""
         names: list[str] = []
         groups = self.config.groups
@@ -412,8 +408,8 @@ class FeatureExtractor:
             for sid, by_interval in shared.fs6:
                 p = probs.get(sid)
                 names.append(by_interval[-1] if p is None
-                             else by_interval[discretize(p, sid, label, intervals)])
-        return FeatureVector(self.space.ids(names))
+                             else by_interval[discretize(p, sid, label, self.intervals)])
+        return self.space.ids(names)
 
     def _overlaps(self, names: list, start: int, end: int, pred: int, label: str,
                   ctx: _SentenceContext, shared: _PoolNames) -> None:

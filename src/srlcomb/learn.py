@@ -5,8 +5,13 @@ through the inference engine.
 All scorers are dual-form: a list of (coefficient, update tick, support
 vector) rows under a polynomial kernel (u.v + 1)^d.  Averaged predictions
 weight each update by how many parameter states it survived, following the
-standard averaging trick, so both the final and the averaged predictor are
-recoverable from the same rows.
+standard averaging trick; a model scores with them, and global training
+reads the final predictor off the same rows.
+
+A model holds the ``FeatureExtractor`` it was trained with (feature groups,
+vocabulary and probability intervals) and scores a pool by extracting its
+features with it.  The vocabulary is frozen once the model is built, so
+scoring never grows it.
 
 Kernel rows come from posting lists (feature id -> the rows that hold it):
 the dot products of one vector with all rows are one bincount over the lists
@@ -31,11 +36,18 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .calibrate import IntervalTable
-from .corpus_io import text_lines
-from .features import COUNT_CAP, NGRAM_CAP, PATH_THRESHOLD, FeatureConfig, FeatureSpace
+from .corpus_io import PropsDocument, text_lines
+from .features import (
+    COUNT_CAP,
+    NGRAM_CAP,
+    PATH_THRESHOLD,
+    FeatureConfig,
+    FeatureExtractor,
+    FeatureSpace,
+)
 from .infer_cs import Scope
 from .infer_dp import infer_sentence
-from .model import Candidate, FeatureVector, RoleLabel
+from .model import Candidate, RoleLabel, Sentence
 from .pool import CandidatePool, gold_keys
 
 MODEL_HEADER = "SRLCOMB-MODEL v1"
@@ -48,7 +60,7 @@ _CAPS = (("ngram_cap", NGRAM_CAP), ("path_threshold", PATH_THRESHOLD), ("count_c
 
 
 class ModelMismatchError(ValueError):
-    """Pool features were not extracted with this model's configuration."""
+    """A model file of another kind than the one asked for."""
 
 
 class _Postings:
@@ -57,20 +69,20 @@ class _Postings:
     bincount over the posting lists of the vector's ids, so a kernel row costs
     the total length of those lists, not a loop over the rows."""
 
-    def __init__(self, vectors: Sequence[FeatureVector]):
+    def __init__(self, vectors: Sequence[tuple[int, ...]]):
         self.n = len(vectors)
-        lengths = [len(v.ids) for v in vectors]
-        ids = np.fromiter(chain.from_iterable(v.ids for v in vectors), np.intp, sum(lengths))
+        lengths = [len(v) for v in vectors]
+        ids = np.fromiter(chain.from_iterable(vectors), np.intp, sum(lengths))
         # group the (id, row) pairs by id: each list is a slice of one array
         order = np.argsort(ids)
         ids, rows = ids[order], np.repeat(np.arange(self.n), lengths)[order]
         cuts = np.flatnonzero(np.diff(ids, prepend=-1)).tolist() + [len(ids)]
         self._lists = {fid: rows[a:b] for fid, a, b in zip(ids[cuts[:-1]].tolist(), cuts, cuts[1:])}
 
-    def kernel_row(self, fv: FeatureVector, degree: int) -> np.ndarray:
+    def kernel_row(self, fv: tuple[int, ...], degree: int) -> np.ndarray:
         """(u.v + 1)^degree of ``fv`` against every row, as floats.  The power
         is a chain of products, exact while the kernel stays below 2^53."""
-        hits = [self._lists[fid] for fid in fv.ids if fid in self._lists]
+        hits = [self._lists[fid] for fid in fv if fid in self._lists]
         dots = np.bincount(np.concatenate(hits), minlength=self.n) if hits else np.zeros(self.n)
         base = dots + 1.0
         row = base
@@ -79,12 +91,12 @@ class _Postings:
         return row
 
 
-def check_degree(degree: int, vectors: Iterable[FeatureVector]) -> None:
+def check_degree(degree: int, vectors: Iterable[tuple[int, ...]]) -> None:
     """Raise ValueError if (nnz + 1)^degree reaches 2^53 for some vector.  No
     kernel value with it exceeds that, so below the bound every kernel row is
     exact and the SVM's diagonal equals the rows' diagonal; above it, values
     round and then overflow to inf."""
-    nnz = max((len(v.ids) for v in vectors), default=0)
+    nnz = max(map(len, vectors), default=0)
     # a base of 2 or more reaches 2^53 by degree 53, so the power stays small
     if nnz and (degree >= 53 or (nnz + 1) ** degree >= 2 ** 53):
         raise ValueError(f"degree {degree} is too large for a vector of {nnz} features: "
@@ -98,7 +110,7 @@ class LabelScorer:
     label: str
     degree: int = DEFAULT_DEGREE
     bias: float = 0.0
-    supports: list = field(default_factory=list)   # (coef, tick, FeatureVector)
+    supports: list = field(default_factory=list)   # (coef, tick, feature ids)
     updates: int = 0                               # averaging horizon
     degenerate: bool = False                       # single-class training data
 
@@ -106,10 +118,10 @@ class LabelScorer:
         if self.degree < 1:
             raise ValueError("kernel degree must be >= 1")
 
-    def scores(self, vectors: Sequence[FeatureVector], averaged: bool = False) -> list[float]:
+    def scores(self, vectors: Sequence[tuple[int, ...]]) -> list[float]:
         """bias + sum over supports of w * (sv.v + 1)^degree for each vector,
-        with w = coef, or coef * (updates - tick) / updates when averaged
-        after at least one update.
+        with the averaged weight w = coef * (updates - tick) / updates after
+        at least one update, and w = coef without updates (an SVM's rows).
 
         The terms are added in support order (cumsum is sequential), so a
         score equals the support-by-support sum bit for bit and does not
@@ -118,7 +130,7 @@ class LabelScorer:
         if not self.supports:
             return [self.bias] * len(vectors)
         weights = np.array([coef for coef, _tick, _sv in self.supports])
-        if averaged and self.updates > 0:
+        if self.updates > 0:
             u = self.updates
             weights = weights * ((u - np.array([t for _c, t, _sv in self.supports])) / u)
         postings = _Postings([sv for _coef, _tick, sv in self.supports])
@@ -132,28 +144,34 @@ class LabelScorer:
 
 @dataclass
 class ScoreModel:
+    """Scorers and the extractor whose features they were trained on.  The
+    extractor's vocabulary is frozen once the model is built, so that
+    scoring cannot grow it."""
+
     kind: str                      # svm | perceptron-local | perceptron-global
     degree: int
-    feature_config: FeatureConfig
-    space: FeatureSpace
+    extractor: FeatureExtractor
     scorers: dict
-    intervals: Optional[IntervalTable] = None
+
+    def __post_init__(self) -> None:
+        self.extractor.space.frozen = True
 
     # -- persistence ---------------------------------------------------------
 
     def saves(self) -> str:
+        extractor = self.extractor
         lines = [MODEL_HEADER,
                  f"kind {self.kind}",
                  f"degree {self.degree}",
-                 f"config groups={','.join(self.feature_config.groups)} "
+                 f"config groups={','.join(extractor.config.groups)} "
                  + " ".join(f"{key}={value}" for key, value in _CAPS)]
-        table = self.intervals or IntervalTable()
+        table = extractor.intervals
         lines.append(f"intervals {len(table.cuts)}")
         for (sys_id, label), cuts in sorted(table.cuts.items()):
             flag = "degenerate" if (sys_id, label) in table.degenerate else "ok"
             lines.append(f"{sys_id} {label} {cuts[0]!r} {cuts[1]!r} {cuts[2]!r} {cuts[3]!r} {flag}")
         # the vocabulary, in the format FeatureSpace.load reads
-        lines.append(f"vocab {len(self.space)}\n{self.space.dump()}".rstrip("\n"))
+        lines.append(f"vocab {len(extractor.space)}\n{extractor.space.dump()}".rstrip("\n"))
         lines.append(f"labels {len(self.scorers)}")
         for label in sorted(self.scorers):
             sc = self.scorers[label]
@@ -164,7 +182,7 @@ class ScoreModel:
             lines.append(f"degenerate {int(sc.degenerate)}")
             lines.append(f"supports {len(sc.supports)}")
             for coef, tick, sv in sc.supports:
-                lines.append(" ".join([repr(coef), str(tick)] + [str(i) for i in sv.ids]))
+                lines.append(" ".join([repr(coef), str(tick)] + [str(i) for i in sv]))
             lines.append("end")
         return "\n".join(lines) + "\n"
 
@@ -249,7 +267,7 @@ class ScoreModel:
                                  f"nor 'degenerate' at line {pos}")
             if parts[6] == "degenerate":
                 degenerate.add(key)
-        intervals = IntervalTable(cuts, degenerate) if cuts else None
+        intervals = IntervalTable(cuts, degenerate)
         n_vocab = count(take("vocab "))
         try:
             space = FeatureSpace.load("\n".join(lines[pos:pos + n_vocab]), pos + 1)
@@ -293,10 +311,10 @@ class ScoreModel:
                 if any(a >= b for a, b in zip(ids, ids[1:])):
                     raise ValueError(
                         f"model file: feature ids not strictly increasing at line {pos}")
-                sc.supports.append((finite(parts[0]), tick, FeatureVector(ids)))
+                sc.supports.append((finite(parts[0]), tick, ids))
             take("end")
             scorers[label] = sc
-        return cls(kind, degree, config, space, scorers, intervals)
+        return cls(kind, degree, FeatureExtractor(config, space, intervals), scorers)
 
     @classmethod
     def load(cls, path) -> "ScoreModel":
@@ -305,22 +323,19 @@ class ScoreModel:
             return cls.loads(fh.read())
 
 
-def score_pool(model: ScoreModel, pool: CandidatePool) -> list[list[float]]:
-    """Score every pool candidate with its label's averaged scorer: one row
-    of margins per sentence, in the order of its candidates.
+def score_pool(model: ScoreModel, pool: CandidatePool,
+               sentences: Optional[Sequence[Sentence]] = None) -> list[list[float]]:
+    """Score every pool candidate with its label's scorer: one row of
+    margins per sentence, in the order of its candidates.
 
-    The pool must have been feature-extracted with the model's configuration
-    and feature space; anything else is a vocabulary mismatch.  Candidates
+    The candidates' features are extracted with the model's own extractor,
+    from ``sentences`` if given (``FeatureExtractor.extract_pool``); names
+    its vocabulary lacks are dropped, which changes no score.  Candidates
     whose label the model has no scorer for score 0.0, with one stderr
     warning per such label.  A score that is not finite, which finite but
     huge coefficients can give, is a ValueError that names the label.
     """
-    if pool.feature_digest != model.feature_config.digest():
-        raise ModelMismatchError(
-            f"pool features {pool.feature_digest} do not match model "
-            f"{model.feature_config.digest()}")
-    if pool.feature_space is not model.space:
-        raise ModelMismatchError("pool was extracted with a different feature space")
+    pool = model.extractor.extract_pool(pool, sentences)
     flat = list(pool.all_candidates())
     by_label: dict = {}
     for i, cand in enumerate(flat):
@@ -333,7 +348,7 @@ def score_pool(model: ScoreModel, pool: CandidatePool) -> list[list[float]]:
                   f"{len(rows)} candidates scored 0.0", file=sys.stderr)
             continue
         with np.errstate(over="ignore", invalid="ignore"):     # checked just below
-            values = scorer.scores([flat[i].features for i in rows], averaged=True)
+            values = scorer.scores([flat[i].features for i in rows])
         overflow = [v for v in values if not math.isfinite(v)]
         if overflow:
             raise ValueError(f"label {label} scores a candidate {overflow[0]}, "
@@ -348,7 +363,7 @@ def score_pool(model: ScoreModel, pool: CandidatePool) -> list[list[float]]:
 # Local training: one binary problem per label
 
 
-LabelDataset = Mapping[str, Sequence[tuple[FeatureVector, int]]]
+LabelDataset = Mapping[str, Sequence[tuple[tuple[int, ...], int]]]
 
 
 def label_datasets(pool: CandidatePool) -> dict:
@@ -443,8 +458,7 @@ def _smo(row, diag: np.ndarray, y: np.ndarray, c: float, tol: float,
 
 def train_local_svm(datasets: LabelDataset, *, degree: int = DEFAULT_DEGREE,
                     c: float = DEFAULT_C, tol: float = DEFAULT_KKT_TOL,
-                    space: FeatureSpace, feature_config: FeatureConfig,
-                    intervals: Optional[IntervalTable] = None) -> ScoreModel:
+                    extractor: FeatureExtractor) -> ScoreModel:
     """One soft-margin binary SVM per label, trained with SMO."""
     scorers = {}
     for label in sorted(datasets):
@@ -459,7 +473,7 @@ def train_local_svm(datasets: LabelDataset, *, degree: int = DEFAULT_DEGREE,
         # the kernel rows SMO has read, kept for this label only
         row = cache(lambda i: postings.kernel_row(vectors[i], degree))
         # the rows' diagonal: a vector shares all its ids with itself
-        diag = (np.array([len(v.ids) for v in vectors]) + 1.0) ** degree
+        diag = (np.array([len(v) for v in vectors]) + 1.0) ** degree
         alpha, bias, _err, steps, violation = _smo(row, diag, ys, c, tol)
         if violation > tol:
             print(f"srlcomb: warning: SMO for label {label} stopped after {steps} steps "
@@ -469,13 +483,12 @@ def train_local_svm(datasets: LabelDataset, *, degree: int = DEFAULT_DEGREE,
             if a > 1e-10:
                 sc.supports.append((float(a * ys[i]), 0, vectors[i]))
         scorers[label] = sc
-    return ScoreModel("svm", degree, feature_config, space, scorers, intervals)
+    return ScoreModel("svm", degree, extractor, scorers)
 
 
 def train_local_perceptron(datasets: LabelDataset, *, degree: int = DEFAULT_DEGREE,
                            epochs: int = DEFAULT_EPOCHS,
-                           space: FeatureSpace, feature_config: FeatureConfig,
-                           intervals: Optional[IntervalTable] = None) -> ScoreModel:
+                           extractor: FeatureExtractor) -> ScoreModel:
     """Kernel Perceptron per label, updated on every sign error; averaged.
 
     Each point's raw margin is cached and every update adds one kernel row
@@ -496,7 +509,7 @@ def train_local_perceptron(datasets: LabelDataset, *, degree: int = DEFAULT_DEGR
                     tick += 1
         sc.updates = tick
         scorers[label] = sc
-    return ScoreModel("perceptron-local", degree, feature_config, space, scorers, intervals)
+    return ScoreModel("perceptron-local", degree, extractor, scorers)
 
 
 # ---------------------------------------------------------------------------
@@ -517,17 +530,14 @@ class TrainExample:
     n_unreachable: int = 0
 
 
-def make_examples(pool: CandidatePool, gold=None) -> list[TrainExample]:
-    unreachable = [0] * len(pool.sentences)
-    if gold is not None:
-        for s, keys in enumerate(gold_keys(gold)):
-            have = {c.key for c in pool.sentences[s].candidates}
-            unreachable[s] = len(keys - have)
+def make_examples(pool: CandidatePool, gold: PropsDocument) -> list[TrainExample]:
+    """One example per pool sentence; the gold arguments of ``gold`` that
+    no candidate holds are counted as unreachable."""
     out = []
-    for sent in pool.sentences:
+    for sent, keys in zip(pool.sentences, gold_keys(gold), strict=True):
         golds = frozenset(c.key for c in sent.candidates if c.is_gold)
-        out.append(TrainExample(sent.sentence_id, sent.candidates, golds,
-                                unreachable[sent.sentence_id]))
+        have = {c.key for c in sent.candidates}
+        out.append(TrainExample(sent.sentence_id, sent.candidates, golds, len(keys - have)))
     return out
 
 
@@ -553,9 +563,8 @@ def train_global_perceptron(examples: Sequence[TrainExample], *,
                             scope: Scope = Scope.PRED_BY_PRED,
                             degree: int = DEFAULT_DEGREE,
                             epochs: int = DEFAULT_EPOCHS,
-                            space: FeatureSpace, feature_config: FeatureConfig,
-                            intervals: Optional[IntervalTable] = None,
-                            validation: Optional[Sequence[TrainExample]] = None,
+                            extractor: FeatureExtractor,
+                            validation: Sequence[TrainExample],
                             ) -> tuple[ScoreModel, GlobalTrainLog]:
     """Online Perceptron corrected by post-inference mistakes.
 
@@ -564,27 +573,26 @@ def train_global_perceptron(examples: Sequence[TrainExample], *,
     ones are demoted.  Epoch-end F1 on the validation split selects the
     parameter state that is kept.
 
-    Every training and holdout candidate keeps two running sums over its
+    Every training and validation candidate keeps two running sums over its
     label's supports, S1 = sum c*K and S2 = sum c*tick*K, and each update
     adds one kernel row to both.  The raw score is S1 and the averaged score
     after u updates is (u*S1 - S2)/u.  The sums hold integers, so they are
     exact, and the averaged score is rounded once, at the division.
     """
-    model = ScoreModel("perceptron-global", degree, feature_config, space, {}, intervals)
-    holdout = validation if validation is not None else examples
+    model = ScoreModel("perceptron-global", degree, extractor, {})
     tick = 0
     ledger = []
     epoch_f1 = []
     snapshots = []   # (tick, {label: n_supports}) at each epoch end
 
-    flat: list = []   # one slot per training, then per holdout candidate
+    flat: list = []   # one slot per training, then per validation candidate
     slots = []
-    for ex in list(examples) + list(validation or ()):
+    for ex in list(examples) + list(validation):
         slots.append(slice(len(flat), len(flat) + len(ex.candidates)))
         flat.extend(ex.candidates)
     # each training candidate with its key and whether it is gold, built once
     marked = [[(c, c.key, c.key in ex.gold_keys) for c in ex.candidates] for ex in examples]
-    holdout_slots = slots[len(examples):] if validation is not None else slots
+    val_slots = slots[len(examples):]
     by_label: dict = {}
     for slot, cand in enumerate(flat):
         by_label.setdefault(cand.label.text, []).append(slot)
@@ -623,8 +631,8 @@ def train_global_perceptron(examples: Sequence[TrainExample], *,
             ledger.append((len(promote), len(demote),
                            len(ex.gold_keys - yhat), len(yhat - ex.gold_keys)))
         snapshots.append((tick, {lab: len(sc.supports) for lab, sc in model.scorers.items()}))
-        epoch_f1.append(_example_f1(holdout, [predict(ex, ex_slots, averaged=True)
-                                              for ex, ex_slots in zip(holdout, holdout_slots)]))
+        epoch_f1.append(_example_f1(validation, [predict(ex, ex_slots, averaged=True)
+                                                 for ex, ex_slots in zip(validation, val_slots)]))
 
     best_epoch = max(range(len(epoch_f1)), key=lambda i: (epoch_f1[i], -i))
     keep_tick, keep_counts = snapshots[best_epoch]

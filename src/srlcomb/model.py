@@ -263,18 +263,6 @@ class Argument:
     span: Span
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse binary feature vector: a strictly increasing tuple of interned
-    feature ids.  The ids are taken as given: ``FeatureSpace.ids`` returns
-    them so, and a model file's rows are checked as they are read."""
-
-    ids: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
 CandidateKey = tuple[int, int, str, Span]
 
 _value = itemgetter(1)      # the value of a (system, value) pair
@@ -287,6 +275,7 @@ class Candidate:
     ``raw_scores`` and ``probs`` are stored as sorted (system, value) pairs so
     the candidate stays hashable; both may only mention voting systems.  A
     system that did not propose the argument contributes probability 0.
+    ``features`` are the strictly increasing ids ``FeatureSpace.ids`` gives.
     """
 
     sentence_id: int
@@ -294,13 +283,13 @@ class Candidate:
     votes: frozenset
     raw_scores: tuple[tuple[str, float], ...] = ()
     probs: tuple[tuple[str, float], ...] = ()
-    features: Optional[FeatureVector] = None
+    features: Optional[tuple[int, ...]] = None
     is_gold: Optional[bool] = None
 
     def __init__(self, sentence_id: int, argument: Argument, votes: frozenset,
                  raw_scores: Iterable[tuple[str, float]] = (),
                  probs: Iterable[tuple[str, float]] = (),
-                 features: Optional[FeatureVector] = None,
+                 features: Optional[tuple[int, ...]] = None,
                  is_gold: Optional[bool] = None) -> None:
         """The one constructor, with every check; it stores ``raw_scores``
         and ``probs`` sorted."""
@@ -327,7 +316,7 @@ class Candidate:
         set_frozen_field(self, "features", features)
         set_frozen_field(self, "is_gold", is_gold)
 
-    def with_features(self, features: Optional[FeatureVector]) -> "Candidate":
+    def with_features(self, features: Optional[tuple[int, ...]]) -> "Candidate":
         """This candidate with another feature vector."""
         return Candidate(self.sentence_id, self.argument, self.votes, self.raw_scores,
                          self.probs, features, self.is_gold)

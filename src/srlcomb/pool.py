@@ -49,8 +49,6 @@ class CandidatePool:
 
     system_ids: tuple[str, ...]
     sentences: tuple[SentencePool, ...]
-    feature_digest: Optional[str] = None
-    feature_space: Optional[object] = None
 
     @property
     def m(self) -> int:
@@ -66,17 +64,13 @@ class CandidatePool:
     def is_aligned(self) -> bool:
         return all(c.is_gold is not None for c in self.all_candidates())
 
-    def with_candidates(self, per_sentence: Sequence[Sequence[Candidate]],
-                        feature_digest: Optional[str] = None,
-                        feature_space: Optional[object] = None) -> "CandidatePool":
+    def with_candidates(self, per_sentence: Sequence[Sequence[Candidate]]) -> "CandidatePool":
         """This pool with each sentence's candidates replaced by new ones in
         key order, such as a one-to-one rebuild of its own candidates."""
         sentences = tuple(
             SentencePool(sp.sentence_id, sp.n_tokens, sp.predicates, tuple(cands))
             for sp, cands in zip(self.sentences, per_sentence))
-        return CandidatePool(self.system_ids, sentences,
-                             feature_digest or self.feature_digest,
-                             feature_space or self.feature_space)
+        return CandidatePool(self.system_ids, sentences)
 
 
 def build_pool(systems: Sequence[tuple[str, PropsDocument, Optional[ScoreTable]]],

@@ -25,7 +25,6 @@ from srlcomb.corpus_io import PropsDocument, PropsSentence, skeleton_sentences
 from srlcomb.model import (
     Argument,
     Candidate,
-    FeatureVector,
     ParseNode,
     Sentence,
     Span,
@@ -268,13 +267,11 @@ class FeatureExtractor:
                 Candidate(c.sentence_id, c.argument, c.votes, c.raw_scores, c.probs,
                           self._extract(c, ctx, pool.system_ids, intervals), c.is_gold)
                 for c in spool.candidates])
-        return pool.with_candidates(per_sentence,
-                                    feature_digest=self.config.digest(),
-                                    feature_space=self.space)
+        return pool.with_candidates(per_sentence)
 
     def extract(self, candidate: Candidate, spool: SentencePool, sentence: Sentence,
                 intervals: Optional[IntervalTable] = None,
-                system_ids: Optional[Sequence[str]] = None) -> FeatureVector:
+                system_ids: Optional[Sequence[str]] = None) -> tuple[int, ...]:
         ids = system_ids or sorted({s for c in spool.candidates for s in c.votes})
         ctx = _SentenceContext(spool, sentence, ids)
         return self._extract(candidate, ctx, ids, intervals)
@@ -291,7 +288,7 @@ class FeatureExtractor:
     # -- group extractors ---------------------------------------------------
 
     def _extract(self, cand: Candidate, ctx: _SentenceContext,
-                 system_ids: Sequence[str], intervals: Optional[IntervalTable]) -> FeatureVector:
+                 system_ids: Sequence[str], intervals: Optional[IntervalTable]) -> tuple[int, ...]:
         names: list[str] = []
         groups = self.config.groups
         if "FS1" in groups:
@@ -307,9 +304,10 @@ class FeatureExtractor:
         if "FS6" in groups:
             probs = dict(cand.probs)
             for sid in system_ids:
-                idx = discretize(probs.get(sid), sid, cand.label.text, intervals)
+                p = probs.get(sid)
+                idx = None if p is None else discretize(p, sid, cand.label.text, intervals)
                 names.append(f"fs6:{sid}={'none' if idx is None else idx}")
-        return FeatureVector(self.space.ids(sorted(set(names))))
+        return self.space.ids(sorted(set(names)))
 
     def _fs1(self, names: list, cand: Candidate, ctx: _SentenceContext) -> None:
         names.append(f"fs1:label={cand.label.text}")

@@ -34,7 +34,7 @@ from srlcomb.evaluate import (
     repair_continuations,
     score,
 )
-from srlcomb.features import FeatureConfig, FeatureExtractor, FeatureSpace
+from srlcomb.features import FeatureExtractor, FeatureSpace
 from srlcomb.infer_cs import (CsConfig, DEFAULT_BIAS, DEFAULT_O_GRID, Scope, infer_corpus,
                               solve_with_stats)
 from srlcomb.infer_dp import ScoredCandidate, decode_corpus, dp_predicate, infer_sentence
@@ -52,7 +52,6 @@ from srlcomb.learn import (
 from srlcomb.model import (
     Argument,
     ConstraintSet,
-    FeatureVector,
     RoleLabel,
     Span,
     V_LABEL,
@@ -187,8 +186,8 @@ def _marked_examples(space: FeatureSpace, n_sentences: int, seed: int):
         for i, (label, span) in enumerate(layout):
             gold = i % 2 == 0
             marker = "mark=gold" if gold else "mark=junk"
-            features = FeatureVector((space.intern(marker),
-                                      space.intern(f"uniq={s}:{i}:{rng.randrange(50)}")))
+            features = (space.intern(marker),
+                        space.intern(f"uniq={s}:{i}:{rng.randrange(50)}"))
             cands.append(cand(s, 0, label, span, votes=("M1",),
                               features=features, is_gold=gold))
         examples.append(TrainExample(
@@ -202,14 +201,14 @@ def test_criterion_5_global_perceptron_conformance():
         space = FeatureSpace()
         examples = _marked_examples(space, 8, seed=5)
         model, log = train_global_perceptron(
-            examples, epochs=3, space=space, feature_config=FeatureConfig())
+            examples, epochs=3, extractor=FeatureExtractor(space=space), validation=examples)
         assert max(log.epoch_f1) == 100.0, f"epoch F1: {log.epoch_f1}"
         for n_promote, n_demote, missing, spurious in log.ledger:
             assert n_promote == missing and n_demote == spurious
         space2 = FeatureSpace()
+        examples2 = _marked_examples(space2, 8, seed=5)
         model2, _ = train_global_perceptron(
-            _marked_examples(space2, 8, seed=5), epochs=3, space=space2,
-            feature_config=FeatureConfig())
+            examples2, epochs=3, extractor=FeatureExtractor(space=space2), validation=examples2)
         assert model.saves() == model2.saves()
 
 
@@ -290,27 +289,21 @@ def test_criterion_8_end_to_end_synthetic_gain():
         results["constraint-satisfaction"] = score(
             solutions_to_props(test_pool, cs_solutions), test_gold).f1
 
-        intervals = build_intervals(train_pool)
-        extractor = FeatureExtractor()
-        train_featured = extractor.extract_pool(train_pool, intervals=intervals)
-        test_featured = extractor.extract_pool(test_pool, intervals=intervals)
+        extractor = FeatureExtractor(intervals=build_intervals(train_pool))
+        train_featured = extractor.extract_pool(train_pool)
 
-        svm = train_local_svm(label_datasets(train_featured), space=extractor.space,
-                              feature_config=extractor.config, intervals=intervals)
-        solutions = decode_corpus(test_featured, score_pool(svm, test_featured),
-                                  Scope.PRED_BY_PRED)
-        results["local-svm"] = score(
-            solutions_to_props(test_featured, solutions), test_gold).f1
+        svm = train_local_svm(label_datasets(train_featured), extractor=extractor)
+        solutions = decode_corpus(test_pool, score_pool(svm, test_pool), Scope.PRED_BY_PRED)
+        results["local-svm"] = score(solutions_to_props(test_pool, solutions), test_gold).f1
 
         examples = make_examples(train_featured, train_gold)
         global_model, _log = train_global_perceptron(
-            examples[:-25], scope=Scope.FULL_SENTENCE, space=extractor.space,
-            feature_config=extractor.config, intervals=intervals,
+            examples[:-25], scope=Scope.FULL_SENTENCE, extractor=extractor,
             validation=examples[-25:])
-        solutions = decode_corpus(test_featured, score_pool(global_model, test_featured),
+        solutions = decode_corpus(test_pool, score_pool(global_model, test_pool),
                                   Scope.FULL_SENTENCE)
         results["global-perceptron"] = score(
-            solutions_to_props(test_featured, solutions), test_gold).f1
+            solutions_to_props(test_pool, solutions), test_gold).f1
 
         elapsed = time.perf_counter() - start
         print(f"  best individual F1 {best_individual:.2f}; " +

@@ -167,10 +167,6 @@ class TestIntervals:
         assert discretize(0.05, "M1", "A0", table) == 0
         assert discretize(0.95, "M1", "A0", table) == 4
 
-    def test_absent_probability_is_none(self):
-        table = IntervalTable({("M1", "A0"): (0.2, 0.4, 0.6, 0.8)})
-        assert discretize(None, "M1", "A0", table) is None
-
     def test_degenerate_flagged(self):
         gold, systems = generate_synthetic(SyntheticConfig(n_sentences=1, seed=8))
         pool = attach_probs(align_gold(build_pool(

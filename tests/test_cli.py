@@ -545,7 +545,7 @@ class TestInfer:
                      "--engine", "dp", "--scorer", "svm", "--model", str(model_path),
                      "--out", str(tmp_path / "x.props")]) == 0
         assert len(loaded) == 1
-        assert len(loaded[0].space) == n_vocab
+        assert len(loaded[0].extractor.space) == n_vocab
 
     @pytest.mark.parametrize("argv", [
         ["infer", "--engine", "cs", "--constraints", "9"],

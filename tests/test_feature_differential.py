@@ -38,17 +38,19 @@ def _synthetic(seed: int, **knobs) -> CandidatePool:
 
 
 def _names(pool: CandidatePool, space) -> list:
-    return [(c.key, sorted(space.name(i) for i in c.features.ids))
+    return [(c.key, sorted(space.name(i) for i in c.features))
             for c in pool.all_candidates()]
 
 
 def _assert_same(pool, sentences=None, intervals=None, groups="all",
                  ref_space=None, new_space=None) -> tuple:
-    """Extract with both extractors; returns their spaces for chaining."""
+    """Extract with both extractors; returns their spaces for chaining.
+    Without intervals, both read an empty table."""
+    intervals = intervals if intervals is not None else IntervalTable()
     r = ref.FeatureExtractor(ref.FeatureConfig.parse_groups(groups), ref_space)
-    n = new.FeatureExtractor(new.FeatureConfig.parse_groups(groups), new_space)
+    n = new.FeatureExtractor(new.FeatureConfig.parse_groups(groups), new_space, intervals)
     want = _names(r.extract_pool(pool, sentences, intervals), r.space)
-    got = _names(n.extract_pool(pool, sentences, intervals), n.space)
+    got = _names(n.extract_pool(pool, sentences), n.space)
     assert got == want
     assert n.space.dump() == r.space.dump()
     return r.space, n.space

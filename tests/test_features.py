@@ -10,15 +10,14 @@ from srlcomb.pool import CandidatePool, SentencePool, align_gold, build_pool
 from conftest import cand
 
 
-def _names(ex: FeatureExtractor, target, spool, sentence, intervals=None,
-           system_ids=None) -> set:
+def _names(ex: FeatureExtractor, target, spool, sentence, system_ids=None) -> set:
     """The feature names of ``target``, extracted from a one-sentence pool of
     ``spool``; the systems default to those that vote in it."""
     if system_ids is None:
         system_ids = tuple(sorted({s for c in spool.candidates for s in c.votes}))
-    pool = ex.extract_pool(CandidatePool(tuple(system_ids), (spool,)), [sentence], intervals)
+    pool = ex.extract_pool(CandidatePool(tuple(system_ids), (spool,)), [sentence])
     [fv] = [c.features for c in pool.sentences[0].candidates if c.key == target.key]
-    return {ex.space.name(i) for i in fv.ids}
+    return {ex.space.name(i) for i in fv}
 
 
 def _sentence(n=14, pred=6):
@@ -213,8 +212,8 @@ class TestProbabilities:
         c = cand(0, 0, "A0", (0, 1), votes=("M1",), probs={"M1": 0.9})
         spool = SentencePool(0, 6, ((3, "v"),), (c,))
         table = IntervalTable({("M1", "A0"): (0.2, 0.4, 0.6, 0.8)})
-        ex = FeatureExtractor(FeatureConfig(groups=("FS6",)))
-        names = _names(ex, c, spool, _sentence(6, 3), table, system_ids=("M1", "M2"))
+        ex = FeatureExtractor(FeatureConfig(groups=("FS6",)), intervals=table)
+        names = _names(ex, c, spool, _sentence(6, 3), system_ids=("M1", "M2"))
         assert "fs6:M1=4" in names
         assert "fs6:M2=none" in names
 
@@ -289,8 +288,8 @@ class TestExtractorProperties:
         assert len(frozen) == n
         dropped = 0
         for a, b in zip(grown.all_candidates(), kept.all_candidates()):
-            names = {open_ex.space.name(i) for i in a.features.ids}
-            assert {frozen.name(i) for i in b.features.ids} == {
+            names = {open_ex.space.name(i) for i in a.features}
+            assert {frozen.name(i) for i in b.features} == {
                 name for name in names if frozen.ids([name])}
             dropped += len(a.features) - len(b.features)
         assert dropped > 0

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import random
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
-from srlcomb.features import FeatureConfig, FeatureExtractor, FeatureSpace
+from srlcomb.features import FeatureExtractor, FeatureSpace
 from srlcomb import learn
 from srlcomb.calibrate import DEFAULT_GAMMA, attach_probs, build_intervals
 from srlcomb.infer_cs import Scope
@@ -19,7 +18,6 @@ from srlcomb.learn import (
     DEFAULT_EPOCHS,
     DEFAULT_KKT_TOL,
     LabelScorer,
-    ModelMismatchError,
     ScoreModel,
     TrainExample,
     _smo,
@@ -30,24 +28,23 @@ from srlcomb.learn import (
     train_local_perceptron,
     train_local_svm,
 )
-from srlcomb.corpus_io import SyntheticConfig, generate_synthetic
+from srlcomb.corpus_io import SyntheticConfig, generate_synthetic, skeleton_sentences
 from srlcomb.infer_dp import infer_sentence
-from srlcomb.model import FeatureVector
 from srlcomb.pool import align_gold, build_pool
 from conftest import NOT_LINE_BREAKS, cand
 import reference_smo
 
 
-def fv(space: FeatureSpace, *names: str) -> FeatureVector:
-    return FeatureVector(tuple(sorted({space.intern(n) for n in names})))
+def fv(space: FeatureSpace, *names: str) -> tuple[int, ...]:
+    return tuple(sorted({space.intern(n) for n in names}))
 
 
-def ref_kernel(u: FeatureVector, v: FeatureVector, degree: int) -> float:
+def ref_kernel(u: tuple[int, ...], v: tuple[int, ...], degree: int) -> float:
     """(|u & v| + 1)^degree over id sets; shares no code with srlcomb."""
-    return float((len(set(u.ids) & set(v.ids)) + 1) ** degree)
+    return float((len(set(u) & set(v)) + 1) ** degree)
 
 
-def ref_score(scorer: LabelScorer, v: FeatureVector, averaged: bool = False) -> float:
+def ref_score(scorer: LabelScorer, v: tuple[int, ...], averaged: bool = False) -> float:
     """bias + sum of coef * kernel over the supports, one support at a time;
     averaged weights are coef * (u - tick) / u after u > 0 updates."""
     u = scorer.updates
@@ -58,7 +55,7 @@ def ref_score(scorer: LabelScorer, v: FeatureVector, averaged: bool = False) -> 
     return total
 
 
-def one_support(u: FeatureVector, degree: int) -> LabelScorer:
+def one_support(u: tuple[int, ...], degree: int) -> LabelScorer:
     return LabelScorer("A0", degree=degree, supports=[(1.0, 0, u)])
 
 
@@ -66,18 +63,18 @@ class TestKernel:
     """A scorer with one unit support is the kernel itself."""
 
     def test_empty_vectors(self):
-        empty = FeatureVector(())
+        empty = ()
         assert one_support(empty, 2).scores([empty])[0] == ref_kernel(empty, empty, 2) == 1.0
 
     def test_three_shared_degree_two(self):
-        u = FeatureVector((1, 2, 3, 9))
-        v = FeatureVector((1, 2, 3, 17))
+        u = (1, 2, 3, 9)
+        v = (1, 2, 3, 17)
         assert one_support(u, 2).scores([v])[0] == ref_kernel(u, v, 2) == 16.0
 
     def test_symmetric_random(self, rng):
         for _ in range(1000):
-            u = FeatureVector(tuple(sorted(rng.sample(range(50), rng.randint(0, 10)))))
-            v = FeatureVector(tuple(sorted(rng.sample(range(50), rng.randint(0, 10)))))
+            u = tuple(sorted(rng.sample(range(50), rng.randint(0, 10))))
+            v = tuple(sorted(rng.sample(range(50), rng.randint(0, 10))))
             d = rng.randint(1, 3)
             assert one_support(u, d).scores([v])[0] == one_support(v, d).scores([u])[0]
             assert one_support(u, d).scores([v])[0] == ref_kernel(u, v, d)
@@ -128,10 +125,10 @@ def _kernel_matrix(vectors, degree):
 
 def _float64_gram(vectors, degree):
     """The Gram matrix from a float64 0/1 design matrix, one cell at a time."""
-    cols = {fid: i for i, fid in enumerate(sorted({f for v in vectors for f in v.ids}))}
+    cols = {fid: i for i, fid in enumerate(sorted({f for v in vectors for f in v}))}
     x = np.zeros((len(vectors), max(len(cols), 1)))
     for r, v in enumerate(vectors):
-        for fid in v.ids:
+        for fid in v:
             x[r, cols[fid]] = 1.0
     return (x @ x.T + 1.0) ** degree
 
@@ -142,14 +139,14 @@ def test_gram_bit_identical_to_float64_build(featured_pool, degree):
     the bits of the float64 Gram matrix."""
     datasets = label_datasets(featured_pool[0])
     label = max(datasets, key=lambda lab: len(datasets[lab]))
-    empty = [FeatureVector(()), FeatureVector(())]
+    empty = [(), ()]
     for vectors in ([x for x, _ in datasets[label]], empty):
         postings = learn._Postings(vectors)
         rows = np.stack([postings.kernel_row(v, degree) for v in vectors])
         want = _float64_gram(vectors, degree)
         assert rows.dtype == np.float64
         assert np.array_equal(rows, want)
-        diag = (np.array([len(v.ids) for v in vectors]) + 1.0) ** degree
+        diag = (np.array([len(v) for v in vectors]) + 1.0) ** degree
         assert np.array_equal(diag, np.diagonal(want))
     assert np.array_equal(want, np.ones((2, 2)))
 
@@ -158,8 +155,7 @@ class TestLocalSvm:
     def test_separable_zero_errors(self):
         space = FeatureSpace()
         data = _separable_dataset(space)
-        model = train_local_svm({"A0": data}, space=space,
-                                feature_config=FeatureConfig())
+        model = train_local_svm({"A0": data}, extractor=FeatureExtractor(space=space))
         scorer = model.scorers["A0"]
         assert not scorer.degenerate
         for x, y in data:
@@ -171,8 +167,8 @@ class TestLocalSvm:
         # duplicated conflicting points force bounded support vectors
         clash = fv(space, "side=pos", "id=999")
         data += [(clash, 1), (clash, -1)]
-        model = train_local_svm({"A0": data}, c=1.0, tol=1e-5, space=space,
-                                feature_config=FeatureConfig())
+        model = train_local_svm({"A0": data}, c=1.0, tol=1e-5,
+                                extractor=FeatureExtractor(space=space))
         vectors = [x for x, _ in data]
         ys = np.array([y for _, y in data], dtype=float)
         k = _kernel_matrix(vectors, 2)
@@ -189,20 +185,17 @@ class TestLocalSvm:
     def test_large_c_keeps_signs_on_separable_data(self):
         space = FeatureSpace()
         data = _separable_dataset(space)
-        small = train_local_svm({"A0": data}, c=10.0, space=space,
-                                feature_config=FeatureConfig())
-        big = train_local_svm({"A0": data}, c=1e4, space=space,
-                              feature_config=FeatureConfig())
+        small = train_local_svm({"A0": data}, c=10.0, extractor=FeatureExtractor(space=space))
+        big = train_local_svm({"A0": data}, c=1e4, extractor=FeatureExtractor(space=space))
         for x, _y in data:
             a = small.scorers["A0"].scores([x])[0]
             b = big.scorers["A0"].scores([x])[0]
             assert np.sign(a) == np.sign(b)
 
     def test_stopped_at_max_steps_warns(self, featured_pool, monkeypatch, capsys):
-        pool, extractor, intervals, _gold = featured_pool
+        pool, extractor, _raw, _gold = featured_pool
         monkeypatch.setattr(learn, "_smo", functools.partial(learn._smo, max_steps=1))
-        train_local_svm({"A1": label_datasets(pool)["A1"]}, space=extractor.space,
-                        feature_config=extractor.config, intervals=intervals)
+        train_local_svm({"A1": label_datasets(pool)["A1"]}, extractor=extractor)
         err = capsys.readouterr().err
         assert "label A1 stopped after 1 steps" in err
 
@@ -213,16 +206,15 @@ class TestLocalSvm:
         gold, systems = generate_synthetic(SyntheticConfig(n_sentences=300, seed=7))
         pool = build_pool([(f"M{i+1}", d, t) for i, (d, t) in enumerate(systems)],
                           gold, DEFAULT_GAMMA)
-        extractor = FeatureExtractor()
-        pool = extractor.extract_pool(pool, intervals=build_intervals(pool))
+        extractor = FeatureExtractor(intervals=build_intervals(pool))
+        pool = extractor.extract_pool(pool)
         datasets = label_datasets(pool)
         label = max(datasets, key=lambda lab: len(datasets[lab]))
         n = len(datasets[label])
         assert (label, n) == ("A3", 287)
         tracemalloc.start()
         try:
-            train_local_svm({label: datasets[label]}, space=extractor.space,
-                            feature_config=extractor.config)
+            train_local_svm({label: datasets[label]}, extractor=extractor)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -230,18 +222,18 @@ class TestLocalSvm:
 
     def test_converged_separable_is_silent(self, capsys):
         space = FeatureSpace()
-        train_local_svm({"A0": _separable_dataset(space)}, space=space,
-                        feature_config=FeatureConfig())
+        train_local_svm({"A0": _separable_dataset(space)},
+                        extractor=FeatureExtractor(space=space))
         assert capsys.readouterr().err == ""
 
     def test_single_class_degenerate(self):
         space = FeatureSpace()
         data = [(fv(space, "a"), 1), (fv(space, "b"), 1)]
-        model = train_local_svm({"A0": data}, space=space,
-                                feature_config=FeatureConfig())
+        unseen = fv(space, "zzz")
+        model = train_local_svm({"A0": data}, extractor=FeatureExtractor(space=space))
         scorer = model.scorers["A0"]
         assert scorer.degenerate
-        assert scorer.scores([fv(space, "zzz")])[0] > 0
+        assert scorer.scores([unseen])[0] > 0
 
 
 @pytest.fixture(scope="module")
@@ -252,7 +244,7 @@ def real_label_problems():
     gold, systems = generate_synthetic(SyntheticConfig(n_sentences=40, seed=31))
     pool = attach_probs(align_gold(build_pool(
         [(f"M{i+1}", d, t) for i, (d, t) in enumerate(systems)]), gold))
-    pool = FeatureExtractor().extract_pool(pool, intervals=build_intervals(pool))
+    pool = FeatureExtractor(intervals=build_intervals(pool)).extract_pool(pool)
     datasets = [(label, list(data)) for label, data in sorted(label_datasets(pool).items())
                 if 30 <= len(data) <= 60]
     assert len(datasets) >= 3
@@ -298,10 +290,9 @@ class TestSmoOracle:
                 assert steps == max_steps, label
 
     def test_model_file_same_as_reference(self, featured_pool, monkeypatch):
-        pool, extractor, intervals, _gold = featured_pool
+        pool, extractor, _raw, _gold = featured_pool
         def train() -> str:
-            return train_local_svm(label_datasets(pool), space=extractor.space,
-                                   feature_config=extractor.config, intervals=intervals).saves()
+            return train_local_svm(label_datasets(pool), extractor=extractor).saves()
         text = train()
         monkeypatch.setattr(learn, "_smo", reference_smo._smo)
         assert train() == text
@@ -310,17 +301,16 @@ class TestSmoOracle:
 class TestLocalPerceptron:
     def test_zero_model_scores_zero(self):
         scorer = LabelScorer("A0", degree=2)
-        assert scorer.scores([FeatureVector((1, 2))])[0] == 0.0
-        assert scorer.scores([FeatureVector((1, 2))], averaged=True)[0] == 0.0
+        assert scorer.scores([(1, 2)])[0] == 0.0
 
     def test_separable_converges(self):
         space = FeatureSpace()
         data = _separable_dataset(space)
-        model = train_local_perceptron({"A0": data}, epochs=10, space=space,
-                                       feature_config=FeatureConfig())
+        model = train_local_perceptron({"A0": data}, epochs=10,
+                                       extractor=FeatureExtractor(space=space))
         scorer = model.scorers["A0"]
         for x, y in data:
-            assert y * scorer.scores([x])[0] > 0
+            assert y * ref_score(scorer, x) > 0
 
     def test_final_predictor_matches_replay(self):
         space = FeatureSpace()
@@ -330,8 +320,9 @@ class TestLocalPerceptron:
             names = ["side=pos" if rng.random() < 0.5 else "side=neg",
                      f"id={i}", f"noise={rng.randrange(5)}"]
             data.append((fv(space, *names), rng.choice([1, -1])))
-        model = train_local_perceptron({"A0": data}, epochs=3, space=space,
-                                       feature_config=FeatureConfig())
+        probe = fv(space, "side=pos", "id=3")
+        model = train_local_perceptron({"A0": data}, epochs=3,
+                                       extractor=FeatureExtractor(space=space))
 
         # independent replay of the update rule
         replay: list = []
@@ -342,18 +333,18 @@ class TestLocalPerceptron:
                     replay.append((float(y), x))
         scorer = model.scorers["A0"]
         assert [(c, sv) for c, _t, sv in scorer.supports] == replay
-        probe = fv(space, "side=pos", "id=3")
         want = sum(c * ref_kernel(sv, probe, 2) for c, sv in replay)
-        assert abs(scorer.scores([probe])[0] - want) < 1e-9
+        assert abs(ref_score(scorer, probe) - want) < 1e-9
 
     def test_averaged_differs_from_final_mid_training(self):
         space = FeatureSpace()
         g, j = fv(space, "side=pos"), fv(space, "side=neg")
         model = train_local_perceptron({"A0": [(g, 1), (j, -1)]}, epochs=1,
-                                       space=space, feature_config=FeatureConfig())
+                                       extractor=FeatureExtractor(space=space))
         scorer = model.scorers["A0"]
         assert scorer.updates >= 2
-        assert scorer.scores([j], averaged=True)[0] != scorer.scores([j])[0]
+        assert scorer.scores([j])[0] == ref_score(scorer, j, averaged=True)
+        assert scorer.scores([j])[0] != ref_score(scorer, j)
 
 
 def _marked_examples(space: FeatureSpace, n_sentences=8, seed=0):
@@ -374,12 +365,20 @@ def _marked_examples(space: FeatureSpace, n_sentences=8, seed=0):
     return examples
 
 
+def _marked_model(n_sentences: int, epochs: int) -> ScoreModel:
+    """A global Perceptron trained on marked examples, validated on them."""
+    space = FeatureSpace()
+    examples = _marked_examples(space, n_sentences)
+    return train_global_perceptron(examples, epochs=epochs, extractor=FeatureExtractor(space=space),
+                                   validation=examples)[0]
+
+
 class TestGlobalPerceptron:
     def test_first_example_promotes_all_reachable_gold(self):
         space = FeatureSpace()
         examples = _marked_examples(space, n_sentences=4)
         _model, log = train_global_perceptron(
-            examples, epochs=1, space=space, feature_config=FeatureConfig())
+            examples, epochs=1, extractor=FeatureExtractor(space=space), validation=examples)
         n_gold = len(examples[0].gold_keys)
         assert log.ledger[0] == (n_gold, 0, n_gold, 0)
 
@@ -387,7 +386,7 @@ class TestGlobalPerceptron:
         space = FeatureSpace()
         examples = _marked_examples(space, n_sentences=10, seed=3)
         _model, log = train_global_perceptron(
-            examples, epochs=3, space=space, feature_config=FeatureConfig())
+            examples, epochs=3, extractor=FeatureExtractor(space=space), validation=examples)
         for n_promote, n_demote, missing, spurious in log.ledger:
             assert n_promote == missing and n_demote == spurious
 
@@ -395,18 +394,18 @@ class TestGlobalPerceptron:
         space = FeatureSpace()
         examples = _marked_examples(space, n_sentences=8)
         model, log = train_global_perceptron(
-            examples, epochs=3, space=space, feature_config=FeatureConfig())
+            examples, epochs=3, extractor=FeatureExtractor(space=space), validation=examples)
         assert max(log.epoch_f1) == 100.0
 
     def test_fixpoint_no_updates(self):
         space = FeatureSpace()
         examples = _marked_examples(space, n_sentences=6)
         model, _ = train_global_perceptron(
-            examples, epochs=3, space=space, feature_config=FeatureConfig())
+            examples, epochs=3, extractor=FeatureExtractor(space=space), validation=examples)
         # retrain starting from the converged model: replay more epochs and
         # confirm the tail of the ledger is all zeros
         _model2, log2 = train_global_perceptron(
-            examples, epochs=5, space=space, feature_config=FeatureConfig())
+            examples, epochs=5, extractor=FeatureExtractor(space=space), validation=examples)
         tail = log2.ledger[-len(examples):]
         assert all(entry == (0, 0, 0, 0) for entry in tail)
 
@@ -423,75 +422,101 @@ class TestGlobalPerceptron:
             examples.append(TrainExample(
                 s, (c,), frozenset({c.key} if gold else ())))
         _model, log = train_global_perceptron(
-            examples, epochs=5, space=space, feature_config=FeatureConfig())
+            examples, epochs=5, extractor=FeatureExtractor(space=space), validation=examples)
         total_updates = sum(p + d for p, d, _, _ in log.ledger)
         assert total_updates <= 2
 
     def test_deterministic_serialization(self):
-        space1, space2 = FeatureSpace(), FeatureSpace()
-        m1, _ = train_global_perceptron(_marked_examples(space1, 8), epochs=3,
-                                        space=space1, feature_config=FeatureConfig())
-        m2, _ = train_global_perceptron(_marked_examples(space2, 8), epochs=3,
-                                        space=space2, feature_config=FeatureConfig())
-        assert m1.saves() == m2.saves()
+        models = []
+        for space in (FeatureSpace(), FeatureSpace()):
+            examples = _marked_examples(space, 8)
+            models.append(train_global_perceptron(
+                examples, epochs=3, extractor=FeatureExtractor(space=space),
+                validation=examples)[0])
+        assert models[0].saves() == models[1].saves()
 
     def test_scope_sentence_runs(self):
         space = FeatureSpace()
         examples = _marked_examples(space, 6)
         model, log = train_global_perceptron(
-            examples, scope=Scope.FULL_SENTENCE, epochs=2, space=space,
-            feature_config=FeatureConfig())
+            examples, scope=Scope.FULL_SENTENCE, epochs=2,
+            extractor=FeatureExtractor(space=space), validation=examples)
         assert log.epoch_f1
+
+
+def _synthetic_pool(n_sentences: int, seed: int):
+    gold, systems = generate_synthetic(SyntheticConfig(n_sentences=n_sentences, seed=seed))
+    pool = align_gold(build_pool(
+        [(f"M{i+1}", d, t) for i, (d, t) in enumerate(systems)]), gold)
+    return attach_probs(pool), gold
 
 
 @pytest.fixture(scope="module")
 def featured_pool():
-    gold, systems = generate_synthetic(SyntheticConfig(n_sentences=20, seed=30))
-    pool = align_gold(build_pool(
-        [(f"M{i+1}", d, t) for i, (d, t) in enumerate(systems)]), gold)
-    pool = attach_probs(pool)
-    intervals = build_intervals(pool)
-    extractor = FeatureExtractor()
-    return extractor.extract_pool(pool, intervals=intervals), extractor, intervals, gold
+    """(featured pool, its extractor, the pool before extraction, gold).
+    Every model trained on it freezes the extractor's vocabulary, which
+    then holds every name of the pool."""
+    pool, gold = _synthetic_pool(20, 30)
+    extractor = FeatureExtractor(intervals=build_intervals(pool))
+    return extractor.extract_pool(pool), extractor, pool, gold
 
 
 class TestScorePool:
     def test_empty_model_scores_zero(self, featured_pool):
-        pool, extractor, intervals, _gold = featured_pool
-        model = ScoreModel("svm", 2, extractor.config, extractor.space, {}, intervals)
-        margins = score_pool(model, pool)
+        pool, extractor, raw, _gold = featured_pool
+        model = ScoreModel("svm", 2, extractor, {})
+        margins = score_pool(model, raw)
         assert [len(m) for m in margins] == [len(s.candidates) for s in pool.sentences]
         assert all(m == 0.0 for row in margins for m in row)
 
     def test_per_label_decomposition(self, featured_pool):
-        pool, extractor, intervals, _gold = featured_pool
+        pool, extractor, raw, _gold = featured_pool
         datasets = label_datasets(pool)
         one_label = {"A0": datasets["A0"]}
-        model = train_local_svm(one_label, space=extractor.space,
-                                feature_config=extractor.config, intervals=intervals)
-        for sent, margins in zip(pool.sentences, score_pool(model, pool)):
+        model = train_local_svm(one_label, extractor=extractor)
+        for sent, margins in zip(pool.sentences, score_pool(model, raw)):
             for c, m in zip(sent.candidates, margins, strict=True):
                 if c.label.text != "A0":
                     assert m == 0.0
 
-    def test_config_mismatch_rejected(self, featured_pool):
-        pool, extractor, intervals, _gold = featured_pool
-        other_cfg = FeatureConfig(groups=("FS1",))
-        model = ScoreModel("svm", 2, other_cfg, extractor.space, {}, intervals)
-        with pytest.raises(ModelMismatchError):
-            score_pool(model, pool)
-
-    def test_space_mismatch_rejected(self, featured_pool):
-        pool, extractor, intervals, _gold = featured_pool
-        model = ScoreModel("svm", 2, extractor.config, FeatureSpace(), {}, intervals)
-        with pytest.raises(ModelMismatchError):
-            score_pool(model, pool)
+    @pytest.mark.parametrize("syntax", [False, True], ids=["skeleton", "syntax"])
+    @pytest.mark.parametrize("kind", ["svm", "perceptron-local", "perceptron-global"])
+    def test_unseen_names_leave_the_vocabulary_alone(self, featured_pool, kind, syntax):
+        """A pool with names the model never saw: scoring it leaves the
+        vocabulary as it was, and its margins equal those of extracting
+        with a frozen copy of the vocabulary and scoring label by label."""
+        model = _train(kind, featured_pool, 2)
+        extractor = model.extractor
+        n_names = len(extractor.space)
+        pool, gold = _synthetic_pool(15, 31)
+        sentences = skeleton_sentences(gold) if syntax else None
+        copy = FeatureExtractor(extractor.config, FeatureSpace.load(extractor.space.dump()),
+                                extractor.intervals)
+        featured = copy.extract_pool(pool, sentences)
+        margins = score_pool(model, pool, sentences)
+        assert len(extractor.space) == n_names
+        # the new pool has names of its own, which both paths drop
+        grown = FeatureExtractor(extractor.config, intervals=extractor.intervals)
+        grown.extract_pool(pool, sentences)
+        names = {extractor.space.name(i) for i in range(n_names)}
+        assert any(grown.space.name(i) not in names for i in range(len(grown.space)))
+        want = {}
+        by_label: dict = {}
+        for c in featured.all_candidates():
+            by_label.setdefault(c.label.text, []).append(c)
+        for label, cands in by_label.items():
+            scorer = model.scorers.get(label)
+            values = (scorer.scores([c.features for c in cands]) if scorer is not None
+                      else [0.0] * len(cands))
+            want.update(zip((c.key for c in cands), values))
+        got = {c.key: m for sent, row in zip(pool.sentences, margins, strict=True)
+               for c, m in zip(sent.candidates, row, strict=True)}
+        assert got == want
 
 
 def _svm_model_text(featured_pool) -> str:
-    pool, extractor, intervals, _gold = featured_pool
-    return train_local_svm(label_datasets(pool), space=extractor.space,
-                           feature_config=extractor.config, intervals=intervals).saves()
+    pool, extractor, _raw, _gold = featured_pool
+    return train_local_svm(label_datasets(pool), extractor=extractor).saves()
 
 
 @pytest.fixture(scope="module")
@@ -501,22 +526,19 @@ def svm_model_text(featured_pool) -> str:
 
 class TestModelFile:
     def test_round_trip_bytes_and_scores(self, featured_pool):
-        pool, extractor, intervals, gold = featured_pool
-        model = train_local_svm(label_datasets(pool), space=extractor.space,
-                                feature_config=extractor.config, intervals=intervals)
+        pool, extractor, _raw, _gold = featured_pool
+        model = train_local_svm(label_datasets(pool), extractor=extractor)
         text = model.saves()
         reloaded = ScoreModel.loads(text)
         assert reloaded.saves() == text
-        assert reloaded.intervals == model.intervals
+        assert reloaded.extractor.intervals == model.extractor.intervals
         probe = next(iter(pool.all_candidates()))
         label = probe.label.text
         assert (reloaded.scorers[label].scores([probe.features])
                 == pytest.approx(model.scorers[label].scores([probe.features])))
 
     def test_round_trip_global(self):
-        space = FeatureSpace()
-        model, _ = train_global_perceptron(_marked_examples(space, 6), epochs=2,
-                                           space=space, feature_config=FeatureConfig())
+        model = _marked_model(6, epochs=2)
         assert ScoreModel.loads(model.saves()).saves() == model.saves()
 
     def test_short_intervals_row_rejected(self, featured_pool):
@@ -581,9 +603,7 @@ class TestModelFile:
     def test_support_tick_within_horizon(self, tick):
         """A support's tick lies below its label's update count; past it, the
         averaged weight coef * (updates - tick) / updates is zero or flips sign."""
-        space = FeatureSpace()
-        model, _ = train_global_perceptron(_marked_examples(space, 6), epochs=2,
-                                           space=space, feature_config=FeatureConfig())
+        model = _marked_model(6, epochs=2)
         lines = model.saves().split("\n")
         head = next(i for i, l in enumerate(lines) if l.startswith("updates "))
         updates = int(lines[head].split()[1])
@@ -650,13 +670,12 @@ class TestModelFile:
                                   "with feature id 2 and a tab")
 
     def test_valid_untrained_label_scores_zero(self, featured_pool, capsys):
-        pool, extractor, intervals, gold = featured_pool
-        model = train_local_svm(label_datasets(pool), space=extractor.space,
-                                feature_config=extractor.config, intervals=intervals)
+        pool, extractor, raw, _gold = featured_pool
+        model = train_local_svm(label_datasets(pool), extractor=extractor)
         label = next(iter(pool.all_candidates())).label.text
         del model.scorers[label]
         capsys.readouterr()
-        scored = [m for sent, margins in zip(pool.sentences, score_pool(model, pool))
+        scored = [m for sent, margins in zip(pool.sentences, score_pool(model, raw))
                   for c, m in zip(sent.candidates, margins, strict=True)
                   if c.label.text == label]
         assert scored and all(m == 0.0 for m in scored)
@@ -690,8 +709,7 @@ class TestModelFile:
             model = ScoreModel.loads("\n".join(lines))
         except ValueError:
             return
-        values = [x for cuts in (model.intervals.cuts.values() if model.intervals else ())
-                  for x in cuts]
+        values = [x for cuts in model.extractor.intervals.cuts.values() for x in cuts]
         for sc in model.scorers.values():
             values += [sc.bias] + [coef for coef, _tick, _sv in sc.supports]
         assert all(math.isfinite(x) for x in values)
@@ -707,9 +725,8 @@ class TestModelFile:
 
 
 def _train(kind: str, featured_pool, degree: int) -> ScoreModel:
-    pool, extractor, intervals, gold = featured_pool
-    common = dict(degree=degree, space=extractor.space, feature_config=extractor.config,
-                  intervals=intervals)
+    pool, extractor, _raw, gold = featured_pool
+    common = dict(degree=degree, extractor=extractor)
     if kind == "svm":
         return train_local_svm(label_datasets(pool), **common)
     if kind == "perceptron-local":
@@ -726,40 +743,28 @@ class TestDualSum:
     @pytest.mark.parametrize("degree", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["svm", "perceptron-local", "perceptron-global"])
     def test_score_pool_matches_reference(self, featured_pool, kind, degree):
-        pool = featured_pool[0]
+        pool, _extractor, raw, _gold = featured_pool
         model = _train(kind, featured_pool, degree)
         assert sum(len(sc.supports) for sc in model.scorers.values()) > 0
-        for sent, margins in zip(pool.sentences, score_pool(model, pool), strict=True):
+        for sent, margins in zip(pool.sentences, score_pool(model, raw), strict=True):
             for c, m in zip(sent.candidates, margins, strict=True):
                 scorer = model.scorers.get(c.label.text)
                 want = 0.0 if scorer is None else ref_score(scorer, c.features, averaged=True)
                 assert m == want, (kind, degree)
                 if scorer is not None:
-                    for averaged in (False, True):
-                        alone = scorer.scores([c.features], averaged)[0]
-                        assert alone == ref_score(scorer, c.features, averaged)
+                    assert scorer.scores([c.features])[0] == want
 
     @pytest.mark.parametrize("kind", ["svm", "perceptron-global"])
     def test_edge_cases(self, featured_pool, kind):
-        pool, extractor, _intervals, _gold = featured_pool
+        pool, extractor, raw, _gold = featured_pool
         model = _train(kind, featured_pool, 2)
         labels = sorted(model.scorers)
         # a bias-only scorer, and a label the model has no scorer for
         model.scorers[labels[0]] = LabelScorer(labels[0], degree=2, bias=-0.75,
                                                degenerate=True)
         del model.scorers[labels[1]]
-        unseen = len(extractor.space) + 1000
-        per_sentence = []
-        for sent in pool.sentences:
-            cands = list(sent.candidates)
-            cands[0] = dataclasses.replace(cands[0], features=FeatureVector(()))
-            if len(cands) > 1:
-                cands[1] = dataclasses.replace(
-                    cands[1], features=FeatureVector((unseen, unseen + 1)))
-            per_sentence.append(cands)
-        edge_pool = pool.with_candidates(per_sentence)
         seen_kinds = set()
-        for sent, margins in zip(edge_pool.sentences, score_pool(model, edge_pool), strict=True):
+        for sent, margins in zip(pool.sentences, score_pool(model, raw), strict=True):
             for c, m in zip(sent.candidates, margins, strict=True):
                 label = c.label.text
                 scorer = model.scorers.get(label)
@@ -770,13 +775,13 @@ class TestDualSum:
                 if label == labels[0]:
                     assert m == -0.75
                     seen_kinds.add("bias only")
-                if not c.features.ids:
-                    seen_kinds.add("empty")
-                if c.features.ids and min(c.features.ids) >= unseen:
-                    # no support shares an id: every kernel value is 1
-                    seen_kinds.add("unseen ids")
                 assert m == ref_score(scorer, c.features, averaged=True)
-        assert seen_kinds == {"no scorer", "bias only", "empty", "unseen ids"}
+        assert seen_kinds == {"no scorer", "bias only"}
+        # an empty vector, and ids that no support shares: every kernel value is 1
+        unseen = len(extractor.space) + 1000
+        for scorer in model.scorers.values():
+            for vector in ((), (unseen, unseen + 1)):
+                assert scorer.scores([vector])[0] == ref_score(scorer, vector, averaged=True)
 
 
 def _naive_local(datasets, degree: int, epochs: int) -> dict:
@@ -793,11 +798,10 @@ def _naive_local(datasets, degree: int, epochs: int) -> dict:
     return out
 
 
-def _naive_global(examples, scope, degree: int, epochs: int, validation=None):
+def _naive_global(examples, scope, degree: int, epochs: int, validation):
     """The global Perceptron, re-scoring every candidate with `ref_score`.
     Returns ({label: supports}, kept tick, ledger, epoch F1, kept epoch)."""
     supports: dict = {}
-    holdout = validation if validation is not None else examples
     tick = 0
     ledger, epoch_f1, snapshots = [], [], []
 
@@ -829,7 +833,7 @@ def _naive_global(examples, scope, degree: int, epochs: int, validation=None):
             ledger.append((len(promote), len(demote),
                            len(ex.gold_keys - yhat), len(yhat - ex.gold_keys)))
         snapshots.append((tick, {lab: len(sup) for lab, sup in supports.items()}))
-        epoch_f1.append(f1(holdout, [predict(ex, True) for ex in holdout]))
+        epoch_f1.append(f1(validation, [predict(ex, True) for ex in validation]))
     best = max(range(len(epoch_f1)), key=lambda i: (epoch_f1[i], -i))
     keep_tick, counts = snapshots[best]
     kept = {lab: sup[:counts.get(lab, 0)] for lab, sup in supports.items()
@@ -837,45 +841,40 @@ def _naive_global(examples, scope, degree: int, epochs: int, validation=None):
     return kept, keep_tick, ledger, epoch_f1, best
 
 
-def _rows(supports) -> list:
-    return [(coef, tick, sv.ids) for coef, tick, sv in supports]
-
-
 class TestPerceptronReplay:
     """The margin-cached trainers against trainers that re-score everything."""
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_local(self, featured_pool, degree):
-        pool, extractor, _intervals, _gold = featured_pool
+        pool, extractor, _raw, _gold = featured_pool
         datasets = label_datasets(pool)
-        model = train_local_perceptron(datasets, degree=degree, epochs=3,
-                                       space=extractor.space,
-                                       feature_config=extractor.config)
+        model = train_local_perceptron(datasets, degree=degree, epochs=3, extractor=extractor)
         want = _naive_local(datasets, degree, 3)
         assert sorted(model.scorers) == sorted(want)
         for label, sc in model.scorers.items():
-            assert _rows(sc.supports) == _rows(want[label].supports), label
+            assert sc.supports == want[label].supports, label
             assert sc.updates == want[label].updates
 
-    @pytest.mark.parametrize("scope, degree, split", [
+    @pytest.mark.parametrize("scope, degree, lone_label", [
         (Scope.PRED_BY_PRED, 2, True),
         (Scope.FULL_SENTENCE, 2, True),
         (Scope.PRED_BY_PRED, 3, False),
         (Scope.FULL_SENTENCE, 1, False),
     ])
-    def test_global(self, featured_pool, scope, degree, split):
-        pool, extractor, _intervals, gold = featured_pool
+    def test_global(self, featured_pool, scope, degree, lone_label):
+        pool, extractor, _raw, gold = featured_pool
         examples = make_examples(pool, gold)
-        train, validation = (examples[:-5], examples[-5:]) if split else (examples, None)
-        if split:
+        n_val = 5 if lone_label else 3
+        train, validation = examples[:-n_val], examples[-n_val:]
+        if lone_label:
             # a held-out gold candidate whose label no training candidate has
             assert all(c.label.text != "A5" for ex in train for c in ex.candidates)
             lone = cand(999, 0, "A5", (0, 1), votes=("M1",),
                         features=train[0].candidates[0].features, is_gold=True)
             validation = validation + [TrainExample(999, (lone,), frozenset({lone.key}))]
         model, log = train_global_perceptron(
-            train, scope=scope, degree=degree, epochs=3, space=extractor.space,
-            feature_config=extractor.config, validation=validation)
+            train, scope=scope, degree=degree, epochs=3, extractor=extractor,
+            validation=validation)
         kept, keep_tick, ledger, epoch_f1, best = _naive_global(
             train, scope, degree, 3, validation)
         assert log.ledger == ledger
@@ -885,5 +884,5 @@ class TestPerceptronReplay:
         assert sorted(model.scorers) == sorted(kept)
         assert "A5" not in model.scorers
         for label, sc in model.scorers.items():
-            assert _rows(sc.supports) == _rows(kept[label]), label
+            assert sc.supports == kept[label], label
             assert sc.updates == keep_tick

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from srlcomb.model import (
     EXISTENTIAL_RULES,
     ConstraintSet,
-    FeatureVector,
     LabelKind,
     RoleLabel,
     Solution,
@@ -79,7 +78,7 @@ class TestCandidate:
     def test_with_features_copies_every_other_field(self):
         c = cand(0, 1, "AM-TMP", (2, 4), votes=("M1", "M2"), probs={"M2": 0.25},
                  raw={"M1": -1.5}, is_gold=True)
-        fv = FeatureVector((1, 3))
+        fv = (1, 3)
         copy = c.with_features(fv)
         assert copy == dataclasses.replace(c, features=fv)
         assert c.features is None and copy.features is fv
@@ -88,7 +87,7 @@ class TestCandidate:
 
     def test_with_gold_and_with_probs_copy_every_other_field(self):
         c = cand(0, 1, "AM-TMP", (2, 4), votes=("M1", "M2"), raw={"M1": -1.5},
-                 features=FeatureVector((1, 3)))
+                 features=(1, 3))
         assert c.with_gold(True) == dataclasses.replace(c, is_gold=True)
         probs = (("M2", 0.25), ("M1", 0.5))
         assert c.with_probs(probs) == dataclasses.replace(c, probs=probs)
