@@ -3,11 +3,10 @@ equal-frequency probability intervals used as discrete features."""
 
 from __future__ import annotations
 
-import bisect
 import math
+from collections import defaultdict
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
-
-import numpy as np
 
 if TYPE_CHECKING:   # pool imports this module, since build_pool calibrates as it pools
     from .pool import CandidatePool
@@ -140,8 +139,10 @@ class IntervalTable:
             if len(values) != 4 or any(values[i] > values[i + 1] for i in range(3)):
                 raise ValueError(f"cut points for {key} must be 4 non-decreasing values")
 
-    def cuts_for(self, system: str, label: str):
-        return self.cuts.get((system, label))
+    def cuts_for(self, system: str, label: str) -> tuple[float, ...]:
+        """The cut points of (system, label); an unknown key falls back to a
+        half-split degenerate table."""
+        return self.cuts.get((system, label), _DEGENERATE_CUTS)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntervalTable) and self.cuts == other.cuts
@@ -155,29 +156,34 @@ def build_intervals(pool: CandidatePool) -> IntervalTable:
     """Fit 20/40/60/80 percentile cuts per (system, label) from pool probabilities.
 
     Keys with fewer than 5 observations get a degenerate table (all cuts at
-    the median) and are flagged.
+    the median) and are flagged.  The cuts are numpy's, bit for bit: its
+    ``linear`` rule interpolates at index (n - 1) * q from the nearer end.
     """
-    obs: dict = {}
+    by_label: dict = defaultdict(list)     # label -> the probs of its candidates
     for sent in pool.sentences:
         for c in sent.candidates:
-            for sid, p in c.probs:
-                obs.setdefault((sid, c.label.text), []).append(p)
+            by_label[c.argument.label.text].append(c.probs)
     cuts = {}
     degenerate = set()
-    for key, values in obs.items():
-        if len(values) >= 5:
-            pct = np.percentile(np.asarray(values, dtype=float), [20, 40, 60, 80])
-            cuts[key] = tuple(float(x) for x in pct)
-        else:
-            med = float(np.median(np.asarray(values, dtype=float)))
-            cuts[key] = (med, med, med, med)
-            degenerate.add(key)
+    for label, probs in by_label.items():
+        by_system: dict = defaultdict(list)
+        for sid, p in chain.from_iterable(probs):
+            by_system[sid].append(p)
+        for sid, values in by_system.items():
+            values.sort()
+            n = len(values)
+            if n >= 5:
+                cut = []
+                for q in (0.2, 0.4, 0.6, 0.8):
+                    index = (n - 1) * q
+                    i = math.floor(index)
+                    a, b, t = values[i], values[i + 1], index - i
+                    d = b - a
+                    cut.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
+                cuts[sid, label] = tuple(cut)
+            else:
+                half = n // 2
+                med = values[half] if n % 2 else (values[half - 1] + values[half]) / 2
+                cuts[sid, label] = (med, med, med, med)
+                degenerate.add((sid, label))
     return IntervalTable(cuts, degenerate)
-
-
-def discretize(p: float, system: str, label: str, table: IntervalTable) -> int:
-    """Map a probability to its interval index 0..4.
-
-    Unknown (system, label) keys fall back to a half-split degenerate table.
-    """
-    return bisect.bisect_right(table.cuts_for(system, label) or _DEGENERATE_CUTS, p)

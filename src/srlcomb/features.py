@@ -13,18 +13,18 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .calibrate import IntervalTable, discretize
+from .calibrate import IntervalTable
 from .corpus_io import AlignmentError, skeleton_tags, text_lines
 from .model import (
-    Candidate,
     ParseNode,
     Sentence,
     Span,
+    Token,
     clause_events,
     clause_intervals,
     decode_bio,
 )
-from .pool import CandidatePool, SentencePool
+from .pool import CandidatePool
 
 ALL_GROUPS = ("FS1", "FS2", "FS3", "FS4", "FS5", "FS6")
 
@@ -60,7 +60,7 @@ class FeatureSpace:
         if None in ids:
             ids.discard(None)
             if not self.frozen:
-                ids.update(map(self.intern, sorted({n for n in names if n not in by_name})))
+                ids.update(map(self.intern, sorted(set(names).difference(by_name))))
         return tuple(sorted(ids))
 
     def name(self, fid: int) -> str:
@@ -154,9 +154,9 @@ def _sequence_features(feats: list, prefix: str, elems: Sequence[str]) -> None:
 
 
 class _ParseIndex:
-    """Parent/depth maps over a parse tree, built once per sentence."""
+    """Parent/depth maps over a parse tree and running token counts, built once per sentence."""
 
-    def __init__(self, root: ParseNode):
+    def __init__(self, root: ParseNode, tokens: Sequence[Token] = ()):
         self.root = root
         self.parent: dict = {}
         self.depth: dict = {}
@@ -173,6 +173,13 @@ class _ParseIndex:
         for nodes in self._by_start.values():
             nodes.sort(key=lambda n: (-len(n.span), self.depth[id(n)]))
         self._chains: dict = {}
+        self.tokens = tokens
+        # counts of verbs, commas and conjunctions among tokens 0..i-1
+        self.n_vb, self.n_comma, self.n_cc = [0], [0], [0]
+        for tok in tokens:
+            self.n_vb.append(self.n_vb[-1] + tok.pos.startswith("VB"))
+            self.n_comma.append(self.n_comma[-1] + (tok.form == ","))
+            self.n_cc.append(self.n_cc[-1] + (tok.pos == "CC"))
 
     def ancestors(self, node: ParseNode) -> list[ParseNode]:
         """Chain from the node itself up to the root."""
@@ -232,7 +239,6 @@ class _PoolNames:
     feature names of vote masks, intervals and clause tags."""
 
     def __init__(self, system_ids: Sequence[str]):
-        self.system_ids = system_ids
         self._bit: dict = {}
         self._masks: dict = {}
         self.system_bits = [(sid, self._bit_of(sid)) for sid in system_ids]
@@ -269,82 +275,47 @@ class _PoolNames:
         return events
 
 
-class _SentenceContext:
-    """What every candidate of one sentence shares, worked out once.  With no
-    sentence, the sentence is the pool sentence's skeleton, read from the
-    tags ``corpus_io.skeleton_tags`` gives it."""
+def _label_sequences(rows: list, pred_pos: list, system_bits: list) -> list[dict]:
+    """FS1's label sequence names by predicate, then system: the labels of
+    the predicate's arguments that the system proposed, its V included, in
+    span order."""
+    entries: list = [[(pos, pos, "V", -1)] for pos in pred_pos]    # every system has the V
+    for start, end, votes, pred, label in rows:
+        entries[pred].append((start, end, label, votes))
+    sequences = []
+    for args in entries:
+        args.sort()     # no two entries share (start, end, label)
+        sequences.append({sid: f"fs1:seq:{sid}=" + "-".join(
+            [label for _s, _e, label, votes in args if votes & bit]) for sid, bit in system_bits})
+    return sequences
 
-    def __init__(self, spool: SentencePool, sentence: Optional[Sentence], shared: _PoolNames):
-        if sentence is None:
-            chunk_tags, clause_tags = skeleton_tags(spool.n_tokens, spool.predicates)
-            ne_tags: Sequence[str] = ()     # a skeleton names no entity
-            self.tokens, self.parse = (), None
-        else:
-            tokens = sentence.tokens
-            chunk_tags = [t.chunk for t in tokens]
-            clause_tags = [t.clause for t in tokens]
-            ne_tags = [t.ne for t in tokens]
-            self.tokens = tokens
-            self.parse = _ParseIndex(sentence.parse) if sentence.parse is not None else None
-        self.pred_pos = [pos for pos, _lemma in spool.predicates]
-        chunks = decode_bio(chunk_tags)
-        # chunks are ordered and disjoint, so both columns ascend
-        self.chunk_types = [kind for kind, _s, _e in chunks]
-        self.chunk_starts = [start for _k, start, _e in chunks]
-        self.chunk_ends = [end for _k, _s, end in chunks]
-        self.nes = decode_bio(ne_tags)
-        self.clauses = clause_intervals(clause_tags)
-        self.pred_clause_depth = [self.clause_depth(pos, pos) for pos in self.pred_pos]
-        # the clause events of tokens lo..hi are events[offsets[lo]:offsets[hi + 1]]
-        self.events: list = []
-        self.offsets = [0]
-        for tag in clause_tags:
-            self.events += shared.clause_events(tag)
-            self.offsets.append(len(self.events))
-        if self.parse is not None:
-            # counts of verbs, commas and conjunctions among tokens 0..i-1
-            self.n_vb, self.n_comma, self.n_cc = [0], [0], [0]
-            for tok in self.tokens:
-                self.n_vb.append(self.n_vb[-1] + tok.pos.startswith("VB"))
-                self.n_comma.append(self.n_comma[-1] + (tok.form == ","))
-                self.n_cc.append(self.n_cc[-1] + (tok.pos == "CC"))
 
-        mask = shared.mask
-        # (start, end, vote mask, predicate, label) of every candidate, and
-        # the (start, end, label, vote mask) of each predicate's arguments,
-        # its V included
-        self.rows = []
-        entries: list = [[(pos, pos, "V", None)] for pos in self.pred_pos]
-        for c in spool.candidates:
-            arg = c.argument
-            start, end, label, votes = arg.span.start, arg.span.end, arg.label.text, mask(c.votes)
-            self.rows.append((start, end, votes, arg.predicate, label))
-            entries[arg.predicate].append((start, end, label, votes))
-        # each system's labels of each predicate in span order: the name of
-        # that sequence by predicate, then system
-        self.sequences = []
-        for args in entries:
-            args.sort(key=lambda e: e[:3])
-            self.sequences.append({
-                sid: f"fs1:seq:{sid}=" + "-".join(
-                    label for _s, _e, label, votes in args if votes is None or votes & bit)
-                for sid, bit in shared.system_bits})
-
-    def clause_depth(self, start: int, end: int) -> int:
-        depth = 0
-        for c_start, c_end in self.clauses:
-            if c_start <= start and end <= c_end:
-                depth += 1
-        return depth
-
-    def clause_seq(self, lo: int, hi: int) -> list[str]:
-        """Clause events of tokens lo..hi; none when lo > hi."""
-        return self.events[self.offsets[lo]:self.offsets[hi + 1]]
-
-    def chunk_seq(self, lo: int, hi: int) -> list[str]:
-        """Types of the chunks inside tokens lo..hi."""
-        return self.chunk_types[bisect_left(self.chunk_starts, lo):
-                                bisect_right(self.chunk_ends, hi)]
+def _partial_syntax(sentence: Optional[Sentence], skeleton_chunks: Optional[list],
+                    shared: _PoolNames) -> tuple:
+    """FS4's columns of one sentence: chunk types, starts and ends (chunks
+    are ordered and disjoint, so both ascend), named entities, clauses, and
+    the clause events of every token in one list, those of tokens lo..hi
+    being events[offsets[lo]:offsets[hi + 1]].  Without a sentence they are
+    read off the tags ``corpus_io.skeleton_tags`` writes, with no decoding:
+    single-token chunks and one clause over the sentence."""
+    if sentence is None:
+        n = len(skeleton_chunks)
+        starts = list(range(n))
+        if not n:
+            return [], starts, starts, [], [], [], [0]
+        return ([tag[2:] for tag in skeleton_chunks], starts, starts, [], [(0, n - 1)],
+                ["(S", "S)"], [0] + [1] * (n - 1) + [2])
+    tokens = sentence.tokens
+    chunks = decode_bio([t.chunk for t in tokens])
+    clause_tags = [t.clause for t in tokens]
+    events: list = []
+    offsets = [0]
+    for tag in clause_tags:
+        events += shared.clause_events(tag)
+        offsets.append(len(events))
+    return ([kind for kind, _s, _e in chunks], [start for _k, start, _e in chunks],
+            [end for _k, _s, end in chunks], decode_bio([t.ne for t in tokens]),
+            clause_intervals(clause_tags), events, offsets)
 
 
 class FeatureExtractor:
@@ -365,7 +336,12 @@ class FeatureExtractor:
         """The pool with every candidate's features; without ``sentences``,
         each pool sentence's skeleton stands in for it.  Sentences of another
         count, or of another token count than their pool sentence, are an
-        AlignmentError."""
+        AlignmentError.
+
+        One loop per sentence: the columns that the enabled groups read are
+        built once, and each candidate's names are made from them inline.
+        Names may come in any order and more than once: the space sees only
+        the set."""
         if sentences is not None:
             if len(sentences) != len(pool):
                 raise AlignmentError(
@@ -373,161 +349,190 @@ class FeatureExtractor:
             for k, (sentence, spool) in enumerate(zip(sentences, pool.sentences)):
                 if len(sentence.tokens) != spool.n_tokens:
                     raise AlignmentError(f"sentence {k}: token counts differ")
+        fs1, fs2, fs3, fs4, fs5, fs6 = (g in self.config.groups for g in ALL_GROUPS)
         shared = _PoolNames(pool.system_ids)
+        (fs2_eq, fs2_in, fs2_around, fs2_cross), (fs3_eq, fs3_in, fs3_around,
+                                                  fs3_cross) = shared.overlaps
+        mask, vote_names, ids, intervals = shared.mask, shared.fs1, self.space.ids, self.intervals
+        fs6_by_label: dict = {}     # label -> (system, its FS6 names, its cut points)
         per_sentence = []
         for k, spool in enumerate(pool.sentences):
-            ctx = _SentenceContext(spool, sentences[k] if sentences is not None else None, shared)
-            per_sentence.append([c.with_features(self._extract(c, ctx, shared))
-                                 for c in spool.candidates])
+            sentence = sentences[k] if sentences is not None else None
+            # a skeleton's chunk tags; making them checks its predicate positions
+            skeleton = None if sentence is not None else skeleton_tags(
+                spool.n_tokens, spool.predicates)[0]
+            pred_pos = [pos for pos, _lemma in spool.predicates]
+            # (start, end, vote mask, predicate, label) of every candidate
+            rows = [(a.span.start, a.span.end, mask(c.votes), a.predicate, a.label.text)
+                    for c in spool.candidates for a in (c.argument,)]
+            if fs1:
+                sequences = _label_sequences(rows, pred_pos, shared.system_bits)
+            if fs4:
+                (chunk_types, chunk_starts, chunk_ends, nes, clauses, events,
+                 offsets) = _partial_syntax(sentence, skeleton, shared)
+                pred_depth = [sum(a <= pos <= b for a, b in clauses) for pos in pred_pos]
+            if fs5:
+                parse = (_ParseIndex(sentence.parse, sentence.tokens)
+                         if sentence is not None and sentence.parse is not None else None)
+            out = []
+            for c, (start, end, votes, pred, label) in zip(spool.candidates, rows):
+                names: list[str] = []
+                if fs1:
+                    names.append("fs1:label=" + label)
+                    names += vote_names[votes]
+                    seqs = sequences[pred]
+                    names += [seqs[sid] for sid in c.votes]
+                if fs2 or fs3:
+                    # the votes of the other candidates whose span equals this
+                    # one (with another label), lies inside it, around it or
+                    # crosses it: s_* of the same predicate, o_* of the others
+                    s_eq = s_in = s_around = s_cross = o_eq = o_in = o_around = o_cross = 0
+                    for o_start, o_end, o_mask, o_pred, o_label in rows:
+                        if o_end < start or end < o_start:
+                            continue
+                        if o_pred == pred:
+                            if o_start == start and o_end == end:
+                                if o_label != label:
+                                    s_eq |= o_mask
+                            elif start <= o_start and o_end <= end:
+                                s_in |= o_mask
+                            elif o_start <= start and end <= o_end:
+                                s_around |= o_mask
+                            else:
+                                s_cross |= o_mask
+                        elif o_start == start and o_end == end:
+                            o_eq |= o_mask
+                        elif start <= o_start and o_end <= end:
+                            o_in |= o_mask
+                        elif o_start <= start and end <= o_end:
+                            o_around |= o_mask
+                        else:
+                            o_cross |= o_mask
+                    if fs2:
+                        names += fs2_eq[s_eq]
+                        names += fs2_in[s_in]
+                        names += fs2_around[s_around]
+                        names += fs2_cross[s_cross]
+                    if fs3:
+                        names += fs3_eq[o_eq]
+                        names += fs3_in[o_in]
+                        names += fs3_around[o_around]
+                        names += fs3_cross[o_cross]
+                pidx = pred_pos[pred]
+                if fs4:
+                    inside = chunk_types[bisect_left(chunk_starts, start):
+                                         bisect_right(chunk_ends, end)]
+                    clauses_in = events[offsets[start]:offsets[end + 1]]
+                    if end < pidx:
+                        position, lo, hi = "fs4:position=before", end + 1, pidx - 1
+                    elif start > pidx:
+                        position, lo, hi = "fs4:position=after", pidx + 1, start - 1
+                    else:
+                        position, lo, hi = "fs4:position=covers", 0, -1
+                    between = (chunk_types[bisect_left(chunk_starts, lo):
+                                           bisect_right(chunk_ends, hi)] if lo <= hi else [])
+                    clauses_between = events[offsets[lo]:offsets[hi + 1]]
+                    sub = -pred_depth[pred]
+                    for c_start, c_end in clauses:
+                        if c_start <= start and end <= c_end:
+                            sub += 1
+                    names += (_TOKLEN[min(end - start + 1, _CAPPED)],
+                              _CHUNKLEN[min(len(inside), _CAPPED)], position,
+                              "fs4:adjacent=true" if end + 1 == pidx or pidx + 1 == start
+                              else "fs4:adjacent=false",
+                              _NCHUNKS_BETWEEN[min(len(between), _CAPPED)],
+                              _CLAUSESUB[max(-_CAPPED, min(sub, _CAPPED)) + _CAPPED])
+                    if max(len(inside), len(clauses_in), len(between),
+                           len(clauses_between)) <= NGRAM_CAP:
+                        names += ("fs4:chunkseq=" + "-".join(inside),
+                                  "fs4:clauseseq=" + "-".join(clauses_in),
+                                  "fs4:chunkseq_between=" + "-".join(between),
+                                  "fs4:clauseseq_between=" + "-".join(clauses_between))
+                    else:
+                        for prefix, elems in (
+                                ("fs4:chunkseq", inside), ("fs4:clauseseq", clauses_in),
+                                ("fs4:chunkseq_between", between),
+                                ("fs4:clauseseq_between", clauses_between)):
+                            _sequence_features(names, prefix, elems)
+                    if nes:
+                        names += ["fs4:ne=" + kind for kind, ne_start, ne_end in nes
+                                  if start <= ne_start and ne_end <= end]
+                if fs5:
+                    if parse is None:
+                        names.append("fs5:parse_absent")
+                    else:
+                        _fs5(names, c.argument.span, pidx, parse)
+                if fs6:
+                    probs = dict(c.probs)
+                    columns = fs6_by_label.get(label)
+                    if columns is None:
+                        columns = fs6_by_label[label] = [
+                            (sid, by_interval, intervals.cuts_for(sid, label))
+                            for sid, by_interval in shared.fs6]
+                    for sid, by_interval, cuts in columns:
+                        p = probs.get(sid)
+                        names.append(by_interval[-1] if p is None
+                                     else by_interval[bisect_right(cuts, p)])
+                out.append(c.with_features(ids(names)))
+            per_sentence.append(out)
         return pool.with_candidates(per_sentence)
 
-    # -- group extractors ---------------------------------------------------
 
-    def _extract(self, cand: Candidate, ctx: _SentenceContext,
-                 shared: _PoolNames) -> tuple[int, ...]:
-        """The candidate's feature ids.  Names may come in any order and
-        more than once: the space sees only the set."""
-        names: list[str] = []
-        groups = self.config.groups
-        arg = cand.argument
-        start, end, pred, label = arg.span.start, arg.span.end, arg.predicate, arg.label.text
-        if "FS1" in groups:
-            names.append("fs1:label=" + label)
-            names += shared.fs1[shared.mask(cand.votes)]
-            sequences = ctx.sequences[pred]
-            names += [sequences[sid] for sid in cand.votes]
-        if "FS2" in groups or "FS3" in groups:
-            self._overlaps(names, start, end, pred, label, ctx, shared)
-        pidx = ctx.pred_pos[pred]
-        if "FS4" in groups:
-            self._fs4(names, start, end, pred, pidx, ctx)
-        if "FS5" in groups:
-            self._fs5(names, arg.span, pidx, ctx)
-        if "FS6" in groups:
-            probs = dict(cand.probs)
-            for sid, by_interval in shared.fs6:
-                p = probs.get(sid)
-                names.append(by_interval[-1] if p is None
-                             else by_interval[discretize(p, sid, label, self.intervals)])
-        return self.space.ids(names)
+def _fs5(names: list, span: Span, pidx: int, parse: _ParseIndex) -> None:
+    # surface distances need no tree node; the gap is tokens[lo:hi]
+    if span.end < pidx:
+        lo, hi = span.end + 1, pidx
+    elif span.start > pidx:
+        lo, hi = pidx + 1, span.start
+    else:
+        lo, hi = 0, 0
+    names.append(f"fs5:sdist_tok={_bucket(hi - lo)}")
+    names.append(f"fs5:sdist_vb={_bucket(parse.n_vb[hi] - parse.n_vb[lo])}")
+    names.append(f"fs5:sdist_comma={_bucket(parse.n_comma[hi] - parse.n_comma[lo])}")
+    names.append(f"fs5:sdist_cc={_bucket(parse.n_cc[hi] - parse.n_cc[lo])}")
+    names.append(f"fs5:sdist_adj={str(span.end + 1 == pidx or pidx + 1 == span.start).lower()}")
 
-    def _overlaps(self, names: list, start: int, end: int, pred: int, label: str,
-                  ctx: _SentenceContext, shared: _PoolNames) -> None:
-        """Votes of the other candidates by how their span relates to the
-        candidate's: equal (with another label), inside it, around it or
-        crossing it; FS2 for those of the same predicate, FS3 for the rest."""
-        # votes[0:4] of the same predicate, votes[4:8] of the others
-        votes = [0] * 8
-        for o_start, o_end, o_mask, o_pred, o_label in ctx.rows:
-            if o_end < start or end < o_start:
-                continue
-            base = 0 if o_pred == pred else 4
-            if o_start == start and o_end == end:
-                if base or o_label != label:
-                    votes[base] |= o_mask
-            elif start <= o_start and o_end <= end:
-                votes[base + 1] |= o_mask
-            elif o_start <= start and end <= o_end:
-                votes[base + 2] |= o_mask
-            else:
-                votes[base + 3] |= o_mask
-        groups = self.config.groups
-        for base, group, by_relation in ((0, "FS2", shared.overlaps[0]),
-                                         (4, "FS3", shared.overlaps[1])):
-            if group in groups:
-                for rel, table in enumerate(by_relation):
-                    names += table[votes[base + rel]]
+    node = parse.map_span(span)
+    if node is None:
+        names.append("fs5:unmapped")
+        return
+    names.append(f"fs5:label={node.label}")
 
-    def _fs4(self, names: list, start: int, end: int, pred: int, pidx: int,
-             ctx: _SentenceContext) -> None:
-        names.append(_TOKLEN[min(end - start + 1, _CAPPED)])
-        inside = ctx.chunk_seq(start, end)
-        names.append(_CHUNKLEN[min(len(inside), _CAPPED)])
-        _sequence_features(names, "fs4:chunkseq", inside)
-        _sequence_features(names, "fs4:clauseseq", ctx.clause_seq(start, end))
-        for ne_type, ne_start, ne_end in ctx.nes:
-            if start <= ne_start and ne_end <= end:
-                names.append("fs4:ne=" + ne_type)
+    up_chain = parse.ancestors(node)
+    common_i = next(i for i, n in enumerate(up_chain)
+                    if n.span.start <= pidx <= n.span.end)
+    up_nodes = up_chain[:common_i + 1]          # node .. common ancestor
+    ancestor = up_nodes[-1]
+    pred_chain = parse.chain_to_token(pidx)
+    down_nodes = pred_chain[parse.depth[id(ancestor)] + 1:]
+    labels = ([n.label for n in up_nodes] + [n.label for n in down_nodes]
+              + [parse.tokens[pidx].pos])
+    path = "^".join(labels[:len(up_nodes)]) + "_" + "_".join(labels[len(up_nodes):])
+    names.append(f"fs5:path={path}")
+    names.append(f"fs5:pathlen={_bucket(len(labels))}")
 
-        if end < pidx:
-            names.append("fs4:position=before")
-            lo, hi = end + 1, pidx - 1
-        elif start > pidx:
-            names.append("fs4:position=after")
-            lo, hi = pidx + 1, start - 1
-        else:
-            names.append("fs4:position=covers")
-            lo, hi = 0, -1
-        adjacent = end + 1 == pidx or pidx + 1 == start
-        names.append("fs4:adjacent=true" if adjacent else "fs4:adjacent=false")
+    up_labels = labels[1:len(up_nodes)]          # strictly above the node, incl. ancestor
+    down_labels = labels[len(up_nodes):]         # below the ancestor, incl. the POS
+    for scope, part in (("", labels), ("_up", up_labels), ("_down", down_labels)):
+        names.append(f"fs5:clauses{scope}={_bucket(sum(1 for l in part if l.startswith('S')))}")
+        names.append(f"fs5:vps{scope}={_bucket(part.count('VP'))}")
 
-        between = ctx.chunk_seq(lo, hi) if lo <= hi else []
-        _sequence_features(names, "fs4:chunkseq_between", between)
-        names.append(_NCHUNKS_BETWEEN[min(len(between), _CAPPED)])
-        _sequence_features(names, "fs4:clauseseq_between", ctx.clause_seq(lo, hi))
-        sub = ctx.clause_depth(start, end) - ctx.pred_clause_depth[pred]
-        names.append(_CLAUSESUB[max(-_CAPPED, min(sub, _CAPPED)) + _CAPPED])
+    if len(labels) > PATH_THRESHOLD:
+        arg_l, anc_l, pred_l = labels[0], ancestor.label, labels[-1]
+        for n in down_nodes:
+            names.append(f"fs5:gpath_a={arg_l}^{anc_l}_{n.label}_{pred_l}")
+        for n in up_nodes[1:-1]:
+            names.append(f"fs5:gpath_b={arg_l}^{n.label}^{anc_l}_{pred_l}")
 
-    def _fs5(self, names: list, span: Span, pidx: int, ctx: _SentenceContext) -> None:
-        parse = ctx.parse
-        if parse is None:
-            names.append("fs5:parse_absent")
-            return
+    pred_depth = len(pred_chain) - 1 if pred_chain else 0
+    names.append(f"fs5:subsump={_bucket_signed(parse.depth[id(node)] - pred_depth)}")
 
-        # surface distances need no tree node; the gap is tokens[lo:hi]
-        if span.end < pidx:
-            lo, hi = span.end + 1, pidx
-        elif span.start > pidx:
-            lo, hi = pidx + 1, span.start
-        else:
-            lo, hi = 0, 0
-        names.append(f"fs5:sdist_tok={_bucket(hi - lo)}")
-        names.append(f"fs5:sdist_vb={_bucket(ctx.n_vb[hi] - ctx.n_vb[lo])}")
-        names.append(f"fs5:sdist_comma={_bucket(ctx.n_comma[hi] - ctx.n_comma[lo])}")
-        names.append(f"fs5:sdist_cc={_bucket(ctx.n_cc[hi] - ctx.n_cc[lo])}")
-        names.append(f"fs5:sdist_adj={str(span.end + 1 == pidx or pidx + 1 == span.start).lower()}")
-
-        node = parse.map_span(span)
-        if node is None:
-            names.append("fs5:unmapped")
-            return
-        names.append(f"fs5:label={node.label}")
-
-        up_chain = parse.ancestors(node)
-        common_i = next(i for i, n in enumerate(up_chain)
-                        if n.span.start <= pidx <= n.span.end)
-        up_nodes = up_chain[:common_i + 1]          # node .. common ancestor
-        ancestor = up_nodes[-1]
-        pred_chain = parse.chain_to_token(pidx)
-        down_nodes = pred_chain[parse.depth[id(ancestor)] + 1:]
-        labels = ([n.label for n in up_nodes] + [n.label for n in down_nodes]
-                  + [ctx.tokens[pidx].pos])
-        path = "^".join(labels[:len(up_nodes)]) + "_" + "_".join(labels[len(up_nodes):])
-        names.append(f"fs5:path={path}")
-        names.append(f"fs5:pathlen={_bucket(len(labels))}")
-
-        up_labels = labels[1:len(up_nodes)]          # strictly above the node, incl. ancestor
-        down_labels = labels[len(up_nodes):]         # below the ancestor, incl. the POS
-        for scope, part in (("", labels), ("_up", up_labels), ("_down", down_labels)):
-            names.append(f"fs5:clauses{scope}={_bucket(sum(1 for l in part if l.startswith('S')))}")
-            names.append(f"fs5:vps{scope}={_bucket(part.count('VP'))}")
-
-        if len(labels) > PATH_THRESHOLD:
-            arg_l, anc_l, pred_l = labels[0], ancestor.label, labels[-1]
-            for n in down_nodes:
-                names.append(f"fs5:gpath_a={arg_l}^{anc_l}_{n.label}_{pred_l}")
-            for n in up_nodes[1:-1]:
-                names.append(f"fs5:gpath_b={arg_l}^{n.label}^{anc_l}_{pred_l}")
-
-        pred_depth = len(pred_chain) - 1 if pred_chain else 0
-        names.append(f"fs5:subsump={_bucket_signed(parse.depth[id(node)] - pred_depth)}")
-
-        gov = "none"
-        for anc in up_chain[1:]:
-            if anc.label == "VP":
-                gov = "VP"
-                break
-            if anc.label.startswith("S"):
-                gov = "S"
-                break
-        names.append(f"fs5:gov={gov}")
+    gov = "none"
+    for anc in up_chain[1:]:
+        if anc.label == "VP":
+            gov = "VP"
+            break
+        if anc.label.startswith("S"):
+            gov = "S"
+            break
+    names.append(f"fs5:gov={gov}")

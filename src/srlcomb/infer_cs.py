@@ -167,19 +167,21 @@ def decode(candidates: Sequence[Candidate], margins: Sequence[float], cs: Constr
 
     broken_cost = cs.broken_costs
     hard_mask = [0] * n
-    soft_pen: list[dict] = [dict() for _ in range(n)]
+    soft_pen: Optional[list[dict]] = None     # made at the first pair priced softly
     # i and j are linked when their pair costs or one is a c3/c4 base of the
     # other; a dependent also links to itself, so that it is never lone
     links = [0] * n
-    # in ascending (i, j) order, so each soft_pen[i] holds its j in index
-    # order, the order in which the search adds up a node's penalties
+    # in ascending (i, j) order, so each soft_pen[i] holds its j < i in index
+    # order: the search selects in that order and adds up penalties in it
     for i, j, rules in broken_pairs(args):
         pen = broken_cost[rules]
         if pen == math.inf:
             hard_mask[i] |= 1 << j
             hard_mask[j] |= 1 << i
         elif pen > 0.0:
-            soft_pen[i][j] = soft_pen[j][i] = pen
+            if soft_pen is None:
+                soft_pen = [{} for _ in range(n)]
+            soft_pen[i][j] = pen
         else:
             continue
         links[i] |= 1 << j
@@ -250,7 +252,8 @@ def decode(candidates: Sequence[Candidate], margins: Sequence[float], cs: Constr
         bit = avail & -avail
         i = bit.bit_length() - 1
         avail ^= bit
-        pen = sum(p for j, p in soft_pen[i].items() if mask >> j & 1) if soft_pen[i] else 0.0
+        pen = (sum(p for j, p in soft_pen[i].items() if mask >> j & 1)
+               if soft_pen and soft_pen[i] else 0.0)
         dfs(avail & ~hard_mask[i], mask | bit, gain + gains[i] - pen, size + 1)
         dfs(avail, mask, gain, size)
 

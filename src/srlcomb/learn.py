@@ -26,6 +26,7 @@ built.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cache
@@ -182,7 +183,7 @@ class ScoreModel:
             lines.append(f"degenerate {int(sc.degenerate)}")
             lines.append(f"supports {len(sc.supports)}")
             for coef, tick, sv in sc.supports:
-                lines.append(" ".join([repr(coef), str(tick)] + [str(i) for i in sv]))
+                lines.append(" ".join([repr(coef), str(tick), *map(str, sv)]))
             lines.append("end")
         return "\n".join(lines) + "\n"
 
@@ -275,6 +276,7 @@ class ScoreModel:
             raise ValueError(f"model file: vocabulary at lines {pos + 1}-{pos + n_vocab}: "
                              f"{exc}") from None
         pos += n_vocab
+        n_space = len(space)
         n_labels = count(take("labels "))
         scorers = {}
         for _ in range(n_labels):
@@ -305,10 +307,15 @@ class ScoreModel:
                 if not 0 <= tick <= last_tick:
                     raise ValueError(f"model file: support tick {tick} is outside "
                                      f"0..{last_tick} at line {pos}")
-                ids = tuple(integer(x) for x in parts[2:])
-                if ids and not 0 <= min(ids) <= max(ids) < len(space):
-                    raise ValueError(f"model file: feature id out of vocabulary at line {pos}")
-                if any(a >= b for a, b in zip(ids, ids[1:])):
+                try:
+                    ids = tuple(map(int, parts[2:]))
+                except ValueError:
+                    ids = tuple(integer(x) for x in parts[2:])     # words the error
+                # ascending ids lie in the vocabulary when their ends do
+                if ids and not (0 <= ids[0] and ids[-1] < n_space
+                                and all(map(operator.lt, ids, ids[1:]))):
+                    if not 0 <= min(ids) <= max(ids) < n_space:
+                        raise ValueError(f"model file: feature id out of vocabulary at line {pos}")
                     raise ValueError(
                         f"model file: feature ids not strictly increasing at line {pos}")
                 sc.supports.append((finite(parts[0]), tick, ids))

@@ -317,9 +317,17 @@ class Candidate:
         set_frozen_field(self, "is_gold", is_gold)
 
     def with_features(self, features: Optional[tuple[int, ...]]) -> "Candidate":
-        """This candidate with another feature vector."""
-        return Candidate(self.sentence_id, self.argument, self.votes, self.raw_scores,
-                         self.probs, features, self.is_gold)
+        """This candidate with another feature vector.  No other field
+        changes, so the copy sets them as they are, without the checks."""
+        copy = object.__new__(Candidate)
+        set_frozen_field(copy, "sentence_id", self.sentence_id)
+        set_frozen_field(copy, "argument", self.argument)
+        set_frozen_field(copy, "votes", self.votes)
+        set_frozen_field(copy, "raw_scores", self.raw_scores)
+        set_frozen_field(copy, "probs", self.probs)
+        set_frozen_field(copy, "features", features)
+        set_frozen_field(copy, "is_gold", self.is_gold)
+        return copy
 
     def with_gold(self, is_gold: Optional[bool]) -> "Candidate":
         """This candidate with another gold flag."""

@@ -15,12 +15,13 @@ the vocabulary stays bounded.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from srlcomb.calibrate import IntervalTable, discretize
+from srlcomb.calibrate import IntervalTable
 from srlcomb.corpus_io import PropsDocument, PropsSentence, skeleton_sentences
 from srlcomb.model import (
     Argument,
@@ -36,6 +37,12 @@ from srlcomb.model import (
 from srlcomb.pool import CandidatePool, SentencePool
 
 ALL_GROUPS = ("FS1", "FS2", "FS3", "FS4", "FS5", "FS6")
+
+
+def discretize(p: float, system: str, label: str, table: IntervalTable) -> int:
+    """The interval index 0..4 of a probability; a (system, label) with no
+    cuts splits at 0.5."""
+    return bisect.bisect_right(table.cuts.get((system, label), (0.5,) * 4), p)
 
 
 class FeatureSpace:

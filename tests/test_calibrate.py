@@ -1,8 +1,10 @@
+import bisect
 import inspect
 import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,13 +14,18 @@ from srlcomb.calibrate import (
     attach_probs,
     build_intervals,
     curve_csv,
-    discretize,
     rejection_curve,
     softmax,
     two_class_prob,
 )
 from srlcomb.corpus_io import SyntheticConfig, generate_synthetic
-from srlcomb.pool import align_gold, build_pool
+from srlcomb.model import Argument, Candidate, RoleLabel, Span
+from srlcomb.pool import CandidatePool, SentencePool, align_gold, build_pool
+
+
+def discretize(p, system, label, table):
+    """The FS6 interval index of a probability under a table's cuts."""
+    return bisect.bisect_right(table.cuts_for(system, label), p)
 
 
 def softmax_oracle(scores, gamma, dps=50):
@@ -187,6 +194,67 @@ class TestIntervals:
             for c in sent.candidates:
                 for sid, p in c.probs:
                     assert discretize(p, sid, c.label.text, table) in range(5)
+
+
+def _numpy_cuts(values):
+    """The oracle: the cuts numpy gives, with the median for fewer than 5."""
+    arr = np.asarray(values, dtype=float)
+    if len(values) >= 5:
+        return tuple(float(x) for x in np.percentile(arr, [20, 40, 60, 80]))
+    return (float(np.median(arr)),) * 4
+
+
+def _bits(cuts):
+    return [float(x).hex() for x in cuts]
+
+
+def _one_key_pool(values) -> CandidatePool:
+    """A pool whose candidates give system M1 and label A0 the ``values``."""
+    a0 = RoleLabel.parse("A0")
+    cands = tuple(Candidate(0, Argument(0, a0, Span(i, i)), frozenset(["M1"]), (),
+                            (("M1", v),)) for i, v in enumerate(values))
+    return CandidatePool(("M1",), (SentencePool(0, len(values), ((0, "v"),), cands),))
+
+
+class TestCutPointsAgainstNumpy:
+    """``build_intervals`` computes its cuts without numpy; they must be the
+    bits ``numpy.percentile`` and ``numpy.median`` give."""
+
+    @staticmethod
+    def _check(values):
+        table = build_intervals(_one_key_pool(values))
+        assert _bits(table.cuts[("M1", "A0")]) == _bits(_numpy_cuts(values))
+        assert (("M1", "A0") in table.degenerate) == (len(values) < 5)
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60))
+    def test_random_sizes(self, values):
+        self._check(values)
+
+    def test_long_list(self):
+        rng = random.Random(20)
+        self._check([rng.random() for _ in range(1013)])
+
+    @given(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=60))
+    def test_ties_at_zero_half_and_one(self, values):
+        self._check(values)
+
+    @pytest.mark.parametrize("values", [[0.1, 0.9, 0.3, 0.7, 0.5], [0.5] * 5,
+                                        [0.0, 0.0, 1.0, 1.0, 1.0], [1e-300, 0.2, 0.2, 0.4, 1.0]])
+    def test_exactly_five_values(self, values):
+        self._check(values)
+
+    def test_default_1000_pool(self):
+        gold, systems = generate_synthetic(SyntheticConfig(n_sentences=1000, seed=7))
+        pool = build_pool([(f"sys{i + 1}", d, t) for i, (d, t) in enumerate(systems)], gold, 0.1)
+        obs = {}
+        for c in pool.all_candidates():
+            for sid, p in c.probs:
+                obs.setdefault((sid, c.label.text), []).append(p)
+        table = build_intervals(pool)
+        assert set(table.cuts) == set(obs) and len(obs) > 20
+        for key, values in obs.items():
+            assert _bits(table.cuts[key]) == _bits(_numpy_cuts(values)), key
+        assert table.degenerate == {key for key, values in obs.items() if len(values) < 5}
 
 
 class TestConfigDefaults:

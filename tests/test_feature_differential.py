@@ -10,6 +10,7 @@ subsets of the feature groups.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +155,38 @@ def test_group_subsets():
         _assert_same(syntax_pool, sentences, _random_intervals(rng), groups=groups)
 
 
+def test_every_group_subset():
+    """Each of the 63 non-empty group sets, on skeleton and syntax sentences:
+    the one loop of ``extract_pool`` tests each group's flag on its own."""
+    pool = _synthetic(6, n_sentences=8)
+    intervals = build_intervals(pool)
+    syntax_pool, sentences = _random_pool(random.Random(6), 8)
+    syntax_intervals = _random_intervals(random.Random(7))
+    for size in range(1, len(new.ALL_GROUPS) + 1):
+        for groups in combinations(new.ALL_GROUPS, size):
+            _assert_same(pool, intervals=intervals, groups=",".join(groups))
+            _assert_same(syntax_pool, sentences, syntax_intervals, groups=",".join(groups))
+
+
+def test_extracted_candidates_are_copies_with_features():
+    """Every candidate ``extract_pool`` returns is its pool candidate with
+    the features set, field for field, and the pool keeps its skeleton."""
+    pool, sentences = _random_pool(random.Random(9), 12)
+    for given_sentences in (None, sentences):
+        out = new.FeatureExtractor().extract_pool(pool, given_sentences)
+        assert out.system_ids == pool.system_ids
+        for sp, osp in zip(pool.sentences, out.sentences):
+            assert (osp.sentence_id, osp.n_tokens, osp.predicates) == (
+                sp.sentence_id, sp.n_tokens, sp.predicates)
+            assert len(osp.candidates) == len(sp.candidates)
+            for c, got in zip(sp.candidates, osp.candidates):
+                assert type(got) is Candidate and got is not c and c.features is None
+                want = c.with_features(got.features)
+                assert vars(got) == vars(want) and got == want and hash(got) == hash(want)
+                assert all(getattr(got, f) is getattr(c, f) for f in vars(c) if f != "features")
+                assert list(got.features) == sorted(set(got.features))
+
+
 def test_frozen_space():
     train, test = _synthetic(11, n_sentences=30), _synthetic(12, n_sentences=30)
     _, new_space = _assert_same(train, intervals=build_intervals(train))
@@ -198,8 +231,10 @@ def test_bad_skeleton_rejected_like_the_reference():
                             (3, ((3, "a"),))):
         pool = CandidatePool(("M1",), (SentencePool(0, n_tokens, preds, (cand,)),))
         for module in (ref, new):
-            with pytest.raises(ValueError):
-                module.FeatureExtractor().extract_pool(pool)
+            for groups in ("all", "FS1", "FS6"):
+                with pytest.raises(ValueError):
+                    module.FeatureExtractor(module.FeatureConfig.parse_groups(groups)) \
+                        .extract_pool(pool)
 
 
 def test_sentence_shorter_than_its_pool_sentence():

@@ -10,6 +10,9 @@ is left out of the import check.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +100,14 @@ def test_unreferenced_definition_is_found():
               "def main():\n    return len(Box())\n"
               "def helper():\n    return main()\n")
     assert _unreferenced(source, _references(source)) == [(6, "Box.unused"), (10, "helper")]
+
+
+def test_features_and_pool_import_without_numpy():
+    """Feature extraction, pooling and calibration need no numpy, so a
+    process that only pools and extracts does not pay for importing it."""
+    code = ("import sys, srlcomb.features, srlcomb.pool, srlcomb.calibrate; "
+            "print('numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -465,6 +465,14 @@ class TestMatchesReference:
                      for s in pool_sentences(30, 11, SEARCH_HARD)]
         assert self._check_pools(sentences, cfg) > 500
 
+    @pytest.mark.parametrize("rules", ["1+2:soft=0.3+5:soft=0.2+6:soft=0.1",
+                                       "1:soft=0.4+2:soft=0.2+5+6:soft=0.05"])
+    def test_soft_pairwise_rules(self, rules):
+        # decode makes its soft penalty table only once a pair is priced softly
+        cfg = CsConfig(bias=0.3, constraints=ConstraintSet.parse(rules))
+        sentences = [(s.candidates, s.sentence_id) for s in pool_sentences(30, 11, SEARCH_HARD)]
+        assert self._check_pools(sentences, cfg) > 500
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_default_pools_at_pred_scope(self, seed):
         cfg = CsConfig.for_scope(Scope.PRED_BY_PRED)

@@ -570,6 +570,23 @@ class TestModelFile:
         with pytest.raises(ValueError, match=f"not strictly increasing at line {row + 1}"):
             ScoreModel.loads("\n".join(lines))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ids: ["-1", *ids], "feature id out of vocabulary"),
+        (lambda ids: [ids[1], "999999", ids[0]], "feature id out of vocabulary"),
+        (lambda ids: [ids[0], "x7", *ids[1:]], "bad integer 'x7'"),
+        (lambda ids: [*ids[:-1], "2.0"], "bad integer '2.0'"),
+        (lambda ids: [ids[1], ids[0]], "feature ids not strictly increasing")])
+    def test_support_id_errors_keep_their_wording(self, featured_pool, edit, message):
+        """The checks that word a support row's error, in their order: a bad
+        token, then an id outside the vocabulary, then the order."""
+        lines = _svm_model_text(featured_pool).splitlines()
+        row = next(i for i, l in enumerate(lines)
+                   if l.startswith("supports ") and l != "supports 0") + 1
+        coef, tick, *ids = lines[row].split()
+        lines[row] = " ".join([coef, tick, *edit(ids)])
+        with pytest.raises(ValueError, match=f"^model file: {message} at line {row + 1}$"):
+            ScoreModel.loads("\n".join(lines))
+
     @pytest.mark.parametrize("name", ["ZZ", "A9", "R-V", "C-R-A0"])
     def test_unknown_label_rejected(self, featured_pool, name):
         lines = _svm_model_text(featured_pool).splitlines()
