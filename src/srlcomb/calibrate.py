@@ -4,8 +4,6 @@ equal-frequency probability intervals used as discrete features."""
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:   # pool imports this module, since build_pool calibrates as it pools
@@ -159,31 +157,29 @@ def build_intervals(pool: CandidatePool) -> IntervalTable:
     the median) and are flagged.  The cuts are numpy's, bit for bit: its
     ``linear`` rule interpolates at index (n - 1) * q from the nearer end.
     """
-    by_label: dict = defaultdict(list)     # label -> the probs of its candidates
+    obs: dict = {}
     for sent in pool.sentences:
         for c in sent.candidates:
-            by_label[c.argument.label.text].append(c.probs)
+            label = c.label.text
+            for sid, p in c.probs:
+                obs.setdefault((sid, label), []).append(p)
     cuts = {}
     degenerate = set()
-    for label, probs in by_label.items():
-        by_system: dict = defaultdict(list)
-        for sid, p in chain.from_iterable(probs):
-            by_system[sid].append(p)
-        for sid, values in by_system.items():
-            values.sort()
-            n = len(values)
-            if n >= 5:
-                cut = []
-                for q in (0.2, 0.4, 0.6, 0.8):
-                    index = (n - 1) * q
-                    i = math.floor(index)
-                    a, b, t = values[i], values[i + 1], index - i
-                    d = b - a
-                    cut.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
-                cuts[sid, label] = tuple(cut)
-            else:
-                half = n // 2
-                med = values[half] if n % 2 else (values[half - 1] + values[half]) / 2
-                cuts[sid, label] = (med, med, med, med)
-                degenerate.add((sid, label))
+    for key, values in obs.items():
+        values.sort()
+        n = len(values)
+        if n >= 5:
+            cut = []
+            for q in (0.2, 0.4, 0.6, 0.8):
+                index = (n - 1) * q
+                i = math.floor(index)
+                a, b, t = values[i], values[i + 1], index - i
+                d = b - a
+                cut.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
+            cuts[key] = tuple(cut)
+        else:
+            half = n // 2
+            med = values[half] if n % 2 else (values[half - 1] + values[half]) / 2
+            cuts[key] = (med, med, med, med)
+            degenerate.add(key)
     return IntervalTable(cuts, degenerate)

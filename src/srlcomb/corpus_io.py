@@ -388,38 +388,39 @@ def emit_syntax(sentences: Sequence[Sentence]) -> str:
 def skeleton_sentences(doc: PropsDocument) -> list[Sentence]:
     """Fabricate plain sentences for a props document lacking a syntax file.
 
-    Tokens get placeholder forms, the chunk and clause tags of
-    ``skeleton_tags``, and no named entity; good enough to make
+    Tokens get placeholder forms, the chunks and clause tags of
+    ``skeleton_syntax``, and no named entity; good enough to make
     partial-syntax features well defined.
     """
     out = []
     for s, sent in enumerate(doc.sentences):
         preds = dict(sent.predicates)
-        chunks, clauses = skeleton_tags(sent.n_tokens, sent.predicates)
+        chunks, clauses, _spans = skeleton_syntax(sent.n_tokens, sent.predicates)
         tokens = tuple(
-            Token(i, preds[i], "VBD", chunk, clause, "O") if i in preds
-            else Token(i, f"w{i}", "NN", chunk, clause, "O")
-            for i, (chunk, clause) in enumerate(zip(chunks, clauses)))
+            Token(i, preds[i], "VBD", "B-" + kind, clause, "O") if i in preds
+            else Token(i, f"w{i}", "NN", "B-" + kind, clause, "O")
+            for i, ((kind, _s, _e), clause) in enumerate(zip(chunks, clauses)))
         out.append(Sentence(s, tokens))
     return out
 
 
-def skeleton_tags(n_tokens: int,
-                  predicates: tuple[tuple[int, str], ...]) -> tuple[list[str], list[str]]:
-    """Chunk and clause tags of a skeleton sentence: single-token chunks, VP
-    at the predicates and NP elsewhere, and one clause spanning the sentence."""
+def skeleton_syntax(n_tokens: int, predicates: tuple[tuple[int, str], ...]
+                    ) -> tuple[list[tuple[str, int, int]], list[str], list[tuple[int, int]]]:
+    """A skeleton sentence's chunks as (type, start, end), its clause tags,
+    and its clauses as (start, end): single-token chunks, VP at the
+    predicates and NP elsewhere, and one clause spanning the sentence."""
     indices = [-1] + [i for i, _lemma in predicates] + [n_tokens]
     if not all(a < b for a, b in zip(indices, indices[1:])):
         raise ValueError(f"predicate indices {indices[1:-1]} must increase "
                          f"from 0 and stay below {n_tokens}")
     preds = set(indices[1:-1])
-    chunks = ["B-VP" if i in preds else "B-NP" for i in range(n_tokens)]
-    clauses = ["*"] * n_tokens
+    chunks = [("VP" if i in preds else "NP", i, i) for i in range(n_tokens)]
+    clause_tags = ["*"] * n_tokens
     if n_tokens == 1:
-        clauses[0] = "(S*S)"
+        clause_tags[0] = "(S*S)"
     elif n_tokens > 1:
-        clauses[0], clauses[-1] = "(S*", "*S)"
-    return chunks, clauses
+        clause_tags[0], clause_tags[-1] = "(S*", "*S)"
+    return chunks, clause_tags, [(0, n_tokens - 1)] if n_tokens else []
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .calibrate import IntervalTable
-from .corpus_io import AlignmentError, skeleton_tags, text_lines
+from .corpus_io import AlignmentError, skeleton_syntax, text_lines
 from .model import (
     ParseNode,
     Sentence,
@@ -290,32 +290,29 @@ def _label_sequences(rows: list, pred_pos: list, system_bits: list) -> list[dict
     return sequences
 
 
-def _partial_syntax(sentence: Optional[Sentence], skeleton_chunks: Optional[list],
+def _partial_syntax(sentence: Optional[Sentence], skeleton: Optional[tuple],
                     shared: _PoolNames) -> tuple:
     """FS4's columns of one sentence: chunk types, starts and ends (chunks
     are ordered and disjoint, so both ascend), named entities, clauses, and
     the clause events of every token in one list, those of tokens lo..hi
     being events[offsets[lo]:offsets[hi + 1]].  Without a sentence they are
-    read off the tags ``corpus_io.skeleton_tags`` writes, with no decoding:
-    single-token chunks and one clause over the sentence."""
+    read off ``skeleton``, what ``corpus_io.skeleton_syntax`` gives."""
     if sentence is None:
-        n = len(skeleton_chunks)
-        starts = list(range(n))
-        if not n:
-            return [], starts, starts, [], [], [], [0]
-        return ([tag[2:] for tag in skeleton_chunks], starts, starts, [], [(0, n - 1)],
-                ["(S", "S)"], [0] + [1] * (n - 1) + [2])
-    tokens = sentence.tokens
-    chunks = decode_bio([t.chunk for t in tokens])
-    clause_tags = [t.clause for t in tokens]
+        chunks, clause_tags, clauses = skeleton
+        nes: list = []      # a skeleton names no entity
+    else:
+        tokens = sentence.tokens
+        chunks = decode_bio([t.chunk for t in tokens])
+        clause_tags = [t.clause for t in tokens]
+        clauses = clause_intervals(clause_tags)
+        nes = decode_bio([t.ne for t in tokens])
     events: list = []
     offsets = [0]
     for tag in clause_tags:
         events += shared.clause_events(tag)
         offsets.append(len(events))
     return ([kind for kind, _s, _e in chunks], [start for _k, start, _e in chunks],
-            [end for _k, _s, end in chunks], decode_bio([t.ne for t in tokens]),
-            clause_intervals(clause_tags), events, offsets)
+            [end for _k, _s, end in chunks], nes, clauses, events, offsets)
 
 
 class FeatureExtractor:
@@ -358,9 +355,9 @@ class FeatureExtractor:
         per_sentence = []
         for k, spool in enumerate(pool.sentences):
             sentence = sentences[k] if sentences is not None else None
-            # a skeleton's chunk tags; making them checks its predicate positions
-            skeleton = None if sentence is not None else skeleton_tags(
-                spool.n_tokens, spool.predicates)[0]
+            # making a skeleton checks its predicate positions
+            skeleton = None if sentence is not None else skeleton_syntax(
+                spool.n_tokens, spool.predicates)
             pred_pos = [pos for pos, _lemma in spool.predicates]
             # (start, end, vote mask, predicate, label) of every candidate
             rows = [(a.span.start, a.span.end, mask(c.votes), a.predicate, a.label.text)
@@ -442,18 +439,10 @@ class FeatureExtractor:
                               else "fs4:adjacent=false",
                               _NCHUNKS_BETWEEN[min(len(between), _CAPPED)],
                               _CLAUSESUB[max(-_CAPPED, min(sub, _CAPPED)) + _CAPPED])
-                    if max(len(inside), len(clauses_in), len(between),
-                           len(clauses_between)) <= NGRAM_CAP:
-                        names += ("fs4:chunkseq=" + "-".join(inside),
-                                  "fs4:clauseseq=" + "-".join(clauses_in),
-                                  "fs4:chunkseq_between=" + "-".join(between),
-                                  "fs4:clauseseq_between=" + "-".join(clauses_between))
-                    else:
-                        for prefix, elems in (
-                                ("fs4:chunkseq", inside), ("fs4:clauseseq", clauses_in),
-                                ("fs4:chunkseq_between", between),
-                                ("fs4:clauseseq_between", clauses_between)):
-                            _sequence_features(names, prefix, elems)
+                    _sequence_features(names, "fs4:chunkseq", inside)
+                    _sequence_features(names, "fs4:clauseseq", clauses_in)
+                    _sequence_features(names, "fs4:chunkseq_between", between)
+                    _sequence_features(names, "fs4:clauseseq_between", clauses_between)
                     if nes:
                         names += ["fs4:ne=" + kind for kind, ne_start, ne_end in nes
                                   if start <= ne_start and ne_end <= end]

@@ -332,6 +332,17 @@ class TestSynthetic:
             assert lemmas == props.predicates
             assert clause_intervals([t.clause for t in sent.tokens]) == [(0, props.n_tokens - 1)]
 
+    @pytest.mark.parametrize("n_tokens,predicates", [
+        (0, ()), (1, ((0, "go"),)), (2, ()), (6, ((1, "sell"), (4, "buy")))])
+    def test_skeleton_syntax_decodes_its_own_tags(self, n_tokens, predicates):
+        # the decoded chunks and clauses are what the tags say
+        chunks, clause_tags, clauses = corpus_io.skeleton_syntax(n_tokens, predicates)
+        assert len(clause_tags) == n_tokens
+        assert clauses == clause_intervals(clause_tags)
+        assert chunks == decode_bio(["B-" + kind for kind, _s, _e in chunks])
+        assert [kind for kind, _s, _e in chunks] == [
+            "VP" if i in dict(predicates) else "NP" for i in range(n_tokens)]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SyntheticConfig(precision=1.5)
