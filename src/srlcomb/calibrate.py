@@ -150,12 +150,23 @@ class IntervalTable:
         return len(self.cuts)
 
 
+def linear_quantile(ordered: Sequence[float], q: float) -> float:
+    """The q-quantile (0 <= q <= 1) of sorted values by numpy's ``linear``
+    rule, bit for bit: interpolate at index (n - 1) * q from the nearer end."""
+    index = (len(ordered) - 1) * q
+    i = math.floor(index)
+    if i >= len(ordered) - 1:
+        return ordered[-1]
+    a, b, t = ordered[i], ordered[i + 1], index - i
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
+
+
 def build_intervals(pool: CandidatePool) -> IntervalTable:
     """Fit 20/40/60/80 percentile cuts per (system, label) from pool probabilities.
 
     Keys with fewer than 5 observations get a degenerate table (all cuts at
-    the median) and are flagged.  The cuts are numpy's, bit for bit: its
-    ``linear`` rule interpolates at index (n - 1) * q from the nearer end.
+    the median) and are flagged.  The cuts are ``linear_quantile``'s.
     """
     obs: dict = {}
     for sent in pool.sentences:
@@ -169,14 +180,7 @@ def build_intervals(pool: CandidatePool) -> IntervalTable:
         values.sort()
         n = len(values)
         if n >= 5:
-            cut = []
-            for q in (0.2, 0.4, 0.6, 0.8):
-                index = (n - 1) * q
-                i = math.floor(index)
-                a, b, t = values[i], values[i + 1], index - i
-                d = b - a
-                cut.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
-            cuts[key] = tuple(cut)
+            cuts[key] = tuple([linear_quantile(values, q) for q in (0.2, 0.4, 0.6, 0.8)])
         else:
             half = n // 2
             med = values[half] if n % 2 else (values[half - 1] + values[half]) / 2

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .calibrate import linear_quantile
 from .corpus_io import PropsDocument, check_skeleton
 from .model import (
     STRUCTURAL_RULES,
@@ -156,6 +157,7 @@ def score(predicted: PropsDocument, gold: PropsDocument) -> ScoreReport:
 
 
 BOOTSTRAP_LEVEL = 0.95
+_BOOTSTRAP_BLOCK = 64     # resamples drawn and summed at a time
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,12 @@ class BootstrapResult:
 
 def bootstrap(report: ScoreReport, b: int = 1000, seed: int = 0) -> BootstrapResult:
     """95% percentile interval for F1 from resampling the report's sentences.
-    With no sentences the interval is the point F1 itself."""
+    With no sentences the interval is the point F1 itself.
+
+    The (b, n) resample matrix is drawn and summed _BOOTSTRAP_BLOCK rows at a
+    time from one generator.  PCG64 keeps the unused half of a 64-bit draw
+    in its state, so the blocks continue one stream and give the draws of a
+    single (b, n) call, while memory holds one block and the b F1 values."""
     if b < 100:
         raise ValueError("need at least 100 resamples")
     n = len(report.per_sentence)
@@ -180,17 +187,20 @@ def bootstrap(report: ScoreReport, b: int = 1000, seed: int = 0) -> BootstrapRes
         return BootstrapResult(report.f1, 0.0, b, report.f1, report.f1)
     columns = np.array(report.per_sentence, dtype=np.int64).T      # (3, n)
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(b, n))
-    # exact integer sums over the resampled sentences, one count at a time
-    sums = np.stack([col[idx].sum(axis=1) for col in columns], axis=1)    # (b, 3)
+    f = np.empty(b)
     with np.errstate(invalid="ignore", divide="ignore"):
-        p = np.where(sums[:, 1] > 0, 100.0 * sums[:, 0] / sums[:, 1], 100.0)
-        r = np.where(sums[:, 2] > 0, 100.0 * sums[:, 0] / sums[:, 2], 100.0)
-        f = np.where(p + r > 0, 2.0 * p * r / (p + r), 0.0)
-    alpha = 100.0 * (1.0 - BOOTSTRAP_LEVEL) / 2.0
-    lower, upper = np.percentile(f, [alpha, 100.0 - alpha])
-    return BootstrapResult(report.f1, float(upper - lower) / 2.0, b,
-                           float(lower), float(upper))
+        for start in range(0, b, _BOOTSTRAP_BLOCK):
+            idx = rng.integers(0, n, size=(min(_BOOTSTRAP_BLOCK, b - start), n))
+            # exact integer sums over the resampled sentences, one count at a time
+            tp, pred, gold = [col[idx].sum(axis=1) for col in columns]
+            p = np.where(pred > 0, 100.0 * tp / pred, 100.0)
+            r = np.where(gold > 0, 100.0 * tp / gold, 100.0)
+            f[start:start + len(idx)] = np.where(p + r > 0, 2.0 * p * r / (p + r), 0.0)
+    f.sort()
+    alpha = 100.0 * (1.0 - BOOTSTRAP_LEVEL) / 2.0      # percentiles, as numpy takes them
+    lower = float(linear_quantile(f, alpha / 100))
+    upper = float(linear_quantile(f, (100.0 - alpha) / 100))
+    return BootstrapResult(report.f1, (upper - lower) / 2.0, b, lower, upper)
 
 
 # ---------------------------------------------------------------------------

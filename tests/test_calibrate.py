@@ -13,6 +13,7 @@ from srlcomb.calibrate import (
     IntervalTable,
     attach_probs,
     build_intervals,
+    linear_quantile,
     curve_csv,
     rejection_curve,
     softmax,
@@ -242,6 +243,14 @@ class TestCutPointsAgainstNumpy:
                                         [0.0, 0.0, 1.0, 1.0, 1.0], [1e-300, 0.2, 0.2, 0.4, 1.0]])
     def test_exactly_five_values(self, values):
         self._check(values)
+
+    @given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=60),
+           st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.025, 0.975, 1.0])))
+    def test_linear_quantile_at_any_q(self, values, q):
+        """The rule itself, the bootstrap's bounds included: up to both ends."""
+        values.sort()
+        want = np.quantile(np.asarray(values, dtype=float), q)
+        assert float(linear_quantile(values, q)).hex() == float(want).hex()
 
     def test_default_1000_pool(self):
         gold, systems = generate_synthetic(SyntheticConfig(n_sentences=1000, seed=7))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,17 +189,39 @@ class TestBootstrap:
         b = bootstrap(score(systems[0][0], gold), b=200, seed=5)
         assert a == b
 
-    @pytest.mark.parametrize("n_sentences", [1, 300])
+    @pytest.mark.parametrize("n_sentences", [1, 7, 300])
     def test_equals_float_gather_reference(self, n_sentences):
-        """Same draws, same interval: the float (b, n, 3) gather that
-        bootstrap used to sum gives bit-identical bounds."""
+        """Same draws, same interval: the one-shot float (b, n, 3) gather with
+        ``np.percentile`` gives bit-identical bounds, also when b is not a
+        multiple of the block and when nothing is predicted."""
         gold, systems = generate_synthetic(SyntheticConfig(n_sentences=n_sentences, seed=45))
-        doc = systems[0][0]
-        for seed in range(5):
-            for b in (100, 1000):
-                got = bootstrap(score(doc, gold), b=b, seed=seed)
-                want = _float_gather_bootstrap(doc, gold, b, seed)
-                assert (got.f1, got.lower, got.upper, got.half_width) == want
+        empty = PropsDocument(tuple(
+            PropsSentence(s.n_tokens, s.predicates,
+                          [[a for a in args if a.label == V_LABEL] for args in s.arguments])
+            for s in gold.sentences))
+        for doc in (systems[0][0], empty):
+            for seed in range(5):
+                for b in (100, 101, 1000, 1234):
+                    got = bootstrap(score(doc, gold), b=b, seed=seed)
+                    want = _float_gather_bootstrap(doc, gold, b, seed)
+                    assert (got.f1, got.lower, got.upper, got.half_width) == want
+        assert score(empty, gold).f1 == 0.0
+
+    def test_memory_does_not_grow_with_resamples(self):
+        """Past the b F1 values themselves (8 bytes each), the traced peak of
+        a 300-sentence bootstrap is the same for b = 1000 and b = 5000."""
+        gold, systems = generate_synthetic(SyntheticConfig(n_sentences=300, seed=45))
+        report = score(systems[0][0], gold)
+        peaks = {}
+        for b in (1000, 5000):
+            bootstrap(report, b=b, seed=0)
+            tracemalloc.start()
+            try:
+                bootstrap(report, b=b, seed=0)
+                peaks[b] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[5000] - peaks[1000] <= 2 * 8 * (5000 - 1000), peaks
 
     def test_minimum_resamples(self):
         gold, _ = generate_synthetic(SyntheticConfig(n_sentences=5, seed=4))

@@ -111,3 +111,19 @@ def test_features_and_pool_import_without_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_infer_gold_does_not_import_numpy_ma(tmp_path):
+    """The bootstrap reads its bounds without ``np.percentile``, so scoring
+    against gold does not pay for importing ``numpy.ma``."""
+    systems = [f"--system={tmp_path}/sys{i}.props:{tmp_path}/sys{i}.scores" for i in (1, 2, 3)]
+    argv = ["infer", *systems, f"--gold={tmp_path}/gold.props", f"--out={tmp_path}/out.props"]
+    code = ("import sys; from srlcomb.cli import main; "
+            f"assert main(['synth', '--out', {str(tmp_path)!r}, '--sentences', '5']) == 0; "
+            f"assert main({argv!r}) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    lines = out.stdout.splitlines()
+    assert lines[-2].startswith("F1 ") and lines[-1] == "False"
