@@ -176,8 +176,22 @@ _CELLS: dict = {}
 _CELLS_MAX = 4096
 
 
+# Argument's slot setters: the bracket scan has checked each argument it
+# makes, and setting its three slots directly costs about half of what the
+# generated __init__ does
+_new = object.__new__
+_set_predicate = Argument.predicate.__set__
+_set_label = Argument.label.__set__
+_set_span = Argument.span.__set__
+
+
 def parse_props(text: str) -> PropsDocument:
-    """Parse a props file; raises FormatError with a line number on damage."""
+    """Parse a props file; raises FormatError with a line number on damage.
+
+    The bracket scan rejects every damaged cell and gives each predicate its
+    arguments with strictly increasing starts inside the sentence, which is
+    all ``PropsSentence`` checks, so each sentence is made without those
+    checks and their sort."""
     sentences = []
     for first, rows in _sentence_blocks(text):
         width = len(rows[0])
@@ -189,14 +203,18 @@ def parse_props(text: str) -> PropsDocument:
         if len(predicates) != width - 1:
             raise FormatError(
                 f"{len(predicates)} target verbs but {width - 1} argument columns", first)
-        arguments = [_bracket_column(p, column, first) for p, column in enumerate(columns[1:])]
-        sentences.append(PropsSentence(len(rows), predicates, arguments))
+        sent = _new(PropsSentence)
+        set_frozen_field(sent, "n_tokens", len(rows))
+        set_frozen_field(sent, "predicates", predicates)
+        set_frozen_field(sent, "arguments", tuple(
+            [_bracket_column(p, column, first) for p, column in enumerate(columns[1:])]))
+        sentences.append(sent)
     return PropsDocument(tuple(sentences))
 
 
 def _bracket_column(p: int, column: Sequence[str], first: int) -> tuple[Argument, ...]:
-    """The arguments of predicate ``p`` from its bracket column; ``first`` is
-    the line number of the column's first cell."""
+    """The arguments of predicate ``p`` from its bracket column, in start
+    order; ``first`` is the line number of the column's first cell."""
     args: list[Argument] = []
     open_label: Optional[RoleLabel] = None
     open_start = -1
@@ -206,20 +224,25 @@ def _bracket_column(p: int, column: Sequence[str], first: int) -> tuple[Argument
         if cell == "*)":
             if open_label is None:
                 raise FormatError("argument closed but never opened", first + i)
-            args.append(Argument(p, open_label, _span(open_start, i)))
+            label, span = open_label, _span(open_start, i)
             open_label = None
-            continue
-        opened = _CELLS.get(cell)
-        if opened is None:
-            opened = _open_cell(cell, open_label is not None, first + i)
-        elif open_label is not None:
-            raise FormatError("argument opened while another is open", first + i)
-        label, single = opened
-        if single:
-            args.append(Argument(p, label, _span(i, i)))
         else:
-            open_label = label
-            open_start = i
+            opened = _CELLS.get(cell)
+            if opened is None:
+                opened = _open_cell(cell, open_label is not None, first + i)
+            elif open_label is not None:
+                raise FormatError("argument opened while another is open", first + i)
+            label, single = opened
+            if not single:
+                open_label = label
+                open_start = i
+                continue
+            span = _span(i, i)
+        arg = _new(Argument)
+        _set_predicate(arg, p)
+        _set_label(arg, label)
+        _set_span(arg, span)
+        args.append(arg)
     if open_label is not None:
         raise FormatError(f"argument {open_label.text} never closed", first + len(column) - 1)
     return tuple(args)

@@ -13,7 +13,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -266,6 +266,7 @@ class Argument:
 CandidateKey = tuple[int, int, str, Span]
 
 _value = itemgetter(1)      # the value of a (system, value) pair
+_key = attrgetter("key")    # a candidate's stored key
 
 
 @dataclass(frozen=True, init=False)
@@ -276,6 +277,10 @@ class Candidate:
     the candidate stays hashable; both may only mention voting systems.  A
     system that did not propose the argument contributes probability 0.
     ``features`` are the strictly increasing ids ``FeatureSpace.ids`` gives.
+    ``key``, the (sentence id, predicate, label text, span) tuple that
+    solutions, decoding and learning key candidates by, is stored when the
+    candidate is made; the fields determine it, so it is no field of its own
+    and takes no part in equality or hashing.
     """
 
     sentence_id: int
@@ -291,8 +296,8 @@ class Candidate:
                  probs: Iterable[tuple[str, float]] = (),
                  features: Optional[tuple[int, ...]] = None,
                  is_gold: Optional[bool] = None) -> None:
-        """The one constructor, with every check; it stores ``raw_scores``
-        and ``probs`` sorted."""
+        """The checked constructor, for every caller that cannot vouch for
+        its fields; it stores ``raw_scores`` and ``probs`` sorted."""
         if not votes:
             raise ValueError("candidate must carry at least one vote")
         # a tuple already in order is kept, so that copies share their pairs
@@ -315,19 +320,38 @@ class Candidate:
         set_frozen_field(self, "probs", probs)
         set_frozen_field(self, "features", features)
         set_frozen_field(self, "is_gold", is_gold)
+        set_frozen_field(self, "key", (sentence_id, argument.predicate, argument.label.text,
+                                       argument.span))
+
+    @classmethod
+    def _trusted(cls, sentence_id: int, argument: Argument, votes: frozenset,
+                 raw_scores: tuple[tuple[str, float], ...],
+                 probs: tuple[tuple[str, float], ...], features: Optional[tuple[int, ...]],
+                 is_gold: Optional[bool], key: CandidateKey) -> "Candidate":
+        """A candidate with its fields as given, without the checks and sorts
+        of ``__init__``: for a caller that guarantees what they would
+        establish.  ``raw_scores`` and ``probs`` are tuples in system order
+        that mention voting systems only, each probability is in [0, 1], and
+        ``key`` is the candidate's key.  Writing the instance dict directly
+        costs about a third of what one ``set_frozen_field`` call per field
+        does."""
+        candidate = object.__new__(cls)
+        fields = candidate.__dict__
+        fields["sentence_id"] = sentence_id
+        fields["argument"] = argument
+        fields["votes"] = votes
+        fields["raw_scores"] = raw_scores
+        fields["probs"] = probs
+        fields["features"] = features
+        fields["is_gold"] = is_gold
+        fields["key"] = key
+        return candidate
 
     def with_features(self, features: Optional[tuple[int, ...]]) -> "Candidate":
         """This candidate with another feature vector.  No other field
         changes, so the copy sets them as they are, without the checks."""
-        copy = object.__new__(Candidate)
-        set_frozen_field(copy, "sentence_id", self.sentence_id)
-        set_frozen_field(copy, "argument", self.argument)
-        set_frozen_field(copy, "votes", self.votes)
-        set_frozen_field(copy, "raw_scores", self.raw_scores)
-        set_frozen_field(copy, "probs", self.probs)
-        set_frozen_field(copy, "features", features)
-        set_frozen_field(copy, "is_gold", self.is_gold)
-        return copy
+        return Candidate._trusted(self.sentence_id, self.argument, self.votes, self.raw_scores,
+                                  self.probs, features, self.is_gold, self.key)
 
     def with_gold(self, is_gold: Optional[bool]) -> "Candidate":
         """This candidate with another gold flag."""
@@ -338,11 +362,6 @@ class Candidate:
         """This candidate with other per-system probabilities."""
         return Candidate(self.sentence_id, self.argument, self.votes, self.raw_scores,
                          probs, self.features, self.is_gold)
-
-    @property
-    def key(self) -> CandidateKey:
-        a = self.argument
-        return (self.sentence_id, a.predicate, a.label.text, a.span)
 
     @property
     def label(self) -> RoleLabel:
@@ -370,10 +389,10 @@ class Solution:
 
     @classmethod
     def make(cls, sentence_id: int, selected: Iterable[Candidate], objective: float) -> "Solution":
-        return cls(sentence_id, tuple(sorted(selected, key=Candidate.key.fget)), objective)
+        return cls(sentence_id, tuple(sorted(selected, key=_key)), objective)
 
     def keys(self) -> frozenset:
-        return frozenset(c.key for c in self.selected)
+        return frozenset(map(_key, self.selected))
 
     def __len__(self) -> int:
         return len(self.selected)

@@ -11,10 +11,11 @@ calibrated probabilities as it makes each candidate; ``align_gold`` and
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .calibrate import system_probs
+from .calibrate import two_class_prob
 from .corpus_io import (
     AlignmentError,
     PropsDocument,
@@ -22,7 +23,7 @@ from .corpus_io import (
     ScoreTable,
     check_skeleton,
 )
-from .model import Argument, Candidate, LabelKind, Solution, Span, V_LABEL
+from .model import Argument, Candidate, CandidateKey, LabelKind, Solution, Span, V_LABEL
 
 _VERB = LabelKind.VERB
 
@@ -79,8 +80,12 @@ def build_pool(systems: Sequence[tuple[str, PropsDocument, Optional[ScoreTable]]
     """Pool the outputs of several systems over one shared skeleton.  With
     ``gold``, which must share that skeleton, each candidate carries its
     is_gold flag; with the softmax temperature ``gamma``, its per-system
-    probabilities (``calibrate.system_probs``).  A score record that names no
-    argument of its own system is an AlignmentError."""
+    probabilities, as ``calibrate.system_probs`` gives them.  A score record
+    that names no argument of its own system is an AlignmentError.
+
+    Each candidate is made once, without the checks of ``Candidate``'s
+    constructor: its votes, scores and probabilities come from voting
+    systems only, merged in id order."""
     if not systems:
         raise ValueError("need at least one system")
     ids = [sid for sid, _, _ in systems]
@@ -88,14 +93,20 @@ def build_pool(systems: Sequence[tuple[str, PropsDocument, Optional[ScoreTable]]
         raise ValueError("duplicate system ids")
     named = [(f"system {sid}", doc) for sid, doc, _ in systems]
     check_skeleton(named if gold is None else named + [("gold", gold)])
+    if gamma is not None and not math.isfinite(gamma):
+        raise ValueError("gamma must be finite")    # as two_class_prob would
 
     keys = None if gold is None else gold_keys(gold)
     tables = [table if table is not None else {} for _, _, table in systems]
     matched = [0] * len(systems)    # score records that name an argument
+    # merged in id order, so that each candidate's votes, raw scores and
+    # probabilities come out in system order
+    order = sorted(range(len(systems)), key=ids.__getitem__)
     sentences = []
     for s, skeleton in enumerate(systems[0][1].sentences):
-        merged: dict = {}      # key -> (argument, votes, raw scores)
-        for j, (sid, doc, _) in enumerate(systems):
+        merged: dict = {}      # key -> (argument, votes, raw scores, probabilities)
+        for j in order:
+            sid, doc, _ = systems[j]
             scores = tables[j]
             for p, args in enumerate(doc.sentences[s].arguments):
                 for arg in args:
@@ -105,21 +116,28 @@ def build_pool(systems: Sequence[tuple[str, PropsDocument, Optional[ScoreTable]]
                     key = (s, p, label.text, arg.span)
                     entry = merged.get(key)
                     if entry is None:
-                        entry = merged[key] = (arg, [], {})
-                    elif sid in entry[1]:
-                        continue    # the system repeats an argument
+                        entry = merged[key] = (arg, [], [], [])
+                    elif entry[1][-1] == sid:
+                        continue    # the system repeats an argument: its vote is the last
                     entry[1].append(sid)
                     score = scores.get(key)
                     if score is not None:
-                        entry[2][sid] = score
+                        entry[2].append((sid, score))
                         matched[j] += 1
+                        if gamma is not None:
+                            entry[3].append((sid, two_class_prob(score, gamma)))
+                    elif gamma is not None:
+                        # no score: the background level 0, of probability exactly 0.5
+                        entry[3].append((sid, 0.5))
         gold_here = keys[s] if keys is not None else None
-        candidates = tuple(
-            Candidate(s, arg, frozenset(votes), raws.items(),
-                      system_probs(votes, raws, gamma) if gamma is not None else (),
-                      None, key in gold_here if gold_here is not None else None)
-            for key, (arg, votes, raws) in sorted(merged.items()))
-        sentences.append(SentencePool(s, skeleton.n_tokens, skeleton.predicates, candidates))
+        candidates = []
+        for key in sorted(merged, key=_plain_order):
+            arg, votes, raws, probs = merged[key]
+            candidates.append(Candidate._trusted(
+                s, arg, frozenset(votes), tuple(raws), tuple(probs), None,
+                key in gold_here if gold_here is not None else None, key))
+        sentences.append(SentencePool(s, skeleton.n_tokens, skeleton.predicates,
+                                      tuple(candidates)))
     for (sid, doc, _), scores, found in zip(systems, tables, matched):
         if len(scores) > found:
             # each record matched at most once, so some record is unmatched
@@ -128,6 +146,13 @@ def build_pool(systems: Sequence[tuple[str, PropsDocument, Optional[ScoreTable]]
                 f"system {sid}: score record {sent} {pred} {label} {span.start} {span.end} "
                 f"names no argument of its props")
     return CandidatePool(tuple(ids), tuple(sentences))
+
+
+def _plain_order(key: CandidateKey) -> tuple:
+    """The order of one sentence's candidate keys, (predicate, label, start,
+    end), as plain values: cheaper to compare than the keys' spans."""
+    span = key[3]
+    return key[1], key[2], span.start, span.end
 
 
 def gold_keys(doc: PropsDocument) -> list[frozenset]:

@@ -796,19 +796,28 @@ class TestOnePassPool:
     probabilities included, and report bad gold and score files as before."""
 
     def test_each_candidate_built_once(self, tmp_path, monkeypatch, capsys):
+        """build_pool makes each candidate once, and never through the
+        checked constructor."""
         corpus = tmp_path / "corpus"
         assert main(["synth", "--out", str(corpus), "--seed", "7", "--sentences", "1000"]) == 0
-        built = []
-        init = Candidate.__init__
+        checked, pools = [], []
+        init, build = Candidate.__init__, cli.build_pool
 
         def counted(self, *args, **kwargs):
             init(self, *args, **kwargs)
-            built.append(self.key)
+            checked.append(self.key)
+
+        def kept(*args):
+            pools.append(build(*args))
+            return pools[-1]
 
         monkeypatch.setattr(Candidate, "__init__", counted)
+        monkeypatch.setattr(cli, "build_pool", kept)
         assert main(["infer", *_system_args(corpus), "--gold", f"{corpus}/gold.props",
                      "--bootstrap", "100", "--out", str(tmp_path / "x.props")]) == 0
-        assert len(built) == len(set(built)) == 7282
+        assert checked == [] and len(pools) == 1
+        keys = [c.key for c in pools[0].all_candidates()]
+        assert len(keys) == len(set(keys)) == 7282
 
     def test_systems_read_before_gold(self, corpus_dir, tmp_path, monkeypatch, capsys):
         read = []

@@ -85,6 +85,16 @@ class TestCandidate:
         assert [f.name for f in dataclasses.fields(copy)] == [
             "sentence_id", "argument", "votes", "raw_scores", "probs", "features", "is_gold"]
 
+    def test_key_is_stored_once(self):
+        """Every read gives the one tuple the candidate was made with, and
+        a copy shares it; the key is no field, so equality and hashing are
+        those of the fields."""
+        c = cand(3, 1, "AM-TMP", (2, 4), votes=("M1",))
+        assert c.key == (3, 1, "AM-TMP", Span(2, 4)) and c.key is c.key
+        assert c.with_features((1,)).key is c.key
+        assert c.with_gold(True).key == c.key
+        assert hash(c) == hash(tuple(getattr(c, f.name) for f in dataclasses.fields(c)))
+
     def test_with_gold_and_with_probs_copy_every_other_field(self):
         c = cand(0, 1, "AM-TMP", (2, 4), votes=("M1", "M2"), raw={"M1": -1.5},
                  features=(1, 3))

@@ -16,7 +16,7 @@ from srlcomb.corpus_io import (
     parse_props,
     parse_scores,
 )
-from srlcomb.model import Argument, LabelKind, RoleLabel, Span, V_LABEL
+from srlcomb.model import Argument, Candidate, LabelKind, RoleLabel, Span, V_LABEL
 from srlcomb.pool import (
     AlignmentError,
     CandidatePool,
@@ -132,6 +132,17 @@ class TestBuildPool:
                            rf"{record[0]} {record[1]} {record[2]} {record[3].start} "
                            rf"{record[3].end} "):
             build_pool([("M1", doc1, table1), ("M2", doc2, {**table2, record: 5.0})])
+
+    @pytest.mark.parametrize("gamma", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("sidecars", [True, False])
+    def test_non_finite_gamma_rejected(self, corpus, gamma, sidecars):
+        """With or without a score to calibrate, as a voting system without
+        one is calibrated too."""
+        _gold, systems = corpus
+        triples = [(sid, doc, table if sidecars else None)
+                   for sid, doc, table in _triples(systems)]
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            build_pool(triples, gamma=gamma)
 
     def test_raw_scores_kept_per_system(self, corpus):
         _gold, systems = corpus
@@ -320,9 +331,15 @@ def _case(name: str):
                                                            **SEARCH_HARD))
         gold, _ = _relabelled(gold, None, 0.25)
         return _triples([_relabelled(d, t, 0.25) for d, t in systems]), gold
+    if name == "ten-systems":
+        gold, systems = generate_synthetic(SyntheticConfig(n_sentences=40, seed=21,
+                                                           n_systems=10))
+        return _triples(systems), gold
     gold, systems = generate_synthetic(SyntheticConfig(n_sentences=40, seed=21))
     triples = _triples(systems)
-    if name == "no-sidecar":
+    if name == "named-cab":
+        triples = [(sid, doc, table) for sid, (_, doc, table) in zip("cab", triples)]
+    elif name == "no-sidecar":
         triples[1] = (triples[1][0], triples[1][1], None)
     elif name == "repeats":
         triples[0] = (triples[0][0], _with_repeats(triples[0][1]), triples[0][2])
@@ -333,11 +350,13 @@ def _case(name: str):
 
 class TestOnePass:
     """build_pool with gold and gamma equals build_pool, then align_gold,
-    then attach_probs: every field of every candidate, in the same order."""
+    then attach_probs: every field of every candidate, in the same order.
+    In "named-cab" and "ten-systems" the --system order is not the id order."""
 
     @pytest.mark.parametrize("name", [
         "default-seed-0", "default-seed-1", "default-seed-7", "hard-50",
-        "search-hard-relabelled", "no-sidecar", "repeats", "no-gold"])
+        "search-hard-relabelled", "no-sidecar", "repeats", "no-gold", "named-cab",
+        "ten-systems"])
     @pytest.mark.parametrize("gamma", [0.1, 0.5])
     def test_equals_three_stages(self, name, gamma):
         systems, gold = _case(name)
@@ -352,6 +371,19 @@ class TestOnePass:
         assert cands and all(len(c.probs) == len(c.votes) for c in cands)
         assert all((c.is_gold is None) == (gold is None) for c in cands)
 
+    @pytest.mark.parametrize("name", [
+        "hard-50", "search-hard-relabelled", "named-cab", "ten-systems"])
+    def test_candidates_equal_their_checked_rebuilds(self, name):
+        """build_pool makes its candidates without the constructor's checks;
+        the checked constructor, given the same fields, makes the same
+        candidate and stores the same key, keeping every tuple as it is."""
+        systems, gold = _case(name)
+        for c in build_pool(systems, gold, 0.1).all_candidates():
+            rebuilt = Candidate(c.sentence_id, c.argument, c.votes, c.raw_scores, c.probs,
+                                c.features, c.is_gold)
+            assert vars(c) == vars(rebuilt) and c == rebuilt and hash(c) == hash(rebuilt)
+            assert rebuilt.raw_scores is c.raw_scores and rebuilt.probs is c.probs
+
     def test_cases_have_what_they_name(self):
         systems, gold = _case("search-hard-relabelled")
         flagged = {c.label.text[:2] for c in build_pool(systems, gold).all_candidates()
@@ -364,6 +396,10 @@ class TestOnePass:
         repeated = sum(len(a) - len(set(a)) for sent in systems[0][1].sentences
                        for a in sent.arguments)
         assert repeated > 0
+        for name, first in (("named-cab", "c"), ("ten-systems", "M1"), ("hard-50", "M1")):
+            systems, _ = _case(name)
+            ids = [sid for sid, _, _ in systems]
+            assert ids[0] == first and ids != sorted(ids)
 
     @pytest.mark.parametrize("gold_sentences,message", [
         (39, "sentence counts differ: {first} has 40, gold has 39"),
