@@ -3,8 +3,8 @@ import random
 import pytest
 
 from srlcomb.calibrate import attach_probs
-from srlcomb.corpus_io import SyntheticConfig, generate_synthetic
-from srlcomb.model import Argument, Candidate, RoleLabel, Span
+from srlcomb.corpus_io import PropsDocument, PropsSentence, SyntheticConfig, generate_synthetic
+from srlcomb.model import Argument, Candidate, LabelKind, RoleLabel, Span
 from srlcomb.pool import build_pool
 
 
@@ -76,3 +76,29 @@ def random_candidates(rng: random.Random, n: int, n_predicates: int = 2,
 @pytest.fixture
 def rng():
     return random.Random(12345)
+
+
+def relabelled(doc: PropsDocument, table, share: float):
+    """``doc`` and its score table with about ``share`` of the core and
+    adjunct arguments turned into R-X or C-X of their own label.  The choice
+    depends on the argument alone, so the systems and gold make the same one."""
+    moved = {}
+    sentences = []
+    for s, sent in enumerate(doc.sentences):
+        per_pred = []
+        for p, args in enumerate(sent.arguments):
+            taken = {(a.label.text, a.span) for a in args}
+            out = []
+            for a in args:
+                key = (s, p, a.label.text, a.span)
+                rng = random.Random(repr(key))
+                if a.label.kind in (LabelKind.CORE, LabelKind.ADJUNCT) and rng.random() < share:
+                    label = RoleLabel.parse(rng.choice(("R-", "C-")) + a.label.text)
+                    if (label.text, a.span) not in taken:
+                        taken.add((label.text, a.span))
+                        moved[key] = (s, p, label.text, a.span)
+                        a = Argument(p, label, a.span)
+                out.append(a)
+            per_pred.append(tuple(out))
+        sentences.append(PropsSentence(sent.n_tokens, sent.predicates, tuple(per_pred)))
+    return PropsDocument(tuple(sentences)), None if table is None else {moved.get(k, k): v for k, v in table.items()}

@@ -2,7 +2,9 @@
 verbatim as the reference that test_feature_differential.py compares
 srlcomb.features against: every candidate must get the same feature names,
 and every vocabulary must intern them in the same order.  Only the document
-types, the syntax decoding and the interval lookup are shared with srlcomb.
+types and the interval lookup are shared with srlcomb; the syntax decoding is
+copied as srlcomb.model had it, the lenient B-I-O decoder included, so that
+the reference decodes each sentence's tags on its own.
 
 Sparse binary features for candidate scoring, in six groups.
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import re
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -30,13 +33,72 @@ from srlcomb.model import (
     Sentence,
     Span,
     V_LABEL,
-    clause_events,
-    clause_intervals,
-    decode_bio,
 )
 from srlcomb.pool import CandidatePool, SentencePool
 
 ALL_GROUPS = ("FS1", "FS2", "FS3", "FS4", "FS5", "FS6")
+
+
+def decode_bio(tags: Sequence[str]) -> list[tuple[str, int, int]]:
+    """Decode a B-I-O tag sequence into (type, start, end) chunks, leniently."""
+    out: list[tuple[str, int, int]] = []
+    kind, start = None, 0        # the open chunk, if kind is not None
+    for i, tag in enumerate(tags):
+        if tag == "O" or tag == "":
+            if kind is not None:
+                out.append((kind, start, i - 1))
+                kind = None
+            continue
+        mark, _, tag_kind = tag.partition("-")
+        if mark == "B" or kind != tag_kind:
+            if kind is not None:
+                out.append((kind, start, i - 1))
+            kind, start = tag_kind, i
+    if kind is not None:
+        out.append((kind, start, len(tags) - 1))
+    return out
+
+
+_CLAUSE_CELL_RE = re.compile(r"^((?:\([A-Z0-9]+)*)\*((?:[A-Z0-9]+\))*)$")
+
+# valid clause tags split so far; a corpus uses a handful, and the bound keeps
+# hostile input from growing the cache without limit
+_CLAUSE_CACHE: dict = {}
+_CLAUSE_CACHE_MAX = 4096
+
+
+def clause_events(tag: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Split a clause bracket tag into labels opened and closed at the token.
+    Valid tags are memoised, errors never are."""
+    events = _CLAUSE_CACHE.get(tag)
+    if events is None:
+        m = _CLAUSE_CELL_RE.match(tag)
+        if not m:
+            raise ValueError(f"malformed clause tag {tag!r}")
+        events = (tuple(part for part in m.group(1).split("(") if part),
+                  tuple(part for part in m.group(2).split(")") if part))
+        if len(_CLAUSE_CACHE) < _CLAUSE_CACHE_MAX:
+            _CLAUSE_CACHE[tag] = events
+    return events
+
+
+def clause_intervals(tags: Sequence[str]) -> list[tuple[int, int]]:
+    """(start, end) of each clause that a bracket column opens and closes,
+    outermost first."""
+    spans: list[tuple[int, int]] = []
+    stack: list[int] = []
+    for i, tag in enumerate(tags):
+        opens, closes = clause_events(tag)
+        for _ in opens:
+            stack.append(i)
+        for _ in closes:
+            if not stack:
+                raise ValueError(f"unbalanced clause brackets at token {i}")
+            spans.append((stack.pop(), i))
+    if stack:
+        raise ValueError("unclosed clause bracket")
+    spans.sort(key=lambda s: (s[0], -s[1]))
+    return spans
 
 
 def discretize(p: float, system: str, label: str, table: IntervalTable) -> int:

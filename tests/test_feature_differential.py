@@ -89,6 +89,18 @@ def _clause_tags(rng: random.Random, n: int) -> list:
             for o, c in zip(opens, closes)]
 
 
+def _bio_tags(rng: random.Random, n: int, tags: tuple) -> list:
+    """``n`` tags drawn from ``tags``, each I-X that would continue nothing
+    made a B-X, so the column is valid B-I-O."""
+    out: list = []
+    for _ in range(n):
+        tag = rng.choice(tags)
+        if tag.startswith("I-") and (not out or out[-1][2:] != tag[2:]):
+            tag = "B-" + tag[2:]
+        out.append(tag)
+    return out
+
+
 def _random_sentence(rng: random.Random, sentence_id: int) -> tuple:
     """(sentence with a parse tree, its pool sentence over random candidates)."""
     n = rng.randint(1, 24)
@@ -97,10 +109,10 @@ def _random_sentence(rng: random.Random, sentence_id: int) -> tuple:
     # half of the sentences have single-token chunks, so long spans hold
     # more chunks than a stored sequence
     chunk_tags = CHUNK_TAGS if rng.random() < 0.5 else ("B-NP", "B-VP")
-    tokens = tuple(
-        Token(i, "," if pos == "," else f"w{i}", pos, rng.choice(chunk_tags), clauses[i],
-              rng.choice(NE_TAGS))
-        for i, pos in enumerate(rng.choice(POS) for _ in range(n)))
+    pos = [rng.choice(POS) for _ in range(n)]
+    chunks, nes = _bio_tags(rng, n, chunk_tags), _bio_tags(rng, n, NE_TAGS)
+    tokens = tuple(Token(i, "," if pos[i] == "," else f"w{i}", pos[i], chunks[i], clauses[i],
+                         nes[i]) for i in range(n))
     parse = _tree(rng, 0, n - 1) if rng.random() < 0.9 else None
     sentence = Sentence(sentence_id, tokens, parse)
     cands = {}

@@ -1,8 +1,13 @@
 """Byte identity of srlcomb's outputs for fixed seeds.
 
-A fixed list of commands runs in-process through ``cli.main`` on three small
-corpora: ``synth --seed 1`` and ``--seed 2`` (100 sentences each) and
-``hard-50`` (ten systems, so that ``M10`` sorts before ``M2``).  Each file a
+A fixed list of commands runs in-process through ``cli.main`` on four small
+corpora: ``synth --seed 1`` and ``--seed 2`` (100 sentences each),
+``hard-50`` (ten systems, so that ``M10`` sorts before ``M2``), and
+``hard-50-relabelled``, where a quarter of the core and adjunct arguments
+are R-X or C-X in the systems and in gold alike, so that c3 and c4 act.
+``seed-1`` also gets a syntax file with multi-token chunks, named entities,
+nested clauses and a parse column (tests/rich_syntax.py), so that the
+training and dp commands given it pin FS4 and FS5 on real syntax.  Each file a
 command writes, its manifest included, and its stdout are hashed with
 SHA-256, the run directory masked, and compared with the table in
 ``tests/golden.json``.  Two of the commands also run in fresh processes under
@@ -31,8 +36,17 @@ from pathlib import Path
 
 import pytest
 
+from conftest import relabelled
+from rich_syntax import rich_sentences
 from srlcomb.cli import main
-from srlcomb.corpus_io import SyntheticConfig, emit_props, emit_scores, generate_synthetic
+from srlcomb.corpus_io import (
+    SyntheticConfig,
+    emit_props,
+    emit_scores,
+    emit_syntax,
+    generate_synthetic,
+    parse_props,
+)
 
 TESTS = Path(__file__).resolve().parent
 TABLE = TESTS / "golden.json"
@@ -44,6 +58,8 @@ HARD_50 = SyntheticConfig(n_sentences=50, n_systems=10, tokens_range=(30, 60),
                           predicates_range=(1, 8), args_range=(2, 5), precision=0.5,
                           correct_score_mean=3.0, wrong_score_mean=-3.0, score_sd=40.0, seed=3)
 SOFT = "1+2+3:soft=0.5+4:soft=0.3"
+# the rule sets decoded on hard-50-relabelled, by entry name
+RELABELLED_RULES = (("cs-1+2", "1+2"), ("cs-1+2+3+4", "1+2+3+4"), ("cs-soft", SOFT))
 
 # the commands that also run under two hash seeds, and their entries' prefixes
 HASHSEED_COMMANDS = ("seed-1/train-perceptron-global", "hard-50/cs-soft")
@@ -74,29 +90,42 @@ def _systems(corpus: Path, n: int) -> list:
     return [f"--system={corpus}/sys{i}.props:{corpus}/sys{i}.scores" for i in range(1, n + 1)]
 
 
+def _write_corpus(path: Path, gold, systems) -> None:
+    path.mkdir(parents=True)
+    (path / "gold.props").write_text(emit_props(gold), encoding="utf-8")
+    for i, (doc, table) in enumerate(systems, 1):
+        (path / f"sys{i}.props").write_text(emit_props(doc), encoding="utf-8")
+        (path / f"sys{i}.scores").write_text(emit_scores(table), encoding="utf-8")
+
+
 def write_corpora(run: Path) -> dict:
-    """Write the three corpora under ``run``; the digests of what ``synth``
-    wrote."""
+    """Write the corpora under ``run``, and seed-1's rich syntax; the digests
+    of what ``synth`` wrote and of the rich syntax."""
     digests = {}
     for seed in (1, 2):
         digests.update(_run(run, f"seed-{seed}/synth",
                             ["synth", "--out", "{out}", "--seed", str(seed), "--sentences", "100"]))
     gold, systems = generate_synthetic(HARD_50)
-    hard = run / "out" / "hard-50"
-    hard.mkdir(parents=True)
-    (hard / "gold.props").write_text(emit_props(gold), encoding="utf-8")
-    for i, (doc, table) in enumerate(systems, 1):
-        (hard / f"sys{i}.props").write_text(emit_props(doc), encoding="utf-8")
-        (hard / f"sys{i}.scores").write_text(emit_scores(table), encoding="utf-8")
+    _write_corpus(run / "out" / "hard-50", gold, systems)
+    _write_corpus(run / "out" / "hard-50-relabelled", relabelled(gold, None, 0.25)[0],
+                  [relabelled(doc, table, 0.25) for doc, table in systems])
+    seed_1 = parse_props((run / "out" / "seed-1/synth/gold.props").read_text(encoding="utf-8"))
+    rich = emit_syntax(rich_sentences(seed_1, 1))
+    (run / "out" / "seed-1/rich").mkdir()
+    (run / "out" / "seed-1/rich/rich.synt").write_text(rich, encoding="utf-8")
+    digests["seed-1/rich/rich.synt"] = hashlib.sha256(rich.encode()).hexdigest()
     return digests
 
 
 def commands(run: Path) -> list:
     """(name, argv) of every command after the corpora, in run order;
     "{out}" in argv stands for the command's own output directory."""
-    s1, s2, hard = (run / "out" / name for name in ("seed-1/synth", "seed-2/synth", "hard-50"))
+    s1, s2, hard, relabel = (run / "out" / name for name in (
+        "seed-1/synth", "seed-2/synth", "hard-50", "hard-50-relabelled"))
+    rich = [f"--syntax={run}/out/seed-1/rich/rich.synt"]
     model = {scorer: run / "out" / f"seed-1/train-{scorer}" / "model"
-             for scorer in ("svm", "perceptron-local", "perceptron-global", "svm-syntax")}
+             for scorer in ("svm", "perceptron-local", "perceptron-global", "svm-syntax",
+                            "svm-rich", "perceptron-global-rich")}
     out = []
     for name, corpus, n in (("seed-1", s1, 3), ("seed-2", s2, 3), ("hard-50", hard, 10)):
         systems = _systems(corpus, n)
@@ -129,6 +158,18 @@ def commands(run: Path) -> list:
     for scorer in ("svm", "perceptron-local", "perceptron-global"):
         out.append((f"seed-1/train-{scorer}",
                     ["train", *systems, *gold, "--scorer", scorer, "--out", "{out}/model"]))
+    for scorer in ("svm", "perceptron-global"):
+        out.append((f"seed-1/train-{scorer}-rich", ["train", *systems, *gold, "--scorer", scorer,
+                                                    *rich, "--out", "{out}/model"]))
+        for scope in ("pred", "sentence"):
+            out.append((f"seed-1/dp-{scorer}-rich-{scope}",
+                        ["infer", *systems, *gold, "--engine", "dp", "--scorer", scorer,
+                         "--model", str(model[f"{scorer}-rich"]), "--scope", scope, *rich,
+                         "--out", "{out}/pred.props"]))
+    for name, rules in RELABELLED_RULES:
+        out.append((f"hard-50-relabelled/{name}", ["infer", *_systems(relabel, 10),
+                                                   "--constraints", rules,
+                                                   "--out", "{out}/pred.props"]))
     for scorer, syntax in (("svm", []), ("perceptron-local", []), ("perceptron-global", []),
                            ("svm-syntax", [f"--syntax={s2}/gold.synt"])):
         for scope in ("pred", "sentence"):
@@ -163,6 +204,13 @@ def test_outputs_are_byte_identical(digests):
     """Every entry of the table, and no other, with its digest."""
     table = _table()
     assert sorted(k for k in table.keys() | digests.keys() if table.get(k) != digests.get(k)) == []
+
+
+def test_existential_rules_change_the_relabelled_output(digests):
+    """On hard-50-relabelled, c3 and c4 change what is selected, hard or
+    soft: the three rule sets write three different props files."""
+    props = {digests[f"hard-50-relabelled/{name}/pred.props"] for name, _ in RELABELLED_RULES}
+    assert len(props) == len(RELABELLED_RULES)
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):

@@ -1,5 +1,4 @@
 import json
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +15,7 @@ from srlcomb.corpus_io import (
     parse_props,
     parse_scores,
 )
-from srlcomb.model import Argument, Candidate, LabelKind, RoleLabel, Span, V_LABEL
+from srlcomb.model import Argument, Candidate, RoleLabel, Span, V_LABEL
 from srlcomb.pool import (
     AlignmentError,
     CandidatePool,
@@ -26,7 +25,7 @@ from srlcomb.pool import (
     gold_keys,
     pool_stats,
 )
-from conftest import HARD_50, SEARCH_HARD
+from conftest import HARD_50, SEARCH_HARD, relabelled
 
 
 def system_view(pool: CandidatePool, system_id: str) -> tuple[PropsDocument, ScoreTable]:
@@ -278,33 +277,6 @@ class TestDump:
 # -- one pass against the three stages --------------------------------------------
 
 
-def _relabelled(doc: PropsDocument, table, share: float):
-    """``doc`` and its score table with about ``share`` of the core and
-    adjunct arguments turned into R-X or C-X of their own label.  The choice
-    depends on the argument alone, so the systems and gold make the same one."""
-    moved = {}
-    sentences = []
-    for s, sent in enumerate(doc.sentences):
-        per_pred = []
-        for p, args in enumerate(sent.arguments):
-            taken = {(a.label.text, a.span) for a in args}
-            out = []
-            for a in args:
-                key = (s, p, a.label.text, a.span)
-                rng = random.Random(repr(key))
-                if a.label.kind in (LabelKind.CORE, LabelKind.ADJUNCT) and rng.random() < share:
-                    label = RoleLabel.parse(rng.choice(("R-", "C-")) + a.label.text)
-                    if (label.text, a.span) not in taken:
-                        taken.add((label.text, a.span))
-                        moved[key] = (s, p, label.text, a.span)
-                        a = Argument(p, label, a.span)
-                out.append(a)
-            per_pred.append(tuple(out))
-        sentences.append(PropsSentence(sent.n_tokens, sent.predicates, tuple(per_pred)))
-    relabelled = PropsDocument(tuple(sentences))
-    return relabelled, None if table is None else {moved.get(k, k): v for k, v in table.items()}
-
-
 def _with_repeats(doc: PropsDocument) -> PropsDocument:
     """``doc`` with the first scored argument of each predicate given twice."""
     sentences = []
@@ -329,8 +301,8 @@ def _case(name: str):
     if name == "search-hard-relabelled":
         gold, systems = generate_synthetic(SyntheticConfig(n_sentences=30, seed=11,
                                                            **SEARCH_HARD))
-        gold, _ = _relabelled(gold, None, 0.25)
-        return _triples([_relabelled(d, t, 0.25) for d, t in systems]), gold
+        gold, _ = relabelled(gold, None, 0.25)
+        return _triples([relabelled(d, t, 0.25) for d, t in systems]), gold
     if name == "ten-systems":
         gold, systems = generate_synthetic(SyntheticConfig(n_sentences=40, seed=21,
                                                            n_systems=10))
