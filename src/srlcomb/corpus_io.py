@@ -27,9 +27,10 @@ from .model import (
     RoleLabel,
     Sentence,
     Span,
+    Syntax,
+    TagError,
     Token,
     V_LABEL,
-    clause_events,
     set_frozen_field,
 )
 
@@ -330,61 +331,28 @@ def _parse_tree_column(cells: Sequence[tuple[int, str]], n_tokens: int) -> Optio
     return ParseNode("TOP", Span(0, n_tokens - 1), tuple(roots))
 
 
-def _check_bio(tags: Sequence[tuple[int, str]], what: str) -> None:
-    prev = "O"
-    for line_no, tag in tags:
-        if tag == "O":
-            prev = tag
-            continue
-        mark, sep, kind = tag.partition("-")
-        if mark not in ("B", "I") or not sep or not kind:
-            raise FormatError(f"malformed {what} tag {tag!r}", line_no)
-        if mark == "I":
-            pmark, _, pkind = prev.partition("-")
-            if pmark not in ("B", "I") or pkind != kind:
-                raise FormatError(f"{what} tag {tag!r} continues nothing", line_no)
-        prev = tag
-
-
 def parse_syntax(text: str) -> list[Sentence]:
-    """Parse a syntax file into Sentences."""
+    """Parse a syntax file into Sentences.  Each sentence is checked in this
+    order: its column counts, its chunk, named-entity and clause columns
+    (as ``Sentence`` decodes them), then its parse column."""
     sentences: list[Sentence] = []
-    for sent_id, (first, block) in enumerate(_sentence_blocks(text)):
-        width = None
-        rows = []
-        for line_no, cols in enumerate(block, first):
-            if width is None:
-                width = len(cols)
-                if width not in (5, 6):
-                    raise FormatError(
-                        f"expected 5 or 6 columns, found {width}", line_no)
-            elif len(cols) != width:
-                raise FormatError(
-                    f"expected {width} columns, found {len(cols)}", line_no)
-            rows.append((line_no, cols))
-
-        _check_bio([(ln, cols[2]) for ln, cols in rows], "chunk")
-        _check_bio([(ln, cols[4]) for ln, cols in rows], "named-entity")
-
-        depth = 0
-        for line_no, cols in rows:
-            try:
-                opens, closes = clause_events(cols[3])
-            except ValueError as exc:
-                raise FormatError(str(exc), line_no) from exc
-            depth += len(opens) - len(closes)
-            if depth < 0:
-                raise FormatError("clause bracket closed but never opened", line_no)
-        if depth != 0:
-            raise FormatError("unclosed clause bracket", rows[-1][0])
-
-        tokens = tuple(
-            Token(i, cols[0], cols[1], cols[2], cols[3], cols[4])
-            for i, (_ln, cols) in enumerate(rows))
-        parse = None
+    for sent_id, (first, rows) in enumerate(_sentence_blocks(text)):
+        width = len(rows[0])
+        if width not in (5, 6):
+            raise FormatError(f"expected 5 or 6 columns, found {width}", first)
+        for line_no, cols in enumerate(rows, first):
+            if len(cols) != width:
+                raise FormatError(f"expected {width} columns, found {len(cols)}", line_no)
+        try:
+            sentence = Sentence(sent_id, tuple(Token(i, *cols[:5]) for i, cols in enumerate(rows)))
+        except TagError as exc:
+            raise FormatError(exc.reason, first + exc.token) from exc
         if width == 6:
-            parse = _parse_tree_column([(ln, cols[5]) for ln, cols in rows], len(rows))
-        sentences.append(Sentence(sent_id, tokens, parse))
+            # read after the tags, whose errors come first; a tree read off
+            # the sentence's own column fits it, so it is set unchecked
+            set_frozen_field(sentence, "parse", _parse_tree_column(
+                [(line_no, cols[5]) for line_no, cols in enumerate(rows, first)], len(rows)))
+        sentences.append(sentence)
     return sentences
 
 
@@ -411,39 +379,40 @@ def emit_syntax(sentences: Sequence[Sentence]) -> str:
 def skeleton_sentences(doc: PropsDocument) -> list[Sentence]:
     """Fabricate plain sentences for a props document lacking a syntax file.
 
-    Tokens get placeholder forms, the chunks and clause tags of
-    ``skeleton_syntax``, and no named entity; good enough to make
-    partial-syntax features well defined.
+    Tokens get placeholder forms and the tags of ``skeleton_syntax``: good
+    enough to make partial-syntax features well defined.
     """
     out = []
     for s, sent in enumerate(doc.sentences):
         preds = dict(sent.predicates)
-        chunks, clauses, _spans = skeleton_syntax(sent.n_tokens, sent.predicates)
+        syntax = skeleton_syntax(sent.n_tokens, sent.predicates)
+        # each token's clause tag: what it opens, "*", then what it closes
+        clause_tags = ["".join(e for e in events if e[0] == "(") + "*"
+                       + "".join(e for e in events if e[0] != "(")
+                       for events in syntax.clause_events]
         tokens = tuple(
             Token(i, preds[i], "VBD", "B-" + kind, clause, "O") if i in preds
             else Token(i, f"w{i}", "NN", "B-" + kind, clause, "O")
-            for i, ((kind, _s, _e), clause) in enumerate(zip(chunks, clauses)))
+            for i, ((kind, _s, _e), clause) in enumerate(zip(syntax.chunks, clause_tags)))
         out.append(Sentence(s, tokens))
     return out
 
 
-def skeleton_syntax(n_tokens: int, predicates: tuple[tuple[int, str], ...]
-                    ) -> tuple[list[tuple[str, int, int]], list[str], list[tuple[int, int]]]:
-    """A skeleton sentence's chunks as (type, start, end), its clause tags,
-    and its clauses as (start, end): single-token chunks, VP at the
-    predicates and NP elsewhere, and one clause spanning the sentence."""
+def skeleton_syntax(n_tokens: int, predicates: tuple[tuple[int, str], ...]) -> Syntax:
+    """A skeleton sentence's syntax, decoded as ``Sentence`` decodes a real
+    one: single-token chunks, VP at the predicates and NP elsewhere, no named
+    entity, and one clause spanning the sentence."""
     indices = [-1] + [i for i, _lemma in predicates] + [n_tokens]
     if not all(a < b for a, b in zip(indices, indices[1:])):
         raise ValueError(f"predicate indices {indices[1:-1]} must increase "
                          f"from 0 and stay below {n_tokens}")
     preds = set(indices[1:-1])
-    chunks = [("VP" if i in preds else "NP", i, i) for i in range(n_tokens)]
-    clause_tags = ["*"] * n_tokens
-    if n_tokens == 1:
-        clause_tags[0] = "(S*S)"
-    elif n_tokens > 1:
-        clause_tags[0], clause_tags[-1] = "(S*", "*S)"
-    return chunks, clause_tags, [(0, n_tokens - 1)] if n_tokens else []
+    chunks = tuple([("VP" if i in preds else "NP", i, i) for i in range(n_tokens)])
+    events = [()] * n_tokens
+    if n_tokens:
+        events[0] += ("(S",)
+        events[-1] += ("S)",)
+    return Syntax(chunks, (), ((0, n_tokens - 1),) if n_tokens else (), tuple(events))
 
 
 # ---------------------------------------------------------------------------

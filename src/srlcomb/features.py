@@ -15,15 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from .calibrate import IntervalTable
 from .corpus_io import AlignmentError, skeleton_syntax, text_lines
-from .model import (
-    ParseNode,
-    Sentence,
-    Span,
-    Token,
-    clause_events,
-    clause_intervals,
-    decode_bio,
-)
+from .model import ParseNode, Sentence, Span, Syntax, Token
 from .pool import CandidatePool
 
 ALL_GROUPS = ("FS1", "FS2", "FS3", "FS4", "FS5", "FS6")
@@ -236,7 +228,7 @@ _RELATIONS = ("samespan", "within", "contains", "crosses")
 class _PoolNames:
     """What every sentence of one extraction shares: system ids as bits, so
     that the votes of several candidates unite by integer or, and the
-    feature names of vote masks, intervals and clause tags."""
+    feature names of vote masks and intervals."""
 
     def __init__(self, system_ids: Sequence[str]):
         self._bit: dict = {}
@@ -251,7 +243,6 @@ class _PoolNames:
         # the names of interval 0..4 of each system, then of "none"
         self.fs6 = [(sid, tuple(f"fs6:{sid}={i}" for i in range(5)) + (f"fs6:{sid}=none",))
                     for sid in system_ids]
-        self._clause_events: dict = {}
 
     def _bit_of(self, sid: str) -> int:
         return self._bit.setdefault(sid, 1 << len(self._bit))
@@ -264,15 +255,6 @@ class _PoolNames:
                 mask |= self._bit_of(sid)
             self._masks[votes] = mask
         return mask
-
-    def clause_events(self, tag: str) -> tuple[str, ...]:
-        """A clause tag's events as sequence elements: "(S*S)" gives ("(S", "S)")."""
-        events = self._clause_events.get(tag)
-        if events is None:
-            opens, closes = clause_events(tag)
-            events = self._clause_events[tag] = (tuple(f"({lab}" for lab in opens)
-                                                 + tuple(f"{lab})" for lab in closes))
-        return events
 
 
 def _label_sequences(rows: list, pred_pos: list, system_bits: list) -> list[dict]:
@@ -290,29 +272,20 @@ def _label_sequences(rows: list, pred_pos: list, system_bits: list) -> list[dict
     return sequences
 
 
-def _partial_syntax(sentence: Optional[Sentence], skeleton: Optional[tuple],
-                    shared: _PoolNames) -> tuple:
-    """FS4's columns of one sentence: chunk types, starts and ends (chunks
+def _partial_syntax(syntax: Sentence | Syntax) -> tuple:
+    """FS4's columns of one sentence's decoded syntax, a ``Sentence`` or what
+    ``corpus_io.skeleton_syntax`` gives: chunk types, starts and ends (chunks
     are ordered and disjoint, so both ascend), named entities, clauses, and
     the clause events of every token in one list, those of tokens lo..hi
-    being events[offsets[lo]:offsets[hi + 1]].  Without a sentence they are
-    read off ``skeleton``, what ``corpus_io.skeleton_syntax`` gives."""
-    if sentence is None:
-        chunks, clause_tags, clauses = skeleton
-        nes: list = []      # a skeleton names no entity
-    else:
-        tokens = sentence.tokens
-        chunks = decode_bio([t.chunk for t in tokens])
-        clause_tags = [t.clause for t in tokens]
-        clauses = clause_intervals(clause_tags)
-        nes = decode_bio([t.ne for t in tokens])
+    being events[offsets[lo]:offsets[hi + 1]]."""
+    chunks = syntax.chunks
     events: list = []
     offsets = [0]
-    for tag in clause_tags:
-        events += shared.clause_events(tag)
+    for token_events in syntax.clause_events:
+        events += token_events
         offsets.append(len(events))
     return ([kind for kind, _s, _e in chunks], [start for _k, start, _e in chunks],
-            [end for _k, _s, end in chunks], nes, clauses, events, offsets)
+            [end for _k, _s, end in chunks], syntax.nes, syntax.clauses, events, offsets)
 
 
 class FeatureExtractor:
@@ -356,7 +329,7 @@ class FeatureExtractor:
         for k, spool in enumerate(pool.sentences):
             sentence = sentences[k] if sentences is not None else None
             # making a skeleton checks its predicate positions
-            skeleton = None if sentence is not None else skeleton_syntax(
+            syntax = sentence if sentence is not None else skeleton_syntax(
                 spool.n_tokens, spool.predicates)
             pred_pos = [pos for pos, _lemma in spool.predicates]
             # (start, end, vote mask, predicate, label) of every candidate
@@ -366,7 +339,7 @@ class FeatureExtractor:
                 sequences = _label_sequences(rows, pred_pos, shared.system_bits)
             if fs4:
                 (chunk_types, chunk_starts, chunk_ends, nes, clauses, events,
-                 offsets) = _partial_syntax(sentence, skeleton, shared)
+                 offsets) = _partial_syntax(syntax)
                 pred_depth = [sum(a <= pos <= b for a, b in clauses) for pos in pred_pos]
             if fs5:
                 parse = (_ParseIndex(sentence.parse, sentence.tokens)

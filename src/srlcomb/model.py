@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 # sets a field of a frozen dataclass instance, as a generated __init__ does;
@@ -170,24 +170,39 @@ class ParseNode:
             yield from child.walk()
 
 
-def decode_bio(tags: Sequence[str]) -> list[tuple[str, int, int]]:
-    """Decode a B-I-O tag sequence into (type, start, end) chunks, leniently."""
-    out: list[tuple[str, int, int]] = []
+class TagError(ValueError):
+    """A damaged syntax tag or clause bracket; ``token`` indexes its token."""
+
+    def __init__(self, token: int, reason: str):
+        self.token, self.reason = token, reason
+        super().__init__(f"token {token}: {reason}")
+
+
+def decode_bio(tags: Sequence[str], what: str) -> tuple[tuple[str, int, int], ...]:
+    """The (type, start, end) chunks of a B-I-O column of ``what`` tags.  A
+    tag that is not O, B-X or I-X, or an I-X that continues no X, raises
+    TagError."""
+    out = []
     kind, start = None, 0        # the open chunk, if kind is not None
     for i, tag in enumerate(tags):
-        if tag == "O" or tag == "":
+        if tag == "O":
             if kind is not None:
                 out.append((kind, start, i - 1))
                 kind = None
             continue
-        mark, _, tag_kind = tag.partition("-")
-        if mark == "B" or kind != tag_kind:
-            if kind is not None:
-                out.append((kind, start, i - 1))
-            kind, start = tag_kind, i
+        mark, sep, tag_kind = tag.partition("-")
+        if mark == "I" and sep and tag_kind:
+            if tag_kind != kind:
+                raise TagError(i, f"{what} tag {tag!r} continues nothing")
+            continue
+        if mark != "B" or not sep or not tag_kind:
+            raise TagError(i, f"malformed {what} tag {tag!r}")
+        if kind is not None:
+            out.append((kind, start, i - 1))
+        kind, start = tag_kind, i
     if kind is not None:
         out.append((kind, start, len(tags) - 1))
-    return out
+    return tuple(out)
 
 
 _CLAUSE_CELL_RE = re.compile(r"^((?:\([A-Z0-9]+)*)\*((?:[A-Z0-9]+\))*)$")
@@ -198,25 +213,67 @@ _CLAUSE_CACHE: dict = {}
 _CLAUSE_CACHE_MAX = 4096
 
 
-def clause_events(tag: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Split a clause bracket tag into labels opened and closed at the token.
-    Valid tags are memoised, errors never are."""
+def clause_events(tag: str) -> tuple[str, ...]:
+    """The clauses a bracket tag opens, then those it closes, as sequence
+    elements: "(S(SBAR*S)" gives ("(S", "(SBAR", "S)").  Valid tags are
+    memoised, errors never are."""
     events = _CLAUSE_CACHE.get(tag)
     if events is None:
         m = _CLAUSE_CELL_RE.match(tag)
         if not m:
             raise ValueError(f"malformed clause tag {tag!r}")
-        events = (tuple(part for part in m.group(1).split("(") if part),
-                  tuple(part for part in m.group(2).split(")") if part))
+        events = (tuple("(" + part for part in m.group(1).split("(") if part)
+                  + tuple(part + ")" for part in m.group(2).split(")") if part))
         if len(_CLAUSE_CACHE) < _CLAUSE_CACHE_MAX:
             _CLAUSE_CACHE[tag] = events
     return events
 
 
+def clause_intervals(tags: Sequence[str]) -> tuple[tuple[int, int], ...]:
+    """(start, end) of each clause that a bracket column opens and closes,
+    outermost first.  A malformed tag or an unbalanced bracket raises
+    TagError."""
+    spans = []
+    stack = []
+    for i, tag in enumerate(tags):
+        try:
+            events = clause_events(tag)
+        except ValueError as exc:
+            raise TagError(i, str(exc)) from exc
+        for event in events:
+            if event[0] == "(":
+                stack.append(i)
+            elif stack:
+                spans.append((stack.pop(), i))
+            else:
+                raise TagError(i, "clause bracket closed but never opened")
+    if stack:
+        raise TagError(len(tags) - 1, "unclosed clause bracket")
+    spans.sort(key=lambda s: (s[0], -s[1]))
+    return tuple(spans)
+
+
+class Syntax(NamedTuple):
+    """A sentence's syntax columns, decoded: chunks and named entities as
+    (type, start, end), clauses as (start, end) outermost first, and the
+    ``clause_events`` of each token."""
+
+    chunks: tuple[tuple[str, int, int], ...]
+    nes: tuple[tuple[str, int, int], ...]
+    clauses: tuple[tuple[int, int], ...]
+    clause_events: tuple[tuple[str, ...], ...]
+
+
 @dataclass(frozen=True)
 class Sentence:
     """One input sentence with token-level annotations; its predicates are
-    those of the props skeleton it is paired with."""
+    those of the props skeleton it is paired with.
+
+    The token tags are decoded once, when the sentence is made, into the
+    attributes that ``Syntax`` names: ``chunks``, ``nes``, ``clauses`` and
+    ``clause_events``.  The tags determine them, so they are no fields and
+    take no part in equality or hashing.  Damaged tags raise TagError,
+    checked column by column: chunks, named entities, then clauses."""
 
     id: int
     tokens: tuple[Token, ...]
@@ -225,28 +282,15 @@ class Sentence:
     def __post_init__(self) -> None:
         if self.parse is not None and self.tokens and self.parse.span.end >= len(self.tokens):
             raise ValueError("parse tree exceeds sentence length")
+        tokens = self.tokens
+        set_frozen_field(self, "chunks", decode_bio([t.chunk for t in tokens], "chunk"))
+        set_frozen_field(self, "nes", decode_bio([t.ne for t in tokens], "named-entity"))
+        tags = [t.clause for t in tokens]
+        set_frozen_field(self, "clauses", clause_intervals(tags))
+        set_frozen_field(self, "clause_events", tuple(map(clause_events, tags)))
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-
-def clause_intervals(tags: Sequence[str]) -> list[tuple[int, int]]:
-    """(start, end) of each clause that a bracket column opens and closes,
-    outermost first."""
-    spans: list[tuple[int, int]] = []
-    stack: list[int] = []
-    for i, tag in enumerate(tags):
-        opens, closes = clause_events(tag)
-        for _ in opens:
-            stack.append(i)
-        for _ in closes:
-            if not stack:
-                raise ValueError(f"unbalanced clause brackets at token {i}")
-            spans.append((stack.pop(), i))
-    if stack:
-        raise ValueError("unclosed clause bracket")
-    spans.sort(key=lambda s: (s[0], -s[1]))
-    return spans
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from srlcomb.corpus_io import (
     skeleton_sentences,
 )
 from srlcomb.evaluate import score
-from srlcomb.model import Argument, RoleLabel, Span, V_LABEL, clause_intervals, decode_bio
+from srlcomb.model import Argument, RoleLabel, Span, Syntax, V_LABEL
 from conftest import NOT_LINE_BREAKS
 
 
@@ -131,10 +131,10 @@ class TestSyntax:
         sents = parse_syntax(SYNTAX_WITH_PARSE)
         assert len(sents) == 1
         sent = sents[0]
-        assert decode_bio([t.chunk for t in sent.tokens]) == [("NP", 0, 1), ("VP", 2, 2),
-                                                              ("NP", 3, 3)]
-        assert clause_intervals([t.clause for t in sent.tokens]) == [(0, 3)]
-        assert decode_bio([t.ne for t in sent.tokens]) == [("DATE", 3, 3)]
+        assert sent.chunks == (("NP", 0, 1), ("VP", 2, 2), ("NP", 3, 3))
+        assert sent.clauses == ((0, 3),)
+        assert sent.nes == (("DATE", 3, 3),)
+        assert sent.clause_events == (("(S",), (), (), ("S)",))
 
     def test_parse_tree(self):
         sent = parse_syntax(SYNTAX_WITH_PARSE)[0]
@@ -330,17 +330,16 @@ class TestSynthetic:
             assert len(sent.tokens) == props.n_tokens
             lemmas = tuple((i, sent.tokens[i].form) for i, _lemma in props.predicates)
             assert lemmas == props.predicates
-            assert clause_intervals([t.clause for t in sent.tokens]) == [(0, props.n_tokens - 1)]
+            assert sent.clauses == ((0, props.n_tokens - 1),)
 
     @pytest.mark.parametrize("n_tokens,predicates", [
         (0, ()), (1, ((0, "go"),)), (2, ()), (6, ((1, "sell"), (4, "buy")))])
     def test_skeleton_syntax_decodes_its_own_tags(self, n_tokens, predicates):
-        # the decoded chunks and clauses are what the tags say
-        chunks, clause_tags, clauses = corpus_io.skeleton_syntax(n_tokens, predicates)
-        assert len(clause_tags) == n_tokens
-        assert clauses == clause_intervals(clause_tags)
-        assert chunks == decode_bio(["B-" + kind for kind, _s, _e in chunks])
-        assert [kind for kind, _s, _e in chunks] == [
+        syntax = corpus_io.skeleton_syntax(n_tokens, predicates)
+        doc = PropsDocument((PropsSentence(n_tokens, predicates, ((),) * len(predicates)),))
+        [sent] = skeleton_sentences(doc)
+        assert Syntax(sent.chunks, sent.nes, sent.clauses, sent.clause_events) == syntax
+        assert [kind for kind, _s, _e in syntax.chunks] == [
             "VP" if i in dict(predicates) else "NP" for i in range(n_tokens)]
 
     def test_config_validation(self):

@@ -10,8 +10,11 @@ from srlcomb.model import (
     ConstraintSet,
     LabelKind,
     RoleLabel,
+    Sentence,
     Solution,
     Span,
+    TagError,
+    Token,
     broken_pairs,
     licenses,
     pair_rules,
@@ -139,6 +142,43 @@ class TestRoleLabel:
     def test_core_index(self):
         assert RoleLabel.parse("A3").core_index == 3
         assert RoleLabel.parse("R-A3").core_index is None
+
+
+def _sentence(chunks, clauses, nes=None) -> Sentence:
+    return Sentence(0, tuple(Token(i, f"w{i}", "NN", chunk, clause, "O" if nes is None else nes[i])
+                             for i, (chunk, clause) in enumerate(zip(chunks, clauses))))
+
+
+class TestSentenceSyntax:
+    def test_decoded_once_when_made(self):
+        sent = _sentence(["B-NP", "I-NP", "O", "B-VP", "B-VP"], ["(S*", "(SBAR(S*", "*S)", "*",
+                                                                "*SBAR)S)"],
+                         ["B-PER", "I-PER", "O", "O", "B-LOC"])
+        assert sent.chunks == (("NP", 0, 1), ("VP", 3, 3), ("VP", 4, 4))
+        assert sent.nes == (("PER", 0, 1), ("LOC", 4, 4))
+        assert sent.clauses == ((0, 4), (1, 4), (1, 2))
+        assert sent.clause_events == (("(S",), ("(SBAR", "(S"), ("S)",), (), ("SBAR)", "S)"))
+
+    @pytest.mark.parametrize("chunks,clauses,token,reason", [
+        (["B-NP", "I-VP"], ["(S*", "*S)"], 1, "chunk tag 'I-VP' continues nothing"),
+        (["O", "I-NP"], ["(S*", "*S)"], 1, "chunk tag 'I-NP' continues nothing"),
+        (["B-NP", "B-"], ["(S*", "*S)"], 1, "malformed chunk tag 'B-'"),
+        (["X-NP", "I-VP"], ["(S*", "*S)"], 0, "malformed chunk tag 'X-NP'"),
+        (["B-NP", "I-NP"], ["(S*", "S)"], 1, "malformed clause tag 'S)'"),
+        (["B-NP", "I-NP"], ["*S)", "(S*"], 0, "clause bracket closed but never opened"),
+        (["B-NP", "I-NP"], ["(S*", "(S*S)"], 1, "unclosed clause bracket"),
+    ])
+    def test_damage_names_its_token(self, chunks, clauses, token, reason):
+        with pytest.raises(TagError) as err:
+            _sentence(chunks, clauses)
+        assert (err.value.token, err.value.reason) == (token, reason)
+        assert str(err.value) == f"token {token}: {reason}"
+
+    def test_chunks_are_checked_before_entities_and_clauses(self):
+        with pytest.raises(TagError, match="named-entity tag 'I-PER'"):
+            _sentence(["B-NP", "I-NP"], ["*S)", "*"], ["O", "I-PER"])
+        with pytest.raises(TagError, match="chunk tag 'I-VP'"):
+            _sentence(["B-NP", "I-VP"], ["*S)", "*"], ["O", "I-PER"])
 
 
 def _broken(selected, cs):

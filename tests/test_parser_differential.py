@@ -28,7 +28,7 @@ from srlcomb.corpus_io import (
     parse_syntax,
     skeleton_sentences,
 )
-from srlcomb.model import ParseNode, Sentence, Span, decode_bio
+from srlcomb.model import ParseNode, Sentence, Span
 
 DAMAGED_CELLS = ("(*)", "(A0", "((A0*", "(A0*))", "(A 0*", "*)*", "(*", "*", "*)", "(",
                  ")", "(A0**", "(A0*)*", "(A0*)", "(V*)", "(A9*", "(R-V*)", "(C-R-A0*",
@@ -149,8 +149,7 @@ def syntax_files(draw):
     gold, _systems = generate_synthetic(cfg)
     sentences = []
     for sent in skeleton_sentences(gold):
-        chunks = tuple(ParseNode(kind, Span(start, end))
-                       for kind, start, end in decode_bio([t.chunk for t in sent.tokens]))
+        chunks = tuple(ParseNode(kind, Span(start, end)) for kind, start, end in sent.chunks)
         root = ParseNode("S", Span(0, len(sent.tokens) - 1), chunks)
         sentences.append(Sentence(sent.id, sent.tokens, root))
     return emit_syntax(sentences)
