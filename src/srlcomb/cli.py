@@ -90,14 +90,15 @@ def _at_least(low: int) -> tuple:
     return (lambda v: v >= low), f"must be >= {low}"
 
 
-_FINITE = (math.isfinite, "must be finite")
 _UNIT = ((lambda v: 0.0 <= v <= 1.0), "must be in [0, 1]")
 _MIN_MAX = ((lambda v: 1 <= v[0] <= v[1]), "needs 1 <= MIN <= MAX")
 
 # (test, requirement) of every numeric option, by destination; a value that
 # fails its test is an input error that names the option
 _NUMERIC_OPTIONS = {
-    "gamma": _FINITE, "bias": _FINITE,
+    # at 0 every probability is 0.5, and below it a higher score gets a lower one
+    "gamma": ((lambda v: math.isfinite(v) and v > 0.0), "must be finite and above 0"),
+    "bias": (math.isfinite, "must be finite"),
     "degree": _at_least(1), "epochs": _at_least(1), "node_budget": _at_least(1),
     # --jobs stays, legal only at 1, since perfbench/worker.py passes it to every call
     "jobs": ((lambda v: v == 1), "must be 1: srlcomb runs each command in one process"),

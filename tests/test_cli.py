@@ -571,6 +571,8 @@ class TestBadInput:
         (["train", "--scorer", "svm", "--C", "1e-13"], "--C"),
         (["infer", "--bootstrap", "5"], "--bootstrap"),
         (["infer", "--gamma", "nan"], "--gamma"),
+        (["infer", "--gamma", "0"], "--gamma"),
+        (["infer", "--gamma", "-1"], "--gamma"),
         (["infer", "--bias", "nan"], "--bias"),
         (["train", "--scorer", "perceptron-global", "--val-fraction", "1.5"], "--val-fraction"),
         (["infer", "--node-budget", "-1"], "--node-budget"),
@@ -579,7 +581,8 @@ class TestBadInput:
         (["synth", "--precision", "2"], "--precision"),
         (["infer", "--seed", "-1"], "--seed"),
         (["infer", "--jobs", "0"], "--jobs"),
-    ], ids=["epochs-0", "epochs-negative", "C-0", "C-below-bound-tolerance", "bootstrap-5", "gamma-nan", "bias-nan",
+    ], ids=["epochs-0", "epochs-negative", "C-0", "C-below-bound-tolerance", "bootstrap-5", "gamma-nan", "gamma-0",
+            "gamma-negative", "bias-nan",
             "val-fraction-1.5", "node-budget-negative", "o-values-abc", "o-values-empty",
             "synth-precision-2",
             "seed-negative", "jobs-0"])
