@@ -177,13 +177,16 @@ _CELLS: dict = {}
 _CELLS_MAX = 4096
 
 
-# Argument's slot setters: the bracket scan has checked each argument it
-# makes, and setting its three slots directly costs about half of what the
-# generated __init__ does
+# Argument's and Token's slot setters: the bracket scan has checked each
+# argument it makes, a syntax row's cells are the token's fields as they
+# are, and setting the slots directly costs about half of what the generated
+# __init__ does
 _new = object.__new__
 _set_predicate = Argument.predicate.__set__
 _set_label = Argument.label.__set__
 _set_span = Argument.span.__set__
+_set_index, _set_form, _set_pos, _set_chunk, _set_clause, _set_ne = (
+    getattr(Token, name).__set__ for name in ("index", "form", "pos", "chunk", "clause", "ne"))
 
 
 def parse_props(text: str) -> PropsDocument:
@@ -331,6 +334,22 @@ def _parse_tree_column(cells: Sequence[tuple[int, str]], n_tokens: int) -> Optio
     return ParseNode("TOP", Span(0, n_tokens - 1), tuple(roots))
 
 
+def _tokens(rows: Sequence[Sequence[str]]) -> tuple[Token, ...]:
+    """The tokens of one sentence's syntax rows, made through their slot
+    setters."""
+    tokens = []
+    for i, cols in enumerate(rows):
+        token = _new(Token)
+        _set_index(token, i)
+        _set_form(token, cols[0])
+        _set_pos(token, cols[1])
+        _set_chunk(token, cols[2])
+        _set_clause(token, cols[3])
+        _set_ne(token, cols[4])
+        tokens.append(token)
+    return tuple(tokens)
+
+
 def parse_syntax(text: str) -> list[Sentence]:
     """Parse a syntax file into Sentences.  Each sentence is checked in this
     order: its column counts, its chunk, named-entity and clause columns
@@ -344,7 +363,7 @@ def parse_syntax(text: str) -> list[Sentence]:
             if len(cols) != width:
                 raise FormatError(f"expected {width} columns, found {len(cols)}", line_no)
         try:
-            sentence = Sentence(sent_id, tuple(Token(i, *cols[:5]) for i, cols in enumerate(rows)))
+            sentence = Sentence(sent_id, _tokens(rows))
         except TagError as exc:
             raise FormatError(exc.reason, first + exc.token) from exc
         if width == 6:

@@ -13,14 +13,20 @@ vocabulary and probability intervals) and scores a pool by extracting its
 features with it.  The vocabulary is frozen once the model is built, so
 scoring never grows it.
 
-Kernel rows come from posting lists (feature id -> the rows that hold it):
-the dot products of one vector with all rows are one bincount over the lists
-of its ids, so a row costs the summed length of those lists rather than one
-set intersection per support.  Every trainer and scorer reads the kernel so.
-Both Perceptron trainers cache every training candidate's margin and add one
-kernel row per update; SMO caches g = y - K @ (alpha*y), g starts at y,
-each step subtracts two memoized kernel rows, and no n x n Gram matrix is
-built.
+The trainers read kernel rows from posting lists (feature id -> the rows
+that hold it): the dot products of one vector with all rows are one bincount
+over the lists of its ids, so a row costs the summed length of those lists
+rather than one set intersection per support.  Both Perceptron trainers
+cache every training candidate's margin and add one kernel row per update;
+SMO caches g = y - K @ (alpha*y), g starts at y, each step subtracts two
+memoized kernel rows, and no n x n Gram matrix is built.
+
+A scorer reads the kernel in dense tiles instead: at most ``_KERNEL_BLOCK``
+candidates against at most ``_KERNEL_BLOCK`` supports, as one product of
+two float64 0/1 matrices over the support block's feature columns.  Every
+dot is an integer no larger than nnz, which ``check_degree`` keeps far below
+2^53, so the tiles give the posting rows' bits whatever the BLAS summation
+order or thread count.
 """
 
 from __future__ import annotations
@@ -58,10 +64,30 @@ DEFAULT_C = 1.0
 DEFAULT_KKT_TOL = 1e-3
 # the fixed feature caps, as the config line of a model file states them
 _CAPS = (("ngram_cap", NGRAM_CAP), ("path_threshold", PATH_THRESHOLD), ("count_cap", COUNT_CAP))
+# candidates and supports per scoring tile, so that scoring holds arrays of
+# this many candidates by a label's supports, whatever the number of candidates
+_KERNEL_BLOCK = 256
 
 
 class ModelMismatchError(ValueError):
     """A model file of another kind than the one asked for."""
+
+
+def _kernel(dots: np.ndarray, degree: int) -> np.ndarray:
+    """(dots + 1)^degree as floats.  The power is a chain of products, exact
+    while the kernel stays below 2^53."""
+    base = dots + 1.0
+    row = base
+    for _ in range(degree - 1):
+        row = row * base
+    return row
+
+
+def _id_rows(vectors: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """The feature ids of ``vectors`` end to end, and the row of each."""
+    lengths = [len(v) for v in vectors]
+    ids = np.fromiter(chain.from_iterable(vectors), np.intp, sum(lengths))
+    return ids, np.repeat(np.arange(len(vectors)), lengths)
 
 
 class _Postings:
@@ -72,24 +98,58 @@ class _Postings:
 
     def __init__(self, vectors: Sequence[tuple[int, ...]]):
         self.n = len(vectors)
-        lengths = [len(v) for v in vectors]
-        ids = np.fromiter(chain.from_iterable(vectors), np.intp, sum(lengths))
+        ids, rows = _id_rows(vectors)
         # group the (id, row) pairs by id: each list is a slice of one array
         order = np.argsort(ids)
-        ids, rows = ids[order], np.repeat(np.arange(self.n), lengths)[order]
+        ids, rows = ids[order], rows[order]
         cuts = np.flatnonzero(np.diff(ids, prepend=-1)).tolist() + [len(ids)]
         self._lists = {fid: rows[a:b] for fid, a, b in zip(ids[cuts[:-1]].tolist(), cuts, cuts[1:])}
 
     def kernel_row(self, fv: tuple[int, ...], degree: int) -> np.ndarray:
-        """(u.v + 1)^degree of ``fv`` against every row, as floats.  The power
-        is a chain of products, exact while the kernel stays below 2^53."""
+        """(u.v + 1)^degree of ``fv`` against every row, as floats."""
         hits = [self._lists[fid] for fid in fv if fid in self._lists]
         dots = np.bincount(np.concatenate(hits), minlength=self.n) if hits else np.zeros(self.n)
-        base = dots + 1.0
-        row = base
-        for _ in range(degree - 1):
-            row = row * base
-        return row
+        return _kernel(dots, degree)
+
+
+def _design(ids: np.ndarray, rows: np.ndarray, n: int, cols: np.ndarray) -> np.ndarray:
+    """The float64 0/1 matrix of n vectors (ids and rows as ``_id_rows``
+    gives them) over the feature ids ``cols``, which are ascending and end
+    in -1; ids that ``cols`` lacks are dropped."""
+    pos = np.searchsorted(cols[:-1], ids)
+    # an id past all of cols finds the -1
+    hit = cols[pos] == ids
+    design = np.zeros((n, len(cols) - 1))
+    design[rows[hit], pos[hit]] = 1.0
+    return design
+
+
+class _Tiles:
+    """Binary feature vectors in blocks of at most ``_KERNEL_BLOCK``, each a
+    float64 0/1 matrix over the feature ids the block holds."""
+
+    def __init__(self, vectors: Sequence[tuple[int, ...]]):
+        self.n = len(vectors)
+        self._blocks = []
+        for lo in range(0, self.n, _KERNEL_BLOCK):
+            block = vectors[lo:lo + _KERNEL_BLOCK]
+            ids, rows = _id_rows(block)
+            # np.unique of ids without its hashing, sized by the largest id,
+            # which lies in the vocabulary
+            cols = np.append(np.flatnonzero(np.bincount(ids)), -1)
+            self._blocks.append((lo, cols, _design(ids, rows, len(block), cols).T))
+
+    def kernel_rows(self, block: Sequence[tuple[int, ...]], degree: int) -> np.ndarray:
+        """(u.v + 1)^degree of each vector of ``block`` against every vector
+        of the tiles, as float rows: one matrix product per tile.  Its size
+        is that of ``block`` times the tiles'; scoring passes at most
+        ``_KERNEL_BLOCK`` vectors."""
+        ids, rows = _id_rows(block)
+        dots = np.empty((len(block), self.n))
+        for start, cols, matrix in self._blocks:
+            np.matmul(_design(ids, rows, len(block), cols), matrix,
+                      out=dots[:, start:start + matrix.shape[1]])
+        return _kernel(dots, degree)
 
 
 def check_degree(degree: int, vectors: Iterable[tuple[int, ...]]) -> None:
@@ -124,6 +184,9 @@ class LabelScorer:
         with the averaged weight w = coef * (updates - tick) / updates after
         at least one update, and w = coef without updates (an SVM's rows).
 
+        The kernel is read in tiles of at most ``_KERNEL_BLOCK`` vectors
+        against at most ``_KERNEL_BLOCK`` supports (``_Tiles``); every dot is
+        an exact integer, so a tile gives the bits of the posting rows.
         The terms are added in support order (cumsum is sequential), so a
         score equals the support-by-support sum bit for bit and does not
         depend on which other vectors are scored with it.
@@ -134,13 +197,19 @@ class LabelScorer:
         if self.updates > 0:
             u = self.updates
             weights = weights * ((u - np.array([t for _c, t, _sv in self.supports])) / u)
-        postings = _Postings([sv for _coef, _tick, sv in self.supports])
-        out = []
-        for fv in vectors:
-            terms = weights * postings.kernel_row(fv, self.degree)
-            terms[0] += self.bias
-            out.append(float(np.cumsum(terms)[-1]))
+        tiles = _Tiles([sv for _coef, _tick, sv in self.supports])
+        out: list[float] = []
+        for lo in range(0, len(vectors), _KERNEL_BLOCK):
+            out += self._block_scores(tiles, weights, vectors[lo:lo + _KERNEL_BLOCK])
         return out
+
+    def _block_scores(self, tiles: _Tiles, weights: np.ndarray,
+                      block: Sequence[tuple[int, ...]]) -> list[float]:
+        # one block's arrays, freed before the next block's are made
+        terms = tiles.kernel_rows(block, self.degree)
+        terms *= weights
+        terms[:, 0] += self.bias
+        return np.cumsum(terms, axis=1)[:, -1].tolist()
 
 
 @dataclass

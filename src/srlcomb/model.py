@@ -137,7 +137,7 @@ V_LABEL = RoleLabel.parse("V")
 # Sentences
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     index: int
     form: str

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 from srlcomb import corpus_io, model
@@ -20,6 +21,7 @@ from srlcomb.corpus_io import (
 from srlcomb.evaluate import score
 from srlcomb.model import Argument, RoleLabel, Span, Syntax, V_LABEL
 from conftest import NOT_LINE_BREAKS
+from rich_syntax import rich_sentences
 
 
 SIMPLE_PROPS = """\
@@ -135,6 +137,19 @@ class TestSyntax:
         assert sent.clauses == ((0, 3),)
         assert sent.nes == (("DATE", 3, 3),)
         assert sent.clause_events == (("(S",), (), (), ("S)",))
+
+    def test_tokens_equal_their_checked_rebuilds(self):
+        """parse_syntax writes each token's slots without the constructor;
+        every token equals, and hashes as, the one the constructor makes
+        from the same fields, on a skeleton and on rich syntax."""
+        gold, _systems = generate_synthetic(SyntheticConfig(n_sentences=20, seed=5))
+        for sentences in (skeleton_sentences(gold), rich_sentences(gold, 1)):
+            parsed = parse_syntax(emit_syntax(sentences))
+            assert [s.tokens for s in parsed] == [s.tokens for s in sentences]
+            for token in (t for s in parsed for t in s.tokens):
+                rebuilt = model.Token(*(getattr(token, f.name) for f in fields(model.Token)))
+                assert type(token) is model.Token
+                assert token == rebuilt and hash(token) == hash(rebuilt)
 
     def test_parse_tree(self):
         sent = parse_syntax(SYNTAX_WITH_PARSE)[0]

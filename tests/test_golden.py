@@ -11,7 +11,8 @@ training and dp commands given it pin FS4 and FS5 on real syntax.  Each file a
 command writes, its manifest included, and its stdout are hashed with
 SHA-256, the run directory masked, and compared with the table in
 ``tests/golden.json``.  Two of the commands also run in fresh processes under
-two ``PYTHONHASHSEED`` values.
+two ``PYTHONHASHSEED`` values, and an SVM's training and scoring with one
+BLAS thread and with the default number.
 
 A change that is meant to change an output rewrites the table with
 
@@ -61,9 +62,12 @@ SOFT = "1+2+3:soft=0.5+4:soft=0.3"
 # the rule sets decoded on hard-50-relabelled, by entry name
 RELABELLED_RULES = (("cs-1+2", "1+2"), ("cs-1+2+3+4", "1+2+3+4"), ("cs-soft", SOFT))
 
-# the commands that also run under two hash seeds, and their entries' prefixes
+# the commands that also run under two hash seeds
 HASHSEED_COMMANDS = ("seed-1/train-perceptron-global", "hard-50/cs-soft")
-_HASHSEED_ENTRIES = tuple(name + "/" for name in HASHSEED_COMMANDS)
+# the commands that also run with one BLAS thread and with the default
+# number, and the variables that set it
+BLAS_COMMANDS = ("seed-1/train-svm", "seed-2/dp-svm-pred", "seed-2/dp-svm-sentence")
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _digests(run: Path, out: Path, stdout: str, name: str) -> dict:
@@ -213,23 +217,43 @@ def test_existential_rules_change_the_relabelled_output(digests):
     assert len(props) == len(RELABELLED_RULES)
 
 
+def _entries(digests: dict, names: tuple) -> dict:
+    """The entries of ``digests`` that the commands ``names`` wrote."""
+    prefixes = tuple(name + "/" for name in names)
+    return {k: v for k, v in digests.items() if k.startswith(prefixes)}
+
+
+def _fresh_digests(run: Path, names: tuple, env: dict) -> dict:
+    """The digests of the commands ``names``, computed in a fresh process
+    with ``env`` as its environment."""
+    code = ("import json, sys; from pathlib import Path; from test_golden import digest_all; "
+            "print(json.dumps(digest_all(Path(sys.argv[1]), set(sys.argv[2:]))))")
+    env = dict(env, PYTHONPATH=os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)]))
+    out = subprocess.run([sys.executable, "-c", code, str(run), *names],
+                         capture_output=True, text=True, env=env, check=True)
+    return _entries(json.loads(out.stdout), names)
+
+
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     """The same commands in fresh processes under two PYTHONHASHSEED values
     write what the table holds."""
-    code = ("import json, sys; from pathlib import Path; from test_golden import digest_all; "
-            "print(json.dumps(digest_all(Path(sys.argv[1]), set(sys.argv[2:]))))")
-    src = str(TESTS.parent / "src")
-    seen = []
-    for seed in ("0", "12345"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join([src, str(TESTS)]))
-        run = tmp_path / seed
-        out = subprocess.run([sys.executable, "-c", code, str(run), *HASHSEED_COMMANDS],
-                             capture_output=True, text=True, env=env, check=True)
-        seen.append({k: v for k, v in json.loads(out.stdout).items()
-                     if k.startswith(_HASHSEED_ENTRIES)})
-    table = _table()
-    expected = {k: v for k, v in table.items() if k.startswith(_HASHSEED_ENTRIES)}
+    seen = [_fresh_digests(tmp_path / seed, HASHSEED_COMMANDS,
+                           dict(os.environ, PYTHONHASHSEED=seed))
+            for seed in ("0", "12345")]
+    expected = _entries(_table(), HASHSEED_COMMANDS)
+    assert expected and seen[0] == seen[1] == expected
+
+
+def test_scores_do_not_depend_on_blas_threads(tmp_path):
+    """An SVM trained and then scored by the dp engine in fresh processes,
+    once with BLAS and OpenMP held to one thread and once with their
+    defaults, writes what the table holds: model scores are sums of exact
+    integer dot products, so the thread count moves no bit."""
+    default = {k: v for k, v in os.environ.items() if k not in _THREAD_VARIABLES}
+    one = dict(default, **{k: "1" for k in _THREAD_VARIABLES})
+    seen = [_fresh_digests(tmp_path / name, BLAS_COMMANDS, env)
+            for name, env in (("one", one), ("default", default))]
+    expected = _entries(_table(), BLAS_COMMANDS)
     assert expected and seen[0] == seen[1] == expected
 
 

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -134,9 +135,10 @@ def _float64_gram(vectors, degree):
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
-def test_gram_bit_identical_to_float64_build(featured_pool, degree):
-    """SMO reads posting rows and the (nnz + 1)^degree diagonal; both give
-    the bits of the float64 Gram matrix."""
+def test_gram_bit_identical_to_float64_build(featured_pool, degree, monkeypatch):
+    """SMO reads posting rows and the (nnz + 1)^degree diagonal, and scoring
+    reads dense tiles; all give the bits of the float64 Gram matrix, with
+    one tile or several (blocks of 7)."""
     datasets = label_datasets(featured_pool[0])
     label = max(datasets, key=lambda lab: len(datasets[lab]))
     empty = [(), ()]
@@ -148,7 +150,29 @@ def test_gram_bit_identical_to_float64_build(featured_pool, degree):
         assert np.array_equal(rows, want)
         diag = (np.array([len(v) for v in vectors]) + 1.0) ** degree
         assert np.array_equal(diag, np.diagonal(want))
+        for block in (learn._KERNEL_BLOCK, 7):
+            monkeypatch.setattr(learn, "_KERNEL_BLOCK", block)
+            tiles = learn._Tiles(vectors)
+            tiles = np.concatenate([tiles.kernel_rows(vectors[lo:lo + block], degree)
+                                    for lo in range(0, len(vectors), block)])
+            assert tiles.dtype == np.float64
+            assert np.array_equal(tiles, want)
+            monkeypatch.undo()
+    assert len(datasets[label]) > 7
     assert np.array_equal(want, np.ones((2, 2)))
+
+
+@pytest.fixture(scope="module")
+def largest_label():
+    """(label, dataset, extractor) of the label with the most candidates
+    in a 300-sentence corpus."""
+    gold, systems = generate_synthetic(SyntheticConfig(n_sentences=300, seed=7))
+    pool = build_pool([(f"M{i+1}", d, t) for i, (d, t) in enumerate(systems)],
+                      gold, DEFAULT_GAMMA)
+    extractor = FeatureExtractor(intervals=build_intervals(pool))
+    datasets = label_datasets(extractor.extract_pool(pool))
+    label = max(datasets, key=lambda lab: len(datasets[lab]))
+    return label, datasets[label], extractor
 
 
 class TestLocalSvm:
@@ -199,22 +223,16 @@ class TestLocalSvm:
         err = capsys.readouterr().err
         assert "label A1 stopped after 1 steps" in err
 
-    def test_peak_memory_below_one_gram(self):
+    def test_peak_memory_below_one_gram(self, largest_label):
         """SMO keeps only the kernel rows it reads: on the largest label of a
         300-sentence corpus (A3, 287 points), training peaks below the bytes
         of one float64 Gram matrix."""
-        gold, systems = generate_synthetic(SyntheticConfig(n_sentences=300, seed=7))
-        pool = build_pool([(f"M{i+1}", d, t) for i, (d, t) in enumerate(systems)],
-                          gold, DEFAULT_GAMMA)
-        extractor = FeatureExtractor(intervals=build_intervals(pool))
-        pool = extractor.extract_pool(pool)
-        datasets = label_datasets(pool)
-        label = max(datasets, key=lambda lab: len(datasets[lab]))
-        n = len(datasets[label])
+        label, data, extractor = largest_label
+        n = len(data)
         assert (label, n) == ("A3", 287)
         tracemalloc.start()
         try:
-            train_local_svm({label: datasets[label]}, extractor=extractor)
+            train_local_svm({label: data}, extractor=extractor)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -794,11 +812,65 @@ class TestDualSum:
                     seen_kinds.add("bias only")
                 assert m == ref_score(scorer, c.features, averaged=True)
         assert seen_kinds == {"no scorer", "bias only"}
-        # an empty vector, and ids that no support shares: every kernel value is 1
+        # empty vectors and ids that no support shares, in one call with
+        # ordinary vectors: those kernel values are 1
         unseen = len(extractor.space) + 1000
-        for scorer in model.scorers.values():
-            for vector in ((), (unseen, unseen + 1)):
-                assert scorer.scores([vector])[0] == ref_score(scorer, vector, averaged=True)
+        for label, scorer in model.scorers.items():
+            vectors = _mixed_vectors(pool, label, unseen)
+            assert scorer.scores(vectors) == [ref_score(scorer, v, averaged=True)
+                                              for v in vectors]
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["svm", "perceptron-local", "perceptron-global"])
+    def test_tile_edges(self, featured_pool, monkeypatch, kind, degree, block):
+        """With tiles of 1 and 7 vectors, the labels span several support
+        tiles and several candidate tiles, and the scores keep their bits."""
+        pool, extractor, raw, _gold = featured_pool
+        model = _train(kind, featured_pool, degree)
+        monkeypatch.setattr(learn, "_KERNEL_BLOCK", block)
+        assert max(len(sc.supports) for sc in model.scorers.values()) > block
+        for sent, margins in zip(pool.sentences, score_pool(model, raw), strict=True):
+            for c, m in zip(sent.candidates, margins, strict=True):
+                scorer = model.scorers.get(c.label.text)
+                assert m == (0.0 if scorer is None else ref_score(scorer, c.features,
+                                                                  averaged=True))
+        unseen = len(extractor.space) + 1000
+        for label, scorer in model.scorers.items():
+            vectors = _mixed_vectors(pool, label, unseen)
+            assert len(vectors) > block
+            assert scorer.scores(vectors) == [ref_score(scorer, v, averaged=True)
+                                              for v in vectors]
+
+    def test_memory_does_not_grow_with_candidates(self, largest_label):
+        """Scoring holds one tile of candidates at a time: on A3 of a
+        300-sentence corpus, the traced peak of scoring 4q vectors exceeds
+        that of q vectors by no more than the list of scores returned."""
+        label, data, extractor = largest_label
+        scorer = train_local_svm({label: data}, extractor=extractor).scorers[label]
+        vectors = [x for x, _ in data]
+        assert len(vectors) > learn._KERNEL_BLOCK
+        peaks = []
+        for batch in (vectors, vectors * 4):
+            tracemalloc.start()
+            try:
+                out = scorer.scores(batch)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert out[:len(vectors)] == scorer.scores(vectors)
+        returned = sys.getsizeof(out) + sum(map(sys.getsizeof, out))
+        assert peaks[1] - peaks[0] <= returned, (peaks, returned)
+
+
+def _mixed_vectors(pool, label: str, unseen: int) -> list:
+    """Vectors of ``label``'s candidates in ``pool``, each followed by the
+    empty vector, two ids no support holds (``unseen`` and the next), and
+    itself with ``unseen`` added."""
+    out = []
+    for c in [c for c in pool.all_candidates() if c.label.text == label][:12]:
+        out += [c.features, (), (unseen, unseen + 1), c.features + (unseen,)]
+    return out
 
 
 def _naive_local(datasets, degree: int, epochs: int) -> dict:
