@@ -14,8 +14,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .calibrate import linear_quantile
 from .corpus_io import PropsDocument, check_skeleton
 from .model import (
@@ -180,6 +178,7 @@ def bootstrap(report: ScoreReport, b: int = 1000, seed: int = 0) -> BootstrapRes
     time from one generator.  PCG64 keeps the unused half of a 64-bit draw
     in its state, so the blocks continue one stream and give the draws of a
     single (b, n) call, while memory holds one block and the b F1 values."""
+    import numpy as np
     if b < 100:
         raise ValueError("need at least 100 resamples")
     n = len(report.per_sentence)

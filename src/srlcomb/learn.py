@@ -27,6 +27,10 @@ two float64 0/1 matrices over the support block's feature columns.  Every
 dot is an integer no larger than nnz, which ``check_degree`` keeps far below
 2^53, so the tiles give the posting rows' bits whatever the BLAS summation
 order or thread count.
+
+numpy is imported by each function that calls it, not by the module:
+loading this module or a model file leaves numpy unloaded, and only
+training and scoring load it.
 """
 
 from __future__ import annotations
@@ -38,9 +42,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .calibrate import IntervalTable
 from .corpus_io import PropsDocument, text_lines
@@ -56,6 +58,9 @@ from .infer_cs import Scope
 from .infer_dp import infer_sentence
 from .model import Candidate, RoleLabel, Sentence
 from .pool import CandidatePool, gold_keys
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MODEL_HEADER = "SRLCOMB-MODEL v1"
 DEFAULT_DEGREE = 2
@@ -85,6 +90,7 @@ def _kernel(dots: np.ndarray, degree: int) -> np.ndarray:
 
 def _id_rows(vectors: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
     """The feature ids of ``vectors`` end to end, and the row of each."""
+    import numpy as np
     lengths = [len(v) for v in vectors]
     ids = np.fromiter(chain.from_iterable(vectors), np.intp, sum(lengths))
     return ids, np.repeat(np.arange(len(vectors)), lengths)
@@ -97,6 +103,7 @@ class _Postings:
     the total length of those lists, not a loop over the rows."""
 
     def __init__(self, vectors: Sequence[tuple[int, ...]]):
+        import numpy as np
         self.n = len(vectors)
         ids, rows = _id_rows(vectors)
         # group the (id, row) pairs by id: each list is a slice of one array
@@ -107,6 +114,7 @@ class _Postings:
 
     def kernel_row(self, fv: tuple[int, ...], degree: int) -> np.ndarray:
         """(u.v + 1)^degree of ``fv`` against every row, as floats."""
+        import numpy as np
         hits = [self._lists[fid] for fid in fv if fid in self._lists]
         dots = np.bincount(np.concatenate(hits), minlength=self.n) if hits else np.zeros(self.n)
         return _kernel(dots, degree)
@@ -116,6 +124,7 @@ def _design(ids: np.ndarray, rows: np.ndarray, n: int, cols: np.ndarray) -> np.n
     """The float64 0/1 matrix of n vectors (ids and rows as ``_id_rows``
     gives them) over the feature ids ``cols``, which are ascending and end
     in -1; ids that ``cols`` lacks are dropped."""
+    import numpy as np
     pos = np.searchsorted(cols[:-1], ids)
     # an id past all of cols finds the -1
     hit = cols[pos] == ids
@@ -129,6 +138,7 @@ class _Tiles:
     float64 0/1 matrix over the feature ids the block holds."""
 
     def __init__(self, vectors: Sequence[tuple[int, ...]]):
+        import numpy as np
         self.n = len(vectors)
         self._blocks = []
         for lo in range(0, self.n, _KERNEL_BLOCK):
@@ -144,6 +154,7 @@ class _Tiles:
         of the tiles, as float rows: one matrix product per tile.  Its size
         is that of ``block`` times the tiles'; scoring passes at most
         ``_KERNEL_BLOCK`` vectors."""
+        import numpy as np
         ids, rows = _id_rows(block)
         dots = np.empty((len(block), self.n))
         for start, cols, matrix in self._blocks:
@@ -191,6 +202,7 @@ class LabelScorer:
         score equals the support-by-support sum bit for bit and does not
         depend on which other vectors are scored with it.
         """
+        import numpy as np
         if not self.supports:
             return [self.bias] * len(vectors)
         weights = np.array([coef for coef, _tick, _sv in self.supports])
@@ -205,6 +217,7 @@ class LabelScorer:
 
     def _block_scores(self, tiles: _Tiles, weights: np.ndarray,
                       block: Sequence[tuple[int, ...]]) -> list[float]:
+        import numpy as np
         # one block's arrays, freed before the next block's are made
         terms = tiles.kernel_rows(block, self.degree)
         terms *= weights
@@ -411,6 +424,7 @@ def score_pool(model: ScoreModel, pool: CandidatePool,
     warning per such label.  A score that is not finite, which finite but
     huge coefficients can give, is a ValueError that names the label.
     """
+    import numpy as np
     pool = model.extractor.extract_pool(pool, sentences)
     flat = list(pool.all_candidates())
     by_label: dict = {}
@@ -478,6 +492,7 @@ def _smo(row, diag: np.ndarray, y: np.ndarray, c: float, tol: float,
     largest KKT violation left; it exceeds `tol` only when the loop stopped
     at `max_steps` (default 100 n).
     """
+    import numpy as np
     n = len(y)
     ys = y.tolist()
     alpha = [0.0] * n
@@ -536,6 +551,7 @@ def train_local_svm(datasets: LabelDataset, *, degree: int = DEFAULT_DEGREE,
                     c: float = DEFAULT_C, tol: float = DEFAULT_KKT_TOL,
                     extractor: FeatureExtractor) -> ScoreModel:
     """One soft-margin binary SVM per label, trained with SMO."""
+    import numpy as np
     scorers = {}
     for label in sorted(datasets):
         data = list(datasets[label])
@@ -570,6 +586,7 @@ def train_local_perceptron(datasets: LabelDataset, *, degree: int = DEFAULT_DEGR
     Each point's raw margin is cached and every update adds one kernel row
     to the cache; the margins are sums of integers, so they are exact.
     """
+    import numpy as np
     scorers = {}
     for label in sorted(datasets):
         data = list(datasets[label])
@@ -655,6 +672,7 @@ def train_global_perceptron(examples: Sequence[TrainExample], *,
     after u updates is (u*S1 - S2)/u.  The sums hold integers, so they are
     exact, and the averaged score is rounded once, at the division.
     """
+    import numpy as np
     model = ScoreModel("perceptron-global", degree, extractor, {})
     tick = 0
     ledger = []

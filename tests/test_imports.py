@@ -113,6 +113,13 @@ def test_features_and_pool_import_without_numpy():
     assert out.stdout.strip() == "False"
 
 
+def _fresh(code: str) -> list:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    return out.stdout.splitlines()
+
+
 def test_infer_gold_does_not_import_numpy_ma(tmp_path):
     """The bootstrap reads its bounds without ``np.percentile``, so scoring
     against gold does not pay for importing ``numpy.ma``."""
@@ -122,8 +129,40 @@ def test_infer_gold_does_not_import_numpy_ma(tmp_path):
             f"assert main(['synth', '--out', {str(tmp_path)!r}, '--sentences', '5']) == 0; "
             f"assert main({argv!r}) == 0; "
             "print('numpy.ma' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    lines = out.stdout.splitlines()
+    lines = _fresh(code)
     assert lines[-2].startswith("F1 ") and lines[-1] == "False"
+
+
+def test_no_module_imports_numpy():
+    """numpy is imported inside the functions that compute with it, so
+    loading any module of the package, the command line included, leaves
+    it unloaded."""
+    names = sorted(f"srlcomb.{p.stem}" for p in PACKAGE if p.name != "__init__.py")
+    assert {"srlcomb.cli", "srlcomb.learn", "srlcomb.evaluate",
+            "srlcomb.infer_cs", "srlcomb.infer_dp"} <= set(names)
+    code = f"import sys, {', '.join(names)}; print('numpy' in sys.modules)"
+    assert _fresh(code)[-1] == "False"
+
+
+def test_commands_without_learning_do_not_load_numpy(tmp_path):
+    """Only training, model scoring and the bootstrap of ``--gold`` load
+    numpy; every other command runs without it."""
+    systems = [f"--system={tmp_path}/sys{i}.props:{tmp_path}/sys{i}.scores" for i in (1, 2, 3)]
+    gold = f"--gold={tmp_path}/gold.props"
+    commands = [
+        ["synth", "--out", str(tmp_path), "--sentences", "5"],
+        ["pool", *systems],
+        ["pool", *systems, gold, "--dump", f"{tmp_path}/pool.json"],
+        ["oracle", *systems, gold],
+        ["curves", *systems, gold, "--out", f"{tmp_path}/curves.csv"],
+        ["sweep", *systems, gold, "--o-values", "0,0.5", "--out", f"{tmp_path}/sweep.csv"],
+        ["infer", *systems, f"--out={tmp_path}/out.props"],
+        ["infer", *systems, gold, f"--out={tmp_path}/out.props"],
+    ]
+    code = ("import io, sys; from contextlib import redirect_stdout; "
+            "from srlcomb.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "    print(argv[0], 'numpy' in sys.modules)\n")
+    assert _fresh(code) == [f"{argv[0]} {argv is commands[-1]}" for argv in commands]
