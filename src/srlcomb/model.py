@@ -313,7 +313,7 @@ _value = itemgetter(1)      # the value of a (system, value) pair
 _key = attrgetter("key")    # a candidate's stored key
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class Candidate:
     """One pooled argument hypothesis with its per-system evidence.
 
@@ -323,8 +323,9 @@ class Candidate:
     ``features`` are the strictly increasing ids ``FeatureSpace.ids`` gives.
     ``key``, the (sentence id, predicate, label text, span) tuple that
     solutions, decoding and learning key candidates by, is stored when the
-    candidate is made; the fields determine it, so it is no field of its own
-    and takes no part in equality or hashing.
+    candidate is made; the other fields determine it, so it takes no part in
+    equality or hashing.  Every field is a slot, so a candidate has no
+    instance dict.
     """
 
     sentence_id: int
@@ -334,6 +335,7 @@ class Candidate:
     probs: tuple[tuple[str, float], ...] = ()
     features: Optional[tuple[int, ...]] = None
     is_gold: Optional[bool] = None
+    key: CandidateKey = field(default=None, init=False, repr=False, compare=False)
 
     def __init__(self, sentence_id: int, argument: Argument, votes: frozenset,
                  raw_scores: Iterable[tuple[str, float]] = (),
@@ -376,19 +378,17 @@ class Candidate:
         of ``__init__``: for a caller that guarantees what they would
         establish.  ``raw_scores`` and ``probs`` are tuples in system order
         that mention voting systems only, each probability is in [0, 1], and
-        ``key`` is the candidate's key.  Writing the instance dict directly
-        costs about a third of what one ``set_frozen_field`` call per field
-        does."""
-        candidate = object.__new__(cls)
-        fields = candidate.__dict__
-        fields["sentence_id"] = sentence_id
-        fields["argument"] = argument
-        fields["votes"] = votes
-        fields["raw_scores"] = raw_scores
-        fields["probs"] = probs
-        fields["features"] = features
-        fields["is_gold"] = is_gold
-        fields["key"] = key
+        ``key`` is the candidate's key.  Each slot is set through its member
+        descriptor, as ``corpus_io`` makes arguments and tokens."""
+        candidate = _new(cls)
+        _set_sentence_id(candidate, sentence_id)
+        _set_argument(candidate, argument)
+        _set_votes(candidate, votes)
+        _set_raw_scores(candidate, raw_scores)
+        _set_probs(candidate, probs)
+        _set_features(candidate, features)
+        _set_is_gold(candidate, is_gold)
+        _set_key(candidate, key)
         return candidate
 
     def with_features(self, features: Optional[tuple[int, ...]]) -> "Candidate":
@@ -421,6 +421,13 @@ class Candidate:
 
     def prob_sum(self) -> float:
         return sum(map(_value, self.probs))
+
+
+# Candidate's slot setters, which ``Candidate._trusted`` calls
+_new = object.__new__
+(_set_sentence_id, _set_argument, _set_votes, _set_raw_scores, _set_probs, _set_features,
+ _set_is_gold, _set_key) = (getattr(Candidate, name).__set__ for name in (
+    "sentence_id", "argument", "votes", "raw_scores", "probs", "features", "is_gold", "key"))
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,8 @@ def build_pool(systems: Sequence[tuple[str, PropsDocument, Optional[ScoreTable]]
 
     Each candidate is made once, without the checks of ``Candidate``'s
     constructor: its votes, scores and probabilities come from voting
-    systems only, merged in id order."""
+    systems only, merged in id order.  The pool holds one vote set per vote
+    pattern, which every candidate with that pattern shares."""
     if not systems:
         raise ValueError("need at least one system")
     ids = [sid for sid, _, _ in systems]
@@ -102,6 +103,7 @@ def build_pool(systems: Sequence[tuple[str, PropsDocument, Optional[ScoreTable]]
     # merged in id order, so that each candidate's votes, raw scores and
     # probabilities come out in system order
     order = sorted(range(len(systems)), key=ids.__getitem__)
+    vote_sets: dict = {}    # votes in system order -> their one frozenset
     sentences = []
     for s, skeleton in enumerate(systems[0][1].sentences):
         merged: dict = {}      # key -> (argument, votes, raw scores, probabilities)
@@ -133,8 +135,12 @@ def build_pool(systems: Sequence[tuple[str, PropsDocument, Optional[ScoreTable]]
         candidates = []
         for key in sorted(merged, key=_plain_order):
             arg, votes, raws, probs = merged[key]
+            votes = tuple(votes)
+            vote_set = vote_sets.get(votes)
+            if vote_set is None:
+                vote_set = vote_sets[votes] = frozenset(votes)
             candidates.append(Candidate._trusted(
-                s, arg, frozenset(votes), tuple(raws), tuple(probs), None,
+                s, arg, vote_set, tuple(raws), tuple(probs), None,
                 key in gold_here if gold_here is not None else None, key))
         sentences.append(SentencePool(s, skeleton.n_tokens, skeleton.predicates,
                                       tuple(candidates)))

@@ -9,6 +9,7 @@ clause and named-entity columns and a parse tree, frozen vocabularies, and
 subsets of the feature groups.
 """
 
+import dataclasses
 import random
 from itertools import combinations
 
@@ -194,8 +195,11 @@ def test_extracted_candidates_are_copies_with_features():
             for c, got in zip(sp.candidates, osp.candidates):
                 assert type(got) is Candidate and got is not c and c.features is None
                 want = c.with_features(got.features)
-                assert vars(got) == vars(want) and got == want and hash(got) == hash(want)
-                assert all(getattr(got, f) is getattr(c, f) for f in vars(c) if f != "features")
+                names = [f.name for f in dataclasses.fields(c)]
+                assert names[-1] == "key"
+                assert ([getattr(got, f) for f in names] == [getattr(want, f) for f in names]
+                        and got == want and hash(got) == hash(want))
+                assert all(getattr(got, f) is getattr(c, f) for f in names if f != "features")
                 assert list(got.features) == sorted(set(got.features))
 
 

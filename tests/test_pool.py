@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -353,8 +356,41 @@ class TestOnePass:
         for c in build_pool(systems, gold, 0.1).all_candidates():
             rebuilt = Candidate(c.sentence_id, c.argument, c.votes, c.raw_scores, c.probs,
                                 c.features, c.is_gold)
-            assert vars(c) == vars(rebuilt) and c == rebuilt and hash(c) == hash(rebuilt)
+            names = [f.name for f in dataclasses.fields(c)]
+            assert names[-1] == "key"
+            assert ([getattr(c, f) for f in names] == [getattr(rebuilt, f) for f in names]
+                    and c == rebuilt and hash(c) == hash(rebuilt))
             assert rebuilt.raw_scores is c.raw_scores and rebuilt.probs is c.probs
+
+    @pytest.mark.parametrize("name", ["hard-50", "search-hard-relabelled"])
+    def test_one_vote_set_per_pattern(self, name):
+        """A pooled candidate keeps its fields in slots, with no instance
+        dict; the pool holds one vote set per vote pattern, and a copy of a
+        candidate keeps its candidate's set."""
+        systems, gold = _case(name)
+        cands = list(build_pool(systems, gold, 0.1).all_candidates())
+        assert not any(hasattr(c, "__dict__") for c in cands)
+        assert len({id(c.votes) for c in cands}) == len({c.votes for c in cands}) > 1
+        for c in cands:
+            for copy in (c.with_features((1,)), c.with_gold(not c.is_gold),
+                         c.with_probs(c.probs)):
+                assert copy.votes is c.votes
+
+    def test_memory_per_candidate(self):
+        """build_pool keeps under 600 bytes a candidate on hard-50 (about 570
+        with slotted candidates and shared vote sets, about 920 with an
+        instance dict and a vote set per candidate)."""
+        systems, gold = _case("hard-50")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pool = build_pool(systems, gold, 0.1)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept / sum(len(sp.candidates) for sp in pool.sentences) < 600
 
     def test_cases_have_what_they_name(self):
         systems, gold = _case("search-hard-relabelled")
